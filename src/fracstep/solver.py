@@ -9,8 +9,10 @@ w^{n-theta} = theta w^{n-1} + (1-theta) w^n, theta = alpha/2.  The
 fractional derivative uses the split form from kernels.py, so each step
 solves a nonlinear equation in phi^n with all history frozen.  A plain
 fixed-point iteration lags the cubic term; each sweep inverts the
-constant-coefficient operator (D I - (1-theta) eps^2 Lap) by conjugate
-gradients (symmetric positive definite, so convergence is guaranteed).
+constant-coefficient operator (D I - (1-theta) eps^2 Lap) exactly by one
+real 2-D FFT, since the periodic five-point Laplacian is diagonal in the
+discrete Fourier basis.  The Crank-Nicolson reference step shares the
+same sweep loop.
 
 Below the step-size cap the discrete maximum bound |phi| <= 1 is
 inherited from the initial data; the stepper never clips, it audits.
@@ -38,11 +40,15 @@ from .special import omega
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point or linear solve failed to reach its tolerance."""
+    """Fixed-point iteration stalled or produced non-finite values."""
 
 
 class BoundViolation(RuntimeError):
     """Computed field left [-1, 1] although the hypotheses guarantee it."""
+
+
+def _reaction(phi: np.ndarray) -> np.ndarray:
+    return phi * phi * phi - phi
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class ManufacturedForcing:
         S = self.profile(grid)
         phi = (float(omega(1.0 + self.sigma, t)) if t > 0.0 else 0.0) * S
         dphi = float(omega(1.0 + self.sigma - alpha, t)) * S
-        return dphi + (phi**3 - phi) + 2.0 * epsilon**2 * phi
+        return dphi + _reaction(phi) + 2.0 * epsilon**2 * phi
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,6 @@ class SolverConfig:
     forcing: ManufacturedForcing | None = None
     fixed_point_tol: float = 1e-12
     fixed_point_max_iter: int = 200
-    linear_tol: float = 1e-13
-    linear_max_iter: int = 4000
     enforce_bound: bool = False
     bound_tol: float = 1e-10
 
@@ -111,50 +115,33 @@ def step_size_cap(alpha: float, h: float, epsilon: float) -> float:
     return min(reaction, diffusion)
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    return grid_sum(u * v)
+def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfig, x0, where: str):
+    """Lagged fixed point of (c I - nu Lap) psi = rhs_fixed - weight f(psi), from x0.
 
-
-def _solve_shifted_poisson(
-    c: float, nu: float, rhs: np.ndarray, grid: Grid2D, tol: float, max_iter: int, x0: np.ndarray
-) -> np.ndarray:
-    """Conjugate gradients for (c I - nu Lap) x = rhs with diagonal preconditioning.
-
-    c > 0 and nu >= 0 make the periodic operator symmetric positive
-    definite.  The diagonal is the constant c + 4 nu / h^2.
+    c > 0 and nu >= 0, so the periodic five-point operator is invertible
+    and diagonal in the 2-D DFT with symbol
+    c + (4 nu / h^2) (sin^2(pi k / M) + sin^2(pi l / M)); each sweep
+    inverts it exactly on the real half-spectrum.  Returns (psi, sweeps).
     """
-    diag = c + 4.0 * nu / grid.h**2
-
-    def apply(x):
-        return c * x - nu * laplacian(x, grid)
-
-    x = x0.copy()
-    r = rhs - apply(x)
-    target = tol * max(math.sqrt(_dot(rhs, rhs)), 1e-300)
-    if math.sqrt(_dot(r, r)) <= target:
-        return x
-    z = r / diag
-    p = z.copy()
-    rz = _dot(r, z)
-    for _ in range(max_iter):
-        Ap = apply(p)
-        denom = _dot(p, Ap)
-        a = rz / denom
-        x = x + a * p
-        r = r - a * Ap
-        if math.sqrt(_dot(r, r)) <= target:
-            return x
-        z = r / diag
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    M = cfg.grid.M
+    s = np.sin(np.pi * np.arange(M) / M) ** 2
+    symbol = c + (4.0 * nu / cfg.grid.h**2) * (s[:, None] + s[None, : M // 2 + 1])
+    psi = x0
+    for sweep in range(1, cfg.fixed_point_max_iter + 1):
+        rhs = rhs_fixed - weight * _reaction(psi)
+        psi_new = np.fft.irfft2(np.fft.rfft2(rhs) / symbol, s=rhs.shape)
+        # A difference is finite only if both iterates are, so this one
+        # check catches a non-finite field on the sweep it appears.
+        change = norm_inf(psi_new - psi)
+        if not math.isfinite(change):
+            raise ConvergenceError(f"{where} hit non-finite values in the field at sweep {sweep}")
+        psi = psi_new
+        if change <= cfg.fixed_point_tol:
+            return psi, sweep
     raise ConvergenceError(
-        f"linear solve stalled: residual {math.sqrt(_dot(r, r)):.3e} after {max_iter} iterations"
+        f"{where} stalled at change {change:.3e} "
+        f"after {cfg.fixed_point_max_iter} sweeps"
     )
-
-
-def _reaction(phi: np.ndarray) -> np.ndarray:
-    return phi**3 - phi
 
 
 def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
@@ -193,29 +180,14 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
         t_off = mesh.offset_node(n, theta)
         rhs_fixed = rhs_fixed + cfg.forcing.force(t_off, grid, order, cfg.epsilon)
 
-    nu = (1.0 - theta) * eps2
-    psi = prev.copy()
-    for sweep in range(1, cfg.fixed_point_max_iter + 1):
-        rhs = rhs_fixed - (1.0 - theta) * _reaction(psi)
-        psi_new = _solve_shifted_poisson(
-            D, nu, rhs, grid, cfg.linear_tol, cfg.linear_max_iter, psi
-        )
-        change = norm_inf(psi_new - psi)
-        psi = psi_new
-        if change <= cfg.fixed_point_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"step {n}: fixed point stalled at change {change:.3e} "
-            f"after {cfg.fixed_point_max_iter} sweeps"
-        )
-    if not np.all(np.isfinite(psi)):
-        raise ConvergenceError(f"step {n}: non-finite values in the field")
+    psi, sweeps = _fixed_point(
+        rhs_fixed, D, (1.0 - theta) * eps2, 1.0 - theta, cfg, prev, f"step {n}: fixed point"
+    )
     if cfg.enforce_bound and norm_inf(psi) > 1.0 + cfg.bound_tol:
         raise BoundViolation(
             f"step {n}: max norm {norm_inf(psi):.15f} exceeds 1 + {cfg.bound_tol:.1e}"
         )
-    return psi, sweep
+    return psi, sweeps
 
 
 def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig, t_prev: float = 0.0):
@@ -230,19 +202,7 @@ def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig, t_prev:
     rhs_fixed = c * prev - 0.5 * _reaction(prev) + 0.5 * eps2 * laplacian(prev, grid)
     if cfg.forcing is not None:
         rhs_fixed = rhs_fixed + cfg.forcing.force(t_prev + 0.5 * tau, grid, cfg.alpha, cfg.epsilon)
-    psi = prev.copy()
-    for sweep in range(1, cfg.fixed_point_max_iter + 1):
-        rhs = rhs_fixed - 0.5 * _reaction(psi)
-        psi_new = _solve_shifted_poisson(
-            c, 0.5 * eps2, rhs, grid, cfg.linear_tol, cfg.linear_max_iter, psi
-        )
-        change = norm_inf(psi_new - psi)
-        psi = psi_new
-        if change <= cfg.fixed_point_tol:
-            break
-    else:
-        raise ConvergenceError(f"reference step stalled at change {change:.3e}")
-    return psi, sweep
+    return _fixed_point(rhs_fixed, c, 0.5 * eps2, 0.5, cfg, prev, "reference step")
 
 
 @dataclass(frozen=True)

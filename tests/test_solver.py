@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracstep.grid import Grid2D, laplacian, norm_inf
-from fracstep.kernels import build_kernels
+from fracstep.kernels import build_kernels, local_coefficient
 from fracstep.mesh import AdaptiveConfig, TimeMesh, build_graded_mesh, build_uniform_mesh
 from fracstep.solver import (
     AdaptiveSchedule,
@@ -14,7 +14,7 @@ from fracstep.solver import (
     ConvergenceError,
     ManufacturedForcing,
     SolverConfig,
-    _solve_shifted_poisson,
+    _fixed_point,
     crank_nicolson_step,
     run,
     step,
@@ -84,21 +84,17 @@ def test_step_size_cap_diffusion_branch_scales_with_h():
 
 
 def test_linear_solver_recovers_known_field():
+    # reaction weight 0: sweep 1 is one spectral solve, sweep 2 sees no change;
+    # odd M checks the symbol on the real half-spectrum, nu = 0 the pure shift
     rng = np.random.default_rng(0)
-    g = _grid(16)
-    x_true = rng.standard_normal((16, 16))
-    c, nu = 2.0, 0.3
-    rhs = c * x_true - nu * laplacian(x_true, g)
-    x = _solve_shifted_poisson(c, nu, rhs, g, tol=1e-13, max_iter=2000, x0=np.zeros_like(rhs))
-    assert norm_inf(x - x_true) < 1e-10
-
-
-def test_linear_solver_stall_raises():
-    rng = np.random.default_rng(6)
-    g = _grid(8)
-    rhs = rng.standard_normal((8, 8))
-    with pytest.raises(ConvergenceError, match="linear solve"):
-        _solve_shifted_poisson(1.0, 1.0, rhs, g, tol=1e-13, max_iter=1, x0=np.zeros_like(rhs))
+    for M, nu in ((16, 0.3), (9, 0.3), (16, 0.0)):
+        cfg = _cfg(M=M)
+        x_true = rng.standard_normal((M, M))
+        c = 2.0
+        rhs = c * x_true - nu * laplacian(x_true, cfg.grid)
+        x, sweeps = _fixed_point(rhs, c, nu, 0.0, cfg, np.zeros_like(rhs), "solve")
+        assert norm_inf(x - x_true) <= 1e-12, (M, nu)
+        assert sweeps == 2
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
@@ -164,6 +160,43 @@ def test_crank_nicolson_implicit_relation():
     )
     assert norm_inf(res) < 1e-10
     assert sweeps >= 2
+
+
+def test_l21sigma_step_implicit_relation():
+    # the computed level satisfies the split-form scheme to solver accuracy
+    rng = np.random.default_rng(4)
+    g = _grid(16)
+    cfg = SolverConfig(alpha=0.6, epsilon=0.3, grid=g)
+    mesh = build_graded_mesh(0.1, 6, 2.0)
+    n = 4
+    fields = [0.5 * rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(n)]
+    kern = build_kernels(mesh, cfg.alpha, n)
+    phi, sweeps = step(fields, mesh, kern, cfg)
+    levels = fields + [phi]
+    theta = cfg.alpha / 2.0
+    deriv = local_coefficient(cfg.alpha, kern) * (phi - fields[-1])
+    for k in range(1, n + 1):
+        deriv = deriv + kern.hat_a[n - k] * (levels[k] - levels[k - 1])
+    prev = fields[-1]
+    res = (
+        deriv
+        + theta * (prev**3 - prev) + (1.0 - theta) * (phi**3 - phi)
+        - cfg.epsilon**2 * laplacian(theta * prev + (1.0 - theta) * phi, g)
+    )
+    assert norm_inf(res) < 1e-10
+    assert sweeps >= 2
+
+
+def test_non_finite_field_raises_at_once():
+    rng = np.random.default_rng(5)
+    cfg = _cfg()
+    prev = rng.uniform(-0.5, 0.5, (8, 8))
+    prev[3, 4] = np.nan
+    mesh = build_uniform_mesh(0.2, 10)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        step([prev], mesh, build_kernels(mesh, cfg.alpha, 1), cfg)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        crank_nicolson_step(prev, 0.02, cfg)
 
 
 def test_run_matches_manual_stepping():
