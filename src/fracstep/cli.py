@@ -2,7 +2,7 @@
 
     fracstep accuracy --config cfg.json --out results/
     fracstep coarsen  --config cfg.json --out results/ [--quick]
-    fracstep kernels  --config cfg.json --out results/
+    fracstep kernels  --config cfg.json --out results/ [--quick]
     fracstep rstar    --config cfg.json --out results/
 
 Every run writes run_meta.json with the SHA-256 of the canonicalized
@@ -143,10 +143,11 @@ def _cmd_coarsen(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
 
 
 def _cmd_kernels(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
+    num_meshes = int(cfg.get("num_meshes", 100))
     spec = xp.KernelAuditSpec(
         alphas=tuple(float(a) for a in cfg.get(
             "alphas", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))),
-        num_meshes=int(cfg.get("num_meshes", 20 if quick else 100)),
+        num_meshes=min(num_meshes, 20) if quick else num_meshes,
         n_max=int(cfg.get("n_max", 20)),
         dgs_histories=int(cfg.get("dgs_histories", 50)),
         seed=seed,

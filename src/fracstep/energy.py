@@ -43,25 +43,26 @@ def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
     return 0.5 * epsilon**2 * grad_energy(phi, grid) + bulk
 
 
-def _l2_sq(u: np.ndarray, grid: Grid2D) -> float:
-    return grid.h**2 * grid_sum(u * u)
+_G_BLOCK = 32        # history levels per squared-distance block (G's only temporary)
 
 
 def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
     """Half the integrated gradient-structure form G over the grid.
 
-    fields holds phi^0..phi^n; the partial sums of first differences
+    fields stacks phi^0..phi^n; the partial sums of first differences
     collapse to field differences phi^n - phi^j, so the form is a
-    coefficient-weighted sum of squared L2 distances to the history.
+    coefficient-weighted sum of squared L2 distances, taken blockwise by einsum.
     """
+    fields = np.asarray(fields, dtype=float)
     n = len(fields) - 1
     if n == 0:
         return 0.0
-    phin = fields[n]
+    dist = np.empty(n)                 # dist[j] = grid sum of (phi^n - phi^j)^2
+    for lo in range(0, n, _G_BLOCK):
+        d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
+        dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
     coeffs, tail = stored_form_coeffs(aux_a)
-    terms = [coeffs[j - 1] * _l2_sq(phin - fields[j], grid) for j in range(1, n)]
-    terms.append(tail * _l2_sq(phin - fields[0], grid))
-    return 0.5 * math.fsum(terms)
+    return 0.5 * grid.h**2 * math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
 
 
 def modified_energy(fields, kernels: KernelSet | None, epsilon: float, grid: Grid2D) -> EnergyRecord:

@@ -133,15 +133,15 @@ def _moment_series(alpha: float, tau, c):
     with f = omega_{3-alpha}, so f^{(2j+1)} = omega_{2-alpha-2j}.
     """
     half = 0.5 * tau
-    deriv = omega(-alpha, c)          # f''' (negative: reciprocal gamma < 0)
-    power = half**3
+    # term = (tau/2)^(2j+1) f^(2j+1)(c), stepped by q = (tau/2c)^2: powers of 1/c would overflow
+    term = half**3 * omega(-alpha, c)  # f''' < 0: reciprocal gamma < 0
+    q = (half / c) ** 2
     fact = 6.0                        # (2j+1)! at j = 1
     total = np.zeros_like(c)
     for j in range(1, _SERIES_TERMS + 1):
-        total += (4.0 * j / fact) * power * deriv
+        total += (4.0 * j / fact) * term
         beta = 2.0 - alpha - 2.0 * j
-        deriv = deriv * (beta - 1.0) * (beta - 2.0) / (c * c)
-        power = power * half * half
+        term = term * ((beta - 1.0) * (beta - 2.0) * q)
         fact = fact * (2.0 * j + 2.0) * (2.0 * j + 3.0)
     return -2.0 * total / (tau * tau)
 
@@ -271,22 +271,16 @@ def frac_derivative(history, kernels: KernelSet, order) -> float:
     return math.fsum(terms)
 
 
-def history_sum(weights: np.ndarray, diffs) -> np.ndarray:
-    """Kahan-compensated sum of weights[k] * diffs[k] over ascending k.
+def history_sum(weights: np.ndarray, fields) -> np.ndarray:
+    """Sum of weights[k] * (fields[k+1] - fields[k]) over ascending k.
 
-    diffs is a sequence of equal-shaped arrays (or scalars).  This is the
-    backend seam for the nonlocal history term: a faster evaluator can
-    replace it as long as the summation stays deterministic.
+    fields stacks len(weights) + 1 equal-shaped arrays; empty weights give
+    zeros.  einsum without optimize runs numpy's own loops, never BLAS, so
+    the result does not depend on the thread count.
     """
-    first = np.asarray(diffs[0], dtype=float)
-    total = np.zeros_like(first)
-    comp = np.zeros_like(first)
-    for w, d in zip(weights, diffs):
-        y = w * np.asarray(d, dtype=float) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    w = np.asarray(weights, dtype=float)
+    f = np.asarray(fields, dtype=float)
+    return np.einsum("k,k...->...", w, f[1:]) - np.einsum("k,k...->...", w, f[:-1])
 
 
 def stored_form_coeffs(aux_a: np.ndarray):

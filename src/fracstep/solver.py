@@ -145,7 +145,7 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
 
 
 def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
-    """Advance one level: fields holds phi^0..phi^{n-1}, returns (phi^n, sweeps).
+    """Advance one level: fields stacks phi^0..phi^{n-1}, returns (phi^n, sweeps).
 
     Fixed-point sweeps lag the reaction term; all history contributions
     are frozen.  Convergence is measured by the max-norm change between
@@ -168,12 +168,7 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
 
     prev = fields[-1]
     D = local_coefficient(order, kernels) + kernels.hat_a[0]
-    if n >= 2:
-        weights = kernels.hat_a[1:n][::-1]          # ascending k = 1..n-1
-        diffs = [fields[k] - fields[k - 1] for k in range(1, n)]
-        hist = history_sum(weights, diffs)
-    else:
-        hist = np.zeros_like(prev)
+    hist = history_sum(kernels.hat_a[1:n][::-1], fields)   # ascending k = 1..n-1
 
     rhs_fixed = D * prev - hist - theta * _reaction(prev) + theta * eps2 * laplacian(prev, grid)
     if cfg.forcing is not None:
@@ -225,7 +220,7 @@ class SolveTrajectory:
     """Everything a run produced: mesh as built, fields, norms, energies, flags."""
 
     mesh: TimeMesh
-    fields: list
+    fields: np.ndarray
     snapshots: dict
     sup_norms: np.ndarray
     fp_iters: np.ndarray
@@ -246,14 +241,13 @@ def run(
     phi0: np.ndarray,
     record_energy: bool = True,
     snapshot_times=(),
-    keep_fields: bool = True,
 ) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
-    Energy records (free and kernel-modified, with the per-step
-    dissipation residual) are optional but cheap relative to the history
-    sums.  Snapshot times are matched to the first node at or past each
-    requested time.
+    phi^0..phi^n live in one (capacity, M, M) stack, doubled when an
+    adaptive run fills it; step and modified_energy read views of it.
+    Energy records are optional.  Snapshot times are matched to the first
+    node at or past each requested time.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -270,13 +264,14 @@ def run(
         nodes = list(np.asarray(schedule.nodes))
         horizon = nodes[-1]
 
-    fields = [phi0.copy()]
+    fields = np.empty((len(nodes), grid.M, grid.M))
+    fields[0] = phi0
     sup_norms = [norm_inf(phi0)]
     fp_iters = []
     cap_ok = []
     ratio_ok = []
     notes = []
-    records = [modified_energy(fields, None, cfg.epsilon, grid)] if record_energy else None
+    records = [modified_energy(fields[:1], None, cfg.epsilon, grid)] if record_energy else None
     pending_snaps = sorted(set(snapshot_times))
     snapshots = {}
     if pending_snaps and pending_snaps[0] <= 1e-12:
@@ -295,10 +290,14 @@ def run(
                     notes.append((n + 1, "final step clipped below the ratio floor"))
             nodes.append(nodes[-1] + tau_next)
         n += 1
+        if n == len(fields):
+            grown = np.empty((2 * n, grid.M, grid.M))
+            grown[:n] = fields
+            fields = grown
         mesh_n = TimeMesh(np.asarray(nodes[: n + 1]))
         kernels = build_kernels(mesh_n, order, n)
-        phi, sweeps = step(fields, mesh_n, kernels, cfg)
-        fields.append(phi)
+        phi, sweeps = step(fields[:n], mesh_n, kernels, cfg)
+        fields[n] = phi
         sup_norms.append(norm_inf(phi))
         fp_iters.append(sweeps)
         tau_n = mesh_n.step(n)
@@ -307,7 +306,7 @@ def run(
         step_sq = grid.h**2 * grid_sum((phi - fields[n - 1]) ** 2)
         change_norm = math.sqrt(step_sq) / tau_n
         if record_energy:
-            rec = modified_energy(fields, kernels, cfg.epsilon, grid)
+            rec = modified_energy(fields[: n + 1], kernels, cfg.epsilon, grid)
             lhs = dissipation_lhs(records[-1], rec, order, kernels.a[0], tau_n, step_sq)
             records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
         while pending_snaps and nodes[n] >= pending_snaps[0] - 1e-12:
@@ -316,7 +315,7 @@ def run(
     mesh = TimeMesh(np.asarray(nodes))
     return SolveTrajectory(
         mesh=mesh,
-        fields=fields if keep_fields else [],
+        fields=fields[: n + 1],
         snapshots=snapshots,
         sup_norms=np.asarray(sup_norms),
         fp_iters=np.asarray(fp_iters, dtype=int),

@@ -81,6 +81,18 @@ def test_kernels_happy_path_with_seed_override(tmp_path, capsys):
     assert (out / "kernel_audit.csv").exists()
 
 
+def test_kernels_quick_caps_mesh_count(tmp_path):
+    # --quick must take effect even when the config sets num_meshes
+    base = {"alphas": [0.4], "n_max": 5, "dgs_histories": 3, "seed": 1}
+    checks = {}
+    for num_meshes, flags in ((100, ["--quick"]), (20, [])):
+        cfg = _write_cfg(tmp_path, f"cfg{num_meshes}.json", dict(base, num_meshes=num_meshes))
+        out = tmp_path / f"out{num_meshes}"
+        assert main(["kernels", "--config", cfg, "--out", str(out)] + flags) == EXIT_OK
+        checks[num_meshes] = _meta(out)["total_checks"]
+    assert checks[100] == checks[20] > 0
+
+
 def test_coarsen_strict_tiny(tmp_path):
     # enforce_cap in the config gives the strict hypotheses without the
     # fixed --quick profile (which pins T = 5, M = 64 and is too slow here)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracstep.energy import (
+    _G_BLOCK,
     DissipationViolation,
     EnergyRecord,
     dissipation_audit,
@@ -51,22 +52,23 @@ def test_history_quadratic_level_zero():
 
 def test_history_quadratic_matches_pointwise_form():
     # summing the scalar stored form over the grid must reproduce the
-    # collapsed squared-distance evaluation
+    # collapsed squared-distance evaluation, within one block of levels
+    # and across block boundaries
     rng = np.random.default_rng(3)
     g = Grid2D(M=8, L=TWO_PI)
-    n = 5
-    mesh = build_uniform_mesh(1.0, n)
-    kern = build_kernels(mesh, 0.6, n)
-    fields = [rng.standard_normal((8, 8)) for _ in range(n + 1)]
-    got = history_quadratic(fields, kern.aux_a, g)
+    for n in (5, 2 * _G_BLOCK + 3):
+        mesh = build_uniform_mesh(1.0, n)
+        kern = build_kernels(mesh, 0.6, n)
+        fields = rng.standard_normal((n + 1, 8, 8))
+        got = history_quadratic(fields, kern.aux_a, g)
 
-    diffs = np.stack([fields[k] - fields[k - 1] for k in range(1, n + 1)])
-    acc = 0.0
-    for i in range(8):
-        for j in range(8):
-            acc += stored_form(kern.aux_a, diffs[:, i, j])
-    want = 0.5 * g.h**2 * acc
-    assert got == pytest.approx(want, rel=1e-12)
+        diffs = np.diff(fields, axis=0)
+        acc = 0.0
+        for i in range(8):
+            for j in range(8):
+                acc += stored_form(kern.aux_a, diffs[:, i, j])
+        want = 0.5 * g.h**2 * acc
+        assert got == pytest.approx(want, rel=1e-12), n
 
 
 def test_modified_energy_level_zero():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracstep.kernels import as_order, build_kernels, frac_derivative, interval_weights, moment_weights, min_step_ratio
-from fracstep.mesh import build_graded_mesh, build_uniform_mesh, random_ratio_mesh
+from fracstep.mesh import build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.quadrature import (
     curvature_fn,
     derivative_quad,
@@ -61,15 +61,21 @@ def test_moment_forms_agree():
 
 
 def test_moment_weights_match_quadrature_far_field():
-    # strongly graded mesh puts early intervals far from the evaluation
-    # point, exercising the series branch of the closed form
-    mesh = build_graded_mesh(1.0, 10, 4.0)
-    for alpha in (0.3, 0.7):
-        order = as_order(alpha)
-        zeta = moment_weights(mesh, order, 10)
-        for k in range(1, 10):
-            want = moment_weight_quad(mesh, order, 10, k)
-            assert zeta[10 - k] == pytest.approx(want, rel=1e-10)
+    # strongly graded meshes put early intervals far from the evaluation
+    # point, exercising the series branch of the closed form; the gamma = 6
+    # two-phase mesh starts with tau_1 = 3.6e-13, where a running power of
+    # 1/c in the series would overflow
+    cases = [(build_graded_mesh(1.0, 10, 4.0), (0.3, 0.7), (10,)),
+             (build_two_phase_mesh(1.0, 6.0, 160, 1234), (2.0 / 3.0, 0.3), (2, 3, 8, 40))]
+    for mesh, alphas, levels in cases:
+        for alpha in alphas:
+            order = as_order(alpha)
+            for n in levels:
+                with np.errstate(over="raise"):
+                    zeta = moment_weights(mesh, order, n)
+                for k in range(1, n):
+                    want = moment_weight_quad(mesh, order, n, k)
+                    assert zeta[n - k] == pytest.approx(want, rel=1e-10), (alpha, n, k)
 
 
 def test_moment_form_rejects_unknown():

@@ -1,10 +1,14 @@
 """Implicit stepper: cap, bound enforcement, steady states, trajectories."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracstep
 from fracstep.grid import Grid2D, laplacian, norm_inf
 from fracstep.kernels import build_kernels, local_coefficient
 from fracstep.mesh import AdaptiveConfig, TimeMesh, build_graded_mesh, build_uniform_mesh
@@ -248,15 +252,6 @@ def test_snapshots_at_nodes():
     assert np.array_equal(traj.snapshots[1.0], traj.fields[4])
 
 
-def test_keep_fields_false_drops_history():
-    cfg = _cfg()
-    mesh = build_uniform_mesh(0.1, 5)
-    traj = run(cfg, mesh, np.zeros((8, 8)), keep_fields=False)
-    assert traj.fields == []
-    assert traj.sup_norms.size == 6
-    assert len(traj.energy) == 6
-
-
 def test_adaptive_schedule_validation():
     warm = build_graded_mesh(1.0, 4, 2.0)
     ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=1e3, r_floor=0.39)
@@ -277,6 +272,59 @@ def test_adaptive_run_reaches_horizon_and_notes_clip():
     assert any("clipped" in text for _, text in traj.notes)
     assert not traj.ratio_ok[-1]
     assert traj.cap_ok.size == traj.num_steps == traj.fp_iters.size
+
+
+def test_adaptive_run_grows_stack_and_matches_manual_stepping():
+    # the stack starts at the warm-up's 3 nodes and doubles several times
+    # on the way to the horizon; every stored level must be the one a
+    # plain list-fed step gives on the mesh the run built
+    rng = np.random.default_rng(12)
+    cfg = _cfg()
+    warm = build_graded_mesh(0.01, 2, 1.0)
+    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.01, eta=1e3, r_floor=0.39)
+    sched = AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.08)
+    phi0 = rng.uniform(-0.5, 0.5, (8, 8))
+    traj = run(cfg, sched, phi0, record_energy=False)
+    assert traj.num_steps > 4 * len(warm.nodes)
+    assert traj.fields.shape == (traj.num_steps + 1, 8, 8)
+
+    fields = [phi0]
+    for n in range(1, traj.num_steps + 1):
+        sub = TimeMesh(np.asarray(traj.mesh.nodes[: n + 1]))
+        phi, _ = step(fields, sub, build_kernels(sub, cfg.alpha, n), cfg)
+        fields.append(phi)
+    assert np.array_equal(traj.fields, np.stack(fields))
+
+
+_THREADED_RUN = """
+import sys
+import numpy as np
+from fracstep.grid import Grid2D
+from fracstep.mesh import build_graded_mesh
+from fracstep.solver import SolverConfig, run
+
+grid = Grid2D(M=16, L=2.0 * np.pi)
+phi0 = 0.5 * np.sin(grid.coords()[0]) * np.cos(grid.coords()[1])
+traj = run(SolverConfig(alpha=0.4, epsilon=0.3, grid=grid), build_graded_mesh(0.5, 80, 2.0), phi0)
+energies = np.array([(r.E, r.G_term, r.E_alpha) for r in traj.energy])
+sys.stdout.write(traj.fields.tobytes().hex() + " " + energies.tobytes().hex())
+"""
+
+
+def test_run_bitwise_equal_across_blas_thread_counts():
+    # the history sum and G avoid BLAS, so the BLAS thread count must not
+    # move a single bit of the fields or the energies
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _THREADED_RUN], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    fields_hex, energies_hex = outputs[0].split()
+    assert len(fields_hex) == 2 * 81 * 16 * 16 * 8 and len(energies_hex) == 2 * 81 * 3 * 8
 
 
 def test_adaptive_run_respects_controller_cap():
