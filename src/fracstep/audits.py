@@ -5,7 +5,9 @@ properties of the gradient-structure kernels aux_a, of the moment weights
 zeta, and of two endpoint-weighted curvature integrals per interval.  The
 audit recomputes every inequality numerically on a given mesh and reports
 the raw slack (positive means satisfied), so hypothesis violations are
-observable instead of silent.
+observable instead of silent.  Each property is evaluated at each level as
+one array expression over k, and the report holds its rows as columns
+(n, property, k, lhs, rhs) rather than one object per check.
 
 Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta):
   kernel_decreasing        A[m-1] > A[m] > 0
@@ -29,15 +31,14 @@ themselves can be cross-checked.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .kernels import FracOrder, KernelSet, as_order, build_kernels
 from .mesh import TimeMesh
 from .special import omega
-from . import quadrature
 
 
 @dataclass(frozen=True)
@@ -53,40 +54,129 @@ class AuditEntry:
         return self.lhs - self.rhs
 
 
-@dataclass
-class AuditReport:
-    """All audit rows for one mesh, plus the violations under a round-off floor."""
+class AuditEntries:
+    """Row view of an AuditReport: len() is the row count, iteration yields AuditEntry."""
 
-    r_min: float
-    entries: list = field(default_factory=list)
+    def __init__(self, report: "AuditReport"):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.size
+
+    def __iter__(self):
+        return (AuditEntry(*row[:5]) for row in self._report.records())
+
+
+class AuditReport:
+    """All audit rows for one mesh as columns n, prop, k, lhs, rhs, plus the
+    violations under a round-off floor.
+
+    Rows arrive in blocks (one property, or several interleaved, over an
+    array of k at one level); the columns are concatenated on first read.
+    """
+
+    def __init__(self, r_min: float):
+        self.r_min = r_min
+        self.size = 0
+        self._codes = {}       # property name -> code, in order of first row
+        self._blocks = []      # (n, codes, k, lhs, rhs) per block, k/lhs/rhs per row
+        self._cols = None
+
+    def extend(self, n: int, k, /, **props) -> None:
+        """Append level-n rows over the index array k; each keyword maps a
+        property to its (lhs, rhs) arrays over k.  With several properties the
+        rows interleave: for each k, one row per property in keyword order."""
+        k = np.asarray(k, dtype=np.int64)
+        lhs, rhs = zip(*props.values())
+        if any(np.shape(v) != k.shape for v in lhs + rhs):
+            raise ValueError(f"level {n}: every lhs and rhs must have the shape of k, {k.shape}")
+        if k.size == 0:
+            return
+        codes = [self._codes.setdefault(name, len(self._codes)) for name in props]
+        if len(codes) > 1:
+            k = np.repeat(k, len(codes))
+            lhs, rhs = np.column_stack(lhs).ravel(), np.column_stack(rhs).ravel()
+        else:
+            lhs, rhs = lhs[0], rhs[0]
+        self._blocks.append((n, codes, k, lhs, rhs))
+        self.size += k.size
+        self._cols = None
 
     def add(self, n: int, prop: str, k: int, lhs: float, rhs: float) -> None:
-        self.entries.append(AuditEntry(n, prop, k, lhs, rhs))
+        self.extend(n, [k], **{prop: ([float(lhs)], [float(rhs)])})
+
+    def _columns(self):
+        if self._cols is None:
+            ns, codes, ks, lhs, rhs = list(zip(*self._blocks)) or [()] * 5
+            sizes = [x.size for x in ks]
+            cols = (
+                np.repeat(np.array(ns, dtype=np.int64), sizes),
+                np.fromiter(chain.from_iterable(c * (s // len(c)) for c, s in zip(codes, sizes)),
+                            dtype=np.int64, count=self.size),
+                np.concatenate([np.empty(0, dtype=np.int64), *ks]),
+                np.concatenate([np.empty(0), *lhs]),
+                np.concatenate([np.empty(0), *rhs]),
+            )
+            for c in cols:
+                c.flags.writeable = False
+            self._cols = cols
+        return self._cols
+
+    @property
+    def n(self) -> np.ndarray:
+        return self._columns()[0]
+
+    @property
+    def prop(self) -> np.ndarray:
+        return np.array(list(self._codes), dtype=object)[self._columns()[1]]
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._columns()[2]
+
+    @property
+    def lhs(self) -> np.ndarray:
+        return self._columns()[3]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._columns()[4]
+
+    @property
+    def entries(self) -> AuditEntries:
+        return AuditEntries(self)
+
+    def records(self):
+        """Rows as (n, prop, k, lhs, rhs, slack) tuples of Python scalars."""
+        n, code, k, lhs, rhs = self._columns()
+        return zip(n.tolist(), self.prop.tolist(), k.tolist(),
+                   lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())
+
+    def _entry(self, i: int) -> AuditEntry:
+        n, code, k, lhs, rhs = self._columns()
+        return AuditEntry(int(n[i]), list(self._codes)[code[i]], int(k[i]), float(lhs[i]), float(rhs[i]))
 
     def violations(self, floor: float = 1e-13):
         """Entries whose slack is negative beyond round-off at their scale."""
-        out = []
-        for e in self.entries:
-            tol = floor * max(1.0, abs(e.lhs), abs(e.rhs))
-            if e.slack < -tol:
-                out.append(e)
-        return out
+        _, _, _, lhs, rhs = self._columns()
+        tol = floor * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        return [self._entry(i) for i in np.flatnonzero(lhs - rhs < -tol)]
 
     def worst_slack(self):
         """Minimum slack per property, as {prop: (slack, n, k)}."""
+        _, code, _, lhs, rhs = self._columns()
+        slack = lhs - rhs
         worst = {}
-        for e in self.entries:
-            cur = worst.get(e.prop)
-            if cur is None or e.slack < cur[0]:
-                worst[e.prop] = (e.slack, e.n, e.k)
+        for name, c in self._codes.items():
+            rows = np.flatnonzero(code == c)
+            e = self._entry(rows[np.argmin(slack[rows])])
+            worst[name] = (e.slack, e.n, e.k)
         return worst
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "property", "k", "lhs", "rhs", "slack"])
-            for e in self.entries:
-                writer.writerow([e.n, e.prop, e.k, repr(e.lhs), repr(e.rhs), repr(e.slack)])
+            fh.write("n,property,k,lhs,rhs,slack\r\n")
+            fh.write("".join("%d,%s,%d,%r,%r,%r\r\n" % row for row in self.records()))
 
 
 def beta_factors(mesh: TimeMesh, order, n: int) -> np.ndarray:
@@ -134,28 +224,27 @@ class DiagnosticSet:
     """Quadrature-evaluated curvature integrals and comparison factors at level n.
 
     I and J are indexed by offset m = n-k (entry 0 nan), beta by step
-    index k (entries 0..1 nan).  err holds the worst quadrature error
-    estimate encountered.
+    index k (entries 0..1 nan).
     """
 
     n: int
     I: np.ndarray
     J: np.ndarray
     beta: np.ndarray
-    err: float
 
 
 def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
     """Recompute I and J by adaptive quadrature of the weight curvature."""
+    from . import quadrature    # loads scipy.integrate, which no CLI path needs
+
     order = as_order(order)
     I = np.full(n, np.nan)
     J = np.full(n, np.nan)
-    worst = 0.0
     for k in range(1, n):
         m = n - k
         I[m] = quadrature.endpoint_moment_quad(mesh, order, n, k, side="left")
         J[m] = quadrature.endpoint_moment_quad(mesh, order, n, k, side="right")
-    return DiagnosticSet(n=n, I=I, J=J, beta=beta_factors(mesh, order, n), err=worst)
+    return DiagnosticSet(n=n, I=I, J=J, beta=beta_factors(mesh, order, n))
 
 
 def audit_kernel_properties(mesh: TimeMesh, order, n_max: int, r_min: float | None = None) -> AuditReport:
@@ -183,46 +272,36 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int, r_min: float | No
         Ip, Jp = prev_IJ
         r = mesh.steps[1:n] / mesh.steps[: n - 1]   # r[j-2] = ratio at step j
 
-        for k in range(1, n):                        # kernel_decreasing, positivity
-            m = n - k
-            report.add(n, "kernel_decreasing", k, float(A[m - 1]), float(A[m]))
-            report.add(n, "kernel_positive", k, float(A[m]), 0.0)
-        for k in range(1, n):                        # kernel_level_decay
-            report.add(n, "kernel_level_decay", k, float(Ap[n - 1 - k]), float(A[n - k]))
-        for k in range(1, n - 1):                    # kernel_diff_decay
-            lhs = float(Ap[n - 2 - k] - Ap[n - 1 - k])
-            rhs = float(A[n - k - 1] - A[n - k])
-            report.add(n, "kernel_diff_decay", k, lhs, rhs)
-        for k in range(1, n - 1):                    # moment_level_decay (flipped to >)
-            report.add(n, "moment_level_decay", k, float(Zp[n - 1 - k]), float(Z[n - k]))
-        for k in range(1, n - 1):                    # moment_ratio_gap
-            report.add(n, "moment_ratio_gap", k, float(Z[n - k - 1]), float(r[k - 1] * Z[n - k]))
-        for k in range(1, n - 2):                    # moment_ratio_gap_decay (flipped)
-            lhs = float(Zp[n - k - 2] - r[k - 1] * Zp[n - k - 1])
-            rhs = float(Z[n - k - 1] - r[k - 1] * Z[n - k])
-            report.add(n, "moment_ratio_gap_decay", k, lhs, rhs)
-        for k in range(1, n):                        # left/right curvature gaps
-            m = n - k
-            report.add(n, "left_curvature_gap", k, float(I[m]), float((1.0 + beta[k + 1]) * Z[m]))
-            report.add(n, "right_curvature_gap", k, float(J[m]), float(3.0 * Z[m]))
-        for k in range(1, n - 1):                    # their level decays (flipped)
-            report.add(
-                n, "left_curvature_gap_decay", k,
-                float(Ip[n - 1 - k] - (1.0 + beta[k + 1]) * Zp[n - 1 - k]),
-                float(I[n - k] - (1.0 + beta[k + 1]) * Z[n - k]),
-            )
-            report.add(
-                n, "right_curvature_gap_decay", k,
-                float(Jp[n - 1 - k] - 3.0 * Zp[n - 1 - k]),
-                float(J[n - k] - 3.0 * Z[n - k]),
-            )
+        k = np.arange(1, n)                          # k = 1..n-1, offsets m = n-k
+        m = n - k
+        j = k[:-1]                                   # k = 1..n-2
+        i = k[:-2]                                   # k = 1..n-3
+        report.extend(n, k, kernel_decreasing=(A[m - 1], A[m]), kernel_positive=(A[m], np.zeros(k.size)))
+        report.extend(n, k, kernel_level_decay=(Ap[n - 1 - k], A[n - k]))
+        report.extend(n, j, kernel_diff_decay=(Ap[n - 2 - j] - Ap[n - 1 - j], A[n - j - 1] - A[n - j]))
+        # the level decays are flipped so that lhs > rhs holds like the other rows
+        report.extend(n, j, moment_level_decay=(Zp[n - 1 - j], Z[n - j]))
+        report.extend(n, j, moment_ratio_gap=(Z[n - j - 1], r[j - 1] * Z[n - j]))
+        report.extend(n, i, moment_ratio_gap_decay=(
+            Zp[n - i - 2] - r[i - 1] * Zp[n - i - 1],
+            Z[n - i - 1] - r[i - 1] * Z[n - i],
+        ))
+        report.extend(
+            n, k,
+            left_curvature_gap=(I[m], (1.0 + beta[k + 1]) * Z[m]),
+            right_curvature_gap=(J[m], 3.0 * Z[m]),
+        )
+        report.extend(
+            n, j,
+            left_curvature_gap_decay=(
+                Ip[n - 1 - j] - (1.0 + beta[j + 1]) * Zp[n - 1 - j],
+                I[n - j] - (1.0 + beta[j + 1]) * Z[n - j],
+            ),
+            right_curvature_gap_decay=(Jp[n - 1 - j] - 3.0 * Zp[n - 1 - j], J[n - j] - 3.0 * Z[n - j]),
+        )
         # head_moment_bound: r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
         wp_tail = float(_weight_at_nodes(mesh, order, n)[n - 1])
-        report.add(
-            n, "head_moment_bound", n - 1,
-            alpha / (3.0 * (2.0 - alpha)) * wp_tail,
-            float(r[n - 2] * Z[1]),
-        )
+        report.extend(n, [n - 1], head_moment_bound=([alpha / (3.0 * (2.0 - alpha)) * wp_tail], [r[n - 2] * Z[1]]))
         prev = ks
         prev_IJ = (I, J)
     return report

@@ -296,13 +296,13 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
 
 
 def write_kernel_audit_csv(path, result: KernelAuditResult) -> None:
+    """One CSV row per check, written with one formatted write per report
+    (never the whole file as one string)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"])
+        fh.write("alpha,mesh,n,property,k,lhs,rhs,slack\r\n")
         for alpha, m, report in result.reports:
-            for e in report.entries:
-                w.writerow([alpha, m, e.n, e.prop, e.k,
-                            f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"])
+            fmt = f"{float(alpha)!r},{m}," + "%d,%s,%d,%.16e,%.16e,%.6e\r\n"
+            fh.write("".join(fmt % row for row in report.records()))
 
 
 # -- step-ratio root table ---------------------------------------------------

@@ -202,12 +202,11 @@ def history_weights(a: np.ndarray, zeta: np.ndarray, mesh: TimeMesh, order, n: i
     r = mesh.steps[1:n] / mesh.steps[: n - 1]   # r[j] = ratio at step j+2
     r_n = r[n - 2]
     hat[0] = head + zeta[1] / (r_n * (1.0 + r_n))
-    # middle offsets m = 1..n-2 pair interval k = n-m with its neighbours
-    for m in range(1, n - 1):
-        k = n - m
-        r_k = r[k - 2]
-        r_k1 = r[k - 1]
-        hat[m] = a[m] + zeta[m + 1] / (r_k * (1.0 + r_k)) - zeta[m] / (1.0 + r_k1)
+    # middle offsets m = 1..n-2 pair interval k = n-m with its neighbours:
+    # r_k = r[n-m-2] and r_{k+1} = r[n-m-1], reversed to run over ascending m
+    r_k = r[: n - 2][::-1]
+    r_k1 = r[1:][::-1]
+    hat[1 : n - 1] = a[1 : n - 1] + zeta[2:] / (r_k * (1.0 + r_k)) - zeta[1 : n - 1] / (1.0 + r_k1)
     hat[n - 1] = a[n - 1] - zeta[n - 1] / (1.0 + r[0])
     return hat
 

@@ -1,18 +1,22 @@
 """Kernel inequality audits: comparison factors, curvature identities,
 report bookkeeping."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from fracstep.audits import (
+    AuditEntry,
     AuditReport,
+    _weight_at_nodes,
     audit_kernel_properties,
     beta_factors,
     diagnostics,
     endpoint_gaps,
 )
+from fracstep.experiments import KernelAuditResult, KernelAuditSpec, run_kernel_audit, write_kernel_audit_csv
 from fracstep.kernels import as_order, build_kernels, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_uniform_mesh, random_ratio_mesh
 
@@ -109,3 +113,135 @@ def test_report_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,property,k,lhs,rhs,slack"
     assert len(lines) == len(report.entries) + 1
+
+
+def _audit_loop(mesh, alpha, n_max):
+    # the per-check loops the vectorised audit replaced, kept as the reference
+    order = as_order(alpha)
+    rows = []
+    add = lambda n, prop, k, lhs, rhs: rows.append(AuditEntry(n, prop, k, float(lhs), float(rhs)))
+    prev = build_kernels(mesh, order, 1)
+    Ip, Jp = endpoint_gaps(prev, mesh, order, 1)
+    for n in range(2, min(n_max, mesh.num_steps) + 1):
+        ks = build_kernels(mesh, order, n)
+        A, Ap, Z, Zp = ks.aux_a, prev.aux_a, ks.zeta, prev.zeta
+        beta = beta_factors(mesh, order, n)
+        I, J = endpoint_gaps(ks, mesh, order, n)
+        r = mesh.steps[1:n] / mesh.steps[: n - 1]
+        for k in range(1, n):
+            add(n, "kernel_decreasing", k, A[n - k - 1], A[n - k])
+            add(n, "kernel_positive", k, A[n - k], 0.0)
+        for k in range(1, n):
+            add(n, "kernel_level_decay", k, Ap[n - 1 - k], A[n - k])
+        for k in range(1, n - 1):
+            add(n, "kernel_diff_decay", k, Ap[n - 2 - k] - Ap[n - 1 - k], A[n - k - 1] - A[n - k])
+        for k in range(1, n - 1):
+            add(n, "moment_level_decay", k, Zp[n - 1 - k], Z[n - k])
+        for k in range(1, n - 1):
+            add(n, "moment_ratio_gap", k, Z[n - k - 1], r[k - 1] * Z[n - k])
+        for k in range(1, n - 2):
+            add(n, "moment_ratio_gap_decay", k, Zp[n - k - 2] - r[k - 1] * Zp[n - k - 1],
+                Z[n - k - 1] - r[k - 1] * Z[n - k])
+        for k in range(1, n):
+            add(n, "left_curvature_gap", k, I[n - k], (1.0 + beta[k + 1]) * Z[n - k])
+            add(n, "right_curvature_gap", k, J[n - k], 3.0 * Z[n - k])
+        for k in range(1, n - 1):
+            add(n, "left_curvature_gap_decay", k, Ip[n - 1 - k] - (1.0 + beta[k + 1]) * Zp[n - 1 - k],
+                I[n - k] - (1.0 + beta[k + 1]) * Z[n - k])
+            add(n, "right_curvature_gap_decay", k, Jp[n - 1 - k] - 3.0 * Zp[n - 1 - k],
+                J[n - k] - 3.0 * Z[n - k])
+        wp_tail = float(_weight_at_nodes(mesh, order, n)[n - 1])
+        add(n, "head_moment_bound", n - 1, alpha / (3.0 * (2.0 - alpha)) * wp_tail, r[n - 2] * Z[1])
+        prev, Ip, Jp = ks, I, J
+    return rows
+
+
+def _bits(entries):
+    return [(e.n, e.prop, e.k, e.lhs.hex(), e.rhs.hex()) for e in entries]
+
+
+def _audit_meshes():
+    rng = np.random.default_rng(5)
+    return [
+        (build_uniform_mesh(1.0, 12), 0.5, 12),
+        (build_graded_mesh(1.0, 15, 3.0), 0.7, 15),
+        (random_ratio_mesh(rng, 20, min_step_ratio(0.2)), 0.2, 20),
+        (random_ratio_mesh(rng, 20, min_step_ratio(0.9)), 0.9, 20),
+    ]
+
+
+def test_audit_rows_equal_scalar_loop():
+    for mesh, alpha, n_max in _audit_meshes():
+        report = audit_kernel_properties(mesh, alpha, n_max)
+        assert _bits(report.entries) == _bits(_audit_loop(mesh, alpha, n_max))
+
+
+def test_entries_len_is_check_count():
+    # per level: 5 properties over n-1 indices, 5 over n-2, one over n-3, the head bound
+    for mesh, alpha, n_max in _audit_meshes():
+        report = audit_kernel_properties(mesh, alpha, n_max)
+        want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in range(2, n_max + 1))
+        assert len(report.entries) == report.size == want == sum(1 for _ in report.entries)
+        assert report.n.size == report.k.size == report.lhs.size == report.rhs.size == len(report.prop) == want
+
+
+def _write_csv_loop(path, result):
+    # the per-row csv.writer loop the formatted writer replaced, kept as the reference
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"])
+        for alpha, m, report in result.reports:
+            for e in report.entries:
+                w.writerow([alpha, m, e.n, e.prop, e.k, f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"])
+
+
+def _to_csv_loop(path, report):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "property", "k", "lhs", "rhs", "slack"])
+        for e in report.entries:
+            w.writerow([e.n, e.prop, e.k, repr(e.lhs), repr(e.rhs), repr(e.slack)])
+
+
+def test_kernel_audit_csv_matches_row_writer(tmp_path):
+    fuzzed = run_kernel_audit(KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4))
+    fixed = [(alpha, i, audit_kernel_properties(mesh, alpha, n_max))
+             for i, (mesh, alpha, n_max) in enumerate(_audit_meshes()[:2])]
+    results = [fuzzed, KernelAuditResult(fixed, sum(len(r.entries) for *_, r in fixed), [], 0.0, 0.0, 0.0)]
+    for result in results:
+        write_kernel_audit_csv(tmp_path / "got.csv", result)
+        _write_csv_loop(tmp_path / "want.csv", result)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    for _, _, report in fixed:
+        report.to_csv(tmp_path / "got.csv")
+        _to_csv_loop(tmp_path / "want.csv", report)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _violations_loop(entries, floor=1e-13):
+    return [e for e in entries if e.slack < -floor * max(1.0, abs(e.lhs), abs(e.rhs))]
+
+
+def _worst_slack_loop(entries):
+    worst = {}
+    for e in entries:
+        if e.prop not in worst or e.slack < worst[e.prop][0]:
+            worst[e.prop] = (e.slack, e.n, e.k)
+    return worst
+
+
+def test_violations_and_worst_slack_match_scalar_recomputation():
+    report = audit_kernel_properties(build_graded_mesh(1.0, 10, 2.0), 0.6, 10)
+    assert report.violations() == [] and _violations_loop(report.entries) == []
+    report.add(11, "kernel_positive", 3, 1e-9, 2e-9)              # new worst of an audited property
+    report.add(11, "injected", 1, 1e6, 1e6 * (1 + 1e-14))         # round-off at scale 1e6
+    report.add(11, "injected", 2, 1e6, 1e6 * (1 + 1e-11))         # violation at scale 1e6
+    report.extend(12, np.array([4, 5]), injected=(np.array([2.0, 3.0]), np.array([1.0, 1.0])))
+    entries = list(report.entries)
+    bad = report.violations()
+    assert bad == _violations_loop(entries)
+    assert [(e.prop, e.n, e.k) for e in bad] == [("kernel_positive", 11, 3), ("injected", 11, 2)]
+    assert report.worst_slack() == _worst_slack_loop(entries)
+    assert report.worst_slack()["kernel_positive"] == (1e-9 - 2e-9, 11, 3)
+    with pytest.raises(ValueError):
+        report.extend(13, np.array([1, 2]), injected=(np.zeros(2), np.zeros(3)))

@@ -1,8 +1,13 @@
 """CLI harness: exit codes, output files, run metadata."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import fracstep
 
 from fracstep.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, main
 
@@ -146,3 +151,13 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
 def test_unknown_subcommand_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json", "--out", str(tmp_path)])
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature diagnostics need scipy.integrate; no CLI path pays for its import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fracstep.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,7 @@ from fracstep.kernels import (
     frac_derivative,
     gradient_kernels,
     history_sum,
+    history_weights,
     interval_weights,
     local_coefficient,
     min_step_ratio,
@@ -22,7 +23,7 @@ from fracstep.kernels import (
     remainder_form,
     _ratio_equation,
 )
-from fracstep.mesh import TimeMesh, build_uniform_mesh, random_ratio_mesh
+from fracstep.mesh import TimeMesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.special import omega
 
 # mpmath root solve of the defining equation, 40 digits
@@ -94,6 +95,40 @@ def test_moment_weights_branch_agreement():
         for k in range(1, 9):
             want = moment_weight_quad(mesh, as_order(alpha), 9, k)
             assert zeta[9 - k] == pytest.approx(want, rel=1e-10)
+
+
+def _history_weights_loop(a, zeta, mesh, alpha, n):
+    # the scalar loop history_weights replaced, kept as the reference
+    hat = np.empty(n)
+    head = 2.0 * (1.0 - alpha) / (2.0 - alpha) * a[0]
+    if n == 1:
+        hat[0] = head
+        return hat
+    r = mesh.steps[1:n] / mesh.steps[: n - 1]
+    r_n = r[n - 2]
+    hat[0] = head + zeta[1] / (r_n * (1.0 + r_n))
+    for m in range(1, n - 1):
+        k = n - m
+        r_k = r[k - 2]
+        r_k1 = r[k - 1]
+        hat[m] = a[m] + zeta[m + 1] / (r_k * (1.0 + r_k)) - zeta[m] / (1.0 + r_k1)
+    hat[n - 1] = a[n - 1] - zeta[n - 1] / (1.0 + r[0])
+    return hat
+
+
+def test_history_weights_equal_scalar_loop():
+    rng = np.random.default_rng(31)
+    cases = []
+    for alpha in (0.1, 0.5, 0.9):
+        mesh = random_ratio_mesh(rng, 40, min_step_ratio(alpha))
+        cases += [(mesh, alpha, n) for n in range(1, 41)]
+    two_phase = build_two_phase_mesh(1.0, 2.5, 300, 1234)
+    cases += [(two_phase, 0.8, n) for n in range(1, 301)]
+    for mesh, alpha, n in cases:
+        a = interval_weights(mesh, alpha, n)
+        zeta = moment_weights(mesh, alpha, n)
+        got = history_weights(a, zeta, mesh, alpha, n)
+        assert np.array_equal(got, _history_weights_loop(a, zeta, mesh, alpha, n)), (alpha, n)
 
 
 def test_gradient_kernel_head_doubling():
