@@ -157,10 +157,12 @@ class AuditReport:
         return AuditEntry(int(n[i]), list(self._codes)[code[i]], int(k[i]), float(lhs[i]), float(rhs[i]))
 
     def violations(self, floor: float = 1e-13):
-        """Entries whose slack is negative beyond round-off at their scale."""
+        """Entries whose slack is negative beyond round-off at their scale, and
+        every entry whose lhs, rhs or slack is not finite."""
         _, _, _, lhs, rhs = self._columns()
+        slack = lhs - rhs                 # not finite whenever lhs or rhs is not
         tol = floor * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        return [self._entry(i) for i in np.flatnonzero(lhs - rhs < -tol)]
+        return [self._entry(i) for i in np.flatnonzero((slack < -tol) | ~np.isfinite(slack))]
 
     def worst_slack(self):
         """Minimum slack per property, as {prop: (slack, n, k)}."""
@@ -207,15 +209,19 @@ def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
     because the weight is convex.  Offset 0 is nan (the head interval has
     no integrable curvature).
     """
-    order = as_order(order)
-    wp = _weight_at_nodes(mesh, order, n)
+    return _gaps(kernels.a, _weight_at_nodes(mesh, as_order(order), n))
+
+
+def _gaps(a: np.ndarray, wp: np.ndarray):
+    """endpoint_gaps from the level-n weights a and w'(t_j), j = 0..n-1."""
+    n = len(wp)
     I = np.full(n, np.nan)
     J = np.full(n, np.nan)
     if n >= 2:
         ks = np.arange(1, n)
         ms = n - ks
-        I[ms] = kernels.a[ms] - wp[ks - 1]
-        J[ms] = wp[ks] - kernels.a[ms]
+        I[ms] = a[ms] - wp[ks - 1]
+        J[ms] = wp[ks] - a[ms]
     return I, J
 
 
@@ -268,7 +274,8 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int, r_min: float | No
         A, Ap = ks.aux_a, prev.aux_a
         Z, Zp = ks.zeta, prev.zeta
         beta = beta_factors(mesh, order, n)
-        I, J = endpoint_gaps(ks, mesh, order, n)
+        wp = _weight_at_nodes(mesh, order, n)
+        I, J = _gaps(ks.a, wp)
         Ip, Jp = prev_IJ
         r = mesh.steps[1:n] / mesh.steps[: n - 1]   # r[j-2] = ratio at step j
 
@@ -300,8 +307,7 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int, r_min: float | No
             right_curvature_gap_decay=(Jp[n - 1 - j] - 3.0 * Zp[n - 1 - j], J[n - j] - 3.0 * Z[n - j]),
         )
         # head_moment_bound: r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
-        wp_tail = float(_weight_at_nodes(mesh, order, n)[n - 1])
-        report.extend(n, [n - 1], head_moment_bound=([alpha / (3.0 * (2.0 - alpha)) * wp_tail], [r[n - 2] * Z[1]]))
+        report.extend(n, [n - 1], head_moment_bound=([alpha / (3.0 * (2.0 - alpha)) * wp[n - 1]], [r[n - 2] * Z[1]]))
         prev = ks
         prev_IJ = (I, J)
     return report

@@ -1,23 +1,30 @@
 """Command-line harness: accuracy, coarsening, kernel certification, ratio table.
 
-    fracstep accuracy --config cfg.json --out results/
-    fracstep coarsen  --config cfg.json --out results/ [--quick]
-    fracstep kernels  --config cfg.json --out results/ [--quick]
-    fracstep rstar    --config cfg.json --out results/
+    fracstep {accuracy,coarsen,kernels,rstar} --config cfg.json --out results/ [--quick] [--seed N]
+
+The config keys are exactly the fields of the subcommand's spec (AccuracySpec,
+CoarsenSpec, KernelAuditSpec, RstarSpec), plus "seed"; a key left out takes
+its dataclass default.  A float field takes a finite number, an int field an
+integer, a bool field true or false, a tuple field a list of those.  --seed
+overrides the config seed; --quick applies the spec's quick() profile.
 
 Every run writes run_meta.json with the SHA-256 of the canonicalized
 config and the seed actually used, so outputs are traceable.  Exit codes:
-0 success, 2 audit violation, 3 solver non-convergence, 4 bad config.
+0 success, 2 audit violation (a non-finite audit value included),
+3 solver non-convergence, 4 bad config (a missing or unknown key, a wrong
+type, a non-finite number).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+from typing import get_args, get_origin, get_type_hints
 
 from .energy import dissipation_audit
 from .solver import BoundViolation, ConvergenceError
@@ -46,10 +53,37 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key '{key}'")
-    return cfg[key]
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false", tuple: "a list"}
+
+
+def _typed(key: str, value, kind):
+    """The config value for a field of type kind: float, int, bool or tuple[one of those, ...]."""
+    if get_origin(kind) is tuple:
+        if type(value) is list:
+            return tuple(_typed(f"{key}[{i}]", v, get_args(kind)[0]) for i, v in enumerate(value))
+    elif kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # finite, not a bool
+            return float(value)
+    elif type(value) is kind:                                               # an int is not a bool
+        return value
+    raise ConfigError(f"config key '{key}' must be {_KINDS[get_origin(kind) or kind]}, "
+                      f"got {json.dumps(value)}")
+
+
+def _spec_from_config(cls, cfg: dict, seed: int):
+    """The spec dataclass cls built from cfg, whose keys are cls's fields plus "seed"."""
+    kinds = get_type_hints(cls)
+    unknown = sorted(set(cfg) - set(kinds) - {"seed"})
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(sorted({*kinds, 'seed'}))}")
+    kwargs = {name: _typed(name, cfg[name], kind) for name, kind in kinds.items() if name in cfg}
+    if "seed" in kinds:
+        kwargs["seed"] = seed
+    for f in dataclasses.fields(cls):
+        if f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise ConfigError(f"config is missing required key '{f.name}'")
+    return cls(**kwargs)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -73,21 +107,7 @@ def _write_meta(outdir, subcommand, cfg, seed, quick, files, elapsed, extra=None
         fh.write("\n")
 
 
-def _cmd_accuracy(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
-    Ns = tuple(int(n) for n in _require(cfg, "Ns"))
-    if quick and len(Ns) > 2:
-        Ns = Ns[:-1]                      # drop the finest level for CI speed
-    spec = xp.AccuracySpec(
-        alpha=float(_require(cfg, "alpha")),
-        sigma=float(_require(cfg, "sigma")),
-        gammas=tuple(float(g) for g in _require(cfg, "gammas")),
-        Ns=Ns,
-        M=int(cfg.get("M", 64)),
-        eps2=float(cfg.get("eps2", 0.1)),
-        T=float(cfg.get("T", 1.0)),
-        seed=seed,
-        spatial_check=bool(cfg.get("spatial_check", True)),
-    )
+def _cmd_accuracy(spec: xp.AccuracySpec, outdir: str) -> tuple:
     table = xp.accuracy_table(spec)
     path = os.path.join(outdir, "accuracy.csv")
     xp.write_accuracy_csv(path, table)
@@ -107,26 +127,11 @@ def _cmd_accuracy(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
     return code, [path], extra
 
 
-def _cmd_coarsen(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
-    spec = xp.CoarsenSpec(
-        alpha=float(_require(cfg, "alpha")),
-        T=float(cfg.get("T", 50.0)),
-        M=int(cfg.get("M", 128)),
-        epsilon=float(cfg.get("epsilon", 0.05)),
-        init_amplitude=float(cfg.get("init_amplitude", 1e-3)),
-        tau_min=float(cfg.get("tau_min", 1e-3)),
-        tau_max=float(cfg.get("tau_max", 0.1)),
-        eta=float(cfg.get("eta", 1e3)),
-        enforce_cap=bool(cfg.get("enforce_cap", False)),
-        snapshot_times=tuple(cfg.get("snapshot_times", (1.0, 10.0, 30.0, 50.0))),
-        seed=seed,
-    )
-    if quick:
-        spec = spec.quick()
+def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
     traj, _ = xp.run_coarsening(spec)
     files = xp.write_coarsening_outputs(outdir, spec, traj)
     violations = dissipation_audit(traj.energy, cap_ok=traj.cap_ok, ratio_ok=traj.ratio_ok)
-    flagged = [v for v in violations if v.hypothesis_ok]
+    flagged = [v for v in violations if v.unexplained]
     for v in flagged:
         print(v.describe(), file=sys.stderr)
     extra = {
@@ -142,16 +147,7 @@ def _cmd_coarsen(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
     return (EXIT_AUDIT if flagged else EXIT_OK), files, extra
 
 
-def _cmd_kernels(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
-    num_meshes = int(cfg.get("num_meshes", 100))
-    spec = xp.KernelAuditSpec(
-        alphas=tuple(float(a) for a in cfg.get(
-            "alphas", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))),
-        num_meshes=min(num_meshes, 20) if quick else num_meshes,
-        n_max=int(cfg.get("n_max", 20)),
-        dgs_histories=int(cfg.get("dgs_histories", 50)),
-        seed=seed,
-    )
+def _cmd_kernels(spec: xp.KernelAuditSpec, outdir: str) -> tuple:
     result = xp.run_kernel_audit(spec)
     path = os.path.join(outdir, "kernel_audit.csv")
     xp.write_kernel_audit_csv(path, result)
@@ -169,10 +165,9 @@ def _cmd_kernels(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
     return (EXIT_AUDIT if bad else EXIT_OK), [path], extra
 
 
-def _cmd_rstar(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
-    alphas = [float(a) for a in _require(cfg, "alphas")]
+def _cmd_rstar(spec: xp.RstarSpec, outdir: str) -> tuple:
     try:
-        rows = xp.rstar_table(alphas)
+        rows = xp.rstar_table(spec.alphas)
     except AssertionError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT, [], {}
@@ -187,10 +182,10 @@ def _cmd_rstar(cfg: dict, outdir: str, seed: int, quick: bool) -> tuple:
 
 
 _COMMANDS = {
-    "accuracy": _cmd_accuracy,
-    "coarsen": _cmd_coarsen,
-    "kernels": _cmd_kernels,
-    "rstar": _cmd_rstar,
+    "accuracy": (xp.AccuracySpec, _cmd_accuracy),
+    "coarsen": (xp.CoarsenSpec, _cmd_coarsen),
+    "kernels": (xp.KernelAuditSpec, _cmd_kernels),
+    "rstar": (xp.RstarSpec, _cmd_rstar),
 }
 
 
@@ -210,19 +205,22 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _typed("seed", cfg["seed"], int) if "seed" in cfg else 0
+        if args.seed is not None:
+            seed = args.seed
         if seed < 0:
             raise ConfigError("seed must be nonnegative")
+        spec_cls, command = _COMMANDS[args.subcommand]
+        spec = _spec_from_config(spec_cls, cfg, seed)
+        if args.quick:
+            spec = spec.quick()
         os.makedirs(args.out, exist_ok=True)
         started = time.monotonic()
-        code, files, extra = _COMMANDS[args.subcommand](cfg, args.out, seed, args.quick)
+        code, files, extra = command(spec, args.out)
         _write_meta(args.out, args.subcommand, cfg, seed, args.quick,
                     files, time.monotonic() - started, extra)
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:         # ConfigError, or a spec value out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -103,7 +103,19 @@ class DissipationViolation:
     def hypothesis_ok(self) -> bool:
         return self.cap_ok and self.ratio_ok
 
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.lhs) and math.isfinite(self.tol)
+
+    @property
+    def unexplained(self) -> bool:
+        """True unless a broken hypothesis accounts for it; a broken
+        hypothesis never accounts for a non-finite energy."""
+        return self.hypothesis_ok or not self.finite
+
     def describe(self) -> str:
+        if not self.finite:
+            return f"step {self.n}: non-finite energy (lhs {self.lhs:.3e}, tol {self.tol:.1e})"
         if self.hypothesis_ok:
             return f"step {self.n}: dissipation law broken (lhs {self.lhs:.3e} > tol {self.tol:.1e})"
         broken = []
@@ -117,7 +129,8 @@ class DissipationViolation:
 
 
 def dissipation_audit(records, cap_ok=None, ratio_ok=None, rel_tol: float = 1e-10):
-    """Flag steps with positive dissipation lhs beyond round-off.
+    """Flag steps with positive dissipation lhs beyond round-off, and every
+    step whose lhs or E_alpha is not finite.
 
     The tolerance scales with the energy magnitude so the O(N^2) kernel
     sums behind E_alpha do not trip the audit.  cap_ok / ratio_ok are
@@ -129,7 +142,7 @@ def dissipation_audit(records, cap_ok=None, ratio_ok=None, rel_tol: float = 1e-1
         if rec.dissipation_lhs is None:
             continue
         tol = rel_tol * (1.0 + abs(rec.E_alpha))
-        if rec.dissipation_lhs > tol:
+        if rec.dissipation_lhs > tol or not (math.isfinite(rec.dissipation_lhs) and math.isfinite(tol)):
             n = rec.n
             out.append(
                 DissipationViolation(

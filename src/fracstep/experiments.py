@@ -27,6 +27,7 @@ from .kernels import (
 from .energy import write_energy_csv
 from .mesh import (
     AdaptiveConfig,
+    MeshError,
     TimeMesh,
     build_graded_mesh,
     build_two_phase_mesh,
@@ -34,6 +35,8 @@ from .mesh import (
 )
 from .solver import (
     AdaptiveSchedule,
+    BoundViolation,
+    ConvergenceError,
     ManufacturedForcing,
     SolveTrajectory,
     SolverConfig,
@@ -65,13 +68,17 @@ def fit_order(Ns, errors):
 class AccuracySpec:
     alpha: float
     sigma: float
-    gammas: tuple
-    Ns: tuple
+    gammas: tuple[float, ...]
+    Ns: tuple[int, ...]
     M: int = 64
     eps2: float = 0.1
     T: float = 1.0
     seed: int = 0
     spatial_check: bool = True
+
+    def quick(self) -> "AccuracySpec":
+        """CI profile: drop the finest N when more than two remain."""
+        return replace(self, Ns=self.Ns[:-1]) if len(self.Ns) > 2 else self
 
 
 @dataclass
@@ -105,10 +112,10 @@ def _solution_error(cfg: SolverConfig, forcing: ManufacturedForcing, mesh: TimeM
 def accuracy_table(spec: AccuracySpec) -> AccuracyTable:
     """Manufactured-solution error table over (gamma, N) on two-phase meshes.
 
-    A failed run aborts its row, not the table.  When spatial_check is on,
-    the sharpest (gamma, N) entry is recomputed on a doubled grid; the
-    difference estimates the spatial floor, reported against 10% of the
-    smallest tabulated error.
+    A run that fails in the solver aborts its row, not the table.  When
+    spatial_check is on, the sharpest (gamma, N) entry is recomputed on a
+    doubled grid; the difference estimates the spatial floor, reported
+    against 10% of the smallest tabulated error.
     """
     forcing = ManufacturedForcing(sigma=spec.sigma)
     epsilon = math.sqrt(spec.eps2)
@@ -126,7 +133,8 @@ def accuracy_table(spec: AccuracySpec) -> AccuracyTable:
             try:
                 errs.append(one(gamma, N, spec.M))
                 Ns_done.append(N)
-            except Exception as exc:  # a bad row must not sink the table
+            except (ConvergenceError, BoundViolation, MeshError, FloatingPointError) as exc:
+                # a solver failure aborts its row, not the table; anything else is a bug
                 failures.append((gamma, N, f"{type(exc).__name__}: {exc}"))
         if len(Ns_done) >= 2:
             order, resid = fit_order(Ns_done, errs)
@@ -170,7 +178,7 @@ class CoarsenSpec:
     warmup_N0: int = 30
     warmup_gamma: float = 3.0
     enforce_cap: bool = False     # strict mode: cap clips steps and bound is enforced
-    snapshot_times: tuple = (1.0, 10.0, 30.0, 50.0)
+    snapshot_times: tuple[float, ...] = (1.0, 10.0, 30.0, 50.0)
     seed: int = 0
 
     def quick(self) -> "CoarsenSpec":
@@ -239,11 +247,15 @@ def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -
 
 @dataclass(frozen=True)
 class KernelAuditSpec:
-    alphas: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    alphas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     num_meshes: int = 100
     n_max: int = 20
     dgs_histories: int = 50
     seed: int = 0
+
+    def quick(self) -> "KernelAuditSpec":
+        """CI profile: at most 20 meshes per alpha."""
+        return replace(self, num_meshes=min(self.num_meshes, 20))
 
 
 @dataclass
@@ -306,6 +318,14 @@ def write_kernel_audit_csv(path, result: KernelAuditResult) -> None:
 
 
 # -- step-ratio root table ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RstarSpec:
+    alphas: tuple[float, ...]
+
+    def quick(self) -> "RstarSpec":
+        return self                 # the table is cheap: the CI profile is the full one
 
 
 @dataclass

@@ -95,6 +95,16 @@ def test_violation_floor_is_scale_relative():
     assert bad[0].slack == pytest.approx(-1e-12)
 
 
+def test_non_finite_rows_are_violations():
+    # an overflowed kernel must not audit clean: +inf rhs gives slack -inf
+    # against tol inf, and a nan lhs gives a nan slack
+    report = AuditReport(r_min=0.4)
+    report.add(2, "p", 1, 0.0, math.inf)
+    report.add(2, "p", 2, math.nan, 1.0)
+    report.add(2, "p", 3, 2.0, 1.0)
+    assert [e.k for e in report.violations()] == [1, 2]
+
+
 def test_worst_slack_groups_by_property():
     report = AuditReport(r_min=0.4)
     report.add(2, "p", 1, 5.0, 1.0)

@@ -1,6 +1,10 @@
 """CLI harness: exit codes, output files, run metadata."""
 
+import dataclasses
+import glob
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +12,11 @@ import sys
 import pytest
 
 import fracstep
+import fracstep.experiments as xp
 
-from fracstep.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, main
+from fracstep.cli import _COMMANDS, EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, _spec_from_config, main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -98,14 +105,16 @@ def test_kernels_quick_caps_mesh_count(tmp_path):
     assert checks[100] == checks[20] > 0
 
 
+# enforce_cap in the config gives the strict hypotheses without the fixed
+# --quick profile (which pins T = 5, M = 64 and is too slow here)
+_TINY_COARSEN = {"alpha": 0.7, "T": 0.5, "M": 16, "epsilon": 0.3, "tau_max": 0.05,
+                 "enforce_cap": True, "snapshot_times": [0.5], "seed": 3}
+_TINY_ACCURACY = {"alpha": 0.5, "sigma": 2.0, "gammas": [1.0], "Ns": [4, 8], "M": 8,
+                  "T": 0.5, "spatial_check": False, "seed": 0}
+
+
 def test_coarsen_strict_tiny(tmp_path):
-    # enforce_cap in the config gives the strict hypotheses without the
-    # fixed --quick profile (which pins T = 5, M = 64 and is too slow here)
-    cfg = _write_cfg(
-        tmp_path, "cfg.json",
-        {"alpha": 0.7, "T": 0.5, "M": 16, "epsilon": 0.3, "tau_max": 0.05,
-         "enforce_cap": True, "snapshot_times": [0.5], "seed": 3},
-    )
+    cfg = _write_cfg(tmp_path, "cfg.json", _TINY_COARSEN)
     out = tmp_path / "out"
     code = main(["coarsen", "--config", cfg, "--out", str(out)])
     assert code == EXIT_OK
@@ -116,12 +125,26 @@ def test_coarsen_strict_tiny(tmp_path):
     assert (out / "energy.csv").exists() and (out / "mesh.csv").exists()
 
 
+def test_coarsen_non_finite_energy_is_an_audit_failure(tmp_path, capsys, monkeypatch):
+    # a nan energy fails the audit even at a step whose hypothesis flags are broken
+    real = xp.run_coarsening
+
+    def nan_at_last_step(spec):
+        traj, cfg = real(spec)
+        traj.energy[-1] = dataclasses.replace(traj.energy[-1], E_alpha=math.nan, dissipation_lhs=math.nan)
+        traj.cap_ok[-1] = False
+        return traj, cfg
+
+    monkeypatch.setattr(xp, "run_coarsening", nan_at_last_step)
+    cfg = _write_cfg(tmp_path, "cfg.json", _TINY_COARSEN)
+    out = tmp_path / "out"
+    assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
+    assert "non-finite" in capsys.readouterr().err
+    assert _meta(out)["dissipation_violations"] == 1
+
+
 def test_accuracy_tiny(tmp_path, capsys):
-    cfg = _write_cfg(
-        tmp_path, "cfg.json",
-        {"alpha": 0.5, "sigma": 2.0, "gammas": [1.0], "Ns": [4, 8], "M": 8,
-         "T": 0.5, "spatial_check": False, "seed": 0},
-    )
+    cfg = _write_cfg(tmp_path, "cfg.json", _TINY_ACCURACY)
     out = tmp_path / "out"
     code = main(["accuracy", "--config", cfg, "--out", str(out)])
     assert code == EXIT_OK
@@ -146,6 +169,53 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     with open(out / "accuracy.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [int(r[1]) for r in rows] == [4, 8]
+
+
+@pytest.mark.parametrize("subcommand, payload, key", [
+    ("coarsen", dict(_TINY_COARSEN, tau_mn=1e-3), "tau_mn"),
+    ("accuracy", dict(_TINY_ACCURACY, M=8.9), "M"),
+    ("accuracy", dict(_TINY_ACCURACY, spatial_check="false"), "spatial_check"),
+    ("accuracy", dict(_TINY_ACCURACY, T=math.nan), "T"),
+    ("rstar", {"alphas": 5}, "alphas"),
+    ("accuracy", {k: v for k, v in _TINY_ACCURACY.items() if k != "alpha"}, "alpha"),
+], ids=["unknown-key", "fractional-int", "string-bool", "nan-float", "scalar-for-list", "missing"])
+def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload, key):
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)     # json writes nan as NaN, which it reads back
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_spec_from_config_fills_defaults_and_seed():
+    # ints are taken as floats in float fields, lists become tuples, and the
+    # seed argument (the config seed or --seed) goes to the spec's seed field
+    spec = _spec_from_config(xp.CoarsenSpec, {"alpha": 0.4, "T": 2, "warmup_N0": 10,
+                                              "snapshot_times": [1, 2], "seed": 5}, 9)
+    assert spec == xp.CoarsenSpec(alpha=0.4, T=2.0, warmup_N0=10, snapshot_times=(1.0, 2.0), seed=9)
+    assert type(spec.T) is float and type(spec.snapshot_times[0]) is float
+    assert _spec_from_config(xp.RstarSpec, {"alphas": [0.5], "seed": 1}, 1) == xp.RstarSpec((0.5,))
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_and_benchmark_configs_build_specs():
+    configs = []
+    for path in sorted(glob.glob(os.path.join(REPO, "configs", "*.json"))):
+        with open(path) as fh:
+            configs.append((os.path.basename(path).split("_")[0].removesuffix(".json"), json.load(fh)))
+    workloads = _perfbench_workloads()
+    for w in workloads.WORKLOADS:
+        for size in ("full", "tiny"):
+            configs.append((workloads.SUBCOMMAND[w], workloads.make_config(w, 0, size)))
+    assert len(configs) == 5 + 6
+    for subcommand, cfg in configs:
+        spec_cls, _ = _COMMANDS[subcommand]
+        spec = _spec_from_config(spec_cls, cfg, 0)
+        assert isinstance(spec, spec_cls)
 
 
 def test_unknown_subcommand_rejected(tmp_path):

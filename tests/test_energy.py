@@ -129,6 +129,16 @@ def test_dissipation_audit_tolerance_scales_with_energy():
     assert len(dissipation_audit(records)) == 1
 
 
+def test_dissipation_audit_flags_non_finite_energies():
+    # a broken hypothesis does not explain a nan, so the flags do not excuse it
+    records = [_rec(0, 3.0, None), _rec(1, math.nan, math.nan), _rec(2, 2.0, -math.inf)]
+    out = dissipation_audit(records, cap_ok=[False, True], ratio_ok=[False, True])
+    assert [v.n for v in out] == [1, 2]
+    assert all(v.unexplained and not v.finite for v in out)
+    assert not out[0].hypothesis_ok
+    assert "non-finite" in out[0].describe() and "non-finite" in out[1].describe()
+
+
 def test_violation_describe_ratio_floor():
     v = DissipationViolation(n=4, lhs=1e-3, tol=1e-10, cap_ok=True, ratio_ok=False)
     assert "ratio floor" in v.describe()

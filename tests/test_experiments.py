@@ -76,6 +76,16 @@ def test_accuracy_table_captures_row_failures():
     assert math.isnan(table.orders[2.0][0])
 
 
+def test_accuracy_table_lets_programming_errors_escape(monkeypatch):
+    # only the solver's own failures become row failures; a TypeError is a bug
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(exps, "_solution_error", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        accuracy_table(_tiny_accuracy_spec())
+
+
 def test_accuracy_csv(tmp_path):
     table = accuracy_table(_tiny_accuracy_spec())
     path = tmp_path / "acc.csv"
