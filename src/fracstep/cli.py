@@ -12,7 +12,8 @@ Every run writes run_meta.json with the SHA-256 of the canonicalized
 config and the seed actually used, so outputs are traceable.  Exit codes:
 0 success, 2 audit violation (a non-finite audit value included),
 3 solver non-convergence, 4 bad config (a missing or unknown key, a wrong
-type, a non-finite number).
+type, a non-finite number, a value below the least one that leaves the run
+something to check).
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def _typed(key: str, value, kind):
                       f"got {json.dumps(value)}")
 
 
+# The least value of each key (for a list, the fewest distinct entries) for
+# which the run checks something: an order fit needs two Ns, an audit at
+# least one mesh, one DGS history and one step past the first level.
+_LEAST = {
+    xp.AccuracySpec: {"Ns": 2, "gammas": 1},
+    xp.KernelAuditSpec: {"num_meshes": 1, "n_max": 2, "dgs_histories": 1},
+}
+
+
 def _spec_from_config(cls, cfg: dict, seed: int):
     """The spec dataclass cls built from cfg, whose keys are cls's fields plus "seed"."""
     kinds = get_type_hints(cls)
@@ -83,7 +93,15 @@ def _spec_from_config(cls, cfg: dict, seed: int):
     for f in dataclasses.fields(cls):
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise ConfigError(f"config is missing required key '{f.name}'")
-    return cls(**kwargs)
+    spec = cls(**kwargs)
+    for key, least in _LEAST.get(cls, {}).items():
+        value = getattr(spec, key)
+        if isinstance(value, tuple) and len(set(value)) < least:
+            raise ConfigError(f"config key '{key}' needs at least {least} distinct "
+                              f"entries, got {json.dumps(list(value))}")
+        if not isinstance(value, tuple) and value < least:
+            raise ConfigError(f"config key '{key}' must be at least {least}, got {value}")
+    return spec
 
 
 def _config_hash(cfg: dict) -> str:
@@ -143,6 +161,8 @@ def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
         "dissipation_violations": len(flagged),
         "final_E": traj.energy[-1].E,
         "final_E_alpha": traj.energy[-1].E_alpha,
+        "history_levels_allocated": traj.history_capacity,
+        "history_levels_used": len(traj.fields),
     }
     return (EXIT_AUDIT if flagged else EXIT_OK), files, extra
 

@@ -11,6 +11,12 @@ holds whenever the mesh ratios respect the admissibility floor and the
 step sizes respect the physical cap.  The audit records the left-hand
 side for every step and classifies any positive value by which
 hypothesis (cap or ratio floor) was broken, if any.
+
+G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
+whole history.  A run carries those distances from step to step
+(modified_energy updates them with one inner-product pass over the field
+stack); history_quadratic recomputes them from the fields and is the
+stateless reference the carried values are tested against.
 """
 
 from __future__ import annotations
@@ -43,15 +49,23 @@ def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
     return 0.5 * epsilon**2 * grad_energy(phi, grid) + bulk
 
 
-_G_BLOCK = 32        # history levels per squared-distance block (G's only temporary)
+_G_BLOCK = 32        # history levels per squared-distance block (the oracle's only temporary)
+
+
+def _form_from_distances(dist: np.ndarray, aux_a: np.ndarray, grid: Grid2D) -> float:
+    """Half the integrated form G from dist[j] = grid sum of (phi^n - phi^j)^2, j < n."""
+    coeffs, tail = stored_form_coeffs(aux_a)
+    return 0.5 * grid.h**2 * math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
 
 
 def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
-    """Half the integrated gradient-structure form G over the grid.
+    """Half the integrated gradient-structure form G over the grid, recomputed.
 
     fields stacks phi^0..phi^n; the partial sums of first differences
     collapse to field differences phi^n - phi^j, so the form is a
-    coefficient-weighted sum of squared L2 distances, taken blockwise by einsum.
+    coefficient-weighted sum of squared L2 distances, taken blockwise by
+    einsum.  This is the stateless reference for the distances that
+    modified_energy carries from step to step.
     """
     fields = np.asarray(fields, dtype=float)
     n = len(fields) - 1
@@ -61,18 +75,35 @@ def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
     for lo in range(0, n, _G_BLOCK):
         d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
         dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
-    coeffs, tail = stored_form_coeffs(aux_a)
-    return 0.5 * grid.h**2 * math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
+    return _form_from_distances(dist, aux_a, grid)
 
 
-def modified_energy(fields, kernels: KernelSet | None, epsilon: float, grid: Grid2D) -> EnergyRecord:
-    """EnergyRecord at the latest level of fields (kernels=None only at level 0)."""
+def modified_energy(
+    fields, dist: np.ndarray, kernels: KernelSet | None, epsilon: float, grid: Grid2D
+) -> EnergyRecord:
+    """EnergyRecord at the latest level n of fields (kernels=None only at level 0).
+
+    dist runs alongside fields and is updated in place: on entry dist[:n]
+    holds the grid sums of (phi^{n-1} - phi^j)^2, on return dist[:n+1]
+    holds those of (phi^n - phi^j)^2.  With delta = phi^n - phi^{n-1},
+
+        dist_j <- dist_j + ||delta||^2 + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
+
+    where every inner product comes from one einsum pass over the stack
+    (numpy's own loop in a fixed order, no BLAS, no (n, M, M) temporary).
+    """
+    fields = np.asarray(fields, dtype=float)
     n = len(fields) - 1
     E = free_energy(fields[n], epsilon, grid)
     if n == 0:
+        dist[0] = 0.0
         return EnergyRecord(n=0, E=E, G_term=0.0, E_alpha=E, dissipation_lhs=None)
     assert kernels is not None and kernels.n == n
-    G = history_quadratic(fields, kernels.aux_a, grid)
+    delta = fields[n] - fields[n - 1]
+    inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
+    dist[:n] += np.einsum("ij,ij->", delta, delta) + 2.0 * (inner[n - 1] - inner)
+    dist[n] = 0.0
+    G = _form_from_distances(dist[:n], kernels.aux_a, grid)
     return EnergyRecord(n=n, E=E, G_term=G, E_alpha=E + G, dissipation_lhs=None)
 
 

@@ -274,12 +274,14 @@ def history_sum(weights: np.ndarray, fields) -> np.ndarray:
     """Sum of weights[k] * (fields[k+1] - fields[k]) over ascending k.
 
     fields stacks len(weights) + 1 equal-shaped arrays; empty weights give
-    zeros.  einsum without optimize runs numpy's own loops, never BLAS, so
-    the result does not depend on the thread count.
+    zeros.  The sum is taken as one contraction sum_j c_j fields[j] with the
+    differenced weights c_0 = -w_0, c_j = w_{j-1} - w_j, c_last = w_last.
+    einsum without optimize runs numpy's own loops, never BLAS, so the
+    result does not depend on the thread count.
     """
     w = np.asarray(weights, dtype=float)
-    f = np.asarray(fields, dtype=float)
-    return np.einsum("k,k...->...", w, f[1:]) - np.einsum("k,k...->...", w, f[:-1])
+    c = -np.diff(w, prepend=0.0, append=0.0)
+    return np.einsum("k,k...->...", c, np.asarray(fields, dtype=float))
 
 
 def stored_form_coeffs(aux_a: np.ndarray):

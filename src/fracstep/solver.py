@@ -229,6 +229,7 @@ class SolveTrajectory:
     cap_ok: np.ndarray
     ratio_ok: np.ndarray
     notes: list
+    history_capacity: int           # levels allocated in the field stack
 
     @property
     def num_steps(self) -> int:
@@ -246,6 +247,9 @@ def run(
 
     phi^0..phi^n live in one (capacity, M, M) stack, doubled when an
     adaptive run fills it; step and modified_energy read views of it.
+    Next to it runs dist, the squared distances from the newest field to
+    every stored one, which grows with the stack and which modified_energy
+    updates in place each step, so G costs one pass over the stack.
     Energy records are optional.  Snapshot times are matched to the first
     node at or past each requested time.
     """
@@ -266,12 +270,15 @@ def run(
 
     fields = np.empty((len(nodes), grid.M, grid.M))
     fields[0] = phi0
+    dist = np.empty(len(nodes))
     sup_norms = [norm_inf(phi0)]
     fp_iters = []
     cap_ok = []
     ratio_ok = []
     notes = []
-    records = [modified_energy(fields[:1], None, cfg.epsilon, grid)] if record_energy else None
+    records = None
+    if record_energy:
+        records = [modified_energy(fields[:1], dist[:1], None, cfg.epsilon, grid)]
     pending_snaps = sorted(set(snapshot_times))
     snapshots = {}
     if pending_snaps and pending_snaps[0] <= 1e-12:
@@ -294,6 +301,7 @@ def run(
             grown = np.empty((2 * n, grid.M, grid.M))
             grown[:n] = fields
             fields = grown
+            dist = np.concatenate((dist, np.empty(n)))
         mesh_n = TimeMesh(np.asarray(nodes[: n + 1]))
         kernels = build_kernels(mesh_n, order, n)
         phi, sweeps = step(fields[:n], mesh_n, kernels, cfg)
@@ -306,7 +314,7 @@ def run(
         step_sq = grid.h**2 * grid_sum((phi - fields[n - 1]) ** 2)
         change_norm = math.sqrt(step_sq) / tau_n
         if record_energy:
-            rec = modified_energy(fields[: n + 1], kernels, cfg.epsilon, grid)
+            rec = modified_energy(fields[: n + 1], dist[: n + 1], kernels, cfg.epsilon, grid)
             lhs = dissipation_lhs(records[-1], rec, order, kernels.a[0], tau_n, step_sq)
             records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
         while pending_snaps and nodes[n] >= pending_snaps[0] - 1e-12:
@@ -324,4 +332,5 @@ def run(
         cap_ok=np.asarray(cap_ok, dtype=bool),
         ratio_ok=np.asarray(ratio_ok, dtype=bool),
         notes=notes,
+        history_capacity=len(fields),
     )

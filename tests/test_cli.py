@@ -111,6 +111,7 @@ _TINY_COARSEN = {"alpha": 0.7, "T": 0.5, "M": 16, "epsilon": 0.3, "tau_max": 0.0
                  "enforce_cap": True, "snapshot_times": [0.5], "seed": 3}
 _TINY_ACCURACY = {"alpha": 0.5, "sigma": 2.0, "gammas": [1.0], "Ns": [4, 8], "M": 8,
                   "T": 0.5, "spatial_check": False, "seed": 0}
+_TINY_KERNELS = {"alphas": [0.4], "num_meshes": 2, "n_max": 5, "dgs_histories": 3, "seed": 1}
 
 
 def test_coarsen_strict_tiny(tmp_path):
@@ -122,6 +123,9 @@ def test_coarsen_strict_tiny(tmp_path):
     assert meta["dissipation_violations"] == 0
     assert meta["all_steps_cap_compliant"] is True
     assert meta["max_sup_norm"] <= 1.0 + 1e-10
+    # the field stack holds phi^0..phi^N in at least as many levels as it used
+    assert meta["history_levels_used"] == meta["steps"] + 1
+    assert meta["history_levels_allocated"] >= meta["history_levels_used"]
     assert (out / "energy.csv").exists() and (out / "mesh.csv").exists()
 
 
@@ -178,11 +182,21 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("accuracy", dict(_TINY_ACCURACY, T=math.nan), "T"),
     ("rstar", {"alphas": 5}, "alphas"),
     ("accuracy", {k: v for k, v in _TINY_ACCURACY.items() if k != "alpha"}, "alpha"),
-], ids=["unknown-key", "fractional-int", "string-bool", "nan-float", "scalar-for-list", "missing"])
+    # an audit or a table that would check nothing is out of range
+    ("kernels", dict(_TINY_KERNELS, num_meshes=0), "num_meshes"),
+    ("kernels", dict(_TINY_KERNELS, dgs_histories=0), "dgs_histories"),
+    ("kernels", dict(_TINY_KERNELS, n_max=1), "n_max"),
+    ("accuracy", dict(_TINY_ACCURACY, Ns=[8]), "Ns"),
+    ("accuracy", dict(_TINY_ACCURACY, Ns=[8, 8]), "Ns"),
+    ("accuracy", dict(_TINY_ACCURACY, Ns=[]), "Ns"),
+    ("accuracy", dict(_TINY_ACCURACY, gammas=[]), "gammas"),
+], ids=["unknown-key", "fractional-int", "string-bool", "nan-float", "scalar-for-list", "missing",
+        "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas"])
 def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload, key):
     cfg = _write_cfg(tmp_path, "cfg.json", payload)     # json writes nan as NaN, which it reads back
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()                # rejected before any output is made
 
 
 def test_spec_from_config_fills_defaults_and_seed():

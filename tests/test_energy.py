@@ -73,7 +73,9 @@ def test_history_quadratic_matches_pointwise_form():
 
 def test_modified_energy_level_zero():
     g = Grid2D(M=8, L=TWO_PI)
-    rec = modified_energy([np.zeros((8, 8))], None, 0.5, g)
+    dist = np.full(1, np.nan)
+    rec = modified_energy([np.zeros((8, 8))], dist, None, 0.5, g)
+    assert dist[0] == 0.0               # the newest field's distance to itself
     assert rec.n == 0
     assert rec.G_term == 0.0
     assert rec.E_alpha == rec.E
@@ -86,7 +88,9 @@ def test_modified_energy_steady_history():
     mesh = build_uniform_mesh(1.0, 4)
     kern = build_kernels(mesh, 0.5, 4)
     phi = np.full((8, 8), 0.7)
-    rec = modified_energy([phi] * 5, kern, 0.2, g)
+    dist = np.zeros(5)                  # carried distances of level 3, then 4
+    rec = modified_energy([phi] * 5, dist, kern, 0.2, g)
+    assert np.array_equal(dist, np.zeros(5))
     assert rec.G_term == 0.0
     assert rec.E_alpha == rec.E
 

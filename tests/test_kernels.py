@@ -234,6 +234,23 @@ def test_history_sum_matches_fsum_within_plain_bound():
     assert np.array_equal(history_sum(np.empty(0), fields[:1]), np.zeros((3, 4)))
 
 
+def test_history_sum_with_level_kernel_on_graded_mesh_within_plain_bound():
+    # the solver's own weights hat_a[1:n][::-1] at the last level of a
+    # 300-step graded two-phase mesh, against the same plain-summation
+    # bound as above
+    rng = np.random.default_rng(8)
+    n = 300
+    kern = build_kernels(build_two_phase_mesh(1.0, 3.0, n, 1234), 0.4, n)
+    w = kern.hat_a[1:n][::-1]
+    fields = 0.5 + np.cumsum(1e-3 * rng.standard_normal((n, 3, 4)), axis=0)
+    got = history_sum(w, fields)
+    for idx in np.ndindex(3, 4):
+        f = fields[(slice(None),) + idx]
+        want = math.fsum([w[k] * f[k + 1] for k in range(n - 1)] + [-w[k] * f[k] for k in range(n - 1)])
+        bound = (n - 1) * np.finfo(float).eps * float(np.sum(w * (np.abs(f[:-1]) + np.abs(f[1:]))))
+        assert abs(got[idx] - want) <= bound
+
+
 def _dgs_case(rng, alpha, n):
     order = as_order(alpha)
     mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha) + 1e-6)

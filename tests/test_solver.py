@@ -10,7 +10,8 @@ import pytest
 
 import fracstep
 from fracstep.grid import Grid2D, laplacian, norm_inf
-from fracstep.kernels import build_kernels, local_coefficient
+from fracstep.energy import history_quadratic
+from fracstep.kernels import build_kernels, local_coefficient, stored_form_coeffs
 from fracstep.mesh import AdaptiveConfig, TimeMesh, build_graded_mesh, build_uniform_mesh
 from fracstep.solver import (
     AdaptiveSchedule,
@@ -294,6 +295,40 @@ def test_adaptive_run_grows_stack_and_matches_manual_stepping():
         phi, _ = step(fields, sub, build_kernels(sub, cfg.alpha, n), cfg)
         fields.append(phi)
     assert np.array_equal(traj.fields, np.stack(fields))
+
+
+def test_carried_distances_match_recomputed_G_at_every_step():
+    # G comes from squared distances carried across steps and across three
+    # doublings of the stack; at every level it must equal the stateless
+    # recomputation within a worst-case round-off bound of the update
+    rng = np.random.default_rng(5)
+    cfg = _cfg(alpha=0.6, M=16)
+    grid = cfg.grid
+    warm = build_graded_mesh(0.01, 2, 1.0)
+    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.01, eta=1e3, r_floor=0.39)
+    traj = run(cfg, AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.08),
+               rng.uniform(-0.5, 0.5, (16, 16)))
+    assert traj.history_capacity >= 8 * len(warm.nodes)        # 3 -> 6 -> 12 -> 24 levels
+    assert len(traj.fields) == traj.num_steps + 1
+
+    # Each update of dist_j takes two M^2-term inner products <delta, phi>
+    # and ||delta||^2 (each off by at most M^2 eps ||delta||_1 ||phi||_inf),
+    # plus a few roundings of the distances; the recomputed distances are
+    # off by at most 2 M^2 eps dist_j.
+    eps, m2 = np.finfo(float).eps, grid.M**2
+    f = traj.fields
+    drift = 0.0                         # bound on every carried dist_j's error so far
+    for n in range(1, traj.num_steps + 1):
+        d = f[:n] - f[n]
+        dist_max = np.einsum("kij,kij->k", d, d).max()
+        drift += 8 * m2 * eps * np.abs(f[n] - f[n - 1]).sum() * np.abs(f[: n + 1]).max()
+        drift += 2 * eps * dist_max
+        aux_a = build_kernels(traj.mesh, cfg.alpha, n).aux_a
+        coeffs, tail = stored_form_coeffs(aux_a)
+        oracle = history_quadratic(f[: n + 1], aux_a, grid)
+        weight = 0.5 * grid.h**2 * (np.abs(coeffs).sum() + abs(tail))
+        bound = weight * (drift + 2 * m2 * eps * dist_max) + 2 * eps * oracle
+        assert abs(traj.energy[n].G_term - oracle) <= bound, n
 
 
 _THREADED_RUN = """
