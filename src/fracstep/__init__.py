@@ -38,6 +38,7 @@ from .solver import (
     ManufacturedForcing,
     SolveTrajectory,
     SolverConfig,
+    StepCapError,
     crank_nicolson_step,
     run,
     step,
@@ -60,6 +61,7 @@ __all__ = [
     "MeshError",
     "SolveTrajectory",
     "SolverConfig",
+    "StepCapError",
     "TimeMesh",
     "adaptive_next_step",
     "as_order",

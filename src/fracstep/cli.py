@@ -10,7 +10,8 @@ overrides the config seed; --quick applies the spec's quick() profile.
 
 Every run writes run_meta.json with the SHA-256 of the canonicalized
 config and the seed actually used, so outputs are traceable.  Exit codes:
-0 success, 2 audit violation (a non-finite audit value included),
+0 success, 2 audit violation (a non-finite audit value, a field over the
+bound or a step over the cap while the bound is enforced included),
 3 solver non-convergence, 4 bad config (a missing or unknown key, a wrong
 type, a non-finite number, a value below the least one that leaves the run
 something to check).
@@ -28,7 +29,7 @@ import time
 from typing import get_args, get_origin, get_type_hints
 
 from .energy import dissipation_audit
-from .solver import BoundViolation, ConvergenceError
+from .solver import BoundViolation, ConvergenceError, StepCapError
 from . import experiments as xp
 
 EXIT_OK = 0
@@ -163,6 +164,8 @@ def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
         "final_E_alpha": traj.energy[-1].E_alpha,
         "history_levels_allocated": traj.history_capacity,
         "history_levels_used": len(traj.fields),
+        "fp_sweeps": int(traj.fp_iters.sum()),
+        "fp_sweeps_max": int(traj.fp_iters.max()),
     }
     return (EXIT_AUDIT if flagged else EXIT_OK), files, extra
 
@@ -246,7 +249,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NONCONV
-    except BoundViolation as exc:
+    except (BoundViolation, StepCapError) as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
 

@@ -1,5 +1,6 @@
 """CLI harness: exit codes, output files, run metadata."""
 
+import csv
 import dataclasses
 import glob
 import importlib.util
@@ -127,6 +128,21 @@ def test_coarsen_strict_tiny(tmp_path):
     assert meta["history_levels_used"] == meta["steps"] + 1
     assert meta["history_levels_allocated"] >= meta["history_levels_used"]
     assert (out / "energy.csv").exists() and (out / "mesh.csv").exists()
+    with open(out / "energy.csv", newline="") as fh:
+        sweeps = [int(row["fp_iters"]) for row in csv.DictReader(fh) if row["fp_iters"]]
+    assert len(sweeps) == meta["steps"]
+    assert meta["fp_sweeps"] == sum(sweeps) and meta["fp_sweeps_max"] == max(sweeps)
+
+
+def test_step_over_cap_is_an_audit_failure(tmp_path, capsys):
+    # a warm-up step over the cap breaks the strict run's hypothesis at run
+    # time: an audit failure (2), not a config error
+    payload = {"alpha": 0.4, "T": 2.0, "M": 16, "enforce_cap": True, "warmup_T0": 1.0,
+               "warmup_N0": 1, "snapshot_times": []}
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    assert main(["coarsen", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert "audit failure" in err and "exceeds the cap" in err
 
 
 def test_coarsen_non_finite_energy_is_an_audit_failure(tmp_path, capsys, monkeypatch):
@@ -168,8 +184,6 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     out = tmp_path / "out"
     code = main(["accuracy", "--config", cfg, "--out", str(out), "--quick"])
     assert code == EXIT_OK
-    import csv
-
     with open(out / "accuracy.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [int(r[1]) for r in rows] == [4, 8]

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import fracstep
+import fracstep.solver as solver
 from fracstep.grid import Grid2D, laplacian, norm_inf
 from fracstep.energy import history_quadratic
+from fracstep.experiments import CoarsenSpec, run_coarsening
 from fracstep.kernels import build_kernels, local_coefficient, stored_form_coeffs
 from fracstep.mesh import AdaptiveConfig, TimeMesh, build_graded_mesh, build_uniform_mesh
 from fracstep.solver import (
@@ -19,7 +21,9 @@ from fracstep.solver import (
     ConvergenceError,
     ManufacturedForcing,
     SolverConfig,
+    StepCapError,
     _fixed_point,
+    _predict,
     crank_nicolson_step,
     run,
     step,
@@ -130,7 +134,7 @@ def test_step_rejects_over_cap_when_enforcing():
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.5, 10)  # tau = 0.05 > cap
     kern = build_kernels(mesh, cfg.alpha, 1)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(StepCapError, match="cap"):
         step([np.zeros((8, 8))], mesh, kern, cfg)
 
 
@@ -190,6 +194,121 @@ def test_l21sigma_step_implicit_relation():
     )
     assert norm_inf(res) < 1e-10
     assert sweeps >= 2
+
+
+def _lagrange_weights(nodes):
+    # weights extrapolating values at nodes[:-1] to nodes[-1], from the
+    # transposed Vandermonde system rather than the product formula
+    past = np.asarray(nodes[:-1])
+    return np.linalg.solve(np.vander(past, len(past), increasing=True).T,
+                           nodes[-1] ** np.arange(len(past)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_predictor_reproduces_polynomials_below_its_level_count(m):
+    # through m levels on non-uniform nodes the start is exact, up to
+    # rounding, for every polynomial in t of degree at most m - 1
+    rng = np.random.default_rng(20 + m)
+    eps = np.finfo(float).eps
+    for degree in range(m):
+        nodes = np.cumsum(rng.uniform(0.01, 0.3, m + 1))
+        coeffs = rng.uniform(-0.1, 0.1, (degree + 1, 8, 8))     # |p| < 1: no clip acts
+        levels = [sum(c * t**d for d, c in enumerate(coeffs)) for t in nodes]
+        x0 = _predict(levels[:-1], nodes)
+        scale = max(norm_inf(level) for level in levels)
+        bound = 8 * m * eps * (np.abs(_lagrange_weights(nodes)).sum() + 1.0) * scale
+        assert norm_inf(x0 - levels[-1]) <= bound, (m, degree)
+
+
+def test_predictor_start_stays_in_the_bound_box(monkeypatch):
+    # random levels on a graded mesh overshoot far outside [-1, 1] when
+    # extrapolated; the start is clipped into [-R, R], R = max(1, |phi^{n-1}|)
+    rng = np.random.default_rng(6)
+    nodes = build_graded_mesh(0.1, 6, 2.0).nodes[1:6]
+    for scale in (0.5, 1.5):
+        levels = [scale * rng.uniform(-1.0, 1.0, (8, 8)) for _ in range(4)]
+        raw = sum(w * level for w, level in zip(_lagrange_weights(nodes), levels))
+        bound = max(1.0, norm_inf(levels[-1]))
+        assert norm_inf(raw) > bound                      # the clip is active here
+        assert norm_inf(_predict(levels, nodes)) == bound
+
+    # under enforce_bound every level step accepts lies in [-1, 1] up to
+    # bound_tol, so every start of a strict run lies there too
+    starts = []
+    real = solver._fixed_point
+
+    def spy(rhs_fixed, c, nu, weight, cfg, x0, where):
+        starts.append(norm_inf(x0))
+        return real(rhs_fixed, c, nu, weight, cfg, x0, where)
+
+    monkeypatch.setattr(solver, "_fixed_point", spy)
+    cfg = _cfg(enforce_bound=True)
+    traj = run(cfg, build_uniform_mesh(0.2, 10), rng.uniform(-1.0, 1.0, (8, 8)))
+    assert len(starts) == 10
+    assert all(s <= max(1.0, p) for s, p in zip(starts, traj.sup_norms))
+    assert max(starts) <= 1.0 + cfg.bound_tol
+
+
+def _steps_with_and_without_predictor(fields, mesh, cfg, monkeypatch):
+    n = len(fields)
+    kern = build_kernels(mesh, cfg.alpha, n)
+    phi, _ = step(fields, mesh, kern, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_predict", lambda levels, nodes: levels[-1])
+        plain, _ = step(fields, mesh, kern, cfg)
+    return phi, plain, kern
+
+
+def _start_independence_bound(phi, plain, kern, cfg):
+    # The lagged map psi -> (D - nu Lap)^{-1}(rhs - (1-theta) f(psi)) has
+    # |(D - nu Lap)^{-1}|_inf <= 1/D (an M-matrix) and |f'| <= max(1, 3R^2 - 1)
+    # on [-R, R], so it contracts with q below.  A sweep that stops at a change
+    # <= tol is within q/(1-q) tol of the fixed point, so two runs from any
+    # starts end within 2q/(1-q) tol of each other, plus FFT rounding.
+    theta = cfg.alpha / 2.0
+    D = local_coefficient(cfg.alpha, kern) + kern.hat_a[0]
+    R = max(norm_inf(phi), norm_inf(plain)) + cfg.fixed_point_tol
+    q = (1.0 - theta) * max(1.0, 3.0 * R * R - 1.0) / D
+    assert q < 1.0
+    return 2.0 * q / (1.0 - q) * cfg.fixed_point_tol + 64 * np.finfo(float).eps * R
+
+
+def test_predicted_start_changes_the_level_only_within_the_tolerance(monkeypatch):
+    # smooth history: the levels of a run from smooth data on a graded mesh
+    g = _grid(16)
+    cfg = SolverConfig(alpha=0.6, epsilon=0.3, grid=g)
+    mesh = build_graded_mesh(0.2, 12, 2.0)
+    x, y = g.coords()
+    traj = run(cfg, mesh, 0.6 * np.sin(x) * np.cos(y), record_energy=False)
+    for n in range(2, 13):
+        sub = TimeMesh(np.asarray(mesh.nodes[: n + 1]))
+        phi, plain, kern = _steps_with_and_without_predictor(traj.fields[:n], sub, cfg, monkeypatch)
+        assert norm_inf(phi - plain) <= _start_independence_bound(phi, plain, kern, cfg), n
+
+    # random history (as in the implicit-relation test), where the clip acts
+    rng = np.random.default_rng(4)
+    mesh = build_graded_mesh(0.1, 6, 2.0)
+    fields = [0.5 * rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(4)]
+    raw = sum(w * f for w, f in zip(_lagrange_weights(mesh.nodes[:5]), fields))
+    assert norm_inf(raw) > 1.0
+    phi, plain, kern = _steps_with_and_without_predictor(fields, mesh, cfg, monkeypatch)
+    assert norm_inf(phi - plain) <= _start_independence_bound(phi, plain, kern, cfg)
+
+
+def test_predictor_cuts_sweeps_on_a_strict_coarsen(monkeypatch):
+    # the extrapolated start must save at least 30% of the sweeps a start
+    # from phi^{n-1} takes, on the same steps and the same dissipation margin
+    spec = CoarsenSpec(alpha=0.7, seed=7).quick()
+    traj, _ = run_coarsening(spec)
+    monkeypatch.setattr(solver, "_predict", lambda levels, nodes: levels[-1])
+    plain, _ = run_coarsening(spec)
+
+    def worst_margin(t):
+        return max(r.dissipation_lhs / (1e-10 * (1.0 + abs(r.E_alpha))) for r in t.energy[1:])
+
+    assert traj.num_steps == plain.num_steps
+    assert traj.fp_iters.sum() <= 0.7 * plain.fp_iters.sum()
+    assert abs(worst_margin(traj) - worst_margin(plain)) < 1e-2
 
 
 def test_non_finite_field_raises_at_once():
