@@ -54,6 +54,9 @@ class AuditEntry:
         return self.lhs - self.rhs
 
 
+_SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack is a violation
+
+
 class AuditEntries:
     """Row view of an AuditReport: len() is the row count, iteration yields AuditEntry."""
 
@@ -75,8 +78,7 @@ class AuditReport:
     array of k at one level); the columns are concatenated on first read.
     """
 
-    def __init__(self, r_min: float):
-        self.r_min = r_min
+    def __init__(self):
         self.size = 0
         self._codes = {}       # property name -> code, in order of first row
         self._blocks = []      # (n, codes, k, lhs, rhs) per block, k/lhs/rhs per row
@@ -156,12 +158,12 @@ class AuditReport:
         n, code, k, lhs, rhs = self._columns()
         return AuditEntry(int(n[i]), list(self._codes)[code[i]], int(k[i]), float(lhs[i]), float(rhs[i]))
 
-    def violations(self, floor: float = 1e-13):
-        """Entries whose slack is negative beyond round-off at their scale, and
-        every entry whose lhs, rhs or slack is not finite."""
+    def violations(self):
+        """Entries whose slack is negative beyond round-off (_SLACK_FLOOR at
+        their scale), and every entry whose lhs, rhs or slack is not finite."""
         _, _, _, lhs, rhs = self._columns()
         slack = lhs - rhs                 # not finite whenever lhs or rhs is not
-        tol = floor * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         return [self._entry(i) for i in np.flatnonzero((slack < -tol) | ~np.isfinite(slack))]
 
     def worst_slack(self):
@@ -253,19 +255,14 @@ def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
     return DiagnosticSet(n=n, I=I, J=J, beta=beta_factors(mesh, order, n))
 
 
-def audit_kernel_properties(mesh: TimeMesh, order, n_max: int, r_min: float | None = None) -> AuditReport:
+def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     """Run every kernel inequality for levels 2..n_max and report slacks.
 
-    The caller is responsible for the mesh hypothesis (ratios >= r_min);
-    the report's r_min field records what was assumed.
+    The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
     order = as_order(order)
     alpha = order.alpha
-    from .kernels import min_step_ratio
-
-    if r_min is None:
-        r_min = min_step_ratio(alpha)
-    report = AuditReport(r_min=r_min)
+    report = AuditReport()
     n_max = min(n_max, mesh.num_steps)
     prev = build_kernels(mesh, order, 1)
     prev_IJ = endpoint_gaps(prev, mesh, order, 1)

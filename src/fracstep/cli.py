@@ -9,12 +9,13 @@ integer, a bool field true or false, a tuple field a list of those.  --seed
 overrides the config seed; --quick applies the spec's quick() profile.
 
 Every run writes run_meta.json with the SHA-256 of the canonicalized
-config and the seed actually used, so outputs are traceable.  Exit codes:
+config and the seed actually used, so outputs are traceable; a run that
+raises writes it with "files": [] and the error as "failure".  Exit codes:
 0 success, 2 audit violation (a non-finite audit value, a field over the
-bound or a step over the cap while the bound is enforced included),
-3 solver non-convergence, 4 bad config (a missing or unknown key, a wrong
-type, a non-finite number, a value below the least one that leaves the run
-something to check).
+bound, a step over the cap while the bound is enforced, or weights that
+are not positive), 3 solver non-convergence, 4 bad config (a missing or
+unknown key, a wrong type, a non-finite number, a value below the least
+one that leaves the run something to check).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_meta(outdir, subcommand, cfg, seed, quick, files, elapsed, extra=None) -> None:
+def _write_meta(outdir, subcommand, cfg, seed, quick, files, elapsed, extra) -> None:
     meta = {
         "subcommand": subcommand,
         "config_sha256": _config_hash(cfg),
@@ -119,8 +120,7 @@ def _write_meta(outdir, subcommand, cfg, seed, quick, files, elapsed, extra=None
         "files": sorted(os.path.relpath(f, outdir) for f in files),
         "elapsed_seconds": round(elapsed, 3),
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     with open(os.path.join(outdir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -239,7 +239,12 @@ def main(argv=None) -> int:
             spec = spec.quick()
         os.makedirs(args.out, exist_ok=True)
         started = time.monotonic()
-        code, files, extra = command(spec, args.out)
+        try:
+            code, files, extra = command(spec, args.out)
+        except Exception as exc:      # the run failed: record what ran and why, then report it
+            _write_meta(args.out, args.subcommand, cfg, seed, args.quick, [],
+                        time.monotonic() - started, {"failure": f"{type(exc).__name__}: {exc}"})
+            raise
         _write_meta(args.out, args.subcommand, cfg, seed, args.quick,
                     files, time.monotonic() - started, extra)
         return code
@@ -249,7 +254,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NONCONV
-    except (BoundViolation, StepCapError) as exc:
+    except (BoundViolation, StepCapError, FloatingPointError) as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
 

@@ -50,6 +50,7 @@ def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
 
 
 _G_BLOCK = 32        # history levels per squared-distance block (the oracle's only temporary)
+_DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E_alpha|
 
 
 def _form_from_distances(dist: np.ndarray, aux_a: np.ndarray, grid: Grid2D) -> float:
@@ -159,7 +160,7 @@ class DissipationViolation:
         )
 
 
-def dissipation_audit(records, cap_ok=None, ratio_ok=None, rel_tol: float = 1e-10):
+def dissipation_audit(records, cap_ok=None, ratio_ok=None):
     """Flag steps with positive dissipation lhs beyond round-off, and every
     step whose lhs or E_alpha is not finite.
 
@@ -172,7 +173,7 @@ def dissipation_audit(records, cap_ok=None, ratio_ok=None, rel_tol: float = 1e-1
     for rec in records:
         if rec.dissipation_lhs is None:
             continue
-        tol = rel_tol * (1.0 + abs(rec.E_alpha))
+        tol = _DISSIPATION_REL_TOL * (1.0 + abs(rec.E_alpha))
         if rec.dissipation_lhs > tol or not (math.isfinite(rec.dissipation_lhs) and math.isfinite(tol)):
             n = rec.n
             out.append(

@@ -217,13 +217,12 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
     warmup = build_graded_mesh(spec.warmup_T0, spec.warmup_N0, spec.warmup_gamma)
     schedule = AdaptiveSchedule(warmup=warmup, controller=controller, horizon=spec.T)
     phi0 = random_initial_field(grid, spec.init_amplitude, spec.seed)
-    snaps = tuple(t for t in spec.snapshot_times if t <= spec.T)
-    traj = run(cfg, schedule, phi0, record_energy=True, snapshot_times=snaps)
+    traj = run(cfg, schedule, phi0, record_energy=True)
     return traj, cfg
 
 
 def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -> list:
-    """Emit energy CSV, step CSV, and snapshot images; returns the paths."""
+    """Emit energy CSV, step CSV, and the snapshot at each level_at(t); returns the paths."""
     import os
 
     grid = Grid2D(M=spec.M, L=2.0 * np.pi)
@@ -234,11 +233,13 @@ def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -
     mesh_path = os.path.join(outdir, "mesh.csv")
     traj.mesh.to_csv(mesh_path)
     paths.append(mesh_path)
-    for t_snap, field_ in sorted(traj.snapshots.items()):
-        stem = os.path.join(outdir, f"snapshot_t{t_snap:g}")
-        save_pgm(stem + ".pgm", field_)
-        save_raw(stem + ".raw", field_, grid)
-        paths.extend([stem + ".pgm", stem + ".raw"])
+    for t_snap in sorted(set(t for t in spec.snapshot_times if t <= spec.T)):
+        n = traj.level_at(t_snap)
+        if n is not None:
+            stem = os.path.join(outdir, f"snapshot_t{t_snap:g}")
+            save_pgm(stem + ".pgm", traj.fields[n])
+            save_raw(stem + ".raw", traj.fields[n], grid)
+            paths.extend([stem + ".pgm", stem + ".raw"])
     return paths
 
 
@@ -278,7 +279,7 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
         r_star = min_step_ratio(alpha)
         for m in range(spec.num_meshes):
             mesh = random_ratio_mesh(rng, spec.n_max, r_star)
-            report = audit_kernel_properties(mesh, order, spec.n_max, r_min=r_star)
+            report = audit_kernel_properties(mesh, order, spec.n_max)
             total += len(report.entries)
             for bad in report.violations():
                 violations.append((alpha, m, bad))

@@ -32,8 +32,8 @@ class TimeMesh:
     """
 
     nodes: np.ndarray
-    steps: np.ndarray = field(default=None)
-    ratios: np.ndarray = field(default=None)
+    steps: np.ndarray = field(init=False)
+    ratios: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -217,20 +217,13 @@ def adaptive_next_step(tau_n: float, change_norm: float, cfg: AdaptiveConfig) ->
     return float(tau)
 
 
-def random_ratio_mesh(
-    rng: np.random.Generator,
-    n: int,
-    r_min: float,
-    r_max: float = 4.0,
-    tau1_range: tuple = (1e-3, 1.0),
-) -> TimeMesh:
+def random_ratio_mesh(rng: np.random.Generator, n: int, r_min: float, r_max: float = 4.0) -> TimeMesh:
     """Random mesh with n steps whose ratios all lie in [r_min, r_max].
 
     Used to fuzz the kernel audits; the first step is log-uniform in
-    tau1_range and roughly one draw in ten sits exactly at the floor.
+    [1e-3, 1] and roughly one draw in ten sits exactly at the floor.
     """
-    lo, hi = tau1_range
-    tau1 = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    tau1 = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
     ratios = rng.uniform(r_min, r_max, size=n - 1)
     at_floor = rng.random(n - 1) < 0.1
     ratios[at_floor] = r_min

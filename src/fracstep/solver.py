@@ -28,8 +28,9 @@ returns, it audits.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +61,21 @@ class StepCapError(RuntimeError):
 
 
 _PREDICTOR_LEVELS = 4    # past levels in the extrapolated start of each step's fixed point
+_FIXED_POINT_TOL = 1e-12   # max-norm change between sweeps that ends a fixed point
+_FIXED_POINT_MAX_ITER = 200
+_BOUND_TOL = 1e-10         # slack above |phi| = 1 before a strict run raises BoundViolation
 
 
 def _reaction(phi: np.ndarray) -> np.ndarray:
     return phi * phi * phi - phi
+
+
+@functools.lru_cache(maxsize=4)
+def _sin_profile(grid: Grid2D) -> np.ndarray:
+    """sin(x) sin(y) on the grid, evaluated once per grid; read-only, as every caller shares it."""
+    S = grid.field_from_function(lambda x, y: np.sin(x) * np.sin(y))
+    S.flags.writeable = False
+    return S
 
 
 @dataclass(frozen=True)
@@ -81,33 +93,27 @@ class ManufacturedForcing:
         if self.sigma <= 0.0:
             raise ValueError(f"solution regularity exponent must be positive, got {self.sigma}")
 
-    def profile(self, grid: Grid2D) -> np.ndarray:
-        return grid.field_from_function(lambda x, y: np.sin(x) * np.sin(y))
-
     def exact(self, t: float, grid: Grid2D) -> np.ndarray:
         factor = float(omega(1.0 + self.sigma, t)) if t > 0.0 else 0.0
-        return factor * self.profile(grid)
+        return factor * _sin_profile(grid)
 
     def force(self, t: float, grid: Grid2D, order, epsilon: float) -> np.ndarray:
         alpha = as_order(order).alpha
-        S = self.profile(grid)
-        phi = (float(omega(1.0 + self.sigma, t)) if t > 0.0 else 0.0) * S
+        S = _sin_profile(grid)
+        phi = self.exact(t, grid)
         dphi = float(omega(1.0 + self.sigma - alpha, t)) * S
         return dphi + _reaction(phi) + 2.0 * epsilon**2 * phi
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Problem data and iteration tolerances for one run."""
+    """Problem data for one run."""
 
     alpha: float
     epsilon: float
     grid: Grid2D
     forcing: ManufacturedForcing | None = None
-    fixed_point_tol: float = 1e-12
-    fixed_point_max_iter: int = 200
     enforce_bound: bool = False
-    bound_tol: float = 1e-10
 
     def __post_init__(self):
         as_order(self.alpha)  # validates the range
@@ -142,7 +148,7 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
     s = np.sin(np.pi * np.arange(M) / M) ** 2
     symbol = c + (4.0 * nu / cfg.grid.h**2) * (s[:, None] + s[None, : M // 2 + 1])
     psi = x0
-    for sweep in range(1, cfg.fixed_point_max_iter + 1):
+    for sweep in range(1, _FIXED_POINT_MAX_ITER + 1):
         rhs = rhs_fixed - weight * _reaction(psi)
         psi_new = np.fft.irfft2(np.fft.rfft2(rhs) / symbol, s=rhs.shape)
         # A difference is finite only if both iterates are, so this one
@@ -151,12 +157,9 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
         if not math.isfinite(change):
             raise ConvergenceError(f"{where} hit non-finite values in the field at sweep {sweep}")
         psi = psi_new
-        if change <= cfg.fixed_point_tol:
+        if change <= _FIXED_POINT_TOL:
             return psi, sweep
-    raise ConvergenceError(
-        f"{where} stalled at change {change:.3e} "
-        f"after {cfg.fixed_point_max_iter} sweeps"
-    )
+    raise ConvergenceError(f"{where} stalled at change {change:.3e} after {_FIXED_POINT_MAX_ITER} sweeps")
 
 
 def _predict(fields, nodes):
@@ -183,7 +186,7 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
     are frozen.  The sweeps start from _predict over the last
     m = min(n, 4) levels: cubic extrapolation from n = 4 on, quadratic at
     n = 3, linear at n = 2, phi^0 at n = 1.  Convergence is measured by the
-    max-norm change between sweeps against cfg.fixed_point_tol.  A step
+    max-norm change between sweeps against _FIXED_POINT_TOL.  A step
     over the cap while the bound is enforced raises StepCapError.
     """
     order = as_order(cfg.alpha)
@@ -215,25 +218,22 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
     psi, sweeps = _fixed_point(
         rhs_fixed, D, (1.0 - theta) * eps2, 1.0 - theta, cfg, x0, f"step {n}: fixed point"
     )
-    if cfg.enforce_bound and norm_inf(psi) > 1.0 + cfg.bound_tol:
-        raise BoundViolation(
-            f"step {n}: max norm {norm_inf(psi):.15f} exceeds 1 + {cfg.bound_tol:.1e}"
-        )
+    if cfg.enforce_bound and norm_inf(psi) > 1.0 + _BOUND_TOL:
+        raise BoundViolation(f"step {n}: max norm {norm_inf(psi):.15f} exceeds 1 + {_BOUND_TOL:.1e}")
     return psi, sweeps
 
 
-def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig, t_prev: float = 0.0):
-    """Reference half-offset step of the integer-order equation, same machinery.
+def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig):
+    """Reference half-offset step of the unforced integer-order equation, same machinery.
 
-    Solves (phi - prev)/tau = -(f(prev) + f(phi))/2 + eps^2 Lap (prev + phi)/2,
-    with the optional force evaluated at the interval midpoint.
+    Solves (phi - prev)/tau = -(f(prev) + f(phi))/2 + eps^2 Lap (prev + phi)/2.
     """
+    if cfg.forcing is not None:
+        raise ValueError("the Crank-Nicolson reference step takes no forcing")
     grid = cfg.grid
     eps2 = cfg.epsilon**2
     c = 1.0 / tau
     rhs_fixed = c * prev - 0.5 * _reaction(prev) + 0.5 * eps2 * laplacian(prev, grid)
-    if cfg.forcing is not None:
-        rhs_fixed = rhs_fixed + cfg.forcing.force(t_prev + 0.5 * tau, grid, cfg.alpha, cfg.epsilon)
     return _fixed_point(rhs_fixed, c, 0.5 * eps2, 0.5, cfg, prev, "reference step")
 
 
@@ -258,7 +258,6 @@ class SolveTrajectory:
 
     mesh: TimeMesh
     fields: np.ndarray
-    snapshots: dict
     sup_norms: np.ndarray
     fp_iters: np.ndarray
     energy: list | None
@@ -272,14 +271,13 @@ class SolveTrajectory:
     def num_steps(self) -> int:
         return self.mesh.num_steps
 
+    def level_at(self, t: float) -> int | None:
+        """Index of the first node at or past t - 1e-12; None when every node lies before it."""
+        n = int(np.searchsorted(self.mesh.nodes, t - 1e-12))
+        return n if n < len(self.mesh.nodes) else None
 
-def run(
-    cfg: SolverConfig,
-    schedule,
-    phi0: np.ndarray,
-    record_energy: bool = True,
-    snapshot_times=(),
-) -> SolveTrajectory:
+
+def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = True) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
     phi^0..phi^n live in one (capacity, M, M) stack, doubled when an
@@ -287,8 +285,7 @@ def run(
     Next to it runs dist, the squared distances from the newest field to
     every stored one, which grows with the stack and which modified_energy
     updates in place each step, so G costs one pass over the stack.
-    Energy records are optional.  Snapshot times are matched to the first
-    node at or past each requested time.
+    Energy records are optional.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -316,10 +313,6 @@ def run(
     records = None
     if record_energy:
         records = [modified_energy(fields[:1], dist[:1], None, cfg.epsilon, grid)]
-    pending_snaps = sorted(set(snapshot_times))
-    snapshots = {}
-    if pending_snaps and pending_snaps[0] <= 1e-12:
-        snapshots[pending_snaps.pop(0)] = phi0.copy()
 
     n = 0
     change_norm = 0.0
@@ -354,14 +347,11 @@ def run(
             rec = modified_energy(fields[: n + 1], dist[: n + 1], kernels, cfg.epsilon, grid)
             lhs = dissipation_lhs(records[-1], rec, order, kernels.a[0], tau_n, step_sq)
             records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
-        while pending_snaps and nodes[n] >= pending_snaps[0] - 1e-12:
-            snapshots[pending_snaps.pop(0)] = phi.copy()
 
     mesh = TimeMesh(np.asarray(nodes))
     return SolveTrajectory(
         mesh=mesh,
         fields=fields[: n + 1],
-        snapshots=snapshots,
         sup_norms=np.asarray(sup_norms),
         fp_iters=np.asarray(fp_iters, dtype=int),
         energy=records,

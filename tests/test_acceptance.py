@@ -223,9 +223,7 @@ def test_criterion_08_energy_dissipation(coarsen_runs):
     summary = {}
     for alpha in (0.4, 0.7, 0.9):
         traj = runs[alpha]
-        bad = dissipation_audit(
-            traj.energy, cap_ok=traj.cap_ok, ratio_ok=traj.ratio_ok, rel_tol=1e-10
-        )
+        bad = dissipation_audit(traj.energy, cap_ok=traj.cap_ok, ratio_ok=traj.ratio_ok)
         e_alpha = [rec.E_alpha for rec in traj.energy]
         mono = all(
             b <= a + 1e-10 * (1.0 + abs(a)) for a, b in zip(e_alpha, e_alpha[1:])

@@ -59,7 +59,6 @@ def test_audit_clean_on_uniform_mesh():
     for alpha in (0.1, 0.5, 0.9):
         report = audit_kernel_properties(mesh, alpha, 12)
         assert report.violations() == []
-        assert report.r_min == pytest.approx(min_step_ratio(alpha))
 
 
 def test_audit_clean_on_graded_mesh():
@@ -85,7 +84,7 @@ def test_audit_respects_level_cap():
 
 
 def test_violation_floor_is_scale_relative():
-    report = AuditReport(r_min=0.4)
+    report = AuditReport()
     report.add(2, "demo", 1, 1.0, 1.0 + 1e-14)       # round-off at scale 1
     report.add(2, "demo", 2, 0.0, 1e-12)             # genuine sign violation
     report.add(2, "demo", 3, 1e6, 1e6 * (1 + 1e-14)) # round-off at scale 1e6
@@ -98,7 +97,7 @@ def test_violation_floor_is_scale_relative():
 def test_non_finite_rows_are_violations():
     # an overflowed kernel must not audit clean: +inf rhs gives slack -inf
     # against tol inf, and a nan lhs gives a nan slack
-    report = AuditReport(r_min=0.4)
+    report = AuditReport()
     report.add(2, "p", 1, 0.0, math.inf)
     report.add(2, "p", 2, math.nan, 1.0)
     report.add(2, "p", 3, 2.0, 1.0)
@@ -106,7 +105,7 @@ def test_non_finite_rows_are_violations():
 
 
 def test_worst_slack_groups_by_property():
-    report = AuditReport(r_min=0.4)
+    report = AuditReport()
     report.add(2, "p", 1, 5.0, 1.0)
     report.add(3, "p", 1, 2.0, 1.0)
     report.add(3, "q", 1, 0.5, 0.0)

@@ -140,9 +140,29 @@ def test_step_over_cap_is_an_audit_failure(tmp_path, capsys):
     payload = {"alpha": 0.4, "T": 2.0, "M": 16, "enforce_cap": True, "warmup_T0": 1.0,
                "warmup_N0": 1, "snapshot_times": []}
     cfg = _write_cfg(tmp_path, "cfg.json", payload)
-    assert main(["coarsen", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_AUDIT
+    out = tmp_path / "o"
+    assert main(["coarsen", "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_AUDIT
     err = capsys.readouterr().err
     assert "audit failure" in err and "exceeds the cap" in err
+    # the failed run still leaves its metadata: seed, config hash, no files, the error
+    meta = _meta(out)
+    assert meta["seed"] == 5 and meta["files"] == [] and meta["subcommand"] == "coarsen"
+    assert len(meta["config_sha256"]) == 64
+    assert meta["failure"].startswith("StepCapError: step 1: tau = ")
+    assert os.listdir(out) == ["run_meta.json"]
+
+
+def test_non_positive_weights_are_an_audit_failure(tmp_path, capsys, monkeypatch):
+    # a FloatingPointError from the kernel build reaches main as exit 2, not a traceback
+    def broken(spec):
+        raise FloatingPointError("moment weights must be positive")
+
+    monkeypatch.setattr(xp, "run_coarsening", broken)
+    cfg = _write_cfg(tmp_path, "cfg.json", _TINY_COARSEN)
+    out = tmp_path / "out"
+    assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
+    assert "audit failure: moment weights must be positive" in capsys.readouterr().err
+    assert _meta(out)["failure"] == "FloatingPointError: moment weights must be positive"
 
 
 def test_coarsen_non_finite_energy_is_an_audit_failure(tmp_path, capsys, monkeypatch):

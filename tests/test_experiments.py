@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracstep.experiments as exps
+import fracstep.solver as solver
 from fracstep.experiments import (
     AccuracySpec,
     CoarsenSpec,
@@ -22,7 +23,7 @@ from fracstep.experiments import (
     write_kernel_audit_csv,
     write_rstar_csv,
 )
-from fracstep.grid import Grid2D
+from fracstep.grid import Grid2D, load_raw
 
 
 def test_fit_order_exact_power_law():
@@ -61,6 +62,25 @@ def test_accuracy_table_spatial_check():
     table = accuracy_table(_tiny_accuracy_spec(spatial_check=True))
     assert table.spatial_estimate is not None and table.spatial_estimate >= 0.0
     assert isinstance(table.spatial_ok, bool)
+
+
+def test_manufactured_profile_is_evaluated_once_per_grid(monkeypatch):
+    # every force and exact-solution call reuses one read-only sin x sin y
+    # per grid: here the M = 8 table grid and the M = 16 spatial check
+    calls = []
+    real = Grid2D.field_from_function
+
+    def counted(grid, fn):
+        calls.append(grid.M)
+        return real(grid, fn)
+
+    monkeypatch.setattr(Grid2D, "field_from_function", counted)
+    solver._sin_profile.cache_clear()
+    table = accuracy_table(_tiny_accuracy_spec(spatial_check=True))
+    assert len(table.rows) == 2
+    assert calls == [8, 16]
+    with pytest.raises(ValueError):
+        solver._sin_profile(Grid2D(M=8, L=2.0 * np.pi))[0, 0] = 1.0
 
 
 def test_accuracy_table_captures_row_failures():
@@ -131,7 +151,7 @@ def test_coarsening_run_strict_mode():
     assert traj.mesh.horizon == pytest.approx(spec.T, abs=1e-12)
     assert np.all(traj.sup_norms <= 1.0 + 1e-10)
     assert np.all(traj.cap_ok)
-    assert 0.5 in traj.snapshots
+    assert traj.level_at(0.5) == traj.num_steps
     e_alpha = [rec.E_alpha for rec in traj.energy]
     assert all(b <= a + 1e-10 * (1 + abs(a)) for a, b in zip(e_alpha, e_alpha[1:]))
 
@@ -142,6 +162,8 @@ def test_coarsening_outputs(tmp_path):
     paths = write_coarsening_outputs(tmp_path, spec, traj)
     names = {p.split("/")[-1] for p in map(str, paths)}
     assert {"energy.csv", "mesh.csv", "snapshot_t0.5.pgm", "snapshot_t0.5.raw"} <= names
+    snap, _ = load_raw(tmp_path / "snapshot_t0.5.raw")
+    assert np.array_equal(snap, traj.fields[traj.level_at(0.5)])
     for p in paths:
         assert len(open(p, "rb").read()) > 0
     with open(tmp_path / "energy.csv", newline="") as fh:

@@ -145,9 +145,10 @@ def test_bound_violation_detected():
         run(cfg, mesh, np.full((8, 8), 1.5))
 
 
-def test_fixed_point_stall_raises():
+def test_fixed_point_stall_raises(monkeypatch):
     rng = np.random.default_rng(1)
-    cfg = _cfg(fixed_point_max_iter=1)
+    monkeypatch.setattr(solver, "_FIXED_POINT_MAX_ITER", 1)
+    cfg = _cfg()
     mesh = build_uniform_mesh(0.2, 10)
     kern = build_kernels(mesh, cfg.alpha, 1)
     with pytest.raises(ConvergenceError, match="fixed point"):
@@ -169,6 +170,12 @@ def test_crank_nicolson_implicit_relation():
     )
     assert norm_inf(res) < 1e-10
     assert sweeps >= 2
+
+
+def test_crank_nicolson_rejects_a_forcing():
+    cfg = _cfg(forcing=ManufacturedForcing(sigma=1.0))
+    with pytest.raises(ValueError, match="forcing"):
+        crank_nicolson_step(np.zeros((8, 8)), 0.02, cfg)
 
 
 def test_l21sigma_step_implicit_relation():
@@ -233,7 +240,7 @@ def test_predictor_start_stays_in_the_bound_box(monkeypatch):
         assert norm_inf(_predict(levels, nodes)) == bound
 
     # under enforce_bound every level step accepts lies in [-1, 1] up to
-    # bound_tol, so every start of a strict run lies there too
+    # _BOUND_TOL, so every start of a strict run lies there too
     starts = []
     real = solver._fixed_point
 
@@ -246,7 +253,7 @@ def test_predictor_start_stays_in_the_bound_box(monkeypatch):
     traj = run(cfg, build_uniform_mesh(0.2, 10), rng.uniform(-1.0, 1.0, (8, 8)))
     assert len(starts) == 10
     assert all(s <= max(1.0, p) for s, p in zip(starts, traj.sup_norms))
-    assert max(starts) <= 1.0 + cfg.bound_tol
+    assert max(starts) <= 1.0 + solver._BOUND_TOL
 
 
 def _steps_with_and_without_predictor(fields, mesh, cfg, monkeypatch):
@@ -267,10 +274,10 @@ def _start_independence_bound(phi, plain, kern, cfg):
     # starts end within 2q/(1-q) tol of each other, plus FFT rounding.
     theta = cfg.alpha / 2.0
     D = local_coefficient(cfg.alpha, kern) + kern.hat_a[0]
-    R = max(norm_inf(phi), norm_inf(plain)) + cfg.fixed_point_tol
+    R = max(norm_inf(phi), norm_inf(plain)) + solver._FIXED_POINT_TOL
     q = (1.0 - theta) * max(1.0, 3.0 * R * R - 1.0) / D
     assert q < 1.0
-    return 2.0 * q / (1.0 - q) * cfg.fixed_point_tol + 64 * np.finfo(float).eps * R
+    return 2.0 * q / (1.0 - q) * solver._FIXED_POINT_TOL + 64 * np.finfo(float).eps * R
 
 
 def test_predicted_start_changes_the_level_only_within_the_tolerance(monkeypatch):
@@ -364,12 +371,10 @@ def test_manufactured_solution_tracked():
 def test_snapshots_at_nodes():
     cfg = _cfg()
     mesh = build_uniform_mesh(1.0, 4)
-    phi0 = np.full((8, 8), 0.3)
-    traj = run(cfg, mesh, phi0, snapshot_times=(0.0, 0.5, 1.0))
-    assert sorted(traj.snapshots) == [0.0, 0.5, 1.0]
-    assert np.array_equal(traj.snapshots[0.0], phi0)
-    assert np.array_equal(traj.snapshots[0.5], traj.fields[2])
-    assert np.array_equal(traj.snapshots[1.0], traj.fields[4])
+    traj = run(cfg, mesh, np.full((8, 8), 0.3))
+    assert [traj.level_at(t) for t in (0.0, 0.5, 1.0)] == [0, 2, 4]
+    # the first node at or past t - 1e-12, and none past the last node
+    assert [traj.level_at(t) for t in (0.25 + 1e-13, 0.25 + 1e-9, 1.0 + 1e-9)] == [1, 2, None]
 
 
 def test_adaptive_schedule_validation():
