@@ -8,17 +8,25 @@ in higher derivatives of the kernel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import rgamma
+
+
+def _rgamma(beta: float) -> float:
+    """1/Gamma(beta) for any real beta, 0 at the poles 0, -1, -2, ..."""
+    if beta <= 0.0 and beta == math.floor(beta):
+        return 0.0
+    try:
+        return 1.0 / math.gamma(beta)
+    except OverflowError:      # as scipy.special.rgamma: 0 for beta > 171.6, beta for |beta| < 6e-309
+        return 0.0 if beta > 1.0 else beta
 
 
 def omega(beta: float, t):
-    """Evaluate t^(beta-1) / Gamma(beta) for t > 0 (any real beta).
-
-    rgamma handles beta <= 0 (including the poles, where the value is 0).
-    """
+    """Evaluate t^(beta-1) / Gamma(beta) for t > 0 (any real beta)."""
     t = np.asarray(t, dtype=float)
-    return t ** (beta - 1.0) * rgamma(beta)
+    return t ** (beta - 1.0) * _rgamma(beta)
 
 
 def omega_diff(beta: float, lo, gap):
@@ -29,4 +37,4 @@ def omega_diff(beta: float, lo, gap):
     """
     lo = np.asarray(lo, dtype=float)
     gap = np.asarray(gap, dtype=float)
-    return lo ** (beta - 1.0) * np.expm1((beta - 1.0) * np.log1p(gap / lo)) * rgamma(beta)
+    return lo ** (beta - 1.0) * np.expm1((beta - 1.0) * np.log1p(gap / lo)) * _rgamma(beta)
