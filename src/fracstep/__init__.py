@@ -8,14 +8,13 @@ modified-energy dissipation law.
 """
 
 from .mesh import (
-    AdaptiveConfig,
+    AdaptiveSchedule,
     MeshError,
     TimeMesh,
     adaptive_next_step,
     build_graded_mesh,
     build_two_phase_mesh,
     build_uniform_mesh,
-    check_ratio_constraint,
     random_ratio_mesh,
 )
 from .kernels import (
@@ -32,7 +31,6 @@ from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, norm_l2, save
 from .energy import EnergyRecord, dissipation_audit, free_energy, modified_energy
 from .audits import AuditReport, audit_kernel_properties, diagnostics
 from .solver import (
-    AdaptiveSchedule,
     BoundViolation,
     ConvergenceError,
     ManufacturedForcing,
@@ -48,7 +46,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveConfig",
     "AdaptiveSchedule",
     "AuditReport",
     "BoundViolation",
@@ -70,7 +67,6 @@ __all__ = [
     "build_kernels",
     "build_two_phase_mesh",
     "build_uniform_mesh",
-    "check_ratio_constraint",
     "crank_nicolson_step",
     "dgs_forms",
     "diagnostics",

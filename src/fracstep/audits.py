@@ -36,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .kernels import FracOrder, KernelSet, as_order, build_kernels
+from .kernels import FracOrder, KernelSet, _level_geometry, as_order, build_kernels
 from .mesh import TimeMesh
 from .special import omega
 
@@ -191,16 +191,14 @@ def beta_factors(mesh: TimeMesh, order, n: int) -> np.ndarray:
     alpha = as_order(order).alpha
     s = 1.0 - 0.5 * alpha
     beta = np.full(n + 1, np.nan)
-    r = mesh.steps[1:n] / mesh.steps[: n - 1]
+    r = mesh.ratios[: n - 1]
     beta[2:] = 2.0 * s * r / (1.0 + alpha + s * r)
     return beta
 
 
 def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
-    """w'(t_j) = omega_{1-alpha}(t_{n-theta} - t_j) for j = 0..n-1."""
-    t_off = mesh.nodes[n - 1] + (1.0 - order.theta) * mesh.steps[n - 1]
-    d = t_off - mesh.nodes[:n]
-    d[n - 1] = (1.0 - order.theta) * mesh.steps[n - 1]
+    """w'(t_j) = omega_{1-alpha}(d_j), d_j = t_{n-theta} - t_j, for j = 0..n-1."""
+    _, d = _level_geometry(mesh, order, n)
     return omega(1.0 - order.alpha, d)
 
 
@@ -274,7 +272,7 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
         wp = _weight_at_nodes(mesh, order, n)
         I, J = _gaps(ks.a, wp)
         Ip, Jp = prev_IJ
-        r = mesh.steps[1:n] / mesh.steps[: n - 1]   # r[j-2] = ratio at step j
+        r = mesh.ratios[: n - 1]                     # r[j-2] = ratio at step j
 
         k = np.arange(1, n)                          # k = 1..n-1, offsets m = n-k
         m = n - k

@@ -26,7 +26,7 @@ from .kernels import (
 )
 from .energy import write_energy_csv
 from .mesh import (
-    AdaptiveConfig,
+    AdaptiveSchedule,
     MeshError,
     TimeMesh,
     build_graded_mesh,
@@ -34,14 +34,12 @@ from .mesh import (
     random_ratio_mesh,
 )
 from .solver import (
-    AdaptiveSchedule,
     BoundViolation,
     ConvergenceError,
     ManufacturedForcing,
     SolveTrajectory,
     SolverConfig,
     run,
-    step_size_cap,
 )
 
 
@@ -181,8 +179,14 @@ class CoarsenSpec:
     snapshot_times: tuple[float, ...] = (1.0, 10.0, 30.0, 50.0)
     seed: int = 0
 
+    def __post_init__(self):
+        outside = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
+        if outside:
+            raise ValueError(f"config key 'snapshot_times' has {outside} outside [0, T = {self.T:g}]")
+
     def quick(self) -> "CoarsenSpec":
-        """CI profile: short horizon, coarse grid, strict hypotheses."""
+        """CI profile: short horizon, coarse grid, strict hypotheses; keeps
+        only the snapshot times t <= 5, the profile's horizon."""
         return replace(self, T=5.0, M=64, enforce_cap=True,
                        snapshot_times=tuple(t for t in self.snapshot_times if t <= 5.0))
 
@@ -195,9 +199,9 @@ def random_initial_field(grid: Grid2D, amplitude: float, seed: int) -> np.ndarra
 def run_coarsening(spec: CoarsenSpec) -> tuple:
     """Random-data coarsening run: graded warm-up, then adaptive stepping.
 
-    Returns (trajectory, config).  In strict mode the theoretical step cap
-    is applied inside the controller and the maximum bound is enforced;
-    otherwise both are recorded as per-step audit flags only.
+    Returns (trajectory, config).  In strict mode run applies the step cap
+    inside the controller and enforces the maximum bound; otherwise both
+    are recorded as per-step audit flags only.
     """
     grid = Grid2D(M=spec.M, L=2.0 * np.pi)
     cfg = SolverConfig(
@@ -206,16 +210,9 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
         grid=grid,
         enforce_bound=spec.enforce_cap,
     )
-    cap = step_size_cap(spec.alpha, grid.h, spec.epsilon)
-    controller = AdaptiveConfig(
-        tau_min=min(spec.tau_min, cap) if spec.enforce_cap else spec.tau_min,
-        tau_max=spec.tau_max,
-        eta=spec.eta,
-        r_floor=min_step_ratio(spec.alpha),
-        physical_cap=cap if spec.enforce_cap else None,
-    )
     warmup = build_graded_mesh(spec.warmup_T0, spec.warmup_N0, spec.warmup_gamma)
-    schedule = AdaptiveSchedule(warmup=warmup, controller=controller, horizon=spec.T)
+    schedule = AdaptiveSchedule(warmup=warmup, horizon=spec.T, tau_min=spec.tau_min,
+                                tau_max=spec.tau_max, eta=spec.eta)
     phi0 = random_initial_field(grid, spec.init_amplitude, spec.seed)
     traj = run(cfg, schedule, phi0, record_energy=True)
     return traj, cfg
@@ -233,7 +230,7 @@ def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -
     mesh_path = os.path.join(outdir, "mesh.csv")
     traj.mesh.to_csv(mesh_path)
     paths.append(mesh_path)
-    for t_snap in sorted(set(t for t in spec.snapshot_times if t <= spec.T)):
+    for t_snap in sorted(set(spec.snapshot_times)):
         n = traj.level_at(t_snap)
         if n is not None:
             stem = os.path.join(outdir, f"snapshot_t{t_snap:g}")

@@ -199,7 +199,7 @@ def history_weights(a: np.ndarray, zeta: np.ndarray, mesh: TimeMesh, order, n: i
     if n == 1:
         hat[0] = head
         return hat
-    r = mesh.steps[1:n] / mesh.steps[: n - 1]   # r[j] = ratio at step j+2
+    r = mesh.ratios[: n - 1]                    # r[j] = ratio at step j+2
     r_n = r[n - 2]
     hat[0] = head + zeta[1] / (r_n * (1.0 + r_n))
     # middle offsets m = 1..n-2 pair interval k = n-m with its neighbours:

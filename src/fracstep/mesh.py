@@ -73,10 +73,6 @@ class TimeMesh:
         assert 0.0 < theta < 0.5, f"offset must lie in (0, 1/2), got {theta}"
         return float(self.nodes[k - 1] + (1.0 - theta) * self.steps[k - 1])
 
-    def prefix(self, n: int) -> "TimeMesh":
-        """Sub-mesh containing nodes t_0..t_n."""
-        return TimeMesh(self.nodes[: n + 1].copy())
-
     def to_csv(self, path) -> None:
         """Write rows (k, t_k, tau_k, r_k); tau/ratio cells empty where undefined."""
         with open(path, "w", newline="") as fh:
@@ -143,77 +139,50 @@ def build_uniform_mesh(T: float, N: int) -> TimeMesh:
 
 
 @dataclass(frozen=True)
-class ConstraintReport:
-    """Result of checking r_k >= r_min over a mesh."""
+class AdaptiveSchedule:
+    """Graded warm-up mesh, then controller-driven steps until the horizon.
 
-    r_min: float
-    min_ratio: float
-    min_ratio_index: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_ratio_constraint(mesh: TimeMesh, r_min: float) -> ConstraintReport:
-    """List every step index k >= 2 whose ratio falls below r_min.
-
-    This is an audit, never a rejection: meshes with violating ratios are
-    legal inputs to the solver, they just void the energy guarantees.
-    """
-    ratios = mesh.ratios
-    if ratios.size == 0:
-        return ConstraintReport(r_min, np.inf, 0, ())
-    idx = int(np.argmin(ratios))
-    bad = np.nonzero(ratios < r_min)[0]
-    violations = tuple((int(i) + 2, float(ratios[i])) for i in bad)
-    return ConstraintReport(r_min, float(ratios[idx]), idx + 2, violations)
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Parameters of the step controller.
-
-    The proposed step is tau_max / sqrt(1 + eta * speed^2) clipped from
-    below by tau_min, where speed is the L2 norm of the divided difference
-    of the last accepted step.  The controller then enforces the ratio
-    floor tau_{n+1} >= r_floor * tau_n, and finally the physical cap (if
-    one is supplied) as a hard upper limit.
+    The controller (adaptive_next_step) proposes tau_max / sqrt(1 + eta *
+    speed^2), where speed is the L2 norm of the divided difference of the
+    last accepted step, and clips it from below by tau_min.  The ratio
+    floor and the step cap are not settings: the runner derives both from
+    the problem it solves.
     """
 
+    warmup: TimeMesh
+    horizon: float
     tau_min: float
     tau_max: float
     eta: float
-    r_floor: float
-    physical_cap: float | None = None
 
     def __post_init__(self):
+        if self.warmup.horizon >= self.horizon:
+            raise MeshError(
+                f"warm-up already reaches t = {self.warmup.horizon}, horizon is {self.horizon}"
+            )
         if not 0.0 < self.tau_min <= self.tau_max:
             raise MeshError(
                 f"need 0 < tau_min <= tau_max, got ({self.tau_min}, {self.tau_max})"
             )
         if self.eta < 0.0:
             raise MeshError(f"controller weight eta must be >= 0, got {self.eta}")
-        if not 0.0 < self.r_floor < 1.0:
-            raise MeshError(f"ratio floor must lie in (0, 1), got {self.r_floor}")
-        if self.physical_cap is not None and self.physical_cap <= 0.0:
-            raise MeshError(f"physical cap must be positive, got {self.physical_cap}")
 
 
-def adaptive_next_step(tau_n: float, change_norm: float, cfg: AdaptiveConfig) -> float:
+def adaptive_next_step(
+    tau_n: float, change_norm: float, schedule: AdaptiveSchedule, r_floor: float, cap: float | None
+) -> float:
     """Next step from the last step and the solution speed of that step.
 
     Applies, in order: the inverse-speed proposal, the tau_min floor, the
-    ratio floor r_floor * tau_n, and last the physical cap.  The cap wins
-    even when it undercuts the ratio floor; callers that care (energy
-    audits) should compare the result against r_floor * tau_n.
+    ratio floor r_floor * tau_n, and last the step cap unless it is None.
+    The cap wins even when it undercuts the ratio floor; the runner's
+    per-step ratio flag records that.
     """
     assert tau_n > 0.0 and change_norm >= 0.0
-    proposal = cfg.tau_max / np.sqrt(1.0 + cfg.eta * change_norm**2)
-    tau = max(cfg.tau_min, proposal, cfg.r_floor * tau_n)
-    if cfg.physical_cap is not None:
-        tau = min(tau, cfg.physical_cap)
+    proposal = schedule.tau_max / np.sqrt(1.0 + schedule.eta * change_norm**2)
+    tau = max(schedule.tau_min, proposal, r_floor * tau_n)
+    if cap is not None:
+        tau = min(tau, cap)
     return float(tau)
 
 

@@ -44,7 +44,7 @@ from .kernels import (
     local_coefficient,
     min_step_ratio,
 )
-from .mesh import AdaptiveConfig, TimeMesh, adaptive_next_step
+from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
 from .special import omega
 
 
@@ -237,21 +237,6 @@ def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig):
     return _fixed_point(rhs_fixed, c, 0.5 * eps2, 0.5, cfg, prev, "reference step")
 
 
-@dataclass(frozen=True)
-class AdaptiveSchedule:
-    """Graded warm-up mesh followed by controller-driven steps until the horizon."""
-
-    warmup: TimeMesh
-    controller: AdaptiveConfig
-    horizon: float
-
-    def __post_init__(self):
-        if self.warmup.horizon >= self.horizon:
-            raise ValueError(
-                f"warm-up already reaches t = {self.warmup.horizon}, horizon is {self.horizon}"
-            )
-
-
 @dataclass
 class SolveTrajectory:
     """Everything a run produced: mesh as built, fields, norms, energies, flags."""
@@ -279,6 +264,11 @@ class SolveTrajectory:
 
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = True) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
+
+    The energy law's two hypotheses are decided here, once: the ratio
+    floor r*(alpha) and the step cap.  Both are audited as per-step flags,
+    and an adaptive schedule's controller is handed the same two: the
+    floor always, the cap only when cfg.enforce_bound is set.
 
     phi^0..phi^n live in one (capacity, M, M) stack, doubled when an
     adaptive run fills it; step and modified_energy read views of it.
@@ -320,10 +310,12 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
         if n >= len(nodes) - 1:
             if not adaptive or nodes[-1] >= horizon - 1e-12 * max(1.0, horizon):
                 break
-            tau_next = adaptive_next_step(nodes[-1] - nodes[-2], change_norm, schedule.controller)
+            tau_last = nodes[-1] - nodes[-2]
+            tau_next = adaptive_next_step(tau_last, change_norm, schedule, r_floor,
+                                          cap if cfg.enforce_bound else None)
             if nodes[-1] + tau_next > horizon:
                 tau_next = horizon - nodes[-1]
-                if tau_next < schedule.controller.r_floor * (nodes[-1] - nodes[-2]):
+                if tau_next < r_floor * tau_last:
                     notes.append((n + 1, "final step clipped below the ratio floor"))
             nodes.append(nodes[-1] + tau_next)
         n += 1

@@ -224,13 +224,28 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("accuracy", dict(_TINY_ACCURACY, Ns=[8, 8]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, gammas=[]), "gammas"),
+    # a snapshot the run cannot reach
+    ("coarsen", dict(_TINY_COARSEN, snapshot_times=[0.25, 2.0]), "snapshot_times"),
 ], ids=["unknown-key", "fractional-int", "string-bool", "nan-float", "scalar-for-list", "missing",
-        "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas"])
+        "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas",
+        "snapshot-past-T"])
 def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload, key):
     cfg = _write_cfg(tmp_path, "cfg.json", payload)     # json writes nan as NaN, which it reads back
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()                # rejected before any output is made
+
+
+def test_strict_tau_min_over_tau_max_is_a_config_error(tmp_path, capsys):
+    # the step cap (5.2e-3 here) sits below tau_max, and must not let
+    # tau_min > tau_max through in a strict run
+    payload = {"alpha": 0.4, "T": 0.5, "M": 16, "tau_min": 0.2, "tau_max": 0.1,
+               "enforce_cap": True, "snapshot_times": []}
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    out = tmp_path / "o"
+    assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "tau_min <= tau_max" in capsys.readouterr().err
+    assert _meta(out)["failure"].startswith("MeshError: ")
 
 
 def test_spec_from_config_fills_defaults_and_seed():
@@ -279,3 +294,8 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry would otherwise fail only on `from fracstep import *`
+    assert [name for name in fracstep.__all__ if not hasattr(fracstep, name)] == []

@@ -1,4 +1,4 @@
-"""Time meshes: graded, two-phase, adaptive controller, ratio audit."""
+"""Time meshes: graded, two-phase, adaptive schedule and controller."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from fracstep.mesh import (
-    AdaptiveConfig,
+    AdaptiveSchedule,
     MeshError,
     TimeMesh,
     adaptive_next_step,
     build_graded_mesh,
     build_two_phase_mesh,
-    build_uniform_mesh,
-    check_ratio_constraint,
     random_ratio_mesh,
 )
 
@@ -36,9 +34,6 @@ def test_timemesh_accessors():
     t_off = mesh.offset_node(3, 0.25)
     assert mesh.nodes[2] < t_off < mesh.nodes[3]
     assert t_off == pytest.approx(0.4 + 0.75 * 0.6)
-    sub = mesh.prefix(2)
-    assert sub.num_steps == 2
-    assert sub.nodes[-1] == pytest.approx(0.4)
 
 
 def test_graded_gamma_one_is_uniform():
@@ -108,57 +103,38 @@ def test_two_phase_rejects_no_room_for_random_phase():
         build_two_phase_mesh(0.51, 2.0, 40, seed=0)
 
 
-def test_ratio_audit_uniform_clean():
-    report = check_ratio_constraint(build_uniform_mesh(1.0, 8), 0.4037)
-    assert report.ok
-    assert list(report.violations) == []
-    assert report.min_ratio == pytest.approx(1.0)
-
-
-def test_ratio_audit_flags_small_ratio():
-    mesh = TimeMesh(np.array([0.0, 1.0, 1.3]))
-    report = check_ratio_constraint(mesh, 0.3865)
-    assert not report.ok
-    assert [k for k, _ in report.violations] == [2]
-    assert report.min_ratio == pytest.approx(0.3)
-
-
-def test_ratio_audit_graded_clean():
-    report = check_ratio_constraint(build_graded_mesh(0.01, 30, 3.0), 0.402)
-    assert report.ok
+def _schedule(tau_min=1e-3, tau_max=0.1, eta=1e3):
+    return AdaptiveSchedule(warmup=build_graded_mesh(0.01, 2, 1.0), horizon=1.0,
+                            tau_min=tau_min, tau_max=tau_max, eta=eta)
 
 
 def test_adaptive_zero_change_gives_tau_max():
-    cfg = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=1e3, r_floor=0.4)
-    assert adaptive_next_step(0.05, 0.0, cfg) == pytest.approx(0.1)
+    assert adaptive_next_step(0.05, 0.0, _schedule(), 0.4, None) == pytest.approx(0.1)
 
 
 def test_adaptive_scalar_example():
     # Pi = sqrt(1 + 1e3 * 100) ~ 316.23 pushes tau_ada to the floor tau_min
-    cfg = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=1e3, r_floor=0.2)
-    got = adaptive_next_step(1e-3, 10.0, cfg)
+    got = adaptive_next_step(1e-3, 10.0, _schedule(), 0.2, None)
     assert got == pytest.approx(1e-3)
     assert 0.1 / math.sqrt(1.0 + 1e3 * 100.0) == pytest.approx(3.1623e-4, rel=1e-4)
 
 
 def test_adaptive_ratio_floor_binds():
-    cfg = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=1e3, r_floor=0.4037)
     # tau_ada = 1e-3 but the ratio floor lifts the step to 0.4037 * 0.05
-    got = adaptive_next_step(0.05, 1e6, cfg)
+    got = adaptive_next_step(0.05, 1e6, _schedule(), 0.4037, None)
     assert got == pytest.approx(0.020185)
 
 
 def test_adaptive_cap_applied_after_floor():
-    cfg = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=0.0, r_floor=0.4, physical_cap=0.01)
     # floor would demand 0.4 * 0.05 = 0.02; the cap wins
-    assert adaptive_next_step(0.05, 0.0, cfg) == pytest.approx(0.01)
+    assert adaptive_next_step(0.05, 0.0, _schedule(eta=0.0), 0.4, 0.01) == pytest.approx(0.01)
 
 
 def test_adaptive_config_validation():
     with pytest.raises(ValueError):
-        AdaptiveConfig(tau_min=0.2, tau_max=0.1, eta=1.0, r_floor=0.4)
+        _schedule(tau_min=0.2, tau_max=0.1, eta=1.0)
     with pytest.raises(ValueError):
-        AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=-1.0, r_floor=0.4)
+        _schedule(tau_min=1e-3, tau_max=0.1, eta=-1.0)
 
 
 def test_random_ratio_mesh_respects_bounds():

@@ -13,8 +13,8 @@ import fracstep.solver as solver
 from fracstep.grid import Grid2D, laplacian, norm_inf
 from fracstep.energy import history_quadratic
 from fracstep.experiments import CoarsenSpec, run_coarsening
-from fracstep.kernels import build_kernels, local_coefficient, stored_form_coeffs
-from fracstep.mesh import AdaptiveConfig, TimeMesh, build_graded_mesh, build_uniform_mesh
+from fracstep.kernels import build_kernels, local_coefficient, min_step_ratio, stored_form_coeffs
+from fracstep.mesh import TimeMesh, build_graded_mesh, build_uniform_mesh
 from fracstep.solver import (
     AdaptiveSchedule,
     BoundViolation,
@@ -379,9 +379,8 @@ def test_snapshots_at_nodes():
 
 def test_adaptive_schedule_validation():
     warm = build_graded_mesh(1.0, 4, 2.0)
-    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=1e3, r_floor=0.39)
     with pytest.raises(ValueError):
-        AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.5)
+        AdaptiveSchedule(warmup=warm, horizon=0.5, tau_min=1e-3, tau_max=0.1, eta=1e3)
 
 
 def test_adaptive_run_reaches_horizon_and_notes_clip():
@@ -389,8 +388,7 @@ def test_adaptive_run_reaches_horizon_and_notes_clip():
     # step is clipped to land on the horizon and breaks the ratio floor
     cfg = _cfg()
     warm = build_graded_mesh(0.01, 2, 1.0)
-    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.04, eta=1e3, r_floor=0.39)
-    sched = AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.1)
+    sched = AdaptiveSchedule(warmup=warm, horizon=0.1, tau_min=1e-3, tau_max=0.04, eta=1e3)
     traj = run(cfg, sched, np.zeros((8, 8)))
     assert traj.mesh.horizon == pytest.approx(0.1, abs=1e-14)
     assert traj.mesh.step(traj.num_steps) == pytest.approx(0.01, abs=1e-12)
@@ -406,8 +404,7 @@ def test_adaptive_run_grows_stack_and_matches_manual_stepping():
     rng = np.random.default_rng(12)
     cfg = _cfg()
     warm = build_graded_mesh(0.01, 2, 1.0)
-    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.01, eta=1e3, r_floor=0.39)
-    sched = AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.08)
+    sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
     phi0 = rng.uniform(-0.5, 0.5, (8, 8))
     traj = run(cfg, sched, phi0, record_energy=False)
     assert traj.num_steps > 4 * len(warm.nodes)
@@ -429,9 +426,8 @@ def test_carried_distances_match_recomputed_G_at_every_step():
     cfg = _cfg(alpha=0.6, M=16)
     grid = cfg.grid
     warm = build_graded_mesh(0.01, 2, 1.0)
-    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.01, eta=1e3, r_floor=0.39)
-    traj = run(cfg, AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.08),
-               rng.uniform(-0.5, 0.5, (16, 16)))
+    sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
+    traj = run(cfg, sched, rng.uniform(-0.5, 0.5, (16, 16)))
     assert traj.history_capacity >= 8 * len(warm.nodes)        # 3 -> 6 -> 12 -> 24 levels
     assert len(traj.fields) == traj.num_steps + 1
 
@@ -487,10 +483,27 @@ def test_run_bitwise_equal_across_blas_thread_counts():
 
 
 def test_adaptive_run_respects_controller_cap():
-    cfg = _cfg(epsilon=0.05)  # large solver cap, controller cap binds
+    # a strict run: the controller clips every step to the solver's cap
+    cfg = _cfg(epsilon=0.05, enforce_bound=True)
+    cap = step_size_cap(0.5, cfg.grid.h, 0.05)
+    assert cap == pytest.approx(0.0265, rel=1e-2)
     warm = build_graded_mesh(0.01, 2, 1.0)
-    ctrl = AdaptiveConfig(tau_min=1e-3, tau_max=0.1, eta=1e3, r_floor=0.39, physical_cap=0.02)
-    sched = AdaptiveSchedule(warmup=warm, controller=ctrl, horizon=0.2)
+    sched = AdaptiveSchedule(warmup=warm, horizon=0.2, tau_min=1e-3, tau_max=0.1, eta=1e3)
     traj = run(cfg, sched, np.zeros((8, 8)))
-    post_warm = np.asarray(traj.mesh.steps)[2:]
-    assert np.all(post_warm <= 0.02 * (1.0 + 1e-12))
+    post_warm = np.asarray(traj.mesh.steps)[2:-1]       # the last step is clipped to the horizon
+    assert post_warm.size > 0 and np.allclose(post_warm, cap, rtol=1e-12, atol=0.0)
+    assert traj.cap_ok.all()
+
+
+def test_adaptive_run_keeps_the_ratio_floor_it_audits():
+    # at alpha = 0.9 a fast-moving field drives the proposal down to tau_min,
+    # so the step shrinks by the ratio floor, and the run's own flag must hold
+    cfg = _cfg(alpha=0.9, epsilon=0.05, M=16)
+    phi0 = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 16))
+    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 30, 3.0), horizon=0.02,
+                             tau_min=1e-4, tau_max=0.1, eta=1e6)
+    traj = run(cfg, sched, phi0, record_energy=False)
+    clipped = {n for n, text in traj.notes if "clipped" in text}
+    assert all(ok or n in clipped for n, ok in enumerate(traj.ratio_ok, start=1))
+    r_star = min_step_ratio(0.9)
+    assert np.any(np.abs(traj.mesh.ratios / r_star - 1.0) <= 1e-9)
