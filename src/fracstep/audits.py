@@ -5,8 +5,9 @@ properties of the gradient-structure kernels aux_a, of the moment weights
 zeta, and of two endpoint-weighted curvature integrals per interval.  The
 audit recomputes every inequality numerically on a given mesh and reports
 the raw slack (positive means satisfied), so hypothesis violations are
-observable instead of silent.  Each property is evaluated at each level as
-one array expression over k, and the report holds its rows as columns
+observable instead of silent.  Every level's kernels come from one
+kernel_tables pass, each property is evaluated as one array expression
+over all levels, and the report holds its rows as columns
 (n, property, k, lhs, rhs) rather than one object per check.
 
 Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta):
@@ -31,12 +32,13 @@ themselves can be cross-checked.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .kernels import FracOrder, KernelSet, _level_geometry, as_order, build_kernels
+from .kernels import FracOrder, KernelSet, _offset_geometry, as_order, kernel_tables
+from .kernels import build_kernels  # noqa: F401  (unused here; perfbench/tracer.py hooks this name)
 from .mesh import TimeMesh
 from .special import omega
 
@@ -74,14 +76,22 @@ class AuditReport:
     """All audit rows for one mesh as columns n, prop, k, lhs, rhs, plus the
     violations under a round-off floor.
 
-    Rows arrive in blocks (one property, or several interleaved, over an
-    array of k at one level); the columns are concatenated on first read.
+    Rows arrive as column pieces (the whole audit at once, or a block of
+    injected rows); the pieces are concatenated on first read.
     """
 
     def __init__(self):
         self.size = 0
         self._codes = {}       # property name -> code, in order of first row
-        self._blocks = []      # (n, codes, k, lhs, rhs) per block, k/lhs/rhs per row
+        self._parts = []       # (n, code, k, lhs, rhs) column pieces
+        self._cols = None
+
+    def _append(self, names, n, code, k, lhs, rhs) -> None:
+        """Append rows given as columns, with code indexing names; names
+        lists each property with rows here once, in order of its first row."""
+        lut = np.array([self._codes.setdefault(name, len(self._codes)) for name in names], dtype=np.int64)
+        self._parts.append((n, lut[code], k, lhs, rhs))
+        self.size += k.size
         self._cols = None
 
     def extend(self, n: int, k, /, **props) -> None:
@@ -94,31 +104,19 @@ class AuditReport:
             raise ValueError(f"level {n}: every lhs and rhs must have the shape of k, {k.shape}")
         if k.size == 0:
             return
-        codes = [self._codes.setdefault(name, len(self._codes)) for name in props]
-        if len(codes) > 1:
-            k = np.repeat(k, len(codes))
-            lhs, rhs = np.column_stack(lhs).ravel(), np.column_stack(rhs).ravel()
-        else:
-            lhs, rhs = lhs[0], rhs[0]
-        self._blocks.append((n, codes, k, lhs, rhs))
-        self.size += k.size
-        self._cols = None
+        width = len(props)
+        self._append(list(props), np.full(k.size * width, n, dtype=np.int64),
+                     np.tile(np.arange(width), k.size), np.repeat(k, width),
+                     np.column_stack(lhs).ravel(), np.column_stack(rhs).ravel())
 
     def add(self, n: int, prop: str, k: int, lhs: float, rhs: float) -> None:
         self.extend(n, [k], **{prop: ([float(lhs)], [float(rhs)])})
 
     def _columns(self):
         if self._cols is None:
-            ns, codes, ks, lhs, rhs = list(zip(*self._blocks)) or [()] * 5
-            sizes = [x.size for x in ks]
-            cols = (
-                np.repeat(np.array(ns, dtype=np.int64), sizes),
-                np.fromiter(chain.from_iterable(c * (s // len(c)) for c, s in zip(codes, sizes)),
-                            dtype=np.int64, count=self.size),
-                np.concatenate([np.empty(0, dtype=np.int64), *ks]),
-                np.concatenate([np.empty(0), *lhs]),
-                np.concatenate([np.empty(0), *rhs]),
-            )
+            pieces = list(zip(*self._parts)) or [()] * 5
+            dtypes = (np.int64, np.int64, np.int64, float, float)
+            cols = tuple(np.concatenate([np.empty(0, dtype=t), *p]) for t, p in zip(dtypes, pieces))
             for c in cols:
                 c.flags.writeable = False
             self._cols = cols
@@ -198,8 +196,10 @@ def beta_factors(mesh: TimeMesh, order, n: int) -> np.ndarray:
 
 def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
     """w'(t_j) = omega_{1-alpha}(d_j), d_j = t_{n-theta} - t_j, for j = 0..n-1."""
-    _, d = _level_geometry(mesh, order, n)
-    return omega(1.0 - order.alpha, d)
+    d, _, _ = _offset_geometry(mesh, order.theta, n, n)    # by node offset p = n - j
+    # reverse after evaluating: numpy's power takes another code path, with
+    # other last bits, on a negatively strided view
+    return omega(1.0 - order.alpha, d[0])[n:0:-1]
 
 
 def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
@@ -209,19 +209,16 @@ def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
     because the weight is convex.  Offset 0 is nan (the head interval has
     no integrable curvature).
     """
-    return _gaps(kernels.a, _weight_at_nodes(mesh, as_order(order), n))
+    wp = _weight_at_nodes(mesh, as_order(order), n)
+    return _gaps(kernels.a, np.concatenate(([np.nan], wp[::-1])))
 
 
 def _gaps(a: np.ndarray, wp: np.ndarray):
-    """endpoint_gaps from the level-n weights a and w'(t_j), j = 0..n-1."""
-    n = len(wp)
-    I = np.full(n, np.nan)
-    J = np.full(n, np.nan)
-    if n >= 2:
-        ks = np.arange(1, n)
-        ms = n - ks
-        I[ms] = a[ms] - wp[ks - 1]
-        J[ms] = wp[ks] - a[ms]
+    """endpoint_gaps from the weights a by offset m and w' by node offset
+    p = n - j (nan at p = 0), for one level or for tables of levels."""
+    I = a - wp[..., 1:]        # w'(t_{k-1}) sits at p = m + 1
+    J = wp[..., :-1] - a       # w'(t_k) at p = m
+    I[..., 0] = J[..., 0] = np.nan
     return I, J
 
 
@@ -253,8 +250,76 @@ def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
     return DiagnosticSet(n=n, I=I, J=J, beta=beta_factors(mesh, order, n))
 
 
+# The properties in row order within a level, by block: a block runs over
+# k = 1..n-1-shrink (head_moment_bound over k = n-1 alone) and interleaves
+# its properties k by k.
+_BLOCKS = (
+    (0, ("kernel_decreasing", "kernel_positive")),
+    (0, ("kernel_level_decay",)),
+    (1, ("kernel_diff_decay",)),
+    (1, ("moment_level_decay",)),
+    (1, ("moment_ratio_gap",)),
+    (2, ("moment_ratio_gap_decay",)),
+    (0, ("left_curvature_gap", "right_curvature_gap")),
+    (1, ("left_curvature_gap_decay", "right_curvature_gap_decay")),
+    (None, ("head_moment_bound",)),
+)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each audit row of levels 2..n_max comes from; read-only arrays."""
+
+    pairs: dict            # shrink -> (n, k, m = n - k) by n and then k; None -> k = n - 1
+    take: np.ndarray       # row -> index into every property's values, joined in _BLOCKS order
+    names: tuple           # the properties with rows, in order of their first row
+    n: np.ndarray          # the report's n, code and k columns
+    code: np.ndarray
+    k: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n_max: int) -> _Layout:
+    n, k = np.nonzero(np.tri(n_max + 1, n_max + 1, -1, dtype=bool)[:, 1:])     # 1 <= k <= n - 1
+    k += 1
+    pairs = {s: (n[k < n - s], k[k < n - s], (n - k)[k < n - s]) for s in (0, 1, 2)}
+    head = np.arange(2, n_max + 1)
+    pairs[None] = (head, head - 1, np.ones_like(head))
+    # slot [n, block, k, j] holds the row of the block's j-th property at
+    # (n, k): the index of its value among all values joined in _BLOCKS
+    # order, and the property's number.  The filled slots in C order are
+    # the rows in report order.
+    value = np.full((n_max + 1, len(_BLOCKS), n_max, 2), -1)
+    prop = np.empty_like(value)
+    names, start = [], 0
+    for b, (shrink, props) in enumerate(_BLOCKS):
+        pn, pk, _ = pairs[shrink]
+        for j, name in enumerate(props):
+            value[pn, b, pk, j] = start + np.arange(pn.size)
+            prop[pn, b, pk, j] = len(names)
+            names.append(name)
+            start += pn.size
+    filled = value >= 0
+    row_n, _, row_k, _ = np.nonzero(filled)
+    row_prop = prop[filled]
+    _, first = np.unique(row_prop, return_index=True)
+    seen = row_prop[np.sort(first)]                  # the properties in order of first row
+    code = np.empty(len(names), dtype=np.int64)
+    code[seen] = np.arange(seen.size)
+    layout = _Layout(pairs, value[filled], tuple(names[i] for i in seen), row_n, code[row_prop], row_k)
+    for arr in (layout.take, layout.n, layout.code, layout.k, *(x for p in pairs.values() for x in p)):
+        arr.flags.writeable = False
+    return layout
+
+
 def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     """Run every kernel inequality for levels 2..n_max and report slacks.
+
+    Every level's weights come from one kernel_tables pass, and each
+    property is one array expression over all levels: over its (n, k)
+    pairs, with level n-1 read from the row above.  The rows are ordered
+    by level n, then by property block as listed in _BLOCKS, then by k, a
+    block of two properties interleaving them k by k.
 
     The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
@@ -262,47 +327,40 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     alpha = order.alpha
     report = AuditReport()
     n_max = min(n_max, mesh.num_steps)
-    prev = build_kernels(mesh, order, 1)
-    prev_IJ = endpoint_gaps(prev, mesh, order, 1)
-    for n in range(2, n_max + 1):
-        ks = build_kernels(mesh, order, n)
-        A, Ap = ks.aux_a, prev.aux_a
-        Z, Zp = ks.zeta, prev.zeta
-        beta = beta_factors(mesh, order, n)
-        wp = _weight_at_nodes(mesh, order, n)
-        I, J = _gaps(ks.a, wp)
-        Ip, Jp = prev_IJ
-        r = mesh.ratios[: n - 1]                     # r[j-2] = ratio at step j
+    if n_max < 2:
+        return report
+    t = kernel_tables(mesh, order, n_max)
+    A, Z = t.aux_a, t.zeta
+    wp = omega(1.0 - alpha, t.d)                 # wp[n, p] = w'(t_{n-p}) at level n
+    I, J = _gaps(t.a, wp)
+    beta = beta_factors(mesh, order, n_max)
+    r = np.concatenate(([np.nan, np.nan], mesh.ratios[: n_max - 1]))    # r[j] = ratio at step j
 
-        k = np.arange(1, n)                          # k = 1..n-1, offsets m = n-k
-        m = n - k
-        j = k[:-1]                                   # k = 1..n-2
-        i = k[:-2]                                   # k = 1..n-3
-        report.extend(n, k, kernel_decreasing=(A[m - 1], A[m]), kernel_positive=(A[m], np.zeros(k.size)))
-        report.extend(n, k, kernel_level_decay=(Ap[n - 1 - k], A[n - k]))
-        report.extend(n, j, kernel_diff_decay=(Ap[n - 2 - j] - Ap[n - 1 - j], A[n - j - 1] - A[n - j]))
+    lay = _layout(n_max)
+    (n, k, m), (n1, k1, m1), (n2, k2, m2), (nh, _, _) = (lay.pairs[s] for s in (0, 1, 2, None))
+    values = dict(
+        kernel_decreasing=(A[n, m - 1], A[n, m]),
+        kernel_positive=(A[n, m], np.zeros(k.size)),
+        kernel_level_decay=(A[n - 1, m - 1], A[n, m]),
+        kernel_diff_decay=(A[n1 - 1, m1 - 2] - A[n1 - 1, m1 - 1], A[n1, m1 - 1] - A[n1, m1]),
         # the level decays are flipped so that lhs > rhs holds like the other rows
-        report.extend(n, j, moment_level_decay=(Zp[n - 1 - j], Z[n - j]))
-        report.extend(n, j, moment_ratio_gap=(Z[n - j - 1], r[j - 1] * Z[n - j]))
-        report.extend(n, i, moment_ratio_gap_decay=(
-            Zp[n - i - 2] - r[i - 1] * Zp[n - i - 1],
-            Z[n - i - 1] - r[i - 1] * Z[n - i],
-        ))
-        report.extend(
-            n, k,
-            left_curvature_gap=(I[m], (1.0 + beta[k + 1]) * Z[m]),
-            right_curvature_gap=(J[m], 3.0 * Z[m]),
-        )
-        report.extend(
-            n, j,
-            left_curvature_gap_decay=(
-                Ip[n - 1 - j] - (1.0 + beta[j + 1]) * Zp[n - 1 - j],
-                I[n - j] - (1.0 + beta[j + 1]) * Z[n - j],
-            ),
-            right_curvature_gap_decay=(Jp[n - 1 - j] - 3.0 * Zp[n - 1 - j], J[n - j] - 3.0 * Z[n - j]),
-        )
-        # head_moment_bound: r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
-        report.extend(n, [n - 1], head_moment_bound=([alpha / (3.0 * (2.0 - alpha)) * wp[n - 1]], [r[n - 2] * Z[1]]))
-        prev = ks
-        prev_IJ = (I, J)
+        moment_level_decay=(Z[n1 - 1, m1 - 1], Z[n1, m1]),
+        moment_ratio_gap=(Z[n1, m1 - 1], r[k1 + 1] * Z[n1, m1]),
+        moment_ratio_gap_decay=(
+            Z[n2 - 1, m2 - 2] - r[k2 + 1] * Z[n2 - 1, m2 - 1],
+            Z[n2, m2 - 1] - r[k2 + 1] * Z[n2, m2],
+        ),
+        left_curvature_gap=(I[n, m], (1.0 + beta[k + 1]) * Z[n, m]),
+        right_curvature_gap=(J[n, m], 3.0 * Z[n, m]),
+        left_curvature_gap_decay=(
+            I[n1 - 1, m1 - 1] - (1.0 + beta[k1 + 1]) * Z[n1 - 1, m1 - 1],
+            I[n1, m1] - (1.0 + beta[k1 + 1]) * Z[n1, m1],
+        ),
+        right_curvature_gap_decay=(J[n1 - 1, m1 - 1] - 3.0 * Z[n1 - 1, m1 - 1], J[n1, m1] - 3.0 * Z[n1, m1]),
+        # r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
+        head_moment_bound=(alpha / (3.0 * (2.0 - alpha)) * wp[nh, 1], r[nh] * Z[nh, 1]),
+    )
+    ordered = [values[name] for _, props in _BLOCKS for name in props]
+    lhs, rhs = (np.concatenate(side)[lay.take] for side in zip(*ordered))
+    report._append(lay.names, lay.n, lay.code, lay.k, lhs, rhs)
     return report

@@ -15,6 +15,10 @@ the kernels aux_a whose monotonicity (for step ratios above the threshold
 computed by min_step_ratio) yields a discrete gradient structure: the
 product 2*(v^n - v^{n-1}) * derivative splits into the increment of a
 nonnegative quadratic form G plus nonnegative remainders.
+
+kernel_tables builds every level of a mesh in one pass, as tables with one
+row per level; build_kernels, which the stepper calls once per step, is its
+one-level case, so both share each weight formula.
 """
 
 from __future__ import annotations
@@ -92,38 +96,31 @@ def min_step_ratio(alpha: float) -> float:
     return float(min(max(root, lo - 1e-12), hi + 1e-12))
 
 
-def _level_geometry(mesh: TimeMesh, order: FracOrder, n: int):
-    """Steps tau_1..tau_n and backdistances d_j = t_{n-theta} - t_j, j = 0..n-1."""
-    assert 1 <= n <= mesh.num_steps, f"level {n} out of range"
-    steps = mesh.steps[:n]
-    t_off = mesh.offset_node(n, order.theta)
-    d = t_off - mesh.nodes[:n]
-    # the head backdistance has an exact expression; avoid the subtraction
-    d[n - 1] = (1.0 - order.theta) * steps[n - 1]
-    return steps, d
+def _offset_geometry(mesh: TimeMesh, theta: float, lo: int, hi: int):
+    """Backdistances, steps and ratios of the levels n = lo..hi, by offset.
 
+    Returns tables d, tau, r with one row per level and the columns
+    m = 0..hi, read backwards from each level at k = n - m:
 
-def interval_weights(mesh: TimeMesh, order, n: int) -> np.ndarray:
-    """Average of the power weight over each interval, head entry first by offset.
+      d[i, m]   = t_{n-theta} - t_k   (1 <= m <= n; nan at m = 0 and past n)
+      tau[i, m] = tau_k               (k >= 1, else nan)
+      r[i, m]   = r_k                 (k >= 2, else nan)
 
-    Returns a[m] for offsets m = n-k, m = 0..n-1:
-      a[0]   = omega_{2-alpha}((1-theta) tau_n) / tau_n
-      a[n-k] = (omega_{2-alpha}(d_{k-1}) - omega_{2-alpha}(d_k)) / tau_k,  k < n
-    All entries are strictly positive.
+    The head backdistance d[i, 1] = (1-theta) tau_n has an exact expression
+    and is not taken as a difference.  The rows are copied into contiguous
+    tables: on a reversed view numpy's power, log1p and expm1 take another
+    code path with other last bits.
     """
-    order = as_order(order)
-    alpha = order.alpha
-    steps, d = _level_geometry(mesh, order, n)
-    a = np.empty(n)
-    a[0] = omega(2.0 - alpha, d[n - 1]) / steps[n - 1]
-    if n > 1:
-        tau = steps[: n - 1]          # tau_k, k = 1..n-1
-        lo = d[1:n]                   # d_k
-        diffs = omega_diff(2.0 - alpha, lo, tau)
-        a[1:] = (diffs / tau)[::-1]
-    if not np.all(a > 0.0):
-        raise FloatingPointError("interval weights must be positive")
-    return a
+    tau, t, r = np.full((3, hi - lo + 1, hi + 1), np.nan)
+    for i, n in enumerate(range(lo, hi + 1)):
+        tau[i, :n] = mesh.steps[n - 1 :: -1]
+        t[i, : n + 1] = mesh.nodes[n::-1]
+        r[i, : n - 1] = mesh.ratios[: n - 1][::-1]
+    head = (1.0 - theta) * tau[:, 0]
+    d = (t[:, 1] + head)[:, None] - t
+    d[:, 0] = np.nan
+    d[:, 1] = head
+    return d, tau, r
 
 
 def _moment_series(alpha: float, tau, c):
@@ -146,28 +143,19 @@ def _moment_series(alpha: float, tau, c):
     return -2.0 * total / (tau * tau)
 
 
-def moment_weights(mesh: TimeMesh, order, n: int) -> np.ndarray:
-    """First-moment weights by offset; entry 0 is a nan placeholder.
+def _moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Moment weights of the intervals of lengths tau at backdistances lo = d_k.
 
-    For k <= n-1 the weight is (2/tau_k^2) times the integral over
-    [t_{k-1}, t_k] of (t - t_{k-1/2}) * omega_{1-alpha}(t_{n-theta} - t);
+    For an interval [t_{k-1}, t_k] below the offset point the weight is
+    (2/tau_k^2) times the integral of (t - t_{k-1/2}) * omega_{1-alpha}(t_{n-theta} - t);
     integration by parts gives the closed form
 
       (2/tau_k^2) [ omega_{3-alpha}(d_{k-1}) - omega_{3-alpha}(d_k)
                     - (tau_k/2)(omega_{2-alpha}(d_{k-1}) + omega_{2-alpha}(d_k)) ]
 
     which is swapped for a midpoint series once tau_k / d_k drops below the
-    cancellation threshold.  There is no zero-offset moment weight (the
-    formula never uses one), hence the nan head.
+    cancellation threshold.  A nan lo gives a nan weight.
     """
-    order = as_order(order)
-    alpha = order.alpha
-    zeta = np.full(n, np.nan)
-    if n == 1:
-        return zeta
-    steps, d = _level_geometry(mesh, order, n)
-    tau = steps[: n - 1]
-    lo = d[1:n]
     gap = tau / lo
     # direct closed form, stable difference for the omega_{3-alpha} part
     direct = omega_diff(3.0 - alpha, lo, tau) - 0.5 * tau * (
@@ -175,46 +163,80 @@ def moment_weights(mesh: TimeMesh, order, n: int) -> np.ndarray:
     )
     direct = 2.0 * direct / (tau * tau)
     near = gap <= _SERIES_GAP
-    if np.any(near):
+    if near.any():
         safe_tau = np.where(near, tau, 0.1 * lo)
         series = _moment_series(alpha, safe_tau, lo + 0.5 * safe_tau)
         direct = np.where(near, series, direct)
-    if not np.all(direct > 0.0):
-        raise FloatingPointError("moment weights must be positive")
-    zeta[1:] = direct[::-1]
-    return zeta
+    return direct
 
 
-def history_weights(a: np.ndarray, zeta: np.ndarray, mesh: TimeMesh, order, n: int) -> np.ndarray:
-    """Regroup (a, zeta) into the first-difference convolution weights hat_a.
+def _regroup(a: np.ndarray, zeta: np.ndarray, r: np.ndarray, alpha: float) -> np.ndarray:
+    """Regroup rows of (a, zeta) into the first-difference convolution
+    weights hat_a, all by offset m = n - k; r is the ratio table of
+    _offset_geometry.
 
     hat_a[m] multiplies v^{n-m} - v^{n-m-1}; together with the local part
     (alpha/(2-alpha)) a[0] (v^n - v^{n-1}) the convolution reproduces the
-    interpolation-based derivative exactly.
+    interpolation-based derivative exactly.  Offset m pairs interval
+    k = n-m with its neighbours:
+
+      hat_a[m] = a[m] + zeta[m+1] / (r_k (1 + r_k)) - zeta[m] / (1 + r_{k+1}),
+
+    where the head takes 2(1-alpha)/(2-alpha) a[0] for a[0] and has no zeta[0]
+    term, and the last offset m = n-1 has no zeta[n] term.
     """
-    order = as_order(order)
-    alpha = order.alpha
-    hat = np.empty(n)
-    head = 2.0 * (1.0 - alpha) / (2.0 - alpha) * a[0]
-    if n == 1:
-        hat[0] = head
-        return hat
-    r = mesh.ratios[: n - 1]                    # r[j] = ratio at step j+2
-    r_n = r[n - 2]
-    hat[0] = head + zeta[1] / (r_n * (1.0 + r_n))
-    # middle offsets m = 1..n-2 pair interval k = n-m with its neighbours:
-    # r_k = r[n-m-2] and r_{k+1} = r[n-m-1], reversed to run over ascending m
-    r_k = r[: n - 2][::-1]
-    r_k1 = r[1:][::-1]
-    hat[1 : n - 1] = a[1 : n - 1] + zeta[2:] / (r_k * (1.0 + r_k)) - zeta[1 : n - 1] / (1.0 + r_k1)
-    hat[n - 1] = a[n - 1] - zeta[n - 1] / (1.0 + r[0])
+    r_k = r[:, : a.shape[1] - 1]               # r_k at m = 0..w-2, which is r_{k+1} at m + 1
+    one_r, z = 1.0 + r_k, zeta[:, 1:]
+    hat = a.copy()
+    hat[:, 0] *= 2.0 * (1.0 - alpha) / (2.0 - alpha)
+    # an absent term adds 0.0, which leaves the sum bit for bit as it is
+    hat[:, :-1] += np.where(np.isnan(r_k), 0.0, z / (r_k * one_r))
+    hat[:, 1:] -= z / one_r
     return hat
 
 
+def _weight_rows(mesh: TimeMesh, order: FracOrder, lo: int, hi: int):
+    """(d, a, zeta, hat_a, aux_a) of the levels n = lo..hi, one row per level.
+
+    d holds the backdistances by node offset p (see _offset_geometry).  The
+    weights are indexed by offset m = n - k, the row of level n holding it
+    in its first n entries and nan past them:
+
+      a[0]   = omega_{2-alpha}((1-theta) tau_n) / tau_n
+      a[n-k] = (omega_{2-alpha}(d_{k-1}) - omega_{2-alpha}(d_k)) / tau_k,  k < n
+
+    zeta[n-k] is the moment weight of interval k < n (_moments); there is no
+    zero-offset moment weight, hence a nan zeta[0].  All a and zeta entries
+    are strictly positive.  Every entry is evaluated elementwise, so a
+    level's row does not depend on which other levels are built with it.
+    """
+    alpha = order.alpha
+    d, tau, r = _offset_geometry(mesh, order.theta, lo, hi)
+    d_k, tau_k = d[:, 1:hi], tau[:, 1:hi]    # the intervals k = n - m < n
+    a = np.empty((hi - lo + 1, hi))
+    a[:, 0] = omega(2.0 - alpha, d[:, 1]) / tau[:, 0]
+    a[:, 1:] = omega_diff(2.0 - alpha, d_k, tau_k) / tau_k
+    # every entry past a level is nan, so all in-level entries are positive
+    # exactly when the positive ones number the level sizes' sum
+    count = (lo + hi) * (hi - lo + 1) // 2
+    if np.count_nonzero(a > 0.0) != count:
+        raise FloatingPointError("interval weights must be positive")
+    zeta = np.empty_like(a)
+    zeta[:, 0] = np.nan
+    zeta[:, 1:] = _moments(alpha, tau_k, d_k)
+    if np.count_nonzero(zeta > 0.0) != count - (hi - lo + 1):
+        raise FloatingPointError("moment weights must be positive")
+    hat = _regroup(a, zeta, r, alpha)
+    return d, a, zeta, hat, gradient_kernels(hat)
+
+
 def gradient_kernels(hat_a: np.ndarray) -> np.ndarray:
-    """Kernels of the gradient-structure identity: the head doubled, rest shared."""
+    """Kernels of the gradient-structure identity: the head doubled, rest shared.
+
+    Takes one level's hat_a or a table of them, offset on the last axis.
+    """
     aux = hat_a.copy()
-    aux[0] *= 2.0
+    aux[..., 0] *= 2.0
     return aux
 
 
@@ -234,16 +256,39 @@ class KernelSet:
     aux_a: np.ndarray
 
 
+@dataclass(frozen=True)
+class KernelTables:
+    """The weights of levels 0..n_max at once, as tables indexed by offset.
+
+    Row n of a, zeta, hat_a and aux_a, shape (n_max+1, n_max), holds level
+    n's KernelSet vectors in its first n entries and nan past them; row 0
+    is all nan.  d, shape (n_max+1, n_max+1), holds the backdistances
+    d[n, p] = t_{n-theta} - t_{n-p} by node offset p, for 1 <= p <= n, and
+    nan elsewhere.
+    """
+
+    d: np.ndarray
+    a: np.ndarray
+    zeta: np.ndarray
+    hat_a: np.ndarray
+    aux_a: np.ndarray
+
+
+def kernel_tables(mesh: TimeMesh, order, n_max: int) -> KernelTables:
+    """Build every level 1..n_max of the mesh in one pass; row n of each
+    weight table is build_kernels(mesh, order, n) bit for bit."""
+    assert 1 <= n_max <= mesh.num_steps, f"level {n_max} out of range"
+    rows = _weight_rows(mesh, as_order(order), 1, n_max)
+    return KernelTables(*(np.vstack((np.full((1, t.shape[1]), np.nan), t)) for t in rows))
+
+
 def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
-    """Assemble a, zeta, hat_a and aux_a for level n of the given mesh."""
-    order = as_order(order)
-    a = interval_weights(mesh, order, n)
-    zeta = moment_weights(mesh, order, n)
-    hat = history_weights(a, zeta, mesh, order, n)
-    for name, arr in (("a", a), ("zeta", zeta), ("hat_a", hat)):
+    """Assemble a, zeta, hat_a and aux_a for level n of the given mesh (read-only)."""
+    assert 1 <= n <= mesh.num_steps, f"level {n} out of range"
+    _, *rows = _weight_rows(mesh, as_order(order), n, n)
+    a, zeta, hat, aux = (row[0] for row in rows)
+    for arr in (a, zeta, hat, aux):
         arr.flags.writeable = False
-    aux = gradient_kernels(hat)
-    aux.flags.writeable = False
     return KernelSet(n=n, a=a, zeta=zeta, hat_a=hat, aux_a=aux)
 
 

@@ -26,9 +26,7 @@ from fracstep.kernels import (
     as_order,
     build_kernels,
     frac_derivative,
-    interval_weights,
     min_step_ratio,
-    moment_weights,
 )
 from fracstep.mesh import TimeMesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.quadrature import (
@@ -109,8 +107,8 @@ def test_criterion_02_kernel_weights_match_quadrature_oracle():
             # ratios are scale-invariant; unit horizon keeps the signed
             # moment integrals well conditioned for the oracle
             mesh = TimeMesh(np.asarray(raw.nodes) / raw.horizon)
-            a = interval_weights(mesh, order, n)
-            zeta = moment_weights(mesh, order, n)
+            ks = build_kernels(mesh, order, n)
+            a, zeta = ks.a, ks.zeta
             for k in range(1, n + 1):
                 q = interval_weight_quad(mesh, order, n, k)
                 worst = max(worst, abs(a[n - k] - q) / abs(q))

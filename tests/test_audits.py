@@ -176,20 +176,27 @@ def _audit_meshes():
         (build_graded_mesh(1.0, 15, 3.0), 0.7, 15),
         (random_ratio_mesh(rng, 20, min_step_ratio(0.2)), 0.2, 20),
         (random_ratio_mesh(rng, 20, min_step_ratio(0.9)), 0.9, 20),
+        (random_ratio_mesh(rng, 20, min_step_ratio(0.5)), 0.5, 2),     # no k <= n-2 rows
+        (random_ratio_mesh(rng, 20, min_step_ratio(0.6)), 0.6, 3),     # no k <= n-3 rows
+        (build_graded_mesh(1.0, 8, 2.0), 0.3, 50),                     # n_max past the mesh
     ]
 
 
 def test_audit_rows_equal_scalar_loop():
     for mesh, alpha, n_max in _audit_meshes():
         report = audit_kernel_properties(mesh, alpha, n_max)
-        assert _bits(report.entries) == _bits(_audit_loop(mesh, alpha, n_max))
+        rows = _audit_loop(mesh, alpha, n_max)
+        assert _bits(report.entries) == _bits(rows)
+        assert report.violations() == _violations_loop(rows)
+        assert list(report.worst_slack().items()) == list(_worst_slack_loop(rows).items())
 
 
 def test_entries_len_is_check_count():
     # per level: 5 properties over n-1 indices, 5 over n-2, one over n-3, the head bound
     for mesh, alpha, n_max in _audit_meshes():
         report = audit_kernel_properties(mesh, alpha, n_max)
-        want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in range(2, n_max + 1))
+        levels = range(2, min(n_max, mesh.num_steps) + 1)
+        want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in levels)
         assert len(report.entries) == report.size == want == sum(1 for _ in report.entries)
         assert report.n.size == report.k.size == report.lhs.size == report.rhs.size == len(report.prop) == want
 

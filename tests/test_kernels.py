@@ -14,13 +14,13 @@ from fracstep.kernels import (
     frac_derivative,
     gradient_kernels,
     history_sum,
-    history_weights,
-    interval_weights,
+    kernel_tables,
     local_coefficient,
     min_step_ratio,
-    moment_weights,
     stored_form,
     remainder_form,
+    _SERIES_GAP,
+    _offset_geometry,
     _ratio_equation,
 )
 from fracstep.mesh import TimeMesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
@@ -62,7 +62,7 @@ def test_min_step_ratio_monotone():
 def test_interval_weight_head_uniform():
     # a_0 on a unit step at alpha = 1/2: omega_{3/2}(3/4); mpmath 40 digits
     mesh = build_uniform_mesh(1.0, 1)
-    a = interval_weights(mesh, 0.5, 1)
+    a = build_kernels(mesh, 0.5, 1).a
     assert a[0] == pytest.approx(0.9772050238058398, rel=1e-14)
 
 
@@ -71,14 +71,14 @@ def test_interval_weights_positive_decreasing():
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 0.95))
         mesh = random_ratio_mesh(rng, 10, min_step_ratio(alpha))
-        a = interval_weights(mesh, alpha, 10)
+        a = build_kernels(mesh, alpha, 10).a
         assert np.all(a > 0)
         assert np.all(np.diff(a) < 0)  # decays away from the active cell
 
 
 def test_moment_weights_head_is_undefined():
     mesh = build_uniform_mesh(1.0, 5)
-    zeta = moment_weights(mesh, 0.4, 5)
+    zeta = build_kernels(mesh, 0.4, 5).zeta
     assert math.isnan(zeta[0])
     assert np.all(zeta[1:] > 0)
 
@@ -91,14 +91,14 @@ def test_moment_weights_branch_agreement():
     rng = np.random.default_rng(3)
     for alpha in (0.2, 0.7):
         mesh = random_ratio_mesh(rng, 9, 0.45, r_max=2.0)
-        zeta = moment_weights(mesh, alpha, 9)
+        zeta = build_kernels(mesh, alpha, 9).zeta
         for k in range(1, 9):
             want = moment_weight_quad(mesh, as_order(alpha), 9, k)
             assert zeta[9 - k] == pytest.approx(want, rel=1e-10)
 
 
 def _history_weights_loop(a, zeta, mesh, alpha, n):
-    # the scalar loop history_weights replaced, kept as the reference
+    # the scalar loop the regrouping into hat_a replaced, kept as the reference
     hat = np.empty(n)
     head = 2.0 * (1.0 - alpha) / (2.0 - alpha) * a[0]
     if n == 1:
@@ -125,10 +125,31 @@ def test_history_weights_equal_scalar_loop():
     two_phase = build_two_phase_mesh(1.0, 2.5, 300, 1234)
     cases += [(two_phase, 0.8, n) for n in range(1, 301)]
     for mesh, alpha, n in cases:
-        a = interval_weights(mesh, alpha, n)
-        zeta = moment_weights(mesh, alpha, n)
-        got = history_weights(a, zeta, mesh, alpha, n)
-        assert np.array_equal(got, _history_weights_loop(a, zeta, mesh, alpha, n)), (alpha, n)
+        ks = build_kernels(mesh, alpha, n)
+        assert np.array_equal(ks.hat_a, _history_weights_loop(ks.a, ks.zeta, mesh, alpha, n)), (alpha, n)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.4, 0.95])
+def test_kernel_table_rows_equal_build_kernels(alpha):
+    # row n of the one-pass tables is bit for bit level n's KernelSet, on a
+    # fuzz mesh, a ratio-4 mesh and a graded mesh with tau_1 ~ 1e-13
+    n_max = 20
+    meshes = [
+        random_ratio_mesh(np.random.default_rng(17), n_max, min_step_ratio(alpha)),
+        TimeMesh(np.concatenate([[0.0], np.cumsum(1e-3 * 4.0 ** np.arange(n_max))])),
+        build_two_phase_mesh(1.0, 6.0, 160, 1234),
+    ]
+    for mesh in meshes:
+        d, tau, _ = _offset_geometry(mesh, 0.5 * alpha, 2, n_max)
+        gap = tau[:, 1:] / d[:, 1:]                              # tau_k / d_k, nan past each level
+        assert np.any(gap <= _SERIES_GAP) and np.any(gap > _SERIES_GAP)   # both moment branches
+        tables = kernel_tables(mesh, alpha, n_max)
+        for name in ("a", "zeta", "hat_a", "aux_a"):
+            table = getattr(tables, name)
+            assert table.shape == (n_max + 1, n_max) and np.isnan(table[0]).all()
+            for n in range(1, n_max + 1):
+                assert table[n, :n].tobytes() == getattr(build_kernels(mesh, alpha, n), name).tobytes(), (name, n)
+                assert np.isnan(table[n, n:]).all()
 
 
 def test_gradient_kernel_head_doubling():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.kernels import as_order, build_kernels, frac_derivative, interval_weights, moment_weights, min_step_ratio
+from fracstep.kernels import as_order, build_kernels, frac_derivative, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.quadrature import (
     curvature_fn,
@@ -32,7 +32,7 @@ def test_interval_weights_match_quadrature():
         for _ in range(4):
             n = int(rng.integers(2, 9))
             mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
-            a = interval_weights(mesh, order, n)
+            a = build_kernels(mesh, order, n).a
             for k in range(1, n + 1):
                 want = interval_weight_quad(mesh, order, n, k)
                 assert a[n - k] == pytest.approx(want, rel=1e-10)
@@ -44,7 +44,7 @@ def test_head_weight_uses_singular_rule():
     mesh = build_uniform_mesh(1.0, 3)
     for alpha in (0.2, 0.8):
         order = as_order(alpha)
-        a = interval_weights(mesh, order, 3)
+        a = build_kernels(mesh, order, 3).a
         got = interval_weight_quad(mesh, order, 3, 3)
         assert got == pytest.approx(a[0], rel=1e-12)
 
@@ -72,7 +72,7 @@ def test_moment_weights_match_quadrature_far_field():
             order = as_order(alpha)
             for n in levels:
                 with np.errstate(over="raise"):
-                    zeta = moment_weights(mesh, order, n)
+                    zeta = build_kernels(mesh, order, n).zeta
                 for k in range(1, n):
                     want = moment_weight_quad(mesh, order, n, k)
                     assert zeta[n - k] == pytest.approx(want, rel=1e-10), (alpha, n, k)

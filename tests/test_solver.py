@@ -133,9 +133,19 @@ def test_maximum_bound_random_data():
 def test_step_rejects_over_cap_when_enforcing():
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.5, 10)  # tau = 0.05 > cap
-    kern = build_kernels(mesh, cfg.alpha, 1)
-    with pytest.raises(StepCapError, match="cap"):
-        step([np.zeros((8, 8))], mesh, kern, cfg)
+    with pytest.raises(StepCapError, match="step 1: .* exceeds the cap"):
+        run(cfg, mesh, np.zeros((8, 8)))
+
+
+def test_strict_run_raises_on_every_step_its_cap_flag_marks():
+    # one cap and one slack: steps 1e-10 over the cap are flagged, so a
+    # strict run must stop at the first; 1e-13 over is inside the slack
+    cfg = SolverConfig(alpha=0.4, epsilon=0.05, grid=_grid(16), enforce_bound=True)
+    cap = step_size_cap(cfg.alpha, cfg.grid.h, cfg.epsilon)
+    with pytest.raises(StepCapError, match="step 1: "):
+        run(cfg, TimeMesh(np.arange(4) * cap * (1.0 + 1e-10)), np.zeros((16, 16)))
+    traj = run(cfg, TimeMesh(np.arange(4) * cap * (1.0 + 1e-13)), np.zeros((16, 16)), record_energy=False)
+    assert traj.cap_ok.tolist() == [True] * 3
 
 
 def test_bound_violation_detected():
