@@ -163,6 +163,7 @@ def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
         "final_E": traj.energy[-1].E,
         "final_E_alpha": traj.energy[-1].E_alpha,
         "history_levels_allocated": traj.history_capacity,
+        "history_bytes_allocated": traj.history_capacity * traj.fields[0].nbytes,
         "history_levels_used": len(traj.fields),
         "fp_sweeps": int(traj.fp_iters.sum()),
         "fp_sweeps_max": int(traj.fp_iters.max()),

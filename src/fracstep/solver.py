@@ -24,6 +24,10 @@ fixed-point tolerance.
 Below the step-size cap the discrete maximum bound |phi| <= 1 is
 inherited from the initial data; the stepper never clips a level it
 returns, it audits.
+
+The history convolution and G read every past level, so a run stores
+phi^0..phi^n.  One FieldHistory owns that stack and the squared
+distances of G, and grows both in place by a quarter when full.
 """
 
 from __future__ import annotations
@@ -254,6 +258,56 @@ class SolveTrajectory:
         return n if n < len(self.mesh.nodes) else None
 
 
+_GROWTH_DIVISOR = 4        # a full history of n levels grows to n + max(1, n // 4)
+
+
+class FieldHistory:
+    """The stored levels phi^0..phi^n of a run and the squared distances of G.
+
+    One (capacity, M, M) stack holds the levels and a dist vector of the
+    same capacity runs next to it (modified_energy updates it in place).
+    A push into a full history grows both with ndarray.resize to
+    n + max(1, n // 4) levels: for a large block realloc remaps the pages
+    instead of copying them, so two stacks are never resident at once.
+
+    The history is the only owner of its buffers, and resize runs with
+    refcheck off.  A view it hands out (fields, dist, and the last levels
+    of fields that step's predictor reads) is therefore valid only until
+    the next push, which may move the buffer; callers take fresh views
+    after each push and keep none across one.
+    """
+
+    def __init__(self, phi0: np.ndarray, capacity: int):
+        self._stack = np.empty((capacity, *phi0.shape))
+        self._stack[0] = phi0
+        self._dist = np.empty(len(self._stack))
+        self._len = 1
+
+    @property
+    def capacity(self) -> int:
+        return len(self._stack)
+
+    @property
+    def fields(self) -> np.ndarray:
+        """View of phi^0..phi^n, valid until the next push."""
+        return self._stack[: self._len]
+
+    @property
+    def dist(self) -> np.ndarray:
+        """View of the n + 1 carried squared distances, valid until the next push."""
+        return self._dist[: self._len]
+
+    def push(self, phi: np.ndarray) -> None:
+        """Store phi as the next level, growing both buffers in place when full."""
+        n = self._len
+        if n == self.capacity:
+            grown = n + max(1, n // _GROWTH_DIVISOR)
+            self._stack.resize((grown, *self._stack.shape[1:]), refcheck=False)
+            self._dist.resize(grown, refcheck=False)
+        self._stack[n] = phi
+        self._len = n + 1
+
+
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = True) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
@@ -263,12 +317,11 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     floor always, the cap only when cfg.enforce_bound is set.  A strict run
     raises StepCapError on the first step that its cap flag marks.
 
-    phi^0..phi^n live in one (capacity, M, M) stack, doubled when an
-    adaptive run fills it; step and modified_energy read views of it.
-    Next to it runs dist, the squared distances from the newest field to
-    every stored one, which grows with the stack and which modified_energy
-    updates in place each step, so G costs one pass over the stack.
-    Energy records are optional.
+    phi^0..phi^n and the squared distances of G live in one FieldHistory,
+    sized to the mesh (a fixed mesh never grows it) or to the warm-up of
+    an adaptive schedule, which grows it in place by a quarter when full.
+    step and modified_energy read views of it taken afresh each step, so
+    G costs one pass over the stack.  Energy records are optional.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -285,9 +338,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
         nodes = list(np.asarray(schedule.nodes))
         horizon = nodes[-1]
 
-    fields = np.empty((len(nodes), grid.M, grid.M))
-    fields[0] = phi0
-    dist = np.empty(len(nodes))
+    history = FieldHistory(phi0, len(nodes))
     sup_norms = [norm_inf(phi0)]
     fp_iters = []
     cap_ok = []
@@ -295,7 +346,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     notes = []
     records = None
     if record_energy:
-        records = [modified_energy(fields[:1], dist[:1], None, cfg.epsilon, grid)]
+        records = [modified_energy(history.fields, history.dist, None, cfg.epsilon, grid)]
 
     n = 0
     change_norm = 0.0
@@ -312,11 +363,6 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
                     notes.append((n + 1, "final step clipped below the ratio floor"))
             nodes.append(nodes[-1] + tau_next)
         n += 1
-        if n == len(fields):
-            grown = np.empty((2 * n, grid.M, grid.M))
-            grown[:n] = fields
-            fields = grown
-            dist = np.concatenate((dist, np.empty(n)))
         mesh_n = TimeMesh(np.asarray(nodes[: n + 1]))
         tau_n = mesh_n.step(n)
         within_cap = tau_n <= cap * (1.0 + 1e-12)
@@ -325,23 +371,23 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
                 f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} while the bound is enforced"
             )
         kernels = build_kernels(mesh_n, order, n)
-        phi, sweeps = step(fields[:n], mesh_n, kernels, cfg)
-        fields[n] = phi
+        phi, sweeps = step(history.fields, mesh_n, kernels, cfg)
+        step_sq = grid.h**2 * grid_sum((phi - history.fields[-1]) ** 2)
+        history.push(phi)
         sup_norms.append(norm_inf(phi))
         fp_iters.append(sweeps)
         cap_ok.append(within_cap)
         ratio_ok.append(n == 1 or mesh_n.ratio(n) >= r_floor * (1.0 - 1e-12))
-        step_sq = grid.h**2 * grid_sum((phi - fields[n - 1]) ** 2)
         change_norm = math.sqrt(step_sq) / tau_n
         if record_energy:
-            rec = modified_energy(fields[: n + 1], dist[: n + 1], kernels, cfg.epsilon, grid)
+            rec = modified_energy(history.fields, history.dist, kernels, cfg.epsilon, grid)
             lhs = dissipation_lhs(records[-1], rec, order, kernels.a[0], tau_n, step_sq)
             records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
 
     mesh = TimeMesh(np.asarray(nodes))
     return SolveTrajectory(
         mesh=mesh,
-        fields=fields[: n + 1],
+        fields=history.fields,
         sup_norms=np.asarray(sup_norms),
         fp_iters=np.asarray(fp_iters, dtype=int),
         energy=records,
@@ -349,5 +395,5 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
         cap_ok=np.asarray(cap_ok, dtype=bool),
         ratio_ok=np.asarray(ratio_ok, dtype=bool),
         notes=notes,
-        history_capacity=len(fields),
+        history_capacity=history.capacity,
     )

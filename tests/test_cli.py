@@ -127,6 +127,7 @@ def test_coarsen_strict_tiny(tmp_path):
     # the field stack holds phi^0..phi^N in at least as many levels as it used
     assert meta["history_levels_used"] == meta["steps"] + 1
     assert meta["history_levels_allocated"] >= meta["history_levels_used"]
+    assert meta["history_bytes_allocated"] == meta["history_levels_allocated"] * 16 * 16 * 8
     assert (out / "energy.csv").exists() and (out / "mesh.csv").exists()
     with open(out / "energy.csv", newline="") as fh:
         sweeps = [int(row["fp_iters"]) for row in csv.DictReader(fh) if row["fp_iters"]]

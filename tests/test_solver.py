@@ -19,6 +19,7 @@ from fracstep.solver import (
     AdaptiveSchedule,
     BoundViolation,
     ConvergenceError,
+    FieldHistory,
     ManufacturedForcing,
     SolverConfig,
     StepCapError,
@@ -407,8 +408,63 @@ def test_adaptive_run_reaches_horizon_and_notes_clip():
     assert traj.cap_ok.size == traj.num_steps == traj.fp_iters.size
 
 
+def _growth_sizes(start, levels):
+    """Capacities a FieldHistory of start levels passes through to hold levels."""
+    sizes = [start]
+    while sizes[-1] < levels:
+        sizes.append(sizes[-1] + max(1, sizes[-1] // 4))
+    return sizes
+
+
+def test_field_history_growth_keeps_every_level_and_distance():
+    rng = np.random.default_rng(3)
+    phi0 = rng.standard_normal((6, 6))
+    borrowed = np.stack([phi0, phi0])[1]
+    assert borrowed.base is not None
+    history = FieldHistory(borrowed, 2)
+    fields, dists, capacities = [phi0], [0.5], [history.capacity]
+    history.dist[0] = 0.5
+    for _ in range(60):
+        phi, d = rng.standard_normal((6, 6)), rng.standard_normal()
+        history.push(phi)
+        history.dist[-1] = d
+        fields.append(phi)
+        dists.append(d)
+        capacities.append(history.capacity)
+        # the history owns its buffer, so resize never runs on a borrowed one
+        assert history._stack.base is None and history._stack.flags.owndata
+    assert history.fields.shape == (61, 6, 6)
+    assert np.array_equal(history.fields, np.stack(fields))
+    assert np.array_equal(history.dist, np.asarray(dists))
+    grown = [(a, b) for a, b in zip(capacities, capacities[1:]) if b != a]
+    assert len(grown) >= 8 and history.capacity == _growth_sizes(2, 61)[-1]
+    assert all(b == a + max(1, a // 4) for a, b in grown)
+    assert all(b <= a + a // 4 for a, b in grown if a >= 4)
+
+
+def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes():
+    # the adaptive stack grows many times on the way to the horizon; a fixed
+    # mesh of the same nodes sizes its stack once and never grows it
+    rng = np.random.default_rng(6)
+    cfg = _cfg(alpha=0.4, M=16)
+    warm = build_graded_mesh(0.01, 2, 1.0)
+    sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
+    phi0 = rng.uniform(-0.5, 0.5, (16, 16))
+    grown = run(cfg, sched, phi0)
+    fixed = run(cfg, TimeMesh(np.asarray(grown.mesh.nodes)), phi0)
+    sizes = _growth_sizes(len(warm.nodes), len(grown.fields))
+    assert len(sizes) >= 4 and grown.history_capacity == sizes[-1]
+    assert fixed.history_capacity == len(fixed.fields)
+    assert np.array_equal(grown.mesh.nodes, fixed.mesh.nodes)
+    assert np.array_equal(grown.fields, fixed.fields)
+    assert np.array_equal(grown.sup_norms, fixed.sup_norms)
+    assert np.array_equal(grown.fp_iters, fixed.fp_iters)
+    for a, b in zip(grown.energy, fixed.energy, strict=True):
+        assert (a.E, a.E_alpha, a.dissipation_lhs) == (b.E, b.E_alpha, b.dissipation_lhs)
+
+
 def test_adaptive_run_grows_stack_and_matches_manual_stepping():
-    # the stack starts at the warm-up's 3 nodes and doubles several times
+    # the stack starts at the warm-up's 3 nodes and grows several times
     # on the way to the horizon; every stored level must be the one a
     # plain list-fed step gives on the mesh the run built
     rng = np.random.default_rng(12)
@@ -429,8 +485,8 @@ def test_adaptive_run_grows_stack_and_matches_manual_stepping():
 
 
 def test_carried_distances_match_recomputed_G_at_every_step():
-    # G comes from squared distances carried across steps and across three
-    # doublings of the stack; at every level it must equal the stateless
+    # G comes from squared distances carried across steps and across many
+    # growths of the stack; at every level it must equal the stateless
     # recomputation within a worst-case round-off bound of the update
     rng = np.random.default_rng(5)
     cfg = _cfg(alpha=0.6, M=16)
@@ -438,7 +494,10 @@ def test_carried_distances_match_recomputed_G_at_every_step():
     warm = build_graded_mesh(0.01, 2, 1.0)
     sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
     traj = run(cfg, sched, rng.uniform(-0.5, 0.5, (16, 16)))
-    assert traj.history_capacity >= 8 * len(warm.nodes)        # 3 -> 6 -> 12 -> 24 levels
+    # 3 -> 4 -> ... -> 8 levels by one, then by a quarter: 10 -> 12 -> 15 -> ...
+    sizes = _growth_sizes(len(warm.nodes), len(traj.fields))
+    assert traj.history_capacity == sizes[-1]
+    assert sum(b - a > 1 for a, b in zip(sizes, sizes[1:])) >= 3
     assert len(traj.fields) == traj.num_steps + 1
 
     # Each update of dist_j takes two M^2-term inner products <delta, phi>
