@@ -7,7 +7,7 @@ audit recomputes every inequality numerically on a given mesh and reports
 the raw slack (positive means satisfied), so hypothesis violations are
 observable instead of silent.  Every level's kernels come from one
 kernel_tables pass, each property is evaluated as one array expression
-over all levels, and the report holds its rows as columns
+over all levels, and the report is built once from read-only columns
 (n, property, k, lhs, rhs) rather than one object per check.
 
 Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta):
@@ -59,126 +59,59 @@ class AuditEntry:
 _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack is a violation
 
 
-class AuditEntries:
-    """Row view of an AuditReport: len() is the row count, iteration yields AuditEntry."""
-
-    def __init__(self, report: "AuditReport"):
-        self._report = report
-
-    def __len__(self) -> int:
-        return self._report.size
-
-    def __iter__(self):
-        return (AuditEntry(*row[:5]) for row in self._report.records())
-
-
 class AuditReport:
-    """All audit rows for one mesh as columns n, prop, k, lhs, rhs, plus the
-    violations under a round-off floor.
+    """All audit rows for one mesh, built once as read-only columns.
 
-    Rows arrive as column pieces (the whole audit at once, or a block of
-    injected rows); the pieces are concatenated on first read.
+    names lists the properties that have rows, in order of their first
+    row; code indexes names, and n, code, k, lhs and rhs are arrays of one
+    length.  len() is the row count and iteration yields AuditEntry rows;
+    experiments.write_kernel_audit_csv is the one CSV writer for them.
     """
 
-    def __init__(self):
-        self.size = 0
-        self._codes = {}       # property name -> code, in order of first row
-        self._parts = []       # (n, code, k, lhs, rhs) column pieces
-        self._cols = None
+    def __init__(self, names, n, code, k, lhs, rhs):
+        cols = [np.array(c, dtype=t) for c, t in zip((n, code, k, lhs, rhs), (np.int64,) * 3 + (float,) * 2)]
+        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+            raise ValueError(f"columns must be 1-D arrays of one length, got shapes {[c.shape for c in cols]}")
+        for c in cols:
+            c.flags.writeable = False
+        self.names = tuple(names)
+        self.n, self.code, self.k, self.lhs, self.rhs = cols
+        self.size = self.n.size
 
-    def _append(self, names, n, code, k, lhs, rhs) -> None:
-        """Append rows given as columns, with code indexing names; names
-        lists each property with rows here once, in order of its first row."""
-        lut = np.array([self._codes.setdefault(name, len(self._codes)) for name in names], dtype=np.int64)
-        self._parts.append((n, lut[code], k, lhs, rhs))
-        self.size += k.size
-        self._cols = None
+    def __len__(self) -> int:
+        return self.size
 
-    def extend(self, n: int, k, /, **props) -> None:
-        """Append level-n rows over the index array k; each keyword maps a
-        property to its (lhs, rhs) arrays over k.  With several properties the
-        rows interleave: for each k, one row per property in keyword order."""
-        k = np.asarray(k, dtype=np.int64)
-        lhs, rhs = zip(*props.values())
-        if any(np.shape(v) != k.shape for v in lhs + rhs):
-            raise ValueError(f"level {n}: every lhs and rhs must have the shape of k, {k.shape}")
-        if k.size == 0:
-            return
-        width = len(props)
-        self._append(list(props), np.full(k.size * width, n, dtype=np.int64),
-                     np.tile(np.arange(width), k.size), np.repeat(k, width),
-                     np.column_stack(lhs).ravel(), np.column_stack(rhs).ravel())
-
-    def add(self, n: int, prop: str, k: int, lhs: float, rhs: float) -> None:
-        self.extend(n, [k], **{prop: ([float(lhs)], [float(rhs)])})
-
-    def _columns(self):
-        if self._cols is None:
-            pieces = list(zip(*self._parts)) or [()] * 5
-            dtypes = (np.int64, np.int64, np.int64, float, float)
-            cols = tuple(np.concatenate([np.empty(0, dtype=t), *p]) for t, p in zip(dtypes, pieces))
-            for c in cols:
-                c.flags.writeable = False
-            self._cols = cols
-        return self._cols
+    def __iter__(self):
+        return (AuditEntry(*row[:5]) for row in self.records())
 
     @property
-    def n(self) -> np.ndarray:
-        return self._columns()[0]
-
-    @property
-    def prop(self) -> np.ndarray:
-        return np.array(list(self._codes), dtype=object)[self._columns()[1]]
-
-    @property
-    def k(self) -> np.ndarray:
-        return self._columns()[2]
-
-    @property
-    def lhs(self) -> np.ndarray:
-        return self._columns()[3]
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return self._columns()[4]
-
-    @property
-    def entries(self) -> AuditEntries:
-        return AuditEntries(self)
+    def entries(self) -> "AuditReport":
+        """The rows, as the report itself: a sized iterable of AuditEntry."""
+        return self
 
     def records(self):
         """Rows as (n, prop, k, lhs, rhs, slack) tuples of Python scalars."""
-        n, code, k, lhs, rhs = self._columns()
-        return zip(n.tolist(), self.prop.tolist(), k.tolist(),
-                   lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())
+        prop = np.array(self.names, dtype=object)[self.code]
+        return zip(self.n.tolist(), prop.tolist(), self.k.tolist(),
+                   self.lhs.tolist(), self.rhs.tolist(), (self.lhs - self.rhs).tolist())
 
     def _entry(self, i: int) -> AuditEntry:
-        n, code, k, lhs, rhs = self._columns()
-        return AuditEntry(int(n[i]), list(self._codes)[code[i]], int(k[i]), float(lhs[i]), float(rhs[i]))
+        return AuditEntry(int(self.n[i]), self.names[self.code[i]], int(self.k[i]),
+                          float(self.lhs[i]), float(self.rhs[i]))
 
     def violations(self):
         """Entries whose slack is negative beyond round-off (_SLACK_FLOOR at
         their scale), and every entry whose lhs, rhs or slack is not finite."""
-        _, _, _, lhs, rhs = self._columns()
-        slack = lhs - rhs                 # not finite whenever lhs or rhs is not
-        tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        slack = self.lhs - self.rhs       # not finite whenever lhs or rhs is not
+        tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
         return [self._entry(i) for i in np.flatnonzero((slack < -tol) | ~np.isfinite(slack))]
 
     def worst_slack(self):
-        """Minimum slack per property, as {prop: (slack, n, k)}."""
-        _, code, _, lhs, rhs = self._columns()
-        slack = lhs - rhs
-        worst = {}
-        for name, c in self._codes.items():
-            rows = np.flatnonzero(code == c)
-            e = self._entry(rows[np.argmin(slack[rows])])
-            worst[name] = (e.slack, e.n, e.k)
-        return worst
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("n,property,k,lhs,rhs,slack\r\n")
-            fh.write("".join("%d,%s,%d,%r,%r,%r\r\n" % row for row in self.records()))
+        """Minimum slack per property, as {prop: (slack, n, k)} in names order."""
+        slack = self.lhs - self.rhs
+        rows = (np.flatnonzero(self.code == c) for c in range(len(self.names)))
+        worst = (self._entry(r[np.argmin(slack[r])]) for r in rows)
+        return {e.prop: (e.slack, e.n, e.k) for e in worst}
 
 
 def beta_factors(mesh: TimeMesh, order, n: int) -> np.ndarray:
@@ -266,50 +199,32 @@ _BLOCKS = (
 )
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Where each audit row of levels 2..n_max comes from; read-only arrays."""
-
-    pairs: dict            # shrink -> (n, k, m = n - k) by n and then k; None -> k = n - 1
-    take: np.ndarray       # row -> index into every property's values, joined in _BLOCKS order
-    names: tuple           # the properties with rows, in order of their first row
-    n: np.ndarray          # the report's n, code and k columns
-    code: np.ndarray
-    k: np.ndarray
-
-
 @functools.lru_cache(maxsize=16)
-def _layout(n_max: int) -> _Layout:
+def _row_order(n_max: int):
+    """(pairs, names, take, n, code, k) for levels 2..n_max, all read-only:
+    pairs maps a block's shrink to its (n, k, m = n - k) arrays, take puts
+    the values of every property, joined in _BLOCKS order, in row order,
+    and names, n, code, k are the report's."""
     n, k = np.nonzero(np.tri(n_max + 1, n_max + 1, -1, dtype=bool)[:, 1:])     # 1 <= k <= n - 1
     k += 1
     pairs = {s: (n[k < n - s], k[k < n - s], (n - k)[k < n - s]) for s in (0, 1, 2)}
     head = np.arange(2, n_max + 1)
     pairs[None] = (head, head - 1, np.ones_like(head))
-    # slot [n, block, k, j] holds the row of the block's j-th property at
-    # (n, k): the index of its value among all values joined in _BLOCKS
-    # order, and the property's number.  The filled slots in C order are
-    # the rows in report order.
-    value = np.full((n_max + 1, len(_BLOCKS), n_max, 2), -1)
-    prop = np.empty_like(value)
-    names, start = [], 0
+    names, keys = [], []
     for b, (shrink, props) in enumerate(_BLOCKS):
         pn, pk, _ = pairs[shrink]
-        for j, name in enumerate(props):
-            value[pn, b, pk, j] = start + np.arange(pn.size)
-            prop[pn, b, pk, j] = len(names)
+        for name in props:          # a property's number orders it within its block
+            keys.append((pn, np.full(pn.size, b), pk, np.full(pn.size, len(names))))
             names.append(name)
-            start += pn.size
-    filled = value >= 0
-    row_n, _, row_k, _ = np.nonzero(filled)
-    row_prop = prop[filled]
-    _, first = np.unique(row_prop, return_index=True)
-    seen = row_prop[np.sort(first)]                  # the properties in order of first row
-    code = np.empty(len(names), dtype=np.int64)
-    code[seen] = np.arange(seen.size)
-    layout = _Layout(pairs, value[filled], tuple(names[i] for i in seen), row_n, code[row_prop], row_k)
-    for arr in (layout.take, layout.n, layout.code, layout.k, *(x for p in pairs.values() for x in p)):
+    row_n, block, row_k, prop = (np.concatenate(key) for key in zip(*keys))
+    take = np.lexsort((prop, row_k, block, row_n))
+    seen = list(dict.fromkeys(prop[take].tolist()))      # the properties in order of first row
+    code = np.zeros(len(names), dtype=np.int64)
+    code[seen] = np.arange(len(seen))
+    cols = (take, row_n[take], code[prop[take]], row_k[take])
+    for arr in (*cols, *(x for p in pairs.values() for x in p)):
         arr.flags.writeable = False
-    return layout
+    return (pairs, tuple(names[i] for i in seen), *cols)
 
 
 def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
@@ -325,10 +240,9 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     """
     order = as_order(order)
     alpha = order.alpha
-    report = AuditReport()
     n_max = min(n_max, mesh.num_steps)
     if n_max < 2:
-        return report
+        return AuditReport((), [], [], [], [], [])
     t = kernel_tables(mesh, order, n_max)
     A, Z = t.aux_a, t.zeta
     wp = omega(1.0 - alpha, t.d)                 # wp[n, p] = w'(t_{n-p}) at level n
@@ -336,8 +250,8 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     beta = beta_factors(mesh, order, n_max)
     r = np.concatenate(([np.nan, np.nan], mesh.ratios[: n_max - 1]))    # r[j] = ratio at step j
 
-    lay = _layout(n_max)
-    (n, k, m), (n1, k1, m1), (n2, k2, m2), (nh, _, _) = (lay.pairs[s] for s in (0, 1, 2, None))
+    pairs, names, take, row_n, code, row_k = _row_order(n_max)
+    (n, k, m), (n1, k1, m1), (n2, k2, m2), (nh, _, _) = (pairs[s] for s in (0, 1, 2, None))
     values = dict(
         kernel_decreasing=(A[n, m - 1], A[n, m]),
         kernel_positive=(A[n, m], np.zeros(k.size)),
@@ -361,6 +275,5 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
         head_moment_bound=(alpha / (3.0 * (2.0 - alpha)) * wp[nh, 1], r[nh] * Z[nh, 1]),
     )
     ordered = [values[name] for _, props in _BLOCKS for name in props]
-    lhs, rhs = (np.concatenate(side)[lay.take] for side in zip(*ordered))
-    report._append(lay.names, lay.n, lay.code, lay.k, lhs, rhs)
-    return report
+    lhs, rhs = (np.concatenate(side)[take] for side in zip(*ordered))
+    return AuditReport(names, row_n, code, row_k, lhs, rhs)

@@ -53,7 +53,8 @@ from .special import omega
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration stalled or produced non-finite values."""
+    """Fixed-point iteration stalled or produced non-finite values, or an
+    adaptive step did not advance t."""
 
 
 class BoundViolation(RuntimeError):
@@ -315,7 +316,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     floor r*(alpha) and the step cap.  Both are audited as per-step flags,
     and an adaptive schedule's controller is handed the same two: the
     floor always, the cap only when cfg.enforce_bound is set.  A strict run
-    raises StepCapError on the first step that its cap flag marks.
+    raises StepCapError on the first step that its cap flag marks, and an
+    adaptive run raises ConvergenceError on a step tau with t_n + tau == t_n.
 
     phi^0..phi^n and the squared distances of G live in one FieldHistory,
     sized to the mesh (a fixed mesh never grows it) or to the warm-up of
@@ -361,6 +363,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
                 tau_next = horizon - nodes[-1]
                 if tau_next < r_floor * tau_last:
                     notes.append((n + 1, "final step clipped below the ratio floor"))
+            if nodes[-1] + tau_next == nodes[-1]:
+                raise ConvergenceError(f"step {n + 1}: tau = {tau_next:.6e} does not advance "
+                                       f"t_n = {nodes[-1]:.17g} in floating point")
             nodes.append(nodes[-1] + tau_next)
         n += 1
         mesh_n = TimeMesh(np.asarray(nodes[: n + 1]))

@@ -83,11 +83,19 @@ def test_audit_respects_level_cap():
     assert max(e.n for e in report.entries) == 5
 
 
+def _report(rows):
+    # a report of (n, prop, k, lhs, rhs) rows, through the one constructor
+    names = list(dict.fromkeys(prop for _, prop, *_ in rows))
+    n, prop, k, lhs, rhs = zip(*rows)
+    return AuditReport(names, n, [names.index(p) for p in prop], k, lhs, rhs)
+
+
 def test_violation_floor_is_scale_relative():
-    report = AuditReport()
-    report.add(2, "demo", 1, 1.0, 1.0 + 1e-14)       # round-off at scale 1
-    report.add(2, "demo", 2, 0.0, 1e-12)             # genuine sign violation
-    report.add(2, "demo", 3, 1e6, 1e6 * (1 + 1e-14)) # round-off at scale 1e6
+    report = _report([
+        (2, "demo", 1, 1.0, 1.0 + 1e-14),         # round-off at scale 1
+        (2, "demo", 2, 0.0, 1e-12),               # genuine sign violation
+        (2, "demo", 3, 1e6, 1e6 * (1 + 1e-14)),   # round-off at scale 1e6
+    ])
     bad = report.violations()
     assert len(bad) == 1
     assert bad[0].k == 2
@@ -97,31 +105,15 @@ def test_violation_floor_is_scale_relative():
 def test_non_finite_rows_are_violations():
     # an overflowed kernel must not audit clean: +inf rhs gives slack -inf
     # against tol inf, and a nan lhs gives a nan slack
-    report = AuditReport()
-    report.add(2, "p", 1, 0.0, math.inf)
-    report.add(2, "p", 2, math.nan, 1.0)
-    report.add(2, "p", 3, 2.0, 1.0)
+    report = _report([(2, "p", 1, 0.0, math.inf), (2, "p", 2, math.nan, 1.0), (2, "p", 3, 2.0, 1.0)])
     assert [e.k for e in report.violations()] == [1, 2]
 
 
 def test_worst_slack_groups_by_property():
-    report = AuditReport()
-    report.add(2, "p", 1, 5.0, 1.0)
-    report.add(3, "p", 1, 2.0, 1.0)
-    report.add(3, "q", 1, 0.5, 0.0)
+    report = _report([(2, "p", 1, 5.0, 1.0), (3, "p", 1, 2.0, 1.0), (3, "q", 1, 0.5, 0.0)])
     worst = report.worst_slack()
     assert worst["p"] == (1.0, 3, 1)
     assert worst["q"] == (0.5, 3, 1)
-
-
-def test_report_csv(tmp_path):
-    mesh = build_uniform_mesh(1.0, 4)
-    report = audit_kernel_properties(mesh, 0.5, 4)
-    out = tmp_path / "audit.csv"
-    report.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,property,k,lhs,rhs,slack"
-    assert len(lines) == len(report.entries) + 1
 
 
 def _audit_loop(mesh, alpha, n_max):
@@ -198,7 +190,17 @@ def test_entries_len_is_check_count():
         levels = range(2, min(n_max, mesh.num_steps) + 1)
         want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in levels)
         assert len(report.entries) == report.size == want == sum(1 for _ in report.entries)
-        assert report.n.size == report.k.size == report.lhs.size == report.rhs.size == len(report.prop) == want
+        assert report.n.size == report.k.size == report.lhs.size == report.rhs.size == report.code.size == want
+
+
+def test_empty_report():
+    # a 1-step mesh, or a level cap of 1, has no level n >= 2 to audit
+    for mesh, n_max in ((build_uniform_mesh(1.0, 1), 10), (build_uniform_mesh(1.0, 6), 1)):
+        report = audit_kernel_properties(mesh, 0.5, n_max)
+        assert report.size == 0 and len(report.entries) == 0
+        assert report.violations() == []
+        assert report.worst_slack() == {}
+        assert list(report.records()) == []
 
 
 def _write_csv_loop(path, result):
@@ -211,14 +213,6 @@ def _write_csv_loop(path, result):
                 w.writerow([alpha, m, e.n, e.prop, e.k, f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"])
 
 
-def _to_csv_loop(path, report):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "property", "k", "lhs", "rhs", "slack"])
-        for e in report.entries:
-            w.writerow([e.n, e.prop, e.k, repr(e.lhs), repr(e.rhs), repr(e.slack)])
-
-
 def test_kernel_audit_csv_matches_row_writer(tmp_path):
     fuzzed = run_kernel_audit(KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4))
     fixed = [(alpha, i, audit_kernel_properties(mesh, alpha, n_max))
@@ -227,10 +221,6 @@ def test_kernel_audit_csv_matches_row_writer(tmp_path):
     for result in results:
         write_kernel_audit_csv(tmp_path / "got.csv", result)
         _write_csv_loop(tmp_path / "want.csv", result)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    for _, _, report in fixed:
-        report.to_csv(tmp_path / "got.csv")
-        _to_csv_loop(tmp_path / "want.csv", report)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -247,17 +237,29 @@ def _worst_slack_loop(entries):
 
 
 def test_violations_and_worst_slack_match_scalar_recomputation():
-    report = audit_kernel_properties(build_graded_mesh(1.0, 10, 2.0), 0.6, 10)
-    assert report.violations() == [] and _violations_loop(report.entries) == []
-    report.add(11, "kernel_positive", 3, 1e-9, 2e-9)              # new worst of an audited property
-    report.add(11, "injected", 1, 1e6, 1e6 * (1 + 1e-14))         # round-off at scale 1e6
-    report.add(11, "injected", 2, 1e6, 1e6 * (1 + 1e-11))         # violation at scale 1e6
-    report.extend(12, np.array([4, 5]), injected=(np.array([2.0, 3.0]), np.array([1.0, 1.0])))
+    audited = audit_kernel_properties(build_graded_mesh(1.0, 10, 2.0), 0.6, 10)
+    assert audited.violations() == [] and _violations_loop(audited.entries) == []
+    report = _report([row[:5] for row in audited.records()] + [
+        (11, "kernel_positive", 3, 1e-9, 2e-9),              # new worst of an audited property
+        (11, "injected", 1, 1e6, 1e6 * (1 + 1e-14)),         # round-off at scale 1e6
+        (11, "injected", 2, 1e6, 1e6 * (1 + 1e-11)),         # violation at scale 1e6
+        (12, "injected", 4, 2.0, 1.0),
+        (12, "injected", 5, 3.0, 1.0),
+    ])
     entries = list(report.entries)
     bad = report.violations()
     assert bad == _violations_loop(entries)
     assert [(e.prop, e.n, e.k) for e in bad] == [("kernel_positive", 11, 3), ("injected", 11, 2)]
     assert report.worst_slack() == _worst_slack_loop(entries)
     assert report.worst_slack()["kernel_positive"] == (1e-9 - 2e-9, 11, 3)
+
+
+def test_report_columns_are_one_length_and_read_only():
     with pytest.raises(ValueError):
-        report.extend(13, np.array([1, 2]), injected=(np.zeros(2), np.zeros(3)))
+        AuditReport(("p",), [2, 2], [0, 0], [1, 2], np.zeros(2), np.zeros(3))
+    lhs = np.array([2.0, 3.0])
+    report = AuditReport(("p",), [2, 2], [0, 0], [1, 2], lhs, np.ones(2))
+    lhs[0] = -1.0                          # the report holds its own copy
+    assert report.violations() == []
+    with pytest.raises(ValueError):        # numpy refuses writes to a read-only array
+        report.lhs[0] = -1.0

@@ -15,7 +15,7 @@ import pytest
 import fracstep
 import fracstep.experiments as xp
 
-from fracstep.cli import _COMMANDS, EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, _spec_from_config, main
+from fracstep.cli import _COMMANDS, EXIT_AUDIT, EXIT_CONFIG, EXIT_NONCONV, EXIT_OK, _spec_from_config, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -151,6 +151,20 @@ def test_step_over_cap_is_an_audit_failure(tmp_path, capsys):
     assert len(meta["config_sha256"]) == 64
     assert meta["failure"].startswith("StepCapError: step 1: tau = ")
     assert os.listdir(out) == ["run_meta.json"]
+
+
+def test_step_that_does_not_advance_t_is_a_solver_failure(tmp_path, capsys):
+    # a vanishing tau_min and a huge eta let the controller propose, at step
+    # 68, a tau below the spacing of doubles at t_n: the run fails (3) there
+    # instead of reaching TimeMesh as a config error (4)
+    payload = {"alpha": 0.4, "T": 0.5, "M": 8, "epsilon": 0.05, "tau_min": 1e-300, "tau_max": 0.1,
+               "eta": 1e300, "snapshot_times": []}
+    cfg = _write_cfg(tmp_path, "cfg.json", payload)
+    out = tmp_path / "o"
+    assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_NONCONV
+    err = capsys.readouterr().err
+    assert "solver failure: step 68: tau = " in err and "does not advance t_n = " in err
+    assert _meta(out)["failure"].startswith("ConvergenceError: step 68: tau = ")
 
 
 def test_non_positive_weights_are_an_audit_failure(tmp_path, capsys, monkeypatch):
@@ -295,6 +309,29 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # the scipy-free claim holds for whole runs, not only for the import:
+    # with scipy made unimportable, each subcommand still exits 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    coarsen = dict(_TINY_COARSEN, M=8, T=0.05, enforce_cap=False, snapshot_times=[])
+    runs = [
+        ["rstar", "--config", os.path.join(REPO, "configs", "rstar.json")],
+        ["kernels", "--config", os.path.join(REPO, "configs", "kernels.json"), "--quick"],
+        ["accuracy", "--config", _write_cfg(tmp_path, "accuracy.json", _TINY_ACCURACY)],
+        ["coarsen", "--config", _write_cfg(tmp_path, "coarsen.json", coarsen)],
+    ]
+    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None    # every scipy import now raises ImportError\n"
+            "from fracstep.cli import main\n"
+            f"print('exit codes', [main(argv) for argv in {runs!r}])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "exit codes [0, 0, 0, 0]", proc.stdout + proc.stderr
 
 
 def test_every_exported_name_resolves():
