@@ -59,21 +59,33 @@ class AuditEntry:
 _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack is a violation
 
 
+def _column(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype, shared when it is one already
+    and owns its data (a read-only view could change through its base)."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.owndata \
+            and not values.flags.writeable:
+        return values
+    col = np.array(values, dtype=dtype)
+    col.flags.writeable = False
+    return col
+
+
 class AuditReport:
     """All audit rows for one mesh, built once as read-only columns.
 
     names lists the properties that have rows, in order of their first
     row; code indexes names, and n, code, k, lhs and rhs are arrays of one
-    length.  len() is the row count and iteration yields AuditEntry rows;
-    experiments.write_kernel_audit_csv is the one CSV writer for them.
+    length.  A column that is already a read-only array of its dtype owning
+    its data is shared, not copied (every report of one n_max shares the
+    n, code and k of _row_order); any other column is copied and the copy
+    made read-only.  len() is the row count and iteration yields AuditEntry
+    rows; experiments.write_kernel_audit_csv is the one CSV writer for them.
     """
 
     def __init__(self, names, n, code, k, lhs, rhs):
-        cols = [np.array(c, dtype=t) for c, t in zip((n, code, k, lhs, rhs), (np.int64,) * 3 + (float,) * 2)]
+        cols = [_column(c, t) for c, t in zip((n, code, k, lhs, rhs), (np.int64,) * 3 + (np.float64,) * 2)]
         if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
             raise ValueError(f"columns must be 1-D arrays of one length, got shapes {[c.shape for c in cols]}")
-        for c in cols:
-            c.flags.writeable = False
         self.names = tuple(names)
         self.n, self.code, self.k, self.lhs, self.rhs = cols
         self.size = self.n.size
@@ -276,4 +288,5 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     )
     ordered = [values[name] for _, props in _BLOCKS for name in props]
     lhs, rhs = (np.concatenate(side)[take] for side in zip(*ordered))
+    lhs.flags.writeable = rhs.flags.writeable = False      # so the report shares them
     return AuditReport(names, row_n, code, row_k, lhs, rhs)

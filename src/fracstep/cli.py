@@ -184,8 +184,16 @@ def _cmd_kernels(spec: xp.KernelAuditSpec, outdir: str) -> tuple:
     }
     print(f"{result.total_checks} inequality checks, {len(result.violations)} violations; "
           f"DGS residual {result.dgs_residual:.2e}")
-    bad = bool(result.violations) or result.dgs_residual > 1e-11 \
-        or min(result.dgs_min_G, result.dgs_min_R) < 0.0
+    # written "not x <= tol" so that a nan fails the check
+    dgs_bad = not result.dgs_residual <= 1e-11
+    if dgs_bad:
+        print(f"audit failure: DGS identity residual {result.dgs_residual:.2e} at history "
+              f"{result.dgs_worst_history} is not within 1e-11", file=sys.stderr)
+    forms_bad = not (result.dgs_min_G >= 0.0 and result.dgs_min_R >= 0.0)
+    if forms_bad:
+        print(f"audit failure: DGS forms min G = {result.dgs_min_G:.2e}, min R = "
+              f"{result.dgs_min_R:.2e} are not both nonnegative", file=sys.stderr)
+    bad = bool(result.violations) or dgs_bad or forms_bad
     return (EXIT_AUDIT if bad else EXIT_OK), [path], extra
 
 
@@ -197,9 +205,9 @@ def _cmd_rstar(spec: xp.RstarSpec, outdir: str) -> tuple:
         return EXIT_AUDIT, [], {}
     path = os.path.join(outdir, "rstar.csv")
     xp.write_rstar_csv(path, rows)
-    worst = max(row.residual for row in rows)
+    worst = max((row.residual for row in rows), key=lambda x: (x != x, x))   # nan is the worst
     extra = {"rows": len(rows), "worst_residual": worst}
-    if worst > 1e-11:
+    if not worst <= 1e-11:
         print(f"audit failure: root residual {worst:.2e} exceeds 1e-11", file=sys.stderr)
         return EXIT_AUDIT, [path], extra
     return EXIT_OK, [path], extra

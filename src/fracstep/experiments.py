@@ -261,9 +261,10 @@ class KernelAuditResult:
     reports: list              # (alpha, mesh index, AuditReport)
     total_checks: int
     violations: list           # (alpha, mesh index, AuditEntry)
-    dgs_residual: float        # worst relative DGS identity residual
+    dgs_residual: float        # worst relative DGS identity residual, nan if any is not finite
     dgs_min_G: float
     dgs_min_R: float
+    dgs_worst_history: int = 0     # the history with the worst (or first non-finite) residual
 
 
 def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
@@ -282,8 +283,7 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
                 violations.append((alpha, m, bad))
             reports.append((alpha, m, report))
 
-    worst = 0.0
-    min_G = min_R = math.inf
+    residuals, Gs, Rs = [], [], []
     for _ in range(spec.dgs_histories):
         alpha = float(rng.uniform(0.05, 0.95))
         order = as_order(alpha)
@@ -299,20 +299,44 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
         lhs = 2.0 * diffs[-1] * deriv
         rhs = G_n - G_prev + R_n + (2.0 * order.alpha / (2.0 - order.alpha)) * a0 * diffs[-1] ** 2
         scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-        min_G = min(min_G, G_n, G_prev)
-        min_R = min(min_R, R_n)
-    return KernelAuditResult(reports, total, violations, worst, min_G, min_R)
+        residuals.append(abs(lhs - rhs) / scale)    # nan when lhs, rhs, G or R is not finite
+        Gs += [G_n, G_prev]
+        Rs.append(R_n)
+    # numpy's max, min and argmax propagate nan, where Python's max and min skip it
+    worst_at = int(np.argmax(residuals)) if residuals else 0
+    return KernelAuditResult(reports, total, violations, float(np.max(residuals, initial=0.0)),
+                             float(np.min(Gs, initial=math.inf)), float(np.min(Rs, initial=math.inf)),
+                             worst_at)
 
 
 def write_kernel_audit_csv(path, result: KernelAuditResult) -> None:
-    """One CSV row per check, written with one formatted write per report
-    (never the whole file as one string)."""
+    """One CSV row per check, written with one write per report (never the
+    whole file as one string).
+
+    The bytes are those of formatting every row in full, but each distinct
+    lhs/rhs value of a report is formatted once, and the "n,property,k,"
+    row prefixes once per row layout, which every report of one n_max
+    shares.
+    """
+    prefixes = {}               # row layout -> its "n,property,k," strings
     with open(path, "w", newline="") as fh:
         fh.write("alpha,mesh,n,property,k,lhs,rhs,slack\r\n")
         for alpha, m, report in result.reports:
-            fmt = f"{float(alpha)!r},{m}," + "%d,%s,%d,%.16e,%.16e,%.6e\r\n"
-            fh.write("".join(fmt % row for row in report.records()))
+            layout = (report.names, report.n.tobytes(), report.code.tobytes(), report.k.tobytes())
+            if layout not in prefixes:
+                prefixes[layout] = [f"{n},{report.names[c]},{k}," for n, c, k in
+                                    zip(report.n.tolist(), report.code.tolist(), report.k.tolist())]
+            # distinct by bits, so 0.0 and -0.0 stay apart; every nan prints as nan
+            bits, where = np.unique(np.concatenate([report.lhs, report.rhs]).view(np.int64),
+                                    return_inverse=True)
+            text = np.array(list(map("%.16e,".__mod__, bits.view(np.float64).tolist())), dtype=object)[where]
+            # five parts a row: "alpha,mesh,", "n,property,k,", "lhs,", "rhs,", "slack\r\n"
+            parts = [f"{float(alpha)!r},{m},"] * (5 * report.size)
+            parts[1::5] = prefixes[layout]
+            parts[2::5] = text[: report.size].tolist()
+            parts[3::5] = text[report.size:].tolist()
+            parts[4::5] = map("%.6e\r\n".__mod__, (report.lhs - report.rhs).tolist())
+            fh.write("".join(parts))
 
 
 # -- step-ratio root table ---------------------------------------------------

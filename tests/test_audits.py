@@ -218,10 +218,39 @@ def test_kernel_audit_csv_matches_row_writer(tmp_path):
     fixed = [(alpha, i, audit_kernel_properties(mesh, alpha, n_max))
              for i, (mesh, alpha, n_max) in enumerate(_audit_meshes()[:2])]
     results = [fuzzed, KernelAuditResult(fixed, sum(len(r.entries) for *_, r in fixed), [], 0.0, 0.0, 0.0)]
+    # values that formatting each distinct bit pattern once could get wrong
+    nan_payload = float(np.array(0x7FF8000000000001).view(np.float64))
+    special = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf, 5e-324, -2.5e-310]
+    rows = [(2, "p", i + 1, v, w) for i, (v, w) in enumerate(zip(special, special[::-1]))]
+    rows += [(3, "q", 1, 1.5, -0.0), (3, "p", 2, 0.25, 1.5)]       # 1.5 as a lhs and as a rhs
+    # the same n, code and k columns as rows[:9], under another property name
+    same_columns = _report([(2, "q", i + 1, v, 0.0) for i, v in enumerate(special)])
+    empty = AuditReport((), [], [], [], [], [])
+    hand = [(0.5, 0, _report(rows)), (0.5, 1, empty), (0.5, 2, _report(rows[:9])), (0.25, 3, same_columns),
+            (0.25, 4, _report(rows[-2:])), (0.5, 5, empty)]
+    results.append(KernelAuditResult(hand, sum(len(r) for *_, r in hand), [], 0.0, 0.0, 0.0))
     for result in results:
         write_kernel_audit_csv(tmp_path / "got.csv", result)
         _write_csv_loop(tmp_path / "want.csv", result)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_reports_at_one_n_max_share_their_row_layout():
+    rng = np.random.default_rng(3)
+    first, second = (audit_kernel_properties(random_ratio_mesh(rng, 10, min_step_ratio(0.4)), 0.4, 10)
+                     for _ in range(2))
+    for name in ("n", "code", "k"):
+        assert np.shares_memory(getattr(first, name), getattr(second, name))
+    assert not np.shares_memory(first.lhs, second.lhs)
+    for report in (first, second):
+        for name in ("n", "code", "k", "lhs", "rhs"):
+            assert not getattr(report, name).flags.writeable
+    base = np.array([2.0, 3.0])
+    view = base[:]
+    view.flags.writeable = False
+    report = AuditReport(("p",), [2, 2], [0, 0], [1, 2], view, np.ones(2))
+    base[0] = -1.0                         # a read-only view of a writable array is copied
+    assert report.violations() == []
 
 
 def _violations_loop(entries, floor=1e-13):

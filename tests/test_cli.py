@@ -198,6 +198,42 @@ def test_coarsen_non_finite_energy_is_an_audit_failure(tmp_path, capsys, monkeyp
     assert _meta(out)["dissipation_violations"] == 1
 
 
+def test_non_finite_dgs_form_is_an_audit_failure(tmp_path, capsys, monkeypatch):
+    # a nan G_n must not vanish in the worst residual or the least G: exit 2, naming the history
+    real = xp.dgs_forms
+    calls = []
+
+    def nan_at_second_history(kern_prev, kern_curr, diffs):
+        G_n, G_prev, R_n = real(kern_prev, kern_curr, diffs)
+        calls.append(None)
+        return (math.nan if len(calls) == 2 else G_n), G_prev, R_n
+
+    monkeypatch.setattr(xp, "dgs_forms", nan_at_second_history)
+    cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.5], "num_meshes": 1, "n_max": 4, "dgs_histories": 3})
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
+    captured = capsys.readouterr()
+    assert "DGS residual nan" in captured.out
+    assert "audit failure: DGS identity residual nan at history 1" in captured.err
+    meta = _meta(out)
+    assert math.isnan(meta["dgs_worst_residual"]) and math.isnan(meta["dgs_min_G"])
+
+
+def test_non_finite_root_residual_is_an_audit_failure(tmp_path, capsys, monkeypatch):
+    # a nan residual after a finite one is still the worst
+    real = xp.rstar_table
+
+    def nan_last(alphas):
+        rows = real(alphas)
+        rows[-1] = dataclasses.replace(rows[-1], residual=math.nan)
+        return rows
+
+    monkeypatch.setattr(xp, "rstar_table", nan_last)
+    cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.1, 0.5]})
+    assert main(["rstar", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_AUDIT
+    assert "audit failure: root residual nan" in capsys.readouterr().err
+
+
 def test_accuracy_tiny(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "cfg.json", _TINY_ACCURACY)
     out = tmp_path / "out"
