@@ -208,7 +208,7 @@ def _cmd_rstar(spec: xp.RstarSpec, outdir: str) -> tuple:
     worst = max((row.residual for row in rows), key=lambda x: (x != x, x))   # nan is the worst
     extra = {"rows": len(rows), "worst_residual": worst}
     if not worst <= 1e-11:
-        print(f"audit failure: root residual {worst:.2e} exceeds 1e-11", file=sys.stderr)
+        print(f"audit failure: root residual {worst:.2e} is not within 1e-11", file=sys.stderr)
         return EXIT_AUDIT, [path], extra
     return EXIT_OK, [path], extra
 
