@@ -10,9 +10,9 @@ fractional derivative uses the split form from kernels.py, so each step
 solves a nonlinear equation in phi^n with all history frozen.  A plain
 fixed-point iteration lags the cubic term; each sweep inverts the
 constant-coefficient operator (D I - (1-theta) eps^2 Lap) exactly by one
-real 2-D FFT, since the periodic five-point Laplacian is diagonal in the
-discrete Fourier basis.  The Crank-Nicolson reference step shares the
-same sweep loop.
+real 2-D FFT, taken one axis at a time, since the periodic five-point
+Laplacian is diagonal in the discrete Fourier basis.  The Crank-Nicolson
+reference step shares the same sweep loop.
 
 Each step's sweeps start from the Lagrange extrapolation to t_n through
 the last min(n, 4) levels (phi^0 itself at n = 1), clipped pointwise into
@@ -141,6 +141,16 @@ def step_size_cap(alpha: float, h: float, epsilon: float) -> float:
     return min(reaction, diffusion)
 
 
+@functools.lru_cache(maxsize=4)
+def _half_spectrum_sines(grid: Grid2D) -> np.ndarray:
+    """sin^2(pi k / M) + sin^2(pi l / M) on the real half-spectrum, once per grid; read-only."""
+    M = grid.M
+    s = np.sin(np.pi * np.arange(M) / M) ** 2
+    S = s[:, None] + s[None, : M // 2 + 1]
+    S.flags.writeable = False
+    return S
+
+
 def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfig, x0, where: str):
     """Lagged fixed point of (c I - nu Lap) psi = rhs_fixed - weight f(psi), from x0.
 
@@ -148,17 +158,35 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
     and diagonal in the 2-D DFT with symbol
     c + (4 nu / h^2) (sin^2(pi k / M) + sin^2(pi l / M)); each sweep
     inverts it exactly on the real half-spectrum.  Returns (psi, sweeps).
+
+    The transforms run one axis at a time (rfft along rows, fft along
+    columns, and back), which gives the same bits as rfft2/irfft2, and
+    every sweep writes into buffers made once per call.  x0 and rhs_fixed
+    are only read; the returned psi is a buffer that no later sweep writes.
     """
     M = cfg.grid.M
-    s = np.sin(np.pi * np.arange(M) / M) ** 2
-    symbol = c + (4.0 * nu / cfg.grid.h**2) * (s[:, None] + s[None, : M // 2 + 1])
+    # The complex cast is exact, and the one numpy applies to a real divisor anyway.
+    symbol = (c + (4.0 * nu / cfg.grid.h**2) * _half_spectrum_sines(cfg.grid)).astype(complex)
+    spec = np.empty(symbol.shape, dtype=complex)
+    work = np.empty((M, M))                        # the reaction, the rhs, then the change
+    levels = (np.empty((M, M)), np.empty((M, M)))  # psi_new alternates between the two
     psi = x0
     for sweep in range(1, _FIXED_POINT_MAX_ITER + 1):
-        rhs = rhs_fixed - weight * _reaction(psi)
-        psi_new = np.fft.irfft2(np.fft.rfft2(rhs) / symbol, s=rhs.shape)
-        # A difference is finite only if both iterates are, so this one
-        # check catches a non-finite field on the sweep it appears.
-        change = norm_inf(psi_new - psi)
+        np.multiply(psi, psi, out=work)
+        work *= psi
+        work -= psi
+        work *= weight
+        np.subtract(rhs_fixed, work, out=work)
+        np.fft.rfft(work, axis=1, out=spec)
+        np.fft.fft(spec, axis=0, out=spec)
+        spec /= symbol
+        np.fft.ifft(spec, axis=0, out=spec)
+        psi_new = np.fft.irfft(spec, n=M, axis=1, out=levels[sweep % 2])
+        # A difference is finite only if both iterates are, and max
+        # propagates nan, so this one check catches a non-finite field on
+        # the sweep it appears.
+        np.subtract(psi_new, psi, out=work)
+        change = float(np.abs(work, out=work).max())
         if not math.isfinite(change):
             raise ConvergenceError(f"{where} hit non-finite values in the field at sweep {sweep}")
         psi = psi_new
@@ -247,7 +275,7 @@ class SolveTrajectory:
     cap_ok: np.ndarray
     ratio_ok: np.ndarray
     notes: list
-    history_capacity: int           # levels allocated in the field stack
+    history_capacity: int           # peak levels allocated in the field stack
 
     @property
     def num_steps(self) -> int:
@@ -308,6 +336,14 @@ class FieldHistory:
         self._stack[n] = phi
         self._len = n + 1
 
+    def shrink(self) -> None:
+        """Resize both buffers in place to the stored levels, releasing the unused tail.
+
+        Like a push, this invalidates every view handed out before it.
+        """
+        self._stack.resize((self._len, *self._stack.shape[1:]), refcheck=False)
+        self._dist.resize(self._len, refcheck=False)
+
 
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = True) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
@@ -323,7 +359,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     sized to the mesh (a fixed mesh never grows it) or to the warm-up of
     an adaptive schedule, which grows it in place by a quarter when full.
     step and modified_energy read views of it taken afresh each step, so
-    G costs one pass over the stack.  Energy records are optional.
+    G costs one pass over the stack.  On return the history is shrunk in
+    place to the used levels, and history_capacity reports the peak
+    allocation.  Energy records are optional.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -389,6 +427,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
             lhs = dissipation_lhs(records[-1], rec, order, kernels.a[0], tau_n, step_sq)
             records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
 
+    capacity = history.capacity     # the peak: a history only grows until it is shrunk
+    history.shrink()
     mesh = TimeMesh(np.asarray(nodes))
     return SolveTrajectory(
         mesh=mesh,
@@ -400,5 +440,5 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
         cap_ok=np.asarray(cap_ok, dtype=bool),
         ratio_ok=np.asarray(ratio_ok, dtype=bool),
         notes=notes,
-        history_capacity=history.capacity,
+        history_capacity=capacity,
     )

@@ -62,6 +62,22 @@ def test_laplacian_constant_is_zero():
     assert np.allclose(laplacian(np.full((16, 16), 2.5), g), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("M", [4, 9, 16])
+def test_stencils_are_bitwise_the_roll_formulas(M):
+    rng = np.random.default_rng(M)
+    g = Grid2D(M=M, L=TWO_PI)
+    u = rng.standard_normal((M, M))
+    lap = (
+        np.roll(u, 1, axis=0) + np.roll(u, -1, axis=0)
+        + np.roll(u, 1, axis=1) + np.roll(u, -1, axis=1)
+        - 4.0 * u
+    ) / g.h**2
+    dx = np.roll(u, -1, axis=0) - u
+    dy = np.roll(u, -1, axis=1) - u
+    assert np.array_equal(laplacian(u, g).view(np.uint64), lap.view(np.uint64))
+    assert grad_energy(u, g) == grid_sum(dx * dx + dy * dy)
+
+
 def test_symbol_second_order_accuracy():
     g = Grid2D(M=256, L=TWO_PI)
     assert stencil_symbol(g, 1.0) == pytest.approx(-1.0, abs=1e-4)

@@ -107,6 +107,54 @@ def test_linear_solver_recovers_known_field():
         assert sweeps == 2
 
 
+def _fixed_point_2d_reference(rhs_fixed, c, nu, weight, cfg, x0):
+    """The sweep loop as it was before the per-axis transforms: rfft2/irfft2
+    and fresh temporaries each sweep.  Returns (psi, sweeps)."""
+    M = cfg.grid.M
+    s = np.sin(np.pi * np.arange(M) / M) ** 2
+    symbol = c + (4.0 * nu / cfg.grid.h**2) * (s[:, None] + s[None, : M // 2 + 1])
+    psi = x0
+    for sweep in range(1, solver._FIXED_POINT_MAX_ITER + 1):
+        rhs = rhs_fixed - weight * (psi * psi * psi - psi)
+        psi_new = np.fft.irfft2(np.fft.rfft2(rhs) / symbol, s=rhs.shape)
+        change = norm_inf(psi_new - psi)
+        psi = psi_new
+        if change <= solver._FIXED_POINT_TOL:
+            return psi, sweep
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("M", [9, 16, 64])
+@pytest.mark.parametrize("weight", [0.0, 0.5, 0.8])
+@pytest.mark.parametrize("nu", [0.0, 0.06])
+def test_fixed_point_is_bitwise_the_2d_transform_loop(M, weight, nu):
+    # the per-axis transforms and reused buffers do the same arithmetic as
+    # the 2-D loop, read their inputs only and return an array of their own
+    rng = np.random.default_rng(M + int(10 * weight) + int(100 * nu))
+    cfg = _cfg(M=M)
+    c = 3.0
+    rhs_fixed = rng.uniform(-1.5, 1.5, (M, M))
+    x0 = rng.uniform(-1.0, 1.0, (M, M))
+    rhs_copy, x0_copy = rhs_fixed.copy(), x0.copy()
+    psi, sweeps = _fixed_point(rhs_fixed, c, nu, weight, cfg, x0, "bitwise")
+    want, want_sweeps = _fixed_point_2d_reference(rhs_fixed, c, nu, weight, cfg, x0)
+    assert sweeps == want_sweeps and (weight == 0.0 or sweeps > 2)
+    assert np.array_equal(psi.view(np.uint64), want.view(np.uint64))
+    assert not np.shares_memory(psi, x0) and not np.shares_memory(psi, rhs_fixed)
+    assert np.array_equal(rhs_fixed, rhs_copy) and np.array_equal(x0, x0_copy)
+
+
+def test_late_non_finite_value_raises_at_its_sweep():
+    # sweep 1 gives a finite field of size 1e120, whose cube overflows on
+    # sweep 2; a reused buffer must not carry the overflow past that sweep
+    cfg = _cfg(M=8)
+    rhs_fixed = np.full((8, 8), 1e120)
+    rhs_fixed[2, 5] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite values in the field at sweep 2$"):
+            _fixed_point(rhs_fixed, 1.0, 0.06, 0.5, cfg, np.zeros((8, 8)), "late")
+
+
 @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
 def test_steady_states_preserved(value):
     # the three zeros of phi^3 - phi are discrete fixed points
@@ -461,6 +509,21 @@ def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes():
     assert np.array_equal(grown.fp_iters, fixed.fp_iters)
     for a, b in zip(grown.energy, fixed.energy, strict=True):
         assert (a.E, a.E_alpha, a.dissipation_lhs) == (b.E, b.E_alpha, b.dissipation_lhs)
+
+
+def test_run_shrinks_a_grown_history_to_its_levels():
+    # the stack grew past the levels used; run resizes it in place on
+    # return, and history_capacity still reports the peak allocation
+    rng = np.random.default_rng(4)
+    cfg = _cfg()
+    warm = build_graded_mesh(0.01, 2, 1.0)
+    sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
+    traj = run(cfg, sched, rng.uniform(-0.5, 0.5, (8, 8)), record_energy=False)
+    owner = traj.fields.base
+    assert owner.flags.owndata and owner.base is None
+    assert owner.shape == (traj.num_steps + 1, 8, 8)
+    sizes = _growth_sizes(len(warm.nodes), traj.num_steps + 1)
+    assert len(sizes) >= 4 and traj.history_capacity == sizes[-1] > traj.num_steps + 1
 
 
 def test_adaptive_run_grows_stack_and_matches_manual_stepping():
