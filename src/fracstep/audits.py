@@ -79,7 +79,9 @@ class AuditReport:
     its data is shared, not copied (every report of one n_max shares the
     n, code and k of _row_order); any other column is copied and the copy
     made read-only.  len() is the row count and iteration yields AuditEntry
-    rows; experiments.write_kernel_audit_csv is the one CSV writer for them.
+    rows.  summary() condenses the rows per property, and
+    experiments.write_kernel_audit_csv writes that summary and the
+    violations() rows.
     """
 
     def __init__(self, names, n, code, k, lhs, rhs):
@@ -111,18 +113,34 @@ class AuditReport:
         return AuditEntry(int(self.n[i]), self.names[self.code[i]], int(self.k[i]),
                           float(self.lhs[i]), float(self.rhs[i]))
 
+    @functools.cached_property
+    def _violating(self) -> np.ndarray:
+        """Read-only row mask: slack negative beyond round-off (_SLACK_FLOOR at
+        the row's scale), or lhs, rhs or slack not finite."""
+        slack = self.lhs - self.rhs       # not finite whenever lhs or rhs is not
+        tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
+        mask = (slack < -tol) | ~np.isfinite(slack)
+        mask.flags.writeable = False
+        return mask
+
     def violations(self):
         """Entries whose slack is negative beyond round-off (_SLACK_FLOOR at
         their scale), and every entry whose lhs, rhs or slack is not finite."""
-        slack = self.lhs - self.rhs       # not finite whenever lhs or rhs is not
-        tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
-        return [self._entry(i) for i in np.flatnonzero((slack < -tol) | ~np.isfinite(slack))]
+        return [self._entry(i) for i in np.flatnonzero(self._violating)]
+
+    def summary(self):
+        """Per property in names order, (checks, violations, worst) as int
+        arrays: the row count, the violations() count and the row of least
+        slack (np.argmin takes the first nan, so a nan slack ranks worst)."""
+        size, slack = len(self.names), self.lhs - self.rhs
+        rows = (np.flatnonzero(self.code == c) for c in range(size))
+        worst = np.array([r[np.argmin(slack[r])] for r in rows], dtype=np.int64)
+        checks = np.bincount(self.code, minlength=size)
+        return checks, np.bincount(self.code[self._violating], minlength=size), worst
 
     def worst_slack(self):
         """Minimum slack per property, as {prop: (slack, n, k)} in names order."""
-        slack = self.lhs - self.rhs
-        rows = (np.flatnonzero(self.code == c) for c in range(len(self.names)))
-        worst = (self._entry(r[np.argmin(slack[r])]) for r in rows)
+        worst = (self._entry(i) for i in self.summary()[2].tolist())
         return {e.prop: (e.slack, e.n, e.k) for e in worst}
 
 

@@ -173,8 +173,7 @@ def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
 
 def _cmd_kernels(spec: xp.KernelAuditSpec, outdir: str) -> tuple:
     result = xp.run_kernel_audit(spec)
-    path = os.path.join(outdir, "kernel_audit.csv")
-    xp.write_kernel_audit_csv(path, result)
+    files = xp.write_kernel_audit_csv(outdir, result)
     extra = {
         "total_checks": int(result.total_checks),
         "violations": len(result.violations),
@@ -184,6 +183,12 @@ def _cmd_kernels(spec: xp.KernelAuditSpec, outdir: str) -> tuple:
     }
     print(f"{result.total_checks} inequality checks, {len(result.violations)} violations; "
           f"DGS residual {result.dgs_residual:.2e}")
+    if result.violations:
+        # the least slack, a nan slack first (nan == nan is False)
+        alpha, m, e = min(result.violations, key=lambda v: (v[2].slack == v[2].slack, v[2].slack))
+        print(f"audit failure: {len(result.violations)} kernel inequality violations; the worst is "
+              f"alpha {alpha:g}, mesh {m}, {e.prop} at n = {e.n}, k = {e.k}, slack {e.slack:.2e} "
+              f"(all rows in kernel_violations.csv)", file=sys.stderr)
     # written "not x <= tol" so that a nan fails the check
     dgs_bad = not result.dgs_residual <= 1e-11
     if dgs_bad:
@@ -194,7 +199,7 @@ def _cmd_kernels(spec: xp.KernelAuditSpec, outdir: str) -> tuple:
         print(f"audit failure: DGS forms min G = {result.dgs_min_G:.2e}, min R = "
               f"{result.dgs_min_R:.2e} are not both nonnegative", file=sys.stderr)
     bad = bool(result.violations) or dgs_bad or forms_bad
-    return (EXIT_AUDIT if bad else EXIT_OK), [path], extra
+    return (EXIT_AUDIT if bad else EXIT_OK), files, extra
 
 
 def _cmd_rstar(spec: xp.RstarSpec, outdir: str) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -220,8 +221,6 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
 
 def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -> list:
     """Emit energy CSV, step CSV, and the snapshot at each level_at(t); returns the paths."""
-    import os
-
     grid = Grid2D(M=spec.M, L=2.0 * np.pi)
     paths = []
     energy_path = os.path.join(outdir, "energy.csv")
@@ -309,34 +308,35 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
                              worst_at)
 
 
-def write_kernel_audit_csv(path, result: KernelAuditResult) -> None:
-    """One CSV row per check, written with one write per report (never the
-    whole file as one string).
+def write_kernel_audit_csv(outdir, result: KernelAuditResult) -> list:
+    """Write the audit as kernel_audit.csv, one row per (alpha, mesh,
+    property) with its checks, its violations and its row of least slack,
+    and kernel_violations.csv, every row of result.violations (those of
+    AuditReport.violations()) in full, only the header when the audit is
+    clean.  Returns both paths.
 
-    The bytes are those of formatting every row in full, but each distinct
-    lhs/rhs value of a report is formatted once, and the "n,property,k,"
-    row prefixes once per row layout, which every report of one n_max
-    shares.
+    Every lhs, rhs and summary slack is written as round-trip %.16e; the
+    per-check rows stay reproducible from (config, seed) through
+    run_kernel_audit.
     """
-    prefixes = {}               # row layout -> its "n,property,k," strings
-    with open(path, "w", newline="") as fh:
-        fh.write("alpha,mesh,n,property,k,lhs,rhs,slack\r\n")
+    summary_path = os.path.join(outdir, "kernel_audit.csv")
+    violations_path = os.path.join(outdir, "kernel_violations.csv")
+    with open(summary_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["alpha", "mesh", "property", "checks", "violations",
+                    "worst_n", "worst_k", "worst_lhs", "worst_rhs", "worst_slack"])
         for alpha, m, report in result.reports:
-            layout = (report.names, report.n.tobytes(), report.code.tobytes(), report.k.tobytes())
-            if layout not in prefixes:
-                prefixes[layout] = [f"{n},{report.names[c]},{k}," for n, c, k in
-                                    zip(report.n.tolist(), report.code.tolist(), report.k.tolist())]
-            # distinct by bits, so 0.0 and -0.0 stay apart; every nan prints as nan
-            bits, where = np.unique(np.concatenate([report.lhs, report.rhs]).view(np.int64),
-                                    return_inverse=True)
-            text = np.array(list(map("%.16e,".__mod__, bits.view(np.float64).tolist())), dtype=object)[where]
-            # five parts a row: "alpha,mesh,", "n,property,k,", "lhs,", "rhs,", "slack\r\n"
-            parts = [f"{float(alpha)!r},{m},"] * (5 * report.size)
-            parts[1::5] = prefixes[layout]
-            parts[2::5] = text[: report.size].tolist()
-            parts[3::5] = text[report.size:].tolist()
-            parts[4::5] = map("%.6e\r\n".__mod__, (report.lhs - report.rhs).tolist())
-            fh.write("".join(parts))
+            checks, bad, worst = report.summary()
+            cols = zip(report.names, checks.tolist(), bad.tolist(), report.n[worst].tolist(),
+                       report.k[worst].tolist(), report.lhs[worst].tolist(), report.rhs[worst].tolist())
+            w.writerows([float(alpha), m, prop, c, v, n, k, f"{x:.16e}", f"{y:.16e}", f"{x - y:.16e}"]
+                        for prop, c, v, n, k, x, y in cols)
+    with open(violations_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"])
+        w.writerows([float(alpha), m, e.n, e.prop, e.k, f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"]
+                    for alpha, m, e in result.violations)
+    return [summary_path, violations_path]
 
 
 # -- step-ratio root table ---------------------------------------------------

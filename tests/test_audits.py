@@ -200,39 +200,78 @@ def test_empty_report():
         assert report.size == 0 and len(report.entries) == 0
         assert report.violations() == []
         assert report.worst_slack() == {}
+        assert [col.size for col in report.summary()] == [0, 0, 0]
         assert list(report.records()) == []
 
 
-def _write_csv_loop(path, result):
-    # the per-row csv.writer loop the formatted writer replaced, kept as the reference
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"])
-        for alpha, m, report in result.reports:
-            for e in report.entries:
-                w.writerow([alpha, m, e.n, e.prop, e.k, f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"])
+def _same_bits(text, value):
+    # %.16e round-trips every float; a nan keeps neither its sign nor its payload
+    got = float(text)
+    if math.isnan(value):
+        return math.isnan(got)
+    return np.float64(got).view(np.int64) == np.float64(value).view(np.int64)
 
 
-def test_kernel_audit_csv_matches_row_writer(tmp_path):
+def _audit_results():
     fuzzed = run_kernel_audit(KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4))
     fixed = [(alpha, i, audit_kernel_properties(mesh, alpha, n_max))
              for i, (mesh, alpha, n_max) in enumerate(_audit_meshes()[:2])]
-    results = [fuzzed, KernelAuditResult(fixed, sum(len(r.entries) for *_, r in fixed), [], 0.0, 0.0, 0.0)]
-    # values that formatting each distinct bit pattern once could get wrong
+    # values a summary could get wrong: signed zeros, nans (one with a payload), infinities, subnormals
     nan_payload = float(np.array(0x7FF8000000000001).view(np.float64))
     special = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf, 5e-324, -2.5e-310]
     rows = [(2, "p", i + 1, v, w) for i, (v, w) in enumerate(zip(special, special[::-1]))]
-    rows += [(3, "q", 1, 1.5, -0.0), (3, "p", 2, 0.25, 1.5)]       # 1.5 as a lhs and as a rhs
-    # the same n, code and k columns as rows[:9], under another property name
+    rows += [(3, "q", 1, 1.5, -0.0), (3, "p", 2, 0.25, 1.5)]
+    # either side of the round-off floor at scale 1e6
+    floor = [(4, "r", 1, 1e6, 1e6 * (1 + 1e-14)), (4, "r", 2, 1e6, 1e6 * (1 + 1e-11)), (4, "r", 3, 2.0, 1.0)]
     same_columns = _report([(2, "q", i + 1, v, 0.0) for i, v in enumerate(special)])
     empty = AuditReport((), [], [], [], [], [])
     hand = [(0.5, 0, _report(rows)), (0.5, 1, empty), (0.5, 2, _report(rows[:9])), (0.25, 3, same_columns),
-            (0.25, 4, _report(rows[-2:])), (0.5, 5, empty)]
-    results.append(KernelAuditResult(hand, sum(len(r) for *_, r in hand), [], 0.0, 0.0, 0.0))
-    for result in results:
-        write_kernel_audit_csv(tmp_path / "got.csv", result)
-        _write_csv_loop(tmp_path / "want.csv", result)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+            (0.25, 4, _report(rows[-2:] + floor)), (0.5, 5, empty)]
+    results = [fuzzed]
+    for reports in (fixed, hand):
+        bad = [(alpha, m, e) for alpha, m, r in reports for e in r.violations()]
+        results.append(KernelAuditResult(reports, sum(len(r) for *_, r in reports), bad, 0.0, 0.0, 0.0))
+    return results
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_kernel_audit_summary_matches_report_columns(tmp_path):
+    for result in _audit_results():
+        paths = write_kernel_audit_csv(tmp_path, result)
+        assert paths == [str(tmp_path / "kernel_audit.csv"), str(tmp_path / "kernel_violations.csv")]
+        header, *summary = _read_rows(paths[0])
+        assert header == ["alpha", "mesh", "property", "checks", "violations",
+                          "worst_n", "worst_k", "worst_lhs", "worst_rhs", "worst_slack"]
+        assert [(float(a), int(m), p) for a, m, p, *_ in summary] == \
+            [(alpha, m, p) for alpha, m, r in result.reports for p in r.names]
+        assert sum(int(row[3]) for row in summary) == result.total_checks
+        assert sum(int(row[4]) for row in summary) == len(result.violations)
+        reports = {(alpha, m): r for alpha, m, r in result.reports}
+        for a, m, prop, checks, bad, n, k, lhs, rhs, slack in summary:
+            report = reports[float(a), int(m)]
+            entries = [e for e in report.entries if e.prop == prop]
+            assert int(checks) == len(entries)
+            assert int(bad) == len(_violations_loop(entries))
+            worst, wn, wk = report.worst_slack()[prop]
+            assert (int(n), int(k)) == (wn, wk) and _same_bits(slack, worst)
+            (row,) = [e for e in entries if (e.n, e.k) == (wn, wk)]
+            assert _same_bits(lhs, row.lhs) and _same_bits(rhs, row.rhs)
+        # the violations file keeps the per-check row format, exactly the violations() rows
+        header, *violating = _read_rows(paths[1])
+        assert header == ["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]
+        assert violating == [[repr(float(alpha)), str(m), str(e.n), e.prop, str(e.k),
+                              f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"]
+                             for alpha, m, r in result.reports for e in r.violations()]
+        assert len(violating) == len(result.violations)
+    # a nan slack is the worst of its property and a violation; the floor splits the scale-1e6 rows
+    by_row = {(a, m, p): row for a, m, p, *row in _read_rows(paths[0])[1:]}
+    assert by_row["0.5", "2", "p"][:4] == ["9", "5", "2", "3"] and math.isnan(float(by_row["0.5", "2", "p"][-1]))
+    assert by_row["0.25", "4", "r"][:4] == ["3", "1", "4", "2"]
+    assert [(m, n, k) for _, m, n, p, k, *_ in violating if p == "r"] == [("4", "4", "2")]
 
 
 def test_reports_at_one_n_max_share_their_row_layout():
@@ -254,7 +293,9 @@ def test_reports_at_one_n_max_share_their_row_layout():
 
 
 def _violations_loop(entries, floor=1e-13):
-    return [e for e in entries if e.slack < -floor * max(1.0, abs(e.lhs), abs(e.rhs))]
+    # a row passes only with a finite slack at or above the floor at its scale
+    return [e for e in entries
+            if not (math.isfinite(e.slack) and e.slack >= -floor * max(1.0, abs(e.lhs), abs(e.rhs)))]
 
 
 def _worst_slack_loop(entries):

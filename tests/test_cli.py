@@ -91,7 +91,42 @@ def test_kernels_happy_path_with_seed_override(tmp_path, capsys):
     assert meta["seed"] == 7          # CLI flag wins over the config value
     assert meta["violations"] == 0
     assert meta["dgs_worst_residual"] < 1e-11
-    assert (out / "kernel_audit.csv").exists()
+    assert (out / "kernel_audit.csv").exists() and (out / "kernel_violations.csv").exists()
+    assert meta["files"] == ["kernel_audit.csv", "kernel_violations.csv"]
+    with open(out / "kernel_violations.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]]
+    # one summary row per property of each report: 2 meshes, n_max = 5 has all 12 properties
+    with open(out / "kernel_audit.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    spec = xp.KernelAuditSpec(alphas=(0.4,), num_meshes=2, n_max=5, dgs_histories=3, seed=7)
+    result = xp.run_kernel_audit(spec)
+    assert [(row["mesh"], row["property"]) for row in summary] == \
+        [(str(m), p) for _, m, r in result.reports for p in r.names]
+    assert len(summary) == 2 * 12
+    assert sum(int(row["checks"]) for row in summary) == meta["total_checks"]
+
+
+def test_kernel_inequality_violation_is_an_audit_failure(tmp_path, capsys, monkeypatch):
+    # one negative-slack row and one nan row: exit 2, naming the worst, both rows in kernel_violations.csv
+    rows = [(2, "kernel_positive", 1, 1.0, 0.0), (3, "kernel_positive", 1, -2.0, 0.0),
+            (3, "moment_ratio_gap", 2, math.nan, 1.0), (3, "moment_ratio_gap", 1, 2.0, 1.0)]
+    names = ["kernel_positive", "moment_ratio_gap"]
+    n, prop, k, lhs, rhs = zip(*rows)
+    report = fracstep.AuditReport(names, n, [names.index(p) for p in prop], k, lhs, rhs)
+    monkeypatch.setattr(xp, "audit_kernel_properties", lambda mesh, order, n_max: report)
+    cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.5], "num_meshes": 1, "n_max": 4, "dgs_histories": 1})
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert ("audit failure: 2 kernel inequality violations; the worst is alpha 0.5, mesh 0, "
+            "moment_ratio_gap at n = 3, k = 2, slack nan (all rows in kernel_violations.csv)") in err
+    assert _meta(out)["violations"] == 2
+    with open(out / "kernel_violations.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            ["0.5", "0", "3", "kernel_positive", "1", "-2.0000000000000000e+00", "0.0000000000000000e+00",
+             "-2.000000e+00"],
+            ["0.5", "0", "3", "moment_ratio_gap", "2", "nan", "1.0000000000000000e+00", "nan"],
+        ]
 
 
 def test_kernels_quick_caps_mesh_count(tmp_path):

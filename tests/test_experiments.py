@@ -182,15 +182,17 @@ def test_kernel_audit_fuzz_small():
     assert result.dgs_min_R >= 0.0
 
 
-def test_kernel_audit_csv(tmp_path):
-    spec = KernelAuditSpec(alphas=(0.5,), num_meshes=1, n_max=4, dgs_histories=1, seed=2)
+def test_kernel_audit_csv_is_a_summary_and_its_violations(tmp_path):
+    spec = KernelAuditSpec(alphas=(0.5,), num_meshes=2, n_max=4, dgs_histories=1, seed=2)
     result = run_kernel_audit(spec)
-    path = tmp_path / "audit.csv"
-    write_kernel_audit_csv(path, result)
-    with open(path, newline="") as fh:
+    summary_path, violations_path = write_kernel_audit_csv(tmp_path, result)
+    with open(summary_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]
-    assert len(rows) == 1 + result.total_checks
+    assert rows[0][:5] == ["alpha", "mesh", "property", "checks", "violations"]
+    assert len(rows) == 1 + sum(len(r.names) for *_, r in result.reports) == 1 + 2 * 12
+    assert sum(int(row[3]) for row in rows[1:]) == result.total_checks
+    with open(violations_path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]]
 
 
 def test_rstar_table_monotone_with_tight_residuals(tmp_path):
