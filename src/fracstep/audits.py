@@ -10,18 +10,21 @@ kernel_tables pass, each property is evaluated as one array expression
 over all levels, and the report is built once from read-only columns
 (n, property, k, lhs, rhs) rather than one object per check.
 
-Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta):
-  kernel_decreasing        A[m-1] > A[m] > 0
+Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta).
+A report groups its rows by property in this order (the properties that
+start at level 2, then 3, then 4), and orders each one's rows by n, then k.
+  kernel_decreasing        A[n-k-1] > A[n-k]
+  kernel_positive          A[n-k] > 0
   kernel_level_decay       A_prev[n-1-k] > A[n-k]
+  left_curvature_gap       I[n-k] > (1 + beta_{k+1}) Z[n-k]
+  right_curvature_gap      J[n-k] > 3 Z[n-k]
+  head_moment_bound        r_n Z[1] < alpha/(3(2-alpha)) * weight(t_{n-1})
   kernel_diff_decay        A_prev gaps dominate A gaps, offset by one
   moment_level_decay       Z[n-k] < Z_prev[n-1-k]
   moment_ratio_gap         Z[n-k-1] > r_{k+1} Z[n-k]
-  moment_ratio_gap_decay   the same gap grows when moving to level n-1
-  left_curvature_gap       I[n-k] > (1 + beta_{k+1}) Z[n-k]
   left_curvature_gap_decay the same gap grows at level n-1
-  right_curvature_gap      J[n-k] > 3 Z[n-k]
   right_curvature_gap_decay the same gap grows at level n-1
-  head_moment_bound        r_n Z[1] < alpha/(3(2-alpha)) * weight(t_{n-1})
+  moment_ratio_gap_decay   the same gap grows when moving to level n-1
 
 I and J are the curvature integrals weighted toward the left/right
 endpoint of each interval.  Inside the audit they are obtained from the
@@ -77,7 +80,7 @@ class AuditReport:
     row; code indexes names, and n, code, k, lhs and rhs are arrays of one
     length.  A column that is already a read-only array of its dtype owning
     its data is shared, not copied (every report of one n_max shares the
-    n, code and k of _row_order); any other column is copied and the copy
+    n, code and k of _layout); any other column is copied and the copy
     made read-only.  len() is the row count and iteration yields AuditEntry
     rows.  summary() condenses the rows per property, and
     experiments.write_kernel_audit_csv writes that summary and the
@@ -213,58 +216,37 @@ def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
     return DiagnosticSet(n=n, I=I, J=J, beta=beta_factors(mesh, order, n))
 
 
-# The properties in row order within a level, by block: a block runs over
-# k = 1..n-1-shrink (head_moment_bound over k = n-1 alone) and interleaves
-# its properties k by k.
-_BLOCKS = (
-    (0, ("kernel_decreasing", "kernel_positive")),
-    (0, ("kernel_level_decay",)),
-    (1, ("kernel_diff_decay",)),
-    (1, ("moment_level_decay",)),
-    (1, ("moment_ratio_gap",)),
-    (2, ("moment_ratio_gap_decay",)),
-    (0, ("left_curvature_gap", "right_curvature_gap")),
-    (1, ("left_curvature_gap_decay", "right_curvature_gap_decay")),
-    (None, ("head_moment_bound",)),
-)
+@functools.lru_cache(maxsize=16)
+def _pairs(n_max: int):
+    """Read-only (n, k, m = n - k) arrays, ordered by n and then by k, over
+    1 <= k <= n-1-shrink for the shrinks 0, 1 and 2, then over the head
+    pairs (n, n-1, 1) for n = 2..n_max."""
+    n, k = np.tril_indices(n_max + 1, -1)       # 0 <= k < n, ordered by n and then by k
+    masks = [(k > 0) & (k < n - s) for s in (0, 1, 2)] + [(k > 0) & (k == n - 1)]
+    pairs = tuple((n[c], k[c], (n - k)[c]) for c in masks)
+    for arr in (x for p in pairs for x in p):
+        arr.flags.writeable = False
+    return pairs
 
 
 @functools.lru_cache(maxsize=16)
-def _row_order(n_max: int):
-    """(pairs, names, take, n, code, k) for levels 2..n_max, all read-only:
-    pairs maps a block's shrink to its (n, k, m = n - k) arrays, take puts
-    the values of every property, joined in _BLOCKS order, in row order,
-    and names, n, code, k are the report's."""
-    n, k = np.nonzero(np.tri(n_max + 1, n_max + 1, -1, dtype=bool)[:, 1:])     # 1 <= k <= n - 1
-    k += 1
-    pairs = {s: (n[k < n - s], k[k < n - s], (n - k)[k < n - s]) for s in (0, 1, 2)}
-    head = np.arange(2, n_max + 1)
-    pairs[None] = (head, head - 1, np.ones_like(head))
-    names, keys = [], []
-    for b, (shrink, props) in enumerate(_BLOCKS):
-        pn, pk, _ = pairs[shrink]
-        for name in props:          # a property's number orders it within its block
-            keys.append((pn, np.full(pn.size, b), pk, np.full(pn.size, len(names))))
-            names.append(name)
-    row_n, block, row_k, prop = (np.concatenate(key) for key in zip(*keys))
-    take = np.lexsort((prop, row_k, block, row_n))
-    seen = list(dict.fromkeys(prop[take].tolist()))      # the properties in order of first row
-    code = np.zeros(len(names), dtype=np.int64)
-    code[seen] = np.arange(len(seen))
-    cols = (take, row_n[take], code[prop[take]], row_k[take])
-    for arr in (*cols, *(x for p in pairs.values() for x in p)):
-        arr.flags.writeable = False
-    return (pairs, tuple(names[i] for i in seen), *cols)
+def _layout(n_max: int, groups: tuple):
+    """Read-only n, code and k columns of properties over the _pairs(n_max)
+    indices `groups`, joined in order: every report of one n_max shares them."""
+    pn, pk, _ = zip(*(_pairs(n_max)[g] for g in groups))
+    cols = (np.concatenate(pn), np.repeat(np.arange(len(groups)), [x.size for x in pn]), np.concatenate(pk))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
 def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     """Run every kernel inequality for levels 2..n_max and report slacks.
 
     Every level's weights come from one kernel_tables pass, and each
-    property is one array expression over all levels: over its (n, k)
-    pairs, with level n-1 read from the row above.  The rows are ordered
-    by level n, then by property block as listed in _BLOCKS, then by k, a
-    block of two properties interleaving them k by k.
+    property is one array expression over its (n, k) pairs, with level n-1
+    read from the row above.  The rows are grouped by property in the module
+    docstring's order, less the properties without rows (n_max < 4).
 
     The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
@@ -280,31 +262,28 @@ def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
     beta = beta_factors(mesh, order, n_max)
     r = np.concatenate(([np.nan, np.nan], mesh.ratios[: n_max - 1]))    # r[j] = ratio at step j
 
-    pairs, names, take, row_n, code, row_k = _row_order(n_max)
-    (n, k, m), (n1, k1, m1), (n2, k2, m2), (nh, _, _) = (pairs[s] for s in (0, 1, 2, None))
-    values = dict(
-        kernel_decreasing=(A[n, m - 1], A[n, m]),
-        kernel_positive=(A[n, m], np.zeros(k.size)),
-        kernel_level_decay=(A[n - 1, m - 1], A[n, m]),
-        kernel_diff_decay=(A[n1 - 1, m1 - 2] - A[n1 - 1, m1 - 1], A[n1, m1 - 1] - A[n1, m1]),
-        # the level decays are flipped so that lhs > rhs holds like the other rows
-        moment_level_decay=(Z[n1 - 1, m1 - 1], Z[n1, m1]),
-        moment_ratio_gap=(Z[n1, m1 - 1], r[k1 + 1] * Z[n1, m1]),
-        moment_ratio_gap_decay=(
-            Z[n2 - 1, m2 - 2] - r[k2 + 1] * Z[n2 - 1, m2 - 1],
-            Z[n2, m2 - 1] - r[k2 + 1] * Z[n2, m2],
-        ),
-        left_curvature_gap=(I[n, m], (1.0 + beta[k + 1]) * Z[n, m]),
-        right_curvature_gap=(J[n, m], 3.0 * Z[n, m]),
-        left_curvature_gap_decay=(
-            I[n1 - 1, m1 - 1] - (1.0 + beta[k1 + 1]) * Z[n1 - 1, m1 - 1],
-            I[n1, m1] - (1.0 + beta[k1 + 1]) * Z[n1, m1],
-        ),
-        right_curvature_gap_decay=(J[n1 - 1, m1 - 1] - 3.0 * Z[n1 - 1, m1 - 1], J[n1, m1] - 3.0 * Z[n1, m1]),
+    (n, k, m), (n1, k1, m1), (n2, k2, m2), (nh, _, _) = pairs = _pairs(n_max)
+    props = (       # name, the index of its pairs in _pairs, lhs, rhs
+        ("kernel_decreasing", 0, A[n, m - 1], A[n, m]),
+        ("kernel_positive", 0, A[n, m], np.zeros(k.size)),
+        ("kernel_level_decay", 0, A[n - 1, m - 1], A[n, m]),
+        ("left_curvature_gap", 0, I[n, m], (1.0 + beta[k + 1]) * Z[n, m]),
+        ("right_curvature_gap", 0, J[n, m], 3.0 * Z[n, m]),
         # r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
-        head_moment_bound=(alpha / (3.0 * (2.0 - alpha)) * wp[nh, 1], r[nh] * Z[nh, 1]),
+        ("head_moment_bound", 3, alpha / (3.0 * (2.0 - alpha)) * wp[nh, 1], r[nh] * Z[nh, 1]),
+        ("kernel_diff_decay", 1, A[n1 - 1, m1 - 2] - A[n1 - 1, m1 - 1], A[n1, m1 - 1] - A[n1, m1]),
+        # the level decays are flipped so that lhs > rhs holds like the other rows
+        ("moment_level_decay", 1, Z[n1 - 1, m1 - 1], Z[n1, m1]),
+        ("moment_ratio_gap", 1, Z[n1, m1 - 1], r[k1 + 1] * Z[n1, m1]),
+        ("left_curvature_gap_decay", 1,
+         I[n1 - 1, m1 - 1] - (1.0 + beta[k1 + 1]) * Z[n1 - 1, m1 - 1],
+         I[n1, m1] - (1.0 + beta[k1 + 1]) * Z[n1, m1]),
+        ("right_curvature_gap_decay", 1,
+         J[n1 - 1, m1 - 1] - 3.0 * Z[n1 - 1, m1 - 1], J[n1, m1] - 3.0 * Z[n1, m1]),
+        ("moment_ratio_gap_decay", 2,
+         Z[n2 - 1, m2 - 2] - r[k2 + 1] * Z[n2 - 1, m2 - 1], Z[n2, m2 - 1] - r[k2 + 1] * Z[n2, m2]),
     )
-    ordered = [values[name] for _, props in _BLOCKS for name in props]
-    lhs, rhs = (np.concatenate(side)[take] for side in zip(*ordered))
+    names, groups, lhs, rhs = zip(*(p for p in props if pairs[p[1]][0].size))
+    lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
     lhs.flags.writeable = rhs.flags.writeable = False      # so the report shares them
-    return AuditReport(names, row_n, code, row_k, lhs, rhs)
+    return AuditReport(names, *_layout(n_max, groups), lhs, rhs)

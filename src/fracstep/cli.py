@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -111,7 +112,17 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _strict(value):
+    """value with every non-finite float in it, however deep in dicts and lists, as None."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_meta(outdir, subcommand, cfg, seed, quick, files, elapsed, extra) -> None:
+    """Write run_meta.json as strict JSON: a non-finite float is written as null."""
     meta = {
         "subcommand": subcommand,
         "config_sha256": _config_hash(cfg),
@@ -122,7 +133,7 @@ def _write_meta(outdir, subcommand, cfg, seed, quick, files, elapsed, extra) -> 
     }
     meta.update(extra)
     with open(os.path.join(outdir, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(_strict(meta), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -60,6 +60,19 @@ def fit_order(Ns, errors):
     return float(-coef[0]), math.sqrt(float(np.mean(resid**2)))
 
 
+def _require(key: str, value, ok, want: str) -> None:
+    """Raise ValueError naming config key (key[i] for entry i of a tuple) at
+    the first value for which ok is false; want says what it must be."""
+    named = [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, tuple) else [(key, value)]
+    for name, v in named:
+        if not ok(v):
+            raise ValueError(f"config key '{name}' must {want}, got {v!r}")
+
+
+def _open_unit(alpha) -> bool:
+    return 0.0 < alpha < 1.0        # false for nan
+
+
 # -- accuracy study ----------------------------------------------------------
 
 
@@ -74,6 +87,11 @@ class AccuracySpec:
     T: float = 1.0
     seed: int = 0
     spatial_check: bool = True
+
+    def __post_init__(self):
+        _require("alpha", self.alpha, _open_unit, "lie in (0, 1)")
+        _require("gammas", self.gammas, lambda gamma: gamma >= 1.0, "be at least 1")
+        _require("Ns", self.Ns, lambda N: N >= 1, "be at least 1")
 
     def quick(self) -> "AccuracySpec":
         """CI profile: drop the finest N when more than two remain."""
@@ -181,6 +199,7 @@ class CoarsenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require("alpha", self.alpha, _open_unit, "lie in (0, 1)")
         outside = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
         if outside:
             raise ValueError(f"config key 'snapshot_times' has {outside} outside [0, T = {self.T:g}]")
@@ -249,6 +268,9 @@ class KernelAuditSpec:
     n_max: int = 20
     dgs_histories: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        _require("alphas", self.alphas, _open_unit, "lie in (0, 1)")
 
     def quick(self) -> "KernelAuditSpec":
         """CI profile: at most 20 meshes per alpha."""
@@ -345,6 +367,9 @@ def write_kernel_audit_csv(outdir, result: KernelAuditResult) -> list:
 @dataclass(frozen=True)
 class RstarSpec:
     alphas: tuple[float, ...]
+
+    def __post_init__(self):
+        _require("alphas", self.alphas, lambda alpha: 0.0 <= alpha <= 1.0, "lie in [0, 1]")
 
     def quick(self) -> "RstarSpec":
         return self                 # the table is cheap: the CI profile is the full one

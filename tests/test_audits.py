@@ -175,9 +175,12 @@ def _audit_meshes():
 
 
 def test_audit_rows_equal_scalar_loop():
+    # the report holds the loop's rows grouped by property in names order, each group in loop order
     for mesh, alpha, n_max in _audit_meshes():
         report = audit_kernel_properties(mesh, alpha, n_max)
         rows = _audit_loop(mesh, alpha, n_max)
+        assert set(report.names) == {e.prop for e in rows}
+        rows.sort(key=lambda e: report.names.index(e.prop))      # a stable sort
         assert _bits(report.entries) == _bits(rows)
         assert report.violations() == _violations_loop(rows)
         assert list(report.worst_slack().items()) == list(_worst_slack_loop(rows).items())
@@ -272,6 +275,27 @@ def test_kernel_audit_summary_matches_report_columns(tmp_path):
     assert by_row["0.5", "2", "p"][:4] == ["9", "5", "2", "3"] and math.isnan(float(by_row["0.5", "2", "p"][-1]))
     assert by_row["0.25", "4", "r"][:4] == ["3", "1", "4", "2"]
     assert [(m, n, k) for _, m, n, p, k, *_ in violating if p == "r"] == [("4", "4", "2")]
+
+
+_PROPERTY_ORDER = (
+    "kernel_decreasing", "kernel_positive", "kernel_level_decay", "left_curvature_gap", "right_curvature_gap",
+    "head_moment_bound",                                        # the properties with rows from level 2
+    "kernel_diff_decay", "moment_level_decay", "moment_ratio_gap", "left_curvature_gap_decay",
+    "right_curvature_gap_decay",                                # from level 3
+    "moment_ratio_gap_decay",                                   # from level 4
+)
+
+
+def test_report_names_keep_the_summary_property_order():
+    # kernel_audit.csv lists each report's properties in names order
+    mesh = build_graded_mesh(1.0, 12, 2.0)
+    for n_max, size in ((2, 6), (3, 11), (4, 12), (5, 12), (12, 12), (40, 12)):
+        report = audit_kernel_properties(mesh, 0.5, n_max)
+        assert report.names == _PROPERTY_ORDER[:size]
+        assert np.array_equal(report.code, np.sort(report.code))          # grouped by property
+        for c in range(size):
+            n, k = report.n[report.code == c], report.k[report.code == c]
+            assert np.all((n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (k[1:] > k[:-1])))   # by n, then k
 
 
 def test_reports_at_one_n_max_share_their_row_layout():

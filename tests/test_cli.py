@@ -26,9 +26,14 @@ def _write_cfg(tmp_path, name, payload):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"run_meta.json is not strict JSON: it holds {name}")
+
+
 def _meta(outdir):
+    # strict JSON: NaN, Infinity and -Infinity are refused
     with open(outdir / "run_meta.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -250,8 +255,8 @@ def test_non_finite_dgs_form_is_an_audit_failure(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "DGS residual nan" in captured.out
     assert "audit failure: DGS identity residual nan at history 1" in captured.err
-    meta = _meta(out)
-    assert math.isnan(meta["dgs_worst_residual"]) and math.isnan(meta["dgs_min_G"])
+    meta = _meta(out)                  # a nan is written as null
+    assert meta["dgs_worst_residual"] is None and meta["dgs_min_G"] is None
 
 
 def test_non_finite_root_residual_is_an_audit_failure(tmp_path, capsys, monkeypatch):
@@ -265,8 +270,12 @@ def test_non_finite_root_residual_is_an_audit_failure(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(xp, "rstar_table", nan_last)
     cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.1, 0.5]})
-    assert main(["rstar", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_AUDIT
+    out = tmp_path / "out"
+    assert main(["rstar", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
     assert "audit failure: root residual nan" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="holds NaN"):      # the parser _meta uses refuses a bare NaN
+        json.loads('{"worst_residual": NaN}', parse_constant=_reject_constant)
+    assert _meta(out)["worst_residual"] is None              # the nan is written as null
 
 
 def test_accuracy_tiny(tmp_path, capsys):
@@ -312,9 +321,18 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("accuracy", dict(_TINY_ACCURACY, gammas=[]), "gammas"),
     # a snapshot the run cannot reach
     ("coarsen", dict(_TINY_COARSEN, snapshot_times=[0.25, 2.0]), "snapshot_times"),
+    # a mesh the accuracy study cannot build
+    ("accuracy", dict(_TINY_ACCURACY, Ns=[0, -2]), "Ns[0]"),
+    ("accuracy", dict(_TINY_ACCURACY, gammas=[0.5], Ns=[8, 16]), "gammas[0]"),
+    # an order out of range
+    ("accuracy", dict(_TINY_ACCURACY, alpha=1.0), "alpha"),
+    ("coarsen", dict(_TINY_COARSEN, alpha=0.0), "alpha"),
+    ("kernels", dict(_TINY_KERNELS, alphas=[0.5, 1.0]), "alphas[1]"),
+    ("rstar", {"alphas": [0.5, 1.0, -0.25]}, "alphas[2]"),
 ], ids=["unknown-key", "fractional-int", "string-bool", "nan-float", "scalar-for-list", "missing",
         "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas",
-        "snapshot-past-T"])
+        "snapshot-past-T", "non-positive-N", "gamma-below-1", "accuracy-alpha-1", "coarsen-alpha-0",
+        "kernels-alpha-1", "rstar-alpha-negative"])
 def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload, key):
     cfg = _write_cfg(tmp_path, "cfg.json", payload)     # json writes nan as NaN, which it reads back
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -344,10 +362,15 @@ def test_spec_from_config_fills_defaults_and_seed():
     assert _spec_from_config(xp.RstarSpec, {"alphas": [0.5], "seed": 1}, 1) == xp.RstarSpec((0.5,))
 
 
-def _perfbench_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+def _perfbench(name):
+    # perfbench/<name>.py, loaded by path: it is no package, and nothing in it runs on import
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(REPO, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module      # dataclass looks its module up there while the file runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -356,7 +379,7 @@ def test_shipped_and_benchmark_configs_build_specs():
     for path in sorted(glob.glob(os.path.join(REPO, "configs", "*.json"))):
         with open(path) as fh:
             configs.append((os.path.basename(path).split("_")[0].removesuffix(".json"), json.load(fh)))
-    workloads = _perfbench_workloads()
+    workloads = _perfbench("workloads")
     for w in workloads.WORKLOADS:
         for size in ("full", "tiny"):
             configs.append((workloads.SUBCOMMAND[w], workloads.make_config(w, 0, size)))
@@ -365,6 +388,16 @@ def test_shipped_and_benchmark_configs_build_specs():
         spec_cls, _ = _COMMANDS[subcommand]
         spec = _spec_from_config(spec_cls, cfg, 0)
         assert isinstance(spec, spec_cls)
+
+
+def test_every_perfbench_hook_target_resolves():
+    # the bench reports a missing hook target only as a layer that reads zero,
+    # so a refactor that drops a hooked name (such as fracstep.audits.build_kernels,
+    # imported there for the hook alone) must fail here
+    hooks = _perfbench("tracer").HOOKS
+    assert len(hooks) > 0
+    missing = [h.target for h in hooks if not callable(getattr(importlib.import_module(h.module), h.attr, None))]
+    assert missing == []
 
 
 def test_unknown_subcommand_rejected(tmp_path):
