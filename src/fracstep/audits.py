@@ -5,9 +5,10 @@ properties of the gradient-structure kernels aux_a, of the moment weights
 zeta, and of two endpoint-weighted curvature integrals per interval.  The
 audit recomputes every inequality numerically on a given mesh and reports
 the raw slack (positive means satisfied), so hypothesis violations are
-observable instead of silent.  Every level's kernels come from one
-kernel_tables pass, each property is evaluated as one array expression
-over all levels, and the report is built once from read-only columns
+observable instead of silent.  The meshes of one call are audited
+together: every level's kernels of every mesh come from one kernel_tables
+pass, each property is evaluated as one array expression over all meshes
+and levels, and each mesh's report is built once from read-only columns
 (n, property, k, lhs, rhs) rather than one object per check.
 
 Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta).
@@ -60,14 +61,20 @@ class AuditEntry:
 
 
 _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack is a violation
+# Meshes audited in one kernel_tables pass.  A pass holds every table of its
+# meshes at once, so the cap bounds the audit's peak memory; past about 16
+# meshes a larger pass saves no time.
+_MESHES_PER_PASS = 16
 
 
 def _column(values, dtype) -> np.ndarray:
     """values as a read-only array of dtype, shared when it is one already
-    and owns its data (a read-only view could change through its base)."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.owndata \
-            and not values.flags.writeable:
-        return values
+    and its data belongs to a read-only array: itself, or the base of a view
+    (a read-only view of a writable base could change through it)."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        owner = values if values.base is None else values.base
+        if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
+            return values
     col = np.array(values, dtype=dtype)
     col.flags.writeable = False
     return col
@@ -76,12 +83,14 @@ def _column(values, dtype) -> np.ndarray:
 class AuditReport:
     """All audit rows for one mesh, built once as read-only columns.
 
-    names lists the properties that have rows, in order of their first
-    row; code indexes names, and n, code, k, lhs and rhs are arrays of one
-    length.  A column that is already a read-only array of its dtype owning
-    its data is shared, not copied (every report of one n_max shares the
-    n, code and k of _layout); any other column is copied and the copy
-    made read-only.  len() is the row count and iteration yields AuditEntry
+    names lists the properties that have rows; code indexes names, every
+    name has rows, and n, code, k, lhs and rhs are arrays of one length.
+    The rows need not be grouped by property.  A column that is already a
+    read-only array of its dtype whose data belongs to a read-only array is
+    shared, not copied (every report of one n_max shares the n, code and k
+    of _layout, and the reports of one audit pass share the block of their
+    lhs and rhs rows); any other column is copied and the copy made
+    read-only.  len() is the row count and iteration yields AuditEntry
     rows.  summary() condenses the rows per property, and
     experiments.write_kernel_audit_csv writes that summary and the
     violations() rows.
@@ -94,6 +103,17 @@ class AuditReport:
         self.names = tuple(names)
         self.n, self.code, self.k, self.lhs, self.rhs = cols
         self.size = self.n.size
+        try:
+            checks = np.bincount(self.code, minlength=len(self.names))
+        except ValueError:      # a negative code
+            checks = None
+        if checks is None or checks.size > len(self.names):
+            bad = self.code[(self.code < 0) | (self.code >= len(self.names))][0]
+            raise ValueError(f"code {bad} is outside range({len(self.names)}) of the names {self.names}")
+        if not checks.all():
+            raise ValueError(f"names without rows: {[p for p, c in zip(self.names, checks) if not c]}")
+        checks.flags.writeable = False
+        self._checks = checks
 
     def __len__(self) -> int:
         return self.size
@@ -133,12 +153,15 @@ class AuditReport:
 
     def summary(self):
         """Per property in names order, (checks, violations, worst) as int
-        arrays: the row count, the violations() count and the row of least
-        slack (np.argmin takes the first nan, so a nan slack ranks worst)."""
-        size, slack = len(self.names), self.lhs - self.rhs
-        rows = (np.flatnonzero(self.code == c) for c in range(size))
-        worst = np.array([r[np.argmin(slack[r])] for r in rows], dtype=np.int64)
-        checks = np.bincount(self.code, minlength=size)
+        arrays: the row count, the violations() count and the first row of
+        least slack (np.argmin takes the first nan, so a nan slack ranks
+        worst).  A stable sort by code puts each property's rows in one
+        segment, in row order."""
+        size, checks = len(self.names), self._checks
+        rows = np.argsort(self.code, kind="stable")
+        slack = (self.lhs - self.rhs)[rows]
+        ends = np.cumsum(checks).tolist()
+        worst = np.array([rows[a + np.argmin(slack[a:b])] for a, b in zip([0] + ends, ends)], dtype=np.int64)
         return checks, np.bincount(self.code[self._violating], minlength=size), worst
 
     def worst_slack(self):
@@ -152,20 +175,21 @@ def beta_factors(mesh: TimeMesh, order, n: int) -> np.ndarray:
 
     Returned as beta[k] for k = 2..n (entries 0..1 are nan placeholders).
     """
-    alpha = as_order(order).alpha
+    return _comparison(as_order(order).alpha, np.concatenate(([np.nan, np.nan], mesh.ratios[: n - 1])))
+
+
+def _comparison(alpha: float, r):
+    """beta from the step ratios r, elementwise; a nan ratio gives a nan beta."""
     s = 1.0 - 0.5 * alpha
-    beta = np.full(n + 1, np.nan)
-    r = mesh.ratios[: n - 1]
-    beta[2:] = 2.0 * s * r / (1.0 + alpha + s * r)
-    return beta
+    return 2.0 * s * r / (1.0 + alpha + s * r)
 
 
 def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
     """w'(t_j) = omega_{1-alpha}(d_j), d_j = t_{n-theta} - t_j, for j = 0..n-1."""
-    d, _, _ = _offset_geometry(mesh, order.theta, n, n)    # by node offset p = n - j
+    d, _, _ = _offset_geometry((mesh,), order.theta, n, n)    # by node offset p = n - j
     # reverse after evaluating: numpy's power takes another code path, with
     # other last bits, on a negatively strided view
-    return omega(1.0 - order.alpha, d[0])[n:0:-1]
+    return omega(1.0 - order.alpha, d[0, 0])[n:0:-1]
 
 
 def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
@@ -218,72 +242,117 @@ def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
 
 @functools.lru_cache(maxsize=16)
 def _pairs(n_max: int):
-    """Read-only (n, k, m = n - k) arrays, ordered by n and then by k, over
+    """Read-only (n, k) arrays, ordered by n and then by k, over
     1 <= k <= n-1-shrink for the shrinks 0, 1 and 2, then over the head
-    pairs (n, n-1, 1) for n = 2..n_max."""
+    pairs (n, n-1) for n = 2..n_max."""
     n, k = np.tril_indices(n_max + 1, -1)       # 0 <= k < n, ordered by n and then by k
     masks = [(k > 0) & (k < n - s) for s in (0, 1, 2)] + [(k > 0) & (k == n - 1)]
-    pairs = tuple((n[c], k[c], (n - k)[c]) for c in masks)
+    pairs = tuple((n[c], k[c]) for c in masks)
     for arr in (x for p in pairs for x in p):
         arr.flags.writeable = False
     return pairs
+
+
+@functools.lru_cache(maxsize=256)
+def _positions(n_max: int, group: int, dn: int, dk: int) -> np.ndarray:
+    """Read-only flat positions, in one mesh's (n_max+1, n_max) weight table,
+    of level n - dn at step k + dk, which is offset n - dn - k - dk, for
+    the pairs _pairs(n_max)[group]."""
+    n, k = _pairs(n_max)[group]
+    pos = (n - dn) * (n_max + 1) - k - dk
+    pos.flags.writeable = False
+    return pos
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(n_max: int, groups: tuple):
     """Read-only n, code and k columns of properties over the _pairs(n_max)
     indices `groups`, joined in order: every report of one n_max shares them."""
-    pn, pk, _ = zip(*(_pairs(n_max)[g] for g in groups))
+    pn, pk = zip(*(_pairs(n_max)[g] for g in groups))
     cols = (np.concatenate(pn), np.repeat(np.arange(len(groups)), [x.size for x in pn]), np.concatenate(pk))
     for col in cols:
         col.flags.writeable = False
     return cols
 
 
-def audit_kernel_properties(mesh: TimeMesh, order, n_max: int) -> AuditReport:
-    """Run every kernel inequality for levels 2..n_max and report slacks.
+def audit_kernel_properties(meshes, order, n_max: int) -> list:
+    """Run every kernel inequality for levels 2..n_max of each mesh and
+    report slacks: one AuditReport per mesh, in order.
 
-    Every level's weights come from one kernel_tables pass, and each
-    property is one array expression over its (n, k) pairs, with level n-1
-    read from the row above.  The rows are grouped by property in the module
-    docstring's order, less the properties without rows (n_max < 4).
+    Meshes are audited together, grouped by the level they reach,
+    min(n_max, num_steps), in passes of at most _MESHES_PER_PASS meshes;
+    each report is bit for bit the one its mesh gets when audited alone.
+    The rows are grouped by property in the module docstring's order, less
+    the properties without rows (levels below 4).
 
     The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
     order = as_order(order)
-    alpha = order.alpha
-    n_max = min(n_max, mesh.num_steps)
-    if n_max < 2:
-        return AuditReport((), [], [], [], [], [])
-    t = kernel_tables(mesh, order, n_max)
-    A, Z = t.aux_a, t.zeta
-    wp = omega(1.0 - alpha, t.d)                 # wp[n, p] = w'(t_{n-p}) at level n
-    I, J = _gaps(t.a, wp)
-    beta = beta_factors(mesh, order, n_max)
-    r = np.concatenate(([np.nan, np.nan], mesh.ratios[: n_max - 1]))    # r[j] = ratio at step j
+    tops = [min(n_max, mesh.num_steps) for mesh in meshes]
+    reports = {}
+    for top in set(tops):
+        same = [j for j, t in enumerate(tops) if t == top]
+        for start in range(0, len(same), _MESHES_PER_PASS):
+            batch = same[start : start + _MESHES_PER_PASS]
+            reports.update(zip(batch, _audit([meshes[j] for j in batch], order, top)))
+    return [reports[j] for j in range(len(meshes))]
 
-    (n, k, m), (n1, k1, m1), (n2, k2, m2), (nh, _, _) = pairs = _pairs(n_max)
-    props = (       # name, the index of its pairs in _pairs, lhs, rhs
-        ("kernel_decreasing", 0, A[n, m - 1], A[n, m]),
-        ("kernel_positive", 0, A[n, m], np.zeros(k.size)),
-        ("kernel_level_decay", 0, A[n - 1, m - 1], A[n, m]),
-        ("left_curvature_gap", 0, I[n, m], (1.0 + beta[k + 1]) * Z[n, m]),
-        ("right_curvature_gap", 0, J[n, m], 3.0 * Z[n, m]),
+
+def _audit(meshes, order: FracOrder, n_max: int) -> list:
+    """The reports of meshes that all reach level n_max.
+
+    Every level's weights come from one kernel_tables pass over all the
+    meshes, and each property is one array expression over its meshes and
+    (n, k) pairs, with level n-1 read from the row above.  Each property's
+    lhs and rhs go into one (2, meshes, rows) block; each report's lhs and
+    rhs are read-only rows of it.
+    """
+    if n_max < 2:
+        return [AuditReport((), [], [], [], [], []) for _ in meshes]
+    alpha = order.alpha
+    t = kernel_tables(meshes, order, n_max)
+    wp = omega(1.0 - alpha, t.d)                 # wp[:, n, p] = w'(t_{n-p}) at level n
+    A, Z, I, J = (x.reshape(len(meshes), -1) for x in (t.aux_a, t.zeta, *_gaps(t.a, wp)))
+    r = np.full((len(meshes), n_max + 1), np.nan)      # r[:, j] = ratio at step j
+    r[:, 2:] = [mesh.ratios[: n_max - 1] for mesh in meshes]
+    beta = _comparison(alpha, r)
+
+    def at(table, group, dn, dk):
+        """table, a flat weight table per mesh, at level n - dn and step
+        k + dk of each (n, k) pair of the group, as (meshes, pairs): with
+        the docstring's notation, at(A, g, 0, 0) is A[n-k], (0, 1) is
+        A[n-k-1], (1, 0) is A_prev[n-1-k] and (1, 1) is A_prev[n-2-k]."""
+        return table.take(_positions(n_max, group, dn, dk), axis=1)
+
+    (_, k), (_, k1), (_, k2), (nh, _) = pairs = _pairs(n_max)
+    props = (       # name, the index of its pairs in _pairs, and its (lhs, rhs) by mesh and pair
+        ("kernel_decreasing", 0, lambda: (at(A, 0, 0, 1), at(A, 0, 0, 0))),
+        ("kernel_positive", 0, lambda: (at(A, 0, 0, 0), 0.0)),
+        ("kernel_level_decay", 0, lambda: (at(A, 0, 1, 0), at(A, 0, 0, 0))),
+        ("left_curvature_gap", 0, lambda: (at(I, 0, 0, 0), (1.0 + beta[:, k + 1]) * at(Z, 0, 0, 0))),
+        ("right_curvature_gap", 0, lambda: (at(J, 0, 0, 0), 3.0 * at(Z, 0, 0, 0))),
         # r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
-        ("head_moment_bound", 3, alpha / (3.0 * (2.0 - alpha)) * wp[nh, 1], r[nh] * Z[nh, 1]),
-        ("kernel_diff_decay", 1, A[n1 - 1, m1 - 2] - A[n1 - 1, m1 - 1], A[n1, m1 - 1] - A[n1, m1]),
+        ("head_moment_bound", 3, lambda: (alpha / (3.0 * (2.0 - alpha)) * wp[:, nh, 1], r[:, nh] * at(Z, 3, 0, 0))),
+        ("kernel_diff_decay", 1,
+         lambda: (at(A, 1, 1, 1) - at(A, 1, 1, 0), at(A, 1, 0, 1) - at(A, 1, 0, 0))),
         # the level decays are flipped so that lhs > rhs holds like the other rows
-        ("moment_level_decay", 1, Z[n1 - 1, m1 - 1], Z[n1, m1]),
-        ("moment_ratio_gap", 1, Z[n1, m1 - 1], r[k1 + 1] * Z[n1, m1]),
+        ("moment_level_decay", 1, lambda: (at(Z, 1, 1, 0), at(Z, 1, 0, 0))),
+        ("moment_ratio_gap", 1, lambda: (at(Z, 1, 0, 1), r[:, k1 + 1] * at(Z, 1, 0, 0))),
         ("left_curvature_gap_decay", 1,
-         I[n1 - 1, m1 - 1] - (1.0 + beta[k1 + 1]) * Z[n1 - 1, m1 - 1],
-         I[n1, m1] - (1.0 + beta[k1 + 1]) * Z[n1, m1]),
+         lambda: (at(I, 1, 1, 0) - (1.0 + beta[:, k1 + 1]) * at(Z, 1, 1, 0),
+                  at(I, 1, 0, 0) - (1.0 + beta[:, k1 + 1]) * at(Z, 1, 0, 0))),
         ("right_curvature_gap_decay", 1,
-         J[n1 - 1, m1 - 1] - 3.0 * Z[n1 - 1, m1 - 1], J[n1, m1] - 3.0 * Z[n1, m1]),
+         lambda: (at(J, 1, 1, 0) - 3.0 * at(Z, 1, 1, 0), at(J, 1, 0, 0) - 3.0 * at(Z, 1, 0, 0))),
         ("moment_ratio_gap_decay", 2,
-         Z[n2 - 1, m2 - 2] - r[k2 + 1] * Z[n2 - 1, m2 - 1], Z[n2, m2 - 1] - r[k2 + 1] * Z[n2, m2]),
+         lambda: (at(Z, 2, 1, 1) - r[:, k2 + 1] * at(Z, 2, 1, 0), at(Z, 2, 0, 1) - r[:, k2 + 1] * at(Z, 2, 0, 0))),
     )
-    names, groups, lhs, rhs = zip(*(p for p in props if pairs[p[1]][0].size))
-    lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
-    lhs.flags.writeable = rhs.flags.writeable = False      # so the report shares them
-    return AuditReport(names, *_layout(n_max, groups), lhs, rhs)
+    names, groups, sides = zip(*(p for p in props if pairs[p[1]][0].size))
+    layout = _layout(n_max, groups)
+    block = np.empty((2, len(meshes), layout[0].size))
+    lhs, rhs = block
+    stop = 0
+    for g, side in zip(groups, sides):
+        start, stop = stop, stop + pairs[g][0].size
+        lhs[:, start:stop], rhs[:, start:stop] = side()
+    block.flags.writeable = False      # so the reports share its rows
+    return [AuditReport(names, *layout, x, y) for x, y in zip(*block)]

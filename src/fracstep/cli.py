@@ -191,6 +191,7 @@ def _cmd_kernels(spec: xp.KernelAuditSpec, outdir: str) -> tuple:
         "dgs_worst_residual": float(result.dgs_residual),
         "dgs_min_G": float(result.dgs_min_G),
         "dgs_min_R": float(result.dgs_min_R),
+        "dgs_worst_history": result.dgs_worst_history,
     }
     print(f"{result.total_checks} inequality checks, {len(result.violations)} violations; "
           f"DGS residual {result.dgs_residual:.2e}")

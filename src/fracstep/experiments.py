@@ -289,19 +289,18 @@ class KernelAuditResult:
 
 
 def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
-    """Fuzz admissible meshes, audit every kernel inequality, and check the
-    gradient-structure identity on random histories."""
+    """Fuzz admissible meshes, audit every kernel inequality (the meshes of
+    one alpha in one call), and check the gradient-structure identity on
+    random histories."""
     rng = np.random.default_rng(spec.seed)
     reports, violations, total = [], [], 0
     for alpha in spec.alphas:
         order = as_order(alpha)
         r_star = min_step_ratio(alpha)
-        for m in range(spec.num_meshes):
-            mesh = random_ratio_mesh(rng, spec.n_max, r_star)
-            report = audit_kernel_properties(mesh, order, spec.n_max)
+        meshes = [random_ratio_mesh(rng, spec.n_max, r_star) for _ in range(spec.num_meshes)]
+        for m, report in enumerate(audit_kernel_properties(meshes, order, spec.n_max)):
             total += len(report.entries)
-            for bad in report.violations():
-                violations.append((alpha, m, bad))
+            violations.extend((alpha, m, bad) for bad in report.violations())
             reports.append((alpha, m, report))
 
     residuals, Gs, Rs = [], [], []

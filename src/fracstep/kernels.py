@@ -16,9 +16,10 @@ computed by min_step_ratio) yields a discrete gradient structure: the
 product 2*(v^n - v^{n-1}) * derivative splits into the increment of a
 nonnegative quadratic form G plus nonnegative remainders.
 
-kernel_tables builds every level of a mesh in one pass, as tables with one
-row per level; build_kernels, which the stepper calls once per step, is its
-one-level case, so both share each weight formula.
+kernel_tables builds every level of several meshes in one pass, as tables
+with one block per mesh and one row per level; build_kernels, which the
+stepper calls once per step, is its one-level, one-mesh case, so both share
+each weight formula.
 """
 
 from __future__ import annotations
@@ -96,30 +97,36 @@ def min_step_ratio(alpha: float) -> float:
     return float(min(max(root, lo - 1e-12), hi + 1e-12))
 
 
-def _offset_geometry(mesh: TimeMesh, theta: float, lo: int, hi: int):
-    """Backdistances, steps and ratios of the levels n = lo..hi, by offset.
+def _offset_geometry(meshes, theta: float, lo: int, hi: int):
+    """Backdistances, steps and ratios of the levels n = lo..hi of each mesh, by offset.
 
-    Returns tables d, tau, r with one row per level and the columns
-    m = 0..hi, read backwards from each level at k = n - m:
+    Every mesh needs at least hi steps.  Returns tables d, tau, r with one
+    block per mesh, one row per level and the columns m = 0..hi of d (tau
+    and r stop at m = hi-1 and hi-2, where every later entry would be nan),
+    read backwards from each level at k = n - m:
 
-      d[i, m]   = t_{n-theta} - t_k   (1 <= m <= n; nan at m = 0 and past n)
-      tau[i, m] = tau_k               (k >= 1, else nan)
-      r[i, m]   = r_k                 (k >= 2, else nan)
+      d[j, i, m]   = t_{n-theta} - t_k   (1 <= m <= n; nan at m = 0 and past n)
+      tau[j, i, m] = tau_k               (k >= 1, else nan)
+      r[j, i, m]   = r_k                 (k >= 2, else nan)
 
-    The head backdistance d[i, 1] = (1-theta) tau_n has an exact expression
-    and is not taken as a difference.  The rows are copied into contiguous
-    tables: on a reversed view numpy's power, log1p and expm1 take another
-    code path with other last bits.
+    Only the nodes are copied per level; tau and r are their differences
+    and quotients, the same operations on the same values as mesh.steps
+    and mesh.ratios, so they are those bit for bit.  The head backdistance
+    d[j, i, 1] = (1-theta) tau_n has an exact expression and is not taken
+    as a difference.  The rows are copied into contiguous tables: on a
+    reversed view numpy's power, log1p and expm1 take another code path
+    with other last bits.
     """
-    tau, t, r = np.full((3, hi - lo + 1, hi + 1), np.nan)
+    nodes = np.array([mesh.nodes[: hi + 1] for mesh in meshes])
+    t = np.full((len(meshes), hi - lo + 1, hi + 1), np.nan)
     for i, n in enumerate(range(lo, hi + 1)):
-        tau[i, :n] = mesh.steps[n - 1 :: -1]
-        t[i, : n + 1] = mesh.nodes[n::-1]
-        r[i, : n - 1] = mesh.ratios[: n - 1][::-1]
-    head = (1.0 - theta) * tau[:, 0]
-    d = (t[:, 1] + head)[:, None] - t
-    d[:, 0] = np.nan
-    d[:, 1] = head
+        t[:, i, : n + 1] = nodes[:, n::-1]
+    tau = t[..., :-1] - t[..., 1:]
+    r = tau[..., :-1] / tau[..., 1:]
+    head = (1.0 - theta) * tau[..., 0]
+    d = (t[..., 1] + head)[..., None] - t
+    d[..., 0] = np.nan
+    d[..., 1] = head
     return d, tau, r
 
 
@@ -172,8 +179,8 @@ def _moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def _regroup(a: np.ndarray, zeta: np.ndarray, r: np.ndarray, alpha: float) -> np.ndarray:
     """Regroup rows of (a, zeta) into the first-difference convolution
-    weights hat_a, all by offset m = n - k; r is the ratio table of
-    _offset_geometry.
+    weights hat_a, all by offset m = n - k on the last axis; r is the ratio
+    table of _offset_geometry.
 
     hat_a[m] multiplies v^{n-m} - v^{n-m-1}; together with the local part
     (alpha/(2-alpha)) a[0] (v^n - v^{n-1}) the convolution reproduces the
@@ -185,18 +192,19 @@ def _regroup(a: np.ndarray, zeta: np.ndarray, r: np.ndarray, alpha: float) -> np
     where the head takes 2(1-alpha)/(2-alpha) a[0] for a[0] and has no zeta[0]
     term, and the last offset m = n-1 has no zeta[n] term.
     """
-    r_k = r[:, : a.shape[1] - 1]               # r_k at m = 0..w-2, which is r_{k+1} at m + 1
-    one_r, z = 1.0 + r_k, zeta[:, 1:]
+    r_k = r[..., : a.shape[-1] - 1]            # r_k at m = 0..w-2, which is r_{k+1} at m + 1
+    one_r, z = 1.0 + r_k, zeta[..., 1:]
     hat = a.copy()
-    hat[:, 0] *= 2.0 * (1.0 - alpha) / (2.0 - alpha)
+    hat[..., 0] *= 2.0 * (1.0 - alpha) / (2.0 - alpha)
     # an absent term adds 0.0, which leaves the sum bit for bit as it is
-    hat[:, :-1] += np.where(np.isnan(r_k), 0.0, z / (r_k * one_r))
-    hat[:, 1:] -= z / one_r
+    hat[..., :-1] += np.where(np.isnan(r_k), 0.0, z / (r_k * one_r))
+    hat[..., 1:] -= z / one_r
     return hat
 
 
-def _weight_rows(mesh: TimeMesh, order: FracOrder, lo: int, hi: int):
-    """(d, a, zeta, hat_a, aux_a) of the levels n = lo..hi, one row per level.
+def _weight_rows(meshes, order: FracOrder, lo: int, hi: int):
+    """(d, a, zeta, hat_a, aux_a) of the levels n = lo..hi of each mesh,
+    one block per mesh and one row per level.
 
     d holds the backdistances by node offset p (see _offset_geometry).  The
     weights are indexed by offset m = n - k, the row of level n holding it
@@ -208,23 +216,25 @@ def _weight_rows(mesh: TimeMesh, order: FracOrder, lo: int, hi: int):
     zeta[n-k] is the moment weight of interval k < n (_moments); there is no
     zero-offset moment weight, hence a nan zeta[0].  All a and zeta entries
     are strictly positive.  Every entry is evaluated elementwise, so a
-    level's row does not depend on which other levels are built with it.
+    level's row does not depend on which other levels or meshes are built
+    with it.
     """
     alpha = order.alpha
-    d, tau, r = _offset_geometry(mesh, order.theta, lo, hi)
-    d_k, tau_k = d[:, 1:hi], tau[:, 1:hi]    # the intervals k = n - m < n
-    a = np.empty((hi - lo + 1, hi))
-    a[:, 0] = omega(2.0 - alpha, d[:, 1]) / tau[:, 0]
-    a[:, 1:] = omega_diff(2.0 - alpha, d_k, tau_k) / tau_k
+    d, tau, r = _offset_geometry(meshes, order.theta, lo, hi)
+    d_k, tau_k = d[..., 1:hi], tau[..., 1:hi]    # the intervals k = n - m < n
+    a = np.empty((*d.shape[:2], hi))
+    a[..., 0] = omega(2.0 - alpha, d[..., 1]) / tau[..., 0]
+    a[..., 1:] = omega_diff(2.0 - alpha, d_k, tau_k) / tau_k
     # every entry past a level is nan, so all in-level entries are positive
     # exactly when the positive ones number the level sizes' sum
-    count = (lo + hi) * (hi - lo + 1) // 2
+    levels = hi - lo + 1
+    count = len(meshes) * ((lo + hi) * levels // 2)
     if np.count_nonzero(a > 0.0) != count:
         raise FloatingPointError("interval weights must be positive")
     zeta = np.empty_like(a)
-    zeta[:, 0] = np.nan
-    zeta[:, 1:] = _moments(alpha, tau_k, d_k)
-    if np.count_nonzero(zeta > 0.0) != count - (hi - lo + 1):
+    zeta[..., 0] = np.nan
+    zeta[..., 1:] = _moments(alpha, tau_k, d_k)
+    if np.count_nonzero(zeta > 0.0) != count - len(meshes) * levels:
         raise FloatingPointError("moment weights must be positive")
     hat = _regroup(a, zeta, r, alpha)
     return d, a, zeta, hat, gradient_kernels(hat)
@@ -258,13 +268,14 @@ class KernelSet:
 
 @dataclass(frozen=True)
 class KernelTables:
-    """The weights of levels 0..n_max at once, as tables indexed by offset.
+    """The weights of levels 0..n_max of several meshes at once, as tables
+    indexed by mesh, level and offset.
 
-    Row n of a, zeta, hat_a and aux_a, shape (n_max+1, n_max), holds level
-    n's KernelSet vectors in its first n entries and nan past them; row 0
-    is all nan.  d, shape (n_max+1, n_max+1), holds the backdistances
-    d[n, p] = t_{n-theta} - t_{n-p} by node offset p, for 1 <= p <= n, and
-    nan elsewhere.
+    Row [j, n] of a, zeta, hat_a and aux_a, shape (meshes, n_max+1, n_max),
+    holds level n's KernelSet vectors of mesh j in its first n entries and
+    nan past them; row [j, 0] is all nan.  d, shape (meshes, n_max+1,
+    n_max+1), holds the backdistances d[j, n, p] = t_{n-theta} - t_{n-p} of
+    mesh j by node offset p, for 1 <= p <= n, and nan elsewhere.
     """
 
     d: np.ndarray
@@ -274,19 +285,21 @@ class KernelTables:
     aux_a: np.ndarray
 
 
-def kernel_tables(mesh: TimeMesh, order, n_max: int) -> KernelTables:
-    """Build every level 1..n_max of the mesh in one pass; row n of each
-    weight table is build_kernels(mesh, order, n) bit for bit."""
-    assert 1 <= n_max <= mesh.num_steps, f"level {n_max} out of range"
-    rows = _weight_rows(mesh, as_order(order), 1, n_max)
-    return KernelTables(*(np.vstack((np.full((1, t.shape[1]), np.nan), t)) for t in rows))
+def kernel_tables(meshes, order, n_max: int) -> KernelTables:
+    """Build every level 1..n_max of each of a nonempty sequence of meshes in
+    one pass; row [j, n] of each weight table is build_kernels(meshes[j],
+    order, n) bit for bit."""
+    assert meshes and all(1 <= n_max <= mesh.num_steps for mesh in meshes), f"level {n_max} out of range"
+    rows = _weight_rows(meshes, as_order(order), 1, n_max)
+    return KernelTables(*(np.concatenate((np.full((len(meshes), 1, t.shape[-1]), np.nan), t), axis=1)
+                          for t in rows))
 
 
 def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
     """Assemble a, zeta, hat_a and aux_a for level n of the given mesh (read-only)."""
     assert 1 <= n <= mesh.num_steps, f"level {n} out of range"
-    _, *rows = _weight_rows(mesh, as_order(order), n, n)
-    a, zeta, hat, aux = (row[0] for row in rows)
+    _, *rows = _weight_rows((mesh,), as_order(order), n, n)
+    a, zeta, hat, aux = (row[0, 0] for row in rows)
     for arr in (a, zeta, hat, aux):
         arr.flags.writeable = False
     return KernelSet(n=n, a=a, zeta=zeta, hat_a=hat, aux_a=aux)

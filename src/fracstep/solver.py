@@ -362,6 +362,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     G costs one pass over the stack.  On return the history is shrunk in
     place to the used levels, and history_capacity reports the peak
     allocation.  Energy records are optional.
+
+    Each step reads the mesh only up to its own level, so a fixed mesh is
+    handed to build_kernels and step as it is, and is the trajectory's
+    mesh; an adaptive run builds the mesh of its nodes so far at each step.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -375,6 +379,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
         nodes = list(schedule.warmup.nodes)
         horizon = schedule.horizon
     else:
+        mesh = schedule
         nodes = list(np.asarray(schedule.nodes))
         horizon = nodes[-1]
 
@@ -406,21 +411,22 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
                                        f"t_n = {nodes[-1]:.17g} in floating point")
             nodes.append(nodes[-1] + tau_next)
         n += 1
-        mesh_n = TimeMesh(np.asarray(nodes[: n + 1]))
-        tau_n = mesh_n.step(n)
+        if adaptive:
+            mesh = TimeMesh(np.asarray(nodes[: n + 1]))
+        tau_n = mesh.step(n)
         within_cap = tau_n <= cap * (1.0 + 1e-12)
         if cfg.enforce_bound and not within_cap:
             raise StepCapError(
                 f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} while the bound is enforced"
             )
-        kernels = build_kernels(mesh_n, order, n)
-        phi, sweeps = step(history.fields, mesh_n, kernels, cfg)
+        kernels = build_kernels(mesh, order, n)
+        phi, sweeps = step(history.fields, mesh, kernels, cfg)
         step_sq = grid.h**2 * grid_sum((phi - history.fields[-1]) ** 2)
         history.push(phi)
         sup_norms.append(norm_inf(phi))
         fp_iters.append(sweeps)
         cap_ok.append(within_cap)
-        ratio_ok.append(n == 1 or mesh_n.ratio(n) >= r_floor * (1.0 - 1e-12))
+        ratio_ok.append(n == 1 or mesh.ratio(n) >= r_floor * (1.0 - 1e-12))
         change_norm = math.sqrt(step_sq) / tau_n
         if record_energy:
             rec = modified_energy(history.fields, history.dist, kernels, cfg.epsilon, grid)
@@ -429,7 +435,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
 
     capacity = history.capacity     # the peak: a history only grows until it is shrunk
     history.shrink()
-    mesh = TimeMesh(np.asarray(nodes))
+    if adaptive:
+        mesh = TimeMesh(np.asarray(nodes))
     return SolveTrajectory(
         mesh=mesh,
         fields=history.fields,

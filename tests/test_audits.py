@@ -9,6 +9,7 @@ import pytest
 
 from fracstep.audits import (
     AuditEntry,
+    _MESHES_PER_PASS,
     AuditReport,
     _weight_at_nodes,
     audit_kernel_properties,
@@ -57,13 +58,13 @@ def test_endpoint_gaps_match_quadrature():
 def test_audit_clean_on_uniform_mesh():
     mesh = build_uniform_mesh(1.0, 12)
     for alpha in (0.1, 0.5, 0.9):
-        report = audit_kernel_properties(mesh, alpha, 12)
+        (report,) = audit_kernel_properties([mesh], alpha, 12)
         assert report.violations() == []
 
 
 def test_audit_clean_on_graded_mesh():
     mesh = build_graded_mesh(1.0, 15, 3.0)
-    report = audit_kernel_properties(mesh, 0.7, 15)
+    (report,) = audit_kernel_properties([mesh], 0.7, 15)
     assert report.violations() == []
     worst = report.worst_slack()
     assert set(worst) >= {
@@ -79,7 +80,7 @@ def test_audit_clean_on_graded_mesh():
 
 def test_audit_respects_level_cap():
     mesh = build_uniform_mesh(1.0, 5)
-    report = audit_kernel_properties(mesh, 0.5, 50)
+    (report,) = audit_kernel_properties([mesh], 0.5, 50)
     assert max(e.n for e in report.entries) == 5
 
 
@@ -177,7 +178,7 @@ def _audit_meshes():
 def test_audit_rows_equal_scalar_loop():
     # the report holds the loop's rows grouped by property in names order, each group in loop order
     for mesh, alpha, n_max in _audit_meshes():
-        report = audit_kernel_properties(mesh, alpha, n_max)
+        (report,) = audit_kernel_properties([mesh], alpha, n_max)
         rows = _audit_loop(mesh, alpha, n_max)
         assert set(report.names) == {e.prop for e in rows}
         rows.sort(key=lambda e: report.names.index(e.prop))      # a stable sort
@@ -189,7 +190,7 @@ def test_audit_rows_equal_scalar_loop():
 def test_entries_len_is_check_count():
     # per level: 5 properties over n-1 indices, 5 over n-2, one over n-3, the head bound
     for mesh, alpha, n_max in _audit_meshes():
-        report = audit_kernel_properties(mesh, alpha, n_max)
+        (report,) = audit_kernel_properties([mesh], alpha, n_max)
         levels = range(2, min(n_max, mesh.num_steps) + 1)
         want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in levels)
         assert len(report.entries) == report.size == want == sum(1 for _ in report.entries)
@@ -199,7 +200,7 @@ def test_entries_len_is_check_count():
 def test_empty_report():
     # a 1-step mesh, or a level cap of 1, has no level n >= 2 to audit
     for mesh, n_max in ((build_uniform_mesh(1.0, 1), 10), (build_uniform_mesh(1.0, 6), 1)):
-        report = audit_kernel_properties(mesh, 0.5, n_max)
+        (report,) = audit_kernel_properties([mesh], 0.5, n_max)
         assert report.size == 0 and len(report.entries) == 0
         assert report.violations() == []
         assert report.worst_slack() == {}
@@ -217,7 +218,7 @@ def _same_bits(text, value):
 
 def _audit_results():
     fuzzed = run_kernel_audit(KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4))
-    fixed = [(alpha, i, audit_kernel_properties(mesh, alpha, n_max))
+    fixed = [(alpha, i, audit_kernel_properties([mesh], alpha, n_max)[0])
              for i, (mesh, alpha, n_max) in enumerate(_audit_meshes()[:2])]
     # values a summary could get wrong: signed zeros, nans (one with a payload), infinities, subnormals
     nan_payload = float(np.array(0x7FF8000000000001).view(np.float64))
@@ -290,7 +291,7 @@ def test_report_names_keep_the_summary_property_order():
     # kernel_audit.csv lists each report's properties in names order
     mesh = build_graded_mesh(1.0, 12, 2.0)
     for n_max, size in ((2, 6), (3, 11), (4, 12), (5, 12), (12, 12), (40, 12)):
-        report = audit_kernel_properties(mesh, 0.5, n_max)
+        (report,) = audit_kernel_properties([mesh], 0.5, n_max)
         assert report.names == _PROPERTY_ORDER[:size]
         assert np.array_equal(report.code, np.sort(report.code))          # grouped by property
         for c in range(size):
@@ -300,7 +301,7 @@ def test_report_names_keep_the_summary_property_order():
 
 def test_reports_at_one_n_max_share_their_row_layout():
     rng = np.random.default_rng(3)
-    first, second = (audit_kernel_properties(random_ratio_mesh(rng, 10, min_step_ratio(0.4)), 0.4, 10)
+    first, second = (audit_kernel_properties([random_ratio_mesh(rng, 10, min_step_ratio(0.4))], 0.4, 10)[0]
                      for _ in range(2))
     for name in ("n", "code", "k"):
         assert np.shares_memory(getattr(first, name), getattr(second, name))
@@ -331,7 +332,7 @@ def _worst_slack_loop(entries):
 
 
 def test_violations_and_worst_slack_match_scalar_recomputation():
-    audited = audit_kernel_properties(build_graded_mesh(1.0, 10, 2.0), 0.6, 10)
+    (audited,) = audit_kernel_properties([build_graded_mesh(1.0, 10, 2.0)], 0.6, 10)
     assert audited.violations() == [] and _violations_loop(audited.entries) == []
     report = _report([row[:5] for row in audited.records()] + [
         (11, "kernel_positive", 3, 1e-9, 2e-9),              # new worst of an audited property
@@ -357,3 +358,70 @@ def test_report_columns_are_one_length_and_read_only():
     assert report.violations() == []
     with pytest.raises(ValueError):        # numpy refuses writes to a read-only array
         report.lhs[0] = -1.0
+
+
+def test_report_rejects_codes_outside_its_names():
+    # a code of -1 would otherwise name its row after the last property
+    for code in (2, -1):
+        with pytest.raises(ValueError, match=rf"code {code} is outside range\(2\)"):
+            AuditReport(("p", "q"), [2, 2], [0, code], [1, 2], [1.0, 1.0], [0.0, 0.0])
+
+
+def test_report_rejects_names_without_rows():
+    with pytest.raises(ValueError, match=r"names without rows: \['q'\]"):
+        AuditReport(("p", "q"), [2], [0], [1], [1.0], [0.0])
+    with pytest.raises(ValueError, match=r"names without rows: \['p'\]"):
+        AuditReport(("p",), [], [], [], [], [])
+
+
+def test_summary_on_rows_not_grouped_by_property():
+    # each property's worst is its first row of least slack, a nan slack first
+    rows = [(2, "p", 1, 1.0, 0.0), (2, "q", 1, 0.0, 0.0), (3, "p", 1, 0.0, 0.5), (3, "q", 2, math.nan, 0.0),
+            (4, "p", 1, 0.0, 0.5), (4, "q", 3, -1.0, 0.0), (5, "r", 1, 2.0, 1.0), (5, "p", 2, 3.0, 0.0)]
+    report = _report(rows)
+    checks, bad, worst = report.summary()
+    assert report.names == ("p", "q", "r")
+    assert checks.tolist() == [4, 3, 1] and bad.tolist() == [2, 2, 0]
+    assert worst.tolist() == [2, 3, 6]
+
+
+def _fuzz_meshes(alphas, count, n_max, seed=0):
+    # the meshes run_kernel_audit draws for each alpha, in its order
+    rng = np.random.default_rng(seed)
+    return {alpha: [random_ratio_mesh(rng, n_max, min_step_ratio(alpha)) for _ in range(count)]
+            for alpha in alphas}
+
+
+def _assert_same_report(got, want):
+    assert got.names == want.names
+    for name in ("n", "code", "k"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("lhs", "rhs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_batch_audit_equals_one_mesh_audits():
+    for alpha, meshes in _fuzz_meshes((0.1, 0.5, 0.9), 6, 20).items():
+        reports = audit_kernel_properties(meshes, alpha, 20)
+        assert len(reports) == len(meshes)
+        for mesh, report in zip(meshes, reports):
+            _assert_same_report(report, audit_kernel_properties([mesh], alpha, 20)[0])
+            for name in ("lhs", "rhs"):
+                assert not getattr(report, name).flags.writeable
+        # the reports of one pass share one read-only block of lhs and rhs rows
+        assert reports[0].lhs.base is reports[-1].rhs.base is not None
+
+
+def test_batch_audit_of_meshes_that_reach_different_levels():
+    rng = np.random.default_rng(0)
+    meshes = [random_ratio_mesh(rng, steps, min_step_ratio(0.6)) for steps in (20, 3, 1, 12, 20, 2, 4, 12)]
+    reports = audit_kernel_properties(meshes, 0.6, 12)
+    assert [report.n.max(initial=0) for report in reports] == [12, 3, 0, 12, 12, 2, 4, 12]
+    for mesh, report in zip(meshes, reports):
+        _assert_same_report(report, audit_kernel_properties([mesh], 0.6, 12)[0])
+    assert audit_kernel_properties([], 0.6, 12) == []
+    # more meshes than one pass takes
+    (meshes,) = _fuzz_meshes((0.3,), 2 * _MESHES_PER_PASS + 3, 8).values()
+    for mesh, report in zip(meshes, audit_kernel_properties(meshes, 0.3, 8), strict=True):
+        _assert_same_report(report, audit_kernel_properties([mesh], 0.3, 8)[0])
+

@@ -109,6 +109,9 @@ def test_kernels_happy_path_with_seed_override(tmp_path, capsys):
         [(str(m), p) for _, m, r in result.reports for p in r.names]
     assert len(summary) == 2 * 12
     assert sum(int(row["checks"]) for row in summary) == meta["total_checks"]
+    # the history of the worst DGS residual is recorded on success too
+    assert meta["dgs_worst_history"] == result.dgs_worst_history
+    assert meta["dgs_worst_history"] in range(3)
 
 
 def test_kernel_inequality_violation_is_an_audit_failure(tmp_path, capsys, monkeypatch):
@@ -118,7 +121,7 @@ def test_kernel_inequality_violation_is_an_audit_failure(tmp_path, capsys, monke
     names = ["kernel_positive", "moment_ratio_gap"]
     n, prop, k, lhs, rhs = zip(*rows)
     report = fracstep.AuditReport(names, n, [names.index(p) for p in prop], k, lhs, rhs)
-    monkeypatch.setattr(xp, "audit_kernel_properties", lambda mesh, order, n_max: report)
+    monkeypatch.setattr(xp, "audit_kernel_properties", lambda meshes, order, n_max: [report] * len(meshes))
     cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.5], "num_meshes": 1, "n_max": 4, "dgs_histories": 1})
     out = tmp_path / "out"
     assert main(["kernels", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT

@@ -131,8 +131,8 @@ def test_history_weights_equal_scalar_loop():
 
 @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.95])
 def test_kernel_table_rows_equal_build_kernels(alpha):
-    # row n of the one-pass tables is bit for bit level n's KernelSet, on a
-    # fuzz mesh, a ratio-4 mesh and a graded mesh with tau_1 ~ 1e-13
+    # row [j, n] of the one-pass tables is bit for bit level n's KernelSet of
+    # mesh j, for a fuzz mesh, a ratio-4 mesh and a graded mesh with tau_1 ~ 1e-13
     n_max = 20
     meshes = [
         random_ratio_mesh(np.random.default_rng(17), n_max, min_step_ratio(alpha)),
@@ -140,16 +140,19 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
         build_two_phase_mesh(1.0, 6.0, 160, 1234),
     ]
     for mesh in meshes:
-        d, tau, _ = _offset_geometry(mesh, 0.5 * alpha, 2, n_max)
-        gap = tau[:, 1:] / d[:, 1:]                              # tau_k / d_k, nan past each level
+        d, tau, _ = _offset_geometry([mesh], 0.5 * alpha, 2, n_max)
+        gap = tau[..., 1:] / d[..., 1:-1]                        # tau_k / d_k, nan past each level
         assert np.any(gap <= _SERIES_GAP) and np.any(gap > _SERIES_GAP)   # both moment branches
-        tables = kernel_tables(mesh, alpha, n_max)
-        for name in ("a", "zeta", "hat_a", "aux_a"):
-            table = getattr(tables, name)
-            assert table.shape == (n_max + 1, n_max) and np.isnan(table[0]).all()
+    # one pass over all three meshes: block j is mesh j's tables
+    tables = kernel_tables(meshes, alpha, n_max)
+    for name in ("a", "zeta", "hat_a", "aux_a"):
+        table = getattr(tables, name)
+        assert table.shape == (len(meshes), n_max + 1, n_max) and np.isnan(table[:, 0]).all()
+        for j, mesh in enumerate(meshes):
             for n in range(1, n_max + 1):
-                assert table[n, :n].tobytes() == getattr(build_kernels(mesh, alpha, n), name).tobytes(), (name, n)
-                assert np.isnan(table[n, n:]).all()
+                want = getattr(build_kernels(mesh, alpha, n), name)
+                assert table[j, n, :n].tobytes() == want.tobytes(), (name, j, n)
+                assert np.isnan(table[j, n, n:]).all()
 
 
 def test_gradient_kernel_head_doubling():
