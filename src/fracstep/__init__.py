@@ -27,9 +27,9 @@ from .kernels import (
     local_coefficient,
     min_step_ratio,
 )
-from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, norm_l2, save_pgm, save_raw
+from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, save_pgm, save_raw
 from .energy import EnergyRecord, dissipation_audit, free_energy, modified_energy
-from .audits import AuditReport, audit_kernel_properties, diagnostics
+from .audits import AuditReport, audit_kernel_properties
 from .solver import (
     BoundViolation,
     ConvergenceError,
@@ -69,7 +69,6 @@ __all__ = [
     "build_uniform_mesh",
     "crank_nicolson_step",
     "dgs_forms",
-    "diagnostics",
     "dissipation_audit",
     "free_energy",
     "frac_derivative",
@@ -80,7 +79,6 @@ __all__ = [
     "min_step_ratio",
     "modified_energy",
     "norm_inf",
-    "norm_l2",
     "random_ratio_mesh",
     "run",
     "save_pgm",

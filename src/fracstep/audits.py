@@ -28,10 +28,10 @@ start at level 2, then 3, then 4), and orders each one's rows by n, then k.
   moment_ratio_gap_decay   the same gap grows when moving to level n-1
 
 I and J are the curvature integrals weighted toward the left/right
-endpoint of each interval.  Inside the audit they are obtained from the
-exact identities I = a - w'(t_{k-1}) and J = w'(t_k) - a; the diagnostics
-routine recomputes them by adaptive quadrature so the identities
-themselves can be cross-checked.
+endpoint of each interval.  The audit obtains them from the exact
+identities I = a - w'(t_{k-1}) and J = w'(t_k) - a; the tests recompute
+them by adaptive quadrature, so the identities themselves are
+cross-checked there and the package needs no quadrature.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import FracOrder, KernelSet, _offset_geometry, as_order, kernel_tables
+from .kernels import FracOrder, as_order, comparison_factor, kernel_tables
 from .kernels import build_kernels  # noqa: F401  (unused here; perfbench/tracer.py hooks this name)
-from .mesh import TimeMesh
 from .special import omega
 
 
@@ -119,18 +118,9 @@ class AuditReport:
         return self.size
 
     def __iter__(self):
-        return (AuditEntry(*row[:5]) for row in self.records())
-
-    @property
-    def entries(self) -> "AuditReport":
-        """The rows, as the report itself: a sized iterable of AuditEntry."""
-        return self
-
-    def records(self):
-        """Rows as (n, prop, k, lhs, rhs, slack) tuples of Python scalars."""
         prop = np.array(self.names, dtype=object)[self.code]
-        return zip(self.n.tolist(), prop.tolist(), self.k.tolist(),
-                   self.lhs.tolist(), self.rhs.tolist(), (self.lhs - self.rhs).tolist())
+        return map(AuditEntry, self.n.tolist(), prop.tolist(), self.k.tolist(),
+                   self.lhs.tolist(), self.rhs.tolist())
 
     def _entry(self, i: int) -> AuditEntry:
         return AuditEntry(int(self.n[i]), self.names[self.code[i]], int(self.k[i]),
@@ -164,80 +154,17 @@ class AuditReport:
         worst = np.array([rows[a + np.argmin(slack[a:b])] for a, b in zip([0] + ends, ends)], dtype=np.int64)
         return checks, np.bincount(self.code[self._violating], minlength=size), worst
 
-    def worst_slack(self):
-        """Minimum slack per property, as {prop: (slack, n, k)} in names order."""
-        worst = (self._entry(i) for i in self.summary()[2].tolist())
-        return {e.prop: (e.slack, e.n, e.k) for e in worst}
-
-
-def beta_factors(mesh: TimeMesh, order, n: int) -> np.ndarray:
-    """Comparison factors beta_k = 2(1-alpha/2) r_k / (1+alpha+(1-alpha/2) r_k).
-
-    Returned as beta[k] for k = 2..n (entries 0..1 are nan placeholders).
-    """
-    return _comparison(as_order(order).alpha, np.concatenate(([np.nan, np.nan], mesh.ratios[: n - 1])))
-
-
-def _comparison(alpha: float, r):
-    """beta from the step ratios r, elementwise; a nan ratio gives a nan beta."""
-    s = 1.0 - 0.5 * alpha
-    return 2.0 * s * r / (1.0 + alpha + s * r)
-
-
-def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
-    """w'(t_j) = omega_{1-alpha}(d_j), d_j = t_{n-theta} - t_j, for j = 0..n-1."""
-    d, _, _ = _offset_geometry((mesh,), order.theta, n, n)    # by node offset p = n - j
-    # reverse after evaluating: numpy's power takes another code path, with
-    # other last bits, on a negatively strided view
-    return omega(1.0 - order.alpha, d[0, 0])[n:0:-1]
-
-
-def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
-    """(I, J) by offset m = n-k for k = 1..n-1, from the interval-average identities.
-
-    I[m] = a[m] - w'(t_{k-1}) and J[m] = w'(t_k) - a[m]; both are positive
-    because the weight is convex.  Offset 0 is nan (the head interval has
-    no integrable curvature).
-    """
-    wp = _weight_at_nodes(mesh, as_order(order), n)
-    return _gaps(kernels.a, np.concatenate(([np.nan], wp[::-1])))
-
 
 def _gaps(a: np.ndarray, wp: np.ndarray):
-    """endpoint_gaps from the weights a by offset m and w' by node offset
-    p = n - j (nan at p = 0), for one level or for tables of levels."""
+    """(I, J) by offset m = n - k from the weights a by offset m and w' by
+    node offset p = n - j (nan at p = 0), for one level or for tables of
+    levels: I[m] = a[m] - w'(t_{k-1}) and J[m] = w'(t_k) - a[m], both
+    positive because the weight is convex, and nan at m = 0 (the head
+    interval has no integrable curvature)."""
     I = a - wp[..., 1:]        # w'(t_{k-1}) sits at p = m + 1
     J = wp[..., :-1] - a       # w'(t_k) at p = m
     I[..., 0] = J[..., 0] = np.nan
     return I, J
-
-
-@dataclass(frozen=True)
-class DiagnosticSet:
-    """Quadrature-evaluated curvature integrals and comparison factors at level n.
-
-    I and J are indexed by offset m = n-k (entry 0 nan), beta by step
-    index k (entries 0..1 nan).
-    """
-
-    n: int
-    I: np.ndarray
-    J: np.ndarray
-    beta: np.ndarray
-
-
-def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
-    """Recompute I and J by adaptive quadrature of the weight curvature."""
-    from . import quadrature    # loads scipy.integrate, which no CLI path needs
-
-    order = as_order(order)
-    I = np.full(n, np.nan)
-    J = np.full(n, np.nan)
-    for k in range(1, n):
-        m = n - k
-        I[m] = quadrature.endpoint_moment_quad(mesh, order, n, k, side="left")
-        J[m] = quadrature.endpoint_moment_quad(mesh, order, n, k, side="right")
-    return DiagnosticSet(n=n, I=I, J=J, beta=beta_factors(mesh, order, n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -315,7 +242,7 @@ def _audit(meshes, order: FracOrder, n_max: int) -> list:
     A, Z, I, J = (x.reshape(len(meshes), -1) for x in (t.aux_a, t.zeta, *_gaps(t.a, wp)))
     r = np.full((len(meshes), n_max + 1), np.nan)      # r[:, j] = ratio at step j
     r[:, 2:] = [mesh.ratios[: n_max - 1] for mesh in meshes]
-    beta = _comparison(alpha, r)
+    beta = comparison_factor(alpha, r)
 
     def at(table, group, dn, dk):
         """table, a flat weight table per mesh, at level n - dn and step

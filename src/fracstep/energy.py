@@ -15,8 +15,8 @@ hypothesis (cap or ratio floor) was broken, if any.
 G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
 whole history.  A run carries those distances from step to step
 (modified_energy updates them with one inner-product pass over the field
-stack); history_quadratic recomputes them from the fields and is the
-stateless reference the carried values are tested against.
+stack); the tests recompute them from the fields as the stateless
+reference the carried values are checked against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
     return 0.5 * epsilon**2 * grad_energy(phi, grid) + bulk
 
 
-_G_BLOCK = 32        # history levels per squared-distance block (the oracle's only temporary)
 _DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E_alpha|
 
 
@@ -57,26 +56,6 @@ def _form_from_distances(dist: np.ndarray, aux_a: np.ndarray, grid: Grid2D) -> f
     """Half the integrated form G from dist[j] = grid sum of (phi^n - phi^j)^2, j < n."""
     coeffs, tail = stored_form_coeffs(aux_a)
     return 0.5 * grid.h**2 * math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
-
-
-def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
-    """Half the integrated gradient-structure form G over the grid, recomputed.
-
-    fields stacks phi^0..phi^n; the partial sums of first differences
-    collapse to field differences phi^n - phi^j, so the form is a
-    coefficient-weighted sum of squared L2 distances, taken blockwise by
-    einsum.  This is the stateless reference for the distances that
-    modified_energy carries from step to step.
-    """
-    fields = np.asarray(fields, dtype=float)
-    n = len(fields) - 1
-    if n == 0:
-        return 0.0
-    dist = np.empty(n)                 # dist[j] = grid sum of (phi^n - phi^j)^2
-    for lo in range(0, n, _G_BLOCK):
-        d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
-        dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
-    return _form_from_distances(dist, aux_a, grid)
 
 
 def modified_energy(

@@ -299,7 +299,7 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
         r_star = min_step_ratio(alpha)
         meshes = [random_ratio_mesh(rng, spec.n_max, r_star) for _ in range(spec.num_meshes)]
         for m, report in enumerate(audit_kernel_properties(meshes, order, spec.n_max)):
-            total += len(report.entries)
+            total += len(report)
             violations.extend((alpha, m, bad) for bad in report.violations())
             reports.append((alpha, m, report))
 

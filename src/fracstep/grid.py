@@ -69,15 +69,6 @@ def laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
     return out
 
 
-def inner(u: np.ndarray, v: np.ndarray, grid: Grid2D) -> float:
-    """Discrete L2 inner product h^2 * sum(u * v)."""
-    return grid.h**2 * grid_sum(u * v)
-
-
-def norm_l2(u: np.ndarray, grid: Grid2D) -> float:
-    return math.sqrt(grid.h**2 * grid_sum(u * u))
-
-
 def norm_inf(u: np.ndarray) -> float:
     return float(np.max(np.abs(u)))
 
@@ -86,8 +77,8 @@ def grad_energy(u: np.ndarray, grid: Grid2D) -> float:
     """Discrete Dirichlet energy: sum of squared forward differences.
 
     The h factors cancel (h^2 for the cell area, 1/h^2 for the difference
-    quotient), and summation by parts gives inner(laplacian(u), u) equal
-    to -grad_energy(u) exactly.  The forward differences roll(u, -1, axis) - u
+    quotient), and summation by parts gives h^2 * grid_sum(laplacian(u) * u)
+    equal to -grad_energy(u) exactly.  The forward differences roll(u, -1, axis) - u
     are taken from slices into one output array.
     """
     dx, dy = d = np.empty((2, *u.shape))

@@ -60,13 +60,21 @@ def as_order(order) -> FracOrder:
     return order if isinstance(order, FracOrder) else FracOrder(float(order))
 
 
+def comparison_factor(alpha: float, r):
+    """beta = 2 s r / (1 + alpha + s r) with s = 1 - alpha/2, for a step
+    ratio r or elementwise over an array of them; a nan ratio gives a nan
+    beta.  It weighs the moment weight in the left curvature gap of the
+    kernel audit and enters the admissible-ratio equation."""
+    s = 1.0 - 0.5 * alpha
+    return 2.0 * s * r / (1.0 + alpha + s * r)
+
+
 def _ratio_equation(r: float, alpha: float) -> float:
     """Residual whose unique root in (1/4, 1/2) is the admissible-ratio floor.
 
     Increasing in r and decreasing in alpha, which makes bisection safe.
     """
-    s = 1.0 - 0.5 * alpha
-    inner = 2.0 * s * r / (1.0 + alpha + s * r) + r / (1.0 + r)
+    inner = comparison_factor(alpha, r) + r / (1.0 + r)
     return 2.0 * math.sqrt(inner) + 3.0 - 1.0 / (r * r * (1.0 + r))
 
 

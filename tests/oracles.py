@@ -1,20 +1,34 @@
-"""Adaptive-quadrature evaluation of the derivative weights.
+"""Test-only references for the package's closed forms and carried state.
 
-Everything in kernels.py has a closed form; this module recomputes the
-same quantities by numerically integrating the defining integrands, so
-the two routes can be checked against each other.  The quadratures also
-back the curvature diagnostics, whose integrals have no closed form that
-is independent of the weight identities.
+Everything in fracstep.kernels has a closed form; the quadratures here
+recompute the same quantities by numerically integrating the defining
+integrands (scipy's QUADPACK), so the two routes can be checked against
+each other.  The quadratures also back the curvature diagnostics, whose
+integrals have no closed form that is independent of the weight
+identities.  The rest are stateless recomputations that no run calls:
+the one-level endpoint gaps the vectorised kernel audit is compared with,
+the worst slack per property of an audit report, the history quadratic G
+from the fields, and the grid inner product and L2 norm.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from .kernels import FracOrder, as_order
-from .mesh import TimeMesh
+from fracstep.audits import AuditReport, _gaps
+from fracstep.energy import _form_from_distances
+from fracstep.grid import Grid2D, grid_sum
+from fracstep.kernels import FracOrder, KernelSet, _offset_geometry, as_order
+from fracstep.mesh import TimeMesh
+from fracstep.special import omega
+
+
+# -- adaptive quadrature of the derivative weights ---------------------------
 
 
 class QuadratureError(RuntimeError):
@@ -159,3 +173,89 @@ def endpoint_moment_quad(mesh: TimeMesh, order, n: int, k: int, side: str) -> fl
     else:
         raise ValueError(f"unknown side {side!r}")
     return val
+
+
+@dataclass(frozen=True)
+class DiagnosticSet:
+    """Quadrature-evaluated curvature integrals at level n, indexed by
+    offset m = n-k (entry 0 nan)."""
+
+    n: int
+    I: np.ndarray
+    J: np.ndarray
+
+
+def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
+    """Recompute I and J by adaptive quadrature of the weight curvature."""
+    order = as_order(order)
+    I = np.full(n, np.nan)
+    J = np.full(n, np.nan)
+    for k in range(1, n):
+        m = n - k
+        I[m] = endpoint_moment_quad(mesh, order, n, k, side="left")
+        J[m] = endpoint_moment_quad(mesh, order, n, k, side="right")
+    return DiagnosticSet(n=n, I=I, J=J)
+
+
+# -- one-level and scalar references for the kernel audit --------------------
+
+
+def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
+    """w'(t_j) = omega_{1-alpha}(d_j), d_j = t_{n-theta} - t_j, for j = 0..n-1."""
+    d, _, _ = _offset_geometry((mesh,), order.theta, n, n)    # by node offset p = n - j
+    # reverse after evaluating: numpy's power takes another code path, with
+    # other last bits, on a negatively strided view
+    return omega(1.0 - order.alpha, d[0, 0])[n:0:-1]
+
+
+def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
+    """(I, J) by offset m = n-k for k = 1..n-1, from the interval-average identities.
+
+    I[m] = a[m] - w'(t_{k-1}) and J[m] = w'(t_k) - a[m]; both are positive
+    because the weight is convex.  Offset 0 is nan (the head interval has
+    no integrable curvature).
+    """
+    wp = _weight_at_nodes(mesh, as_order(order), n)
+    return _gaps(kernels.a, np.concatenate(([np.nan], wp[::-1])))
+
+
+def worst_slack(report: AuditReport):
+    """Minimum slack per property, as {prop: (slack, n, k)} in names order,
+    read from the worst rows of report.summary()."""
+    worst = (report._entry(i) for i in report.summary()[2].tolist())
+    return {e.prop: (e.slack, e.n, e.k) for e in worst}
+
+
+# -- stateless recomputations of carried or reduced field quantities ---------
+
+
+_G_BLOCK = 32        # history levels per squared-distance block (the oracle's only temporary)
+
+
+def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
+    """Half the integrated gradient-structure form G over the grid, recomputed.
+
+    fields stacks phi^0..phi^n; the partial sums of first differences
+    collapse to field differences phi^n - phi^j, so the form is a
+    coefficient-weighted sum of squared L2 distances, taken blockwise by
+    einsum.  This is the stateless reference for the distances that
+    energy.modified_energy carries from step to step.
+    """
+    fields = np.asarray(fields, dtype=float)
+    n = len(fields) - 1
+    if n == 0:
+        return 0.0
+    dist = np.empty(n)                 # dist[j] = grid sum of (phi^n - phi^j)^2
+    for lo in range(0, n, _G_BLOCK):
+        d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
+        dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
+    return _form_from_distances(dist, aux_a, grid)
+
+
+def inner(u: np.ndarray, v: np.ndarray, grid: Grid2D) -> float:
+    """Discrete L2 inner product h^2 * sum(u * v)."""
+    return grid.h**2 * grid_sum(u * v)
+
+
+def norm_l2(u: np.ndarray, grid: Grid2D) -> float:
+    return math.sqrt(grid.h**2 * grid_sum(u * u))

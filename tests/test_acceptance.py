@@ -29,12 +29,8 @@ from fracstep.kernels import (
     min_step_ratio,
 )
 from fracstep.mesh import TimeMesh, build_uniform_mesh, random_ratio_mesh
-from fracstep.quadrature import (
-    derivative_quad,
-    interval_weight_quad,
-    moment_weight_quad,
-)
 from fracstep.solver import SolverConfig, crank_nicolson_step, run
+from oracles import derivative_quad, interval_weight_quad, moment_weight_quad, worst_slack
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,7 +152,7 @@ def test_criterion_04_gradient_structure_identity(kernel_audit):
 
 def test_criterion_05_kernel_inequality_audit(kernel_audit):
     result, elapsed = kernel_audit
-    min_slack = min(s for _, _, rep in result.reports for s, _, _ in rep.worst_slack().values())
+    min_slack = min(s for _, _, rep in result.reports for s, _, _ in worst_slack(rep).values())
     print(f"[criterion 5] {result.total_checks} inequality checks, "
           f"{len(result.violations)} violations (min slack {min_slack:.1e}), "
           f"{elapsed:.1f}s")

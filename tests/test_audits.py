@@ -11,21 +11,20 @@ from fracstep.audits import (
     AuditEntry,
     _MESHES_PER_PASS,
     AuditReport,
-    _weight_at_nodes,
+    _gaps,
     audit_kernel_properties,
-    beta_factors,
-    diagnostics,
-    endpoint_gaps,
 )
 from fracstep.experiments import KernelAuditResult, KernelAuditSpec, run_kernel_audit, write_kernel_audit_csv
-from fracstep.kernels import as_order, build_kernels, min_step_ratio
+from fracstep.kernels import as_order, build_kernels, comparison_factor, kernel_tables, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_uniform_mesh, random_ratio_mesh
+from fracstep.special import omega
+from oracles import _weight_at_nodes, diagnostics, endpoint_gaps, worst_slack
 
 
 def test_beta_factors_uniform_alpha_one_limit():
     # alpha -> 1, r = 1: 2(1 - 1/2)/(1 + 1 + 1/2) = 0.4
     mesh = build_uniform_mesh(1.0, 6)
-    beta = beta_factors(mesh, 1.0 - 1e-9, 6)
+    beta = comparison_factor(1.0 - 1e-9, np.concatenate(([np.nan, np.nan], mesh.ratios[:5])))
     assert math.isnan(beta[0]) and math.isnan(beta[1])
     assert np.allclose(beta[2:], 0.4, rtol=1e-8)
 
@@ -36,23 +35,26 @@ def test_beta_factors_formula():
 
     steps = np.array([0.1, 0.2, 0.4, 0.8])
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
-    beta = beta_factors(mesh, 0.5, 4)
-    assert np.allclose(beta[2:], 1.0, rtol=1e-13)
+    beta = comparison_factor(0.5, mesh.ratios[:3])
+    assert np.allclose(beta, 1.0, rtol=1e-13)
 
 
 def test_endpoint_gaps_match_quadrature():
+    # I and J as the audit computes them, from the kernel tables of every level at once
     rng = np.random.default_rng(13)
     for alpha in (0.2, 0.5, 0.8):
         order = as_order(alpha)
         n = 6
         mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
-        kern = build_kernels(mesh, order, n)
-        I_id, J_id = endpoint_gaps(kern, mesh, order, n)
-        diag = diagnostics(mesh, order, n)
-        assert math.isnan(I_id[0]) and math.isnan(diag.I[0])
-        assert np.allclose(I_id[1:], diag.I[1:], rtol=1e-9)
-        assert np.allclose(J_id[1:], diag.J[1:], rtol=1e-9)
-        assert np.all(I_id[1:] > 0) and np.all(J_id[1:] > 0)
+        t = kernel_tables([mesh], order, n)
+        I_tab, J_tab = _gaps(t.a, omega(1.0 - alpha, t.d))
+        for level in range(2, n + 1):
+            I_id, J_id = I_tab[0, level, :level], J_tab[0, level, :level]
+            diag = diagnostics(mesh, order, level)
+            assert math.isnan(I_id[0]) and math.isnan(diag.I[0])
+            assert np.allclose(I_id[1:], diag.I[1:], rtol=1e-9)
+            assert np.allclose(J_id[1:], diag.J[1:], rtol=1e-9)
+            assert np.all(I_id[1:] > 0) and np.all(J_id[1:] > 0)
 
 
 def test_audit_clean_on_uniform_mesh():
@@ -66,7 +68,7 @@ def test_audit_clean_on_graded_mesh():
     mesh = build_graded_mesh(1.0, 15, 3.0)
     (report,) = audit_kernel_properties([mesh], 0.7, 15)
     assert report.violations() == []
-    worst = report.worst_slack()
+    worst = worst_slack(report)
     assert set(worst) >= {
         "kernel_decreasing",
         "kernel_positive",
@@ -81,7 +83,7 @@ def test_audit_clean_on_graded_mesh():
 def test_audit_respects_level_cap():
     mesh = build_uniform_mesh(1.0, 5)
     (report,) = audit_kernel_properties([mesh], 0.5, 50)
-    assert max(e.n for e in report.entries) == 5
+    assert max(e.n for e in report) == 5
 
 
 def _report(rows):
@@ -112,7 +114,7 @@ def test_non_finite_rows_are_violations():
 
 def test_worst_slack_groups_by_property():
     report = _report([(2, "p", 1, 5.0, 1.0), (3, "p", 1, 2.0, 1.0), (3, "q", 1, 0.5, 0.0)])
-    worst = report.worst_slack()
+    worst = worst_slack(report)
     assert worst["p"] == (1.0, 3, 1)
     assert worst["q"] == (0.5, 3, 1)
 
@@ -127,7 +129,7 @@ def _audit_loop(mesh, alpha, n_max):
     for n in range(2, min(n_max, mesh.num_steps) + 1):
         ks = build_kernels(mesh, order, n)
         A, Ap, Z, Zp = ks.aux_a, prev.aux_a, ks.zeta, prev.zeta
-        beta = beta_factors(mesh, order, n)
+        beta = comparison_factor(order.alpha, np.concatenate(([np.nan, np.nan], mesh.ratios[: n - 1])))
         I, J = endpoint_gaps(ks, mesh, order, n)
         r = mesh.steps[1:n] / mesh.steps[: n - 1]
         for k in range(1, n):
@@ -182,9 +184,9 @@ def test_audit_rows_equal_scalar_loop():
         rows = _audit_loop(mesh, alpha, n_max)
         assert set(report.names) == {e.prop for e in rows}
         rows.sort(key=lambda e: report.names.index(e.prop))      # a stable sort
-        assert _bits(report.entries) == _bits(rows)
+        assert _bits(report) == _bits(rows)
         assert report.violations() == _violations_loop(rows)
-        assert list(report.worst_slack().items()) == list(_worst_slack_loop(rows).items())
+        assert list(worst_slack(report).items()) == list(_worst_slack_loop(rows).items())
 
 
 def test_entries_len_is_check_count():
@@ -193,7 +195,7 @@ def test_entries_len_is_check_count():
         (report,) = audit_kernel_properties([mesh], alpha, n_max)
         levels = range(2, min(n_max, mesh.num_steps) + 1)
         want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in levels)
-        assert len(report.entries) == report.size == want == sum(1 for _ in report.entries)
+        assert len(report) == report.size == want == sum(1 for _ in report)
         assert report.n.size == report.k.size == report.lhs.size == report.rhs.size == report.code.size == want
 
 
@@ -201,11 +203,11 @@ def test_empty_report():
     # a 1-step mesh, or a level cap of 1, has no level n >= 2 to audit
     for mesh, n_max in ((build_uniform_mesh(1.0, 1), 10), (build_uniform_mesh(1.0, 6), 1)):
         (report,) = audit_kernel_properties([mesh], 0.5, n_max)
-        assert report.size == 0 and len(report.entries) == 0
+        assert report.size == 0 and len(report) == 0
         assert report.violations() == []
-        assert report.worst_slack() == {}
+        assert worst_slack(report) == {}
         assert [col.size for col in report.summary()] == [0, 0, 0]
-        assert list(report.records()) == []
+        assert list(report) == []
 
 
 def _same_bits(text, value):
@@ -257,10 +259,10 @@ def test_kernel_audit_summary_matches_report_columns(tmp_path):
         reports = {(alpha, m): r for alpha, m, r in result.reports}
         for a, m, prop, checks, bad, n, k, lhs, rhs, slack in summary:
             report = reports[float(a), int(m)]
-            entries = [e for e in report.entries if e.prop == prop]
+            entries = [e for e in report if e.prop == prop]
             assert int(checks) == len(entries)
             assert int(bad) == len(_violations_loop(entries))
-            worst, wn, wk = report.worst_slack()[prop]
+            worst, wn, wk = worst_slack(report)[prop]
             assert (int(n), int(k)) == (wn, wk) and _same_bits(slack, worst)
             (row,) = [e for e in entries if (e.n, e.k) == (wn, wk)]
             assert _same_bits(lhs, row.lhs) and _same_bits(rhs, row.rhs)
@@ -333,20 +335,20 @@ def _worst_slack_loop(entries):
 
 def test_violations_and_worst_slack_match_scalar_recomputation():
     (audited,) = audit_kernel_properties([build_graded_mesh(1.0, 10, 2.0)], 0.6, 10)
-    assert audited.violations() == [] and _violations_loop(audited.entries) == []
-    report = _report([row[:5] for row in audited.records()] + [
+    assert audited.violations() == [] and _violations_loop(audited) == []
+    report = _report([(e.n, e.prop, e.k, e.lhs, e.rhs) for e in audited] + [
         (11, "kernel_positive", 3, 1e-9, 2e-9),              # new worst of an audited property
         (11, "injected", 1, 1e6, 1e6 * (1 + 1e-14)),         # round-off at scale 1e6
         (11, "injected", 2, 1e6, 1e6 * (1 + 1e-11)),         # violation at scale 1e6
         (12, "injected", 4, 2.0, 1.0),
         (12, "injected", 5, 3.0, 1.0),
     ])
-    entries = list(report.entries)
+    entries = list(report)
     bad = report.violations()
     assert bad == _violations_loop(entries)
     assert [(e.prop, e.n, e.k) for e in bad] == [("kernel_positive", 11, 3), ("injected", 11, 2)]
-    assert report.worst_slack() == _worst_slack_loop(entries)
-    assert report.worst_slack()["kernel_positive"] == (1e-9 - 2e-9, 11, 3)
+    assert worst_slack(report) == _worst_slack_loop(entries)
+    assert worst_slack(report)["kernel_positive"] == (1e-9 - 2e-9, 11, 3)
 
 
 def test_report_columns_are_one_length_and_read_only():

@@ -409,7 +409,8 @@ def test_unknown_subcommand_rejected(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the quadrature oracle needs scipy; no CLI path pays for any scipy import
+    # scipy is a test-only dependency, for the quadrature oracle in tests/oracles.py;
+    # no CLI path pays for any scipy import
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fracstep.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -439,6 +440,26 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "exit codes [0, 0, 0, 0]", proc.stdout + proc.stderr
+
+
+def test_every_module_imports_without_scipy():
+    # the package holds only the run path: with scipy unimportable, every
+    # module of fracstep still imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None    # every scipy import now raises ImportError\n"
+            "import fracstep\n"
+            "names = sorted(m.name for m in pkgutil.iter_modules(fracstep.__path__))\n"
+            "for name in names:\n"
+            "    importlib.import_module('fracstep.' + name)\n"
+            "print(names)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.strip().splitlines()[-1]
+    for name in ("audits", "cli", "energy", "experiments", "grid", "kernels", "mesh", "solver", "special"):
+        assert repr(name) in names, names
 
 
 def test_every_exported_name_resolves():

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from fracstep.energy import (
-    _G_BLOCK,
     DissipationViolation,
     EnergyRecord,
     dissipation_audit,
     dissipation_lhs,
     free_energy,
-    history_quadratic,
     modified_energy,
     write_energy_csv,
 )
 from fracstep.grid import Grid2D
 from fracstep.kernels import build_kernels, stored_form
 from fracstep.mesh import build_uniform_mesh
+from oracles import _G_BLOCK, history_quadratic
 
 TWO_PI = 2.0 * math.pi
 

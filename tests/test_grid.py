@@ -9,15 +9,14 @@ from fracstep.grid import (
     Grid2D,
     grad_energy,
     grid_sum,
-    inner,
     laplacian,
     load_raw,
     norm_inf,
-    norm_l2,
     save_pgm,
     save_raw,
     stencil_symbol,
 )
+from oracles import inner, norm_l2
 
 TWO_PI = 2.0 * math.pi
 

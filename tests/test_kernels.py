@@ -86,7 +86,7 @@ def test_moment_weights_head_is_undefined():
 def test_moment_weights_branch_agreement():
     # meshes on both sides of the series/closed-form switch give values that
     # agree with the quadrature oracle (the two branches meet smoothly)
-    from fracstep.quadrature import moment_weight_quad
+    from oracles import moment_weight_quad
 
     rng = np.random.default_rng(3)
     for alpha in (0.2, 0.7):

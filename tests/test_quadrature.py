@@ -7,7 +7,7 @@ import pytest
 
 from fracstep.kernels import as_order, build_kernels, frac_derivative, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
-from fracstep.quadrature import (
+from oracles import (
     curvature_fn,
     derivative_quad,
     endpoint_moment_quad,

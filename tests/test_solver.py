@@ -11,7 +11,6 @@ import pytest
 import fracstep
 import fracstep.solver as solver
 from fracstep.grid import Grid2D, laplacian, norm_inf
-from fracstep.energy import history_quadratic
 from fracstep.experiments import CoarsenSpec, run_coarsening
 from fracstep.kernels import build_kernels, local_coefficient, min_step_ratio, stored_form_coeffs
 from fracstep.mesh import TimeMesh, build_graded_mesh, build_uniform_mesh
@@ -30,6 +29,7 @@ from fracstep.solver import (
     step,
     step_size_cap,
 )
+from oracles import history_quadratic
 
 TWO_PI = 2.0 * math.pi
 
