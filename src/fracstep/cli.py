@@ -75,11 +75,12 @@ def _typed(key: str, value, kind):
 
 
 # The least value of each key (for a list, the fewest distinct entries) for
-# which the run checks something: an order fit needs two Ns, an audit at
-# least one mesh, one DGS history and one step past the first level.
+# which the run checks something: an order fit needs two Ns, a table or an
+# audit one alpha, and an audit one mesh, one DGS history and one step past the first level.
 _LEAST = {
     xp.AccuracySpec: {"Ns": 2, "gammas": 1},
-    xp.KernelAuditSpec: {"num_meshes": 1, "n_max": 2, "dgs_histories": 1},
+    xp.KernelAuditSpec: {"alphas": 1, "num_meshes": 1, "n_max": 2, "dgs_histories": 1},
+    xp.RstarSpec: {"alphas": 1},
 }
 
 

@@ -90,6 +90,7 @@ class AccuracySpec:
 
     def __post_init__(self):
         _require("alpha", self.alpha, _open_unit, "lie in (0, 1)")
+        _require("T", self.T, lambda T: T > 0.0, "be positive")
         _require("gammas", self.gammas, lambda gamma: gamma >= 1.0, "be at least 1")
         _require("Ns", self.Ns, lambda N: N >= 1, "be at least 1")
 
@@ -180,6 +181,13 @@ def write_accuracy_csv(path, table: AccuracyTable) -> None:
 
 # -- coarsening study --------------------------------------------------------
 
+# Every coarsening run starts from data uniform in +-_INIT_AMPLITUDE, with a warm-up
+# of _WARMUP_N0 steps graded with _WARMUP_GAMMA on [0, _WARMUP_T0] before the controller.
+_INIT_AMPLITUDE = 1e-3
+_WARMUP_T0 = 0.01
+_WARMUP_N0 = 30
+_WARMUP_GAMMA = 3.0
+
 
 @dataclass(frozen=True)
 class CoarsenSpec:
@@ -187,19 +195,16 @@ class CoarsenSpec:
     T: float = 50.0
     M: int = 128
     epsilon: float = 0.05
-    init_amplitude: float = 1e-3
     tau_min: float = 1e-3
     tau_max: float = 0.1
     eta: float = 1e3
-    warmup_T0: float = 0.01
-    warmup_N0: int = 30
-    warmup_gamma: float = 3.0
     enforce_cap: bool = False     # strict mode: cap clips steps and bound is enforced
     snapshot_times: tuple[float, ...] = (1.0, 10.0, 30.0, 50.0)
     seed: int = 0
 
     def __post_init__(self):
         _require("alpha", self.alpha, _open_unit, "lie in (0, 1)")
+        _require("T", self.T, lambda T: T > _WARMUP_T0, f"exceed the warm-up's end t = {_WARMUP_T0:g}")
         outside = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
         if outside:
             raise ValueError(f"config key 'snapshot_times' has {outside} outside [0, T = {self.T:g}]")
@@ -211,9 +216,9 @@ class CoarsenSpec:
                        snapshot_times=tuple(t for t in self.snapshot_times if t <= 5.0))
 
 
-def random_initial_field(grid: Grid2D, amplitude: float, seed: int) -> np.ndarray:
+def random_initial_field(grid: Grid2D, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return amplitude * (2.0 * rng.random((grid.M, grid.M)) - 1.0)
+    return _INIT_AMPLITUDE * (2.0 * rng.random((grid.M, grid.M)) - 1.0)
 
 
 def run_coarsening(spec: CoarsenSpec) -> tuple:
@@ -230,10 +235,10 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
         grid=grid,
         enforce_bound=spec.enforce_cap,
     )
-    warmup = build_graded_mesh(spec.warmup_T0, spec.warmup_N0, spec.warmup_gamma)
+    warmup = build_graded_mesh(_WARMUP_T0, _WARMUP_N0, _WARMUP_GAMMA)
     schedule = AdaptiveSchedule(warmup=warmup, horizon=spec.T, tau_min=spec.tau_min,
                                 tau_max=spec.tau_max, eta=spec.eta)
-    phi0 = random_initial_field(grid, spec.init_amplitude, spec.seed)
+    phi0 = random_initial_field(grid, spec.seed)
     traj = run(cfg, schedule, phi0, record_energy=True)
     return traj, cfg
 

@@ -363,9 +363,11 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     place to the used levels, and history_capacity reports the peak
     allocation.  Energy records are optional.
 
-    Each step reads the mesh only up to its own level, so a fixed mesh is
-    handed to build_kernels and step as it is, and is the trajectory's
-    mesh; an adaptive run builds the mesh of its nodes so far at each step.
+    One loop steps from the schedule's warm-up (a fixed mesh is its own) to
+    schedule.horizon, which a fixed mesh reaches at its last node.  Only a
+    schedule steps past its mesh: the controller's step is then appended,
+    the one place a TimeMesh is built.  A step reads the mesh only up to its
+    own level, and the trajectory keeps the last mesh built.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -374,16 +376,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     cap = step_size_cap(order.alpha, grid.h, cfg.epsilon)
     r_floor = min_step_ratio(order.alpha)
 
-    adaptive = isinstance(schedule, AdaptiveSchedule)
-    if adaptive:
-        nodes = list(schedule.warmup.nodes)
-        horizon = schedule.horizon
-    else:
-        mesh = schedule
-        nodes = list(np.asarray(schedule.nodes))
-        horizon = nodes[-1]
+    mesh = schedule.warmup if isinstance(schedule, AdaptiveSchedule) else schedule
+    horizon = schedule.horizon
 
-    history = FieldHistory(phi0, len(nodes))
+    history = FieldHistory(phi0, mesh.num_steps + 1)
     sup_norms = [norm_inf(phi0)]
     fp_iters = []
     cap_ok = []
@@ -396,23 +392,22 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     n = 0
     change_norm = 0.0
     while True:
-        if n >= len(nodes) - 1:
-            if not adaptive or nodes[-1] >= horizon - 1e-12 * max(1.0, horizon):
+        if n == mesh.num_steps:
+            t_n = mesh.horizon
+            if t_n >= horizon - 1e-12 * max(1.0, horizon):
                 break
-            tau_last = nodes[-1] - nodes[-2]
-            tau_next = adaptive_next_step(tau_last, change_norm, schedule, r_floor,
-                                          cap if cfg.enforce_bound else None)
-            if nodes[-1] + tau_next > horizon:
-                tau_next = horizon - nodes[-1]
-                if tau_next < r_floor * tau_last:
+            tau_last = mesh.step(n)
+            tau = adaptive_next_step(tau_last, change_norm, schedule, r_floor,
+                                     cap if cfg.enforce_bound else None)
+            if t_n + tau > horizon:
+                tau = horizon - t_n
+                if tau < r_floor * tau_last:
                     notes.append((n + 1, "final step clipped below the ratio floor"))
-            if nodes[-1] + tau_next == nodes[-1]:
-                raise ConvergenceError(f"step {n + 1}: tau = {tau_next:.6e} does not advance "
-                                       f"t_n = {nodes[-1]:.17g} in floating point")
-            nodes.append(nodes[-1] + tau_next)
+            if t_n + tau == t_n:
+                raise ConvergenceError(f"step {n + 1}: tau = {tau:.6e} does not advance "
+                                       f"t_n = {t_n:.17g} in floating point")
+            mesh = TimeMesh(np.append(mesh.nodes, t_n + tau))
         n += 1
-        if adaptive:
-            mesh = TimeMesh(np.asarray(nodes[: n + 1]))
         tau_n = mesh.step(n)
         within_cap = tau_n <= cap * (1.0 + 1e-12)
         if cfg.enforce_bound and not within_cap:
@@ -435,8 +430,6 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
 
     capacity = history.capacity     # the peak: a history only grows until it is shrunk
     history.shrink()
-    if adaptive:
-        mesh = TimeMesh(np.asarray(nodes))
     return SolveTrajectory(
         mesh=mesh,
         fields=history.fields,

@@ -387,10 +387,11 @@ def test_summary_on_rows_not_grouped_by_property():
     assert worst.tolist() == [2, 3, 6]
 
 
-def _fuzz_meshes(alphas, count, n_max, seed=0):
-    # the meshes run_kernel_audit draws for each alpha, in its order
+def _fuzz_meshes(alphas, count, n_max, seed=0, floor=1.0):
+    # the meshes run_kernel_audit draws for each alpha, in its order, with
+    # their ratio floor at floor * r*(alpha)
     rng = np.random.default_rng(seed)
-    return {alpha: [random_ratio_mesh(rng, n_max, min_step_ratio(alpha)) for _ in range(count)]
+    return {alpha: [random_ratio_mesh(rng, n_max, floor * min_step_ratio(alpha)) for _ in range(count)]
             for alpha in alphas}
 
 
@@ -427,3 +428,10 @@ def test_batch_audit_of_meshes_that_reach_different_levels():
     for mesh, report in zip(meshes, audit_kernel_properties(meshes, 0.3, 8), strict=True):
         _assert_same_report(report, audit_kernel_properties([mesh], 0.3, 8)[0])
 
+
+def test_audit_finds_kernel_decreasing_violations_below_the_ratio_floor():
+    # negative control: the fuzz's meshes with their floor at 0.8 r*(alpha)
+    # break the hypothesis, and the audit must report it (not a set count)
+    for alpha, meshes in _fuzz_meshes((0.1, 0.4, 0.7, 0.9), 50, 20, floor=0.8).items():
+        failed = {e.prop for report in audit_kernel_properties(meshes, alpha, 20) for e in report.violations()}
+        assert "kernel_decreasing" in failed, (alpha, failed)

@@ -1,5 +1,6 @@
 """CLI harness: exit codes, output files, run metadata."""
 
+import collections
 import csv
 import dataclasses
 import glob
@@ -180,9 +181,9 @@ def test_coarsen_strict_tiny(tmp_path):
 
 def test_step_over_cap_is_an_audit_failure(tmp_path, capsys):
     # a warm-up step over the cap breaks the strict run's hypothesis at run
-    # time: an audit failure (2), not a config error
-    payload = {"alpha": 0.4, "T": 2.0, "M": 16, "enforce_cap": True, "warmup_T0": 1.0,
-               "warmup_N0": 1, "snapshot_times": []}
+    # time: an audit failure (2), not a config error.  At alpha = 0.1 the
+    # reaction cap (1.5e-16) lies below the warm-up's first step (3.7e-7).
+    payload = {"alpha": 0.1, "T": 2.0, "M": 16, "enforce_cap": True, "snapshot_times": []}
     cfg = _write_cfg(tmp_path, "cfg.json", payload)
     out = tmp_path / "o"
     assert main(["coarsen", "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_AUDIT
@@ -309,6 +310,11 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
 
 @pytest.mark.parametrize("subcommand, payload, key", [
     ("coarsen", dict(_TINY_COARSEN, tau_mn=1e-3), "tau_mn"),
+    # the warm-up and the initial data are fixed, not settable
+    ("coarsen", dict(_TINY_COARSEN, init_amplitude=1e-3), "init_amplitude"),
+    ("coarsen", dict(_TINY_COARSEN, warmup_T0=5e-324), "warmup_T0"),
+    ("coarsen", dict(_TINY_COARSEN, warmup_N0=30), "warmup_N0"),
+    ("coarsen", dict(_TINY_COARSEN, warmup_gamma=3.0), "warmup_gamma"),
     ("accuracy", dict(_TINY_ACCURACY, M=8.9), "M"),
     ("accuracy", dict(_TINY_ACCURACY, spatial_check="false"), "spatial_check"),
     ("accuracy", dict(_TINY_ACCURACY, T=math.nan), "T"),
@@ -322,6 +328,11 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("accuracy", dict(_TINY_ACCURACY, Ns=[8, 8]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, gammas=[]), "gammas"),
+    ("kernels", dict(_TINY_KERNELS, alphas=[]), "alphas"),
+    ("rstar", {"alphas": []}, "alphas"),
+    # a horizon with nothing to run
+    ("accuracy", dict(_TINY_ACCURACY, T=0), "T"),
+    ("coarsen", dict(_TINY_COARSEN, T=0.005, snapshot_times=[]), "T"),
     # a snapshot the run cannot reach
     ("coarsen", dict(_TINY_COARSEN, snapshot_times=[0.25, 2.0]), "snapshot_times"),
     # a mesh the accuracy study cannot build
@@ -332,8 +343,10 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("coarsen", dict(_TINY_COARSEN, alpha=0.0), "alpha"),
     ("kernels", dict(_TINY_KERNELS, alphas=[0.5, 1.0]), "alphas[1]"),
     ("rstar", {"alphas": [0.5, 1.0, -0.25]}, "alphas[2]"),
-], ids=["unknown-key", "fractional-int", "string-bool", "nan-float", "scalar-for-list", "missing",
+], ids=["unknown-key", "init_amplitude", "warmup_T0", "warmup_N0", "warmup_gamma", "fractional-int",
+        "string-bool", "nan-float", "scalar-for-list", "missing",
         "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas",
+        "kernels-no-alphas", "rstar-no-alphas", "accuracy-T-0", "coarsen-T-in-warm-up",
         "snapshot-past-T", "non-positive-N", "gamma-below-1", "accuracy-alpha-1", "coarsen-alpha-0",
         "kernels-alpha-1", "rstar-alpha-negative"])
 def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload, key):
@@ -358,9 +371,9 @@ def test_strict_tau_min_over_tau_max_is_a_config_error(tmp_path, capsys):
 def test_spec_from_config_fills_defaults_and_seed():
     # ints are taken as floats in float fields, lists become tuples, and the
     # seed argument (the config seed or --seed) goes to the spec's seed field
-    spec = _spec_from_config(xp.CoarsenSpec, {"alpha": 0.4, "T": 2, "warmup_N0": 10,
+    spec = _spec_from_config(xp.CoarsenSpec, {"alpha": 0.4, "T": 2, "M": 10,
                                               "snapshot_times": [1, 2], "seed": 5}, 9)
-    assert spec == xp.CoarsenSpec(alpha=0.4, T=2.0, warmup_N0=10, snapshot_times=(1.0, 2.0), seed=9)
+    assert spec == xp.CoarsenSpec(alpha=0.4, T=2.0, M=10, snapshot_times=(1.0, 2.0), seed=9)
     assert type(spec.T) is float and type(spec.snapshot_times[0]) is float
     assert _spec_from_config(xp.RstarSpec, {"alphas": [0.5], "seed": 1}, 1) == xp.RstarSpec((0.5,))
 
@@ -401,6 +414,37 @@ def test_every_perfbench_hook_target_resolves():
     assert len(hooks) > 0
     missing = [h.target for h in hooks if not callable(getattr(importlib.import_module(h.module), h.attr, None))]
     assert missing == []
+
+
+def _call_counter(calls, target, fn):
+    def counted(*args, **kwargs):
+        calls[target] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_every_perfbench_hook_target_is_called(tmp_path, monkeypatch):
+    # a hooked name that a refactor stops calling still resolves, and its
+    # traced layer silently reads 0: run each workload's tiny config with a
+    # call counter on every hook target
+    hooks = _perfbench("tracer").HOOKS
+    workloads = _perfbench("workloads")
+    calls = collections.Counter()
+    for hook in hooks:
+        module = importlib.import_module(hook.module)
+        monkeypatch.setattr(module, hook.attr, _call_counter(calls, hook.target, getattr(module, hook.attr)))
+    per_workload = {}
+    for w in workloads.WORKLOADS:
+        before = calls.copy()
+        cfg = _write_cfg(tmp_path, f"{w}.json", workloads.make_config(w, 0, "tiny"))
+        assert main([workloads.SUBCOMMAND[w], "--config", cfg, "--out", str(tmp_path / w)]) == EXIT_OK
+        per_workload[w] = calls - before
+    # fracstep.audits imports build_kernels only for its hook
+    uncalled = [h.target for h in hooks if calls[h.target] == 0]
+    assert [t for t in uncalled if t != "fracstep.audits.build_kernels"] == []
+    # a schedule's run builds one TimeMesh per controller step, and no other
+    coarsen = per_workload["coarsen-a04"]
+    assert coarsen["fracstep.solver.TimeMesh"] == coarsen["fracstep.solver.adaptive_next_step"] > 0
 
 
 def test_unknown_subcommand_rejected(tmp_path):

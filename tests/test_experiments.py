@@ -119,9 +119,9 @@ def test_accuracy_csv(tmp_path):
 
 def test_random_initial_field_deterministic_and_bounded():
     g = Grid2D(M=16, L=2.0 * math.pi)
-    a = random_initial_field(g, 1e-3, seed=5)
-    b = random_initial_field(g, 1e-3, seed=5)
-    c = random_initial_field(g, 1e-3, seed=6)
+    a = random_initial_field(g, seed=5)
+    b = random_initial_field(g, seed=5)
+    c = random_initial_field(g, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.max(np.abs(a)) <= 1e-3
@@ -129,9 +129,8 @@ def test_random_initial_field_deterministic_and_bounded():
 
 def _tiny_coarsen_spec():
     return CoarsenSpec(
-        alpha=0.7, T=0.5, M=16, epsilon=0.3, init_amplitude=1e-3,
+        alpha=0.7, T=0.5, M=16, epsilon=0.3,
         tau_min=1e-3, tau_max=0.05, eta=1e3,
-        warmup_T0=0.01, warmup_N0=5, warmup_gamma=2.0,
         enforce_cap=True, snapshot_times=(0.5,), seed=3,
     )
 

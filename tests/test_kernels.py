@@ -275,9 +275,9 @@ def test_history_sum_with_level_kernel_on_graded_mesh_within_plain_bound():
         assert abs(got[idx] - want) <= bound
 
 
-def _dgs_case(rng, alpha, n):
+def _dgs_case(rng, alpha, n, r_min):
     order = as_order(alpha)
-    mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha) + 1e-6)
+    mesh = random_ratio_mesh(rng, n, r_min)
     diffs = rng.standard_normal(n)
     history = np.concatenate([[0.0], np.cumsum(diffs)])
     kern_prev = build_kernels(mesh, order, n - 1)
@@ -294,9 +294,22 @@ def test_gradient_structure_identity():
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(rng.integers(2, 11))
-        lhs, rhs, G_n, G_prev, R_n = _dgs_case(rng, alpha, n)
+        lhs, rhs, G_n, G_prev, R_n = _dgs_case(rng, alpha, n, min_step_ratio(alpha) + 1e-6)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         assert G_n >= 0.0 and G_prev >= 0.0 and R_n >= 0.0
+
+
+def test_gradient_structure_forms_fail_far_below_the_ratio_floor():
+    # negative control: the kernels audit's DGS histories, on meshes whose
+    # ratio floor is 0.3 r*(alpha), give a negative G or R (not a set count)
+    rng = np.random.default_rng(0)
+    least = math.inf
+    for _ in range(2000):
+        alpha = float(rng.uniform(0.05, 0.95))
+        n = int(rng.integers(2, 11))
+        *_, G_n, G_prev, R_n = _dgs_case(rng, alpha, n, 0.3 * min_step_ratio(alpha))
+        least = min(least, G_n, G_prev, R_n)
+    assert least < 0.0
 
 
 def test_gradient_structure_zero_history():
