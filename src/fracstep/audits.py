@@ -8,8 +8,9 @@ the raw slack (positive means satisfied), so hypothesis violations are
 observable instead of silent.  The meshes of one call are audited
 together: every level's kernels of every mesh come from one kernel_tables
 pass, each property is evaluated as one array expression over all meshes
-and levels, and each mesh's report is built once from read-only columns
-(n, property, k, lhs, rhs) rather than one object per check.
+and levels, and the call returns one report of read-only columns: the
+(n, property, k) layout the meshes share, and lhs and rhs by mesh and row,
+rather than one object per check.
 
 Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta).
 A report groups its rows by property in this order (the properties that
@@ -66,70 +67,58 @@ _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack 
 _MESHES_PER_PASS = 16
 
 
-def _column(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype, shared when it is one already
-    and its data belongs to a read-only array: itself, or the base of a view
-    (a read-only view of a writable base could change through it)."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        owner = values if values.base is None else values.base
-        if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
-            return values
-    col = np.array(values, dtype=dtype)
-    col.flags.writeable = False
-    return col
-
-
 class AuditReport:
-    """All audit rows for one mesh, built once as read-only columns.
+    """All audit rows of one call, for one or more meshes, held as
+    read-only copies of its columns.
 
-    names lists the properties that have rows; code indexes names, every
-    name has rows, and n, code, k, lhs and rhs are arrays of one length.
-    The rows need not be grouped by property.  A column that is already a
-    read-only array of its dtype whose data belongs to a read-only array is
-    shared, not copied (every report of one n_max shares the n, code and k
-    of _layout, and the reports of one audit pass share the block of their
-    lhs and rhs rows); any other column is copied and the copy made
-    read-only.  len() is the row count and iteration yields AuditEntry
-    rows.  summary() condenses the rows per property, and
+    n, code and k are 1-D and give the row layout that every mesh shares:
+    code indexes names, its rows are grouped by property in names order,
+    and every name has rows.  lhs and rhs are (meshes, rows), row m being
+    mesh m's; a 1-D lhs or rhs is one mesh's.  len() is meshes x rows, and
+    iteration yields each mesh's AuditEntry rows in turn.  summary()
+    condenses the rows per mesh and property, and
     experiments.write_kernel_audit_csv writes that summary and the
     violations() rows.
     """
 
     def __init__(self, names, n, code, k, lhs, rhs):
-        cols = [_column(c, t) for c, t in zip((n, code, k, lhs, rhs), (np.int64,) * 3 + (np.float64,) * 2)]
-        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
-            raise ValueError(f"columns must be 1-D arrays of one length, got shapes {[c.shape for c in cols]}")
         self.names = tuple(names)
-        self.n, self.code, self.k, self.lhs, self.rhs = cols
-        self.size = self.n.size
-        try:
-            checks = np.bincount(self.code, minlength=len(self.names))
-        except ValueError:      # a negative code
-            checks = None
-        if checks is None or checks.size > len(self.names):
-            bad = self.code[(self.code < 0) | (self.code >= len(self.names))][0]
-            raise ValueError(f"code {bad} is outside range({len(self.names)}) of the names {self.names}")
-        if not checks.all():
-            raise ValueError(f"names without rows: {[p for p, c in zip(self.names, checks) if not c]}")
-        checks.flags.writeable = False
-        self._checks = checks
+        self.n, self.code, self.k = (np.array(c, dtype=np.int64) for c in (n, code, k))
+        self.lhs, self.rhs = (np.array(c, dtype=np.float64, ndmin=2) for c in (lhs, rhs))
+        cols = (self.n, self.code, self.k, self.lhs, self.rhs)
+        for col in cols:
+            col.flags.writeable = False
+        if len({self.n.shape, self.code.shape, self.k.shape, self.lhs.shape[1:]}) != 1 \
+                or self.n.ndim != 1 or self.rhs.shape != self.lhs.shape:
+            raise ValueError(f"n, code and k must be 1-D of one length and lhs and rhs (meshes, rows), "
+                             f"got shapes {[c.shape for c in cols]}")
+        outside = self.code[(self.code < 0) | (self.code >= len(self.names))]
+        if outside.size:
+            raise ValueError(f"code {outside[0]} is outside range({len(self.names)}) of the names {self.names}")
+        if np.any(self.code[1:] < self.code[:-1]):
+            raise ValueError(f"rows must be grouped by property in the names order {self.names}")
+        self._bounds = np.searchsorted(self.code, np.arange(len(self.names) + 1)).tolist()
+        empty = [p for p, a, b in zip(self.names, self._bounds, self._bounds[1:]) if a == b]
+        if empty:
+            raise ValueError(f"names without rows: {empty}")
 
     def __len__(self) -> int:
-        return self.size
+        return self.lhs.size
 
     def __iter__(self):
-        prop = np.array(self.names, dtype=object)[self.code]
-        return map(AuditEntry, self.n.tolist(), prop.tolist(), self.k.tolist(),
-                   self.lhs.tolist(), self.rhs.tolist())
+        meshes = len(self.lhs)
+        prop = np.array(self.names, dtype=object)[self.code].tolist()
+        return map(AuditEntry, self.n.tolist() * meshes, prop * meshes, self.k.tolist() * meshes,
+                   self.lhs.ravel().tolist(), self.rhs.ravel().tolist())
 
-    def _entry(self, i: int) -> AuditEntry:
+    def _entry(self, m: int, i: int) -> AuditEntry:
         return AuditEntry(int(self.n[i]), self.names[self.code[i]], int(self.k[i]),
-                          float(self.lhs[i]), float(self.rhs[i]))
+                          float(self.lhs[m, i]), float(self.rhs[m, i]))
 
     @functools.cached_property
     def _violating(self) -> np.ndarray:
-        """Read-only row mask: slack negative beyond round-off (_SLACK_FLOOR at
-        the row's scale), or lhs, rhs or slack not finite."""
+        """Read-only (meshes, rows) mask: slack negative beyond round-off
+        (_SLACK_FLOOR at the row's scale), or lhs, rhs or slack not finite."""
         slack = self.lhs - self.rhs       # not finite whenever lhs or rhs is not
         tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
         mask = (slack < -tol) | ~np.isfinite(slack)
@@ -137,22 +126,23 @@ class AuditReport:
         return mask
 
     def violations(self):
-        """Entries whose slack is negative beyond round-off (_SLACK_FLOOR at
-        their scale), and every entry whose lhs, rhs or slack is not finite."""
-        return [self._entry(i) for i in np.flatnonzero(self._violating)]
+        """(mesh, entry) pairs, mesh by mesh, of the entries whose slack is
+        negative beyond round-off (_SLACK_FLOOR at their scale), and of every
+        entry whose lhs, rhs or slack is not finite."""
+        meshes, rows = np.nonzero(self._violating)
+        return [(m, self._entry(m, i)) for m, i in zip(meshes.tolist(), rows.tolist())]
 
     def summary(self):
-        """Per property in names order, (checks, violations, worst) as int
-        arrays: the row count, the violations() count and the first row of
-        least slack (np.argmin takes the first nan, so a nan slack ranks
-        worst).  A stable sort by code puts each property's rows in one
-        segment, in row order."""
-        size, checks = len(self.names), self._checks
-        rows = np.argsort(self.code, kind="stable")
-        slack = (self.lhs - self.rhs)[rows]
-        ends = np.cumsum(checks).tolist()
-        worst = np.array([rows[a + np.argmin(slack[a:b])] for a, b in zip([0] + ends, ends)], dtype=np.int64)
-        return checks, np.bincount(self.code[self._violating], minlength=size), worst
+        """(checks, violations, worst) as int arrays: the row count of each
+        property in names order, and, as (meshes, names), each mesh's
+        violations() count per property and its first row of least slack
+        (np.argmin takes the first nan, so a nan slack ranks worst)."""
+        segments = list(zip(self._bounds, self._bounds[1:]))
+        shape = (len(segments), len(self.lhs))
+        bad = [self._violating[:, a:b].sum(axis=1) for a, b in segments]
+        worst = [a + np.argmin(self.lhs[:, a:b] - self.rhs[:, a:b], axis=1) for a, b in segments]
+        return (np.diff(self._bounds), np.array(bad, dtype=np.int64).reshape(shape).T,
+                np.array(worst, dtype=np.int64).reshape(shape).T)
 
 
 def _gaps(a: np.ndarray, wp: np.ndarray):
@@ -191,51 +181,40 @@ def _positions(n_max: int, group: int, dn: int, dk: int) -> np.ndarray:
     return pos
 
 
-@functools.lru_cache(maxsize=16)
-def _layout(n_max: int, groups: tuple):
-    """Read-only n, code and k columns of properties over the _pairs(n_max)
-    indices `groups`, joined in order: every report of one n_max shares them."""
-    pn, pk = zip(*(_pairs(n_max)[g] for g in groups))
-    cols = (np.concatenate(pn), np.repeat(np.arange(len(groups)), [x.size for x in pn]), np.concatenate(pk))
-    for col in cols:
-        col.flags.writeable = False
-    return cols
+def audit_kernel_properties(meshes, order, n_max: int) -> AuditReport:
+    """Run every kernel inequality for levels 2..n_max of the meshes, which
+    must all reach one level min(n_max, num_steps), and report the slacks
+    in one AuditReport whose lhs and rhs row m is mesh m's.
 
-
-def audit_kernel_properties(meshes, order, n_max: int) -> list:
-    """Run every kernel inequality for levels 2..n_max of each mesh and
-    report slacks: one AuditReport per mesh, in order.
-
-    Meshes are audited together, grouped by the level they reach,
-    min(n_max, num_steps), in passes of at most _MESHES_PER_PASS meshes;
-    each report is bit for bit the one its mesh gets when audited alone.
-    The rows are grouped by property in the module docstring's order, less
-    the properties without rows (levels below 4).
+    The meshes are audited in passes of at most _MESHES_PER_PASS; each
+    mesh's row is bit for bit the one it gets when audited alone.  The rows
+    are grouped by property in the module docstring's order, less the
+    properties without rows (levels below 4).
 
     The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
     order = as_order(order)
-    tops = [min(n_max, mesh.num_steps) for mesh in meshes]
-    reports = {}
-    for top in set(tops):
-        same = [j for j, t in enumerate(tops) if t == top]
-        for start in range(0, len(same), _MESHES_PER_PASS):
-            batch = same[start : start + _MESHES_PER_PASS]
-            reports.update(zip(batch, _audit([meshes[j] for j in batch], order, top)))
-    return [reports[j] for j in range(len(meshes))]
+    levels = sorted({min(n_max, mesh.num_steps) for mesh in meshes})
+    if len(levels) != 1:
+        raise ValueError(f"the meshes must all reach one level min(n_max, num_steps), got levels {levels}")
+    passes = [_audit(meshes[s : s + _MESHES_PER_PASS], order, levels[0])
+              for s in range(0, len(meshes), _MESHES_PER_PASS)]
+    # the report copies its columns, so one pass needs no joined copy first
+    lhs, rhs = passes[0][-1] if len(passes) == 1 else np.concatenate([p[-1] for p in passes], axis=1)
+    return AuditReport(*passes[0][:-1], lhs, rhs)
 
 
-def _audit(meshes, order: FracOrder, n_max: int) -> list:
-    """The reports of meshes that all reach level n_max.
+def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
+    """(names, n, code, k, block) of meshes that all reach level n_max:
+    the report's row layout and its lhs and rhs as one (2, meshes, rows)
+    block.
 
     Every level's weights come from one kernel_tables pass over all the
     meshes, and each property is one array expression over its meshes and
-    (n, k) pairs, with level n-1 read from the row above.  Each property's
-    lhs and rhs go into one (2, meshes, rows) block; each report's lhs and
-    rhs are read-only rows of it.
+    (n, k) pairs, with level n-1 read from the row above.
     """
     if n_max < 2:
-        return [AuditReport((), [], [], [], [], []) for _ in meshes]
+        return (), [], [], [], np.empty((2, len(meshes), 0))
     alpha = order.alpha
     t = kernel_tables(meshes, order, n_max)
     wp = omega(1.0 - alpha, t.d)                 # wp[:, n, p] = w'(t_{n-p}) at level n
@@ -274,12 +253,12 @@ def _audit(meshes, order: FracOrder, n_max: int) -> list:
          lambda: (at(Z, 2, 1, 1) - r[:, k2 + 1] * at(Z, 2, 1, 0), at(Z, 2, 0, 1) - r[:, k2 + 1] * at(Z, 2, 0, 0))),
     )
     names, groups, sides = zip(*(p for p in props if pairs[p[1]][0].size))
-    layout = _layout(n_max, groups)
-    block = np.empty((2, len(meshes), layout[0].size))
+    pn, pk = zip(*(pairs[g] for g in groups))
+    sizes = [x.size for x in pn]
+    block = np.empty((2, len(meshes), sum(sizes)))
     lhs, rhs = block
     stop = 0
-    for g, side in zip(groups, sides):
-        start, stop = stop, stop + pairs[g][0].size
+    for size, side in zip(sizes, sides):
+        start, stop = stop, stop + size
         lhs[:, start:stop], rhs[:, start:stop] = side()
-    block.flags.writeable = False      # so the reports share its rows
-    return [AuditReport(names, *layout, x, y) for x, y in zip(*block)]
+    return names, np.concatenate(pn), np.repeat(np.arange(len(names)), sizes), np.concatenate(pk), block

@@ -69,8 +69,15 @@ def _require(key: str, value, ok, want: str) -> None:
             raise ValueError(f"config key '{name}' must {want}, got {v!r}")
 
 
-def _open_unit(alpha) -> bool:
-    return 0.0 < alpha < 1.0        # false for nan
+def _require_distinct(key: str, value: tuple, least: int) -> None:
+    """Raise ValueError naming config key unless value has at least least distinct entries."""
+    if len(set(value)) < least:
+        raise ValueError(f"config key '{key}' needs at least {least} distinct entries, got {list(value)}")
+
+
+# An order the scheme takes: alpha in (0, 1) whose offset theta = alpha/2 is
+# positive (at alpha = 5e-324 it underflows to 0).  False for nan.
+_ORDER = (lambda alpha: 0.0 < 0.5 * alpha < 0.5, "lie in (0, 1) with alpha/2 > 0")
 
 
 # -- accuracy study ----------------------------------------------------------
@@ -89,10 +96,15 @@ class AccuracySpec:
     spatial_check: bool = True
 
     def __post_init__(self):
-        _require("alpha", self.alpha, _open_unit, "lie in (0, 1)")
-        _require("T", self.T, lambda T: T > 0.0, "be positive")
+        _require("alpha", self.alpha, *_ORDER)
+        _require("sigma", self.sigma, lambda sigma: sigma > 0.0, "be positive")
         _require("gammas", self.gammas, lambda gamma: gamma >= 1.0, "be at least 1")
+        _require_distinct("gammas", self.gammas, 1)
         _require("Ns", self.Ns, lambda N: N >= 1, "be at least 1")
+        _require_distinct("Ns", self.Ns, 2)         # an order fit needs two levels
+        _require("M", self.M, lambda M: M >= 4, "be at least 4")
+        _require("eps2", self.eps2, lambda eps2: eps2 > 0.0, "be positive")
+        _require("T", self.T, lambda T: T > 0.0, "be positive")
 
     def quick(self) -> "AccuracySpec":
         """CI profile: drop the finest N when more than two remain."""
@@ -203,8 +215,15 @@ class CoarsenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require("alpha", self.alpha, _open_unit, "lie in (0, 1)")
+        _require("alpha", self.alpha, *_ORDER)
         _require("T", self.T, lambda T: T > _WARMUP_T0, f"exceed the warm-up's end t = {_WARMUP_T0:g}")
+        _require("M", self.M, lambda M: M >= 4, "be at least 4")
+        _require("epsilon", self.epsilon, lambda eps: eps > 0.0 and math.isfinite(eps * eps),
+                 "be positive with a finite square")
+        _require("tau_max", self.tau_max, lambda tau: tau > 0.0, "be positive")
+        _require("tau_min", self.tau_min, lambda tau: 0.0 < tau <= self.tau_max,
+                 f"lie in (0, tau_max = {self.tau_max:g}]")
+        _require("eta", self.eta, lambda eta: eta >= 0.0, "be nonnegative")
         outside = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
         if outside:
             raise ValueError(f"config key 'snapshot_times' has {outside} outside [0, T = {self.T:g}]")
@@ -275,7 +294,12 @@ class KernelAuditSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require("alphas", self.alphas, _open_unit, "lie in (0, 1)")
+        _require("alphas", self.alphas, *_ORDER)
+        _require_distinct("alphas", self.alphas, 1)
+        # an audit needs one mesh, one DGS history and one step past the first level
+        _require("num_meshes", self.num_meshes, lambda count: count >= 1, "be at least 1")
+        _require("n_max", self.n_max, lambda n: n >= 2, "be at least 2")
+        _require("dgs_histories", self.dgs_histories, lambda count: count >= 1, "be at least 1")
 
     def quick(self) -> "KernelAuditSpec":
         """CI profile: at most 20 meshes per alpha."""
@@ -284,7 +308,7 @@ class KernelAuditSpec:
 
 @dataclass
 class KernelAuditResult:
-    reports: list              # (alpha, mesh index, AuditReport)
+    reports: list              # (alpha, AuditReport of its meshes)
     total_checks: int
     violations: list           # (alpha, mesh index, AuditEntry)
     dgs_residual: float        # worst relative DGS identity residual, nan if any is not finite
@@ -303,10 +327,10 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
         order = as_order(alpha)
         r_star = min_step_ratio(alpha)
         meshes = [random_ratio_mesh(rng, spec.n_max, r_star) for _ in range(spec.num_meshes)]
-        for m, report in enumerate(audit_kernel_properties(meshes, order, spec.n_max)):
-            total += len(report)
-            violations.extend((alpha, m, bad) for bad in report.violations())
-            reports.append((alpha, m, report))
+        report = audit_kernel_properties(meshes, order, spec.n_max)
+        total += len(report)
+        violations.extend((alpha, m, bad) for m, bad in report.violations())
+        reports.append((alpha, report))
 
     residuals, Gs, Rs = [], [], []
     for _ in range(spec.dgs_histories):
@@ -351,12 +375,13 @@ def write_kernel_audit_csv(outdir, result: KernelAuditResult) -> list:
         w = csv.writer(fh)
         w.writerow(["alpha", "mesh", "property", "checks", "violations",
                     "worst_n", "worst_k", "worst_lhs", "worst_rhs", "worst_slack"])
-        for alpha, m, report in result.reports:
+        for alpha, report in result.reports:
             checks, bad, worst = report.summary()
-            cols = zip(report.names, checks.tolist(), bad.tolist(), report.n[worst].tolist(),
-                       report.k[worst].tolist(), report.lhs[worst].tolist(), report.rhs[worst].tolist())
-            w.writerows([float(alpha), m, prop, c, v, n, k, f"{x:.16e}", f"{y:.16e}", f"{x - y:.16e}"]
-                        for prop, c, v, n, k, x, y in cols)
+            for m, (counts, i) in enumerate(zip(bad.tolist(), worst)):
+                cols = zip(report.names, checks.tolist(), counts, report.n[i].tolist(), report.k[i].tolist(),
+                           report.lhs[m, i].tolist(), report.rhs[m, i].tolist())
+                w.writerows([float(alpha), m, prop, c, v, n, k, f"{x:.16e}", f"{y:.16e}", f"{x - y:.16e}"]
+                            for prop, c, v, n, k, x, y in cols)
     with open(violations_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"])
@@ -374,6 +399,7 @@ class RstarSpec:
 
     def __post_init__(self):
         _require("alphas", self.alphas, lambda alpha: 0.0 <= alpha <= 1.0, "lie in [0, 1]")
+        _require_distinct("alphas", self.alphas, 1)
 
     def quick(self) -> "RstarSpec":
         return self                 # the table is cheap: the CI profile is the full one

@@ -131,14 +131,25 @@ def step_size_cap(alpha: float, h: float, epsilon: float) -> float:
 
     min of a reaction bound (theta * omega_{2-alpha}(1-theta) / (2(1-theta)))^(1/alpha)
     and a diffusion bound (h^2 omega_{2-alpha}(1-theta) / (4 eps^2))^(1/alpha);
-    tends to min(1/2, h^2/(4 eps^2)) as alpha -> 1.
+    tends to min(1/2, h^2/(4 eps^2)) as alpha -> 1.  Each bound saturates
+    instead of raising: to inf where it overflows or eps^2 underflows to 0,
+    and to 0 where eps^2 overflows.
     """
     order = as_order(alpha)
     theta = order.theta
     w = float(omega(2.0 - order.alpha, 1.0 - theta))
-    reaction = (theta * w / (2.0 * (1.0 - theta))) ** (1.0 / order.alpha)
-    diffusion = (h * h * w / (4.0 * epsilon**2)) ** (1.0 / order.alpha)
+    reaction = _power(theta * w / (2.0 * (1.0 - theta)), 1.0 / order.alpha)
+    eps2 = _power(epsilon, 2)
+    diffusion = _power(h * h * w / (4.0 * eps2), 1.0 / order.alpha) if eps2 > 0.0 else math.inf
     return min(reaction, diffusion)
+
+
+def _power(base: float, exponent: float) -> float:
+    """The float base**exponent, saturated to inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 @functools.lru_cache(maxsize=4)

@@ -220,10 +220,11 @@ def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
 
 
 def worst_slack(report: AuditReport):
-    """Minimum slack per property, as {prop: (slack, n, k)} in names order,
-    read from the worst rows of report.summary()."""
-    worst = (report._entry(i) for i in report.summary()[2].tolist())
-    return {e.prop: (e.slack, e.n, e.k) for e in worst}
+    """Minimum slack per mesh and property, as one {prop: (slack, n, k)} per
+    mesh in names order, read from the worst rows of report.summary()."""
+    worst = report.summary()[2].tolist()
+    return [{e.prop: (e.slack, e.n, e.k) for e in (report._entry(m, i) for i in rows)}
+            for m, rows in enumerate(worst)]
 
 
 # -- stateless recomputations of carried or reduced field quantities ---------

@@ -60,15 +60,15 @@ def test_endpoint_gaps_match_quadrature():
 def test_audit_clean_on_uniform_mesh():
     mesh = build_uniform_mesh(1.0, 12)
     for alpha in (0.1, 0.5, 0.9):
-        (report,) = audit_kernel_properties([mesh], alpha, 12)
+        report = audit_kernel_properties([mesh], alpha, 12)
         assert report.violations() == []
 
 
 def test_audit_clean_on_graded_mesh():
     mesh = build_graded_mesh(1.0, 15, 3.0)
-    (report,) = audit_kernel_properties([mesh], 0.7, 15)
+    report = audit_kernel_properties([mesh], 0.7, 15)
     assert report.violations() == []
-    worst = worst_slack(report)
+    (worst,) = worst_slack(report)
     assert set(worst) >= {
         "kernel_decreasing",
         "kernel_positive",
@@ -82,14 +82,15 @@ def test_audit_clean_on_graded_mesh():
 
 def test_audit_respects_level_cap():
     mesh = build_uniform_mesh(1.0, 5)
-    (report,) = audit_kernel_properties([mesh], 0.5, 50)
+    report = audit_kernel_properties([mesh], 0.5, 50)
     assert max(e.n for e in report) == 5
 
 
 def _report(rows):
-    # a report of (n, prop, k, lhs, rhs) rows, through the one constructor
+    # a one-mesh report of (n, prop, k, lhs, rhs) rows, through the one
+    # constructor: grouped by property in order of first appearance
     names = list(dict.fromkeys(prop for _, prop, *_ in rows))
-    n, prop, k, lhs, rhs = zip(*rows)
+    n, prop, k, lhs, rhs = zip(*sorted(rows, key=lambda row: names.index(row[1])))
     return AuditReport(names, n, [names.index(p) for p in prop], k, lhs, rhs)
 
 
@@ -99,22 +100,21 @@ def test_violation_floor_is_scale_relative():
         (2, "demo", 2, 0.0, 1e-12),               # genuine sign violation
         (2, "demo", 3, 1e6, 1e6 * (1 + 1e-14)),   # round-off at scale 1e6
     ])
-    bad = report.violations()
-    assert len(bad) == 1
-    assert bad[0].k == 2
-    assert bad[0].slack == pytest.approx(-1e-12)
+    ((m, bad),) = report.violations()
+    assert m == 0 and bad.k == 2
+    assert bad.slack == pytest.approx(-1e-12)
 
 
 def test_non_finite_rows_are_violations():
     # an overflowed kernel must not audit clean: +inf rhs gives slack -inf
     # against tol inf, and a nan lhs gives a nan slack
     report = _report([(2, "p", 1, 0.0, math.inf), (2, "p", 2, math.nan, 1.0), (2, "p", 3, 2.0, 1.0)])
-    assert [e.k for e in report.violations()] == [1, 2]
+    assert [(m, e.k) for m, e in report.violations()] == [(0, 1), (0, 2)]
 
 
 def test_worst_slack_groups_by_property():
     report = _report([(2, "p", 1, 5.0, 1.0), (3, "p", 1, 2.0, 1.0), (3, "q", 1, 0.5, 0.0)])
-    worst = worst_slack(report)
+    (worst,) = worst_slack(report)
     assert worst["p"] == (1.0, 3, 1)
     assert worst["q"] == (0.5, 3, 1)
 
@@ -180,32 +180,34 @@ def _audit_meshes():
 def test_audit_rows_equal_scalar_loop():
     # the report holds the loop's rows grouped by property in names order, each group in loop order
     for mesh, alpha, n_max in _audit_meshes():
-        (report,) = audit_kernel_properties([mesh], alpha, n_max)
+        report = audit_kernel_properties([mesh], alpha, n_max)
         rows = _audit_loop(mesh, alpha, n_max)
         assert set(report.names) == {e.prop for e in rows}
         rows.sort(key=lambda e: report.names.index(e.prop))      # a stable sort
         assert _bits(report) == _bits(rows)
-        assert report.violations() == _violations_loop(rows)
-        assert list(worst_slack(report).items()) == list(_worst_slack_loop(rows).items())
+        assert report.violations() == [(0, e) for e in _violations_loop(rows)]
+        (worst,) = worst_slack(report)
+        assert list(worst.items()) == list(_worst_slack_loop(rows).items())
 
 
 def test_entries_len_is_check_count():
     # per level: 5 properties over n-1 indices, 5 over n-2, one over n-3, the head bound
     for mesh, alpha, n_max in _audit_meshes():
-        (report,) = audit_kernel_properties([mesh], alpha, n_max)
+        report = audit_kernel_properties([mesh], alpha, n_max)
         levels = range(2, min(n_max, mesh.num_steps) + 1)
         want = sum(5 * (n - 1) + 5 * (n - 2) + max(n - 3, 0) + 1 for n in levels)
-        assert len(report) == report.size == want == sum(1 for _ in report)
-        assert report.n.size == report.k.size == report.lhs.size == report.rhs.size == report.code.size == want
+        assert len(report) == want == sum(1 for _ in report)
+        assert report.n.size == report.k.size == report.code.size == want
+        assert report.lhs.shape == report.rhs.shape == (1, want)
 
 
 def test_empty_report():
     # a 1-step mesh, or a level cap of 1, has no level n >= 2 to audit
     for mesh, n_max in ((build_uniform_mesh(1.0, 1), 10), (build_uniform_mesh(1.0, 6), 1)):
-        (report,) = audit_kernel_properties([mesh], 0.5, n_max)
-        assert report.size == 0 and len(report) == 0
+        report = audit_kernel_properties([mesh], 0.5, n_max)
+        assert len(report) == 0 and report.lhs.shape == (1, 0)
         assert report.violations() == []
-        assert worst_slack(report) == {}
+        assert worst_slack(report) == [{}]
         assert [col.size for col in report.summary()] == [0, 0, 0]
         assert list(report) == []
 
@@ -218,10 +220,21 @@ def _same_bits(text, value):
     return np.float64(got).view(np.int64) == np.float64(value).view(np.int64)
 
 
+def _stack(*reports):
+    # the one-mesh reports of one row layout as one report, mesh by mesh
+    first = reports[0]
+    return AuditReport(first.names, first.n, first.code, first.k,
+                       [r.lhs[0] for r in reports], [r.rhs[0] for r in reports])
+
+
+def _mesh_rows(report, m):
+    # mesh m's rows, in the order iteration yields them
+    return list(report)[m * report.n.size : (m + 1) * report.n.size]
+
+
 def _audit_results():
     fuzzed = run_kernel_audit(KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4))
-    fixed = [(alpha, i, audit_kernel_properties([mesh], alpha, n_max)[0])
-             for i, (mesh, alpha, n_max) in enumerate(_audit_meshes()[:2])]
+    fixed = [(alpha, audit_kernel_properties([mesh], alpha, n_max)) for mesh, alpha, n_max in _audit_meshes()[:2]]
     # values a summary could get wrong: signed zeros, nans (one with a payload), infinities, subnormals
     nan_payload = float(np.array(0x7FF8000000000001).view(np.float64))
     special = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf, 5e-324, -2.5e-310]
@@ -230,13 +243,15 @@ def _audit_results():
     # either side of the round-off floor at scale 1e6
     floor = [(4, "r", 1, 1e6, 1e6 * (1 + 1e-14)), (4, "r", 2, 1e6, 1e6 * (1 + 1e-11)), (4, "r", 3, 2.0, 1.0)]
     same_columns = _report([(2, "q", i + 1, v, 0.0) for i, v in enumerate(special)])
-    empty = AuditReport((), [], [], [], [], [])
-    hand = [(0.5, 0, _report(rows)), (0.5, 1, empty), (0.5, 2, _report(rows[:9])), (0.25, 3, same_columns),
-            (0.25, 4, _report(rows[-2:] + floor)), (0.5, 5, empty)]
+    ties = _report([(n, p, k, 1.0, 0.0) for n, p, k, *_ in rows])           # every slack 1: the first row is worst
+    swapped = _report([(n, p, k, y, x) for n, p, k, x, y in rows[-2:] + floor])
+    empty = AuditReport((), [], [], [], np.empty((2, 0)), np.empty((2, 0)))
+    hand = [(0.5, _stack(_report(rows), ties)), (0.75, empty), (0.625, _report(rows[:9])),
+            (0.25, same_columns), (0.125, _stack(_report(rows[-2:] + floor), swapped))]
     results = [fuzzed]
     for reports in (fixed, hand):
-        bad = [(alpha, m, e) for alpha, m, r in reports for e in r.violations()]
-        results.append(KernelAuditResult(reports, sum(len(r) for *_, r in reports), bad, 0.0, 0.0, 0.0))
+        bad = [(alpha, m, e) for alpha, r in reports for m, e in r.violations()]
+        results.append(KernelAuditResult(reports, sum(len(r) for _, r in reports), bad, 0.0, 0.0, 0.0))
     return results
 
 
@@ -253,16 +268,16 @@ def test_kernel_audit_summary_matches_report_columns(tmp_path):
         assert header == ["alpha", "mesh", "property", "checks", "violations",
                           "worst_n", "worst_k", "worst_lhs", "worst_rhs", "worst_slack"]
         assert [(float(a), int(m), p) for a, m, p, *_ in summary] == \
-            [(alpha, m, p) for alpha, m, r in result.reports for p in r.names]
+            [(alpha, m, p) for alpha, r in result.reports for m in range(len(r.lhs)) for p in r.names]
         assert sum(int(row[3]) for row in summary) == result.total_checks
         assert sum(int(row[4]) for row in summary) == len(result.violations)
-        reports = {(alpha, m): r for alpha, m, r in result.reports}
+        reports = dict(result.reports)
         for a, m, prop, checks, bad, n, k, lhs, rhs, slack in summary:
-            report = reports[float(a), int(m)]
-            entries = [e for e in report if e.prop == prop]
+            report = reports[float(a)]
+            entries = [e for e in _mesh_rows(report, int(m)) if e.prop == prop]
             assert int(checks) == len(entries)
             assert int(bad) == len(_violations_loop(entries))
-            worst, wn, wk = worst_slack(report)[prop]
+            worst, wn, wk = worst_slack(report)[int(m)][prop]
             assert (int(n), int(k)) == (wn, wk) and _same_bits(slack, worst)
             (row,) = [e for e in entries if (e.n, e.k) == (wn, wk)]
             assert _same_bits(lhs, row.lhs) and _same_bits(rhs, row.rhs)
@@ -271,13 +286,15 @@ def test_kernel_audit_summary_matches_report_columns(tmp_path):
         assert header == ["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]
         assert violating == [[repr(float(alpha)), str(m), str(e.n), e.prop, str(e.k),
                               f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"]
-                             for alpha, m, r in result.reports for e in r.violations()]
+                             for alpha, r in result.reports for m, e in r.violations()]
         assert len(violating) == len(result.violations)
     # a nan slack is the worst of its property and a violation; the floor splits the scale-1e6 rows
     by_row = {(a, m, p): row for a, m, p, *row in _read_rows(paths[0])[1:]}
-    assert by_row["0.5", "2", "p"][:4] == ["9", "5", "2", "3"] and math.isnan(float(by_row["0.5", "2", "p"][-1]))
-    assert by_row["0.25", "4", "r"][:4] == ["3", "1", "4", "2"]
-    assert [(m, n, k) for _, m, n, p, k, *_ in violating if p == "r"] == [("4", "4", "2")]
+    assert by_row["0.625", "0", "p"][:4] == ["9", "5", "2", "3"] and math.isnan(float(by_row["0.625", "0", "p"][-1]))
+    assert by_row["0.5", "0", "p"][:4] == ["10", "6", "2", "3"] and by_row["0.5", "1", "p"][:4] == ["10", "0", "2", "1"]
+    assert by_row["0.125", "0", "r"][:4] == ["3", "1", "4", "2"]
+    assert [(a, m, n, k) for a, m, n, p, k, *_ in violating if p == "r"] == [("0.125", "0", "4", "2"),
+                                                                           ("0.125", "1", "4", "3")]
 
 
 _PROPERTY_ORDER = (
@@ -293,7 +310,7 @@ def test_report_names_keep_the_summary_property_order():
     # kernel_audit.csv lists each report's properties in names order
     mesh = build_graded_mesh(1.0, 12, 2.0)
     for n_max, size in ((2, 6), (3, 11), (4, 12), (5, 12), (12, 12), (40, 12)):
-        (report,) = audit_kernel_properties([mesh], 0.5, n_max)
+        report = audit_kernel_properties([mesh], 0.5, n_max)
         assert report.names == _PROPERTY_ORDER[:size]
         assert np.array_equal(report.code, np.sort(report.code))          # grouped by property
         for c in range(size):
@@ -303,10 +320,10 @@ def test_report_names_keep_the_summary_property_order():
 
 def test_reports_at_one_n_max_share_their_row_layout():
     rng = np.random.default_rng(3)
-    first, second = (audit_kernel_properties([random_ratio_mesh(rng, 10, min_step_ratio(0.4))], 0.4, 10)[0]
+    first, second = (audit_kernel_properties([random_ratio_mesh(rng, 10, min_step_ratio(0.4))], 0.4, 10)
                      for _ in range(2))
     for name in ("n", "code", "k"):
-        assert np.shares_memory(getattr(first, name), getattr(second, name))
+        assert np.array_equal(getattr(first, name), getattr(second, name))
     assert not np.shares_memory(first.lhs, second.lhs)
     for report in (first, second):
         for name in ("n", "code", "k", "lhs", "rhs"):
@@ -334,7 +351,7 @@ def _worst_slack_loop(entries):
 
 
 def test_violations_and_worst_slack_match_scalar_recomputation():
-    (audited,) = audit_kernel_properties([build_graded_mesh(1.0, 10, 2.0)], 0.6, 10)
+    audited = audit_kernel_properties([build_graded_mesh(1.0, 10, 2.0)], 0.6, 10)
     assert audited.violations() == [] and _violations_loop(audited) == []
     report = _report([(e.n, e.prop, e.k, e.lhs, e.rhs) for e in audited] + [
         (11, "kernel_positive", 3, 1e-9, 2e-9),              # new worst of an audited property
@@ -345,10 +362,10 @@ def test_violations_and_worst_slack_match_scalar_recomputation():
     ])
     entries = list(report)
     bad = report.violations()
-    assert bad == _violations_loop(entries)
-    assert [(e.prop, e.n, e.k) for e in bad] == [("kernel_positive", 11, 3), ("injected", 11, 2)]
-    assert worst_slack(report) == _worst_slack_loop(entries)
-    assert worst_slack(report)["kernel_positive"] == (1e-9 - 2e-9, 11, 3)
+    assert bad == [(0, e) for e in _violations_loop(entries)]
+    assert [(m, e.prop, e.n, e.k) for m, e in bad] == [(0, "kernel_positive", 11, 3), (0, "injected", 11, 2)]
+    assert worst_slack(report) == [_worst_slack_loop(entries)]
+    assert worst_slack(report)[0]["kernel_positive"] == (1e-9 - 2e-9, 11, 3)
 
 
 def test_report_columns_are_one_length_and_read_only():
@@ -377,14 +394,17 @@ def test_report_rejects_names_without_rows():
 
 
 def test_summary_on_rows_not_grouped_by_property():
-    # each property's worst is its first row of least slack, a nan slack first
-    rows = [(2, "p", 1, 1.0, 0.0), (2, "q", 1, 0.0, 0.0), (3, "p", 1, 0.0, 0.5), (3, "q", 2, math.nan, 0.0),
-            (4, "p", 1, 0.0, 0.5), (4, "q", 3, -1.0, 0.0), (5, "r", 1, 2.0, 1.0), (5, "p", 2, 3.0, 0.0)]
-    report = _report(rows)
+    # a report takes its rows grouped by property in names order, and no other way
+    with pytest.raises(ValueError, match=r"grouped by property in the names order \('p', 'q'\)"):
+        AuditReport(("p", "q"), [2, 2, 3], [0, 1, 0], [1, 1, 1], [1.0] * 3, [0.0] * 3)
+    # each mesh's worst is its first row of least slack per property, a nan slack first
+    rows = [(2, "p", 1, 1.0, 0.0), (3, "p", 1, 0.0, 0.5), (4, "p", 1, 0.0, 0.5), (5, "p", 2, 3.0, 0.0),
+            (2, "q", 1, 0.0, 0.0), (3, "q", 2, math.nan, 0.0), (4, "q", 3, -1.0, 0.0), (5, "r", 1, 2.0, 1.0)]
+    report = _stack(_report(rows), _report([(n, p, k, 1.0, 0.0) for n, p, k, *_ in rows]))
     checks, bad, worst = report.summary()
     assert report.names == ("p", "q", "r")
-    assert checks.tolist() == [4, 3, 1] and bad.tolist() == [2, 2, 0]
-    assert worst.tolist() == [2, 3, 6]
+    assert checks.tolist() == [4, 3, 1] and bad.tolist() == [[2, 2, 0], [0, 0, 0]]
+    assert worst.tolist() == [[1, 5, 7], [0, 4, 7]]
 
 
 def _fuzz_meshes(alphas, count, n_max, seed=0, floor=1.0):
@@ -395,43 +415,50 @@ def _fuzz_meshes(alphas, count, n_max, seed=0, floor=1.0):
             for alpha in alphas}
 
 
-def _assert_same_report(got, want):
-    assert got.names == want.names
+def _assert_mesh_row(report, m, mesh, alpha, n_max):
+    # mesh m's row of report is bit for bit the audit of that mesh alone
+    want = audit_kernel_properties([mesh], alpha, n_max)
+    assert report.names == want.names
     for name in ("n", "code", "k"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(getattr(report, name), getattr(want, name)), name
     for name in ("lhs", "rhs"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(report, name)[m].tobytes() == getattr(want, name)[0].tobytes(), name
 
 
 def test_batch_audit_equals_one_mesh_audits():
     for alpha, meshes in _fuzz_meshes((0.1, 0.5, 0.9), 6, 20).items():
-        reports = audit_kernel_properties(meshes, alpha, 20)
-        assert len(reports) == len(meshes)
-        for mesh, report in zip(meshes, reports):
-            _assert_same_report(report, audit_kernel_properties([mesh], alpha, 20)[0])
-            for name in ("lhs", "rhs"):
-                assert not getattr(report, name).flags.writeable
-        # the reports of one pass share one read-only block of lhs and rhs rows
-        assert reports[0].lhs.base is reports[-1].rhs.base is not None
+        report = audit_kernel_properties(meshes, alpha, 20)
+        assert report.lhs.shape[0] == len(meshes)
+        for m, mesh in enumerate(meshes):
+            _assert_mesh_row(report, m, mesh, alpha, 20)
+        for name in ("lhs", "rhs"):
+            assert not getattr(report, name).flags.writeable
 
 
 def test_batch_audit_of_meshes_that_reach_different_levels():
     rng = np.random.default_rng(0)
     meshes = [random_ratio_mesh(rng, steps, min_step_ratio(0.6)) for steps in (20, 3, 1, 12, 20, 2, 4, 12)]
-    reports = audit_kernel_properties(meshes, 0.6, 12)
-    assert [report.n.max(initial=0) for report in reports] == [12, 3, 0, 12, 12, 2, 4, 12]
-    for mesh, report in zip(meshes, reports):
-        _assert_same_report(report, audit_kernel_properties([mesh], 0.6, 12)[0])
-    assert audit_kernel_properties([], 0.6, 12) == []
+    with pytest.raises(ValueError, match=r"one level min\(n_max, num_steps\), got levels \[1, 2, 3, 4, 12\]"):
+        audit_kernel_properties(meshes, 0.6, 12)
+    with pytest.raises(ValueError, match=r"got levels \[\]"):
+        audit_kernel_properties([], 0.6, 12)
+    # meshes of 20 and of 12 steps both reach level 12
+    same = [mesh for mesh in meshes if mesh.num_steps >= 12]
+    report = audit_kernel_properties(same, 0.6, 12)
+    assert report.n.max() == 12
+    for m, mesh in enumerate(same):
+        _assert_mesh_row(report, m, mesh, 0.6, 12)
     # more meshes than one pass takes
     (meshes,) = _fuzz_meshes((0.3,), 2 * _MESHES_PER_PASS + 3, 8).values()
-    for mesh, report in zip(meshes, audit_kernel_properties(meshes, 0.3, 8), strict=True):
-        _assert_same_report(report, audit_kernel_properties([mesh], 0.3, 8)[0])
+    report = audit_kernel_properties(meshes, 0.3, 8)
+    assert report.lhs.shape[0] == len(meshes)
+    for m, mesh in enumerate(meshes):
+        _assert_mesh_row(report, m, mesh, 0.3, 8)
 
 
 def test_audit_finds_kernel_decreasing_violations_below_the_ratio_floor():
     # negative control: the fuzz's meshes with their floor at 0.8 r*(alpha)
     # break the hypothesis, and the audit must report it (not a set count)
     for alpha, meshes in _fuzz_meshes((0.1, 0.4, 0.7, 0.9), 50, 20, floor=0.8).items():
-        failed = {e.prop for report in audit_kernel_properties(meshes, alpha, 20) for e in report.violations()}
+        failed = {e.prop for _, e in audit_kernel_properties(meshes, alpha, 20).violations()}
         assert "kernel_decreasing" in failed, (alpha, failed)

@@ -8,10 +8,12 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from typing import get_args, get_origin, get_type_hints
 
 import fracstep
 import fracstep.experiments as xp
@@ -107,7 +109,7 @@ def test_kernels_happy_path_with_seed_override(tmp_path, capsys):
     spec = xp.KernelAuditSpec(alphas=(0.4,), num_meshes=2, n_max=5, dgs_histories=3, seed=7)
     result = xp.run_kernel_audit(spec)
     assert [(row["mesh"], row["property"]) for row in summary] == \
-        [(str(m), p) for _, m, r in result.reports for p in r.names]
+        [(str(m), p) for _, r in result.reports for m in range(len(r.lhs)) for p in r.names]
     assert len(summary) == 2 * 12
     assert sum(int(row["checks"]) for row in summary) == meta["total_checks"]
     # the history of the worst DGS residual is recorded on success too
@@ -121,8 +123,9 @@ def test_kernel_inequality_violation_is_an_audit_failure(tmp_path, capsys, monke
             (3, "moment_ratio_gap", 2, math.nan, 1.0), (3, "moment_ratio_gap", 1, 2.0, 1.0)]
     names = ["kernel_positive", "moment_ratio_gap"]
     n, prop, k, lhs, rhs = zip(*rows)
-    report = fracstep.AuditReport(names, n, [names.index(p) for p in prop], k, lhs, rhs)
-    monkeypatch.setattr(xp, "audit_kernel_properties", lambda meshes, order, n_max: [report] * len(meshes))
+    code = [names.index(p) for p in prop]
+    monkeypatch.setattr(xp, "audit_kernel_properties", lambda meshes, order, n_max: fracstep.AuditReport(
+        names, n, code, k, [lhs] * len(meshes), [rhs] * len(meshes)))
     cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.5], "num_meshes": 1, "n_max": 4, "dgs_histories": 1})
     out = tmp_path / "out"
     assert main(["kernels", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
@@ -338,17 +341,33 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     # a mesh the accuracy study cannot build
     ("accuracy", dict(_TINY_ACCURACY, Ns=[0, -2]), "Ns[0]"),
     ("accuracy", dict(_TINY_ACCURACY, gammas=[0.5], Ns=[8, 16]), "gammas[0]"),
-    # an order out of range
+    # an order out of range, or one whose offset alpha/2 underflows to 0
     ("accuracy", dict(_TINY_ACCURACY, alpha=1.0), "alpha"),
     ("coarsen", dict(_TINY_COARSEN, alpha=0.0), "alpha"),
     ("kernels", dict(_TINY_KERNELS, alphas=[0.5, 1.0]), "alphas[1]"),
     ("rstar", {"alphas": [0.5, 1.0, -0.25]}, "alphas[2]"),
+    ("accuracy", dict(_TINY_ACCURACY, alpha=5e-324), "alpha"),
+    ("kernels", dict(_TINY_KERNELS, alphas=[5e-324]), "alphas[0]"),
+    # a grid, an interface width or a controller setting out of range
+    ("coarsen", dict(_TINY_COARSEN, M=3), "M"),
+    ("coarsen", dict(_TINY_COARSEN, epsilon=0), "epsilon"),
+    ("coarsen", dict(_TINY_COARSEN, epsilon=1e300), "epsilon"),
+    ("coarsen", dict(_TINY_COARSEN, tau_min=0), "tau_min"),
+    ("coarsen", dict(_TINY_COARSEN, tau_min=0.1), "tau_min"),
+    ("coarsen", dict(_TINY_COARSEN, tau_max=-1), "tau_max"),
+    ("coarsen", dict(_TINY_COARSEN, eta=-1), "eta"),
+    ("accuracy", dict(_TINY_ACCURACY, M=3), "M"),
+    ("accuracy", dict(_TINY_ACCURACY, sigma=0), "sigma"),
+    ("accuracy", dict(_TINY_ACCURACY, eps2=0), "eps2"),
+    ("accuracy", dict(_TINY_ACCURACY, eps2=-1), "eps2"),
 ], ids=["unknown-key", "init_amplitude", "warmup_T0", "warmup_N0", "warmup_gamma", "fractional-int",
         "string-bool", "nan-float", "scalar-for-list", "missing",
         "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas",
         "kernels-no-alphas", "rstar-no-alphas", "accuracy-T-0", "coarsen-T-in-warm-up",
         "snapshot-past-T", "non-positive-N", "gamma-below-1", "accuracy-alpha-1", "coarsen-alpha-0",
-        "kernels-alpha-1", "rstar-alpha-negative"])
+        "kernels-alpha-1", "rstar-alpha-negative", "accuracy-alpha-underflows", "kernels-alpha-underflows",
+        "coarsen-M-3", "epsilon-0", "epsilon-square-overflows", "tau_min-0", "tau_min-over-tau_max",
+        "tau_max-negative", "eta-negative", "accuracy-M-3", "sigma-0", "eps2-0", "eps2-negative"])
 def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload, key):
     cfg = _write_cfg(tmp_path, "cfg.json", payload)     # json writes nan as NaN, which it reads back
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -364,8 +383,55 @@ def test_strict_tau_min_over_tau_max_is_a_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "cfg.json", payload)
     out = tmp_path / "o"
     assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "tau_min <= tau_max" in capsys.readouterr().err
-    assert _meta(out)["failure"].startswith("MeshError: ")
+    assert "config key 'tau_min' must lie in (0, tau_max = 0.1]" in capsys.readouterr().err
+    assert not out.exists()                             # rejected before any output is made
+
+
+_FUZZ_FLOATS = (0.0, -1.0, 1e-300, 1e300, 5e-324, 1.0, 1.0 - 1e-12, 1e-12)
+_FUZZ_INTS = (0, 1, 2, 3, -1)
+_FUZZ_BASES = {"coarsen": _TINY_COARSEN, "accuracy": _TINY_ACCURACY, "kernels": _TINY_KERNELS,
+               "rstar": {"alphas": [0.5]}}
+
+
+def _fuzz_cases():
+    # each number and list key of each subcommand's spec, set one at a time on
+    # its tiny config: a list is empty or holds one such value
+    for subcommand, base in _FUZZ_BASES.items():
+        for key, kind in get_type_hints(_COMMANDS[subcommand][0]).items():
+            entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
+            if key == "seed" or entry is bool:
+                continue
+            values = _FUZZ_FLOATS if entry is float else _FUZZ_INTS
+            if entry is not kind:
+                values = [[]] + [[v] for v in values]
+            for value in values:
+                if (subcommand, key, value) != ("coarsen", "T", 1e300):       # a horizon that runs on
+                    yield subcommand, key, dict(base, **{key: value})
+
+
+def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
+    # every case exits 0, 2, 3 or 4 with no exception escaping, and an exit 4
+    # names a quoted config key and leaves no output directory
+    cases = list(_fuzz_cases())
+    assert len(cases) == 146
+    broken = []
+    for i, (subcommand, key, payload) in enumerate(cases):
+        cfg = _write_cfg(tmp_path, f"cfg{i}.json", payload)
+        out = tmp_path / f"o{i}"
+        capsys.readouterr()
+        try:
+            code = main([subcommand, "--config", cfg, "--out", str(out)])
+        except Exception as exc:
+            broken.append((subcommand, key, payload[key], f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        named = re.search(r"config key '(\w+)", err)
+        if code not in (EXIT_OK, EXIT_AUDIT, EXIT_NONCONV, EXIT_CONFIG):
+            broken.append((subcommand, key, payload[key], f"exit {code}"))
+        elif code == EXIT_CONFIG and not (named and named[1] in get_type_hints(_COMMANDS[subcommand][0])
+                                          and not out.exists()):
+            broken.append((subcommand, key, payload[key], f"exit 4, output {out.exists()}: {err.strip()}"))
+    assert broken == []
 
 
 def test_spec_from_config_fills_defaults_and_seed():

@@ -84,15 +84,13 @@ def test_manufactured_profile_is_evaluated_once_per_grid(monkeypatch):
 
 
 def test_accuracy_table_captures_row_failures():
-    # this horizon/grading pair admits no valid two-phase mesh, so the row
-    # aborts and is reported instead of raising
+    # this horizon/grading pair admits no valid two-phase mesh at either N
+    # (N0 >= N), so each row aborts and is reported instead of raising
     table = accuracy_table(
-        _tiny_accuracy_spec(T=0.51, gammas=(2.0,), Ns=(40,))
+        _tiny_accuracy_spec(T=0.51, gammas=(2.0,), Ns=(40, 80))
     )
     assert table.rows == []
-    assert len(table.failures) == 1
-    gamma, N, msg = table.failures[0]
-    assert (gamma, N) == (2.0, 40)
+    assert [(gamma, N) for gamma, N, _ in table.failures] == [(2.0, 40), (2.0, 80)]
     assert math.isnan(table.orders[2.0][0])
 
 
@@ -175,7 +173,7 @@ def test_kernel_audit_fuzz_small():
     result = run_kernel_audit(spec)
     assert result.violations == []
     assert result.total_checks > 0
-    assert len(result.reports) == 6
+    assert [(alpha, len(report.lhs)) for alpha, report in result.reports] == [(0.3, 3), (0.7, 3)]
     assert result.dgs_residual < 1e-11
     assert result.dgs_min_G >= 0.0
     assert result.dgs_min_R >= 0.0
@@ -188,7 +186,7 @@ def test_kernel_audit_csv_is_a_summary_and_its_violations(tmp_path):
     with open(summary_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:5] == ["alpha", "mesh", "property", "checks", "violations"]
-    assert len(rows) == 1 + sum(len(r.names) for *_, r in result.reports) == 1 + 2 * 12
+    assert len(rows) == 1 + sum(len(r.names) * len(r.lhs) for _, r in result.reports) == 1 + 2 * 12
     assert sum(int(row[3]) for row in rows[1:]) == result.total_checks
     with open(violations_path, newline="") as fh:
         assert list(csv.reader(fh)) == [["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]]

@@ -85,6 +85,17 @@ def test_step_size_cap_integer_order_limit():
     assert step_size_cap(1.0 - 1e-9, 1.0, 0.01) == pytest.approx(0.5, rel=1e-7)
 
 
+def test_step_size_cap_saturates_instead_of_raising():
+    reaction = step_size_cap(0.5, TWO_PI / 8, 0.05)
+    # eps^2 underflows to 0: no diffusion bound, the reaction bound governs
+    assert step_size_cap(0.5, TWO_PI / 8, 1e-300) == step_size_cap(0.5, TWO_PI / 8, 5e-324) == reaction
+    # eps^2 overflows: the diffusion bound is 0
+    assert step_size_cap(0.5, TWO_PI / 8, 1e300) == 0.0
+    # 1/alpha = 1e12: the reaction bound underflows to 0 and the diffusion bound overflows to inf
+    assert step_size_cap(1e-12, TWO_PI / 8, 0.05) == 0.0
+    assert step_size_cap(1e-300, TWO_PI / 8, 1e-150) == 0.0
+
+
 def test_step_size_cap_diffusion_branch_scales_with_h():
     # once diffusion-limited, cap ~ h^(2/alpha)
     a, eps = 0.5, 0.5
