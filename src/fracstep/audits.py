@@ -119,9 +119,15 @@ class AuditReport:
     def _violating(self) -> np.ndarray:
         """Read-only (meshes, rows) mask: slack negative beyond round-off
         (_SLACK_FLOOR at the row's scale), or lhs, rhs or slack not finite."""
-        slack = self.lhs - self.rhs       # not finite whenever lhs or rhs is not
-        tol = _SLACK_FLOOR * np.maximum(1.0, np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
-        mask = (slack < -tol) | ~np.isfinite(slack)
+        # in place, so that at most two (meshes, rows) float arrays are live
+        tol = np.abs(self.lhs)
+        slack = np.abs(self.rhs)
+        np.maximum(tol, slack, out=tol)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= -_SLACK_FLOOR                          # the negated tolerance, bit for bit
+        np.subtract(self.lhs, self.rhs, out=slack)   # not finite whenever lhs or rhs is not
+        mask = slack < tol
+        mask |= ~np.isfinite(slack)
         mask.flags.writeable = False
         return mask
 

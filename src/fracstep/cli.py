@@ -15,7 +15,8 @@ raises writes it with "files": [] and the error as "failure".  Exit codes:
 bound, a step over the cap while the bound is enforced, or weights that
 are not positive), 3 solver non-convergence, 4 bad config (a missing or
 unknown key, a wrong type, a non-finite number, or a value outside the
-range its spec's __post_init__ accepts).
+range its spec's __post_init__ accepts; not a ValueError from the run).  An
+accuracy table left without rows exits 2 on a row's audit failure, else 3.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ EXIT_CONFIG = 4
 
 class ConfigError(ValueError):
     pass
+
+
+# failures that a run reports as an audit failure (exit 2)
+_AUDIT_FAILURES = (BoundViolation, StepCapError, FloatingPointError)
 
 
 def _load_config(path) -> dict:
@@ -124,20 +129,25 @@ def _cmd_accuracy(spec: xp.AccuracySpec, outdir: str) -> tuple:
     table = xp.accuracy_table(spec)
     path = os.path.join(outdir, "accuracy.csv")
     xp.write_accuracy_csv(path, table)
+    failures = [(g, N, f"{type(exc).__name__}: {exc}") for g, N, exc in table.failures]
     extra = {
         "orders": {f"{g:g}": {"fitted_order": o, "fit_residual": r}
                    for g, (o, r) in table.orders.items()},
         "spatial_error_estimate": table.spatial_estimate,
         "spatial_subdominant": table.spatial_ok,
-        "row_failures": [list(f) for f in table.failures],
+        "row_failures": [list(f) for f in failures],
     }
+    for g, N, message in failures:
+        print(f"row failure at gamma={g:g}, N={N}: {message}", file=sys.stderr)
     if table.spatial_ok is False:
         print("warning: spatial error is not subdominant at this grid; "
               "orders are still temporal but absolute errors carry a floor", file=sys.stderr)
     for g, (o, r) in table.orders.items():
         print(f"gamma={g:g}: fitted order {o:.3f} (fit residual {r:.3f})")
-    code = EXIT_OK if table.rows else EXIT_NONCONV
-    return code, [path], extra
+    if table.rows:
+        return EXIT_OK, [path], extra
+    audit = any(isinstance(exc, _AUDIT_FAILURES) for *_, exc in table.failures)
+    return (EXIT_AUDIT if audit else EXIT_NONCONV), [path], extra
 
 
 def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
@@ -246,26 +256,26 @@ def main(argv=None) -> int:
         spec = _spec_from_config(spec_cls, cfg, seed)
         if args.quick:
             spec = spec.quick()
-        os.makedirs(args.out, exist_ok=True)
-        started = time.monotonic()
-        try:
-            code, files, extra = command(spec, args.out)
-        except Exception as exc:      # the run failed: record what ran and why, then report it
-            _write_meta(args.out, args.subcommand, cfg, seed, args.quick, [],
-                        time.monotonic() - started, {"failure": f"{type(exc).__name__}: {exc}"})
-            raise
-        _write_meta(args.out, args.subcommand, cfg, seed, args.quick,
-                    files, time.monotonic() - started, extra)
-        return code
     except ValueError as exc:         # ConfigError, or a spec value out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
-    except (BoundViolation, StepCapError, FloatingPointError) as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
+    os.makedirs(args.out, exist_ok=True)
+    started = time.monotonic()
+    try:
+        code, files, extra = command(spec, args.out)
+    except Exception as exc:          # the run failed: record what ran and why, then report it
+        _write_meta(args.out, args.subcommand, cfg, seed, args.quick, [],
+                    time.monotonic() - started, {"failure": f"{type(exc).__name__}: {exc}"})
+        if isinstance(exc, ConvergenceError):
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return EXIT_NONCONV
+        if isinstance(exc, _AUDIT_FAILURES):
+            print(f"audit failure: {exc}", file=sys.stderr)
+            return EXIT_AUDIT
+        raise
+    _write_meta(args.out, args.subcommand, cfg, seed, args.quick,
+                files, time.monotonic() - started, extra)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ side for every step and classifies any positive value by which
 hypothesis (cap or ratio floor) was broken, if any.
 
 G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
-whole history.  A run carries those distances from step to step
+whole history: kernels.distance_form, the same form dgs_forms checks,
+scaled by h^2/2.  A run carries those distances from step to step
 (modified_energy updates them with one inner-product pass over the field
 stack); the tests recompute them from the fields as the stateless
 reference the carried values are checked against.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid2D, grad_energy, grid_sum
-from .kernels import KernelSet, as_order, stored_form_coeffs
+from .kernels import KernelSet, as_order, distance_form, stored_form_coeffs
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,6 @@ def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
 
 
 _DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E_alpha|
-
-
-def _form_from_distances(dist: np.ndarray, aux_a: np.ndarray, grid: Grid2D) -> float:
-    """Half the integrated form G from dist[j] = grid sum of (phi^n - phi^j)^2, j < n."""
-    coeffs, tail = stored_form_coeffs(aux_a)
-    return 0.5 * grid.h**2 * math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
 
 
 def modified_energy(
@@ -83,7 +78,7 @@ def modified_energy(
     inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
     dist[:n] += np.einsum("ij,ij->", delta, delta) + 2.0 * (inner[n - 1] - inner)
     dist[n] = 0.0
-    G = _form_from_distances(dist[:n], kernels.aux_a, grid)
+    G = 0.5 * grid.h**2 * distance_form(*stored_form_coeffs(kernels.aux_a), dist[:n])
     return EnergyRecord(n=n, E=E, G_term=G, E_alpha=E + G, dissipation_lhs=None)
 
 

@@ -125,7 +125,7 @@ class AccuracyTable:
     orders: dict                    # gamma -> (order, fit residual)
     spatial_estimate: float | None  # |e_M - e_2M| at the sharpest table entry
     spatial_ok: bool | None
-    failures: list                  # (gamma, N, message) for aborted rows
+    failures: list                  # (gamma, N, exception) for aborted rows
 
 
 def _solution_error(cfg: SolverConfig, forcing: ManufacturedForcing, mesh: TimeMesh) -> float:
@@ -165,7 +165,7 @@ def accuracy_table(spec: AccuracySpec) -> AccuracyTable:
                 Ns_done.append(N)
             except (ConvergenceError, BoundViolation, MeshError, FloatingPointError) as exc:
                 # a solver failure aborts its row, not the table; anything else is a bug
-                failures.append((gamma, N, f"{type(exc).__name__}: {exc}"))
+                failures.append((gamma, N, exc.with_traceback(None)))   # no frames kept alive
         if len(Ns_done) >= 2:
             order, resid = fit_order(Ns_done, errs)
         else:
@@ -317,6 +317,22 @@ class KernelAuditResult:
     dgs_worst_history: int = 0     # the history with the worst (or first non-finite) residual
 
 
+def dgs_case(rng, alpha: float, n: int, r_min: float):
+    """(lhs, rhs, G_n, G_{n-1}, R_n) of the gradient-structure identity (see
+    dgs_forms) for n standard-normal differences on a random mesh of n steps
+    with ratios at least r_min; lhs takes the stepper's split derivative."""
+    order = as_order(alpha)
+    mesh = random_ratio_mesh(rng, n, r_min)
+    diffs = rng.standard_normal(n)
+    kern_prev = build_kernels(mesh, order, n - 1)
+    kern_curr = build_kernels(mesh, order, n)
+    history = np.concatenate([[0.0], np.cumsum(diffs)])
+    lhs = 2.0 * diffs[-1] * frac_derivative(history, kern_curr, order)
+    G_n, G_prev, R_n = dgs_forms(kern_prev, kern_curr, diffs)
+    rhs = G_n - G_prev + R_n + (2.0 * order.alpha / (2.0 - order.alpha)) * kern_curr.a[0] * diffs[-1] ** 2
+    return lhs, rhs, G_n, G_prev, R_n
+
+
 def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
     """Fuzz admissible meshes, audit every kernel inequality (the meshes of
     one alpha in one call), and check the gradient-structure identity on
@@ -335,18 +351,8 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
     residuals, Gs, Rs = [], [], []
     for _ in range(spec.dgs_histories):
         alpha = float(rng.uniform(0.05, 0.95))
-        order = as_order(alpha)
         n = int(rng.integers(2, 11))
-        mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
-        diffs = rng.standard_normal(n)
-        kern_prev = build_kernels(mesh, order, n - 1) if n >= 2 else None
-        kern_curr = build_kernels(mesh, order, n)
-        history = np.concatenate([[0.0], np.cumsum(diffs)])
-        deriv = frac_derivative(history, kern_curr, order)
-        G_n, G_prev, R_n = dgs_forms(kern_prev, kern_curr, diffs)
-        a0 = kern_curr.a[0]
-        lhs = 2.0 * diffs[-1] * deriv
-        rhs = G_n - G_prev + R_n + (2.0 * order.alpha / (2.0 - order.alpha)) * a0 * diffs[-1] ** 2
+        lhs, rhs, G_n, G_prev, R_n = dgs_case(rng, alpha, n, min_step_ratio(alpha))
         scale = max(abs(lhs), abs(rhs), 1.0)
         residuals.append(abs(lhs - rhs) / scale)    # nan when lhs, rhs, G or R is not finite
         Gs += [G_n, G_prev]

@@ -19,7 +19,9 @@ nonnegative quadratic form G plus nonnegative remainders.
 kernel_tables builds every level of several meshes in one pass, as tables
 with one block per mesh and one row per level; build_kernels, which the
 stepper calls once per step, is its one-level, one-mesh case, so both share
-each weight formula.
+each weight formula.  The gradient-structure check (dgs_forms) runs the
+run's own code: frac_derivative is the split form the stepper solves, and
+distance_form is the one G form, also that of energy.modified_energy.
 """
 
 from __future__ import annotations
@@ -319,21 +321,23 @@ def local_coefficient(order, kernels: KernelSet) -> float:
     return order.alpha / (2.0 - order.alpha) * kernels.a[0]
 
 
+def head_coefficient(order, kernels: KernelSet) -> float:
+    """Coefficient D of v^n in the split derivative: the local part plus hat_a[0]."""
+    return local_coefficient(order, kernels) + kernels.hat_a[0]
+
+
 def frac_derivative(history, kernels: KernelSet, order) -> float:
     """Evaluate the discrete derivative at t_{n-theta} from values v^0..v^n.
 
-    Split form: (alpha/(2-alpha)) a_0 (v^n - v^{n-1}) plus the convolution
-    of hat_a with the first differences, summed over ascending k with
-    exact (fsum) accumulation.
+    The split form as solver.step solves it: D v^n - (D v^{n-1} - hist),
+    with D from head_coefficient and hist the history_sum of hat_a over the
+    differences v^k - v^{k-1}, k = 1..n-1, in ascending k.
     """
-    order = as_order(order)
     v = np.asarray(history, dtype=float)
     n = kernels.n
     assert v.size == n + 1, f"need {n + 1} history values, got {v.size}"
-    diffs = np.diff(v)
-    terms = [kernels.hat_a[n - k] * diffs[k - 1] for k in range(1, n + 1)]
-    terms.append(local_coefficient(order, kernels) * diffs[n - 1])
-    return math.fsum(terms)
+    D = head_coefficient(order, kernels)
+    return float(D * v[n] - (D * v[n - 1] - history_sum(kernels.hat_a[1:n][::-1], v[:n])))
 
 
 def history_sum(weights: np.ndarray, fields) -> np.ndarray:
@@ -366,61 +370,36 @@ def stored_form_coeffs(aux_a: np.ndarray):
     return d[::-1], float(aux_a[n - 1])
 
 
-def stored_form(aux_a: np.ndarray, diffs) -> float:
-    """Quadratic form G[w^n] of the gradient-structure identity (scalar history).
+def distance_form(coeffs, tail: float, dist) -> float:
+    """sum_{j=1}^{n-1} coeffs[j-1] dist[j] + tail dist[0], summed exactly (fsum).
 
-    diffs holds w^1..w^n.  Partial sums sum_{l=j+1}^n w_l are taken as
-    suffix sums; the form is zero for an empty history.
+    With (coeffs, tail) from stored_form_coeffs and dist[j] the squared
+    distance (sum_{l>j} w_l)^2 of a history, this is the form G of the
+    gradient-structure identity; modified_energy takes it on the grid sums
+    of (phi^n - phi^j)^2 and dgs_forms on scalar histories.
     """
-    w = np.asarray(diffs, dtype=float)
-    n = w.size
-    if n == 0:
-        return 0.0
-    coeffs, tail = stored_form_coeffs(aux_a)
-    suffix = np.cumsum(w[::-1])[::-1]          # suffix[j] = sum_{l=j+1}^n w_l
-    terms = [coeffs[j - 1] * suffix[j] ** 2 for j in range(1, n)]
-    terms.append(tail * suffix[0] ** 2)
-    return math.fsum(terms)
-
-
-def remainder_form(aux_prev: np.ndarray, aux_curr: np.ndarray, diffs) -> float:
-    """Nonnegative remainder R[w^n] of the gradient-structure identity.
-
-    Couples the level-(n-1) and level-n kernels; the inner sums stop at
-    w^{n-1}, so the j = n-1 term is empty and the form vanishes for n <= 1.
-    """
-    w = np.asarray(diffs, dtype=float)
-    n = w.size
-    if n <= 1:
-        return 0.0
-    head = w[: n - 1]
-    suffix = np.cumsum(head[::-1])[::-1]       # suffix[j] = sum_{l=j+1}^{n-1} w_l
-    terms = []
-    for j in range(1, n - 1):
-        coeff = (
-            aux_prev[n - j - 2]
-            - aux_prev[n - j - 1]
-            - aux_curr[n - j - 1]
-            + aux_curr[n - j]
-        )
-        terms.append(coeff * suffix[j] ** 2)
-    terms.append((aux_prev[n - 2] - aux_curr[n - 1]) * suffix[0] ** 2)
-    return math.fsum(terms)
+    return math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
 
 
 def dgs_forms(kernels_prev, kernels_curr: KernelSet, diffs):
     """(G_n, G_{n-1}, R_n) for the identity
 
-    2 w_n * derivative = G_n - G_{n-1} + R_n + (2 alpha/(2-alpha)) a_0 w_n^2.
+    2 w_n * derivative = G_n - G_{n-1} + R_n + (2 alpha/(2-alpha)) a_0 w_n^2,
+
+    each a distance_form on the squared suffix sums of w^1..w^n or w^1..w^{n-1};
+    R takes the level-(n-1) coefficients minus the level-n ones.
     kernels_prev may be None when n = 1.
     """
     w = np.asarray(diffs, dtype=float)
     n = w.size
     assert kernels_curr.n == n
-    g_curr = stored_form(kernels_curr.aux_a, w)
+    coeffs, tail = stored_form_coeffs(kernels_curr.aux_a)
+    g_curr = distance_form(coeffs, tail, np.cumsum(w[::-1])[::-1] ** 2)
     if n == 1:
         return g_curr, 0.0, 0.0
     assert kernels_prev is not None and kernels_prev.n == n - 1
-    g_prev = stored_form(kernels_prev.aux_a, w[: n - 1])
-    r_curr = remainder_form(kernels_prev.aux_a, kernels_curr.aux_a, w)
+    coeffs_prev, tail_prev = stored_form_coeffs(kernels_prev.aux_a)
+    dist = np.cumsum(w[: n - 1][::-1])[::-1] ** 2
+    g_prev = distance_form(coeffs_prev, tail_prev, dist)
+    r_curr = distance_form(coeffs_prev - coeffs[: n - 2], tail_prev - tail, dist)
     return g_curr, g_prev, r_curr

@@ -44,8 +44,8 @@ from .kernels import (
     KernelSet,
     as_order,
     build_kernels,
+    head_coefficient,
     history_sum,
-    local_coefficient,
     min_step_ratio,
 )
 from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
@@ -241,7 +241,7 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
     eps2 = cfg.epsilon**2
 
     prev = fields[-1]
-    D = local_coefficient(order, kernels) + kernels.hat_a[0]
+    D = head_coefficient(order, kernels)
     hist = history_sum(kernels.hat_a[1:n][::-1], fields)   # ascending k = 1..n-1
 
     rhs_fixed = D * prev - hist - theta * _reaction(prev) + theta * eps2 * laplacian(prev, grid)

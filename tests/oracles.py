@@ -21,9 +21,9 @@ from scipy.integrate import quad
 from scipy.special import rgamma
 
 from fracstep.audits import AuditReport, _gaps
-from fracstep.energy import _form_from_distances
 from fracstep.grid import Grid2D, grid_sum
-from fracstep.kernels import FracOrder, KernelSet, _offset_geometry, as_order
+from fracstep.kernels import (FracOrder, KernelSet, _offset_geometry, as_order, distance_form,
+                              stored_form_coeffs)
 from fracstep.mesh import TimeMesh
 from fracstep.special import omega
 
@@ -250,7 +250,7 @@ def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
     for lo in range(0, n, _G_BLOCK):
         d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
         dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
-    return _form_from_distances(dist, aux_a, grid)
+    return 0.5 * grid.h**2 * distance_form(*stored_form_coeffs(aux_a), dist)
 
 
 def inner(u: np.ndarray, v: np.ndarray, grid: Grid2D) -> float:

@@ -297,6 +297,39 @@ def test_accuracy_tiny(tmp_path, capsys):
     assert meta["row_failures"] == []
 
 
+@pytest.mark.parametrize("overrides, code, failure", [
+    # at alpha 1e-300 every row fails on nonpositive moment weights: an audit failure
+    ({"alpha": 1e-300}, EXIT_AUDIT, "FloatingPointError: moment weights must be positive"),
+    # no two-phase mesh exists at T = 0.51, gamma = 2 for either N: still exit 3
+    ({"T": 0.51, "gammas": [2.0], "Ns": [4, 8]}, EXIT_NONCONV, "MeshError: "),
+], ids=["weights", "mesh"])
+def test_accuracy_without_rows_names_each_failure(tmp_path, capsys, overrides, code, failure):
+    cfg = _write_cfg(tmp_path, "cfg.json", {**_TINY_ACCURACY, **overrides})
+    out = tmp_path / "out"
+    assert main(["accuracy", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    gamma = overrides.get("gammas", [1.0])[0]
+    for N in (4, 8):
+        assert f"row failure at gamma={gamma:g}, N={N}: {failure}" in err
+    assert [f[:2] for f in _meta(out)["row_failures"]] == [[gamma, 4], [gamma, 8]]
+
+
+def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # only reading the config and building the spec map ValueError to exit 4;
+    # one raised by the run is a bug: a traceback, after run_meta.json records it
+    def broken(spec):
+        raise ValueError("bug inside the run")
+
+    monkeypatch.setattr(xp, "run_coarsening", broken)
+    cfg = _write_cfg(tmp_path, "cfg.json", _TINY_COARSEN)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="bug inside the run"):
+        main(["coarsen", "--config", cfg, "--out", str(out)])
+    assert "config error" not in capsys.readouterr().err
+    meta = _meta(out)
+    assert meta["failure"] == "ValueError: bug inside the run" and meta["files"] == []
+
+
 def test_accuracy_quick_drops_finest_level(tmp_path):
     cfg = _write_cfg(
         tmp_path, "cfg.json",

@@ -16,7 +16,7 @@ from fracstep.energy import (
     write_energy_csv,
 )
 from fracstep.grid import Grid2D
-from fracstep.kernels import build_kernels, stored_form
+from fracstep.kernels import build_kernels, distance_form, stored_form_coeffs
 from fracstep.mesh import build_uniform_mesh
 from oracles import _G_BLOCK, history_quadratic
 
@@ -50,9 +50,9 @@ def test_history_quadratic_level_zero():
 
 
 def test_history_quadratic_matches_pointwise_form():
-    # summing the scalar stored form over the grid must reproduce the
-    # collapsed squared-distance evaluation, within one block of levels
-    # and across block boundaries
+    # summing the form over the grid, each point's on the squares of its
+    # own suffix sums, must reproduce the collapsed squared-distance
+    # evaluation, within one block of levels and across block boundaries
     rng = np.random.default_rng(3)
     g = Grid2D(M=8, L=TWO_PI)
     for n in (5, 2 * _G_BLOCK + 3):
@@ -62,10 +62,11 @@ def test_history_quadratic_matches_pointwise_form():
         got = history_quadratic(fields, kern.aux_a, g)
 
         diffs = np.diff(fields, axis=0)
+        coeffs, tail = stored_form_coeffs(kern.aux_a)
         acc = 0.0
         for i in range(8):
             for j in range(8):
-                acc += stored_form(kern.aux_a, diffs[:, i, j])
+                acc += distance_form(coeffs, tail, np.cumsum(diffs[::-1, i, j])[::-1] ** 2)
         want = 0.5 * g.h**2 * acc
         assert got == pytest.approx(want, rel=1e-12), n
 

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from fracstep import kernels
+from fracstep.experiments import KernelAuditSpec, dgs_case, run_kernel_audit
 from fracstep.kernels import (
     FracOrder,
     as_order,
@@ -17,8 +19,6 @@ from fracstep.kernels import (
     kernel_tables,
     local_coefficient,
     min_step_ratio,
-    stored_form,
-    remainder_form,
     _SERIES_GAP,
     _offset_geometry,
     _ratio_equation,
@@ -275,26 +275,12 @@ def test_history_sum_with_level_kernel_on_graded_mesh_within_plain_bound():
         assert abs(got[idx] - want) <= bound
 
 
-def _dgs_case(rng, alpha, n, r_min):
-    order = as_order(alpha)
-    mesh = random_ratio_mesh(rng, n, r_min)
-    diffs = rng.standard_normal(n)
-    history = np.concatenate([[0.0], np.cumsum(diffs)])
-    kern_prev = build_kernels(mesh, order, n - 1)
-    kern_curr = build_kernels(mesh, order, n)
-    deriv = frac_derivative(history, kern_curr, order)
-    G_n, G_prev, R_n = dgs_forms(kern_prev, kern_curr, diffs)
-    lhs = 2.0 * diffs[-1] * deriv
-    rhs = G_n - G_prev + R_n + 2.0 * alpha / (2.0 - alpha) * kern_curr.a[0] * diffs[-1] ** 2
-    return lhs, rhs, G_n, G_prev, R_n
-
-
 def test_gradient_structure_identity():
     rng = np.random.default_rng(17)
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(rng.integers(2, 11))
-        lhs, rhs, G_n, G_prev, R_n = _dgs_case(rng, alpha, n, min_step_ratio(alpha) + 1e-6)
+        lhs, rhs, G_n, G_prev, R_n = dgs_case(rng, alpha, n, min_step_ratio(alpha) + 1e-6)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         assert G_n >= 0.0 and G_prev >= 0.0 and R_n >= 0.0
 
@@ -307,9 +293,19 @@ def test_gradient_structure_forms_fail_far_below_the_ratio_floor():
     for _ in range(2000):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(rng.integers(2, 11))
-        *_, G_n, G_prev, R_n = _dgs_case(rng, alpha, n, 0.3 * min_step_ratio(alpha))
+        *_, G_n, G_prev, R_n = dgs_case(rng, alpha, n, 0.3 * min_step_ratio(alpha))
         least = min(least, G_n, G_prev, R_n)
     assert least < 0.0
+
+
+def test_kernel_audit_finds_a_dropped_history_weight(monkeypatch):
+    # negative control: the audit's DGS identity takes the derivative through
+    # the history_sum the stepper contracts with, so one that drops its last
+    # weight must break the identity far beyond the 1e-11 limit
+    real = kernels.history_sum
+    monkeypatch.setattr(kernels, "history_sum", lambda weights, fields: real(weights[:-1], fields[:-1]))
+    result = run_kernel_audit(KernelAuditSpec(alphas=(0.5,), num_meshes=1, n_max=4, dgs_histories=5))
+    assert result.dgs_residual > 1e-11
 
 
 def test_gradient_structure_zero_history():
@@ -321,11 +317,12 @@ def test_gradient_structure_zero_history():
 
 
 def test_stored_form_single_level():
-    # n = 1: G = (1/2) aux_0 (diff)^2 with aux_0 = 2 hat_0
+    # n = 1: G = (1/2) aux_0 (diff)^2 with aux_0 = 2 hat_0, and no G_prev or R
     mesh = build_uniform_mesh(1.0, 1)
     kern = build_kernels(mesh, 0.5, 1)
-    val = stored_form(kern.aux_a, np.array([3.0]))
+    val, G_prev, R_n = dgs_forms(None, kern, np.array([3.0]))
     assert val == pytest.approx(kern.aux_a[0] * 9.0, rel=1e-15)
+    assert G_prev == R_n == 0.0
 
 
 def test_remainder_form_empty_below_three_levels():
@@ -333,5 +330,5 @@ def test_remainder_form_empty_below_three_levels():
     kp = build_kernels(mesh, 0.5, 1)
     kc = build_kernels(mesh, 0.5, 2)
     # n = 2: the remainder couples levels j = 1..n-2 with an empty inner sum
-    val = remainder_form(kp.aux_a, kc.aux_a, np.array([1.0, 2.0]))
+    *_, val = dgs_forms(kp, kc, np.array([1.0, 2.0]))
     assert val >= 0.0
