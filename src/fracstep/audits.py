@@ -61,10 +61,6 @@ class AuditEntry:
 
 
 _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack is a violation
-# Meshes audited in one kernel_tables pass.  A pass holds every table of its
-# meshes at once, so the cap bounds the audit's peak memory; past about 16
-# meshes a larger pass saves no time.
-_MESHES_PER_PASS = 16
 
 
 class AuditReport:
@@ -192,10 +188,10 @@ def audit_kernel_properties(meshes, order, n_max: int) -> AuditReport:
     must all reach one level min(n_max, num_steps), and report the slacks
     in one AuditReport whose lhs and rhs row m is mesh m's.
 
-    The meshes are audited in passes of at most _MESHES_PER_PASS; each
-    mesh's row is bit for bit the one it gets when audited alone.  The rows
-    are grouped by property in the module docstring's order, less the
-    properties without rows (levels below 4).
+    The meshes are audited in one pass; each mesh's row is bit for bit
+    the one it gets when audited alone.  The rows are grouped by property
+    in the module docstring's order, less the properties without rows
+    (levels below 4).
 
     The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
@@ -203,11 +199,9 @@ def audit_kernel_properties(meshes, order, n_max: int) -> AuditReport:
     levels = sorted({min(n_max, mesh.num_steps) for mesh in meshes})
     if len(levels) != 1:
         raise ValueError(f"the meshes must all reach one level min(n_max, num_steps), got levels {levels}")
-    passes = [_audit(meshes[s : s + _MESHES_PER_PASS], order, levels[0])
-              for s in range(0, len(meshes), _MESHES_PER_PASS)]
-    # the report copies its columns, so one pass needs no joined copy first
-    lhs, rhs = passes[0][-1] if len(passes) == 1 else np.concatenate([p[-1] for p in passes], axis=1)
-    return AuditReport(*passes[0][:-1], lhs, rhs)
+    # the pass's tables are freed when _audit returns, before the report copies its block
+    *layout, block = _audit(meshes, order, levels[0])
+    return AuditReport(*layout, *block)
 
 
 def _audit(meshes, order: FracOrder, n_max: int) -> tuple:

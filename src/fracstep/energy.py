@@ -22,7 +22,6 @@ reference the carried values are checked against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -160,21 +159,3 @@ def dissipation_audit(records, cap_ok=None, ratio_ok=None):
                 )
             )
     return out
-
-
-def write_energy_csv(path, mesh, records, sup_norms, fp_iters) -> None:
-    """Per-level CSV: n, t_n, tau_n, E, E_alpha, G_term, dissipation_lhs, max_norm, fp_iters."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "t_n", "tau_n", "E", "E_alpha", "G_term", "dissipation_lhs", "max_norm", "fp_iters"]
-        )
-        for rec in records:
-            n = rec.n
-            tau = repr(float(mesh.step(n))) if n >= 1 else ""
-            lhs = repr(float(rec.dissipation_lhs)) if rec.dissipation_lhs is not None else ""
-            iters = int(fp_iters[n - 1]) if n >= 1 else ""
-            writer.writerow(
-                [n, repr(float(mesh.nodes[n])), tau, repr(float(rec.E)), repr(float(rec.E_alpha)),
-                 repr(float(rec.G_term)), lhs, repr(float(sup_norms[n])), iters]
-            )

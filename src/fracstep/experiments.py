@@ -25,7 +25,6 @@ from .kernels import (
     min_step_ratio,
     _ratio_equation,
 )
-from .energy import write_energy_csv
 from .mesh import (
     AdaptiveSchedule,
     MeshError,
@@ -263,15 +262,34 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
 
 
 def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -> list:
-    """Emit energy CSV, step CSV, and the snapshot at each level_at(t); returns the paths."""
+    """Emit energy.csv, the run's one per-step table, and the snapshot at
+    each level_at(t); returns the paths.
+
+    energy.csv has one row per level n with the columns n, t_n, tau_n, E,
+    E_alpha, G_term, dissipation_lhs, max_norm, fp_iters, r_n, cap_ok and
+    ratio_ok: every float in round-trip repr, the flags as 1 or 0, and a
+    cell left empty where the level has no such value (the step columns at
+    n = 0, r_n below n = 2).
+    """
     grid = Grid2D(M=spec.M, L=2.0 * np.pi)
-    paths = []
+    mesh = traj.mesh
     energy_path = os.path.join(outdir, "energy.csv")
-    write_energy_csv(energy_path, traj.mesh, traj.energy, traj.sup_norms, traj.fp_iters)
-    paths.append(energy_path)
-    mesh_path = os.path.join(outdir, "mesh.csv")
-    traj.mesh.to_csv(mesh_path)
-    paths.append(mesh_path)
+    with open(energy_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "t_n", "tau_n", "E", "E_alpha", "G_term", "dissipation_lhs", "max_norm",
+                    "fp_iters", "r_n", "cap_ok", "ratio_ok"])
+        for rec in traj.energy:
+            n = rec.n
+            if n == 0:
+                tau = iters = cap_ok = ratio_ok = ""
+            else:
+                tau, iters = repr(mesh.step(n)), int(traj.fp_iters[n - 1])
+                cap_ok, ratio_ok = int(traj.cap_ok[n - 1]), int(traj.ratio_ok[n - 1])
+            lhs = "" if rec.dissipation_lhs is None else repr(float(rec.dissipation_lhs))
+            w.writerow([n, repr(float(mesh.nodes[n])), tau, repr(float(rec.E)), repr(float(rec.E_alpha)),
+                        repr(float(rec.G_term)), lhs, repr(float(traj.sup_norms[n])), iters,
+                        repr(mesh.ratio(n)) if n >= 2 else "", cap_ok, ratio_ok])
+    paths = [energy_path]
     for t_snap in sorted(set(spec.snapshot_times)):
         n = traj.level_at(t_snap)
         if n is not None:
@@ -419,16 +437,12 @@ class RstarRow:
 
 
 def rstar_table(alphas) -> list:
-    """r*(alpha) rows with the defining-equation residual; monotone in alpha."""
+    """r*(alpha) rows, in the order of alphas, with the defining-equation
+    residual; the caller checks the residuals and that r* increases with alpha."""
     rows = []
     for alpha in alphas:
         r = min_step_ratio(alpha)
         rows.append(RstarRow(alpha=alpha, r_star=r, residual=abs(_ratio_equation(r, alpha))))
-    values = [row.r_star for row in rows]
-    order = np.argsort([row.alpha for row in rows])
-    sorted_vals = [values[i] for i in order]
-    if any(b <= a for a, b in zip(sorted_vals, sorted_vals[1:])):
-        raise AssertionError("step-ratio root table is not strictly increasing in alpha")
     return rows
 
 

@@ -11,7 +11,6 @@ monotonicity needed by the energy analysis is preserved.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,16 +71,6 @@ class TimeMesh:
         """t_{k-theta} = t_{k-1} + (1-theta) tau_k, for 1 <= k <= N."""
         assert 0.0 < theta < 0.5, f"offset must lie in (0, 1/2), got {theta}"
         return float(self.nodes[k - 1] + (1.0 - theta) * self.steps[k - 1])
-
-    def to_csv(self, path) -> None:
-        """Write rows (k, t_k, tau_k, r_k); tau/ratio cells empty where undefined."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "t_k", "tau_k", "r_k"])
-            for k in range(self.num_steps + 1):
-                tau = repr(self.step(k)) if k >= 1 else ""
-                rk = repr(self.ratio(k)) if k >= 2 else ""
-                writer.writerow([k, repr(float(self.nodes[k])), tau, rk])
 
 
 def build_graded_mesh(T0: float, N0: int, gamma: float) -> TimeMesh:

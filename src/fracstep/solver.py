@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyRecord, dissipation_lhs, free_energy, modified_energy
+from .energy import EnergyRecord, dissipation_lhs, modified_energy
 from .grid import Grid2D, grid_sum, laplacian, norm_inf
 from .kernels import (
     KernelSet,

@@ -9,7 +9,6 @@ import pytest
 
 from fracstep.audits import (
     AuditEntry,
-    _MESHES_PER_PASS,
     AuditReport,
     _gaps,
     audit_kernel_properties,
@@ -448,8 +447,8 @@ def test_batch_audit_of_meshes_that_reach_different_levels():
     assert report.n.max() == 12
     for m, mesh in enumerate(same):
         _assert_mesh_row(report, m, mesh, 0.6, 12)
-    # more meshes than one pass takes
-    (meshes,) = _fuzz_meshes((0.3,), 2 * _MESHES_PER_PASS + 3, 8).values()
+    # many meshes in one call
+    (meshes,) = _fuzz_meshes((0.3,), 35, 8).values()
     report = audit_kernel_properties(meshes, 0.3, 8)
     assert report.lhs.shape[0] == len(meshes)
     for m, mesh in enumerate(meshes):

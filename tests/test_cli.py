@@ -1,5 +1,6 @@
 """CLI harness: exit codes, output files, run metadata."""
 
+import ast
 import collections
 import csv
 import dataclasses
@@ -162,7 +163,15 @@ _TINY_ACCURACY = {"alpha": 0.5, "sigma": 2.0, "gammas": [1.0], "Ns": [4, 8], "M"
 _TINY_KERNELS = {"alphas": [0.4], "num_meshes": 2, "n_max": 5, "dgs_histories": 3, "seed": 1}
 
 
-def test_coarsen_strict_tiny(tmp_path):
+def test_coarsen_strict_tiny(tmp_path, monkeypatch):
+    real = xp.run_coarsening
+    runs = []
+
+    def kept(spec):
+        runs.append(real(spec))
+        return runs[-1]
+
+    monkeypatch.setattr(xp, "run_coarsening", kept)
     cfg = _write_cfg(tmp_path, "cfg.json", _TINY_COARSEN)
     out = tmp_path / "out"
     code = main(["coarsen", "--config", cfg, "--out", str(out)])
@@ -175,11 +184,18 @@ def test_coarsen_strict_tiny(tmp_path):
     assert meta["history_levels_used"] == meta["steps"] + 1
     assert meta["history_levels_allocated"] >= meta["history_levels_used"]
     assert meta["history_bytes_allocated"] == meta["history_levels_allocated"] * 16 * 16 * 8
-    assert (out / "energy.csv").exists() and (out / "mesh.csv").exists()
+    # energy.csv is the one per-step table: no mesh.csv
+    assert (out / "energy.csv").exists() and not (out / "mesh.csv").exists()
+    assert "mesh.csv" not in meta["files"]
     with open(out / "energy.csv", newline="") as fh:
-        sweeps = [int(row["fp_iters"]) for row in csv.DictReader(fh) if row["fp_iters"]]
+        rows = list(csv.DictReader(fh))
+    sweeps = [int(row["fp_iters"]) for row in rows if row["fp_iters"]]
     assert len(sweeps) == meta["steps"]
     assert meta["fp_sweeps"] == sum(sweeps) and meta["fp_sweeps_max"] == max(sweeps)
+    (traj, _), = runs
+    assert [row["cap_ok"] for row in rows[1:]] == [str(int(ok)) for ok in traj.cap_ok]
+    assert [row["ratio_ok"] for row in rows[1:]] == [str(int(ok)) for ok in traj.ratio_ok]
+    assert meta["explained_dissipation_violations"] == 0
 
 
 def test_step_over_cap_is_an_audit_failure(tmp_path, capsys):
@@ -243,6 +259,28 @@ def test_coarsen_non_finite_energy_is_an_audit_failure(tmp_path, capsys, monkeyp
     assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
     assert "non-finite" in capsys.readouterr().err
     assert _meta(out)["dissipation_violations"] == 1
+    assert _meta(out)["explained_dissipation_violations"] == 0
+
+
+def test_coarsen_explained_dissipation_violation_is_a_note(tmp_path, capsys, monkeypatch):
+    # a positive finite lhs on a step below the ratio floor is explained by
+    # the broken hypothesis: a note on stderr and a count, not a failure
+    real = xp.run_coarsening
+
+    def positive_at_last_step(spec):
+        traj, cfg = real(spec)
+        traj.energy[-1] = dataclasses.replace(traj.energy[-1], dissipation_lhs=1.0)
+        traj.ratio_ok[-1] = False
+        return traj, cfg
+
+    monkeypatch.setattr(xp, "run_coarsening", positive_at_last_step)
+    cfg = _write_cfg(tmp_path, "cfg.json", _TINY_COARSEN)
+    out = tmp_path / "out"
+    assert main(["coarsen", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    meta = _meta(out)
+    err = capsys.readouterr().err
+    assert f"note: step {meta['steps']}: lhs 1.000e+00 positive, hypothesis not met (ratio floor)" in err
+    assert meta["explained_dissipation_violations"] == 1 and meta["dissipation_violations"] == 0
 
 
 def test_non_finite_dgs_form_is_an_audit_failure(tmp_path, capsys, monkeypatch):
@@ -283,6 +321,19 @@ def test_non_finite_root_residual_is_an_audit_failure(tmp_path, capsys, monkeypa
     with pytest.raises(ValueError, match="holds NaN"):      # the parser _meta uses refuses a bare NaN
         json.loads('{"worst_residual": NaN}', parse_constant=_reject_constant)
     assert _meta(out)["worst_residual"] is None              # the nan is written as null
+
+
+def test_non_increasing_root_table_is_an_audit_failure(tmp_path, capsys, monkeypatch):
+    # r* that does not increase with alpha is an audit failure naming the
+    # first such pair, and the table is still written
+    monkeypatch.setattr(xp, "min_step_ratio", lambda alpha: 0.4)
+    cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.1, 0.5]})
+    out = tmp_path / "out"
+    assert main(["rstar", "--config", cfg, "--out", str(out)]) == EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert "audit failure: r* is not strictly increasing in alpha: r*(0.1) = 0.4 but r*(0.5) = 0.4" in err
+    assert (out / "rstar.csv").exists()
+    assert _meta(out)["files"] == ["rstar.csv"]
 
 
 def test_accuracy_tiny(tmp_path, capsys):
@@ -603,6 +654,29 @@ def test_every_module_imports_without_scipy():
     names = proc.stdout.strip().splitlines()[-1]
     for name in ("audits", "cli", "energy", "experiments", "grid", "kernels", "mesh", "solver", "special"):
         assert repr(name) in names, names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an imported name that its module never reads is dead code; the only
+    # exceptions are the package's re-exports (its __all__) and the name a
+    # perfbench hook reads through its module
+    hook_only = {("audits", "build_kernels")}      # perfbench/tracer.py hooks fracstep.audits.build_kernels
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(fracstep.__file__), "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if module == "__init__":
+            used |= set(fracstep.__all__)
+        unused += [f"{module}.py:{line} {name}" for name, line in imported.items()
+                   if name not in used and (module, name) not in hook_only]
+    assert unused == []
 
 
 def test_every_exported_name_resolves():

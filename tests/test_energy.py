@@ -1,6 +1,5 @@
 """Free energy, history quadratic, and the dissipation audit."""
 
-import csv
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from fracstep.energy import (
     dissipation_lhs,
     free_energy,
     modified_energy,
-    write_energy_csv,
 )
 from fracstep.grid import Grid2D
 from fracstep.kernels import build_kernels, distance_form, stored_form_coeffs
@@ -147,21 +145,3 @@ def test_violation_describe_ratio_floor():
     v = DissipationViolation(n=4, lhs=1e-3, tol=1e-10, cap_ok=True, ratio_ok=False)
     assert "ratio floor" in v.describe()
     assert not v.hypothesis_ok
-
-
-def test_energy_csv_layout(tmp_path):
-    mesh = build_uniform_mesh(1.0, 2)
-    records = [_rec(0, 2.0, None), _rec(1, 1.9, -1e-4), _rec(2, 1.8, -2e-4)]
-    path = tmp_path / "energy.csv"
-    write_energy_csv(path, mesh, records, sup_norms=[0.9, 0.91, 0.92], fp_iters=[3, 2])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == [
-        "n", "t_n", "tau_n", "E", "E_alpha", "G_term", "dissipation_lhs", "max_norm", "fp_iters",
-    ]
-    assert rows[1][2] == "" and rows[1][6] == "" and rows[1][8] == ""
-    assert float(rows[2][2]) == 0.5
-    assert float(rows[2][6]) == -1e-4
-    assert rows[2][8] == "3"
-    # repr round-trip keeps full precision
-    assert float(rows[3][3]) == 1.8

@@ -23,7 +23,10 @@ from fracstep.experiments import (
     write_kernel_audit_csv,
     write_rstar_csv,
 )
+from fracstep.energy import EnergyRecord
 from fracstep.grid import Grid2D, load_raw
+from fracstep.mesh import build_uniform_mesh
+from fracstep.solver import SolveTrajectory
 
 
 def test_fit_order_exact_power_law():
@@ -158,14 +161,51 @@ def test_coarsening_outputs(tmp_path):
     traj, _ = run_coarsening(spec)
     paths = write_coarsening_outputs(tmp_path, spec, traj)
     names = {p.split("/")[-1] for p in map(str, paths)}
-    assert {"energy.csv", "mesh.csv", "snapshot_t0.5.pgm", "snapshot_t0.5.raw"} <= names
+    assert {"energy.csv", "snapshot_t0.5.pgm", "snapshot_t0.5.raw"} <= names
+    # energy.csv is the one per-step table: no mesh.csv beside it
+    assert "mesh.csv" not in names and not (tmp_path / "mesh.csv").exists()
     snap, _ = load_raw(tmp_path / "snapshot_t0.5.raw")
     assert np.array_equal(snap, traj.fields[traj.level_at(0.5)])
     for p in paths:
         assert len(open(p, "rb").read()) > 0
     with open(tmp_path / "energy.csv", newline="") as fh:
         header = next(csv.reader(fh))
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
     assert header[0] == "n" and "E_alpha" in header
+    assert [row["cap_ok"] for row in rows[1:]] == [str(int(ok)) for ok in traj.cap_ok]
+    assert [row["ratio_ok"] for row in rows[1:]] == [str(int(ok)) for ok in traj.ratio_ok]
+    assert rows[0]["cap_ok"] == rows[0]["ratio_ok"] == ""
+
+
+def _rec(n, e_alpha, lhs):
+    return EnergyRecord(n=n, E=e_alpha, G_term=0.0, E_alpha=e_alpha, dissipation_lhs=lhs)
+
+
+def test_energy_csv_layout(tmp_path):
+    mesh = build_uniform_mesh(1.0, 2)
+    records = [_rec(0, 2.0, None), _rec(1, 1.9, -1e-4), _rec(2, 1.8, -2e-4)]
+    traj = SolveTrajectory(
+        mesh=mesh, fields=np.zeros((3, 4, 4)), sup_norms=np.array([0.9, 0.91, 0.92]),
+        fp_iters=np.array([3, 2]), energy=records, cap=0.6, cap_ok=np.array([True, False]),
+        ratio_ok=np.array([True, False]), notes=[], history_capacity=3,
+    )
+    spec = CoarsenSpec(alpha=0.5, T=1.0, M=4, snapshot_times=())
+    assert write_coarsening_outputs(tmp_path, spec, traj) == [str(tmp_path / "energy.csv")]
+    with open(tmp_path / "energy.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [
+        "n", "t_n", "tau_n", "E", "E_alpha", "G_term", "dissipation_lhs", "max_norm", "fp_iters",
+        "r_n", "cap_ok", "ratio_ok",
+    ]
+    assert rows[1][2] == "" and rows[1][6] == "" and rows[1][8] == ""
+    assert float(rows[2][2]) == 0.5
+    assert float(rows[2][6]) == -1e-4
+    assert rows[2][8] == "3"
+    # repr round-trip keeps full precision
+    assert float(rows[3][3]) == 1.8
+    # r_n from n = 2, the flags from n = 1, as 1 or 0
+    assert [row[9:] for row in rows[1:]] == [["", "", ""], ["", "1", "1"], ["1.0", "0", "0"]]
 
 
 def test_kernel_audit_fuzz_small():
@@ -204,9 +244,3 @@ def test_rstar_table_monotone_with_tight_residuals(tmp_path):
         out = list(csv.reader(fh))
     assert out[0] == ["alpha", "r_star", "residual"]
     assert out[2][1] == f"{vals[1]:.12f}"
-
-
-def test_rstar_table_flags_nonmonotone(monkeypatch):
-    monkeypatch.setattr(exps, "min_step_ratio", lambda a: 0.4)
-    with pytest.raises(AssertionError, match="increasing"):
-        rstar_table([0.1, 0.5])

@@ -1,10 +1,13 @@
 """Time meshes: graded, two-phase, adaptive schedule and controller."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from fracstep.energy import EnergyRecord
+from fracstep.experiments import CoarsenSpec, write_coarsening_outputs
 from fracstep.mesh import (
     AdaptiveSchedule,
     MeshError,
@@ -14,6 +17,7 @@ from fracstep.mesh import (
     build_two_phase_mesh,
     random_ratio_mesh,
 )
+from fracstep.solver import SolveTrajectory
 
 
 def test_timemesh_requires_zero_start_and_increase():
@@ -149,14 +153,27 @@ def test_random_ratio_mesh_respects_bounds():
     assert hit_floor > 5  # the fuzzer exercises the boundary case
 
 
-def test_mesh_csv_round_trip(tmp_path):
+def test_energy_csv_round_trips_the_mesh(tmp_path):
+    # energy.csv is a run's one per-step table: its t_n, tau_n and r_n parse
+    # back exactly to the mesh's nodes, steps and ratios
     mesh = build_graded_mesh(0.5, 6, 2.0)
-    path = tmp_path / "mesh.csv"
-    mesh.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "k,t_k,tau_k,r_k"
-    assert len(rows) == 8  # header + k = 0..6
-    last = rows[-1].split(",")
-    assert int(last[0]) == 6
+    N = mesh.num_steps
+    traj = SolveTrajectory(
+        mesh=mesh, fields=np.zeros((N + 1, 4, 4)), sup_norms=np.zeros(N + 1), fp_iters=np.ones(N, dtype=int),
+        energy=[EnergyRecord(n, 0.0, 0.0, 0.0, None if n == 0 else 0.0) for n in range(N + 1)],
+        cap=1.0, cap_ok=np.ones(N, dtype=bool), ratio_ok=np.ones(N, dtype=bool), notes=[],
+        history_capacity=N + 1,
+    )
+    (path,) = write_coarsening_outputs(tmp_path, CoarsenSpec(alpha=0.5, T=1.0, M=4, snapshot_times=()), traj)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:3] == ["n", "t_n", "tau_n"] and rows[0][9] == "r_n"
+    assert len(rows) == 8  # header + n = 0..6
+    assert [int(row[0]) for row in rows[1:]] == list(range(N + 1))
+    assert [float(row[1]) for row in rows[1:]] == mesh.nodes.tolist()
+    assert [float(row[2]) for row in rows[2:]] == mesh.steps.tolist()
+    assert [float(row[9]) for row in rows[3:]] == mesh.ratios.tolist()
+    assert rows[1][2] == rows[1][9] == rows[2][9] == ""
+    last = rows[-1]
     assert float(last[1]) == pytest.approx(0.5)
-    assert float(last[3]) == pytest.approx(mesh.ratio(6))
+    assert float(last[9]) == pytest.approx(mesh.ratio(6))
