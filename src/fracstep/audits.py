@@ -172,17 +172,6 @@ def _pairs(n_max: int):
     return pairs
 
 
-@functools.lru_cache(maxsize=256)
-def _positions(n_max: int, group: int, dn: int, dk: int) -> np.ndarray:
-    """Read-only flat positions, in one mesh's (n_max+1, n_max) weight table,
-    of level n - dn at step k + dk, which is offset n - dn - k - dk, for
-    the pairs _pairs(n_max)[group]."""
-    n, k = _pairs(n_max)[group]
-    pos = (n - dn) * (n_max + 1) - k - dk
-    pos.flags.writeable = False
-    return pos
-
-
 def audit_kernel_properties(meshes, order, n_max: int) -> AuditReport:
     """Run every kernel inequality for levels 2..n_max of the meshes, which
     must all reach one level min(n_max, num_steps), and report the slacks
@@ -218,17 +207,19 @@ def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
     alpha = order.alpha
     t = kernel_tables(meshes, order, n_max)
     wp = omega(1.0 - alpha, t.d)                 # wp[:, n, p] = w'(t_{n-p}) at level n
-    A, Z, I, J = (x.reshape(len(meshes), -1) for x in (t.aux_a, t.zeta, *_gaps(t.a, wp)))
+    A, Z, (I, J) = t.aux_a, t.zeta, _gaps(t.a, wp)
     r = np.full((len(meshes), n_max + 1), np.nan)      # r[:, j] = ratio at step j
     r[:, 2:] = [mesh.ratios[: n_max - 1] for mesh in meshes]
     beta = comparison_factor(alpha, r)
 
     def at(table, group, dn, dk):
-        """table, a flat weight table per mesh, at level n - dn and step
-        k + dk of each (n, k) pair of the group, as (meshes, pairs): with
-        the docstring's notation, at(A, g, 0, 0) is A[n-k], (0, 1) is
-        A[n-k-1], (1, 0) is A_prev[n-1-k] and (1, 1) is A_prev[n-2-k]."""
-        return table.take(_positions(n_max, group, dn, dk), axis=1)
+        """table, a (meshes, level, offset) weight table, at level n - dn
+        and step k + dk, which is offset n - dn - k - dk, of each (n, k)
+        pair of the group, as (meshes, pairs): with the docstring's
+        notation, at(A, g, 0, 0) is A[n-k], (0, 1) is A[n-k-1], (1, 0) is
+        A_prev[n-1-k] and (1, 1) is A_prev[n-2-k]."""
+        n, k = pairs[group]
+        return table[:, n - dn, n - k - (dn + dk)]
 
     (_, k), (_, k1), (_, k2), (nh, _) = pairs = _pairs(n_max)
     props = (       # name, the index of its pairs in _pairs, and its (lhs, rhs) by mesh and pair

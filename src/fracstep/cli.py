@@ -16,7 +16,9 @@ bound, a step over the cap while the bound is enforced, or weights that
 are not positive), 3 solver non-convergence, 4 bad config (a missing or
 unknown key, a wrong type, a non-finite number, or a value outside the
 range its spec's __post_init__ accepts; not a ValueError from the run).  An
-accuracy table left without rows exits 2 on a row's audit failure, else 3.
+accuracy table left without rows exits 2 on a row's audit failure, else 3;
+one with rows exits 2 when a gamma with at least two rows has no finite
+fitted order (an error of 0 or inf).
 """
 
 from __future__ import annotations
@@ -142,10 +144,15 @@ def _cmd_accuracy(spec: xp.AccuracySpec, outdir: str) -> tuple:
     if table.spatial_ok is False:
         print("warning: spatial error is not subdominant at this grid; "
               "orders are still temporal but absolute errors carry a floor", file=sys.stderr)
+    unfitted = []
     for g, (o, r) in table.orders.items():
         print(f"gamma={g:g}: fitted order {o:.3f} (fit residual {r:.3f})")
+        errors = [row.error for row in table.rows if row.gamma == g]
+        if len(errors) >= 2 and not math.isfinite(o):
+            unfitted.append(g)
+            print(f"audit failure: gamma={g:g}: no finite order fits the errors {errors}", file=sys.stderr)
     if table.rows:
-        return EXIT_OK, [path], extra
+        return (EXIT_AUDIT if unfitted else EXIT_OK), [path], extra
     audit = any(isinstance(exc, _AUDIT_FAILURES) for *_, exc in table.failures)
     return (EXIT_AUDIT if audit else EXIT_NONCONV), [path], extra
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid2D, grad_energy, grid_sum
-from .kernels import KernelSet, as_order, distance_form, stored_form_coeffs
+from .kernels import KernelSet, distance_form, stored_form_coeffs
 
 
 @dataclass(frozen=True)
@@ -77,22 +77,17 @@ def modified_energy(
     inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
     dist[:n] += np.einsum("ij,ij->", delta, delta) + 2.0 * (inner[n - 1] - inner)
     dist[n] = 0.0
-    G = 0.5 * grid.h**2 * distance_form(*stored_form_coeffs(kernels.aux_a), dist[:n])
+    G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.aux_a), dist[:n])
     return EnergyRecord(n=n, E=E, G_term=G, E_alpha=E + G, dissipation_lhs=None)
 
 
-def dissipation_lhs(
-    prev: EnergyRecord,
-    curr: EnergyRecord,
-    order,
-    a0: float,
-    tau_n: float,
-    step_l2_sq: float,
-) -> float:
-    """Left-hand side of the per-step dissipation law (nonpositive when it holds)."""
-    alpha = as_order(order).alpha
+def dissipation_lhs(prev: EnergyRecord, curr: EnergyRecord, local: float, tau_n: float,
+                    step_l2_sq: float) -> float:
+    """Left-hand side of the per-step dissipation law (nonpositive when it
+    holds); local is kernels.local_coefficient alpha/(2-alpha) a_0 of the
+    step's level, so the damping is half of it."""
     rate = (curr.E_alpha - prev.E_alpha) / tau_n
-    damping = alpha / (2.0 * (2.0 - alpha)) * a0 * step_l2_sq / tau_n
+    damping = 0.5 * local * step_l2_sq / tau_n
     return float(rate + damping)
 
 
@@ -133,14 +128,13 @@ class DissipationViolation:
         )
 
 
-def dissipation_audit(records, cap_ok=None, ratio_ok=None):
+def dissipation_audit(records, cap_ok, ratio_ok):
     """Flag steps with positive dissipation lhs beyond round-off, and every
     step whose lhs or E_alpha is not finite.
 
     The tolerance scales with the energy magnitude so the O(N^2) kernel
-    sums behind E_alpha do not trip the audit.  cap_ok / ratio_ok are
-    optional per-step hypothesis flags (index 1..N) used to classify the
-    violations.
+    sums behind E_alpha do not trip the audit.  cap_ok / ratio_ok are the
+    per-step hypothesis flags (index 1..N) that classify the violations.
     """
     out = []
     for rec in records:
@@ -149,13 +143,6 @@ def dissipation_audit(records, cap_ok=None, ratio_ok=None):
         tol = _DISSIPATION_REL_TOL * (1.0 + abs(rec.E_alpha))
         if rec.dissipation_lhs > tol or not (math.isfinite(rec.dissipation_lhs) and math.isfinite(tol)):
             n = rec.n
-            out.append(
-                DissipationViolation(
-                    n=n,
-                    lhs=rec.dissipation_lhs,
-                    tol=tol,
-                    cap_ok=bool(cap_ok[n - 1]) if cap_ok is not None else True,
-                    ratio_ok=bool(ratio_ok[n - 1]) if ratio_ok is not None else True,
-                )
-            )
+            out.append(DissipationViolation(n, rec.dissipation_lhs, tol,
+                                            bool(cap_ok[n - 1]), bool(ratio_ok[n - 1])))
     return out

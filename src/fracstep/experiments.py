@@ -9,6 +9,7 @@ inspect results without touching the filesystem.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,6 +23,7 @@ from .kernels import (
     build_kernels,
     dgs_forms,
     frac_derivative,
+    local_coefficient,
     min_step_ratio,
     _ratio_equation,
 )
@@ -47,12 +49,16 @@ def fit_order(Ns, errors):
     """Least-squares slope of log error against log N, with the fit residual.
 
     Returns (order, residual) where order = -slope; residual is the rms
-    misfit of the line in log space.
+    misfit of the line in log space.  Both are nan, and no log is taken,
+    when an error is not finite and positive (an underflowed error is 0).
     """
-    x = np.log(np.asarray(Ns, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    if len(x) < 2:
+    if len(Ns) < 2:
         raise ValueError("order fit needs at least two mesh levels")
+    errors = np.asarray(errors, dtype=float)
+    if not np.all(np.isfinite(errors) & (errors > 0.0)):
+        return math.nan, math.nan
+    x = np.log(np.asarray(Ns, dtype=float))
+    y = np.log(errors)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
@@ -130,7 +136,7 @@ class AccuracyTable:
 def _solution_error(cfg: SolverConfig, forcing: ManufacturedForcing, mesh: TimeMesh) -> float:
     """max_n of the discrete L2 error against the manufactured solution."""
     grid = cfg.grid
-    traj = run(cfg, mesh, forcing.exact(0.0, grid), record_energy=False)
+    traj = run(cfg, mesh, forcing.exact(0.0, grid))
     worst = 0.0
     for n in range(1, mesh.num_steps + 1):
         diff = traj.fields[n] - forcing.exact(float(mesh.nodes[n]), grid)
@@ -257,7 +263,7 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
     schedule = AdaptiveSchedule(warmup=warmup, horizon=spec.T, tau_min=spec.tau_min,
                                 tau_max=spec.tau_max, eta=spec.eta)
     phi0 = random_initial_field(grid, spec.seed)
-    traj = run(cfg, schedule, phi0, record_energy=True)
+    traj = run(cfg, schedule, phi0)
     return traj, cfg
 
 
@@ -327,12 +333,19 @@ class KernelAuditSpec:
 @dataclass
 class KernelAuditResult:
     reports: list              # (alpha, AuditReport of its meshes)
-    total_checks: int
-    violations: list           # (alpha, mesh index, AuditEntry)
     dgs_residual: float        # worst relative DGS identity residual, nan if any is not finite
     dgs_min_G: float
     dgs_min_R: float
     dgs_worst_history: int = 0     # the history with the worst (or first non-finite) residual
+
+    @functools.cached_property
+    def total_checks(self) -> int:
+        return sum(len(report) for _, report in self.reports)
+
+    @functools.cached_property
+    def violations(self) -> list:
+        """(alpha, mesh index, AuditEntry) of every report's violations(), in report order."""
+        return [(alpha, m, bad) for alpha, report in self.reports for m, bad in report.violations()]
 
 
 def dgs_case(rng, alpha: float, n: int, r_min: float):
@@ -347,7 +360,7 @@ def dgs_case(rng, alpha: float, n: int, r_min: float):
     history = np.concatenate([[0.0], np.cumsum(diffs)])
     lhs = 2.0 * diffs[-1] * frac_derivative(history, kern_curr, order)
     G_n, G_prev, R_n = dgs_forms(kern_prev, kern_curr, diffs)
-    rhs = G_n - G_prev + R_n + (2.0 * order.alpha / (2.0 - order.alpha)) * kern_curr.a[0] * diffs[-1] ** 2
+    rhs = G_n - G_prev + R_n + 2.0 * local_coefficient(order, kern_curr) * diffs[-1] ** 2
     return lhs, rhs, G_n, G_prev, R_n
 
 
@@ -356,15 +369,11 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
     one alpha in one call), and check the gradient-structure identity on
     random histories."""
     rng = np.random.default_rng(spec.seed)
-    reports, violations, total = [], [], 0
+    reports = []
     for alpha in spec.alphas:
-        order = as_order(alpha)
         r_star = min_step_ratio(alpha)
         meshes = [random_ratio_mesh(rng, spec.n_max, r_star) for _ in range(spec.num_meshes)]
-        report = audit_kernel_properties(meshes, order, spec.n_max)
-        total += len(report)
-        violations.extend((alpha, m, bad) for m, bad in report.violations())
-        reports.append((alpha, report))
+        reports.append((alpha, audit_kernel_properties(meshes, as_order(alpha), spec.n_max)))
 
     residuals, Gs, Rs = [], [], []
     for _ in range(spec.dgs_histories):
@@ -377,7 +386,7 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
         Rs.append(R_n)
     # numpy's max, min and argmax propagate nan, where Python's max and min skip it
     worst_at = int(np.argmax(residuals)) if residuals else 0
-    return KernelAuditResult(reports, total, violations, float(np.max(residuals, initial=0.0)),
+    return KernelAuditResult(reports, float(np.max(residuals, initial=0.0)),
                              float(np.min(Gs, initial=math.inf)), float(np.min(Rs, initial=math.inf)),
                              worst_at)
 

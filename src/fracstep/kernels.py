@@ -354,37 +354,31 @@ def history_sum(weights: np.ndarray, fields) -> np.ndarray:
     return np.einsum("k,k...->...", c, np.asarray(fields, dtype=float))
 
 
-def stored_form_coeffs(aux_a: np.ndarray):
-    """Coefficients of the quadratic form G at this level.
+def stored_form_coeffs(aux_a: np.ndarray) -> np.ndarray:
+    """Coefficients c of the quadratic form G at this level n = aux_a.size.
 
-    Returns (diff_coeffs, tail): G[w] = sum_{j=1}^{n-1} diff_coeffs[j-1] *
-    (sum_{l>j} w_l)^2 + tail * (sum_l w_l)^2, with diff_coeffs[j-1] =
-    aux_a[n-j-1] - aux_a[n-j].  All coefficients are nonnegative when the
-    mesh respects the ratio floor.
+    G[w] = sum_{j=0}^{n-1} c[j] (sum_{l>j} w_l)^2 with c[j] = aux_a[n-j-1]
+    - aux_a[n-j] and aux_a[n] = 0, so c[0] = aux_a[n-1].  All coefficients
+    are nonnegative when the mesh respects the ratio floor.
     """
-    n = aux_a.size
-    if n == 0:
-        return np.empty(0), 0.0
-    d = aux_a[:-1] - aux_a[1:]        # index i -> offset pair (i, i+1)
-    # j-th coefficient uses offsets (n-j-1, n-j): reverse the difference array
-    return d[::-1], float(aux_a[n - 1])
+    return (aux_a - np.append(aux_a[1:], 0.0))[::-1]
 
 
-def distance_form(coeffs, tail: float, dist) -> float:
-    """sum_{j=1}^{n-1} coeffs[j-1] dist[j] + tail dist[0], summed exactly (fsum).
+def distance_form(c, dist) -> float:
+    """sum_j c[j] dist[j], summed exactly (fsum).
 
-    With (coeffs, tail) from stored_form_coeffs and dist[j] the squared
-    distance (sum_{l>j} w_l)^2 of a history, this is the form G of the
+    With c from stored_form_coeffs and dist[j] the squared distance
+    (sum_{l>j} w_l)^2 of a history, this is the form G of the
     gradient-structure identity; modified_energy takes it on the grid sums
     of (phi^n - phi^j)^2 and dgs_forms on scalar histories.
     """
-    return math.fsum([*(coeffs * dist[1:]), tail * dist[0]])
+    return math.fsum(c * dist)
 
 
 def dgs_forms(kernels_prev, kernels_curr: KernelSet, diffs):
     """(G_n, G_{n-1}, R_n) for the identity
 
-    2 w_n * derivative = G_n - G_{n-1} + R_n + (2 alpha/(2-alpha)) a_0 w_n^2,
+    2 w_n * derivative = G_n - G_{n-1} + R_n + 2 local_coefficient * w_n^2,
 
     each a distance_form on the squared suffix sums of w^1..w^n or w^1..w^{n-1};
     R takes the level-(n-1) coefficients minus the level-n ones.
@@ -393,13 +387,11 @@ def dgs_forms(kernels_prev, kernels_curr: KernelSet, diffs):
     w = np.asarray(diffs, dtype=float)
     n = w.size
     assert kernels_curr.n == n
-    coeffs, tail = stored_form_coeffs(kernels_curr.aux_a)
-    g_curr = distance_form(coeffs, tail, np.cumsum(w[::-1])[::-1] ** 2)
+    c = stored_form_coeffs(kernels_curr.aux_a)
+    g_curr = distance_form(c, np.cumsum(w[::-1])[::-1] ** 2)
     if n == 1:
         return g_curr, 0.0, 0.0
     assert kernels_prev is not None and kernels_prev.n == n - 1
-    coeffs_prev, tail_prev = stored_form_coeffs(kernels_prev.aux_a)
+    c_prev = stored_form_coeffs(kernels_prev.aux_a)
     dist = np.cumsum(w[: n - 1][::-1])[::-1] ** 2
-    g_prev = distance_form(coeffs_prev, tail_prev, dist)
-    r_curr = distance_form(coeffs_prev - coeffs[: n - 2], tail_prev - tail, dist)
-    return g_curr, g_prev, r_curr
+    return g_curr, distance_form(c_prev, dist), distance_form(c_prev - c[: n - 1], dist)

@@ -23,7 +23,7 @@ fixed-point tolerance.
 
 Below the step-size cap the discrete maximum bound |phi| <= 1 is
 inherited from the initial data; the stepper never clips a level it
-returns, it audits.
+returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
 phi^0..phi^n.  One FieldHistory owns that stack and the squared
@@ -46,6 +46,7 @@ from .kernels import (
     build_kernels,
     head_coefficient,
     history_sum,
+    local_coefficient,
     min_step_ratio,
 )
 from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
@@ -231,7 +232,7 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
     m = min(n, 4) levels: cubic extrapolation from n = 4 on, quadratic at
     n = 3, linear at n = 2, phi^0 at n = 1.  Convergence is measured by the
     max-norm change between sweeps against _FIXED_POINT_TOL.  The step
-    cap is checked by run, which decides it.
+    cap and the maximum bound are checked by run, which decides them.
     """
     order = as_order(cfg.alpha)
     n = kernels.n
@@ -251,12 +252,9 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
 
     m = min(n, _PREDICTOR_LEVELS)
     x0 = _predict(fields[n - m :], mesh.nodes[n - m : n + 1])
-    psi, sweeps = _fixed_point(
+    return _fixed_point(
         rhs_fixed, D, (1.0 - theta) * eps2, 1.0 - theta, cfg, x0, f"step {n}: fixed point"
     )
-    if cfg.enforce_bound and norm_inf(psi) > 1.0 + _BOUND_TOL:
-        raise BoundViolation(f"step {n}: max norm {norm_inf(psi):.15f} exceeds 1 + {_BOUND_TOL:.1e}")
-    return psi, sweeps
 
 
 def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig):
@@ -285,7 +283,6 @@ class SolveTrajectory:
     cap: float
     cap_ok: np.ndarray
     ratio_ok: np.ndarray
-    notes: list
     history_capacity: int           # peak levels allocated in the field stack
 
     @property
@@ -356,15 +353,18 @@ class FieldHistory:
         self._dist.resize(self._len, refcheck=False)
 
 
-def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = True) -> SolveTrajectory:
+def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
     The energy law's two hypotheses are decided here, once: the ratio
     floor r*(alpha) and the step cap.  Both are audited as per-step flags,
     and an adaptive schedule's controller is handed the same two: the
     floor always, the cap only when cfg.enforce_bound is set.  A strict run
-    raises StepCapError on the first step that its cap flag marks, and an
-    adaptive run raises ConvergenceError on a step tau with t_n + tau == t_n.
+    raises StepCapError on the first step that its cap flag marks and
+    BoundViolation on the first level whose sup norm exceeds 1 + _BOUND_TOL.
+    An adaptive run raises ConvergenceError on a step tau with t_n + tau ==
+    t_n.  The final step, clipped to land on the horizon, may fall below the
+    floor; its ratio flag then reads False.
 
     phi^0..phi^n and the squared distances of G live in one FieldHistory,
     sized to the mesh (a fixed mesh never grows it) or to the warm-up of
@@ -372,7 +372,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     step and modified_energy read views of it taken afresh each step, so
     G costs one pass over the stack.  On return the history is shrunk in
     place to the used levels, and history_capacity reports the peak
-    allocation.  Energy records are optional.
+    allocation.  Energy is recorded exactly when cfg.forcing is None: the
+    law is about the unforced equation.
 
     One loop steps from the schedule's warm-up (a fixed mesh is its own) to
     schedule.horizon, which a fixed mesh reaches at its last node.  Only a
@@ -395,9 +396,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
     fp_iters = []
     cap_ok = []
     ratio_ok = []
-    notes = []
     records = None
-    if record_energy:
+    if cfg.forcing is None:
         records = [modified_energy(history.fields, history.dist, None, cfg.epsilon, grid)]
 
     n = 0
@@ -412,8 +412,6 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
                                      cap if cfg.enforce_bound else None)
             if t_n + tau > horizon:
                 tau = horizon - t_n
-                if tau < r_floor * tau_last:
-                    notes.append((n + 1, "final step clipped below the ratio floor"))
             if t_n + tau == t_n:
                 raise ConvergenceError(f"step {n + 1}: tau = {tau:.6e} does not advance "
                                        f"t_n = {t_n:.17g} in floating point")
@@ -427,16 +425,19 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
             )
         kernels = build_kernels(mesh, order, n)
         phi, sweeps = step(history.fields, mesh, kernels, cfg)
+        sup_norm = norm_inf(phi)
+        if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
+            raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
         step_sq = grid.h**2 * grid_sum((phi - history.fields[-1]) ** 2)
         history.push(phi)
-        sup_norms.append(norm_inf(phi))
+        sup_norms.append(sup_norm)
         fp_iters.append(sweeps)
         cap_ok.append(within_cap)
         ratio_ok.append(n == 1 or mesh.ratio(n) >= r_floor * (1.0 - 1e-12))
         change_norm = math.sqrt(step_sq) / tau_n
-        if record_energy:
+        if records is not None:
             rec = modified_energy(history.fields, history.dist, kernels, cfg.epsilon, grid)
-            lhs = dissipation_lhs(records[-1], rec, order, kernels.a[0], tau_n, step_sq)
+            lhs = dissipation_lhs(records[-1], rec, local_coefficient(order, kernels), tau_n, step_sq)
             records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
 
     capacity = history.capacity     # the peak: a history only grows until it is shrunk
@@ -450,6 +451,5 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray, record_energy: bool = Tru
         cap=cap,
         cap_ok=np.asarray(cap_ok, dtype=bool),
         ratio_ok=np.asarray(ratio_ok, dtype=bool),
-        notes=notes,
         history_capacity=capacity,
     )

@@ -250,7 +250,7 @@ def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
     for lo in range(0, n, _G_BLOCK):
         d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
         dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
-    return 0.5 * grid.h**2 * distance_form(*stored_form_coeffs(aux_a), dist)
+    return 0.5 * grid.h**2 * distance_form(stored_form_coeffs(aux_a), dist)
 
 
 def inner(u: np.ndarray, v: np.ndarray, grid: Grid2D) -> float:

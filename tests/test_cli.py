@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from typing import get_args, get_origin, get_type_hints
@@ -363,6 +364,23 @@ def test_accuracy_without_rows_names_each_failure(tmp_path, capsys, overrides, c
     for N in (4, 8):
         assert f"row failure at gamma={gamma:g}, N={N}: {failure}" in err
     assert [f[:2] for f in _meta(out)["row_failures"]] == [[gamma, 4], [gamma, 8]]
+
+
+def test_accuracy_without_a_finite_order_is_an_audit_failure(tmp_path, capsys):
+    # at sigma = 1e300 the exact solution omega_{1+sigma}(t) underflows to 0,
+    # so both errors are 0.0: no order fits them, and no log of 0 is taken
+    cfg = _write_cfg(tmp_path, "cfg.json", {**_TINY_ACCURACY, "sigma": 1e300})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["accuracy", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_AUDIT
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert "audit failure: gamma=1: no finite order fits the errors [0.0, 0.0]" in captured.err
+    assert "gamma=1: fitted order nan" in captured.out
+    meta = _meta(out)
+    assert meta["orders"]["1"]["fitted_order"] is None and meta["row_failures"] == []
 
 
 def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, capsys, monkeypatch):

@@ -60,11 +60,11 @@ def test_history_quadratic_matches_pointwise_form():
         got = history_quadratic(fields, kern.aux_a, g)
 
         diffs = np.diff(fields, axis=0)
-        coeffs, tail = stored_form_coeffs(kern.aux_a)
+        c = stored_form_coeffs(kern.aux_a)
         acc = 0.0
         for i in range(8):
             for j in range(8):
-                acc += distance_form(coeffs, tail, np.cumsum(diffs[::-1, i, j])[::-1] ** 2)
+                acc += distance_form(c, np.cumsum(diffs[::-1, i, j])[::-1] ** 2)
         want = 0.5 * g.h**2 * acc
         assert got == pytest.approx(want, rel=1e-12), n
 
@@ -96,8 +96,8 @@ def test_modified_energy_steady_history():
 def test_dissipation_lhs_arithmetic():
     prev = EnergyRecord(n=1, E=2.0, G_term=0.0, E_alpha=2.0, dissipation_lhs=None)
     curr = EnergyRecord(n=2, E=1.5, G_term=0.0, E_alpha=1.5, dissipation_lhs=None)
-    # rate = -1, damping = (0.5/3) * 1 * 0.1 / 0.5 = 1/30
-    lhs = dissipation_lhs(prev, curr, 0.5, a0=1.0, tau_n=0.5, step_l2_sq=0.1)
+    # rate = -1, damping = 0.5 * (0.5/1.5) * 0.1 / 0.5 = 1/30
+    lhs = dissipation_lhs(prev, curr, local=0.5 / 1.5, tau_n=0.5, step_l2_sq=0.1)
     assert lhs == pytest.approx(-29.0 / 30.0, rel=1e-14)
     assert isinstance(lhs, float)
 
@@ -126,9 +126,9 @@ def test_dissipation_audit_flags_and_classifies():
 def test_dissipation_audit_tolerance_scales_with_energy():
     # a 1e-5 residual on a 1e6 energy is round-off, not a violation
     records = [_rec(0, 1e6, None), _rec(1, 1e6, 1e-5)]
-    assert dissipation_audit(records) == []
+    assert dissipation_audit(records, [True], [True]) == []
     records = [_rec(0, 1.0, None), _rec(1, 1.0, 1e-5)]
-    assert len(dissipation_audit(records)) == 1
+    assert len(dissipation_audit(records, [True], [True])) == 1
 
 
 def test_dissipation_audit_flags_non_finite_energies():

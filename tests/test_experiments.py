@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def test_fit_order_exact_power_law():
     order, resid = fit_order(Ns, errs)
     assert order == pytest.approx(1.7, rel=1e-12)
     assert resid < 1e-12
+
+
+def test_fit_order_is_nan_without_a_finite_positive_error():
+    # an underflowed (0), negative or non-finite error has no log: no fit, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for errs in ([0.0, 0.0], [0.1, 0.0], [-0.1, 0.05], [math.inf, 0.1], [0.1, math.nan]):
+            order, resid = fit_order([4, 8], errs)
+            assert math.isnan(order) and math.isnan(resid), errs
 
 
 def test_fit_order_needs_two_levels():
@@ -188,7 +198,7 @@ def test_energy_csv_layout(tmp_path):
     traj = SolveTrajectory(
         mesh=mesh, fields=np.zeros((3, 4, 4)), sup_norms=np.array([0.9, 0.91, 0.92]),
         fp_iters=np.array([3, 2]), energy=records, cap=0.6, cap_ok=np.array([True, False]),
-        ratio_ok=np.array([True, False]), notes=[], history_capacity=3,
+        ratio_ok=np.array([True, False]), history_capacity=3,
     )
     spec = CoarsenSpec(alpha=0.5, T=1.0, M=4, snapshot_times=())
     assert write_coarsening_outputs(tmp_path, spec, traj) == [str(tmp_path / "energy.csv")]
