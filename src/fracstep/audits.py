@@ -212,14 +212,20 @@ def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
     r[:, 2:] = [mesh.ratios[: n_max - 1] for mesh in meshes]
     beta = comparison_factor(alpha, r)
 
+    @functools.cache
+    def index(group, dn, dk):
+        """The (level, offset) index pair of at, built once per call."""
+        n, k = pairs[group]
+        return n - dn, n - k - (dn + dk)
+
     def at(table, group, dn, dk):
         """table, a (meshes, level, offset) weight table, at level n - dn
         and step k + dk, which is offset n - dn - k - dk, of each (n, k)
         pair of the group, as (meshes, pairs): with the docstring's
         notation, at(A, g, 0, 0) is A[n-k], (0, 1) is A[n-k-1], (1, 0) is
         A_prev[n-1-k] and (1, 1) is A_prev[n-2-k]."""
-        n, k = pairs[group]
-        return table[:, n - dn, n - k - (dn + dk)]
+        level, offset = index(group, dn, dk)
+        return table[:, level, offset]
 
     (_, k), (_, k1), (_, k2), (nh, _) = pairs = _pairs(n_max)
     props = (       # name, the index of its pairs in _pairs, and its (lhs, rhs) by mesh and pair

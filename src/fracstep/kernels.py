@@ -17,11 +17,14 @@ product 2*(v^n - v^{n-1}) * derivative splits into the increment of a
 nonnegative quadratic form G plus nonnegative remainders.
 
 kernel_tables builds every level of several meshes in one pass, as tables
-with one block per mesh and one row per level; build_kernels, which the
-stepper calls once per step, is its one-level, one-mesh case, so both share
-each weight formula.  The gradient-structure check (dgs_forms) runs the
-run's own code: frac_derivative is the split form the stepper solves, and
-distance_form is the one G form, also that of energy.modified_energy.
+with one block per mesh and one row per level.  build_kernel_block builds
+the levels lo..hi of one mesh in one pass, as KernelSets, and
+build_kernels is its one-level case, so all three share each weight
+formula.  solver.run takes the levels of a mesh it does not append to
+from blocks, and builds a level alone only when its controller appends
+it.  The gradient-structure check (dgs_forms) runs the run's own code:
+frac_derivative is the split form the stepper solves, and distance_form
+is the one G form, also that of energy.modified_energy.
 """
 
 from __future__ import annotations
@@ -305,14 +308,24 @@ def kernel_tables(meshes, order, n_max: int) -> KernelTables:
                           for t in rows))
 
 
+def build_kernel_block(mesh: TimeMesh, order, lo: int, hi: int) -> tuple:
+    """build_kernels(mesh, order, n) for n = lo..hi, from one pass.
+
+    Each KernelSet holds read-only views of the pass's tables, which stay
+    alive while any of them does; by the kernel_tables contract each is
+    build_kernels' bit for bit.
+    """
+    assert 1 <= lo <= hi <= mesh.num_steps, f"levels {lo}..{hi} out of range"
+    _, *tables = _weight_rows((mesh,), as_order(order), lo, hi)
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(KernelSet(n, *(table[0, i, :n] for table in tables))
+                 for i, n in enumerate(range(lo, hi + 1)))
+
+
 def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
     """Assemble a, zeta, hat_a and aux_a for level n of the given mesh (read-only)."""
-    assert 1 <= n <= mesh.num_steps, f"level {n} out of range"
-    _, *rows = _weight_rows((mesh,), as_order(order), n, n)
-    a, zeta, hat, aux = (row[0, 0] for row in rows)
-    for arr in (a, zeta, hat, aux):
-        arr.flags.writeable = False
-    return KernelSet(n=n, a=a, zeta=zeta, hat_a=hat, aux_a=aux)
+    return build_kernel_block(mesh, order, n, n)[0]
 
 
 def local_coefficient(order, kernels: KernelSet) -> float:
@@ -349,9 +362,18 @@ def history_sum(weights: np.ndarray, fields) -> np.ndarray:
     einsum without optimize runs numpy's own loops, never BLAS, so the
     result does not depend on the thread count.
     """
+    return np.einsum("k,k...->...", _differenced(weights), np.asarray(fields, dtype=float))
+
+
+def _differenced(weights) -> np.ndarray:
+    """history_sum's c_j = -(w_j - w_{j-1}) with w_{-1} = w_len = 0, the
+    bits of -np.diff(w, prepend=0.0, append=0.0) signed zeros included
+    (c_0 = -w_0, as w_0 - 0.0 is w_0), from three dispatches instead of
+    np.diff's concatenation."""
     w = np.asarray(weights, dtype=float)
-    c = -np.diff(w, prepend=0.0, append=0.0)
-    return np.einsum("k,k...->...", c, np.asarray(fields, dtype=float))
+    c = np.append(w, 0.0)
+    c[1:] -= w
+    return np.negative(c, out=c)
 
 
 def stored_form_coeffs(aux_a: np.ndarray) -> np.ndarray:

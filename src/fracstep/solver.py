@@ -11,8 +11,17 @@ solves a nonlinear equation in phi^n with all history frozen.  A plain
 fixed-point iteration lags the cubic term; each sweep inverts the
 constant-coefficient operator (D I - (1-theta) eps^2 Lap) exactly by one
 real 2-D FFT, taken one axis at a time, since the periodic five-point
-Laplacian is diagonal in the discrete Fourier basis.  The Crank-Nicolson
+Laplacian is diagonal in the discrete Fourier basis; the inverse symbol
+is applied as a real multiply, which gives the complex division's bits
+on every finite spectrum up to the sign of a zero.  The Crank-Nicolson
 reference step shares the same sweep loop.
+
+The weights of level n depend only on the nodes up to t_n, so run builds
+every level of a mesh it does not append to (a fixed mesh, or an adaptive
+schedule's warm-up) ahead of its step, in blocks of at most _BLOCK_ENTRIES
+entries per table, each from one kernels.build_kernel_block pass: bit for
+bit the one-level build_kernels, which only a level the controller
+appends still calls.
 
 Each step's sweeps start from the Lagrange extrapolation to t_n through
 the last min(n, 4) levels (phi^0 itself at n = 1), clipped pointwise into
@@ -43,6 +52,7 @@ from .grid import Grid2D, grid_sum, laplacian, norm_inf
 from .kernels import (
     KernelSet,
     as_order,
+    build_kernel_block,
     build_kernels,
     head_coefficient,
     history_sum,
@@ -70,6 +80,7 @@ _PREDICTOR_LEVELS = 4    # past levels in the extrapolated start of each step's 
 _FIXED_POINT_TOL = 1e-12   # max-norm change between sweeps that ends a fixed point
 _FIXED_POINT_MAX_ITER = 200
 _BOUND_TOL = 1e-10         # slack above |phi| = 1 before a strict run raises BoundViolation
+_BLOCK_ENTRIES = 1 << 15   # (level, offset) entries per table of one kernel block of run
 
 
 def _reaction(phi: np.ndarray) -> np.ndarray:
@@ -177,9 +188,14 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
     are only read; the returned psi is a buffer that no later sweep writes.
     """
     M = cfg.grid.M
-    # The complex cast is exact, and the one numpy applies to a real divisor anyway.
-    symbol = (c + (4.0 * nu / cfg.grid.h**2) * _half_spectrum_sines(cfg.grid)).astype(complex)
+    symbol = c + (4.0 * nu / cfg.grid.h**2) * _half_spectrum_sines(cfg.grid)
+    # numpy divides x + iy by b + 0j as (x + 0 y) (1/b) + i (y - 0 x) (1/b),
+    # so multiplying both parts of spec, through its real view, by the
+    # interleaved 1/b gives the quotient's bits without a complex division,
+    # for every finite spec and up to the sign of a zero part
+    inverse = np.repeat(1.0 / symbol, 2, axis=1)
     spec = np.empty(symbol.shape, dtype=complex)
+    spec_parts = spec.view(float)
     work = np.empty((M, M))                        # the reaction, the rhs, then the change
     levels = (np.empty((M, M)), np.empty((M, M)))  # psi_new alternates between the two
     psi = x0
@@ -191,7 +207,7 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
         np.subtract(rhs_fixed, work, out=work)
         np.fft.rfft(work, axis=1, out=spec)
         np.fft.fft(spec, axis=0, out=spec)
-        spec /= symbol
+        spec_parts *= inverse
         np.fft.ifft(spec, axis=0, out=spec)
         psi_new = np.fft.irfft(spec, n=M, axis=1, out=levels[sweep % 2])
         # A difference is finite only if both iterates are, and max
@@ -216,12 +232,13 @@ def _predict(fields, nodes):
     which the lagged map contracts.
     """
     t = nodes[-1]
-    x0 = 0.0
+    x0 = np.zeros_like(fields[-1])
+    term = np.empty_like(x0)
     for k, (t_k, phi) in enumerate(zip(nodes[:-1], fields)):
         weight = math.prod((t - t_j) / (t_k - t_j) for j, t_j in enumerate(nodes[:-1]) if j != k)
-        x0 = x0 + weight * phi
+        x0 += np.multiply(weight, phi, out=term)
     bound = max(1.0, norm_inf(fields[-1]))
-    return np.clip(x0, -bound, bound)
+    return np.clip(x0, -bound, bound, out=x0)
 
 
 def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
@@ -353,6 +370,26 @@ class FieldHistory:
         self._dist.resize(self._len, refcheck=False)
 
 
+def _kernel_block(mesh: TimeMesh, order, lo: int, last: int):
+    """(hi, kernels): the KernelSets of levels lo..hi of mesh by level, from
+    one build_kernel_block pass, with hi <= last the highest level whose
+    block holds at most _BLOCK_ENTRIES entries per table (one level at least).
+
+    The pass runs with every floating-point flag raised as an error.  When
+    it raises, kernels is empty and each level of the block is left to its
+    own build_kernels call, so that a level whose weights warn or fail does
+    so at its own step, as it would without blocks.
+    """
+    hi = lo
+    while hi < last and (hi + 2 - lo) * (hi + 2) <= _BLOCK_ENTRIES:
+        hi += 1
+    try:
+        with np.errstate(all="raise"):
+            return hi, dict(zip(range(lo, hi + 1), build_kernel_block(mesh, order, lo, hi)))
+    except FloatingPointError:
+        return hi, {}
+
+
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
@@ -380,6 +417,13 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     schedule steps past its mesh: the controller's step is then appended,
     the one place a TimeMesh is built.  A step reads the mesh only up to its
     own level, and the trajectory keeps the last mesh built.
+
+    The kernels of the levels it does not append (a fixed mesh's or the
+    warm-up's) come from blocks (_kernel_block), each built when the loop
+    reaches its first level; an appended level's come from build_kernels.
+    A block that raises a floating-point flag is dropped and its levels
+    are built one by one, so a level that warns or fails does so at its
+    own step.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -400,6 +444,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     if cfg.forcing is None:
         records = [modified_energy(history.fields, history.dist, None, cfg.epsilon, grid)]
 
+    fixed = mesh.num_steps      # levels that the run does not append itself
+    block, block_hi = {}, 0
     n = 0
     change_norm = 0.0
     while True:
@@ -423,7 +469,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             raise StepCapError(
                 f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} while the bound is enforced"
             )
-        kernels = build_kernels(mesh, order, n)
+        if block_hi < n <= fixed:
+            block_hi, block = _kernel_block(mesh, order, n, fixed)
+        kernels = block.get(n) or build_kernels(mesh, order, n)
         phi, sweeps = step(history.fields, mesh, kernels, cfg)
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:

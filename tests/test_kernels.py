@@ -258,6 +258,17 @@ def test_history_sum_matches_fsum_within_plain_bound():
     assert np.array_equal(history_sum(np.empty(0), fields[:1]), np.zeros((3, 4)))
 
 
+def test_differenced_weights_are_the_bits_of_the_diff_form():
+    # tied weights difference to zeros, whose signs must be np.diff's too;
+    # the stepper hands history_sum a reversed view
+    rng = np.random.default_rng(4)
+    ties = np.array([3.0, 3.0, 1.0, 1.0, 0.0, 0.0, -0.0, -0.0, 0.5, 0.5])
+    for w in (ties, ties[::-1], np.array([-0.0]), np.array([0.0]), np.empty(0),
+              np.repeat(rng.uniform(size=8), 3)[::-1]):
+        want = -np.diff(w, prepend=0.0, append=0.0)
+        assert np.array_equal(kernels._differenced(w).view(np.uint64), want.view(np.uint64))
+
+
 def test_history_sum_with_level_kernel_on_graded_mesh_within_plain_bound():
     # the solver's own weights hat_a[1:n][::-1] at the last level of a
     # 300-step graded two-phase mesh, against the same plain-summation

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def _fixed_point_2d_reference(rhs_fixed, c, nu, weight, cfg, x0):
     raise AssertionError("reference loop did not converge")
 
 
-@pytest.mark.parametrize("M", [9, 16, 64])
+@pytest.mark.parametrize("M", [9, 16, 64, 128])
 @pytest.mark.parametrize("weight", [0.0, 0.5, 0.8])
 @pytest.mark.parametrize("nu", [0.0, 0.06])
 def test_fixed_point_is_bitwise_the_2d_transform_loop(M, weight, nu):
@@ -667,14 +668,88 @@ def test_adaptive_run_keeps_the_ratio_floor_it_audits():
     # so the step shrinks by the ratio floor, and the run's own flag must hold
     cfg = _cfg(alpha=0.9, epsilon=0.05, M=16)
     phi0 = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 16))
-    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 30, 3.0), horizon=0.02,
+    # the steps after the warm-up are tau_min from t = 0.010545 on, so the
+    # horizon clips the last one to 3.46e-5, a ratio of 0.346 < r*(0.9)
+    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 30, 3.0), horizon=0.01088,
                              tau_min=1e-4, tau_max=0.1, eta=1e6)
     traj = run(cfg, sched, phi0)
     # only the final step, clipped to land on the horizon, may break the floor
     assert traj.ratio_ok[:-1].all()
     N = traj.num_steps
-    if not traj.ratio_ok[-1]:
-        assert traj.mesh.horizon == pytest.approx(sched.horizon, abs=1e-14)
-        assert traj.mesh.step(N) < min_step_ratio(0.9) * traj.mesh.step(N - 1)
+    assert not traj.ratio_ok[-1]
+    assert traj.mesh.horizon == pytest.approx(sched.horizon, abs=1e-14)
+    assert traj.mesh.step(N) < min_step_ratio(0.9) * traj.mesh.step(N - 1)
     r_star = min_step_ratio(0.9)
     assert np.any(np.abs(traj.mesh.ratios / r_star - 1.0) <= 1e-9)
+
+
+def _spy_on_steps(patch, levels):
+    """Patch solver.step to append each step's KernelSet to levels."""
+    real = solver.step
+
+    def spy(fields, mesh, kernels, cfg):
+        levels.append(kernels)
+        return real(fields, mesh, kernels, cfg)
+
+    patch.setattr(solver, "step", spy)
+
+
+def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch):
+    # a small block size puts boundaries after levels 7 and 11 of a 14-level
+    # mesh: every level's KernelSet must be build_kernels' bit for bit, and
+    # only the levels an adaptive run appends past that mesh are built alone
+    monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 60)
+    blocks, alone = [], []
+    real_block, real_build = solver.build_kernel_block, solver.build_kernels
+    monkeypatch.setattr(solver, "build_kernel_block",
+                        lambda mesh, order, lo, hi: blocks.append((lo, hi)) or real_block(mesh, order, lo, hi))
+    monkeypatch.setattr(solver, "build_kernels",
+                        lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
+    cfg = _cfg(alpha=0.6)
+    mesh = build_graded_mesh(0.2, 14, 2.0)
+    phi0 = np.random.default_rng(2).uniform(-0.5, 0.5, (8, 8))
+    adaptive = AdaptiveSchedule(warmup=mesh, horizon=0.3, tau_min=1e-3, tau_max=0.04, eta=1e3)
+    for schedule in (mesh, adaptive):
+        blocks.clear()
+        levels = []
+        with monkeypatch.context() as patch:
+            _spy_on_steps(patch, levels)
+            traj = run(cfg, schedule, phi0)
+        assert blocks == [(1, 7), (8, 11), (12, 14)]
+        assert alone == list(range(15, traj.num_steps + 1))
+        assert [k.n for k in levels] == list(range(1, traj.num_steps + 1))
+    assert all((hi - lo + 1) * (hi + 1) <= 60 for lo, hi in blocks) and len(alone) >= 2
+    for got in levels:
+        want = real_build(traj.mesh, 0.6, got.n)
+        for name in ("a", "zeta", "hat_a", "aux_a"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64)) and not x.flags.writeable
+
+
+@pytest.mark.parametrize("alpha, mesh, warned", [
+    (1e-300, build_uniform_mesh(0.1, 6), []),
+    (0.5, build_uniform_mesh(1e-300, 6), ["energy.py", "kernels.py"]),
+], ids=["tiny-alpha", "tiny-mesh"])
+def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, mesh, warned, monkeypatch):
+    # level 1 is sound and level 2 has no positive moment weights, so the
+    # block of all six levels raises: the run must still take step 1 and
+    # fail at step 2 with the warnings and the exception of building every
+    # level on its own; on the tiny mesh step 1's energy warns before
+    # level 2's weights do
+    cfg = _cfg(alpha=alpha)
+    phi0 = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 8))
+    outcomes = []
+    for blocks in (True, False):
+        levels = []
+        with monkeypatch.context() as patch:
+            if not blocks:
+                patch.setattr(solver, "_kernel_block", lambda mesh, order, lo, last: (last, {}))
+            _spy_on_steps(patch, levels)
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(FloatingPointError) as exc:
+                warnings.simplefilter("always")
+                run(cfg, mesh, phi0)
+        outcomes.append(([k.n for k in levels], str(exc.value),
+                         [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == ([1], "moment weights must be positive")
+    assert [os.path.basename(w[2]) for w in outcomes[0][2]] == warned
