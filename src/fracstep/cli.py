@@ -261,10 +261,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         seed = _typed("seed", cfg["seed"], int) if "seed" in cfg else 0
-        if args.seed is not None:
-            seed = args.seed
         if seed < 0:
-            raise ConfigError("seed must be nonnegative")
+            raise ConfigError(f"config key 'seed' must be nonnegative, got {seed}")
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+            seed = args.seed
         spec_cls, command = _COMMANDS[args.subcommand]
         spec = _spec_from_config(spec_cls, cfg, seed)
         if args.quick:

@@ -14,10 +14,10 @@ hypothesis (cap or ratio floor) was broken, if any.
 
 G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
 whole history: kernels.distance_form, the same form dgs_forms checks,
-scaled by h^2/2.  A run carries those distances from step to step
-(modified_energy updates them with one inner-product pass over the field
-stack); the tests recompute them from the fields as the stateless
-reference the carried values are checked against.
+scaled by h^2/2.  A run carries those distances from step to step:
+modified_energy maps one level's to the next level's with one
+inner-product pass over the field stack, writing none of its arguments;
+the tests recompute them from the fields as the stateless reference.
 """
 
 from __future__ import annotations
@@ -53,15 +53,16 @@ _DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E
 
 
 def modified_energy(
-    fields, dist: np.ndarray, kernels: KernelSet | None, epsilon: float, grid: Grid2D
-) -> EnergyRecord:
-    """EnergyRecord at the latest level n of fields (kernels=None only at level 0).
+    fields, dist: np.ndarray | None, kernels: KernelSet | None, epsilon: float, grid: Grid2D
+) -> tuple[float, float, np.ndarray]:
+    """(E, G_term, dist') at the latest level n of fields (dist and kernels
+    are None only at level 0).
 
-    dist runs alongside fields and is updated in place: on entry dist[:n]
-    holds the grid sums of (phi^{n-1} - phi^j)^2, on return dist[:n+1]
-    holds those of (phi^n - phi^j)^2.  With delta = phi^n - phi^{n-1},
+    dist[:n] holds the grid sums of (phi^{n-1} - phi^j)^2 and dist' those
+    of (phi^n - phi^j)^2, j = 0..n; neither argument is written.  With
+    delta = phi^n - phi^{n-1},
 
-        dist_j <- dist_j + ||delta||^2 + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
+        dist'_j = dist_j + ||delta||^2 + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
 
     where every inner product comes from one einsum pass over the stack
     (numpy's own loop in a fixed order, no BLAS, no (n, M, M) temporary).
@@ -70,23 +71,22 @@ def modified_energy(
     n = len(fields) - 1
     E = free_energy(fields[n], epsilon, grid)
     if n == 0:
-        dist[0] = 0.0
-        return EnergyRecord(n=0, E=E, G_term=0.0, E_alpha=E, dissipation_lhs=None)
+        return E, 0.0, np.zeros(1)
     assert kernels is not None and kernels.n == n
     delta = fields[n] - fields[n - 1]
     inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
-    dist[:n] += np.einsum("ij,ij->", delta, delta) + 2.0 * (inner[n - 1] - inner)
-    dist[n] = 0.0
-    G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.aux_a), dist[:n])
-    return EnergyRecord(n=n, E=E, G_term=G, E_alpha=E + G, dissipation_lhs=None)
+    moved = dist[:n] + (np.einsum("ij,ij->", delta, delta) + 2.0 * (inner[n - 1] - inner))
+    G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.aux_a), moved)
+    return E, G, np.append(moved, 0.0)
 
 
-def dissipation_lhs(prev: EnergyRecord, curr: EnergyRecord, local: float, tau_n: float,
+def dissipation_lhs(prev_E_alpha: float, curr_E_alpha: float, local: float, tau_n: float,
                     step_l2_sq: float) -> float:
     """Left-hand side of the per-step dissipation law (nonpositive when it
-    holds); local is kernels.local_coefficient alpha/(2-alpha) a_0 of the
-    step's level, so the damping is half of it."""
-    rate = (curr.E_alpha - prev.E_alpha) / tau_n
+    holds) between the modified energies of levels n-1 and n; local is
+    kernels.local_coefficient alpha/(2-alpha) a_0 of the step's level, so
+    the damping is half of it."""
+    rate = (curr_E_alpha - prev_E_alpha) / tau_n
     damping = 0.5 * local * step_l2_sq / tau_n
     return float(rate + damping)
 

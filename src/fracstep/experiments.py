@@ -75,14 +75,17 @@ def _require(key: str, value, ok, want: str) -> None:
 
 
 def _require_distinct(key: str, value: tuple, least: int) -> None:
-    """Raise ValueError naming config key unless value has at least least distinct entries."""
-    if len(set(value)) < least:
-        raise ValueError(f"config key '{key}' needs at least {least} distinct entries, got {list(value)}")
+    """Raise ValueError naming config key unless value has at least least entries, none repeated."""
+    if len(value) < least or len(set(value)) < len(value):
+        raise ValueError(f"config key '{key}' must list {least} or more entries, none repeated, "
+                         f"got {list(value)}")
 
 
 # An order the scheme takes: alpha in (0, 1) whose offset theta = alpha/2 is
 # positive (at alpha = 5e-324 it underflows to 0).  False for nan.
 _ORDER = (lambda alpha: 0.0 < 0.5 * alpha < 0.5, "lie in (0, 1) with alpha/2 > 0")
+
+_STUDY_L = 2.0 * np.pi     # both field studies run on the periodic square (0, _STUDY_L)^2
 
 
 # -- accuracy study ----------------------------------------------------------
@@ -156,8 +159,7 @@ def accuracy_table(spec: AccuracySpec) -> AccuracyTable:
     epsilon = math.sqrt(spec.eps2)
 
     def one(gamma, N, M):
-        grid = Grid2D(M=M, L=2.0 * np.pi)
-        cfg = SolverConfig(alpha=spec.alpha, epsilon=epsilon, grid=grid, forcing=forcing)
+        cfg = SolverConfig(alpha=spec.alpha, epsilon=epsilon, grid=Grid2D(M=M, L=_STUDY_L), forcing=forcing)
         mesh = build_two_phase_mesh(spec.T, gamma, N, spec.seed)
         return _solution_error(cfg, forcing, mesh)
 
@@ -252,7 +254,7 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
     inside the controller and enforces the maximum bound; otherwise both
     are recorded as per-step audit flags only.
     """
-    grid = Grid2D(M=spec.M, L=2.0 * np.pi)
+    grid = Grid2D(M=spec.M, L=_STUDY_L)
     cfg = SolverConfig(
         alpha=spec.alpha,
         epsilon=spec.epsilon,
@@ -277,7 +279,7 @@ def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -
     cell left empty where the level has no such value (the step columns at
     n = 0, r_n below n = 2).
     """
-    grid = Grid2D(M=spec.M, L=2.0 * np.pi)
+    grid = Grid2D(M=spec.M, L=_STUDY_L)
     mesh = traj.mesh
     energy_path = os.path.join(outdir, "energy.csv")
     with open(energy_path, "w", newline="") as fh:

@@ -35,8 +35,8 @@ inherited from the initial data; the stepper never clips a level it
 returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
-phi^0..phi^n.  One FieldHistory owns that stack and the squared
-distances of G, and grows both in place by a quarter when full.
+phi^0..phi^n.  One FieldHistory owns that stack and grows it in place
+by a quarter when full.
 """
 
 from __future__ import annotations
@@ -316,25 +316,23 @@ _GROWTH_DIVISOR = 4        # a full history of n levels grows to n + max(1, n //
 
 
 class FieldHistory:
-    """The stored levels phi^0..phi^n of a run and the squared distances of G.
+    """The stored levels phi^0..phi^n of a run.
 
-    One (capacity, M, M) stack holds the levels and a dist vector of the
-    same capacity runs next to it (modified_energy updates it in place).
-    A push into a full history grows both with ndarray.resize to
-    n + max(1, n // 4) levels: for a large block realloc remaps the pages
-    instead of copying them, so two stacks are never resident at once.
+    One (capacity, M, M) stack holds the levels.  A push into a full
+    history grows it with ndarray.resize to n + max(1, n // 4) levels: for
+    a large block realloc remaps the pages instead of copying them, so two
+    stacks are never resident at once.
 
-    The history is the only owner of its buffers, and resize runs with
-    refcheck off.  A view it hands out (fields, dist, and the last levels
-    of fields that step's predictor reads) is therefore valid only until
-    the next push, which may move the buffer; callers take fresh views
-    after each push and keep none across one.
+    The history is the only owner of its buffer, and resize runs with
+    refcheck off.  A view it hands out (fields, and the last levels of
+    fields that step's predictor reads) is therefore valid only until the
+    next push, which may move the buffer; callers take fresh views after
+    each push and keep none across one.
     """
 
     def __init__(self, phi0: np.ndarray, capacity: int):
         self._stack = np.empty((capacity, *phi0.shape))
         self._stack[0] = phi0
-        self._dist = np.empty(len(self._stack))
         self._len = 1
 
     @property
@@ -346,28 +344,21 @@ class FieldHistory:
         """View of phi^0..phi^n, valid until the next push."""
         return self._stack[: self._len]
 
-    @property
-    def dist(self) -> np.ndarray:
-        """View of the n + 1 carried squared distances, valid until the next push."""
-        return self._dist[: self._len]
-
     def push(self, phi: np.ndarray) -> None:
-        """Store phi as the next level, growing both buffers in place when full."""
+        """Store phi as the next level, growing the stack in place when full."""
         n = self._len
         if n == self.capacity:
             grown = n + max(1, n // _GROWTH_DIVISOR)
             self._stack.resize((grown, *self._stack.shape[1:]), refcheck=False)
-            self._dist.resize(grown, refcheck=False)
         self._stack[n] = phi
         self._len = n + 1
 
     def shrink(self) -> None:
-        """Resize both buffers in place to the stored levels, releasing the unused tail.
+        """Resize the stack in place to the stored levels, releasing the unused tail.
 
         Like a push, this invalidates every view handed out before it.
         """
         self._stack.resize((self._len, *self._stack.shape[1:]), refcheck=False)
-        self._dist.resize(self._len, refcheck=False)
 
 
 def _kernel_block(mesh: TimeMesh, order, lo: int, last: int):
@@ -403,14 +394,14 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     t_n.  The final step, clipped to land on the horizon, may fall below the
     floor; its ratio flag then reads False.
 
-    phi^0..phi^n and the squared distances of G live in one FieldHistory,
-    sized to the mesh (a fixed mesh never grows it) or to the warm-up of
-    an adaptive schedule, which grows it in place by a quarter when full.
-    step and modified_energy read views of it taken afresh each step, so
-    G costs one pass over the stack.  On return the history is shrunk in
-    place to the used levels, and history_capacity reports the peak
-    allocation.  Energy is recorded exactly when cfg.forcing is None: the
-    law is about the unforced equation.
+    phi^0..phi^n live in one FieldHistory, sized to the mesh (a fixed mesh
+    never grows it) or to the warm-up of an adaptive schedule, which grows
+    it in place by a quarter when full; on return it is shrunk in place to
+    the used levels, and history_capacity reports the peak allocation.
+    Energy is recorded exactly when cfg.forcing is None, as the law is
+    about the unforced equation: run then carries the squared distances of
+    G, which modified_energy maps to the next level's in one pass over the
+    stack.
 
     One loop steps from the schedule's warm-up (a fixed mesh is its own) to
     schedule.horizon, which a fixed mesh reaches at its last node.  Only a
@@ -442,7 +433,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     ratio_ok = []
     records = None
     if cfg.forcing is None:
-        records = [modified_energy(history.fields, history.dist, None, cfg.epsilon, grid)]
+        E, G, dist = modified_energy(history.fields, None, None, cfg.epsilon, grid)
+        records = [EnergyRecord(0, E, G, E + G, None)]
 
     fixed = mesh.num_steps      # levels that the run does not append itself
     block, block_hi = {}, 0
@@ -484,9 +476,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         ratio_ok.append(n == 1 or mesh.ratio(n) >= r_floor * (1.0 - 1e-12))
         change_norm = math.sqrt(step_sq) / tau_n
         if records is not None:
-            rec = modified_energy(history.fields, history.dist, kernels, cfg.epsilon, grid)
-            lhs = dissipation_lhs(records[-1], rec, local_coefficient(order, kernels), tau_n, step_sq)
-            records.append(EnergyRecord(rec.n, rec.E, rec.G_term, rec.E_alpha, lhs))
+            E, G, dist = modified_energy(history.fields, dist, kernels, cfg.epsilon, grid)
+            lhs = dissipation_lhs(records[-1].E_alpha, E + G, local_coefficient(order, kernels),
+                                  tau_n, step_sq)
+            records.append(EnergyRecord(n, E, G, E + G, lhs))
 
     capacity = history.capacity     # the peak: a history only grows until it is shrunk
     history.shrink()

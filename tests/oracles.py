@@ -239,8 +239,8 @@ def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
     fields stacks phi^0..phi^n; the partial sums of first differences
     collapse to field differences phi^n - phi^j, so the form is a
     coefficient-weighted sum of squared L2 distances, taken blockwise by
-    einsum.  This is the stateless reference for the distances that
-    energy.modified_energy carries from step to step.
+    einsum.  This is the stateless reference for the distances that a run
+    carries from step to step through energy.modified_energy.
     """
     fields = np.asarray(fields, dtype=float)
     n = len(fields) - 1

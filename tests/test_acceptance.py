@@ -18,6 +18,7 @@ from fracstep.experiments import (
     CoarsenSpec,
     KernelAuditSpec,
     accuracy_table,
+    fit_order,
     run_coarsening,
     run_kernel_audit,
 )
@@ -233,18 +234,29 @@ def test_criterion_08_energy_dissipation(coarsen_runs):
     assert elapsed < 600.0
 
 
+# the values of 1 - alpha over which criterion 9 fits its orders of convergence to Crank-Nicolson
+_CN_GAPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
 def test_criterion_09_integer_order_limit(coarsen_runs):
     t0 = time.monotonic()
     grid = Grid2D(M=32, L=TWO_PI)
     phi0 = grid.field_from_function(lambda X, Y: 0.4 + 0.3 * np.sin(X) * np.sin(Y))
-    cfg = SolverConfig(alpha=1.0 - 1e-6, epsilon=0.3, grid=grid)
     mesh = build_uniform_mesh(1.0, 20)
-    traj = run(cfg, mesh, phi0)
-    ref = phi0.copy()
-    worst_diff = 0.0
-    for n in range(1, 21):
-        ref, _ = crank_nicolson_step(ref, 0.05, cfg)
-        worst_diff = max(worst_diff, norm_inf(traj.fields[n] - ref) / norm_inf(ref))
+    cn_cfg = SolverConfig(alpha=1.0 - _CN_GAPS[-1], epsilon=0.3, grid=grid)    # the step reads no alpha
+    refs = [phi0]
+    for _ in range(20):
+        refs.append(crank_nicolson_step(refs[-1], 0.05, cn_cfg)[0])
+    # asymptotic compatibility as a rate: as 1 - alpha -> 0 the fields tend to
+    # Crank-Nicolson's and E_alpha to E, each at order 1 in 1 - alpha
+    diffs, gaps = [], []
+    for gap in _CN_GAPS:
+        traj = run(SolverConfig(alpha=1.0 - gap, epsilon=0.3, grid=grid), mesh, phi0)
+        diffs.append(max(norm_inf(traj.fields[n] - refs[n]) / norm_inf(refs[n]) for n in range(1, 21)))
+        gaps.append(max(abs(r.E_alpha - r.E) for r in traj.energy[1:]))
+    field_order, _ = fit_order([1.0 / gap for gap in _CN_GAPS], diffs)
+    energy_order, _ = fit_order([1.0 / gap for gap in _CN_GAPS], gaps)
+    worst_diff = diffs[-1]           # at 1 - alpha = 1e-6, the last run
     worst_gap = max(abs(r.E_alpha - r.E) / abs(r.E) for r in traj.energy[1:])
     elapsed = time.monotonic() - t0
 
@@ -255,9 +267,13 @@ def test_criterion_09_integer_order_limit(coarsen_runs):
     }
     print(f"[criterion 9] vs Crank-Nicolson: max relative diff {worst_diff:.3e} "
           f"(want <= 1e-4), max |E_alpha - E|/E {worst_gap:.3e} (want <= 1e-3); "
+          f"orders in 1 - alpha over {_CN_GAPS}: fields {field_order:.4f}, "
+          f"|E_alpha - E| {energy_order:.4f} (want both in [0.9, 1.1]); "
           f"energy gap sweep {sweep} strictly decreasing; {elapsed:.1f}s")
     assert worst_diff <= 1e-4
     assert worst_gap <= 1e-3
+    assert 0.9 <= field_order <= 1.1
+    assert 0.9 <= energy_order <= 1.1
     assert sweep[0.9] > sweep[0.95] > sweep[0.97]
     assert elapsed < 600.0
 

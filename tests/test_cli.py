@@ -66,6 +66,7 @@ def test_negative_seed_rejected(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.5]})
     code = main(["rstar", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-3"])
     assert code == EXIT_CONFIG
+    assert "--seed must be nonnegative, got -3" in capsys.readouterr().err   # the flag, not a config key
 
 
 def test_config_root_must_be_object(tmp_path):
@@ -431,6 +432,12 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("kernels", dict(_TINY_KERNELS, n_max=1), "n_max"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[8]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[8, 8]), "Ns"),
+    # a repeated entry would run or audit one case twice
+    ("accuracy", dict(_TINY_ACCURACY, Ns=[4, 8, 4]), "Ns"),
+    ("accuracy", dict(_TINY_ACCURACY, gammas=[1.0, 1.0]), "gammas"),
+    ("kernels", dict(_TINY_KERNELS, alphas=[0.4, 0.4]), "alphas"),
+    ("rstar", {"alphas": [0.3, 0.5, 0.5]}, "alphas"),
+    ("rstar", {"alphas": [0.5], "seed": -1}, "seed"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, gammas=[]), "gammas"),
     ("kernels", dict(_TINY_KERNELS, alphas=[]), "alphas"),
@@ -464,7 +471,9 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("accuracy", dict(_TINY_ACCURACY, eps2=-1), "eps2"),
 ], ids=["unknown-key", "init_amplitude", "warmup_T0", "warmup_N0", "warmup_gamma", "fractional-int",
         "string-bool", "nan-float", "scalar-for-list", "missing",
-        "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "no-Ns", "no-gammas",
+        "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "repeated-N-of-three",
+        "repeated-gamma", "kernels-repeated-alpha", "rstar-repeated-alpha", "rstar-negative-seed",
+        "no-Ns", "no-gammas",
         "kernels-no-alphas", "rstar-no-alphas", "accuracy-T-0", "coarsen-T-in-warm-up",
         "snapshot-past-T", "non-positive-N", "gamma-below-1", "accuracy-alpha-1", "coarsen-alpha-0",
         "kernels-alpha-1", "rstar-alpha-negative", "accuracy-alpha-underflows", "kernels-alpha-underflows",
@@ -495,13 +504,18 @@ _FUZZ_BASES = {"coarsen": _TINY_COARSEN, "accuracy": _TINY_ACCURACY, "kernels": 
                "rstar": {"alphas": [0.5]}}
 
 
+def _config_keys(subcommand):
+    """Each config key of subcommand and its type: its spec's fields, plus the int "seed"."""
+    return {**get_type_hints(_COMMANDS[subcommand][0]), "seed": int}
+
+
 def _fuzz_cases():
-    # each number and list key of each subcommand's spec, set one at a time on
-    # its tiny config: a list is empty or holds one such value
+    # each number and list key of each subcommand's config, set one at a time
+    # on its tiny config: a list is empty or holds one such value
     for subcommand, base in _FUZZ_BASES.items():
-        for key, kind in get_type_hints(_COMMANDS[subcommand][0]).items():
+        for key, kind in _config_keys(subcommand).items():
             entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
-            if key == "seed" or entry is bool:
+            if entry is bool:
                 continue
             values = _FUZZ_FLOATS if entry is float else _FUZZ_INTS
             if entry is not kind:
@@ -515,7 +529,7 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     # every case exits 0, 2, 3 or 4 with no exception escaping, and an exit 4
     # names a quoted config key and leaves no output directory
     cases = list(_fuzz_cases())
-    assert len(cases) == 146
+    assert len(cases) == 166
     broken = []
     for i, (subcommand, key, payload) in enumerate(cases):
         cfg = _write_cfg(tmp_path, f"cfg{i}.json", payload)
@@ -530,7 +544,7 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
         named = re.search(r"config key '(\w+)", err)
         if code not in (EXIT_OK, EXIT_AUDIT, EXIT_NONCONV, EXIT_CONFIG):
             broken.append((subcommand, key, payload[key], f"exit {code}"))
-        elif code == EXIT_CONFIG and not (named and named[1] in get_type_hints(_COMMANDS[subcommand][0])
+        elif code == EXIT_CONFIG and not (named and named[1] in _config_keys(subcommand)
                                           and not out.exists()):
             broken.append((subcommand, key, payload[key], f"exit 4, output {out.exists()}: {err.strip()}"))
     assert broken == []

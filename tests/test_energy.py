@@ -16,6 +16,7 @@ from fracstep.energy import (
 from fracstep.grid import Grid2D
 from fracstep.kernels import build_kernels, distance_form, stored_form_coeffs
 from fracstep.mesh import build_uniform_mesh
+from fracstep.solver import SolverConfig, run
 from oracles import _G_BLOCK, history_quadratic
 
 TWO_PI = 2.0 * math.pi
@@ -71,13 +72,16 @@ def test_history_quadratic_matches_pointwise_form():
 
 def test_modified_energy_level_zero():
     g = Grid2D(M=8, L=TWO_PI)
-    dist = np.full(1, np.nan)
-    rec = modified_energy([np.zeros((8, 8))], dist, None, 0.5, g)
-    assert dist[0] == 0.0               # the newest field's distance to itself
-    assert rec.n == 0
-    assert rec.G_term == 0.0
-    assert rec.E_alpha == rec.E
-    assert rec.dissipation_lhs is None
+    phi0 = np.zeros((8, 8))
+    E, G, dist = modified_energy([phi0], None, None, 0.5, g)
+    assert np.array_equal(dist, [0.0])  # the newest field's distance to itself
+    assert G == 0.0
+    assert E == free_energy(phi0, 0.5, g)
+    # run's record of level 0 carries these, with no dissipation lhs
+    traj = run(SolverConfig(alpha=0.5, epsilon=0.5, grid=g), build_uniform_mesh(0.1, 1), phi0)
+    first = traj.energy[0]
+    assert (first.n, first.E, first.G_term, first.E_alpha) == (0, E, 0.0, E)
+    assert first.dissipation_lhs is None
 
 
 def test_modified_energy_steady_history():
@@ -86,18 +90,37 @@ def test_modified_energy_steady_history():
     mesh = build_uniform_mesh(1.0, 4)
     kern = build_kernels(mesh, 0.5, 4)
     phi = np.full((8, 8), 0.7)
-    dist = np.zeros(5)                  # carried distances of level 3, then 4
-    rec = modified_energy([phi] * 5, dist, kern, 0.2, g)
-    assert np.array_equal(dist, np.zeros(5))
-    assert rec.G_term == 0.0
-    assert rec.E_alpha == rec.E
+    dist = np.zeros(4)                  # carried distances of level 3
+    E, G, moved = modified_energy([phi] * 5, dist, kern, 0.2, g)
+    assert np.array_equal(moved, np.zeros(5))
+    assert G == 0.0
+    assert E + G == E
+
+
+def test_modified_energy_writes_none_of_its_arguments():
+    # two calls at one level on read-only inputs: any write would raise, and
+    # the second call returns the first one's bits
+    g = Grid2D(M=8, L=TWO_PI)
+    mesh = build_uniform_mesh(1.0, 3)
+    fields = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8, 8))
+    dist = None
+    for n in range(3):
+        kern = build_kernels(mesh, 0.5, n) if n else None
+        _, _, dist = modified_energy(fields[: n + 1], dist, kern, 0.3, g)
+    fields.flags.writeable = False
+    dist.flags.writeable = False
+    kern = build_kernels(mesh, 0.5, 3)
+    first = modified_energy(fields, dist, kern, 0.3, g)
+    second = modified_energy(fields, dist, kern, 0.3, g)
+    as_bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+    for a, b in zip(first, second, strict=True):
+        assert np.array_equal(as_bits(a), as_bits(b))
+    assert first[1] == pytest.approx(history_quadratic(fields, kern.aux_a, g), rel=1e-12)
 
 
 def test_dissipation_lhs_arithmetic():
-    prev = EnergyRecord(n=1, E=2.0, G_term=0.0, E_alpha=2.0, dissipation_lhs=None)
-    curr = EnergyRecord(n=2, E=1.5, G_term=0.0, E_alpha=1.5, dissipation_lhs=None)
-    # rate = -1, damping = 0.5 * (0.5/1.5) * 0.1 / 0.5 = 1/30
-    lhs = dissipation_lhs(prev, curr, local=0.5 / 1.5, tau_n=0.5, step_l2_sq=0.1)
+    # rate = (1.5 - 2) / 0.5 = -1, damping = 0.5 * (0.5/1.5) * 0.1 / 0.5 = 1/30
+    lhs = dissipation_lhs(2.0, 1.5, local=0.5 / 1.5, tau_n=0.5, step_l2_sq=0.1)
     assert lhs == pytest.approx(-29.0 / 30.0, rel=1e-14)
     assert isinstance(lhs, float)
 

@@ -500,26 +500,22 @@ def _growth_sizes(start, levels):
     return sizes
 
 
-def test_field_history_growth_keeps_every_level_and_distance():
+def test_field_history_growth_keeps_every_level():
     rng = np.random.default_rng(3)
     phi0 = rng.standard_normal((6, 6))
     borrowed = np.stack([phi0, phi0])[1]
     assert borrowed.base is not None
     history = FieldHistory(borrowed, 2)
-    fields, dists, capacities = [phi0], [0.5], [history.capacity]
-    history.dist[0] = 0.5
+    fields, capacities = [phi0], [history.capacity]
     for _ in range(60):
-        phi, d = rng.standard_normal((6, 6)), rng.standard_normal()
+        phi = rng.standard_normal((6, 6))
         history.push(phi)
-        history.dist[-1] = d
         fields.append(phi)
-        dists.append(d)
         capacities.append(history.capacity)
         # the history owns its buffer, so resize never runs on a borrowed one
         assert history._stack.base is None and history._stack.flags.owndata
     assert history.fields.shape == (61, 6, 6)
     assert np.array_equal(history.fields, np.stack(fields))
-    assert np.array_equal(history.dist, np.asarray(dists))
     grown = [(a, b) for a, b in zip(capacities, capacities[1:]) if b != a]
     assert len(grown) >= 8 and history.capacity == _growth_sizes(2, 61)[-1]
     assert all(b == a + max(1, a // 4) for a, b in grown)
