@@ -28,7 +28,7 @@ from .kernels import (
     min_step_ratio,
 )
 from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, save_pgm, save_raw
-from .energy import EnergyRecord, dissipation_audit, free_energy, modified_energy
+from .energy import dissipation_audit, free_energy, modified_energy
 from .audits import AuditReport, audit_kernel_properties
 from .solver import (
     BoundViolation,
@@ -50,7 +50,6 @@ __all__ = [
     "AuditReport",
     "BoundViolation",
     "ConvergenceError",
-    "EnergyRecord",
     "FracOrder",
     "Grid2D",
     "KernelSet",

@@ -8,22 +8,23 @@ its dataclass default.  A float field takes a finite number, an int field an
 integer, a bool field true or false, a tuple field a list of those.  --seed
 overrides the config seed; --quick applies the spec's quick() profile.
 
-Every run writes run_meta.json with the SHA-256 of the canonicalized
-config and the seed actually used, so outputs are traceable; a run that
-raises writes it with "files": [] and the error as "failure".  Exit codes:
-0 success, 2 audit violation (a non-finite audit value, a field over the
-bound, a step over the cap while the bound is enforced, or weights that
-are not positive), 3 solver non-convergence, 4 bad config (a missing or
-unknown key, a wrong type, a non-finite number, or a value outside the
-range its spec's __post_init__ accepts; not a ValueError from the run).  An
-accuracy table left without rows exits 2 on a row's audit failure, else 3;
-one with rows exits 2 when a gamma with at least two rows has no finite
-fitted order (an error of 0 or inf).
+Every run writes run_meta.json with the SHA-256 of the canonicalized config
+and the seed actually used, so outputs are traceable; a run that raises
+writes it with "files": [] and the error as "failure".  Exit codes: 0
+success, 2 audit violation (a non-finite audit value, a field over the
+bound, a step over the cap while the bound is enforced, or weights that are
+not positive), 3 solver non-convergence, 4 bad config (a missing, unknown or
+repeated key, a wrong type, a non-finite number, a value outside the range
+its spec's __post_init__ accepts, or an --out that cannot be a directory;
+not a ValueError from the run).  An accuracy table left without rows exits 2
+on a row's audit failure, else 3; one with rows exits 2 when a gamma with at
+least two rows has no finite fitted order (an error of 0 or inf).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -51,10 +52,18 @@ class ConfigError(ValueError):
 _AUDIT_FAILURES = (BoundViolation, StepCapError, FloatingPointError)
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of pairs; a key given twice is a config error, not the last one winning."""
+    repeated = [key for key, count in collections.Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"config key '{repeated[0]}' is given more than once")
+    return dict(pairs)
+
+
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -160,7 +169,7 @@ def _cmd_accuracy(spec: xp.AccuracySpec, outdir: str) -> tuple:
 def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
     traj, _ = xp.run_coarsening(spec)
     files = xp.write_coarsening_outputs(outdir, spec, traj)
-    violations = dissipation_audit(traj.energy, cap_ok=traj.cap_ok, ratio_ok=traj.ratio_ok)
+    violations = dissipation_audit(traj)
     flagged = [v for v in violations if v.unexplained]
     for v in violations:        # a broken hypothesis explains a violation: a note, not a failure
         print(v.describe() if v.unexplained else f"note: {v.describe()}", file=sys.stderr)
@@ -172,8 +181,8 @@ def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
         "all_ratios_admissible": bool(traj.ratio_ok.all()),
         "dissipation_violations": len(flagged),
         "explained_dissipation_violations": len(violations) - len(flagged),
-        "final_E": traj.energy[-1].E,
-        "final_E_alpha": traj.energy[-1].E_alpha,
+        "final_E": float(traj.E[-1]),
+        "final_E_alpha": float(traj.E_alpha[-1]),
         "history_levels_allocated": traj.history_capacity,
         "history_bytes_allocated": traj.history_capacity * traj.fields[0].nbytes,
         "history_levels_used": len(traj.fields),
@@ -274,7 +283,11 @@ def main(argv=None) -> int:
     except ValueError as exc:         # ConfigError, or a spec value out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:            # a file where the directory should be, or under it
+        print(f"config error: --out {args.out} cannot be made a directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     started = time.monotonic()
     try:
         code, files, extra = command(spec, args.out)

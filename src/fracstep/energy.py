@@ -8,9 +8,10 @@ from the level kernels and the full difference history.  Per step the law
         + alpha/(2(2-alpha)) * a_0 * ||phi^n - phi^{n-1}||^2 / tau_n  <=  0
 
 holds whenever the mesh ratios respect the admissibility floor and the
-step sizes respect the physical cap.  The audit records the left-hand
-side for every step and classifies any positive value by which
-hypothesis (cap or ratio floor) was broken, if any.
+step sizes respect the physical cap.  dissipation_lhs evaluates the
+left-hand side over a finished run's columns, and the audit flags every
+positive value beyond round-off by the hypothesis (cap or ratio floor)
+that was broken, if any.
 
 G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
 whole history: kernels.distance_form, the same form dgs_forms checks,
@@ -29,17 +30,6 @@ import numpy as np
 
 from .grid import Grid2D, grad_energy, grid_sum
 from .kernels import KernelSet, distance_form, stored_form_coeffs
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Energies at one time level; dissipation_lhs is None at level 0."""
-
-    n: int
-    E: float
-    G_term: float
-    E_alpha: float
-    dissipation_lhs: float | None
 
 
 def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
@@ -80,15 +70,13 @@ def modified_energy(
     return E, G, np.append(moved, 0.0)
 
 
-def dissipation_lhs(prev_E_alpha: float, curr_E_alpha: float, local: float, tau_n: float,
-                    step_l2_sq: float) -> float:
-    """Left-hand side of the per-step dissipation law (nonpositive when it
-    holds) between the modified energies of levels n-1 and n; local is
-    kernels.local_coefficient alpha/(2-alpha) a_0 of the step's level, so
-    the damping is half of it."""
-    rate = (curr_E_alpha - prev_E_alpha) / tau_n
-    damping = 0.5 * local * step_l2_sq / tau_n
-    return float(rate + damping)
+def dissipation_lhs(E_alpha: np.ndarray, local: np.ndarray, tau: np.ndarray,
+                    step_l2_sq: np.ndarray) -> np.ndarray:
+    """Left-hand sides of the law (nonpositive where it holds), entry n-1
+    for step n, from E_alpha at levels 0..N and per step local (the level's
+    kernels.local_coefficient, so the damping is half of it), tau_n and
+    h^2 ||phi^n - phi^{n-1}||^2; elementwise, so each has its scalar bits."""
+    return np.diff(E_alpha) / tau + 0.5 * local * step_l2_sq / tau
 
 
 @dataclass(frozen=True)
@@ -118,31 +106,23 @@ class DissipationViolation:
             return f"step {self.n}: non-finite energy (lhs {self.lhs:.3e}, tol {self.tol:.1e})"
         if self.hypothesis_ok:
             return f"step {self.n}: dissipation law broken (lhs {self.lhs:.3e} > tol {self.tol:.1e})"
-        broken = []
-        if not self.cap_ok:
-            broken.append("step cap")
-        if not self.ratio_ok:
-            broken.append("ratio floor")
-        return (
-            f"step {self.n}: lhs {self.lhs:.3e} positive, hypothesis not met ({', '.join(broken)})"
-        )
+        broken = ", ".join(name for name, ok in (("step cap", self.cap_ok), ("ratio floor", self.ratio_ok))
+                           if not ok)
+        return f"step {self.n}: lhs {self.lhs:.3e} positive, hypothesis not met ({broken})"
 
 
-def dissipation_audit(records, cap_ok, ratio_ok):
-    """Flag steps with positive dissipation lhs beyond round-off, and every
-    step whose lhs or E_alpha is not finite.
+def dissipation_audit(traj):
+    """Violations of an unforced trajectory's dissipation law: the steps
+    whose lhs exceeds round-off, and every step whose lhs or E_alpha is
+    not finite, as one mask over its columns.
 
     The tolerance scales with the energy magnitude so the O(N^2) kernel
-    sums behind E_alpha do not trip the audit.  cap_ok / ratio_ok are the
-    per-step hypothesis flags (index 1..N) that classify the violations.
+    sums behind E_alpha do not trip the audit.  The per-step flags
+    traj.cap_ok and traj.ratio_ok classify the violations.
     """
-    out = []
-    for rec in records:
-        if rec.dissipation_lhs is None:
-            continue
-        tol = _DISSIPATION_REL_TOL * (1.0 + abs(rec.E_alpha))
-        if rec.dissipation_lhs > tol or not (math.isfinite(rec.dissipation_lhs) and math.isfinite(tol)):
-            n = rec.n
-            out.append(DissipationViolation(n, rec.dissipation_lhs, tol,
-                                            bool(cap_ok[n - 1]), bool(ratio_ok[n - 1])))
-    return out
+    lhs = traj.dissipation_lhs
+    tol = _DISSIPATION_REL_TOL * (1.0 + np.abs(traj.E_alpha[1:]))
+    bad = (lhs > tol) | ~(np.isfinite(lhs) & np.isfinite(tol))
+    return [DissipationViolation(i + 1, float(lhs[i]), float(tol[i]),
+                                 bool(traj.cap_ok[i]), bool(traj.ratio_ok[i]))
+            for i in np.flatnonzero(bad).tolist()]

@@ -234,6 +234,11 @@ class CoarsenSpec:
         outside = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
         if outside:
             raise ValueError(f"config key 'snapshot_times' has {outside} outside [0, T = {self.T:g}]")
+        times = sorted(set(self.snapshot_times))
+        clash = [(a, b) for a, b in zip(times, times[1:]) if f"{a:g}" == f"{b:g}"]
+        if clash:
+            raise ValueError(f"config key 'snapshot_times' has distinct times {clash[0]} that share "
+                             f"the file name snapshot_t{clash[0][0]:g}")
 
     def quick(self) -> "CoarsenSpec":
         """CI profile: short horizon, coarse grid, strict hypotheses; keeps
@@ -269,34 +274,35 @@ def run_coarsening(spec: CoarsenSpec) -> tuple:
     return traj, cfg
 
 
+def _reprs(column) -> list:
+    """The round-trip repr of each float of column."""
+    return [repr(x) for x in np.asarray(column, dtype=float).tolist()]
+
+
 def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -> list:
     """Emit energy.csv, the run's one per-step table, and the snapshot at
     each level_at(t); returns the paths.
 
     energy.csv has one row per level n with the columns n, t_n, tau_n, E,
     E_alpha, G_term, dissipation_lhs, max_norm, fp_iters, r_n, cap_ok and
-    ratio_ok: every float in round-trip repr, the flags as 1 or 0, and a
-    cell left empty where the level has no such value (the step columns at
-    n = 0, r_n below n = 2).
+    ratio_ok, read from the trajectory's columns: every float in
+    round-trip repr, the flags as 1 or 0, and a cell left empty where the
+    level has no such value (the step columns at n = 0, r_n at n = 1).
     """
     grid = Grid2D(M=spec.M, L=_STUDY_L)
     mesh = traj.mesh
+    t, E, E_alpha, G, norms = (_reprs(col) for col in
+                               (mesh.nodes, traj.E, traj.E_alpha, traj.G, traj.sup_norms))
     energy_path = os.path.join(outdir, "energy.csv")
     with open(energy_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "t_n", "tau_n", "E", "E_alpha", "G_term", "dissipation_lhs", "max_norm",
                     "fp_iters", "r_n", "cap_ok", "ratio_ok"])
-        for rec in traj.energy:
-            n = rec.n
-            if n == 0:
-                tau = iters = cap_ok = ratio_ok = ""
-            else:
-                tau, iters = repr(mesh.step(n)), int(traj.fp_iters[n - 1])
-                cap_ok, ratio_ok = int(traj.cap_ok[n - 1]), int(traj.ratio_ok[n - 1])
-            lhs = "" if rec.dissipation_lhs is None else repr(float(rec.dissipation_lhs))
-            w.writerow([n, repr(float(mesh.nodes[n])), tau, repr(float(rec.E)), repr(float(rec.E_alpha)),
-                        repr(float(rec.G_term)), lhs, repr(float(traj.sup_norms[n])), iters,
-                        repr(mesh.ratio(n)) if n >= 2 else "", cap_ok, ratio_ok])
+        w.writerow([0, t[0], "", E[0], E_alpha[0], G[0], "", norms[0], "", "", "", ""])
+        w.writerows(zip(range(1, mesh.num_steps + 1), t[1:], _reprs(mesh.steps), E[1:], E_alpha[1:],
+                        G[1:], _reprs(traj.dissipation_lhs), norms[1:], traj.fp_iters.tolist(),
+                        ["", *_reprs(mesh.ratios)], traj.cap_ok.astype(int).tolist(),
+                        traj.ratio_ok.astype(int).tolist()))
     paths = [energy_path]
     for t_snap in sorted(set(spec.snapshot_times)):
         n = traj.level_at(t_snap)

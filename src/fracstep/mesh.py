@@ -62,11 +62,6 @@ class TimeMesh:
         assert 1 <= k <= self.num_steps, f"step index {k} out of range"
         return float(self.steps[k - 1])
 
-    def ratio(self, k: int) -> float:
-        """r_k = tau_k / tau_{k-1} for 2 <= k <= N."""
-        assert 2 <= k <= self.num_steps, f"ratio index {k} out of range"
-        return float(self.ratios[k - 2])
-
     def offset_node(self, k: int, theta: float) -> float:
         """t_{k-theta} = t_{k-1} + (1-theta) tau_k, for 1 <= k <= N."""
         assert 0.0 < theta < 0.5, f"offset must lie in (0, 1/2), got {theta}"

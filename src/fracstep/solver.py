@@ -36,7 +36,9 @@ returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
 phi^0..phi^n.  One FieldHistory owns that stack and grows it in place
-by a quarter when full.
+by a quarter when full.  A run returns its record as columns
+(SolveTrajectory), the dissipation lhs and the hypothesis flags evaluated
+once, over the finished run.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyRecord, dissipation_lhs, modified_energy
+from .energy import dissipation_lhs, modified_energy
 from .grid import Grid2D, grid_sum, laplacian, norm_inf
 from .kernels import (
     KernelSet,
@@ -290,17 +292,27 @@ def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig):
 
 @dataclass
 class SolveTrajectory:
-    """Everything a run produced: mesh as built, fields, norms, energies, flags."""
+    """Everything a run produced, as columns: the mesh as built, the fields,
+    per level the sup norms and the energies E and G, and per step (entry
+    n - 1 for step n) the dissipation lhs, the sweeps and the two
+    hypothesis flags.  The energy columns are None for a forced run."""
 
     mesh: TimeMesh
     fields: np.ndarray
     sup_norms: np.ndarray
+    E: np.ndarray | None
+    G: np.ndarray | None
+    dissipation_lhs: np.ndarray | None
     fp_iters: np.ndarray
-    energy: list | None
     cap: float
     cap_ok: np.ndarray
     ratio_ok: np.ndarray
     history_capacity: int           # peak levels allocated in the field stack
+
+    @property
+    def E_alpha(self) -> np.ndarray | None:
+        """The modified energy E + G per level."""
+        return None if self.E is None else self.E + self.G
 
     @property
     def num_steps(self) -> int:
@@ -385,23 +397,26 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
     The energy law's two hypotheses are decided here, once: the ratio
-    floor r*(alpha) and the step cap.  Both are audited as per-step flags,
-    and an adaptive schedule's controller is handed the same two: the
-    floor always, the cap only when cfg.enforce_bound is set.  A strict run
-    raises StepCapError on the first step that its cap flag marks and
-    BoundViolation on the first level whose sup norm exceeds 1 + _BOUND_TOL.
-    An adaptive run raises ConvergenceError on a step tau with t_n + tau ==
-    t_n.  The final step, clipped to land on the horizon, may fall below the
-    floor; its ratio flag then reads False.
+    floor r*(alpha) and the step cap.  An adaptive schedule's controller is
+    handed the same two: the floor always, the cap only when
+    cfg.enforce_bound is set.  A strict run raises StepCapError on the
+    first step over the cap and BoundViolation on the first level whose
+    sup norm exceeds 1 + _BOUND_TOL.  An adaptive run raises
+    ConvergenceError on a step tau with t_n + tau == t_n.  The final step,
+    clipped to land on the horizon, may fall below the floor; its ratio
+    flag then reads False.
 
     phi^0..phi^n live in one FieldHistory, sized to the mesh (a fixed mesh
     never grows it) or to the warm-up of an adaptive schedule, which grows
     it in place by a quarter when full; on return it is shrunk in place to
     the used levels, and history_capacity reports the peak allocation.
     Energy is recorded exactly when cfg.forcing is None, as the law is
-    about the unforced equation: run then carries the squared distances of
-    G, which modified_energy maps to the next level's in one pass over the
-    stack.
+    about the unforced equation.  Per step the loop then maps G's squared
+    distances to the next level's (modified_energy, one pass over the
+    stack) and keeps the law's two scalars, local_coefficient and
+    h^2 ||phi^n - phi^{n-1}||^2.  The lhs and the flags (from the final
+    mesh's steps and ratios) are evaluated once the run is done: the nodes
+    are only ever appended, so each entry has the bits of its own step.
 
     One loop steps from the schedule's warm-up (a fixed mesh is its own) to
     schedule.horizon, which a fixed mesh reaches at its last node.  Only a
@@ -421,6 +436,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     phi0 = np.asarray(phi0, dtype=float)
     assert phi0.shape == (grid.M, grid.M), "initial data must match the grid"
     cap = step_size_cap(order.alpha, grid.h, cfg.epsilon)
+    cap_limit = cap * (1.0 + 1e-12)
     r_floor = min_step_ratio(order.alpha)
 
     mesh = schedule.warmup if isinstance(schedule, AdaptiveSchedule) else schedule
@@ -428,25 +444,21 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
 
     history = FieldHistory(phi0, mesh.num_steps + 1)
     sup_norms = [norm_inf(phi0)]
-    fp_iters = []
-    cap_ok = []
-    ratio_ok = []
-    records = None
-    if cfg.forcing is None:
+    fp_iters, step_sq, local = [], [], []
+    unforced = cfg.forcing is None
+    if unforced:
         E, G, dist = modified_energy(history.fields, None, None, cfg.epsilon, grid)
-        records = [EnergyRecord(0, E, G, E + G, None)]
+        energies, g_terms = [E], [G]
 
     fixed = mesh.num_steps      # levels that the run does not append itself
     block, block_hi = {}, 0
-    n = 0
-    change_norm = 0.0
+    n, change_norm = 0, 0.0
     while True:
         if n == mesh.num_steps:
             t_n = mesh.horizon
             if t_n >= horizon - 1e-12 * max(1.0, horizon):
                 break
-            tau_last = mesh.step(n)
-            tau = adaptive_next_step(tau_last, change_norm, schedule, r_floor,
+            tau = adaptive_next_step(mesh.step(n), change_norm, schedule, r_floor,
                                      cap if cfg.enforce_bound else None)
             if t_n + tau > horizon:
                 tau = horizon - t_n
@@ -456,11 +468,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             mesh = TimeMesh(np.append(mesh.nodes, t_n + tau))
         n += 1
         tau_n = mesh.step(n)
-        within_cap = tau_n <= cap * (1.0 + 1e-12)
-        if cfg.enforce_bound and not within_cap:
-            raise StepCapError(
-                f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} while the bound is enforced"
-            )
+        if cfg.enforce_bound and not tau_n <= cap_limit:
+            raise StepCapError(f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} "
+                               "while the bound is enforced")
         if block_hi < n <= fixed:
             block_hi, block = _kernel_block(mesh, order, n, fixed)
         kernels = block.get(n) or build_kernels(mesh, order, n)
@@ -468,29 +478,25 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
-        step_sq = grid.h**2 * grid_sum((phi - history.fields[-1]) ** 2)
+        step_sq.append(grid.h**2 * grid_sum((phi - history.fields[-1]) ** 2))
         history.push(phi)
         sup_norms.append(sup_norm)
         fp_iters.append(sweeps)
-        cap_ok.append(within_cap)
-        ratio_ok.append(n == 1 or mesh.ratio(n) >= r_floor * (1.0 - 1e-12))
-        change_norm = math.sqrt(step_sq) / tau_n
-        if records is not None:
+        change_norm = math.sqrt(step_sq[-1]) / tau_n
+        if unforced:
             E, G, dist = modified_energy(history.fields, dist, kernels, cfg.epsilon, grid)
-            lhs = dissipation_lhs(records[-1].E_alpha, E + G, local_coefficient(order, kernels),
-                                  tau_n, step_sq)
-            records.append(EnergyRecord(n, E, G, E + G, lhs))
+            energies.append(E)
+            g_terms.append(G)
+            local.append(local_coefficient(order, kernels))
 
     capacity = history.capacity     # the peak: a history only grows until it is shrunk
     history.shrink()
+    E = G = lhs = None
+    if unforced:
+        E, G = np.asarray(energies), np.asarray(g_terms)
+        lhs = dissipation_lhs(E + G, np.asarray(local), mesh.steps, np.asarray(step_sq))
     return SolveTrajectory(
-        mesh=mesh,
-        fields=history.fields,
-        sup_norms=np.asarray(sup_norms),
-        fp_iters=np.asarray(fp_iters, dtype=int),
-        energy=records,
-        cap=cap,
-        cap_ok=np.asarray(cap_ok, dtype=bool),
-        ratio_ok=np.asarray(ratio_ok, dtype=bool),
-        history_capacity=capacity,
+        mesh=mesh, fields=history.fields, sup_norms=np.asarray(sup_norms), E=E, G=G, dissipation_lhs=lhs,
+        fp_iters=np.asarray(fp_iters, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
+        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)), history_capacity=capacity,
     )

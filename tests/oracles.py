@@ -8,7 +8,8 @@ integrals have no closed form that is independent of the weight
 identities.  The rest are stateless recomputations that no run calls:
 the one-level endpoint gaps the vectorised kernel audit is compared with,
 the worst slack per property of an audit report, the history quadratic G
-from the fields, and the grid inner product and L2 norm.
+from the fields, the per-step scalar dissipation lhs, and the grid inner
+product and L2 norm.
 """
 
 from __future__ import annotations
@@ -251,6 +252,16 @@ def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
         d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
         dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
     return 0.5 * grid.h**2 * distance_form(stored_form_coeffs(aux_a), dist)
+
+
+def scalar_dissipation_lhs(prev_E_alpha: float, curr_E_alpha: float, local: float, tau_n: float,
+                           step_l2_sq: float) -> float:
+    """Left-hand side of step n's dissipation law from scalars, as a run
+    once evaluated it at each step: the reference for the column that
+    energy.dissipation_lhs evaluates over a finished run."""
+    rate = (curr_E_alpha - prev_E_alpha) / tau_n
+    damping = 0.5 * local * step_l2_sq / tau_n
+    return float(rate + damping)
 
 
 def inner(u: np.ndarray, v: np.ndarray, grid: Grid2D) -> float:

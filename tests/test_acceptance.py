@@ -218,12 +218,12 @@ def test_criterion_08_energy_dissipation(coarsen_runs):
     summary = {}
     for alpha in (0.4, 0.7, 0.9):
         traj = runs[alpha]
-        bad = dissipation_audit(traj.energy, cap_ok=traj.cap_ok, ratio_ok=traj.ratio_ok)
-        e_alpha = [rec.E_alpha for rec in traj.energy]
+        bad = dissipation_audit(traj)
+        e_alpha = traj.E_alpha.tolist()
         mono = all(
             b <= a + 1e-10 * (1.0 + abs(a)) for a, b in zip(e_alpha, e_alpha[1:])
         )
-        e = [rec.E for rec in traj.energy]
+        e = traj.E.tolist()
         summary[alpha] = (len(bad), mono, e[-1] < e[0], e_alpha[-1] < e_alpha[0])
     print(f"[criterion 8] per-alpha (violations, E_alpha monotone, E drops, "
           f"E_alpha drops): {summary}")
@@ -253,16 +253,16 @@ def test_criterion_09_integer_order_limit(coarsen_runs):
     for gap in _CN_GAPS:
         traj = run(SolverConfig(alpha=1.0 - gap, epsilon=0.3, grid=grid), mesh, phi0)
         diffs.append(max(norm_inf(traj.fields[n] - refs[n]) / norm_inf(refs[n]) for n in range(1, 21)))
-        gaps.append(max(abs(r.E_alpha - r.E) for r in traj.energy[1:]))
+        gaps.append(float(np.abs(traj.E_alpha - traj.E)[1:].max()))
     field_order, _ = fit_order([1.0 / gap for gap in _CN_GAPS], diffs)
     energy_order, _ = fit_order([1.0 / gap for gap in _CN_GAPS], gaps)
     worst_diff = diffs[-1]           # at 1 - alpha = 1e-6, the last run
-    worst_gap = max(abs(r.E_alpha - r.E) / abs(r.E) for r in traj.energy[1:])
+    worst_gap = float((np.abs(traj.E_alpha - traj.E) / np.abs(traj.E))[1:].max())
     elapsed = time.monotonic() - t0
 
     runs, _ = coarsen_runs
     sweep = {
-        a: max(abs(r.E_alpha - r.E) for r in runs[a].energy[1:])
+        a: float(np.abs(runs[a].E_alpha - runs[a].E)[1:].max())
         for a in (0.9, 0.95, 0.97)
     }
     print(f"[criterion 9] vs Crank-Nicolson: max relative diff {worst_diff:.3e} "
@@ -297,9 +297,8 @@ def test_criterion_10_steady_states_and_energy_collapse():
     )
     cfg = SolverConfig(alpha=0.5, epsilon=0.1, grid=grid)
     traj = run(cfg, build_uniform_mesh(12.0, 480), phi0)
-    G = np.array([rec.G_term for rec in traj.energy])
-    final = traj.energy[-1]
-    rel_gap = (final.E_alpha - final.E) / final.E
+    G = traj.G
+    rel_gap = (traj.E_alpha[-1] - traj.E[-1]) / traj.E[-1]
     tail = G[G.size * 3 // 4 :]
     tail_mono = bool(np.all(np.diff(tail) <= 1e-12 * (1.0 + np.abs(tail[:-1]))))
     elapsed = time.monotonic() - t0

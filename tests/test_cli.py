@@ -26,8 +26,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_cfg(tmp_path, name, payload):
+    # a str payload is written as it is: JSON that no dict dumps to
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -251,7 +252,8 @@ def test_coarsen_non_finite_energy_is_an_audit_failure(tmp_path, capsys, monkeyp
 
     def nan_at_last_step(spec):
         traj, cfg = real(spec)
-        traj.energy[-1] = dataclasses.replace(traj.energy[-1], E_alpha=math.nan, dissipation_lhs=math.nan)
+        traj.G[-1] = math.nan                   # E_alpha = E + G is nan, E stays finite
+        traj.dissipation_lhs[-1] = math.nan
         traj.cap_ok[-1] = False
         return traj, cfg
 
@@ -271,7 +273,7 @@ def test_coarsen_explained_dissipation_violation_is_a_note(tmp_path, capsys, mon
 
     def positive_at_last_step(spec):
         traj, cfg = real(spec)
-        traj.energy[-1] = dataclasses.replace(traj.energy[-1], dissipation_lhs=1.0)
+        traj.dissipation_lhs[-1] = 1.0
         traj.ratio_ok[-1] = False
         return traj, cfg
 
@@ -445,8 +447,11 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     # a horizon with nothing to run
     ("accuracy", dict(_TINY_ACCURACY, T=0), "T"),
     ("coarsen", dict(_TINY_COARSEN, T=0.005, snapshot_times=[]), "T"),
-    # a snapshot the run cannot reach
+    # a snapshot the run cannot reach, or two that would write one file
     ("coarsen", dict(_TINY_COARSEN, snapshot_times=[0.25, 2.0]), "snapshot_times"),
+    ("coarsen", dict(_TINY_COARSEN, snapshot_times=[0.0300000001, 0.25, 0.03]), "snapshot_times"),
+    # a key given twice: the last one would win, under the hash of the parsed config
+    ("rstar", '{"alphas": [0.3], "alphas": [0.5]}', "alphas"),
     # a mesh the accuracy study cannot build
     ("accuracy", dict(_TINY_ACCURACY, Ns=[0, -2]), "Ns[0]"),
     ("accuracy", dict(_TINY_ACCURACY, gammas=[0.5], Ns=[8, 16]), "gammas[0]"),
@@ -475,7 +480,8 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
         "repeated-gamma", "kernels-repeated-alpha", "rstar-repeated-alpha", "rstar-negative-seed",
         "no-Ns", "no-gammas",
         "kernels-no-alphas", "rstar-no-alphas", "accuracy-T-0", "coarsen-T-in-warm-up",
-        "snapshot-past-T", "non-positive-N", "gamma-below-1", "accuracy-alpha-1", "coarsen-alpha-0",
+        "snapshot-past-T", "snapshot-names-collide", "repeated-key", "non-positive-N", "gamma-below-1",
+        "accuracy-alpha-1", "coarsen-alpha-0",
         "kernels-alpha-1", "rstar-alpha-negative", "accuracy-alpha-underflows", "kernels-alpha-underflows",
         "coarsen-M-3", "epsilon-0", "epsilon-square-overflows", "tau_min-0", "tau_min-over-tau_max",
         "tau_max-negative", "eta-negative", "accuracy-M-3", "sigma-0", "eps2-0", "eps2-negative"])
@@ -484,6 +490,19 @@ def test_bad_config_exits_4_naming_the_key(tmp_path, capsys, subcommand, payload
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()                # rejected before any output is made
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_4(tmp_path, capsys, out):
+    # --out names an existing file, or a path under one: exit 4 naming
+    # --out and the path, not a traceback from makedirs
+    cfg = _write_cfg(tmp_path, "cfg.json", {"alphas": [0.5]})
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / out)
+    assert main(["rstar", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: --out {out} cannot be made a directory" in err
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_strict_tau_min_over_tau_max_is_a_config_error(tmp_path, capsys):
@@ -689,12 +708,14 @@ def test_every_module_imports_without_scipy():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # an imported name that its module never reads is dead code; the only
-    # exceptions are the package's re-exports (its __all__) and the name a
-    # perfbench hook reads through its module
+    # an imported name that its module never reads is dead code, in the
+    # package and in the tests alike; the only exceptions are the package's
+    # re-exports (its __all__) and the name a perfbench hook reads through
+    # its module
     hook_only = {("audits", "build_kernels")}      # perfbench/tracer.py hooks fracstep.audits.build_kernels
     unused = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(fracstep.__file__), "*.py"))):
+    package = sorted(glob.glob(os.path.join(os.path.dirname(fracstep.__file__), "*.py")))
+    for path in package + sorted(glob.glob(os.path.join(REPO, "tests", "*.py"))):
         module = os.path.basename(path)[:-3]
         with open(path) as fh:
             tree = ast.parse(fh.read())

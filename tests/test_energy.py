@@ -1,23 +1,25 @@
 """Free energy, history quadratic, and the dissipation audit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracstep.energy import (
     DissipationViolation,
-    EnergyRecord,
     dissipation_audit,
     dissipation_lhs,
     free_energy,
     modified_energy,
 )
-from fracstep.grid import Grid2D
-from fracstep.kernels import build_kernels, distance_form, stored_form_coeffs
+from fracstep.experiments import CoarsenSpec, run_coarsening
+from fracstep.grid import Grid2D, grid_sum
+from fracstep.kernels import (build_kernels, distance_form, local_coefficient, min_step_ratio,
+                              stored_form_coeffs)
 from fracstep.mesh import build_uniform_mesh
-from fracstep.solver import SolverConfig, run
-from oracles import _G_BLOCK, history_quadratic
+from fracstep.solver import SolverConfig, SolveTrajectory, run
+from oracles import _G_BLOCK, history_quadratic, scalar_dissipation_lhs
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,11 +79,10 @@ def test_modified_energy_level_zero():
     assert np.array_equal(dist, [0.0])  # the newest field's distance to itself
     assert G == 0.0
     assert E == free_energy(phi0, 0.5, g)
-    # run's record of level 0 carries these, with no dissipation lhs
+    # run's columns carry these at level 0, and the lhs column starts at step 1
     traj = run(SolverConfig(alpha=0.5, epsilon=0.5, grid=g), build_uniform_mesh(0.1, 1), phi0)
-    first = traj.energy[0]
-    assert (first.n, first.E, first.G_term, first.E_alpha) == (0, E, 0.0, E)
-    assert first.dissipation_lhs is None
+    assert (traj.E[0], traj.G[0], traj.E_alpha[0]) == (E, 0.0, E)
+    assert traj.dissipation_lhs.shape == (traj.num_steps,) == (1,)
 
 
 def test_modified_energy_steady_history():
@@ -120,25 +121,59 @@ def test_modified_energy_writes_none_of_its_arguments():
 
 def test_dissipation_lhs_arithmetic():
     # rate = (1.5 - 2) / 0.5 = -1, damping = 0.5 * (0.5/1.5) * 0.1 / 0.5 = 1/30
-    lhs = dissipation_lhs(2.0, 1.5, local=0.5 / 1.5, tau_n=0.5, step_l2_sq=0.1)
-    assert lhs == pytest.approx(-29.0 / 30.0, rel=1e-14)
-    assert isinstance(lhs, float)
+    lhs = dissipation_lhs(np.array([2.0, 1.5]), np.array([0.5 / 1.5]), np.array([0.5]), np.array([0.1]))
+    assert lhs.tolist() == pytest.approx([-29.0 / 30.0], rel=1e-14)
+    assert lhs.dtype == np.float64
+    assert lhs[0] == scalar_dissipation_lhs(2.0, 1.5, 0.5 / 1.5, 0.5, 0.1)
 
 
-def _rec(n, e_alpha, lhs):
-    return EnergyRecord(n=n, E=e_alpha, G_term=0.0, E_alpha=e_alpha, dissipation_lhs=lhs)
+@pytest.mark.parametrize("alpha", [0.4, 0.9])
+def test_run_columns_carry_the_bits_of_the_scalar_law(alpha):
+    # run evaluates the lhs and both flags once, over the finished run;
+    # recompute each step's from its scalar definition, as a run once did
+    # at the step, over a strict quick coarsen (its last step, clipped to
+    # the horizon, breaks the ratio floor at alpha 0.4)
+    traj, cfg = run_coarsening(replace(CoarsenSpec(alpha=alpha).quick(), M=8, seed=7))
+    mesh, grid = traj.mesh, cfg.grid
+    r_floor = min_step_ratio(alpha)
+    E_alpha = [float(e) + float(g) for e, g in zip(traj.E, traj.G, strict=True)]
+    lhs, cap_ok, ratio_ok = [], [], []
+    for n in range(1, traj.num_steps + 1):
+        tau_n = mesh.step(n)
+        local = local_coefficient(alpha, build_kernels(mesh, alpha, n))
+        step_sq = grid.h**2 * grid_sum((traj.fields[n] - traj.fields[n - 1]) ** 2)
+        lhs.append(scalar_dissipation_lhs(E_alpha[n - 1], E_alpha[n], local, tau_n, step_sq))
+        cap_ok.append(tau_n <= traj.cap * (1.0 + 1e-12))
+        ratio_ok.append(n == 1 or float(mesh.ratios[n - 2]) >= r_floor * (1.0 - 1e-12))
+    as_bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+    assert np.array_equal(as_bits(traj.E_alpha), as_bits(E_alpha))
+    assert np.array_equal(as_bits(traj.dissipation_lhs), as_bits(lhs))
+    assert traj.cap_ok.tolist() == cap_ok and traj.ratio_ok.tolist() == ratio_ok
+    assert len(lhs) == traj.num_steps > 100
+    assert ratio_ok[-1] == (alpha == 0.9)       # the False path is checked too
+
+
+def _traj(e_alpha, lhs, cap_ok, ratio_ok):
+    # a trajectory of len(lhs) unit steps whose E_alpha is e_alpha (G = 0)
+    N = len(lhs)
+    return SolveTrajectory(
+        mesh=build_uniform_mesh(float(N), N), fields=np.zeros((N + 1, 4, 4)), sup_norms=np.zeros(N + 1),
+        E=np.array(e_alpha, dtype=float), G=np.zeros(N + 1), dissipation_lhs=np.array(lhs, dtype=float),
+        fp_iters=np.ones(N, dtype=int), cap=1.0, cap_ok=np.array(cap_ok), ratio_ok=np.array(ratio_ok),
+        history_capacity=N + 1,
+    )
 
 
 def test_dissipation_audit_flags_and_classifies():
-    records = [
-        _rec(0, 3.0, None),
-        _rec(1, 2.9, -1e-3),
-        _rec(2, 2.95, 5e-4),   # positive: cap broken at step 2
-        _rec(3, 3.1, 2e-3),    # positive: clean hypothesis
-    ]
-    cap_ok = [True, False, True]
-    ratio_ok = [True, True, True]
-    out = dissipation_audit(records, cap_ok, ratio_ok)
+    traj = _traj(
+        [3.0, 2.9, 2.95, 3.1],
+        [-1e-3,
+         5e-4,     # positive: cap broken at step 2
+         2e-3],    # positive: clean hypothesis
+        cap_ok=[True, False, True],
+        ratio_ok=[True, True, True],
+    )
+    out = dissipation_audit(traj)
     assert [v.n for v in out] == [2, 3]
     assert not out[0].hypothesis_ok
     assert "step cap" in out[0].describe()
@@ -148,16 +183,14 @@ def test_dissipation_audit_flags_and_classifies():
 
 def test_dissipation_audit_tolerance_scales_with_energy():
     # a 1e-5 residual on a 1e6 energy is round-off, not a violation
-    records = [_rec(0, 1e6, None), _rec(1, 1e6, 1e-5)]
-    assert dissipation_audit(records, [True], [True]) == []
-    records = [_rec(0, 1.0, None), _rec(1, 1.0, 1e-5)]
-    assert len(dissipation_audit(records, [True], [True])) == 1
+    assert dissipation_audit(_traj([1e6, 1e6], [1e-5], [True], [True])) == []
+    assert len(dissipation_audit(_traj([1.0, 1.0], [1e-5], [True], [True]))) == 1
 
 
 def test_dissipation_audit_flags_non_finite_energies():
     # a broken hypothesis does not explain a nan, so the flags do not excuse it
-    records = [_rec(0, 3.0, None), _rec(1, math.nan, math.nan), _rec(2, 2.0, -math.inf)]
-    out = dissipation_audit(records, cap_ok=[False, True], ratio_ok=[False, True])
+    traj = _traj([3.0, math.nan, 2.0], [math.nan, -math.inf], cap_ok=[False, True], ratio_ok=[False, True])
+    out = dissipation_audit(traj)
     assert [v.n for v in out] == [1, 2]
     assert all(v.unexplained and not v.finite for v in out)
     assert not out[0].hypothesis_ok

@@ -2,7 +2,9 @@
 
 import csv
 import math
+import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from fracstep.experiments import (
     write_kernel_audit_csv,
     write_rstar_csv,
 )
-from fracstep.energy import EnergyRecord
 from fracstep.grid import Grid2D, load_raw
 from fracstep.mesh import build_uniform_mesh
 from fracstep.solver import SolveTrajectory
@@ -162,14 +163,17 @@ def test_coarsening_run_strict_mode():
     assert np.all(traj.sup_norms <= 1.0 + 1e-10)
     assert np.all(traj.cap_ok)
     assert traj.level_at(0.5) == traj.num_steps
-    e_alpha = [rec.E_alpha for rec in traj.energy]
+    e_alpha = traj.E_alpha.tolist()
     assert all(b <= a + 1e-10 * (1 + abs(a)) for a, b in zip(e_alpha, e_alpha[1:]))
 
 
 def test_coarsening_outputs(tmp_path):
-    spec = _tiny_coarsen_spec()
+    # a repeated snapshot time is written once
+    spec = replace(_tiny_coarsen_spec(), snapshot_times=(0.5, 0.25, 0.5))
     traj, _ = run_coarsening(spec)
     paths = write_coarsening_outputs(tmp_path, spec, traj)
+    assert [os.path.basename(p) for p in paths] == ["energy.csv", "snapshot_t0.25.pgm", "snapshot_t0.25.raw",
+                                                   "snapshot_t0.5.pgm", "snapshot_t0.5.raw"]
     names = {p.split("/")[-1] for p in map(str, paths)}
     assert {"energy.csv", "snapshot_t0.5.pgm", "snapshot_t0.5.raw"} <= names
     # energy.csv is the one per-step table: no mesh.csv beside it
@@ -188,16 +192,12 @@ def test_coarsening_outputs(tmp_path):
     assert rows[0]["cap_ok"] == rows[0]["ratio_ok"] == ""
 
 
-def _rec(n, e_alpha, lhs):
-    return EnergyRecord(n=n, E=e_alpha, G_term=0.0, E_alpha=e_alpha, dissipation_lhs=lhs)
-
-
 def test_energy_csv_layout(tmp_path):
     mesh = build_uniform_mesh(1.0, 2)
-    records = [_rec(0, 2.0, None), _rec(1, 1.9, -1e-4), _rec(2, 1.8, -2e-4)]
     traj = SolveTrajectory(
         mesh=mesh, fields=np.zeros((3, 4, 4)), sup_norms=np.array([0.9, 0.91, 0.92]),
-        fp_iters=np.array([3, 2]), energy=records, cap=0.6, cap_ok=np.array([True, False]),
+        E=np.array([2.0, 1.9, 1.8]), G=np.zeros(3), dissipation_lhs=np.array([-1e-4, -2e-4]),
+        fp_iters=np.array([3, 2]), cap=0.6, cap_ok=np.array([True, False]),
         ratio_ok=np.array([True, False]), history_capacity=3,
     )
     spec = CoarsenSpec(alpha=0.5, T=1.0, M=4, snapshot_times=())

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.energy import EnergyRecord
 from fracstep.experiments import CoarsenSpec, write_coarsening_outputs
 from fracstep.mesh import (
     AdaptiveSchedule,
@@ -32,8 +31,7 @@ def test_timemesh_accessors():
     assert mesh.num_steps == 3
     assert mesh.horizon == 1.0
     assert mesh.step(2) == pytest.approx(0.3)
-    assert mesh.ratio(2) == pytest.approx(3.0)
-    assert mesh.ratio(3) == pytest.approx(2.0)
+    assert mesh.ratios.tolist() == pytest.approx([3.0, 2.0])     # r_2, r_3
     # offset node sits strictly inside the step for theta in (0, 1/2)
     t_off = mesh.offset_node(3, 0.25)
     assert mesh.nodes[2] < t_off < mesh.nodes[3]
@@ -43,20 +41,20 @@ def test_timemesh_accessors():
 def test_graded_gamma_one_is_uniform():
     mesh = build_graded_mesh(1.0, 4, 1.0)
     assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose([mesh.ratio(k) for k in (2, 3, 4)], 1.0)
+    assert mesh.ratios.shape == (3,) and np.allclose(mesh.ratios, 1.0)
 
 
 def test_graded_gamma_two_exact_powers():
     mesh = build_graded_mesh(1.0, 4, 2.0)
     assert np.allclose(mesh.nodes, [0.0, 1 / 16, 4 / 16, 9 / 16, 1.0])
-    assert [mesh.ratio(k) for k in (2, 3, 4)] == pytest.approx([3.0, 5 / 3, 7 / 5])
+    assert mesh.ratios.tolist() == pytest.approx([3.0, 5 / 3, 7 / 5])
 
 
 def test_graded_coarsening_warmup_ratios():
     # the warm-up mesh used by the coarsening runs: largest ratio is r_2 = 7,
     # ratios then decrease monotonically toward 1
     mesh = build_graded_mesh(0.01, 30, 3.0)
-    ratios = np.array([mesh.ratio(k) for k in range(2, 31)])
+    ratios = mesh.ratios                # r_2..r_30
     assert ratios[0] == pytest.approx(7.0, rel=1e-13)
     assert ratios.min() > 1.0
     assert np.all(np.diff(ratios) < 0.0)
@@ -146,7 +144,7 @@ def test_random_ratio_mesh_respects_bounds():
     hit_floor = 0
     for _ in range(50):
         mesh = random_ratio_mesh(rng, 12, 0.39)
-        ratios = np.array([mesh.ratio(k) for k in range(2, 13)])
+        ratios = mesh.ratios            # r_2..r_12
         assert np.all(ratios >= 0.39 * (1.0 - 1e-12))
         assert np.all(ratios <= 4.0 * (1.0 + 1e-12))
         hit_floor += int(np.any(np.isclose(ratios, 0.39)))
@@ -160,7 +158,7 @@ def test_energy_csv_round_trips_the_mesh(tmp_path):
     N = mesh.num_steps
     traj = SolveTrajectory(
         mesh=mesh, fields=np.zeros((N + 1, 4, 4)), sup_norms=np.zeros(N + 1), fp_iters=np.ones(N, dtype=int),
-        energy=[EnergyRecord(n, 0.0, 0.0, 0.0, None if n == 0 else 0.0) for n in range(N + 1)],
+        E=np.zeros(N + 1), G=np.zeros(N + 1), dissipation_lhs=np.zeros(N),
         cap=1.0, cap_ok=np.ones(N, dtype=bool), ratio_ok=np.ones(N, dtype=bool),
         history_capacity=N + 1,
     )
@@ -176,4 +174,4 @@ def test_energy_csv_round_trips_the_mesh(tmp_path):
     assert rows[1][2] == rows[1][9] == rows[2][9] == ""
     last = rows[-1]
     assert float(last[1]) == pytest.approx(0.5)
-    assert float(last[9]) == pytest.approx(mesh.ratio(6))
+    assert float(last[9]) == pytest.approx(mesh.ratios[-1])

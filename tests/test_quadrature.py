@@ -1,7 +1,5 @@
 """Quadrature oracles against the closed-form weights."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -187,7 +187,7 @@ def test_maximum_bound_random_data():
     assert np.all(traj.cap_ok)
     assert np.all(traj.ratio_ok)
     # unforced flow dissipates the modified energy
-    e_alpha = [rec.E_alpha for rec in traj.energy]
+    e_alpha = traj.E_alpha.tolist()
     assert all(b <= a + 1e-10 for a, b in zip(e_alpha, e_alpha[1:]))
 
 
@@ -237,8 +237,9 @@ def test_run_records_energy_exactly_when_unforced():
     phi0 = np.random.default_rng(2).uniform(-0.5, 0.5, (8, 8))
     forced = run(SolverConfig(alpha=0.5, epsilon=0.5, grid=g, forcing=forcing), mesh, phi0)
     unforced = run(SolverConfig(alpha=0.5, epsilon=0.5, grid=g), mesh, phi0)
-    assert forced.energy is None
-    assert [rec.n for rec in unforced.energy] == list(range(mesh.num_steps + 1))
+    assert forced.E is forced.G is forced.E_alpha is forced.dissipation_lhs is None
+    assert len(unforced.E) == len(unforced.G) == len(unforced.E_alpha) == mesh.num_steps + 1
+    assert len(unforced.dissipation_lhs) == mesh.num_steps
 
 
 def test_fixed_point_stall_raises(monkeypatch):
@@ -407,7 +408,7 @@ def test_predictor_cuts_sweeps_on_a_strict_coarsen(monkeypatch):
     plain, _ = run_coarsening(spec)
 
     def worst_margin(t):
-        return max(r.dissipation_lhs / (1e-10 * (1.0 + abs(r.E_alpha))) for r in t.energy[1:])
+        return max(t.dissipation_lhs / (1e-10 * (1.0 + np.abs(t.E_alpha[1:]))))
 
     assert traj.num_steps == plain.num_steps
     assert traj.fp_iters.sum() <= 0.7 * plain.fp_iters.sum()
@@ -451,7 +452,7 @@ def test_run_deterministic():
     t1 = run(cfg, mesh, phi0)
     t2 = run(cfg, mesh, phi0)
     assert np.array_equal(t1.fields[-1], t2.fields[-1])
-    assert [r.E_alpha for r in t1.energy] == [r.E_alpha for r in t2.energy]
+    assert t1.E_alpha.tolist() == t2.E_alpha.tolist()
 
 
 def test_manufactured_solution_tracked():
@@ -539,8 +540,8 @@ def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes():
     assert np.array_equal(grown.fields, fixed.fields)
     assert np.array_equal(grown.sup_norms, fixed.sup_norms)
     assert np.array_equal(grown.fp_iters, fixed.fp_iters)
-    for a, b in zip(grown.energy, fixed.energy, strict=True):
-        assert (a.E, a.E_alpha, a.dissipation_lhs) == (b.E, b.E_alpha, b.dissipation_lhs)
+    for column in ("E", "E_alpha", "dissipation_lhs"):
+        assert np.array_equal(getattr(grown, column), getattr(fixed, column)), column
 
 
 def test_run_shrinks_a_grown_history_to_its_levels():
@@ -612,7 +613,7 @@ def test_carried_distances_match_recomputed_G_at_every_step():
         oracle = history_quadratic(f[: n + 1], aux_a, grid)
         weight = 0.5 * grid.h**2 * np.abs(c).sum()
         bound = weight * (drift + 2 * m2 * eps * dist_max) + 2 * eps * oracle
-        assert abs(traj.energy[n].G_term - oracle) <= bound, n
+        assert abs(traj.G[n] - oracle) <= bound, n
 
 
 _THREADED_RUN = """
@@ -625,7 +626,7 @@ from fracstep.solver import SolverConfig, run
 grid = Grid2D(M=16, L=2.0 * np.pi)
 phi0 = 0.5 * np.sin(grid.coords()[0]) * np.cos(grid.coords()[1])
 traj = run(SolverConfig(alpha=0.4, epsilon=0.3, grid=grid), build_graded_mesh(0.5, 80, 2.0), phi0)
-energies = np.array([(r.E, r.G_term, r.E_alpha) for r in traj.energy])
+energies = np.column_stack([traj.E, traj.G, traj.E_alpha])
 sys.stdout.write(traj.fields.tobytes().hex() + " " + energies.tobytes().hex())
 """
 
@@ -724,14 +725,14 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
 
 @pytest.mark.parametrize("alpha, mesh, warned", [
     (1e-300, build_uniform_mesh(0.1, 6), []),
-    (0.5, build_uniform_mesh(1e-300, 6), ["energy.py", "kernels.py"]),
+    (0.5, build_uniform_mesh(1e-300, 6), ["kernels.py"]),
 ], ids=["tiny-alpha", "tiny-mesh"])
 def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, mesh, warned, monkeypatch):
     # level 1 is sound and level 2 has no positive moment weights, so the
     # block of all six levels raises: the run must still take step 1 and
     # fail at step 2 with the warnings and the exception of building every
-    # level on its own; on the tiny mesh step 1's energy warns before
-    # level 2's weights do
+    # level on its own; on the tiny mesh only level 2's weights warn, as
+    # run evaluates step 1's dissipation lhs only once the whole run is done
     cfg = _cfg(alpha=alpha)
     phi0 = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 8))
     outcomes = []
