@@ -29,7 +29,7 @@ from .kernels import (
 )
 from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, save_pgm, save_raw
 from .energy import dissipation_audit, free_energy, modified_energy
-from .audits import AuditReport, audit_kernel_properties
+from .audits import AuditReport, AuditSummary, audit_kernel_properties
 from .solver import (
     BoundViolation,
     ConvergenceError,
@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveSchedule",
     "AuditReport",
+    "AuditSummary",
     "BoundViolation",
     "ConvergenceError",
     "FracOrder",

@@ -10,7 +10,9 @@ together: every level's kernels of every mesh come from one kernel_tables
 pass, each property is evaluated as one array expression over all meshes
 and levels, and the call returns one report of read-only columns: the
 (n, property, k) layout the meshes share, and lhs and rhs by mesh and row,
-rather than one object per check.
+rather than one object per check.  A report folds into an AuditSummary,
+one row per mesh and property and the violating rows, which is what a
+run of many audits keeps.
 
 Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta).
 A report groups its rows by property in this order (the properties that
@@ -65,23 +67,36 @@ _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack 
 
 class AuditReport:
     """All audit rows of one call, for one or more meshes, held as
-    read-only copies of its columns.
+    read-only columns: copies of the ones a caller passes, and the
+    audit's own block itself.
 
     n, code and k are 1-D and give the row layout that every mesh shares:
     code indexes names, its rows are grouped by property in names order,
     and every name has rows.  lhs and rhs are (meshes, rows), row m being
     mesh m's; a 1-D lhs or rhs is one mesh's.  len() is meshes x rows, and
     iteration yields each mesh's AuditEntry rows in turn.  summary()
-    condenses the rows per mesh and property, and
-    experiments.write_kernel_audit_csv writes that summary and the
-    violations() rows.
+    condenses the rows per mesh and property, and fold() keeps that
+    summary and the violations() rows, which is all that
+    experiments.write_kernel_audit_csv writes.
     """
 
     def __init__(self, names, n, code, k, lhs, rhs):
+        # copies, so that a caller's array is never made read-only behind its back
+        self._adopt(names, *(np.array(c, dtype=np.int64) for c in (n, code, k)),
+                    *(np.array(c, dtype=np.float64, ndmin=2) for c in (lhs, rhs)))
+
+    @classmethod
+    def _of_block(cls, names, n, code, k, block) -> "AuditReport":
+        """The report of _audit's layout and (2, meshes, rows) block, which
+        it takes over instead of copying: nothing else holds the block."""
+        report = cls.__new__(cls)
+        report._adopt(names, *(np.asarray(c, dtype=np.int64) for c in (n, code, k)), *block)
+        return report
+
+    def _adopt(self, names, n, code, k, lhs, rhs) -> None:
+        """Take the typed columns as the report's own, read-only, and check their layout."""
         self.names = tuple(names)
-        self.n, self.code, self.k = (np.array(c, dtype=np.int64) for c in (n, code, k))
-        self.lhs, self.rhs = (np.array(c, dtype=np.float64, ndmin=2) for c in (lhs, rhs))
-        cols = (self.n, self.code, self.k, self.lhs, self.rhs)
+        self.n, self.code, self.k, self.lhs, self.rhs = cols = (n, code, k, lhs, rhs)
         for col in cols:
             col.flags.writeable = False
         if len({self.n.shape, self.code.shape, self.k.shape, self.lhs.shape[1:]}) != 1 \
@@ -146,6 +161,40 @@ class AuditReport:
         return (np.diff(self._bounds), np.array(bad, dtype=np.int64).reshape(shape).T,
                 np.array(worst, dtype=np.int64).reshape(shape).T)
 
+    def fold(self) -> "AuditSummary":
+        """The report condensed to what the kernel audit's outputs read:
+        summary()'s counts, the n, k, lhs and rhs of its worst rows, and
+        the violations() pairs."""
+        checks, bad, worst = self.summary()
+        cols = (checks, bad, self.n[worst], self.k[worst],
+                np.take_along_axis(self.lhs, worst, axis=1), np.take_along_axis(self.rhs, worst, axis=1))
+        for col in cols:
+            col.flags.writeable = False
+        return AuditSummary(self.names, *cols, tuple(self.violations()))
+
+
+@dataclass(frozen=True, eq=False)
+class AuditSummary:
+    """An AuditReport folded to one row per mesh and property, so that a
+    run of many audits keeps no (meshes, rows) column: the names, the
+    check count of each property in names order, and as read-only
+    (meshes, names) arrays each mesh's violation count per property (bad)
+    and the n, k, lhs and rhs of its first row of least slack (worst_*),
+    with the report's violations() pairs.  len() is the report's.
+    AuditReport.fold() builds it."""
+
+    names: tuple
+    checks: np.ndarray
+    bad: np.ndarray
+    worst_n: np.ndarray
+    worst_k: np.ndarray
+    worst_lhs: np.ndarray
+    worst_rhs: np.ndarray
+    violations: tuple       # (mesh, AuditEntry), mesh by mesh
+
+    def __len__(self) -> int:
+        return len(self.bad) * int(self.checks.sum())
+
 
 def _gaps(a: np.ndarray, wp: np.ndarray):
     """(I, J) by offset m = n - k from the weights a by offset m and w' by
@@ -188,9 +237,8 @@ def audit_kernel_properties(meshes, order, n_max: int) -> AuditReport:
     levels = sorted({min(n_max, mesh.num_steps) for mesh in meshes})
     if len(levels) != 1:
         raise ValueError(f"the meshes must all reach one level min(n_max, num_steps), got levels {levels}")
-    # the pass's tables are freed when _audit returns, before the report copies its block
-    *layout, block = _audit(meshes, order, levels[0])
-    return AuditReport(*layout, *block)
+    # the pass's tables are freed when _audit returns, and the report takes over its block
+    return AuditReport._of_block(*_audit(meshes, order, levels[0]))
 
 
 def _audit(meshes, order: FracOrder, n_max: int) -> tuple:

@@ -3,7 +3,10 @@ kernel certification, and the step-ratio root table.
 
 Each driver is a plain function from a parameter dataclass to an in-memory
 result; file emission (CSV, PGM, raw fields) is separated so tests can
-inspect results without touching the filesystem.
+inspect results without touching the filesystem.  The kernel certification
+keeps only what its files need: each alpha's audit is folded into an
+AuditSummary as soon as it returns, so its memory does not grow with the
+number of alphas.
 """
 
 from __future__ import annotations
@@ -340,7 +343,7 @@ class KernelAuditSpec:
 
 @dataclass
 class KernelAuditResult:
-    reports: list              # (alpha, AuditReport of its meshes)
+    summaries: list            # (alpha, AuditSummary of its meshes' AuditReport)
     dgs_residual: float        # worst relative DGS identity residual, nan if any is not finite
     dgs_min_G: float
     dgs_min_R: float
@@ -348,12 +351,12 @@ class KernelAuditResult:
 
     @functools.cached_property
     def total_checks(self) -> int:
-        return sum(len(report) for _, report in self.reports)
+        return sum(len(summary) for _, summary in self.summaries)
 
     @functools.cached_property
     def violations(self) -> list:
-        """(alpha, mesh index, AuditEntry) of every report's violations(), in report order."""
-        return [(alpha, m, bad) for alpha, report in self.reports for m, bad in report.violations()]
+        """(alpha, mesh index, AuditEntry) of every summary's violations, in alpha order."""
+        return [(alpha, m, bad) for alpha, summary in self.summaries for m, bad in summary.violations]
 
 
 def dgs_case(rng, alpha: float, n: int, r_min: float):
@@ -372,16 +375,29 @@ def dgs_case(rng, alpha: float, n: int, r_min: float):
     return lhs, rhs, G_n, G_prev, R_n
 
 
+def kernel_audit_meshes(spec: KernelAuditSpec, rng):
+    """Yield (alpha, meshes) for each of spec.alphas in turn: the
+    spec.num_meshes random meshes of spec.n_max steps, with ratios at least
+    r*(alpha), that run_kernel_audit audits for alpha, drawn from rng as the
+    generator advances.  Given default_rng(spec.seed), it redraws the
+    fuzz's meshes, from which audit_kernel_properties rebuilds each alpha's
+    per-check rows."""
+    for alpha in spec.alphas:
+        r_star = min_step_ratio(alpha)
+        yield alpha, [random_ratio_mesh(rng, spec.n_max, r_star) for _ in range(spec.num_meshes)]
+
+
 def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
     """Fuzz admissible meshes, audit every kernel inequality (the meshes of
     one alpha in one call), and check the gradient-structure identity on
-    random histories."""
+    random histories.
+
+    Each alpha's AuditReport is folded into its AuditSummary as soon as it
+    is audited, so the rows of one alpha at most are held at a time; the
+    DGS histories draw from the generator after every alpha's meshes."""
     rng = np.random.default_rng(spec.seed)
-    reports = []
-    for alpha in spec.alphas:
-        r_star = min_step_ratio(alpha)
-        meshes = [random_ratio_mesh(rng, spec.n_max, r_star) for _ in range(spec.num_meshes)]
-        reports.append((alpha, audit_kernel_properties(meshes, as_order(alpha), spec.n_max)))
+    summaries = [(alpha, audit_kernel_properties(meshes, as_order(alpha), spec.n_max).fold())
+                 for alpha, meshes in kernel_audit_meshes(spec, rng)]
 
     residuals, Gs, Rs = [], [], []
     for _ in range(spec.dgs_histories):
@@ -394,7 +410,7 @@ def run_kernel_audit(spec: KernelAuditSpec) -> KernelAuditResult:
         Rs.append(R_n)
     # numpy's max, min and argmax propagate nan, where Python's max and min skip it
     worst_at = int(np.argmax(residuals)) if residuals else 0
-    return KernelAuditResult(reports, float(np.max(residuals, initial=0.0)),
+    return KernelAuditResult(summaries, float(np.max(residuals, initial=0.0)),
                              float(np.min(Gs, initial=math.inf)), float(np.min(Rs, initial=math.inf)),
                              worst_at)
 
@@ -407,8 +423,8 @@ def write_kernel_audit_csv(outdir, result: KernelAuditResult) -> list:
     clean.  Returns both paths.
 
     Every lhs, rhs and summary slack is written as round-trip %.16e; the
-    per-check rows stay reproducible from (config, seed) through
-    run_kernel_audit.
+    per-check rows stay reproducible from (config, seed): kernel_audit_meshes
+    redraws each alpha's meshes for audit_kernel_properties.
     """
     summary_path = os.path.join(outdir, "kernel_audit.csv")
     violations_path = os.path.join(outdir, "kernel_violations.csv")
@@ -416,13 +432,11 @@ def write_kernel_audit_csv(outdir, result: KernelAuditResult) -> list:
         w = csv.writer(fh)
         w.writerow(["alpha", "mesh", "property", "checks", "violations",
                     "worst_n", "worst_k", "worst_lhs", "worst_rhs", "worst_slack"])
-        for alpha, report in result.reports:
-            checks, bad, worst = report.summary()
-            for m, (counts, i) in enumerate(zip(bad.tolist(), worst)):
-                cols = zip(report.names, checks.tolist(), counts, report.n[i].tolist(), report.k[i].tolist(),
-                           report.lhs[m, i].tolist(), report.rhs[m, i].tolist())
+        for alpha, s in result.summaries:
+            per_mesh = zip(*(col.tolist() for col in (s.bad, s.worst_n, s.worst_k, s.worst_lhs, s.worst_rhs)))
+            for m, cols in enumerate(per_mesh):
                 w.writerows([float(alpha), m, prop, c, v, n, k, f"{x:.16e}", f"{y:.16e}", f"{x - y:.16e}"]
-                            for prop, c, v, n, k, x, y in cols)
+                            for prop, c, v, n, k, x, y in zip(s.names, s.checks.tolist(), *cols))
     with open(violations_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"])

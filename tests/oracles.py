@@ -7,7 +7,7 @@ each other.  The quadratures also back the curvature diagnostics, whose
 integrals have no closed form that is independent of the weight
 identities.  The rest are stateless recomputations that no run calls:
 the one-level endpoint gaps the vectorised kernel audit is compared with,
-the worst slack per property of an audit report, the history quadratic G
+the worst slack per property of an audit report or summary, the history quadratic G
 from the fields, the per-step scalar dissipation lhs, and the grid inner
 product and L2 norm.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from fracstep.audits import AuditReport, _gaps
+from fracstep.audits import AuditReport, AuditSummary, _gaps
 from fracstep.grid import Grid2D, grid_sum
 from fracstep.kernels import (FracOrder, KernelSet, _offset_geometry, as_order, distance_form,
                               stored_form_coeffs)
@@ -220,12 +220,14 @@ def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
     return _gaps(kernels.a, np.concatenate(([np.nan], wp[::-1])))
 
 
-def worst_slack(report: AuditReport):
+def worst_slack(audit: AuditReport | AuditSummary):
     """Minimum slack per mesh and property, as one {prop: (slack, n, k)} per
-    mesh in names order, read from the worst rows of report.summary()."""
-    worst = report.summary()[2].tolist()
-    return [{e.prop: (e.slack, e.n, e.k) for e in (report._entry(m, i) for i in rows)}
-            for m, rows in enumerate(worst)]
+    mesh in names order, read from the worst_* columns of a summary (a
+    report is folded first, so they are the worst rows of its summary())."""
+    s = audit.fold() if isinstance(audit, AuditReport) else audit
+    cols = (s.worst_n, s.worst_k, s.worst_lhs, s.worst_rhs)
+    return [{prop: (x - y, n, k) for prop, n, k, x, y in zip(s.names, *row)}
+            for row in zip(*(col.tolist() for col in cols))]
 
 
 # -- stateless recomputations of carried or reduced field quantities ---------

@@ -153,7 +153,8 @@ def test_criterion_04_gradient_structure_identity(kernel_audit):
 
 def test_criterion_05_kernel_inequality_audit(kernel_audit):
     result, elapsed = kernel_audit
-    min_slack = min(s for _, rep in result.reports for worst in worst_slack(rep) for s, _, _ in worst.values())
+    min_slack = min(s for _, summary in result.summaries for worst in worst_slack(summary)
+                    for s, _, _ in worst.values())
     print(f"[criterion 5] {result.total_checks} inequality checks, "
           f"{len(result.violations)} violations (min slack {min_slack:.1e}), "
           f"{elapsed:.1f}s")

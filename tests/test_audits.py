@@ -13,7 +13,13 @@ from fracstep.audits import (
     _gaps,
     audit_kernel_properties,
 )
-from fracstep.experiments import KernelAuditResult, KernelAuditSpec, run_kernel_audit, write_kernel_audit_csv
+from fracstep.experiments import (
+    KernelAuditResult,
+    KernelAuditSpec,
+    kernel_audit_meshes,
+    run_kernel_audit,
+    write_kernel_audit_csv,
+)
 from fracstep.kernels import as_order, build_kernels, comparison_factor, kernel_tables, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.special import omega
@@ -231,9 +237,37 @@ def _mesh_rows(report, m):
     return list(report)[m * report.n.size : (m + 1) * report.n.size]
 
 
+def _rebuilt_reports(spec):
+    # each alpha's per-check rows, from the meshes the fuzz of spec draws
+    rng = np.random.default_rng(spec.seed)
+    return [(alpha, audit_kernel_properties(meshes, alpha, spec.n_max))
+            for alpha, meshes in kernel_audit_meshes(spec, rng)]
+
+
+def _entry_bits(violations):
+    # each (mesh, AuditEntry) with its floats as bits, so that nans compare
+    return [(m, e.n, e.prop, e.k, np.float64(e.lhs).tobytes(), np.float64(e.rhs).tobytes())
+            for m, e in violations]
+
+
+def _assert_same_summary(got, want):
+    # bit for bit: names, len(), every column's dtype, shape and bytes, and the violations
+    assert got.names == want.names and len(got) == len(want)
+    for name in ("checks", "bad", "worst_n", "worst_k", "worst_lhs", "worst_rhs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert _entry_bits(got.violations) == _entry_bits(want.violations)
+
+
 def _audit_results():
-    fuzzed = run_kernel_audit(KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4))
+    # (result, the (alpha, AuditReport) pairs it was folded from)
+    spec = KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=3, n_max=8, dgs_histories=2, seed=4)
+    results = [(run_kernel_audit(spec), _rebuilt_reports(spec))]
     fixed = [(alpha, audit_kernel_properties([mesh], alpha, n_max)) for mesh, alpha, n_max in _audit_meshes()[:2]]
+    # a fuzz below the ratio floor, which breaks kernel_decreasing
+    below = [(alpha, audit_kernel_properties(meshes, alpha, 10))
+             for alpha, meshes in _fuzz_meshes((0.1,), 6, 10, floor=0.8).items()]
+    assert any(report.violations() for _, report in below)
     # values a summary could get wrong: signed zeros, nans (one with a payload), infinities, subnormals
     nan_payload = float(np.array(0x7FF8000000000001).view(np.float64))
     special = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf, 5e-324, -2.5e-310]
@@ -247,9 +281,8 @@ def _audit_results():
     empty = AuditReport((), [], [], [], np.empty((2, 0)), np.empty((2, 0)))
     hand = [(0.5, _stack(_report(rows), ties)), (0.75, empty), (0.625, _report(rows[:9])),
             (0.25, same_columns), (0.125, _stack(_report(rows[-2:] + floor), swapped))]
-    results = [fuzzed]
-    for reports in (fixed, hand):
-        results.append(KernelAuditResult(reports, 0.0, 0.0, 0.0))
+    for reports in (fixed, below, hand):
+        results.append((KernelAuditResult([(alpha, r.fold()) for alpha, r in reports], 0.0, 0.0, 0.0), reports))
     return results
 
 
@@ -259,19 +292,23 @@ def _read_rows(path):
 
 
 def test_kernel_audit_summary_matches_report_columns(tmp_path):
-    for result in _audit_results():
+    for result, reports in _audit_results():
+        # the result keeps each report's fold, and the files are checked against the report
+        assert [alpha for alpha, _ in result.summaries] == [alpha for alpha, _ in reports]
+        for (_, summary), (_, report) in zip(result.summaries, reports):
+            _assert_same_summary(summary, report.fold())
         paths = write_kernel_audit_csv(tmp_path, result)
         assert paths == [str(tmp_path / "kernel_audit.csv"), str(tmp_path / "kernel_violations.csv")]
         header, *summary = _read_rows(paths[0])
         assert header == ["alpha", "mesh", "property", "checks", "violations",
                           "worst_n", "worst_k", "worst_lhs", "worst_rhs", "worst_slack"]
         assert [(float(a), int(m), p) for a, m, p, *_ in summary] == \
-            [(alpha, m, p) for alpha, r in result.reports for m in range(len(r.lhs)) for p in r.names]
+            [(alpha, m, p) for alpha, r in reports for m in range(len(r.lhs)) for p in r.names]
         assert sum(int(row[3]) for row in summary) == result.total_checks
         assert sum(int(row[4]) for row in summary) == len(result.violations)
-        reports = dict(result.reports)
+        by_alpha = dict(reports)
         for a, m, prop, checks, bad, n, k, lhs, rhs, slack in summary:
-            report = reports[float(a)]
+            report = by_alpha[float(a)]
             entries = [e for e in _mesh_rows(report, int(m)) if e.prop == prop]
             assert int(checks) == len(entries)
             assert int(bad) == len(_violations_loop(entries))
@@ -284,7 +321,7 @@ def test_kernel_audit_summary_matches_report_columns(tmp_path):
         assert header == ["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]
         assert violating == [[repr(float(alpha)), str(m), str(e.n), e.prop, str(e.k),
                               f"{e.lhs:.16e}", f"{e.rhs:.16e}", f"{e.slack:.6e}"]
-                             for alpha, r in result.reports for m, e in r.violations()]
+                             for alpha, r in reports for m, e in r.violations()]
         assert len(violating) == len(result.violations)
     # a nan slack is the worst of its property and a violation; the floor splits the scale-1e6 rows
     by_row = {(a, m, p): row for a, m, p, *row in _read_rows(paths[0])[1:]}
@@ -405,12 +442,30 @@ def test_summary_on_rows_not_grouped_by_property():
     assert worst.tolist() == [[1, 5, 7], [0, 4, 7]]
 
 
-def _fuzz_meshes(alphas, count, n_max, seed=0, floor=1.0):
-    # the meshes run_kernel_audit draws for each alpha, in its order, with
-    # their ratio floor at floor * r*(alpha)
+def _fuzz_meshes(alphas, count, n_max, seed=0, floor=None):
+    # the meshes run_kernel_audit draws for each alpha, by alpha; with a
+    # floor, the same draw with the ratio floor lowered to floor * r*(alpha)
     rng = np.random.default_rng(seed)
+    if floor is None:
+        spec = KernelAuditSpec(alphas=alphas, num_meshes=count, n_max=n_max, seed=seed)
+        return dict(kernel_audit_meshes(spec, rng))
     return {alpha: [random_ratio_mesh(rng, n_max, floor * min_step_ratio(alpha)) for _ in range(count)]
             for alpha in alphas}
+
+
+def test_a_rebuilt_report_folds_to_the_fuzz_summary():
+    # the per-check rows behind kernel_audit.csv come back from (config,
+    # seed) by redrawing the fuzz's meshes; here the second alpha's
+    spec = KernelAuditSpec(alphas=(0.2, 0.6, 0.9), num_meshes=4, n_max=9, dgs_histories=1, seed=5)
+    result = run_kernel_audit(spec)
+    draws = kernel_audit_meshes(spec, np.random.default_rng(spec.seed))
+    next(draws)
+    alpha, meshes = next(draws)
+    report = audit_kernel_properties(meshes, alpha, spec.n_max)
+    want_alpha, summary = result.summaries[1]
+    assert want_alpha == alpha == 0.6
+    _assert_same_summary(summary, report.fold())
+    assert len(summary) == len(report) > 0 and summary.bad.shape == (4, 12)
 
 
 def _assert_mesh_row(report, m, mesh, alpha, n_max):

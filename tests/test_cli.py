@@ -113,7 +113,7 @@ def test_kernels_happy_path_with_seed_override(tmp_path, capsys):
     spec = xp.KernelAuditSpec(alphas=(0.4,), num_meshes=2, n_max=5, dgs_histories=3, seed=7)
     result = xp.run_kernel_audit(spec)
     assert [(row["mesh"], row["property"]) for row in summary] == \
-        [(str(m), p) for _, r in result.reports for m in range(len(r.lhs)) for p in r.names]
+        [(str(m), p) for _, s in result.summaries for m in range(len(s.bad)) for p in s.names]
     assert len(summary) == 2 * 12
     assert sum(int(row["checks"]) for row in summary) == meta["total_checks"]
     # the history of the worst DGS residual is recorded on success too

@@ -1,8 +1,11 @@
 """Experiment drivers: order fits, accuracy tables, coarsening runs, audits."""
 
 import csv
+import gc
 import math
 import os
+import tracemalloc
+import types
 import warnings
 from dataclasses import replace
 
@@ -11,6 +14,7 @@ import pytest
 
 import fracstep.experiments as exps
 import fracstep.solver as solver
+from fracstep.audits import AuditReport, AuditSummary
 from fracstep.experiments import (
     AccuracySpec,
     CoarsenSpec,
@@ -223,7 +227,7 @@ def test_kernel_audit_fuzz_small():
     result = run_kernel_audit(spec)
     assert result.violations == []
     assert result.total_checks > 0
-    assert [(alpha, len(report.lhs)) for alpha, report in result.reports] == [(0.3, 3), (0.7, 3)]
+    assert [(alpha, len(summary.bad)) for alpha, summary in result.summaries] == [(0.3, 3), (0.7, 3)]
     assert result.dgs_residual < 1e-11
     assert result.dgs_min_G >= 0.0
     assert result.dgs_min_R >= 0.0
@@ -236,10 +240,56 @@ def test_kernel_audit_csv_is_a_summary_and_its_violations(tmp_path):
     with open(summary_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:5] == ["alpha", "mesh", "property", "checks", "violations"]
-    assert len(rows) == 1 + sum(len(r.names) * len(r.lhs) for _, r in result.reports) == 1 + 2 * 12
+    assert len(rows) == 1 + sum(len(s.names) * len(s.bad) for _, s in result.summaries) == 1 + 2 * 12
     assert sum(int(row[3]) for row in rows[1:]) == result.total_checks
     with open(violations_path, newline="") as fh:
         assert list(csv.reader(fh)) == [["alpha", "mesh", "n", "property", "k", "lhs", "rhs", "slack"]]
+
+
+def _peak_bytes(spec):
+    tracemalloc.start()
+    try:
+        run_kernel_audit(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_audit_memory_does_not_grow_with_the_alphas():
+    # each alpha's rows are folded away before the next alpha is audited, so
+    # nine alphas peak near one (a run that kept every report peaks near 5x)
+    spec = KernelAuditSpec(num_meshes=40, n_max=20, dgs_histories=1)
+    one = replace(spec, alphas=spec.alphas[:1])
+    run_kernel_audit(one)           # untimed warm-up: caches and first-call allocations
+    assert len(spec.alphas) == 9
+    assert _peak_bytes(spec) <= 2.0 * _peak_bytes(one)
+
+
+def _reachable(root):
+    # every object reachable from root through references and array bases,
+    # without entering types, modules or functions
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+    return list(seen.values())
+
+
+def test_kernel_audit_result_holds_no_rows():
+    spec = KernelAuditSpec(alphas=(0.3, 0.7), num_meshes=5, n_max=12, dgs_histories=2)
+    result = run_kernel_audit(spec)
+    assert result.violations == [] and result.total_checks == 2 * 5 * 661     # cached on the result too
+    reachable = _reachable(result)
+    assert sum(isinstance(obj, AuditSummary) for obj in reachable) == 2
+    assert not [obj for obj in reachable if isinstance(obj, AuditReport)]
+    # nothing larger than one (meshes, properties) column per alpha
+    sizes = [obj.size for obj in reachable if isinstance(obj, np.ndarray)]
+    assert sizes and max(sizes) <= spec.num_meshes * 12
 
 
 def test_rstar_table_monotone_with_tight_residuals(tmp_path):
