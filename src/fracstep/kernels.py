@@ -18,11 +18,14 @@ nonnegative quadratic form G plus nonnegative remainders.
 
 kernel_tables builds every level of several meshes in one pass, as tables
 with one block per mesh and one row per level.  build_kernel_block builds
-the levels lo..hi of one mesh in one pass, as KernelSets, and
-build_kernels is its one-level case, so all three share each weight
-formula.  solver.run takes the levels of a mesh it does not append to
-from blocks, and builds a level alone only when its controller appends
-it.  The gradient-structure check (dgs_forms) runs the run's own code:
+the levels lo..hi in one pass from the nodes t_0..t_hi, as KernelSets,
+and build_kernels is its one-level case, so all three share each weight
+formula.  Every weight is evaluated elementwise, and each moment weight by
+the one formula (closed form or midpoint series) it keeps, so a level's
+row has the same bits whichever levels are built with it.  solver.run
+takes from blocks the levels of a mesh it does not append to and those
+its step cap decides; it builds any other level its controller appends
+alone.  The gradient-structure check (dgs_forms) runs the run's own code:
 frac_derivative is the split form the stepper solves, and distance_form
 is the one G form, also that of energy.modified_energy.
 """
@@ -110,13 +113,13 @@ def min_step_ratio(alpha: float) -> float:
     return float(min(max(root, lo - 1e-12), hi + 1e-12))
 
 
-def _offset_geometry(meshes, theta: float, lo: int, hi: int):
+def _offset_geometry(nodes, theta: float, lo: int, hi: int):
     """Backdistances, steps and ratios of the levels n = lo..hi of each mesh, by offset.
 
-    Every mesh needs at least hi steps.  Returns tables d, tau, r with one
-    block per mesh, one row per level and the columns m = 0..hi of d (tau
-    and r stop at m = hi-1 and hi-2, where every later entry would be nan),
-    read backwards from each level at k = n - m:
+    nodes holds one row per mesh, t_0..t_hi at least.  Returns tables d,
+    tau, r with one block per mesh, one row per level and the columns
+    m = 0..hi of d (tau and r stop at m = hi-1 and hi-2, where every later
+    entry would be nan), read backwards from each level at k = n - m:
 
       d[j, i, m]   = t_{n-theta} - t_k   (1 <= m <= n; nan at m = 0 and past n)
       tau[j, i, m] = tau_k               (k >= 1, else nan)
@@ -130,8 +133,8 @@ def _offset_geometry(meshes, theta: float, lo: int, hi: int):
     reversed view numpy's power, log1p and expm1 take another code path
     with other last bits.
     """
-    nodes = np.array([mesh.nodes[: hi + 1] for mesh in meshes])
-    t = np.full((len(meshes), hi - lo + 1, hi + 1), np.nan)
+    nodes = np.asarray(nodes)[:, : hi + 1]
+    t = np.full((len(nodes), hi - lo + 1, hi + 1), np.nan)
     for i, n in enumerate(range(lo, hi + 1)):
         t[:, i, : n + 1] = nodes[:, n::-1]
     tau = t[..., :-1] - t[..., 1:]
@@ -173,21 +176,24 @@ def _moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
       (2/tau_k^2) [ omega_{3-alpha}(d_{k-1}) - omega_{3-alpha}(d_k)
                     - (tau_k/2)(omega_{2-alpha}(d_{k-1}) + omega_{2-alpha}(d_k)) ]
 
-    which is swapped for a midpoint series once tau_k / d_k drops below the
-    cancellation threshold.  A nan lo gives a nan weight.
+    whose cancellation grows as tau_k / d_k shrinks, so the midpoint series
+    (_moment_series) takes over where tau_k / d_k <= _SERIES_GAP.  Each
+    entry is evaluated by the one formula it keeps: the far and the near
+    entries are gathered into contiguous vectors and each set is computed
+    once, elementwise, so an entry's bits do not depend on the others.  An
+    entry whose gap is nan (a nan tau or lo) is nan, as either formula
+    would make it.  tau and lo share one shape.
     """
     gap = tau / lo
-    # direct closed form, stable difference for the omega_{3-alpha} part
-    direct = omega_diff(3.0 - alpha, lo, tau) - 0.5 * tau * (
-        omega(2.0 - alpha, lo + tau) + omega(2.0 - alpha, lo)
-    )
-    direct = 2.0 * direct / (tau * tau)
-    near = gap <= _SERIES_GAP
-    if near.any():
-        safe_tau = np.where(near, tau, 0.1 * lo)
-        series = _moment_series(alpha, safe_tau, lo + 0.5 * safe_tau)
-        direct = np.where(near, series, direct)
-    return direct
+    zeta = np.full(gap.shape, np.nan)
+    far, near = gap > _SERIES_GAP, gap <= _SERIES_GAP       # neither where the gap is nan
+    t, d = tau[far], lo[far]
+    # stable difference for the omega_{3-alpha} part
+    direct = omega_diff(3.0 - alpha, d, t) - 0.5 * t * (omega(2.0 - alpha, d + t) + omega(2.0 - alpha, d))
+    zeta[far] = 2.0 * direct / (t * t)
+    t, d = tau[near], lo[near]
+    zeta[near] = _moment_series(alpha, t, d + 0.5 * t)
+    return zeta
 
 
 def _regroup(a: np.ndarray, zeta: np.ndarray, r: np.ndarray, alpha: float) -> np.ndarray:
@@ -215,9 +221,10 @@ def _regroup(a: np.ndarray, zeta: np.ndarray, r: np.ndarray, alpha: float) -> np
     return hat
 
 
-def _weight_rows(meshes, order: FracOrder, lo: int, hi: int):
+def _weight_rows(nodes, order: FracOrder, lo: int, hi: int):
     """(d, a, zeta, hat_a, aux_a) of the levels n = lo..hi of each mesh,
-    one block per mesh and one row per level.
+    one block per mesh (a row of nodes, t_0..t_hi at least) and one row
+    per level.
 
     d holds the backdistances by node offset p (see _offset_geometry).  The
     weights are indexed by offset m = n - k, the row of level n holding it
@@ -233,7 +240,7 @@ def _weight_rows(meshes, order: FracOrder, lo: int, hi: int):
     with it.
     """
     alpha = order.alpha
-    d, tau, r = _offset_geometry(meshes, order.theta, lo, hi)
+    d, tau, r = _offset_geometry(nodes, order.theta, lo, hi)
     d_k, tau_k = d[..., 1:hi], tau[..., 1:hi]    # the intervals k = n - m < n
     a = np.empty((*d.shape[:2], hi))
     a[..., 0] = omega(2.0 - alpha, d[..., 1]) / tau[..., 0]
@@ -241,13 +248,13 @@ def _weight_rows(meshes, order: FracOrder, lo: int, hi: int):
     # every entry past a level is nan, so all in-level entries are positive
     # exactly when the positive ones number the level sizes' sum
     levels = hi - lo + 1
-    count = len(meshes) * ((lo + hi) * levels // 2)
+    count = len(d) * ((lo + hi) * levels // 2)
     if np.count_nonzero(a > 0.0) != count:
         raise FloatingPointError("interval weights must be positive")
     zeta = np.empty_like(a)
     zeta[..., 0] = np.nan
     zeta[..., 1:] = _moments(alpha, tau_k, d_k)
-    if np.count_nonzero(zeta > 0.0) != count - len(meshes) * levels:
+    if np.count_nonzero(zeta > 0.0) != count - len(d) * levels:
         raise FloatingPointError("moment weights must be positive")
     hat = _regroup(a, zeta, r, alpha)
     return d, a, zeta, hat, gradient_kernels(hat)
@@ -303,20 +310,23 @@ def kernel_tables(meshes, order, n_max: int) -> KernelTables:
     one pass; row [j, n] of each weight table is build_kernels(meshes[j],
     order, n) bit for bit."""
     assert meshes and all(1 <= n_max <= mesh.num_steps for mesh in meshes), f"level {n_max} out of range"
-    rows = _weight_rows(meshes, as_order(order), 1, n_max)
+    rows = _weight_rows([mesh.nodes[: n_max + 1] for mesh in meshes], as_order(order), 1, n_max)
     return KernelTables(*(np.concatenate((np.full((len(meshes), 1, t.shape[-1]), np.nan), t), axis=1)
                           for t in rows))
 
 
-def build_kernel_block(mesh: TimeMesh, order, lo: int, hi: int) -> tuple:
-    """build_kernels(mesh, order, n) for n = lo..hi, from one pass.
+def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
+    """build_kernels(mesh, order, n) for n = lo..hi, from one pass over the
+    nodes t_0..t_hi of any mesh that begins with them.
 
-    Each KernelSet holds read-only views of the pass's tables, which stay
-    alive while any of them does; by the kernel_tables contract each is
+    A level's weights depend only on its own nodes, so a caller may pass
+    nodes that no TimeMesh holds yet (solver.run's predicted nodes).  Each
+    KernelSet holds read-only views of the pass's tables, which stay alive
+    while any of them does; by the kernel_tables contract each is
     build_kernels' bit for bit.
     """
-    assert 1 <= lo <= hi <= mesh.num_steps, f"levels {lo}..{hi} out of range"
-    _, *tables = _weight_rows((mesh,), as_order(order), lo, hi)
+    assert 1 <= lo <= hi < len(nodes), f"levels {lo}..{hi} out of range"
+    _, *tables = _weight_rows((nodes,), as_order(order), lo, hi)
     for table in tables:
         table.flags.writeable = False
     return tuple(KernelSet(n, *(table[0, i, :n] for table in tables))
@@ -325,7 +335,7 @@ def build_kernel_block(mesh: TimeMesh, order, lo: int, hi: int) -> tuple:
 
 def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
     """Assemble a, zeta, hat_a and aux_a for level n of the given mesh (read-only)."""
-    return build_kernel_block(mesh, order, n, n)[0]
+    return build_kernel_block(mesh.nodes, order, n, n)[0]
 
 
 def local_coefficient(order, kernels: KernelSet) -> float:

@@ -20,8 +20,9 @@ The weights of level n depend only on the nodes up to t_n, so run builds
 every level of a mesh it does not append to (a fixed mesh, or an adaptive
 schedule's warm-up) ahead of its step, in blocks of at most _BLOCK_ENTRIES
 entries per table, each from one kernels.build_kernel_block pass: bit for
-bit the one-level build_kernels, which only a level the controller
-appends still calls.
+bit the one-level build_kernels.  The levels that a strict run's step cap
+decides come from blocks too, built over predicted nodes (_cap_nodes);
+only the other levels the controller appends still call build_kernels.
 
 Each step's sweeps start from the Lagrange extrapolation to t_n through
 the last min(n, 4) levels (phi^0 itself at n = 1), clipped pointwise into
@@ -82,7 +83,7 @@ _PREDICTOR_LEVELS = 4    # past levels in the extrapolated start of each step's 
 _FIXED_POINT_TOL = 1e-12   # max-norm change between sweeps that ends a fixed point
 _FIXED_POINT_MAX_ITER = 200
 _BOUND_TOL = 1e-10         # slack above |phi| = 1 before a strict run raises BoundViolation
-_BLOCK_ENTRIES = 1 << 15   # (level, offset) entries per table of one kernel block of run
+_BLOCK_ENTRIES = 1 << 12   # (level, offset) entries per table of one kernel block of run
 
 
 def _reaction(phi: np.ndarray) -> np.ndarray:
@@ -373,24 +374,45 @@ class FieldHistory:
         self._stack.resize((self._len, *self._stack.shape[1:]), refcheck=False)
 
 
-def _kernel_block(mesh: TimeMesh, order, lo: int, last: int):
-    """(hi, kernels): the KernelSets of levels lo..hi of mesh by level, from
-    one build_kernel_block pass, with hi <= last the highest level whose
-    block holds at most _BLOCK_ENTRIES entries per table (one level at least).
+def _block_end(lo: int, last: int) -> int:
+    """The highest level hi <= last (lo at least) whose block lo..hi holds
+    at most _BLOCK_ENTRIES (level, offset) entries per table."""
+    hi = lo
+    while hi < last and (hi + 2 - lo) * (hi + 2) <= _BLOCK_ENTRIES:
+        hi += 1
+    return hi
+
+
+def _kernel_block(nodes, order, lo: int, last: int):
+    """(hi, kernels): the KernelSets of levels lo..hi by level, from one
+    build_kernel_block pass over nodes (t_0..t_last at least), with
+    hi = _block_end(lo, last).
 
     The pass runs with every floating-point flag raised as an error.  When
     it raises, kernels is empty and each level of the block is left to its
     own build_kernels call, so that a level whose weights warn or fail does
     so at its own step, as it would without blocks.
     """
-    hi = lo
-    while hi < last and (hi + 2 - lo) * (hi + 2) <= _BLOCK_ENTRIES:
-        hi += 1
+    hi = _block_end(lo, last)
     try:
         with np.errstate(all="raise"):
-            return hi, dict(zip(range(lo, hi + 1), build_kernel_block(mesh, order, lo, hi)))
+            return hi, dict(zip(range(lo, hi + 1), build_kernel_block(nodes, order, lo, hi)))
     except FloatingPointError:
         return hi, {}
+
+
+def _cap_nodes(nodes, cap: float, end: float, horizon: float, last: int) -> np.ndarray:
+    """nodes followed by the nodes, up to level last, that steps of exactly
+    cap would append: each summed from the one before, t + cap, as run
+    forms t_n + tau, for as long as run would take that step unclipped
+    (t < end and t < t + cap <= horizon)."""
+    t = [float(nodes[-1])]
+    while len(nodes) + len(t) - 2 < last and t[-1] < end:
+        nxt = t[-1] + cap
+        if not t[-1] < nxt <= horizon:
+            break
+        t.append(nxt)
+    return np.append(nodes, t[1:])
 
 
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
@@ -426,8 +448,14 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
 
     The kernels of the levels it does not append (a fixed mesh's or the
     warm-up's) come from blocks (_kernel_block), each built when the loop
-    reaches its first level; an appended level's come from build_kernels.
-    A block that raises a floating-point flag is dropped and its levels
+    reaches its first level.  So do those of the levels the cap decides:
+    when a strict run's controller returns the cap and the horizon does
+    not clip it, the level just appended and the ones that further steps
+    of the cap would append (_cap_nodes) are built in one block over the
+    predicted nodes.  A later step uses the block only while its node
+    equals the predicted one bit for bit; the first that differs drops
+    the rest.  Any other appended level comes from build_kernels.  A
+    block that raises a floating-point flag is dropped and its levels
     are built one by one, so a level that warns or fails does so at its
     own step.
     """
@@ -450,18 +478,21 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         E, G, dist = modified_energy(history.fields, None, None, cfg.epsilon, grid)
         energies, g_terms = [E], [G]
 
+    end = horizon - 1e-12 * max(1.0, horizon)     # a run whose last node reaches it is done
     fixed = mesh.num_steps      # levels that the run does not append itself
-    block, block_hi = {}, 0
+    block, block_nodes, block_hi = {}, None, 0
     n, change_norm = 0, 0.0
     while True:
+        at_cap = False
         if n == mesh.num_steps:
             t_n = mesh.horizon
-            if t_n >= horizon - 1e-12 * max(1.0, horizon):
+            if t_n >= end:
                 break
             tau = adaptive_next_step(mesh.step(n), change_norm, schedule, r_floor,
                                      cap if cfg.enforce_bound else None)
+            at_cap = cfg.enforce_bound and tau == cap
             if t_n + tau > horizon:
-                tau = horizon - t_n
+                tau, at_cap = horizon - t_n, False
             if t_n + tau == t_n:
                 raise ConvergenceError(f"step {n + 1}: tau = {tau:.6e} does not advance "
                                        f"t_n = {t_n:.17g} in floating point")
@@ -471,8 +502,13 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         if cfg.enforce_bound and not tau_n <= cap_limit:
             raise StepCapError(f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} "
                                "while the bound is enforced")
-        if block_hi < n <= fixed:
-            block_hi, block = _kernel_block(mesh, order, n, fixed)
+        if n > block_hi or block_nodes[n] != mesh.nodes[n]:
+            # no block holds this level's nodes: start one where the nodes ahead are known
+            block_hi, block = n, {}
+            if n <= fixed or at_cap:
+                block_nodes = (mesh.nodes if n <= fixed
+                               else _cap_nodes(mesh.nodes, cap, end, horizon, _block_end(n, math.inf)))
+                block_hi, block = _kernel_block(block_nodes, order, n, len(block_nodes) - 1)
         kernels = block.get(n) or build_kernels(mesh, order, n)
         phi, sweeps = step(history.fields, mesh, kernels, cfg)
         sup_norm = norm_inf(phi)

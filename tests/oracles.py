@@ -6,7 +6,8 @@ integrands (scipy's QUADPACK), so the two routes can be checked against
 each other.  The quadratures also back the curvature diagnostics, whose
 integrals have no closed form that is independent of the weight
 identities.  The rest are stateless recomputations that no run calls:
-the one-level endpoint gaps the vectorised kernel audit is compared with,
+the moment weights as first written (both formulas on every entry), the
+one-level endpoint gaps the vectorised kernel audit is compared with,
 the worst slack per property of an audit report or summary, the history quadratic G
 from the fields, the per-step scalar dissipation lhs, and the grid inner
 product and L2 norm.
@@ -23,10 +24,10 @@ from scipy.special import rgamma
 
 from fracstep.audits import AuditReport, AuditSummary, _gaps
 from fracstep.grid import Grid2D, grid_sum
-from fracstep.kernels import (FracOrder, KernelSet, _offset_geometry, as_order, distance_form,
-                              stored_form_coeffs)
+from fracstep.kernels import (_SERIES_GAP, FracOrder, KernelSet, _moment_series, _offset_geometry, as_order,
+                              distance_form, stored_form_coeffs)
 from fracstep.mesh import TimeMesh
-from fracstep.special import omega
+from fracstep.special import omega, omega_diff
 
 
 # -- adaptive quadrature of the derivative weights ---------------------------
@@ -201,9 +202,28 @@ def diagnostics(mesh: TimeMesh, order, n: int) -> DiagnosticSet:
 # -- one-level and scalar references for the kernel audit --------------------
 
 
+def two_formula_moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """kernels._moments as it was first written: the closed form on every
+    entry, swapped for the midpoint series (on a safe stand-in step away
+    from the near entries) wherever tau/lo <= _SERIES_GAP.  Reference for
+    the one-formula-per-entry evaluation."""
+    gap = tau / lo
+    with np.errstate(all="ignore"):       # the discarded closed-form values may overflow
+        direct = omega_diff(3.0 - alpha, lo, tau) - 0.5 * tau * (
+            omega(2.0 - alpha, lo + tau) + omega(2.0 - alpha, lo)
+        )
+        direct = 2.0 * direct / (tau * tau)
+    near = gap <= _SERIES_GAP
+    if near.any():
+        safe_tau = np.where(near, tau, 0.1 * lo)
+        series = _moment_series(alpha, safe_tau, lo + 0.5 * safe_tau)
+        direct = np.where(near, series, direct)
+    return direct
+
+
 def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
     """w'(t_j) = omega_{1-alpha}(d_j), d_j = t_{n-theta} - t_j, for j = 0..n-1."""
-    d, _, _ = _offset_geometry((mesh,), order.theta, n, n)    # by node offset p = n - j
+    d, _, _ = _offset_geometry((mesh.nodes,), order.theta, n, n)    # by node offset p = n - j
     # reverse after evaluating: numpy's power takes another code path, with
     # other last bits, on a negatively strided view
     return omega(1.0 - order.alpha, d[0, 0])[n:0:-1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracstep import kernels
-from fracstep.experiments import KernelAuditSpec, dgs_case, run_kernel_audit
+from fracstep.experiments import KernelAuditSpec, dgs_case, kernel_audit_meshes, run_kernel_audit
 from fracstep.kernels import (
     FracOrder,
     as_order,
@@ -20,11 +20,15 @@ from fracstep.kernels import (
     local_coefficient,
     min_step_ratio,
     _SERIES_GAP,
+    _moments,
     _offset_geometry,
     _ratio_equation,
 )
-from fracstep.mesh import TimeMesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
+from fracstep.mesh import (TimeMesh, build_graded_mesh, build_two_phase_mesh, build_uniform_mesh,
+                           random_ratio_mesh)
+from fracstep.solver import step_size_cap
 from fracstep.special import omega
+from oracles import two_formula_moments
 
 # mpmath root solve of the defining equation, 40 digits
 RSTAR_FROZEN = [
@@ -140,7 +144,7 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
         build_two_phase_mesh(1.0, 6.0, 160, 1234),
     ]
     for mesh in meshes:
-        d, tau, _ = _offset_geometry([mesh], 0.5 * alpha, 2, n_max)
+        d, tau, _ = _offset_geometry([mesh.nodes], 0.5 * alpha, 2, n_max)
         gap = tau[..., 1:] / d[..., 1:-1]                        # tau_k / d_k, nan past each level
         assert np.any(gap <= _SERIES_GAP) and np.any(gap > _SERIES_GAP)   # both moment branches
     # one pass over all three meshes: block j is mesh j's tables
@@ -153,6 +157,71 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
                 want = getattr(build_kernels(mesh, alpha, n), name)
                 assert table[j, n, :n].tobytes() == want.tobytes(), (name, j, n)
                 assert np.isnan(table[j, n, n:]).all()
+
+
+def _interval_geometry(meshes, alpha, n_max):
+    """(tau_k, d_k) of every interval k < n of the levels 1..n_max, as
+    _weight_rows hands them to _moments: nan past each level."""
+    d, tau, _ = _offset_geometry([mesh.nodes for mesh in meshes], 0.5 * alpha, 1, n_max)
+    return tau[..., 1:n_max], d[..., 1:n_max]
+
+
+def _assert_moments_bitwise(alpha, tau, lo):
+    got, want = _moments(alpha, tau, lo), two_formula_moments(alpha, tau, lo)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))   # nan positions included
+
+
+def _cap_mesh(levels=400):
+    # coarsen-a04's mesh: the graded warm-up, then steps at the cap (64^2,
+    # eps = 0.05, alpha = 0.4) summed one at a time, as run appends them
+    t = build_graded_mesh(0.01, 30, 3.0).nodes.tolist()
+    cap = step_size_cap(0.4, 2.0 * math.pi / 64, 0.05)
+    while len(t) <= levels:
+        t.append(t[-1] + cap)
+    return TimeMesh(np.array(t))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_moments_evaluate_each_entry_by_the_formula_it_keeps(alpha):
+    # each weight is computed only by the formula it keeps, and must carry
+    # the bits of evaluating both everywhere and discarding one, on the
+    # kernels fuzz's meshes (nan-padded tables) and on 400 levels at the cap
+    spec = KernelAuditSpec()
+    meshes = dict(kernel_audit_meshes(spec, np.random.default_rng(spec.seed)))[alpha]
+    tau, lo = _interval_geometry(meshes, alpha, spec.n_max)
+    gap = tau / lo
+    assert np.isnan(gap).any() and (gap <= _SERIES_GAP).any() and (gap > _SERIES_GAP).any()
+    _assert_moments_bitwise(alpha, tau, lo)
+    tau, lo = _interval_geometry([_cap_mesh()], alpha, 400)
+    gap = tau / lo
+    assert np.mean(gap[~np.isnan(gap)] <= _SERIES_GAP) > 0.95      # the series' share grows with n
+    _assert_moments_bitwise(alpha, tau, lo)
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 0.4, 0.95])
+def test_moments_match_both_formulas_on_short_vectors_gap_edges_and_nan_rows(alpha):
+    rng = np.random.default_rng(29)
+    # every length up to 17 reaches the vector loops' tails, with both
+    # formulas present and the gap far and near
+    for size in range(1, 18):
+        lo = np.exp(rng.uniform(-8.0, 2.0, size))
+        tau = lo * np.exp(rng.uniform(-12.0, 1.0, size))
+        _assert_moments_bitwise(alpha, tau, lo)
+    # gaps of exactly _SERIES_GAP (tau = lo / 4 is exact) take the series
+    lo = np.exp(rng.uniform(-8.0, 2.0, 17))
+    tau = lo * _SERIES_GAP
+    assert (tau / lo == _SERIES_GAP).all()
+    _assert_moments_bitwise(alpha, tau, lo)
+    tau[::2] = np.nextafter(tau[::2], np.inf)           # the next float up is far
+    _assert_moments_bitwise(alpha, tau, lo)
+    # nan-padded rows: a nan tau, a nan lo, both, or a whole row
+    tau, lo = rng.uniform(0.01, 1.0, (4, 9)), rng.uniform(0.01, 1.0, (4, 9))
+    tau[0, 5:] = np.nan
+    lo[1, 3:] = np.nan
+    tau[2, ::3] = lo[2, ::3] = np.nan
+    tau[3] = np.nan
+    _assert_moments_bitwise(alpha, tau, lo)
 
 
 def test_gradient_kernel_head_doubling():

@@ -723,30 +723,130 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64)) and not x.flags.writeable
 
 
-@pytest.mark.parametrize("alpha, mesh, warned", [
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _spy_on_blocks(patch, blocks):
+    """Patch solver.build_kernel_block to append each block's (lo, hi) to blocks."""
+    real = solver.build_kernel_block
+    patch.setattr(solver, "build_kernel_block",
+                  lambda nodes, order, lo, hi: blocks.append((lo, hi)) or real(nodes, order, lo, hi))
+
+
+def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(monkeypatch):
+    # a strict run whose field moves slowly: the controller returns the cap
+    # (0.0265) on every step after the 2-step warm-up, and the horizon clips
+    # only the last.  With 200 entries per block the cap-decided levels come
+    # from several predicted blocks; only the clipped step is built alone,
+    # and every level's KernelSet is build_kernels' on the final mesh
+    monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 200)
+    blocks, alone, levels = [], [], []
+    real_build = solver.build_kernels
+    _spy_on_blocks(monkeypatch, blocks)
+    monkeypatch.setattr(solver, "build_kernels",
+                        lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
+    _spy_on_steps(monkeypatch, levels)
+    cfg = _cfg(epsilon=0.05, enforce_bound=True)
+    cap = step_size_cap(0.5, cfg.grid.h, 0.05)
+    phi0 = 1e-2 * np.random.default_rng(4).uniform(-1.0, 1.0, (8, 8))
+    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 2, 1.0), horizon=1.0,
+                             tau_min=1e-3, tau_max=0.1, eta=30.0)
+    traj = run(cfg, sched, phi0)
+    N = traj.num_steps
+    assert np.allclose(traj.mesh.steps[2:-1], cap, rtol=1e-12, atol=0.0) and traj.mesh.step(N) < cap
+    assert alone == [N]
+    assert blocks[0] == (1, 2) and len(blocks) >= 4 and blocks[-1][1] == N - 1
+    assert all((hi - lo + 1) * (hi + 1) <= 200 for lo, hi in blocks)
+    assert [k.n for k in levels] == list(range(1, N + 1))
+    for got in levels:
+        want = real_build(traj.mesh, 0.5, got.n)
+        for name in ("a", "zeta", "hat_a", "aux_a"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
+
+
+def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch):
+    # small random data at eps = 0.05 separate ever faster: the controller
+    # returns the cap (0.0265) on levels 3..94, until the speed s makes
+    # 0.1 / sqrt(1 + 30 s^2) drop below it, and the steps stay under the cap
+    # from level 95 on.  The predicted block that holds level 95 is then
+    # dropped, and the run must be the one built without any block, bit for
+    # bit, with the same warnings
+    cfg = _cfg(epsilon=0.05, enforce_bound=True)
+    cap = step_size_cap(0.5, cfg.grid.h, 0.05)
+    phi0 = 1e-2 * np.random.default_rng(4).uniform(-1.0, 1.0, (8, 8))
+    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 2, 1.0), horizon=2.8,
+                             tau_min=1e-3, tau_max=0.1, eta=30.0)
+    runs, real_build = [], solver.build_kernels
+    for blocks in (True, False):
+        built, alone, levels = [], [], []
+        with monkeypatch.context() as patch:
+            if blocks:
+                _spy_on_blocks(patch, built)
+                patch.setattr(solver, "build_kernels",
+                              lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
+            else:
+                patch.setattr(solver, "_kernel_block", lambda nodes, order, lo, last: (last, {}))
+            _spy_on_steps(patch, levels)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                traj = run(cfg, sched, phi0)
+        runs.append((traj, levels, [(w.category, str(w.message)) for w in caught]))
+        if blocks:
+            at_cap = np.isclose(traj.mesh.steps, cap, rtol=1e-12, atol=0.0)
+            assert at_cap[2:94].all() and not at_cap[94:].any()
+            # the predictions hold at every cap-decided level, so only the rest are built alone
+            assert alone == list(range(95, traj.num_steps + 1))
+            # the warm-up's block, then blocks as large as the bound allows from
+            # levels 3 and 65: each prediction held until the run left the cap
+            assert built == [(1, 2), (3, 64), (65, 103)]
+            assert all((hi - lo + 1) * (hi + 1) <= solver._BLOCK_ENTRIES for lo, hi in built)
+    (got, got_levels, got_warned), (want, want_levels, want_warned) = runs
+    assert got_warned == want_warned
+    for name in ("fields", "sup_norms", "E", "G", "dissipation_lhs", "fp_iters", "cap_ok", "ratio_ok"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    assert np.array_equal(_bits(got.mesh.nodes), _bits(want.mesh.nodes))
+    for x, y in zip(got_levels, want_levels, strict=True):
+        for name in ("a", "zeta", "hat_a", "aux_a"):
+            assert np.array_equal(_bits(getattr(x, name)), _bits(getattr(y, name)))
+
+
+@pytest.mark.parametrize("alpha, schedule, warned", [
     (1e-300, build_uniform_mesh(0.1, 6), []),
     (0.5, build_uniform_mesh(1e-300, 6), ["kernels.py"]),
-], ids=["tiny-alpha", "tiny-mesh"])
-def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, mesh, warned, monkeypatch):
+    # strict: a warm-up step of 1e-150, then every step at the cap (0.0265)
+    (0.5, AdaptiveSchedule(warmup=TimeMesh(np.array([0.0, 1e-150])), horizon=0.2,
+                           tau_min=0.1, tau_max=0.1, eta=0.0), []),
+], ids=["tiny-alpha", "tiny-mesh", "strict-tiny-first-step"])
+def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, schedule, warned, monkeypatch):
     # level 1 is sound and level 2 has no positive moment weights, so the
-    # block of all six levels raises: the run must still take step 1 and
-    # fail at step 2 with the warnings and the exception of building every
-    # level on its own; on the tiny mesh only level 2's weights warn, as
-    # run evaluates step 1's dissipation lhs only once the whole run is done
-    cfg = _cfg(alpha=alpha)
+    # block that holds level 2 raises: of all six levels of a fixed mesh, or
+    # the levels that a strict run predicts from its first step at the cap.
+    # The run must still take step 1 and fail at step 2 with the warnings
+    # and the exception of building every level on its own; on the tiny
+    # mesh only level 2's weights warn, as run evaluates step 1's
+    # dissipation lhs only once the whole run is done
+    cfg = _cfg(alpha=alpha, enforce_bound=isinstance(schedule, AdaptiveSchedule))
     phi0 = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 8))
-    outcomes = []
+    outcomes, built = [], []
+    real_block = solver._kernel_block
+
+    def spy(nodes, order, lo, last):
+        hi, kernels = real_block(nodes, order, lo, last)
+        built.append((lo, hi, kernels))
+        return hi, kernels
+
     for blocks in (True, False):
         levels = []
         with monkeypatch.context() as patch:
-            if not blocks:
-                patch.setattr(solver, "_kernel_block", lambda mesh, order, lo, last: (last, {}))
+            patch.setattr(solver, "_kernel_block", spy if blocks else lambda nodes, order, lo, last: (last, {}))
             _spy_on_steps(patch, levels)
             with warnings.catch_warnings(record=True) as caught, pytest.raises(FloatingPointError) as exc:
                 warnings.simplefilter("always")
-                run(cfg, mesh, phi0)
+                run(cfg, schedule, phi0)
         outcomes.append(([k.n for k in levels], str(exc.value),
                          [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == ([1], "moment weights must be positive")
     assert [os.path.basename(w[2]) for w in outcomes[0][2]] == warned
+    assert [kernels for lo, hi, kernels in built if lo <= 2 <= hi] == [{}]
