@@ -17,8 +17,8 @@ G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
 whole history: kernels.distance_form, the same form dgs_forms checks,
 scaled by h^2/2.  A run carries those distances from step to step:
 modified_energy maps one level's to the next level's with one
-inner-product pass over the field stack, writing none of its arguments;
-the tests recompute them from the fields as the stateless reference.
+inner-product pass over the field stack and takes the newest from the
+law's grid sum; the tests recompute them as the stateless reference.
 """
 
 from __future__ import annotations
@@ -43,29 +43,30 @@ _DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E
 
 
 def modified_energy(
-    fields, dist: np.ndarray | None, kernels: KernelSet | None, epsilon: float, grid: Grid2D
+    fields, dist: np.ndarray | None, kernels: KernelSet | None, epsilon: float, grid: Grid2D,
+    delta: np.ndarray | None = None, delta_sq: float | None = None,
 ) -> tuple[float, float, np.ndarray]:
-    """(E, G_term, dist') at the latest level n of fields (dist and kernels
-    are None only at level 0).
+    """(E, G_term, dist') at the latest level n of fields (dist, kernels,
+    delta and delta_sq are None only at level 0).
 
     dist[:n] holds the grid sums of (phi^{n-1} - phi^j)^2 and dist' those
-    of (phi^n - phi^j)^2, j = 0..n; neither argument is written.  With
-    delta = phi^n - phi^{n-1},
+    of (phi^n - phi^j)^2, j = 0..n; no argument is written.  With delta =
+    phi^n - phi^{n-1} and delta_sq = grid_sum(delta * delta), as run forms
+    them once per step, dist'_{n-1} = delta_sq and
 
-        dist'_j = dist_j + ||delta||^2 + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
+        dist'_j = dist_j + delta_sq + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
 
-    where every inner product comes from one einsum pass over the stack
-    (numpy's own loop in a fixed order, no BLAS, no (n, M, M) temporary).
+    every inner product from one einsum pass over the stack (numpy's own
+    loop in a fixed order, no BLAS, no (n, M, M) temporary).
     """
     fields = np.asarray(fields, dtype=float)
     n = len(fields) - 1
     E = free_energy(fields[n], epsilon, grid)
     if n == 0:
         return E, 0.0, np.zeros(1)
-    assert kernels is not None and kernels.n == n
-    delta = fields[n] - fields[n - 1]
+    assert kernels is not None and kernels.n == n and delta is not None
     inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
-    moved = dist[:n] + (np.einsum("ij,ij->", delta, delta) + 2.0 * (inner[n - 1] - inner))
+    moved = dist[:n] + (delta_sq + 2.0 * (inner[n - 1] - inner))
     G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.aux_a), moved)
     return E, G, np.append(moved, 0.0)
 

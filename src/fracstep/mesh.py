@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special import saturating_power
+
 
 class MeshError(ValueError):
     """Raised when a requested mesh cannot be built."""
@@ -160,10 +162,12 @@ def adaptive_next_step(
     Applies, in order: the inverse-speed proposal, the tau_min floor, the
     ratio floor r_floor * tau_n, and last the step cap unless it is None.
     The cap wins even when it undercuts the ratio floor; the runner's
-    per-step ratio flag records that.
+    per-step ratio flag records that.  A speed whose square overflows
+    proposes 0, so the floors decide, and eta = 0 proposes tau_max.
     """
     assert tau_n > 0.0 and change_norm >= 0.0
-    proposal = schedule.tau_max / np.sqrt(1.0 + schedule.eta * change_norm**2)
+    speed_sq = saturating_power(change_norm, 2) if schedule.eta else 0.0    # not 0 * inf = nan
+    proposal = schedule.tau_max / np.sqrt(1.0 + schedule.eta * speed_sq)
     tau = max(schedule.tau_min, proposal, r_floor * tau_n)
     if cap is not None:
         tau = min(tau, cap)

@@ -17,29 +17,21 @@ on every finite spectrum up to the sign of a zero.  The Crank-Nicolson
 reference step shares the same sweep loop.
 
 The weights of level n depend only on the nodes up to t_n, so run builds
-every level of a mesh it does not append to (a fixed mesh, or an adaptive
-schedule's warm-up) ahead of its step, in blocks of at most _BLOCK_ENTRIES
-entries per table, each from one kernels.build_kernel_block pass: bit for
-bit the one-level build_kernels.  The levels that a strict run's step cap
-decides come from blocks too, built over predicted nodes (_cap_nodes);
-only the other levels the controller appends still call build_kernels.
+the kernels of most levels ahead of their steps, in blocks from one
+kernels.build_kernel_block pass each: bit for bit the one-level
+build_kernels (see run).
 
-Each step's sweeps start from the Lagrange extrapolation to t_n through
-the last min(n, 4) levels (phi^0 itself at n = 1), clipped pointwise into
-[-R, R] with R = max(1, |phi^{n-1}|_inf).  The clip keeps the start in the
-box on which the cap makes the lagged map a contraction; the converged
-level differs from the one reached from phi^{n-1} only within the
-fixed-point tolerance.
+Each step's sweeps start from a clipped Lagrange extrapolation through
+the last levels (_predict); the converged level differs from the one
+reached from phi^{n-1} only within the fixed-point tolerance.
 
 Below the step-size cap the discrete maximum bound |phi| <= 1 is
 inherited from the initial data; the stepper never clips a level it
 returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
-phi^0..phi^n.  One FieldHistory owns that stack and grows it in place
-by a quarter when full.  A run returns its record as columns
-(SolveTrajectory), the dissipation lhs and the hypothesis flags evaluated
-once, over the finished run.
+phi^0..phi^n in one FieldHistory.  It returns its record as columns
+(SolveTrajectory), the lhs and the flags evaluated once, after the run.
 """
 
 from __future__ import annotations
@@ -63,7 +55,7 @@ from .kernels import (
     min_step_ratio,
 )
 from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
-from .special import omega
+from .special import omega, saturating_power
 
 
 class ConvergenceError(RuntimeError):
@@ -153,18 +145,10 @@ def step_size_cap(alpha: float, h: float, epsilon: float) -> float:
     order = as_order(alpha)
     theta = order.theta
     w = float(omega(2.0 - order.alpha, 1.0 - theta))
-    reaction = _power(theta * w / (2.0 * (1.0 - theta)), 1.0 / order.alpha)
-    eps2 = _power(epsilon, 2)
-    diffusion = _power(h * h * w / (4.0 * eps2), 1.0 / order.alpha) if eps2 > 0.0 else math.inf
+    reaction = saturating_power(theta * w / (2.0 * (1.0 - theta)), 1.0 / order.alpha)
+    eps2 = saturating_power(epsilon, 2)
+    diffusion = saturating_power(h * h * w / (4.0 * eps2), 1.0 / order.alpha) if eps2 > 0.0 else math.inf
     return min(reaction, diffusion)
-
-
-def _power(base: float, exponent: float) -> float:
-    """The float base**exponent, saturated to inf where it overflows."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
 
 
 @functools.lru_cache(maxsize=4)
@@ -418,6 +402,7 @@ def _cap_nodes(nodes, cap: float, end: float, horizon: float, last: int) -> np.n
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
+    A phi0 that is not a finite (M, M) field raises ValueError before step 1.
     The energy law's two hypotheses are decided here, once: the ratio
     floor r*(alpha) and the step cap.  An adaptive schedule's controller is
     handed the same two: the floor always, the cap only when
@@ -428,17 +413,18 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     clipped to land on the horizon, may fall below the floor; its ratio
     flag then reads False.
 
-    phi^0..phi^n live in one FieldHistory, sized to the mesh (a fixed mesh
-    never grows it) or to the warm-up of an adaptive schedule, which grows
-    it in place by a quarter when full; on return it is shrunk in place to
-    the used levels, and history_capacity reports the peak allocation.
+    phi^0..phi^n live in one FieldHistory, sized to the mesh or to an
+    adaptive schedule's warm-up and shrunk to the used levels on return;
+    history_capacity reports the peak allocation.
     Energy is recorded exactly when cfg.forcing is None, as the law is
-    about the unforced equation.  Per step the loop then maps G's squared
-    distances to the next level's (modified_energy, one pass over the
-    stack) and keeps the law's two scalars, local_coefficient and
-    h^2 ||phi^n - phi^{n-1}||^2.  The lhs and the flags (from the final
-    mesh's steps and ratios) are evaluated once the run is done: the nodes
-    are only ever appended, so each entry has the bits of its own step.
+    about the unforced equation.  Each step's delta = phi^n - phi^{n-1} is
+    reduced once, s = grid_sum(delta * delta): the law's damping reads
+    h^2 s, the controller's speed sqrt(h^2 s) / tau_n, and G's newest
+    distance is s itself, as modified_energy maps G's squared distances to
+    the next level's (one pass over the stack).  The lhs and the flags
+    (from the final mesh's steps and ratios) are evaluated once the run is
+    done: the nodes are only ever appended, so each entry has the bits of
+    its own step.
 
     One loop steps from the schedule's warm-up (a fixed mesh is its own) to
     schedule.horizon, which a fixed mesh reaches at its last node.  Only a
@@ -448,21 +434,20 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
 
     The kernels of the levels it does not append (a fixed mesh's or the
     warm-up's) come from blocks (_kernel_block), each built when the loop
-    reaches its first level.  So do those of the levels the cap decides:
-    when a strict run's controller returns the cap and the horizon does
-    not clip it, the level just appended and the ones that further steps
-    of the cap would append (_cap_nodes) are built in one block over the
-    predicted nodes.  A later step uses the block only while its node
-    equals the predicted one bit for bit; the first that differs drops
-    the rest.  Any other appended level comes from build_kernels.  A
-    block that raises a floating-point flag is dropped and its levels
-    are built one by one, so a level that warns or fails does so at its
-    own step.
+    reaches its first level.  So do those the cap decides: when a strict
+    run's controller returns the cap unclipped, the level just appended and
+    those that further steps of the cap would append (_cap_nodes) are built
+    in one block over the predicted nodes, used only while each node equals
+    the predicted one bit for bit.  Any other appended level comes from
+    build_kernels.  A block that raises a floating-point flag is dropped and
+    its levels are built one by one, so a level that warns or fails does so
+    at its own step.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
     phi0 = np.asarray(phi0, dtype=float)
-    assert phi0.shape == (grid.M, grid.M), "initial data must match the grid"
+    if phi0.shape != (grid.M, grid.M) or not np.isfinite(phi0).all():
+        raise ValueError(f"phi0 must be a {grid.M}x{grid.M} field with no nan or inf, got shape {phi0.shape}")
     cap = step_size_cap(order.alpha, grid.h, cfg.epsilon)
     cap_limit = cap * (1.0 + 1e-12)
     r_floor = min_step_ratio(order.alpha)
@@ -514,13 +499,15 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
-        step_sq.append(grid.h**2 * grid_sum((phi - history.fields[-1]) ** 2))
+        delta = phi - history.fields[-1]
+        delta_sq = grid_sum(delta * delta)
+        step_sq.append(grid.h**2 * delta_sq)
         history.push(phi)
         sup_norms.append(sup_norm)
         fp_iters.append(sweeps)
         change_norm = math.sqrt(step_sq[-1]) / tau_n
         if unforced:
-            E, G, dist = modified_energy(history.fields, dist, kernels, cfg.epsilon, grid)
+            E, G, dist = modified_energy(history.fields, dist, kernels, cfg.epsilon, grid, delta, delta_sq)
             energies.append(E)
             g_terms.append(G)
             local.append(local_coefficient(order, kernels))

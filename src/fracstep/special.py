@@ -29,6 +29,14 @@ def omega(beta: float, t):
     return t ** (beta - 1.0) * _rgamma(beta)
 
 
+def saturating_power(base: float, exponent: float) -> float:
+    """The float base**exponent, saturated to inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def omega_diff(beta: float, lo, gap):
     """Stable omega_beta(lo + gap) - omega_beta(lo) for lo > 0, gap > 0, beta > 0.
 

@@ -92,7 +92,7 @@ def test_modified_energy_steady_history():
     kern = build_kernels(mesh, 0.5, 4)
     phi = np.full((8, 8), 0.7)
     dist = np.zeros(4)                  # carried distances of level 3
-    E, G, moved = modified_energy([phi] * 5, dist, kern, 0.2, g)
+    E, G, moved = modified_energy([phi] * 5, dist, kern, 0.2, g, np.zeros((8, 8)), 0.0)
     assert np.array_equal(moved, np.zeros(5))
     assert G == 0.0
     assert E + G == E
@@ -104,19 +104,38 @@ def test_modified_energy_writes_none_of_its_arguments():
     g = Grid2D(M=8, L=TWO_PI)
     mesh = build_uniform_mesh(1.0, 3)
     fields = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8, 8))
-    dist = None
-    for n in range(3):
-        kern = build_kernels(mesh, 0.5, n) if n else None
-        _, _, dist = modified_energy(fields[: n + 1], dist, kern, 0.3, g)
-    fields.flags.writeable = False
-    dist.flags.writeable = False
+    deltas = np.diff(fields, axis=0)
+    dist = modified_energy(fields[:1], None, None, 0.3, g)[2]
+    for n in (1, 2):
+        delta = deltas[n - 1]
+        _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh, 0.5, n), 0.3, g, delta,
+                                     grid_sum(delta * delta))
+    for array in (fields, dist, deltas):
+        array.flags.writeable = False
     kern = build_kernels(mesh, 0.5, 3)
-    first = modified_energy(fields, dist, kern, 0.3, g)
-    second = modified_energy(fields, dist, kern, 0.3, g)
+    delta_sq = grid_sum(deltas[2] * deltas[2])
+    first = modified_energy(fields, dist, kern, 0.3, g, deltas[2], delta_sq)
+    second = modified_energy(fields, dist, kern, 0.3, g, deltas[2], delta_sq)
     as_bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
     for a, b in zip(first, second, strict=True):
         assert np.array_equal(as_bits(a), as_bits(b))
     assert first[1] == pytest.approx(history_quadratic(fields, kern.aux_a, g), rel=1e-12)
+
+
+def test_modified_energy_takes_the_newest_distance_as_given():
+    # dist'_{n-1} is the grid sum it was handed, bit for bit, on a delta
+    # whose einsum norm has other bits
+    g = Grid2D(M=8, L=TWO_PI)
+    mesh = build_uniform_mesh(1.0, 3)
+    fields = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 8, 8))
+    dist = modified_energy(fields[:1], None, None, 0.3, g)[2]
+    for n in (1, 2, 3):
+        delta = fields[n] - fields[n - 1]
+        delta_sq = grid_sum(delta * delta)
+        _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh, 0.5, n), 0.3, g, delta,
+                                     delta_sq)
+        assert dist[n - 1] == delta_sq and dist[n] == 0.0
+    assert delta_sq != np.einsum("ij,ij->", delta, delta)
 
 
 def test_dissipation_lhs_arithmetic():
@@ -132,20 +151,30 @@ def test_run_columns_carry_the_bits_of_the_scalar_law(alpha):
     # run evaluates the lhs and both flags once, over the finished run;
     # recompute each step's from its scalar definition, as a run once did
     # at the step, over a strict quick coarsen (its last step, clipped to
-    # the horizon, breaks the ratio floor at alpha 0.4)
+    # the horizon, breaks the ratio floor at alpha 0.4); G level by level
+    # through modified_energy, fed the grid sum that the damping reads, so
+    # a run whose G reduced the step's difference by another path differs
     traj, cfg = run_coarsening(replace(CoarsenSpec(alpha=alpha).quick(), M=8, seed=7))
     mesh, grid = traj.mesh, cfg.grid
     r_floor = min_step_ratio(alpha)
     E_alpha = [float(e) + float(g) for e, g in zip(traj.E, traj.G, strict=True)]
-    lhs, cap_ok, ratio_ok = [], [], []
+    _, G0, dist = modified_energy(traj.fields[:1], None, None, cfg.epsilon, grid)
+    G, lhs, cap_ok, ratio_ok = [G0], [], [], []
     for n in range(1, traj.num_steps + 1):
         tau_n = mesh.step(n)
-        local = local_coefficient(alpha, build_kernels(mesh, alpha, n))
-        step_sq = grid.h**2 * grid_sum((traj.fields[n] - traj.fields[n - 1]) ** 2)
-        lhs.append(scalar_dissipation_lhs(E_alpha[n - 1], E_alpha[n], local, tau_n, step_sq))
+        kern = build_kernels(mesh, alpha, n)
+        delta = traj.fields[n] - traj.fields[n - 1]
+        delta_sq = grid_sum(delta * delta)
+        _, G_n, dist = modified_energy(traj.fields[: n + 1], dist, kern, cfg.epsilon, grid, delta, delta_sq)
+        assert dist[n - 1] == delta_sq
+        G.append(G_n)
+        step_sq = grid.h**2 * delta_sq
+        lhs.append(scalar_dissipation_lhs(E_alpha[n - 1], E_alpha[n], local_coefficient(alpha, kern), tau_n,
+                                          step_sq))
         cap_ok.append(tau_n <= traj.cap * (1.0 + 1e-12))
         ratio_ok.append(n == 1 or float(mesh.ratios[n - 2]) >= r_floor * (1.0 - 1e-12))
     as_bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+    assert np.array_equal(as_bits(traj.G), as_bits(G))
     assert np.array_equal(as_bits(traj.E_alpha), as_bits(E_alpha))
     assert np.array_equal(as_bits(traj.dissipation_lhs), as_bits(lhs))
     assert traj.cap_ok.tolist() == cap_ok and traj.ratio_ok.tolist() == ratio_ok

@@ -132,6 +132,20 @@ def test_adaptive_cap_applied_after_floor():
     assert adaptive_next_step(0.05, 0.0, _schedule(eta=0.0), 0.4, 0.01) == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("eta", [1e3, 0.0])
+def test_adaptive_saturates_where_the_speed_squared_overflows(eta):
+    # the square of 1e160 overflows a float, and 0 * inf is nan: a speed
+    # whose square overflows proposes 0, so the ratio floor 0.39 * 0.01
+    # binds, while eta = 0 proposes tau_max at every speed; every finite
+    # square keeps the bits of tau_max / sqrt(1 + eta speed^2)
+    floor = 0.39 * 0.01
+    for speed in (1e150, 1e160, math.inf):
+        assert adaptive_next_step(0.01, speed, _schedule(eta=eta), 0.39, None) == (floor if eta else 0.1)
+    for speed in (0.0, 1e-3, 3.7, 0.31, 1e6, 1e150):
+        want = max(1e-3, 0.1 / np.sqrt(1.0 + eta * speed**2), floor)
+        assert adaptive_next_step(0.01, speed, _schedule(eta=eta), 0.39, None) == want
+
+
 def test_adaptive_config_validation():
     with pytest.raises(ValueError):
         _schedule(tau_min=0.2, tau_max=0.1, eta=1.0)

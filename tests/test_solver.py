@@ -427,6 +427,20 @@ def test_non_finite_field_raises_at_once():
         crank_nicolson_step(prev, 0.02, cfg)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "shape"])
+def test_run_rejects_a_non_finite_or_misshapen_phi0_before_step_1(bad, monkeypatch):
+    # an input error, not a stalled solve: no step is taken
+    phi0 = np.random.default_rng(5).uniform(-0.5, 0.5, (8, 8))
+    if bad == "shape":
+        phi0 = phi0[:, :7]
+    else:
+        phi0[3, 4] = float(bad)
+    monkeypatch.setattr(solver, "step", lambda *args: pytest.fail("run stepped"))
+    for strict in (False, True):
+        with pytest.raises(ValueError, match="phi0"):
+            run(_cfg(enforce_bound=strict), build_uniform_mesh(0.01, 3), phi0)
+
+
 def test_run_matches_manual_stepping():
     rng = np.random.default_rng(9)
     cfg = _cfg()
