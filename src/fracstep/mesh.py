@@ -45,8 +45,7 @@ class TimeMesh:
         steps = np.diff(nodes)
         if not np.all(steps > 0.0):
             raise MeshError("mesh nodes must be strictly increasing")
-        with np.errstate(divide="ignore"):
-            ratios = steps[1:] / steps[:-1]
+        ratios = steps[1:] / steps[:-1]
         for name, arr in (("nodes", nodes), ("steps", steps), ("ratios", ratios)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

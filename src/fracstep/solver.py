@@ -210,33 +210,32 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
     raise ConvergenceError(f"{where} stalled at change {change:.3e} after {_FIXED_POINT_MAX_ITER} sweeps")
 
 
-def _predict(fields, nodes):
+def _predict(fields, nodes, radius: float):
     """Start of a fixed point at nodes[-1] from the levels fields at nodes[:-1].
 
-    The Lagrange extrapolation through all of them, clipped pointwise into
-    [-R, R] with R = max(1, |fields[-1]|_inf): on a graded mesh the
-    extrapolation of a rough history can overshoot far outside the box on
-    which the lagged map contracts.
+    The Lagrange extrapolation through all of them (one einsum), clipped
+    pointwise into [-R, R] with R = max(1, radius), radius = |fields[-1]|_inf:
+    on a graded mesh the extrapolation of a rough history can overshoot far
+    outside the box on which the lagged map contracts.
     """
-    t = nodes[-1]
-    x0 = np.zeros_like(fields[-1])
-    term = np.empty_like(x0)
-    for k, (t_k, phi) in enumerate(zip(nodes[:-1], fields)):
-        weight = math.prod((t - t_j) / (t_k - t_j) for j, t_j in enumerate(nodes[:-1]) if j != k)
-        x0 += np.multiply(weight, phi, out=term)
-    bound = max(1.0, norm_inf(fields[-1]))
+    t, past = nodes[-1], nodes[:-1]
+    weights = [math.prod((t - t_j) / (t_k - t_j) for j, t_j in enumerate(past) if j != k)
+               for k, t_k in enumerate(past)]
+    x0 = np.einsum("k,kij->ij", weights, fields)
+    bound = max(1.0, radius)
     return np.clip(x0, -bound, bound, out=x0)
 
 
-def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
+def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig, radius: float):
     """Advance one level: fields stacks phi^0..phi^{n-1}, returns (phi^n, sweeps).
 
     Fixed-point sweeps lag the reaction term; all history contributions
     are frozen.  The sweeps start from _predict over the last
     m = min(n, 4) levels: cubic extrapolation from n = 4 on, quadratic at
-    n = 3, linear at n = 2, phi^0 at n = 1.  Convergence is measured by the
-    max-norm change between sweeps against _FIXED_POINT_TOL.  The step
-    cap and the maximum bound are checked by run, which decides them.
+    n = 3, linear at n = 2, phi^0 at n = 1, clipped by radius =
+    |phi^{n-1}|_inf, which run has recorded.  Convergence is measured by the
+    max-norm change between sweeps against _FIXED_POINT_TOL.  The step cap
+    and the maximum bound are checked by run, which decides them.
     """
     order = as_order(cfg.alpha)
     n = kernels.n
@@ -255,7 +254,7 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig):
         rhs_fixed = rhs_fixed + cfg.forcing.force(t_off, grid, order, cfg.epsilon)
 
     m = min(n, _PREDICTOR_LEVELS)
-    x0 = _predict(fields[n - m :], mesh.nodes[n - m : n + 1])
+    x0 = _predict(fields[n - m :], mesh.nodes[n - m : n + 1], radius)
     return _fixed_point(
         rhs_fixed, D, (1.0 - theta) * eps2, 1.0 - theta, cfg, x0, f"step {n}: fixed point"
     )
@@ -292,7 +291,7 @@ class SolveTrajectory:
     cap: float
     cap_ok: np.ndarray
     ratio_ok: np.ndarray
-    history_capacity: int           # peak levels allocated in the field stack
+    history_capacity: int           # levels allocated in the field stack, all of them used
 
     @property
     def E_alpha(self) -> np.ndarray | None:
@@ -309,16 +308,15 @@ class SolveTrajectory:
         return n if n < len(self.mesh.nodes) else None
 
 
-_GROWTH_DIVISOR = 4        # a full history of n levels grows to n + max(1, n // 4)
-
-
 class FieldHistory:
     """The stored levels phi^0..phi^n of a run.
 
     One (capacity, M, M) stack holds the levels.  A push into a full
-    history grows it with ndarray.resize to n + max(1, n // 4) levels: for
-    a large block realloc remaps the pages instead of copying them, so two
-    stacks are never resident at once.
+    history of n levels grows it with ndarray.resize to n + max(1, min(n // 4,
+    ahead)) levels, ahead bounding from below the levels still to be pushed,
+    this one included: the stack never holds more levels than the run stores.
+    For a large block realloc remaps the pages instead of copying them, so
+    two stacks are never resident at once.
 
     The history is the only owner of its buffer, and resize runs with
     refcheck off.  A view it hands out (fields, and the last levels of
@@ -341,21 +339,14 @@ class FieldHistory:
         """View of phi^0..phi^n, valid until the next push."""
         return self._stack[: self._len]
 
-    def push(self, phi: np.ndarray) -> None:
+    def push(self, phi: np.ndarray, ahead: int) -> None:
         """Store phi as the next level, growing the stack in place when full."""
         n = self._len
         if n == self.capacity:
-            grown = n + max(1, n // _GROWTH_DIVISOR)
+            grown = n + max(1, min(n // 4, ahead))
             self._stack.resize((grown, *self._stack.shape[1:]), refcheck=False)
         self._stack[n] = phi
         self._len = n + 1
-
-    def shrink(self) -> None:
-        """Resize the stack in place to the stored levels, releasing the unused tail.
-
-        Like a push, this invalidates every view handed out before it.
-        """
-        self._stack.resize((self._len, *self._stack.shape[1:]), refcheck=False)
 
 
 def _block_end(lo: int, last: int) -> int:
@@ -413,9 +404,12 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     clipped to land on the horizon, may fall below the floor; its ratio
     flag then reads False.
 
-    phi^0..phi^n live in one FieldHistory, sized to the mesh or to an
-    adaptive schedule's warm-up and shrunk to the used levels on return;
-    history_capacity reports the peak allocation.
+    phi^0..phi^n live in one FieldHistory, sized to the mesh or to the
+    warm-up.  Past it every step is at most tau_up = max(tau_max, r* tau_n)
+    (by induction on adaptive_next_step), and at most the cap if enforced:
+    at least (end - t_n) / tau_up steps remain, shrunk by 1e-9 relative
+    before the ceiling so that rounding can cost one more resize, never a
+    level too many.  The stack ends holding exactly the levels used.
     Energy is recorded exactly when cfg.forcing is None, as the law is
     about the unforced equation.  Each step's delta = phi^n - phi^{n-1} is
     reduced once, s = grid_sum(delta * delta): the law's damping reads
@@ -495,14 +489,18 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
                                else _cap_nodes(mesh.nodes, cap, end, horizon, _block_end(n, math.inf)))
                 block_hi, block = _kernel_block(block_nodes, order, n, len(block_nodes) - 1)
         kernels = block.get(n) or build_kernels(mesh, order, n)
-        phi, sweeps = step(history.fields, mesh, kernels, cfg)
+        phi, sweeps = step(history.fields, mesh, kernels, cfg, sup_norms[-1])
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
         delta = phi - history.fields[-1]
         delta_sq = grid_sum(delta * delta)
         step_sq.append(grid.h**2 * delta_sq)
-        history.push(phi)
+        ahead = fixed + 1 - n       # the levels still to come, this one included
+        if n > fixed:               # or a lower bound on them, from tau_up
+            tau_up = min(max(schedule.tau_max, r_floor * tau_n), cap if cfg.enforce_bound else math.inf)
+            ahead = 1 + math.ceil((end - mesh.horizon) / tau_up * (1.0 - 1e-9))
+        history.push(phi, ahead)
         sup_norms.append(sup_norm)
         fp_iters.append(sweeps)
         change_norm = math.sqrt(step_sq[-1]) / tau_n
@@ -512,8 +510,6 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             g_terms.append(G)
             local.append(local_coefficient(order, kernels))
 
-    capacity = history.capacity     # the peak: a history only grows until it is shrunk
-    history.shrink()
     E = G = lhs = None
     if unforced:
         E, G = np.asarray(energies), np.asarray(g_terms)
@@ -521,5 +517,5 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     return SolveTrajectory(
         mesh=mesh, fields=history.fields, sup_norms=np.asarray(sup_norms), E=E, G=G, dissipation_lhs=lhs,
         fp_iters=np.asarray(fp_iters, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
-        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)), history_capacity=capacity,
+        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)), history_capacity=history.capacity,
     )

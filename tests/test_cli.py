@@ -432,6 +432,8 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("kernels", dict(_TINY_KERNELS, num_meshes=0), "num_meshes"),
     ("kernels", dict(_TINY_KERNELS, dgs_histories=0), "dgs_histories"),
     ("kernels", dict(_TINY_KERNELS, n_max=1), "n_max"),
+    # meshes whose weights may overflow: their non-finite rows are no kernel violations
+    ("kernels", {"alphas": [0.5], "num_meshes": 4, "n_max": 500}, "n_max"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[8]), "Ns"),
     ("accuracy", dict(_TINY_ACCURACY, Ns=[8, 8]), "Ns"),
     # a repeated entry would run or audit one case twice
@@ -476,7 +478,8 @@ def test_accuracy_quick_drops_finest_level(tmp_path):
     ("accuracy", dict(_TINY_ACCURACY, eps2=-1), "eps2"),
 ], ids=["unknown-key", "init_amplitude", "warmup_T0", "warmup_N0", "warmup_gamma", "fractional-int",
         "string-bool", "nan-float", "scalar-for-list", "missing",
-        "no-meshes", "no-dgs-histories", "n_max-1", "one-N", "repeated-N", "repeated-N-of-three",
+        "no-meshes", "no-dgs-histories", "n_max-1", "n_max-overflows", "one-N", "repeated-N",
+        "repeated-N-of-three",
         "repeated-gamma", "kernels-repeated-alpha", "rstar-repeated-alpha", "rstar-negative-seed",
         "no-Ns", "no-gammas",
         "kernels-no-alphas", "rstar-no-alphas", "accuracy-T-0", "coarsen-T-in-warm-up",
@@ -730,6 +733,34 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{module}.py:{line} {name}" for name, line in imported.items()
                    if name not in used and (module, name) not in hook_only]
     assert unused == []
+
+
+# numpy entry points that may hand their work to BLAS or LAPACK
+_BLAS_NAMES = {"linalg", "dot", "matmul", "vdot", "inner", "tensordot", "vecdot", "polyfit"}
+
+
+def test_no_module_calls_blas_or_lapack():
+    # a run's bits must not depend on the BLAS build or its thread count, so
+    # the package calls neither BLAS nor LAPACK: no np.linalg, no @, no
+    # dot-like product, no polyfit, and no einsum given optimize= (which may
+    # contract through tensordot)
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(fracstep.__file__), "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            where = f"{os.path.basename(path)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+                found.append(f"{where} .{node.attr}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                found += [f"{where} import {name}" for name in names
+                          if _BLAS_NAMES & set(name.split("."))]
+            elif isinstance(node, ast.Call) and any(kw.arg == "optimize" for kw in node.keywords):
+                found.append(f"{where} optimize=")
+    assert found == []
 
 
 def test_every_exported_name_resolves():

@@ -14,7 +14,7 @@ import pytest
 
 import fracstep.experiments as exps
 import fracstep.solver as solver
-from fracstep.audits import AuditReport, AuditSummary
+from fracstep.audits import AuditReport, AuditSummary, audit_kernel_properties
 from fracstep.experiments import (
     AccuracySpec,
     CoarsenSpec,
@@ -31,7 +31,8 @@ from fracstep.experiments import (
     write_rstar_csv,
 )
 from fracstep.grid import Grid2D, load_raw
-from fracstep.mesh import build_uniform_mesh
+from fracstep.kernels import as_order
+from fracstep.mesh import TimeMesh, build_uniform_mesh
 from fracstep.solver import SolveTrajectory
 
 
@@ -55,6 +56,33 @@ def test_fit_order_is_nan_without_a_finite_positive_error():
 def test_fit_order_needs_two_levels():
     with pytest.raises(ValueError):
         fit_order([10], [0.1])
+
+
+def test_fit_order_needs_distinct_levels():
+    # the closed form divides by the spread of log N
+    for Ns in ([8, 8], [4, 8, 4]):
+        with pytest.raises(ValueError, match="repeated"):
+            fit_order(Ns, [0.1] * len(Ns))
+
+
+def _polyfit_order(Ns, errs):
+    # the LAPACK least-squares line through the logs, and its rms misfit
+    x, y = np.log(np.asarray(Ns, dtype=float)), np.log(errs)
+    line = np.polyfit(x, y, 1)
+    resid = y - np.polyval(line, x)
+    return -line[0], math.sqrt(np.mean(resid * resid))
+
+
+def test_fit_order_matches_polyfit():
+    rng = np.random.default_rng(8)
+    for Ns in ([10, 20, 40], [20, 40, 80, 160], [3, 7, 50, 51, 400], [1.0 / g for g in (0.1, 0.05, 0.025)]):
+        for rate in (0.47, 1.7, 2.0):
+            exact = [3.0 * N**-rate for N in Ns]
+            order, resid = fit_order(Ns, exact)
+            assert order == pytest.approx(_polyfit_order(Ns, exact)[0], rel=1e-12) and resid < 1e-12
+            noisy = [e * math.exp(rng.normal(0.0, 0.2)) for e in exact]
+            want = _polyfit_order(Ns, noisy)
+            assert fit_order(Ns, noisy) == pytest.approx(want, rel=1e-12), (Ns, rate)
 
 
 def _tiny_accuracy_spec(**kw):
@@ -278,6 +306,27 @@ def _reachable(root):
         if isinstance(obj, np.ndarray) and obj.base is not None:
             stack.append(obj.base)
     return list(seen.values())
+
+
+def test_kernel_audit_n_max_stops_where_a_fuzzed_step_could_overflow():
+    # the largest step random_ratio_mesh can draw, 4^(n-1), keeps the moment
+    # series' cube of half a step finite up to _FUZZ_N_MAX, and no further
+    limit = exps._FUZZ_N_MAX
+    assert math.isfinite((0.5 * 4.0 ** (limit - 1)) ** 3)
+    with pytest.raises(OverflowError):
+        (0.5 * 4.0**limit) ** 3
+    assert KernelAuditSpec(n_max=limit).n_max == limit
+    with pytest.raises(ValueError, match="'n_max'"):
+        KernelAuditSpec(n_max=limit + 1)
+    # the mesh of largest steps, with its first step 1 and every ratio 4,
+    # audits at the limit with every row finite and no violation
+    steps = 4.0 ** np.arange(limit)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    for alpha in (0.1, 0.5, 0.9):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = audit_kernel_properties([mesh], as_order(alpha), limit)
+        assert np.isfinite(report.lhs).all() and np.isfinite(report.rhs).all()
+        assert not report.violations(), alpha
 
 
 def test_kernel_audit_result_holds_no_rows():

@@ -222,7 +222,7 @@ def test_strict_run_checks_the_bound_that_step_leaves_to_it():
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.2, 10)
     phi0 = np.full((8, 8), 1.5)
-    phi, _ = step([phi0], mesh, build_kernels(mesh, cfg.alpha, 1), cfg)
+    phi, _ = step([phi0], mesh, build_kernels(mesh, cfg.alpha, 1), cfg, norm_inf(phi0))
     assert norm_inf(phi) > 1.0 + solver._BOUND_TOL
     with pytest.raises(BoundViolation) as info:
         run(cfg, mesh, phi0)
@@ -249,7 +249,7 @@ def test_fixed_point_stall_raises(monkeypatch):
     mesh = build_uniform_mesh(0.2, 10)
     kern = build_kernels(mesh, cfg.alpha, 1)
     with pytest.raises(ConvergenceError, match="fixed point"):
-        step([rng.uniform(-0.9, 0.9, (8, 8))], mesh, kern, cfg)
+        step([rng.uniform(-0.9, 0.9, (8, 8))], mesh, kern, cfg, 0.9)
 
 
 def test_crank_nicolson_implicit_relation():
@@ -284,7 +284,7 @@ def test_l21sigma_step_implicit_relation():
     n = 4
     fields = [0.5 * rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(n)]
     kern = build_kernels(mesh, cfg.alpha, n)
-    phi, sweeps = step(fields, mesh, kern, cfg)
+    phi, sweeps = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
     levels = fields + [phi]
     theta = cfg.alpha / 2.0
     deriv = local_coefficient(cfg.alpha, kern) * (phi - fields[-1])
@@ -318,7 +318,7 @@ def test_predictor_reproduces_polynomials_below_its_level_count(m):
         nodes = np.cumsum(rng.uniform(0.01, 0.3, m + 1))
         coeffs = rng.uniform(-0.1, 0.1, (degree + 1, 8, 8))     # |p| < 1: no clip acts
         levels = [sum(c * t**d for d, c in enumerate(coeffs)) for t in nodes]
-        x0 = _predict(levels[:-1], nodes)
+        x0 = _predict(levels[:-1], nodes, norm_inf(levels[-2]))
         scale = max(norm_inf(level) for level in levels)
         bound = 8 * m * eps * (np.abs(_lagrange_weights(nodes)).sum() + 1.0) * scale
         assert norm_inf(x0 - levels[-1]) <= bound, (m, degree)
@@ -326,7 +326,8 @@ def test_predictor_reproduces_polynomials_below_its_level_count(m):
 
 def test_predictor_start_stays_in_the_bound_box(monkeypatch):
     # random levels on a graded mesh overshoot far outside [-1, 1] when
-    # extrapolated; the start is clipped into [-R, R], R = max(1, |phi^{n-1}|)
+    # extrapolated; the start is clipped into [-R, R], R = max(1, radius),
+    # with radius = |phi^{n-1}|_inf as given, not measured again
     rng = np.random.default_rng(6)
     nodes = build_graded_mesh(0.1, 6, 2.0).nodes[1:6]
     for scale in (0.5, 1.5):
@@ -334,7 +335,8 @@ def test_predictor_start_stays_in_the_bound_box(monkeypatch):
         raw = sum(w * level for w, level in zip(_lagrange_weights(nodes), levels))
         bound = max(1.0, norm_inf(levels[-1]))
         assert norm_inf(raw) > bound                      # the clip is active here
-        assert norm_inf(_predict(levels, nodes)) == bound
+        assert norm_inf(_predict(levels, nodes, norm_inf(levels[-1]))) == bound
+        assert norm_inf(_predict(levels, nodes, 1.25)) == 1.25
 
     # under enforce_bound every level step accepts lies in [-1, 1] up to
     # _BOUND_TOL, so every start of a strict run lies there too
@@ -356,10 +358,10 @@ def test_predictor_start_stays_in_the_bound_box(monkeypatch):
 def _steps_with_and_without_predictor(fields, mesh, cfg, monkeypatch):
     n = len(fields)
     kern = build_kernels(mesh, cfg.alpha, n)
-    phi, _ = step(fields, mesh, kern, cfg)
+    phi, _ = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_predict", lambda levels, nodes: levels[-1])
-        plain, _ = step(fields, mesh, kern, cfg)
+        patch.setattr(solver, "_predict", lambda levels, nodes, radius: levels[-1])
+        plain, _ = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
     return phi, plain, kern
 
 
@@ -404,7 +406,7 @@ def test_predictor_cuts_sweeps_on_a_strict_coarsen(monkeypatch):
     # from phi^{n-1} takes, on the same steps and the same dissipation margin
     spec = CoarsenSpec(alpha=0.7, seed=7).quick()
     traj, _ = run_coarsening(spec)
-    monkeypatch.setattr(solver, "_predict", lambda levels, nodes: levels[-1])
+    monkeypatch.setattr(solver, "_predict", lambda levels, nodes, radius: levels[-1])
     plain, _ = run_coarsening(spec)
 
     def worst_margin(t):
@@ -422,7 +424,7 @@ def test_non_finite_field_raises_at_once():
     prev[3, 4] = np.nan
     mesh = build_uniform_mesh(0.2, 10)
     with pytest.raises(ConvergenceError, match="non-finite"):
-        step([prev], mesh, build_kernels(mesh, cfg.alpha, 1), cfg)
+        step([prev], mesh, build_kernels(mesh, cfg.alpha, 1), cfg, norm_inf(prev))
     with pytest.raises(ConvergenceError, match="non-finite"):
         crank_nicolson_step(prev, 0.02, cfg)
 
@@ -452,7 +454,7 @@ def test_run_matches_manual_stepping():
     for n in range(1, 4):
         sub = TimeMesh(np.asarray(mesh.nodes[: n + 1]))
         kern = build_kernels(sub, cfg.alpha, n)
-        phi, _ = step(fields, sub, kern, cfg)
+        phi, _ = step(fields, sub, kern, cfg, norm_inf(fields[-1]))
         fields.append(phi)
     for a, b in zip(traj.fields, fields):
         assert np.array_equal(a, b)
@@ -508,10 +510,12 @@ def test_adaptive_run_reaches_horizon_and_notes_clip():
 
 
 def _growth_sizes(start, levels):
-    """Capacities a FieldHistory of start levels passes through to hold levels."""
+    """Capacities a FieldHistory of start levels passes through to hold
+    levels, when each push is told exactly how many levels are to come."""
     sizes = [start]
     while sizes[-1] < levels:
-        sizes.append(sizes[-1] + max(1, sizes[-1] // 4))
+        n = sizes[-1]
+        sizes.append(n + max(1, min(n // 4, levels - n)))
     return sizes
 
 
@@ -522,9 +526,9 @@ def test_field_history_growth_keeps_every_level():
     assert borrowed.base is not None
     history = FieldHistory(borrowed, 2)
     fields, capacities = [phi0], [history.capacity]
-    for _ in range(60):
+    for i in range(60):
         phi = rng.standard_normal((6, 6))
-        history.push(phi)
+        history.push(phi, 60 - i)
         fields.append(phi)
         capacities.append(history.capacity)
         # the history owns its buffer, so resize never runs on a borrowed one
@@ -532,12 +536,38 @@ def test_field_history_growth_keeps_every_level():
     assert history.fields.shape == (61, 6, 6)
     assert np.array_equal(history.fields, np.stack(fields))
     grown = [(a, b) for a, b in zip(capacities, capacities[1:]) if b != a]
-    assert len(grown) >= 8 and history.capacity == _growth_sizes(2, 61)[-1]
-    assert all(b == a + max(1, a // 4) for a, b in grown)
+    assert len(grown) >= 8 and history.capacity == _growth_sizes(2, 61)[-1] == 61
+    assert all(b == a + max(1, min(a // 4, 61 - a)) for a, b in grown)
     assert all(b <= a + a // 4 for a, b in grown if a >= 4)
 
+    # a bound below the one level being pushed still grows the stack by one
+    history = FieldHistory(phi0, 1)
+    for ahead in (0, -3):
+        history.push(phi0, ahead)
+    assert history.capacity == 3 and np.array_equal(history.fields, np.stack([phi0] * 3))
 
-def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes():
+
+def _run_and_growths(monkeypatch, cfg, schedule, phi0):
+    """run(cfg, schedule, phi0) and the capacities its field stack started at and grew to."""
+    capacities = []
+    push, init = FieldHistory.push, FieldHistory.__init__
+
+    def first(history, phi, capacity):
+        init(history, phi, capacity)
+        capacities.append(history.capacity)
+
+    def counted(history, phi, ahead):
+        push(history, phi, ahead)
+        if history.capacity != capacities[-1]:
+            capacities.append(history.capacity)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldHistory, "__init__", first)
+        patch.setattr(FieldHistory, "push", counted)
+        return run(cfg, schedule, phi0), capacities
+
+
+def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes(monkeypatch):
     # the adaptive stack grows many times on the way to the horizon; a fixed
     # mesh of the same nodes sizes its stack once and never grows it
     rng = np.random.default_rng(6)
@@ -545,11 +575,11 @@ def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes():
     warm = build_graded_mesh(0.01, 2, 1.0)
     sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
     phi0 = rng.uniform(-0.5, 0.5, (16, 16))
-    grown = run(cfg, sched, phi0)
-    fixed = run(cfg, TimeMesh(np.asarray(grown.mesh.nodes)), phi0)
-    sizes = _growth_sizes(len(warm.nodes), len(grown.fields))
-    assert len(sizes) >= 4 and grown.history_capacity == sizes[-1]
-    assert fixed.history_capacity == len(fixed.fields)
+    grown, sizes = _run_and_growths(monkeypatch, cfg, sched, phi0)
+    fixed, fixed_sizes = _run_and_growths(monkeypatch, cfg, TimeMesh(np.asarray(grown.mesh.nodes)), phi0)
+    assert sizes[0] == len(warm.nodes)
+    assert len(sizes) >= 4 and grown.history_capacity == sizes[-1] == len(grown.fields)
+    assert fixed_sizes == [len(fixed.fields)] and fixed.history_capacity == len(fixed.fields)
     assert np.array_equal(grown.mesh.nodes, fixed.mesh.nodes)
     assert np.array_equal(grown.fields, fixed.fields)
     assert np.array_equal(grown.sup_norms, fixed.sup_norms)
@@ -558,19 +588,49 @@ def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes():
         assert np.array_equal(getattr(grown, column), getattr(fixed, column)), column
 
 
-def test_run_shrinks_a_grown_history_to_its_levels():
-    # the stack grew past the levels used; run resizes it in place on
-    # return, and history_capacity still reports the peak allocation
+def _strict_at_cap():
+    # alpha 0.4 at eps 0.05: the cap, 5.2e-3, sits below tau_max, and eta = 0
+    # proposes tau_max, so every controller step is the cap but the clipped last
+    cfg = _cfg(alpha=0.4, epsilon=0.05, enforce_bound=True)
+    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 4, 2.0), horizon=0.3, tau_min=1e-3,
+                             tau_max=0.1, eta=0.0)
+    return cfg, sched
+
+
+def _warm_up_over_the_floor():
+    # the warm-up's last step, 0.1, exceeds tau_max / r* = 2.5e-3: the
+    # controller's steps fall at the ratio floor, above tau_max, almost to
+    # the horizon, so a bound that took tau_max alone would count too many
+    nodes = np.append(np.linspace(0.0, 0.01, 41), 0.11)
+    sched = AdaptiveSchedule(warmup=TimeMesh(nodes), horizon=0.174, tau_min=1e-4, tau_max=1e-3, eta=0.0)
+    return _cfg(alpha=0.5), sched
+
+
+@pytest.mark.parametrize("case", [_strict_at_cap, lambda: (_cfg(), AdaptiveSchedule(
+    warmup=build_graded_mesh(0.01, 2, 1.0), horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)),
+    _warm_up_over_the_floor], ids=["strict-at-cap", "non-strict", "warm-up-over-the-floor"])
+def test_run_ends_with_its_stack_holding_exactly_its_levels(monkeypatch, case):
+    # each push past the warm-up bounds the levels to come from below, so
+    # the stack grows until it holds exactly the levels the run stores, and
+    # the trajectory's fields are a view of that stack from its start
+    cfg, sched = case()
     rng = np.random.default_rng(4)
-    cfg = _cfg()
-    warm = build_graded_mesh(0.01, 2, 1.0)
-    sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
-    traj = run(cfg, sched, rng.uniform(-0.5, 0.5, (8, 8)))
+    traj, sizes = _run_and_growths(monkeypatch, cfg, sched, rng.uniform(-0.5, 0.5, (8, 8)))
     owner = traj.fields.base
     assert owner.flags.owndata and owner.base is None
     assert owner.shape == (traj.num_steps + 1, 8, 8)
-    sizes = _growth_sizes(len(warm.nodes), traj.num_steps + 1)
-    assert len(sizes) >= 4 and traj.history_capacity == sizes[-1] > traj.num_steps + 1
+    assert len(sizes) >= 2 and traj.history_capacity == sizes[-1] == len(traj.fields)
+    if case is _strict_at_cap:
+        # at the cap the bound counts every level: the stack grows by a
+        # quarter (at least one) until one growth lands on the last level
+        assert traj.cap_ok.all() and np.allclose(traj.mesh.steps[4:-1], traj.cap, rtol=1e-9, atol=0.0)
+        assert traj.num_steps > 50 and traj.mesh.step(traj.num_steps) < traj.cap
+        assert all(b == a + max(1, a // 4) for a, b in zip(sizes[:-2], sizes[1:-1]))
+        assert sizes[-2] < sizes[-1] <= sizes[-2] + max(1, sizes[-2] // 4)
+    if case is _warm_up_over_the_floor:
+        ratios = traj.mesh.ratios[40:-1]
+        assert ratios.size == 4 and np.allclose(ratios, min_step_ratio(cfg.alpha), rtol=1e-9, atol=0.0)
+        assert traj.mesh.step(traj.num_steps - 1) > sched.tau_max
 
 
 def test_adaptive_run_grows_stack_and_matches_manual_stepping():
@@ -589,12 +649,12 @@ def test_adaptive_run_grows_stack_and_matches_manual_stepping():
     fields = [phi0]
     for n in range(1, traj.num_steps + 1):
         sub = TimeMesh(np.asarray(traj.mesh.nodes[: n + 1]))
-        phi, _ = step(fields, sub, build_kernels(sub, cfg.alpha, n), cfg)
+        phi, _ = step(fields, sub, build_kernels(sub, cfg.alpha, n), cfg, norm_inf(fields[-1]))
         fields.append(phi)
     assert np.array_equal(traj.fields, np.stack(fields))
 
 
-def test_carried_distances_match_recomputed_G_at_every_step():
+def test_carried_distances_match_recomputed_G_at_every_step(monkeypatch):
     # G comes from squared distances carried across steps and across many
     # growths of the stack; at every level it must equal the stateless
     # recomputation within a worst-case round-off bound of the update
@@ -603,10 +663,10 @@ def test_carried_distances_match_recomputed_G_at_every_step():
     grid = cfg.grid
     warm = build_graded_mesh(0.01, 2, 1.0)
     sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
-    traj = run(cfg, sched, rng.uniform(-0.5, 0.5, (16, 16)))
+    traj, sizes = _run_and_growths(monkeypatch, cfg, sched, rng.uniform(-0.5, 0.5, (16, 16)))
     # 3 -> 4 -> ... -> 8 levels by one, then by a quarter: 10 -> 12 -> 15 -> ...
-    sizes = _growth_sizes(len(warm.nodes), len(traj.fields))
-    assert traj.history_capacity == sizes[-1]
+    assert sizes[:7] == [3, 4, 5, 6, 7, 8, 10]
+    assert traj.history_capacity == sizes[-1] == len(traj.fields)
     assert sum(b - a > 1 for a, b in zip(sizes, sizes[1:])) >= 3
     assert len(traj.fields) == traj.num_steps + 1
 
@@ -698,9 +758,9 @@ def _spy_on_steps(patch, levels):
     """Patch solver.step to append each step's KernelSet to levels."""
     real = solver.step
 
-    def spy(fields, mesh, kernels, cfg):
+    def spy(fields, mesh, kernels, cfg, radius):
         levels.append(kernels)
-        return real(fields, mesh, kernels, cfg)
+        return real(fields, mesh, kernels, cfg, radius)
 
     patch.setattr(solver, "step", spy)
 
