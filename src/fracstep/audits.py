@@ -1,7 +1,7 @@
 """Inequality certificates for the split derivative kernels.
 
 The energy analysis of the scheme rests on sign and monotonicity
-properties of the gradient-structure kernels aux_a, of the moment weights
+properties of the gradient-structure kernels A, of the moment weights
 zeta, and of two endpoint-weighted curvature integrals per interval.  The
 audit recomputes every inequality numerically on a given mesh and reports
 the raw slack (positive means satisfied), so hypothesis violations are
@@ -14,7 +14,7 @@ rather than one object per check.  A report folds into an AuditSummary,
 one row per mesh and property and the violating rows, which is what a
 run of many audits keeps.
 
-Checked per level n (prev = level n-1 kernels, A = aux_a, Z = zeta).
+Checked per level n (prev = level n-1, A = gradient_kernels(hat_a), Z = zeta).
 A report groups its rows by property in this order (the properties that
 start at level 2, then 3, then 4), and orders each one's rows by n, then k.
   kernel_decreasing        A[n-k-1] > A[n-k]
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import FracOrder, as_order, comparison_factor, kernel_tables
+from .kernels import FracOrder, as_order, comparison_factor, gradient_kernels, kernel_tables
 from .kernels import build_kernels  # noqa: F401  (unused here; perfbench/tracer.py hooks this name)
 from .special import omega
 
@@ -74,10 +74,9 @@ class AuditReport:
     code indexes names, its rows are grouped by property in names order,
     and every name has rows.  lhs and rhs are (meshes, rows), row m being
     mesh m's; a 1-D lhs or rhs is one mesh's.  len() is meshes x rows, and
-    iteration yields each mesh's AuditEntry rows in turn.  summary()
-    condenses the rows per mesh and property, and fold() keeps that
-    summary and the violations() rows, which is all that
-    experiments.write_kernel_audit_csv writes.
+    iteration yields each mesh's AuditEntry rows in turn.  fold()
+    condenses the rows per mesh and property and keeps the violations()
+    rows, which is all that experiments.write_kernel_audit_csv writes.
     """
 
     def __init__(self, names, n, code, k, lhs, rhs):
@@ -149,25 +148,20 @@ class AuditReport:
         meshes, rows = np.nonzero(self._violating)
         return [(m, self._entry(m, i)) for m, i in zip(meshes.tolist(), rows.tolist())]
 
-    def summary(self):
-        """(checks, violations, worst) as int arrays: the row count of each
-        property in names order, and, as (meshes, names), each mesh's
-        violations() count per property and its first row of least slack
-        (np.argmin takes the first nan, so a nan slack ranks worst)."""
+    def fold(self) -> "AuditSummary":
+        """The report condensed to what the kernel audit's outputs read:
+        the row count of each property in names order, and, per mesh and
+        property, the violations() count and the n, k, lhs and rhs of the
+        first row of least slack (np.argmin takes the first nan, so a nan
+        slack ranks worst), with the violations() pairs."""
         segments = list(zip(self._bounds, self._bounds[1:]))
         shape = (len(segments), len(self.lhs))
         bad = [self._violating[:, a:b].sum(axis=1) for a, b in segments]
         worst = [a + np.argmin(self.lhs[:, a:b] - self.rhs[:, a:b], axis=1) for a, b in segments]
-        return (np.diff(self._bounds), np.array(bad, dtype=np.int64).reshape(shape).T,
-                np.array(worst, dtype=np.int64).reshape(shape).T)
-
-    def fold(self) -> "AuditSummary":
-        """The report condensed to what the kernel audit's outputs read:
-        summary()'s counts, the n, k, lhs and rhs of its worst rows, and
-        the violations() pairs."""
-        checks, bad, worst = self.summary()
-        cols = (checks, bad, self.n[worst], self.k[worst],
-                np.take_along_axis(self.lhs, worst, axis=1), np.take_along_axis(self.rhs, worst, axis=1))
+        worst = np.array(worst, dtype=np.int64).reshape(shape).T
+        cols = (np.diff(self._bounds), np.array(bad, dtype=np.int64).reshape(shape).T, self.n[worst],
+                self.k[worst], np.take_along_axis(self.lhs, worst, axis=1),
+                np.take_along_axis(self.rhs, worst, axis=1))
         for col in cols:
             col.flags.writeable = False
         return AuditSummary(self.names, *cols, tuple(self.violations()))
@@ -247,33 +241,33 @@ def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
     block.
 
     Every level's weights come from one kernel_tables pass over all the
-    meshes, and each property is one array expression over its meshes and
-    (n, k) pairs, with level n-1 read from the row above.
+    meshes (level n at row n - 1, A formed once from hat_a), and each
+    property is one array expression over its meshes and (n, k) pairs.
     """
     if n_max < 2:
         return (), [], [], [], np.empty((2, len(meshes), 0))
     alpha = order.alpha
-    t = kernel_tables(meshes, order, n_max)
-    wp = omega(1.0 - alpha, t.d)                 # wp[:, n, p] = w'(t_{n-p}) at level n
-    A, Z, (I, J) = t.aux_a, t.zeta, _gaps(t.a, wp)
+    t = kernel_tables([mesh.nodes[: n_max + 1] for mesh in meshes], order, 1, n_max)
+    wp = omega(1.0 - alpha, t.d)                 # wp[:, n-1, p] = w'(t_{n-p}) at level n
+    A, Z, (I, J) = gradient_kernels(t.hat_a), t.zeta, _gaps(t.a, wp)
     r = np.full((len(meshes), n_max + 1), np.nan)      # r[:, j] = ratio at step j
     r[:, 2:] = [mesh.ratios[: n_max - 1] for mesh in meshes]
     beta = comparison_factor(alpha, r)
 
     @functools.cache
     def index(group, dn, dk):
-        """The (level, offset) index pair of at, built once per call."""
+        """The (row, offset) index pair of at, built once per call."""
         n, k = pairs[group]
-        return n - dn, n - k - (dn + dk)
+        return n - dn - 1, n - k - (dn + dk)
 
     def at(table, group, dn, dk):
-        """table, a (meshes, level, offset) weight table, at level n - dn
+        """table, a (meshes, row, offset) weight table, at level n - dn
         and step k + dk, which is offset n - dn - k - dk, of each (n, k)
         pair of the group, as (meshes, pairs): with the docstring's
         notation, at(A, g, 0, 0) is A[n-k], (0, 1) is A[n-k-1], (1, 0) is
         A_prev[n-1-k] and (1, 1) is A_prev[n-2-k]."""
-        level, offset = index(group, dn, dk)
-        return table[:, level, offset]
+        row, offset = index(group, dn, dk)
+        return table[:, row, offset]
 
     (_, k), (_, k1), (_, k2), (nh, _) = pairs = _pairs(n_max)
     props = (       # name, the index of its pairs in _pairs, and its (lhs, rhs) by mesh and pair
@@ -283,7 +277,7 @@ def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
         ("left_curvature_gap", 0, lambda: (at(I, 0, 0, 0), (1.0 + beta[:, k + 1]) * at(Z, 0, 0, 0))),
         ("right_curvature_gap", 0, lambda: (at(J, 0, 0, 0), 3.0 * at(Z, 0, 0, 0))),
         # r_n Z[1] < alpha/(3(2-alpha)) w'(t_{n-1})
-        ("head_moment_bound", 3, lambda: (alpha / (3.0 * (2.0 - alpha)) * wp[:, nh, 1], r[:, nh] * at(Z, 3, 0, 0))),
+        ("head_moment_bound", 3, lambda: (alpha / (3.0 * (2.0 - alpha)) * wp[:, nh - 1, 1], r[:, nh] * at(Z, 3, 0, 0))),
         ("kernel_diff_decay", 1,
          lambda: (at(A, 1, 1, 1) - at(A, 1, 1, 0), at(A, 1, 0, 1) - at(A, 1, 0, 0))),
         # the level decays are flipped so that lhs > rhs holds like the other rows

@@ -67,7 +67,7 @@ def modified_energy(
     assert kernels is not None and kernels.n == n and delta is not None
     inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
     moved = dist[:n] + (delta_sq + 2.0 * (inner[n - 1] - inner))
-    G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.aux_a), moved)
+    G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.hat_a), moved)
     return E, G, np.append(moved, 0.0)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .audits import audit_kernel_properties
 from .grid import Grid2D, grid_sum, save_pgm, save_raw
 from .kernels import (
+    admissible_order,
     as_order,
     build_kernels,
     dgs_forms,
@@ -85,9 +86,7 @@ def _require_distinct(key: str, value: tuple, least: int) -> None:
                          f"got {list(value)}")
 
 
-# An order the scheme takes: alpha in (0, 1) whose offset theta = alpha/2 is
-# positive (at alpha = 5e-324 it underflows to 0).  False for nan.
-_ORDER = (lambda alpha: 0.0 < 0.5 * alpha < 0.5, "lie in (0, 1) with alpha/2 > 0")
+_ORDER = (admissible_order, "lie in (0, 1) with alpha/2 > 0")
 
 _STUDY_L = 2.0 * np.pi     # both field studies run on the periodic square (0, _STUDY_L)^2
 

@@ -10,24 +10,24 @@ interval [t_{k-1}, t_k] (k < n) and linear on [t_{n-1}, t_{n-theta}].
 This produces, per level n, interval-average weights a and first-moment
 weights zeta.  Regrouping by first differences splits the operator into a
 local part (alpha/(2-alpha)) * a_0 * (v^n - v^{n-1}) plus a discrete
-convolution with history weights hat_a; doubling the head of hat_a gives
-the kernels aux_a whose monotonicity (for step ratios above the threshold
-computed by min_step_ratio) yields a discrete gradient structure: the
-product 2*(v^n - v^{n-1}) * derivative splits into the increment of a
-nonnegative quadratic form G plus nonnegative remainders.
+convolution with history weights hat_a.  Doubling the head of hat_a
+(gradient_kernels, exact) gives the kernels A, never stored, whose
+monotonicity (for step ratios above the threshold computed by
+min_step_ratio) yields a discrete gradient structure: the product
+2*(v^n - v^{n-1}) * derivative splits into the increment of a nonnegative
+quadratic form G plus nonnegative remainders.
 
-kernel_tables builds every level of several meshes in one pass, as tables
-with one block per mesh and one row per level.  build_kernel_block builds
-the levels lo..hi in one pass from the nodes t_0..t_hi, as KernelSets,
-and build_kernels is its one-level case, so all three share each weight
-formula.  Every weight is evaluated elementwise, and each moment weight by
-the one formula (closed form or midpoint series) it keeps, so a level's
-row has the same bits whichever levels are built with it.  solver.run
-takes from blocks the levels of a mesh it does not append to and those
-its step cap decides; it builds any other level its controller appends
-alone.  The gradient-structure check (dgs_forms) runs the run's own code:
-frac_derivative is the split form the stepper solves, and distance_form
-is the one G form, also that of energy.modified_energy.
+kernel_tables is the one weight pass, over the levels lo..hi of rows of
+nodes.  build_kernel_block slices its tables into KernelSets,
+build_kernels is its one-level case, and the kernel audit reads them, so
+all share each weight formula.  Every weight is evaluated elementwise, and
+each moment weight by the one formula (closed form or midpoint series) it
+keeps, so a level's row has the same bits whichever levels are built with
+it.  solver.run takes from blocks the levels of a mesh it does not append
+to and those its step cap decides; it builds any other level its
+controller appends alone.  The gradient-structure check (dgs_forms) runs
+the run's own code: frac_derivative is the split form the stepper solves,
+and distance_form is the one G form, also that of energy.modified_energy.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ _SERIES_GAP = 0.25
 _SERIES_TERMS = 14
 
 
+def admissible_order(alpha) -> bool:
+    """alpha in (0, 1) with a positive offset alpha/2 (5e-324 halves to 0); false for nan."""
+    return 0.0 < 0.5 * alpha < 0.5
+
+
 @dataclass(frozen=True)
 class FracOrder:
     """Fractional order alpha in (0,1) with its offset theta = alpha/2."""
@@ -56,8 +61,8 @@ class FracOrder:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
+        if not admissible_order(self.alpha):
+            raise ValueError(f"fractional order must lie in (0, 1) with alpha/2 > 0, got {self.alpha}")
 
     @property
     def theta(self) -> float:
@@ -222,9 +227,8 @@ def _regroup(a: np.ndarray, zeta: np.ndarray, r: np.ndarray, alpha: float) -> np
 
 
 def _weight_rows(nodes, order: FracOrder, lo: int, hi: int):
-    """(d, a, zeta, hat_a, aux_a) of the levels n = lo..hi of each mesh,
-    one block per mesh (a row of nodes, t_0..t_hi at least) and one row
-    per level.
+    """(d, a, zeta, hat_a) of the levels n = lo..hi of each mesh, one block
+    per mesh (a row of nodes, t_0..t_hi at least) and one row per level.
 
     d holds the backdistances by node offset p (see _offset_geometry).  The
     weights are indexed by offset m = n - k, the row of level n holding it
@@ -234,10 +238,10 @@ def _weight_rows(nodes, order: FracOrder, lo: int, hi: int):
       a[n-k] = (omega_{2-alpha}(d_{k-1}) - omega_{2-alpha}(d_k)) / tau_k,  k < n
 
     zeta[n-k] is the moment weight of interval k < n (_moments); there is no
-    zero-offset moment weight, hence a nan zeta[0].  All a and zeta entries
-    are strictly positive.  Every entry is evaluated elementwise, so a
-    level's row does not depend on which other levels or meshes are built
-    with it.
+    zero-offset moment weight, hence a nan zeta[0].  hat_a is _regroup's.
+    All a and zeta entries are strictly positive.  Every entry is evaluated
+    elementwise, so a level's row does not depend on which other levels or
+    meshes are built with it.
     """
     alpha = order.alpha
     d, tau, r = _offset_geometry(nodes, order.theta, lo, hi)
@@ -256,14 +260,15 @@ def _weight_rows(nodes, order: FracOrder, lo: int, hi: int):
     zeta[..., 1:] = _moments(alpha, tau_k, d_k)
     if np.count_nonzero(zeta > 0.0) != count - len(d) * levels:
         raise FloatingPointError("moment weights must be positive")
-    hat = _regroup(a, zeta, r, alpha)
-    return d, a, zeta, hat, gradient_kernels(hat)
+    return d, a, zeta, _regroup(a, zeta, r, alpha)
 
 
 def gradient_kernels(hat_a: np.ndarray) -> np.ndarray:
-    """Kernels of the gradient-structure identity: the head doubled, rest shared.
+    """The kernels A of the gradient-structure identity: hat_a with its
+    head doubled (exact in floating point), the rest shared.
 
-    Takes one level's hat_a or a table of them, offset on the last axis.
+    Takes one level's hat_a or a table of them, offset on the last axis,
+    and returns a new array.
     """
     aux = hat_a.copy()
     aux[..., 0] *= 2.0
@@ -275,66 +280,63 @@ class KernelSet:
     """All level-n weight vectors, indexed by offset m = n - k.
 
     a, zeta are the raw interpolation weights (zeta[0] is nan, unused);
-    hat_a are the history-convolution weights of the split form; aux_a the
-    gradient-structure kernels (aux_a[0] = 2 hat_a[0]).
+    hat_a are the history-convolution weights of the split form, from
+    which gradient_kernels derives the gradient-structure kernels.
     """
 
     n: int
     a: np.ndarray
     zeta: np.ndarray
     hat_a: np.ndarray
-    aux_a: np.ndarray
 
 
 @dataclass(frozen=True)
 class KernelTables:
-    """The weights of levels 0..n_max of several meshes at once, as tables
-    indexed by mesh, level and offset.
-
-    Row [j, n] of a, zeta, hat_a and aux_a, shape (meshes, n_max+1, n_max),
-    holds level n's KernelSet vectors of mesh j in its first n entries and
-    nan past them; row [j, 0] is all nan.  d, shape (meshes, n_max+1,
-    n_max+1), holds the backdistances d[j, n, p] = t_{n-theta} - t_{n-p} of
-    mesh j by node offset p, for 1 <= p <= n, and nan elsewhere.
-    """
+    """kernel_tables' read-only weights, indexed by mesh j, row i (level
+    n = lo + i) and offset: a, zeta and hat_a, shape (meshes, hi-lo+1, hi),
+    hold level n's KernelSet vectors in their first n entries and nan past
+    them; d, one column wider, the backdistances d[j, i, p] = t_{n-theta}
+    - t_{n-p} by node offset p, 1 <= p <= n, and nan elsewhere."""
 
     d: np.ndarray
     a: np.ndarray
     zeta: np.ndarray
     hat_a: np.ndarray
-    aux_a: np.ndarray
 
 
-def kernel_tables(meshes, order, n_max: int) -> KernelTables:
-    """Build every level 1..n_max of each of a nonempty sequence of meshes in
-    one pass; row [j, n] of each weight table is build_kernels(meshes[j],
-    order, n) bit for bit."""
-    assert meshes and all(1 <= n_max <= mesh.num_steps for mesh in meshes), f"level {n_max} out of range"
-    rows = _weight_rows([mesh.nodes[: n_max + 1] for mesh in meshes], as_order(order), 1, n_max)
-    return KernelTables(*(np.concatenate((np.full((len(meshes), 1, t.shape[-1]), np.nan), t), axis=1)
-                          for t in rows))
+def kernel_tables(nodes, order, lo: int, hi: int) -> KernelTables:
+    """The one weight pass: the levels n = lo..hi of one node vector or of
+    each row of a 2-D nodes (a vector is one row), t_0..t_hi at least.
+
+    Row [j, i] of each weight table is build_kernels(mesh, order, lo + i)
+    of any mesh that begins with row j, bit for bit.  Raises ValueError
+    unless 1 <= lo <= hi < the number of nodes.
+    """
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    if not 1 <= lo <= hi < nodes.shape[-1]:
+        raise ValueError(f"levels {lo}..{hi} out of range for {nodes.shape[-1]} nodes")
+    tables = _weight_rows(nodes, as_order(order), lo, hi)
+    for table in tables:
+        table.flags.writeable = False
+    return KernelTables(*tables)
 
 
 def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
-    """build_kernels(mesh, order, n) for n = lo..hi, from one pass over the
-    nodes t_0..t_hi of any mesh that begins with them.
+    """build_kernels(mesh, order, n) for n = lo..hi: one kernel_tables pass
+    over the nodes t_0..t_hi of any mesh that begins with them, by level.
 
     A level's weights depend only on its own nodes, so a caller may pass
     nodes that no TimeMesh holds yet (solver.run's predicted nodes).  Each
     KernelSet holds read-only views of the pass's tables, which stay alive
-    while any of them does; by the kernel_tables contract each is
-    build_kernels' bit for bit.
+    while any of them does.
     """
-    assert 1 <= lo <= hi < len(nodes), f"levels {lo}..{hi} out of range"
-    _, *tables = _weight_rows((nodes,), as_order(order), lo, hi)
-    for table in tables:
-        table.flags.writeable = False
-    return tuple(KernelSet(n, *(table[0, i, :n] for table in tables))
+    t = kernel_tables(nodes, order, lo, hi)
+    return tuple(KernelSet(n, t.a[0, i, :n], t.zeta[0, i, :n], t.hat_a[0, i, :n])
                  for i, n in enumerate(range(lo, hi + 1)))
 
 
 def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
-    """Assemble a, zeta, hat_a and aux_a for level n of the given mesh (read-only)."""
+    """Assemble a, zeta and hat_a for level n of the given mesh (read-only)."""
     return build_kernel_block(mesh.nodes, order, n, n)[0]
 
 
@@ -386,14 +388,16 @@ def _differenced(weights) -> np.ndarray:
     return np.negative(c, out=c)
 
 
-def stored_form_coeffs(aux_a: np.ndarray) -> np.ndarray:
-    """Coefficients c of the quadratic form G at this level n = aux_a.size.
+def stored_form_coeffs(hat_a: np.ndarray) -> np.ndarray:
+    """Coefficients c of the quadratic form G at this level n = hat_a.size.
 
-    G[w] = sum_{j=0}^{n-1} c[j] (sum_{l>j} w_l)^2 with c[j] = aux_a[n-j-1]
-    - aux_a[n-j] and aux_a[n] = 0, so c[0] = aux_a[n-1].  All coefficients
-    are nonnegative when the mesh respects the ratio floor.
+    With A = gradient_kernels(hat_a), G[w] = sum_{j=0}^{n-1} c[j]
+    (sum_{l>j} w_l)^2 with c[j] = A[n-j-1] - A[n-j] and A[n] = 0, so
+    c[0] = A[n-1].  All coefficients are nonnegative when the mesh
+    respects the ratio floor.
     """
-    return (aux_a - np.append(aux_a[1:], 0.0))[::-1]
+    A = gradient_kernels(hat_a)
+    return (A - np.append(A[1:], 0.0))[::-1]
 
 
 def distance_form(c, dist) -> float:
@@ -419,11 +423,11 @@ def dgs_forms(kernels_prev, kernels_curr: KernelSet, diffs):
     w = np.asarray(diffs, dtype=float)
     n = w.size
     assert kernels_curr.n == n
-    c = stored_form_coeffs(kernels_curr.aux_a)
+    c = stored_form_coeffs(kernels_curr.hat_a)
     g_curr = distance_form(c, np.cumsum(w[::-1])[::-1] ** 2)
     if n == 1:
         return g_curr, 0.0, 0.0
     assert kernels_prev is not None and kernels_prev.n == n - 1
-    c_prev = stored_form_coeffs(kernels_prev.aux_a)
+    c_prev = stored_form_coeffs(kernels_prev.hat_a)
     dist = np.cumsum(w[: n - 1][::-1])[::-1] ** 2
     return g_curr, distance_form(c_prev, dist), distance_form(c_prev - c[: n - 1], dist)

@@ -243,7 +243,7 @@ def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
 def worst_slack(audit: AuditReport | AuditSummary):
     """Minimum slack per mesh and property, as one {prop: (slack, n, k)} per
     mesh in names order, read from the worst_* columns of a summary (a
-    report is folded first, so they are the worst rows of its summary())."""
+    report is folded first)."""
     s = audit.fold() if isinstance(audit, AuditReport) else audit
     cols = (s.worst_n, s.worst_k, s.worst_lhs, s.worst_rhs)
     return [{prop: (x - y, n, k) for prop, n, k, x, y in zip(s.names, *row)}
@@ -256,7 +256,7 @@ def worst_slack(audit: AuditReport | AuditSummary):
 _G_BLOCK = 32        # history levels per squared-distance block (the oracle's only temporary)
 
 
-def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
+def history_quadratic(fields, hat_a: np.ndarray, grid: Grid2D) -> float:
     """Half the integrated gradient-structure form G over the grid, recomputed.
 
     fields stacks phi^0..phi^n; the partial sums of first differences
@@ -273,7 +273,7 @@ def history_quadratic(fields, aux_a: np.ndarray, grid: Grid2D) -> float:
     for lo in range(0, n, _G_BLOCK):
         d = fields[lo : min(lo + _G_BLOCK, n)] - fields[n]
         dist[lo : lo + len(d)] = np.einsum("kij,kij->k", d, d)
-    return 0.5 * grid.h**2 * distance_form(stored_form_coeffs(aux_a), dist)
+    return 0.5 * grid.h**2 * distance_form(stored_form_coeffs(hat_a), dist)
 
 
 def scalar_dissipation_lhs(prev_E_alpha: float, curr_E_alpha: float, local: float, tau_n: float,

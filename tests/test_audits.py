@@ -20,7 +20,8 @@ from fracstep.experiments import (
     run_kernel_audit,
     write_kernel_audit_csv,
 )
-from fracstep.kernels import as_order, build_kernels, comparison_factor, kernel_tables, min_step_ratio
+from fracstep.kernels import (as_order, build_kernels, comparison_factor, gradient_kernels, kernel_tables,
+                              min_step_ratio)
 from fracstep.mesh import build_graded_mesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.special import omega
 from oracles import _weight_at_nodes, diagnostics, endpoint_gaps, worst_slack
@@ -51,10 +52,10 @@ def test_endpoint_gaps_match_quadrature():
         order = as_order(alpha)
         n = 6
         mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
-        t = kernel_tables([mesh], order, n)
+        t = kernel_tables(mesh.nodes, order, 1, n)
         I_tab, J_tab = _gaps(t.a, omega(1.0 - alpha, t.d))
         for level in range(2, n + 1):
-            I_id, J_id = I_tab[0, level, :level], J_tab[0, level, :level]
+            I_id, J_id = I_tab[0, level - 1, :level], J_tab[0, level - 1, :level]
             diag = diagnostics(mesh, order, level)
             assert math.isnan(I_id[0]) and math.isnan(diag.I[0])
             assert np.allclose(I_id[1:], diag.I[1:], rtol=1e-9)
@@ -133,7 +134,7 @@ def _audit_loop(mesh, alpha, n_max):
     Ip, Jp = endpoint_gaps(prev, mesh, order, 1)
     for n in range(2, min(n_max, mesh.num_steps) + 1):
         ks = build_kernels(mesh, order, n)
-        A, Ap, Z, Zp = ks.aux_a, prev.aux_a, ks.zeta, prev.zeta
+        A, Ap, Z, Zp = gradient_kernels(ks.hat_a), gradient_kernels(prev.hat_a), ks.zeta, prev.zeta
         beta = comparison_factor(order.alpha, np.concatenate(([np.nan, np.nan], mesh.ratios[: n - 1])))
         I, J = endpoint_gaps(ks, mesh, order, n)
         r = mesh.steps[1:n] / mesh.steps[: n - 1]
@@ -213,7 +214,10 @@ def test_empty_report():
         assert len(report) == 0 and report.lhs.shape == (1, 0)
         assert report.violations() == []
         assert worst_slack(report) == [{}]
-        assert [col.size for col in report.summary()] == [0, 0, 0]
+        summary = report.fold()
+        assert [col.size for col in (summary.checks, summary.bad, summary.worst_n, summary.worst_k,
+                                     summary.worst_lhs, summary.worst_rhs)] == [0] * 6
+        assert summary.violations == () and len(summary) == 0
         assert list(report) == []
 
 
@@ -436,10 +440,15 @@ def test_summary_on_rows_not_grouped_by_property():
     rows = [(2, "p", 1, 1.0, 0.0), (3, "p", 1, 0.0, 0.5), (4, "p", 1, 0.0, 0.5), (5, "p", 2, 3.0, 0.0),
             (2, "q", 1, 0.0, 0.0), (3, "q", 2, math.nan, 0.0), (4, "q", 3, -1.0, 0.0), (5, "r", 1, 2.0, 1.0)]
     report = _stack(_report(rows), _report([(n, p, k, 1.0, 0.0) for n, p, k, *_ in rows]))
-    checks, bad, worst = report.summary()
-    assert report.names == ("p", "q", "r")
-    assert checks.tolist() == [4, 3, 1] and bad.tolist() == [[2, 2, 0], [0, 0, 0]]
-    assert worst.tolist() == [[1, 5, 7], [0, 4, 7]]
+    summary = report.fold()
+    assert report.names == summary.names == ("p", "q", "r")
+    assert summary.checks.tolist() == [4, 3, 1] and summary.bad.tolist() == [[2, 2, 0], [0, 0, 0]]
+    # mesh 0's p rows (3, 1) and (4, 1) tie at slack -0.5 and the first is kept;
+    # q's nan slack (3, 2) ranks below its -1.0
+    assert summary.worst_n.tolist() == [[3, 3, 5], [2, 2, 5]]
+    assert summary.worst_k.tolist() == [[1, 2, 1], [1, 1, 1]]
+    assert np.array_equal(summary.worst_lhs - summary.worst_rhs, [[-0.5, np.nan, 1.0], [1.0, 1.0, 1.0]],
+                          equal_nan=True)
 
 
 def _fuzz_meshes(alphas, count, n_max, seed=0, floor=None):

@@ -60,10 +60,10 @@ def test_history_quadratic_matches_pointwise_form():
         mesh = build_uniform_mesh(1.0, n)
         kern = build_kernels(mesh, 0.6, n)
         fields = rng.standard_normal((n + 1, 8, 8))
-        got = history_quadratic(fields, kern.aux_a, g)
+        got = history_quadratic(fields, kern.hat_a, g)
 
         diffs = np.diff(fields, axis=0)
-        c = stored_form_coeffs(kern.aux_a)
+        c = stored_form_coeffs(kern.hat_a)
         acc = 0.0
         for i in range(8):
             for j in range(8):
@@ -119,7 +119,7 @@ def test_modified_energy_writes_none_of_its_arguments():
     as_bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
     for a, b in zip(first, second, strict=True):
         assert np.array_equal(as_bits(a), as_bits(b))
-    assert first[1] == pytest.approx(history_quadratic(fields, kern.aux_a, g), rel=1e-12)
+    assert first[1] == pytest.approx(history_quadratic(fields, kern.hat_a, g), rel=1e-12)
 
 
 def test_modified_energy_takes_the_newest_distance_as_given():

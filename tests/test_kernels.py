@@ -11,6 +11,7 @@ from fracstep.experiments import KernelAuditSpec, dgs_case, kernel_audit_meshes,
 from fracstep.kernels import (
     FracOrder,
     as_order,
+    build_kernel_block,
     build_kernels,
     dgs_forms,
     frac_derivative,
@@ -41,10 +42,10 @@ RSTAR_FROZEN = [
 
 
 def test_order_validation():
-    with pytest.raises(ValueError):
-        FracOrder(0.0)
-    with pytest.raises(ValueError):
-        FracOrder(1.0)
+    for alpha in (0.0, 1.0, 5e-324, math.nan):     # at 5e-324, theta = alpha/2 underflows to 0
+        with pytest.raises(ValueError, match="alpha/2 > 0"):
+            FracOrder(alpha)
+    assert FracOrder(1e-323).theta == 5e-324 and FracOrder(np.nextafter(1.0, 0.0)).theta < 0.5
     assert as_order(0.8).theta == pytest.approx(0.4)
     assert as_order(as_order(0.3)) is not None
 
@@ -147,16 +148,38 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
         d, tau, _ = _offset_geometry([mesh.nodes], 0.5 * alpha, 2, n_max)
         gap = tau[..., 1:] / d[..., 1:-1]                        # tau_k / d_k, nan past each level
         assert np.any(gap <= _SERIES_GAP) and np.any(gap > _SERIES_GAP)   # both moment branches
-    # one pass over all three meshes: block j is mesh j's tables
-    tables = kernel_tables(meshes, alpha, n_max)
-    for name in ("a", "zeta", "hat_a", "aux_a"):
-        table = getattr(tables, name)
-        assert table.shape == (len(meshes), n_max + 1, n_max) and np.isnan(table[:, 0]).all()
-        for j, mesh in enumerate(meshes):
-            for n in range(1, n_max + 1):
-                want = getattr(build_kernels(mesh, alpha, n), name)
-                assert table[j, n, :n].tobytes() == want.tobytes(), (name, j, n)
-                assert np.isnan(table[j, n, n:]).all()
+    # one pass over all three meshes' nodes t_0..t_n_max: block j is mesh j's
+    # tables, row i level lo + i, whatever the range; a mesh's whole node
+    # vector, as one row, gives its block's bits
+    rows = [mesh.nodes[: n_max + 1] for mesh in meshes]
+    for lo, hi in ((1, n_max), (2, 2), (3, 11), (9, n_max), (n_max, n_max)):
+        tables = kernel_tables(rows, alpha, lo, hi)
+        alone = [kernel_tables(mesh.nodes, alpha, lo, hi) for mesh in meshes]
+        assert tables.d.shape == (len(meshes), hi - lo + 1, hi + 1)
+        for name in ("d", "a", "zeta", "hat_a"):
+            table = getattr(tables, name)
+            assert not table.flags.writeable
+            for j in range(len(meshes)):
+                assert getattr(alone[j], name).tobytes() == table[j : j + 1].tobytes(), (name, j, lo, hi)
+            if name == "d":
+                continue
+            assert table.shape == (len(meshes), hi - lo + 1, hi)
+            for j, mesh in enumerate(meshes):
+                for i, n in enumerate(range(lo, hi + 1)):
+                    want = getattr(build_kernels(mesh, alpha, n), name)
+                    assert table[j, i, :n].tobytes() == want.tobytes(), (name, j, n)   # nan zeta[0] too
+                    assert np.isnan(table[j, i, n:]).all()
+
+
+def test_weight_builders_reject_levels_out_of_range():
+    # raised, not asserted, so that python -O keeps the check
+    mesh = build_uniform_mesh(1.0, 4)
+    for lo, hi in ((0, 3), (3, 2), (2, 6), (-1, 2)):
+        for build in (kernel_tables, build_kernel_block):
+            with pytest.raises(ValueError, match=rf"levels {lo}\.\.{hi} out of range for 5 nodes"):
+                build(mesh.nodes, 0.5, lo, hi)
+    with pytest.raises(ValueError, match=r"levels 0\.\.0 out of range for 5 nodes"):
+        build_kernels(mesh, 0.5, 0)
 
 
 def _interval_geometry(meshes, alpha, n_max):
@@ -397,11 +420,11 @@ def test_gradient_structure_zero_history():
 
 
 def test_stored_form_single_level():
-    # n = 1: G = (1/2) aux_0 (diff)^2 with aux_0 = 2 hat_0, and no G_prev or R
+    # n = 1: G = (1/2) A_0 (diff)^2 with A_0 = 2 hat_0, and no G_prev or R
     mesh = build_uniform_mesh(1.0, 1)
     kern = build_kernels(mesh, 0.5, 1)
     val, G_prev, R_n = dgs_forms(None, kern, np.array([3.0]))
-    assert val == pytest.approx(kern.aux_a[0] * 9.0, rel=1e-15)
+    assert val == pytest.approx(gradient_kernels(kern.hat_a)[0] * 9.0, rel=1e-15)
     assert G_prev == R_n == 0.0
 
 

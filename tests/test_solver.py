@@ -64,6 +64,9 @@ def test_forcing_exact_profile():
 def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(alpha=1.0)
+    # alpha/2 underflows to 0: refused here, not at step 1 as non-positive weights
+    with pytest.raises(ValueError, match="alpha/2 > 0"):
+        _cfg(alpha=5e-324)
     with pytest.raises(ValueError):
         _cfg(epsilon=0.0)
 
@@ -682,9 +685,9 @@ def test_carried_distances_match_recomputed_G_at_every_step(monkeypatch):
         dist_max = np.einsum("kij,kij->k", d, d).max()
         drift += 8 * m2 * eps * np.abs(f[n] - f[n - 1]).sum() * np.abs(f[: n + 1]).max()
         drift += 2 * eps * dist_max
-        aux_a = build_kernels(traj.mesh, cfg.alpha, n).aux_a
-        c = stored_form_coeffs(aux_a)
-        oracle = history_quadratic(f[: n + 1], aux_a, grid)
+        hat_a = build_kernels(traj.mesh, cfg.alpha, n).hat_a
+        c = stored_form_coeffs(hat_a)
+        oracle = history_quadratic(f[: n + 1], hat_a, grid)
         weight = 0.5 * grid.h**2 * np.abs(c).sum()
         bound = weight * (drift + 2 * m2 * eps * dist_max) + 2 * eps * oracle
         assert abs(traj.G[n] - oracle) <= bound, n
@@ -792,7 +795,7 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
     assert all((hi - lo + 1) * (hi + 1) <= 60 for lo, hi in blocks) and len(alone) >= 2
     for got in levels:
         want = real_build(traj.mesh, 0.6, got.n)
-        for name in ("a", "zeta", "hat_a", "aux_a"):
+        for name in ("a", "zeta", "hat_a"):
             x, y = getattr(got, name), getattr(want, name)
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64)) and not x.flags.writeable
 
@@ -835,7 +838,7 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     assert [k.n for k in levels] == list(range(1, N + 1))
     for got in levels:
         want = real_build(traj.mesh, 0.5, got.n)
-        for name in ("a", "zeta", "hat_a", "aux_a"):
+        for name in ("a", "zeta", "hat_a"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
 
 
@@ -881,7 +884,7 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
         assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
     assert np.array_equal(_bits(got.mesh.nodes), _bits(want.mesh.nodes))
     for x, y in zip(got_levels, want_levels, strict=True):
-        for name in ("a", "zeta", "hat_a", "aux_a"):
+        for name in ("a", "zeta", "hat_a"):
             assert np.array_equal(_bits(getattr(x, name)), _bits(getattr(y, name)))
 
 
