@@ -183,8 +183,7 @@ def _cmd_coarsen(spec: xp.CoarsenSpec, outdir: str) -> tuple:
         "explained_dissipation_violations": len(violations) - len(flagged),
         "final_E": float(traj.E[-1]),
         "final_E_alpha": float(traj.E_alpha[-1]),
-        "history_levels_allocated": traj.history_capacity,
-        "history_bytes_allocated": traj.history_capacity * traj.fields[0].nbytes,
+        "history_bytes_allocated": traj.fields.nbytes,
         "history_levels_used": len(traj.fields),
         "fp_sweeps": int(traj.fp_iters.sum()),
         "fp_sweeps_max": int(traj.fp_iters.max()),

@@ -43,30 +43,32 @@ _DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E
 
 
 def modified_energy(
-    fields, dist: np.ndarray | None, kernels: KernelSet | None, epsilon: float, grid: Grid2D,
-    delta: np.ndarray | None = None, delta_sq: float | None = None,
+    fields, dist: np.ndarray, kernels: KernelSet, epsilon: float, grid: Grid2D, delta: np.ndarray,
+    delta_sq: float,
 ) -> tuple[float, float, np.ndarray]:
-    """(E, G_term, dist') at the latest level n of fields (dist, kernels,
-    delta and delta_sq are None only at level 0).
+    """(E, G_term, dist') at the latest level n >= 1 of fields.
 
-    dist[:n] holds the grid sums of (phi^{n-1} - phi^j)^2 and dist' those
-    of (phi^n - phi^j)^2, j = 0..n; no argument is written.  With delta =
-    phi^n - phi^{n-1} and delta_sq = grid_sum(delta * delta), as run forms
-    them once per step, dist'_{n-1} = delta_sq and
+    dist holds the grid sums of (phi^{n-1} - phi^j)^2 and dist' those of
+    (phi^n - phi^j)^2, j = 0..n; no argument is written.  Level 0 needs no
+    call: its E is free_energy(phi^0), its G is 0 and its dist is [0], as
+    run seeds them.  With delta = phi^n - phi^{n-1} and delta_sq =
+    grid_sum(delta * delta), as run forms them once per step,
+    dist'_{n-1} = delta_sq and
 
         dist'_j = dist_j + delta_sq + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
 
     every inner product from one einsum pass over the stack (numpy's own
-    loop in a fixed order, no BLAS, no (n, M, M) temporary).
+    loop in a fixed order, no BLAS, no (n, M, M) temporary).  Raises
+    ValueError unless kernels and dist are level n's and level n - 1's.
     """
     fields = np.asarray(fields, dtype=float)
     n = len(fields) - 1
+    if kernels.n != n or len(dist) != n:
+        raise ValueError(f"level {n} needs level-{n} kernels and {n} carried distances, "
+                         f"got level-{kernels.n} kernels and {len(dist)} distances")
     E = free_energy(fields[n], epsilon, grid)
-    if n == 0:
-        return E, 0.0, np.zeros(1)
-    assert kernels is not None and kernels.n == n and delta is not None
     inner = np.einsum("ij,kij->k", delta, fields[:n])    # <delta, phi^j>, j < n
-    moved = dist[:n] + (delta_sq + 2.0 * (inner[n - 1] - inner))
+    moved = dist + (delta_sq + 2.0 * (inner[n - 1] - inner))
     G = 0.5 * grid.h**2 * distance_form(stored_form_coeffs(kernels.hat_a), moved)
     return E, G, np.append(moved, 0.0)
 

@@ -100,8 +100,10 @@ _RAW_HEADER = struct.Struct("<qd")  # 16 bytes: M (int64), L (float64)
 
 
 def save_raw(path, u: np.ndarray, grid: Grid2D) -> None:
-    """Flat binary dump: 16-byte header (M, L), then row-major float64."""
-    assert u.shape == (grid.M, grid.M), "field shape must match the grid"
+    """Flat binary dump: 16-byte header (M, L), then row-major float64.
+    Raises ValueError unless u is an (M, M) field of the grid."""
+    if np.shape(u) != (grid.M, grid.M):
+        raise ValueError(f"field shape {np.shape(u)} does not match the {grid.M}x{grid.M} grid")
     with open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(grid.M, grid.L))
         fh.write(np.ascontiguousarray(u, dtype="<f8").tobytes())

@@ -356,11 +356,13 @@ def frac_derivative(history, kernels: KernelSet, order) -> float:
 
     The split form as solver.step solves it: D v^n - (D v^{n-1} - hist),
     with D from head_coefficient and hist the history_sum of hat_a over the
-    differences v^k - v^{k-1}, k = 1..n-1, in ascending k.
+    differences v^k - v^{k-1}, k = 1..n-1, in ascending k.  Raises
+    ValueError unless history holds n + 1 values.
     """
     v = np.asarray(history, dtype=float)
     n = kernels.n
-    assert v.size == n + 1, f"need {n + 1} history values, got {v.size}"
+    if v.size != n + 1:
+        raise ValueError(f"level {n} needs {n + 1} history values, got {v.size}")
     D = head_coefficient(order, kernels)
     return float(D * v[n] - (D * v[n - 1] - history_sum(kernels.hat_a[1:n][::-1], v[:n])))
 
@@ -418,16 +420,20 @@ def dgs_forms(kernels_prev, kernels_curr: KernelSet, diffs):
 
     each a distance_form on the squared suffix sums of w^1..w^n or w^1..w^{n-1};
     R takes the level-(n-1) coefficients minus the level-n ones.
-    kernels_prev may be None when n = 1.
+    kernels_prev may be None when n = 1.  Raises ValueError unless
+    kernels_curr is level n's and kernels_prev level n - 1's.
     """
     w = np.asarray(diffs, dtype=float)
     n = w.size
-    assert kernels_curr.n == n
+    if kernels_curr.n != n:
+        raise ValueError(f"{n} differences need level-{n} kernels, got level {kernels_curr.n}")
     c = stored_form_coeffs(kernels_curr.hat_a)
     g_curr = distance_form(c, np.cumsum(w[::-1])[::-1] ** 2)
     if n == 1:
         return g_curr, 0.0, 0.0
-    assert kernels_prev is not None and kernels_prev.n == n - 1
+    if kernels_prev is None or kernels_prev.n != n - 1:
+        got = None if kernels_prev is None else f"level {kernels_prev.n}"
+        raise ValueError(f"{n} differences need level-{n - 1} previous kernels, got {got}")
     c_prev = stored_form_coeffs(kernels_prev.hat_a)
     dist = np.cumsum(w[: n - 1][::-1])[::-1] ** 2
     return g_curr, distance_form(c_prev, dist), distance_form(c_prev - c[: n - 1], dist)

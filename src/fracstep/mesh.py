@@ -58,14 +58,21 @@ class TimeMesh:
     def horizon(self) -> float:
         return float(self.nodes[-1])
 
+    def _check_step_index(self, k: int) -> None:
+        if not 1 <= k <= self.num_steps:
+            raise ValueError(f"step index {k} out of range 1..{self.num_steps}")
+
     def step(self, k: int) -> float:
-        """tau_k for 1 <= k <= N."""
-        assert 1 <= k <= self.num_steps, f"step index {k} out of range"
+        """tau_k for 1 <= k <= N; ValueError for any other k."""
+        self._check_step_index(k)
         return float(self.steps[k - 1])
 
     def offset_node(self, k: int, theta: float) -> float:
-        """t_{k-theta} = t_{k-1} + (1-theta) tau_k, for 1 <= k <= N."""
-        assert 0.0 < theta < 0.5, f"offset must lie in (0, 1/2), got {theta}"
+        """t_{k-theta} = t_{k-1} + (1-theta) tau_k, for 1 <= k <= N and
+        0 < theta < 1/2; ValueError otherwise."""
+        self._check_step_index(k)
+        if not 0.0 < theta < 0.5:
+            raise ValueError(f"offset must lie in (0, 1/2), got {theta}")
         return float(self.nodes[k - 1] + (1.0 - theta) * self.steps[k - 1])
 
 
@@ -163,8 +170,10 @@ def adaptive_next_step(
     The cap wins even when it undercuts the ratio floor; the runner's
     per-step ratio flag records that.  A speed whose square overflows
     proposes 0, so the floors decide, and eta = 0 proposes tau_max.
+    Raises ValueError unless tau_n > 0 and change_norm >= 0.
     """
-    assert tau_n > 0.0 and change_norm >= 0.0
+    if not (tau_n > 0.0 and change_norm >= 0.0):
+        raise ValueError(f"need tau_n > 0 and change_norm >= 0, got ({tau_n}, {change_norm})")
     speed_sq = saturating_power(change_norm, 2) if schedule.eta else 0.0    # not 0 * inf = nan
     proposal = schedule.tau_max / np.sqrt(1.0 + schedule.eta * speed_sq)
     tau = max(schedule.tau_min, proposal, r_floor * tau_n)

@@ -17,7 +17,7 @@ on every finite spectrum up to the sign of a zero.  The Crank-Nicolson
 reference step shares the same sweep loop.
 
 The weights of level n depend only on the nodes up to t_n, so run builds
-the kernels of most levels ahead of their steps, in blocks from one
+the kernels of most levels before their steps, in blocks from one
 kernels.build_kernel_block pass each: bit for bit the one-level
 build_kernels (see run).
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import dissipation_lhs, modified_energy
+from .energy import dissipation_lhs, free_energy, modified_energy
 from .grid import Grid2D, grid_sum, laplacian, norm_inf
 from .kernels import (
     KernelSet,
@@ -239,7 +239,8 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig, radius: 
     """
     order = as_order(cfg.alpha)
     n = kernels.n
-    assert len(fields) == n, f"need {n} history fields, got {len(fields)}"
+    if len(fields) != n:
+        raise ValueError(f"step {n} needs {n} history fields, got {len(fields)}")
     theta = order.theta
     grid = cfg.grid
     eps2 = cfg.epsilon**2
@@ -291,7 +292,6 @@ class SolveTrajectory:
     cap: float
     cap_ok: np.ndarray
     ratio_ok: np.ndarray
-    history_capacity: int           # levels allocated in the field stack, all of them used
 
     @property
     def E_alpha(self) -> np.ndarray | None:
@@ -312,11 +312,10 @@ class FieldHistory:
     """The stored levels phi^0..phi^n of a run.
 
     One (capacity, M, M) stack holds the levels.  A push into a full
-    history of n levels grows it with ndarray.resize to n + max(1, min(n // 4,
-    ahead)) levels, ahead bounding from below the levels still to be pushed,
-    this one included: the stack never holds more levels than the run stores.
-    For a large block realloc remaps the pages instead of copying them, so
-    two stacks are never resident at once.
+    history grows it by exactly one level with ndarray.resize, so the stack
+    never holds more levels than the run stores.  For a large block realloc
+    remaps the pages (mremap) instead of copying them, so the held levels
+    are never copied and two stacks are never resident at once.
 
     The history is the only owner of its buffer, and resize runs with
     refcheck off.  A view it hands out (fields, and the last levels of
@@ -339,12 +338,11 @@ class FieldHistory:
         """View of phi^0..phi^n, valid until the next push."""
         return self._stack[: self._len]
 
-    def push(self, phi: np.ndarray, ahead: int) -> None:
-        """Store phi as the next level, growing the stack in place when full."""
+    def push(self, phi: np.ndarray) -> None:
+        """Store phi as the next level, growing a full stack by one level in place."""
         n = self._len
         if n == self.capacity:
-            grown = n + max(1, min(n // 4, ahead))
-            self._stack.resize((grown, *self._stack.shape[1:]), refcheck=False)
+            self._stack.resize((n + 1, *self._stack.shape[1:]), refcheck=False)
         self._stack[n] = phi
         self._len = n + 1
 
@@ -393,7 +391,11 @@ def _cap_nodes(nodes, cap: float, end: float, horizon: float, last: int) -> np.n
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
-    A phi0 that is not a finite (M, M) field raises ValueError before step 1.
+    A phi0 that is not a finite (M, M) field raises ValueError before step 1,
+    and so does, under cfg.enforce_bound, one whose sup norm exceeds
+    1 + _BOUND_TOL: the maximum bound's hypothesis is then not met.  The
+    check allows _BOUND_TOL because every level a strict run accepts may
+    carry it, so a strict run restarted from its own last level starts.
     The energy law's two hypotheses are decided here, once: the ratio
     floor r*(alpha) and the step cap.  An adaptive schedule's controller is
     handed the same two: the floor always, the cap only when
@@ -405,17 +407,15 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     flag then reads False.
 
     phi^0..phi^n live in one FieldHistory, sized to the mesh or to the
-    warm-up.  Past it every step is at most tau_up = max(tau_max, r* tau_n)
-    (by induction on adaptive_next_step), and at most the cap if enforced:
-    at least (end - t_n) / tau_up steps remain, shrunk by 1e-9 relative
-    before the ceiling so that rounding can cost one more resize, never a
-    level too many.  The stack ends holding exactly the levels used.
-    Energy is recorded exactly when cfg.forcing is None, as the law is
-    about the unforced equation.  Each step's delta = phi^n - phi^{n-1} is
-    reduced once, s = grid_sum(delta * delta): the law's damping reads
-    h^2 s, the controller's speed sqrt(h^2 s) / tau_n, and G's newest
-    distance is s itself, as modified_energy maps G's squared distances to
-    the next level's (one pass over the stack).  The lhs and the flags
+    warm-up; each step past it grows the stack by one level, so the stack
+    ends holding exactly the levels used.  Energy is recorded exactly when
+    cfg.forcing is None, as the law is about the unforced equation: run
+    seeds level 0 (E of the stored phi^0, G = 0, no distance but its own)
+    and modified_energy carries it on.  Each step's delta = phi^n -
+    phi^{n-1} is reduced once, s = grid_sum(delta * delta): the law's
+    damping reads h^2 s, the controller's speed sqrt(h^2 s) / tau_n, and
+    G's newest distance is s itself, as modified_energy maps G's squared
+    distances to the next level's (one pass over the stack).  The lhs and the flags
     (from the final mesh's steps and ratios) are evaluated once the run is
     done: the nodes are only ever appended, so each entry has the bits of
     its own step.
@@ -442,6 +442,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (grid.M, grid.M) or not np.isfinite(phi0).all():
         raise ValueError(f"phi0 must be a {grid.M}x{grid.M} field with no nan or inf, got shape {phi0.shape}")
+    sup_norms = [norm_inf(phi0)]
+    if cfg.enforce_bound and sup_norms[0] > 1.0 + _BOUND_TOL:
+        raise ValueError(f"phi0 has max norm {sup_norms[0]:.15f} over 1 + {_BOUND_TOL:.1e}: "
+                         "a strict run needs the maximum bound to hold at t = 0")
     cap = step_size_cap(order.alpha, grid.h, cfg.epsilon)
     cap_limit = cap * (1.0 + 1e-12)
     r_floor = min_step_ratio(order.alpha)
@@ -450,12 +454,11 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     horizon = schedule.horizon
 
     history = FieldHistory(phi0, mesh.num_steps + 1)
-    sup_norms = [norm_inf(phi0)]
     fp_iters, step_sq, local = [], [], []
     unforced = cfg.forcing is None
     if unforced:
-        E, G, dist = modified_energy(history.fields, None, None, cfg.epsilon, grid)
-        energies, g_terms = [E], [G]
+        dist = np.zeros(1)
+        energies, g_terms = [free_energy(history.fields[0], cfg.epsilon, grid)], [0.0]
 
     end = horizon - 1e-12 * max(1.0, horizon)     # a run whose last node reaches it is done
     fixed = mesh.num_steps      # levels that the run does not append itself
@@ -482,7 +485,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             raise StepCapError(f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} "
                                "while the bound is enforced")
         if n > block_hi or block_nodes[n] != mesh.nodes[n]:
-            # no block holds this level's nodes: start one where the nodes ahead are known
+            # no block holds this level's nodes: start one where the coming nodes are known
             block_hi, block = n, {}
             if n <= fixed or at_cap:
                 block_nodes = (mesh.nodes if n <= fixed
@@ -496,11 +499,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         delta = phi - history.fields[-1]
         delta_sq = grid_sum(delta * delta)
         step_sq.append(grid.h**2 * delta_sq)
-        ahead = fixed + 1 - n       # the levels still to come, this one included
-        if n > fixed:               # or a lower bound on them, from tau_up
-            tau_up = min(max(schedule.tau_max, r_floor * tau_n), cap if cfg.enforce_bound else math.inf)
-            ahead = 1 + math.ceil((end - mesh.horizon) / tau_up * (1.0 - 1e-9))
-        history.push(phi, ahead)
+        history.push(phi)
         sup_norms.append(sup_norm)
         fp_iters.append(sweeps)
         change_norm = math.sqrt(step_sq[-1]) / tau_n
@@ -517,5 +516,5 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     return SolveTrajectory(
         mesh=mesh, fields=history.fields, sup_norms=np.asarray(sup_norms), E=E, G=G, dissipation_lhs=lhs,
         fp_iters=np.asarray(fp_iters, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
-        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)), history_capacity=history.capacity,
+        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)),
     )

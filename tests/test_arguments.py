@@ -1,0 +1,55 @@
+"""Public helpers reject bad arguments with ValueError, never by assert.
+
+An assert is stripped by python -O, and the helper then goes on with the
+wrong input (TimeMesh.step(0) once returned tau_N); CI runs this module
+under python -O too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fracstep.energy import modified_energy
+from fracstep.grid import Grid2D, save_raw
+from fracstep.kernels import build_kernels, dgs_forms, frac_derivative
+from fracstep.mesh import AdaptiveSchedule, adaptive_next_step, build_uniform_mesh
+from fracstep.solver import SolverConfig, step
+
+MESH = build_uniform_mesh(1.0, 4)
+KERNELS = {n: build_kernels(MESH, 0.5, n) for n in (2, 3)}
+GRID = Grid2D(M=4, L=2.0 * math.pi)
+SCHEDULE = AdaptiveSchedule(warmup=MESH, horizon=2.0, tau_min=1e-3, tau_max=0.1, eta=1.0)
+FIELDS = np.zeros((4, 4, 4))
+
+
+def _modified_energy(kernels, dist):
+    return modified_energy(FIELDS, dist, kernels, 0.5, GRID, np.zeros((4, 4)), 0.0)
+
+
+CASES = {
+    "TimeMesh.step k=0": lambda path: MESH.step(0),
+    "TimeMesh.step k=N+1": lambda path: MESH.step(5),
+    "TimeMesh.offset_node theta=1/2": lambda path: MESH.offset_node(1, 0.5),
+    "TimeMesh.offset_node k=0": lambda path: MESH.offset_node(0, 0.25),
+    "TimeMesh.offset_node k=N+1": lambda path: MESH.offset_node(5, 0.25),
+    "adaptive_next_step tau_n=0": lambda path: adaptive_next_step(0.0, 1.0, SCHEDULE, 0.5, None),
+    "adaptive_next_step negative speed": lambda path: adaptive_next_step(0.1, -1.0, SCHEDULE, 0.5, None),
+    "adaptive_next_step nan speed": lambda path: adaptive_next_step(0.1, math.nan, SCHEDULE, 0.5, None),
+    "frac_derivative": lambda path: frac_derivative(np.arange(6.0), KERNELS[3], 0.5),
+    "dgs_forms current level": lambda path: dgs_forms(None, KERNELS[3], np.ones(2)),
+    "dgs_forms no previous": lambda path: dgs_forms(None, KERNELS[3], np.ones(3)),
+    "dgs_forms previous level": lambda path: dgs_forms(KERNELS[3], KERNELS[3], np.ones(3)),
+    "step": lambda path: step(FIELDS[:2], MESH, KERNELS[3], SolverConfig(0.5, 0.5, GRID), 0.0),
+    "modified_energy kernels": lambda path: _modified_energy(KERNELS[2], np.zeros(3)),
+    "modified_energy distances": lambda path: _modified_energy(KERNELS[3], np.zeros(4)),
+    "save_raw": lambda path: save_raw(path, np.zeros((4, 3)), GRID),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_public_helpers_raise_value_error_on_bad_arguments(call, tmp_path):
+    path = tmp_path / "field.raw"
+    with pytest.raises(ValueError):
+        call(path)
+    assert not path.exists()

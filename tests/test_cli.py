@@ -183,10 +183,10 @@ def test_coarsen_strict_tiny(tmp_path, monkeypatch):
     assert meta["dissipation_violations"] == 0
     assert meta["all_steps_cap_compliant"] is True
     assert meta["max_sup_norm"] <= 1.0 + 1e-10
-    # the field stack holds phi^0..phi^N in at least as many levels as it used
+    # the field stack holds phi^0..phi^N in exactly the levels it used
     assert meta["history_levels_used"] == meta["steps"] + 1
-    assert meta["history_levels_allocated"] >= meta["history_levels_used"]
-    assert meta["history_bytes_allocated"] == meta["history_levels_allocated"] * 16 * 16 * 8
+    assert "history_levels_allocated" not in meta
+    assert meta["history_bytes_allocated"] == meta["history_levels_used"] * 16 * 16 * 8
     # energy.csv is the one per-step table: no mesh.csv
     assert (out / "energy.csv").exists() and not (out / "mesh.csv").exists()
     assert "mesh.csv" not in meta["files"]

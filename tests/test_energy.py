@@ -73,12 +73,14 @@ def test_history_quadratic_matches_pointwise_form():
 
 
 def test_modified_energy_level_zero():
+    # level 0 is seeded, not computed: E = free_energy(phi0), G = 0 and the
+    # newest field's distance to itself, [0]
     g = Grid2D(M=8, L=TWO_PI)
     phi0 = np.zeros((8, 8))
-    E, G, dist = modified_energy([phi0], None, None, 0.5, g)
-    assert np.array_equal(dist, [0.0])  # the newest field's distance to itself
-    assert G == 0.0
-    assert E == free_energy(phi0, 0.5, g)
+    E, G, dist = free_energy(phi0, 0.5, g), 0.0, np.zeros(1)
+    with pytest.raises(ValueError, match="level 0"):
+        modified_energy([phi0], dist, build_kernels(build_uniform_mesh(0.1, 1), 0.5, 1), 0.5, g,
+                        np.zeros((8, 8)), 0.0)
     # run's columns carry these at level 0, and the lhs column starts at step 1
     traj = run(SolverConfig(alpha=0.5, epsilon=0.5, grid=g), build_uniform_mesh(0.1, 1), phi0)
     assert (traj.E[0], traj.G[0], traj.E_alpha[0]) == (E, 0.0, E)
@@ -105,7 +107,7 @@ def test_modified_energy_writes_none_of_its_arguments():
     mesh = build_uniform_mesh(1.0, 3)
     fields = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8, 8))
     deltas = np.diff(fields, axis=0)
-    dist = modified_energy(fields[:1], None, None, 0.3, g)[2]
+    dist = np.zeros(1)
     for n in (1, 2):
         delta = deltas[n - 1]
         _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh, 0.5, n), 0.3, g, delta,
@@ -128,7 +130,7 @@ def test_modified_energy_takes_the_newest_distance_as_given():
     g = Grid2D(M=8, L=TWO_PI)
     mesh = build_uniform_mesh(1.0, 3)
     fields = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 8, 8))
-    dist = modified_energy(fields[:1], None, None, 0.3, g)[2]
+    dist = np.zeros(1)
     for n in (1, 2, 3):
         delta = fields[n] - fields[n - 1]
         delta_sq = grid_sum(delta * delta)
@@ -158,7 +160,7 @@ def test_run_columns_carry_the_bits_of_the_scalar_law(alpha):
     mesh, grid = traj.mesh, cfg.grid
     r_floor = min_step_ratio(alpha)
     E_alpha = [float(e) + float(g) for e, g in zip(traj.E, traj.G, strict=True)]
-    _, G0, dist = modified_energy(traj.fields[:1], None, None, cfg.epsilon, grid)
+    G0, dist = 0.0, np.zeros(1)
     G, lhs, cap_ok, ratio_ok = [G0], [], [], []
     for n in range(1, traj.num_steps + 1):
         tau_n = mesh.step(n)
@@ -189,7 +191,6 @@ def _traj(e_alpha, lhs, cap_ok, ratio_ok):
         mesh=build_uniform_mesh(float(N), N), fields=np.zeros((N + 1, 4, 4)), sup_norms=np.zeros(N + 1),
         E=np.array(e_alpha, dtype=float), G=np.zeros(N + 1), dissipation_lhs=np.array(lhs, dtype=float),
         fp_iters=np.ones(N, dtype=int), cap=1.0, cap_ok=np.array(cap_ok), ratio_ok=np.array(ratio_ok),
-        history_capacity=N + 1,
     )
 
 

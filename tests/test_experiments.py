@@ -230,7 +230,7 @@ def test_energy_csv_layout(tmp_path):
         mesh=mesh, fields=np.zeros((3, 4, 4)), sup_norms=np.array([0.9, 0.91, 0.92]),
         E=np.array([2.0, 1.9, 1.8]), G=np.zeros(3), dissipation_lhs=np.array([-1e-4, -2e-4]),
         fp_iters=np.array([3, 2]), cap=0.6, cap_ok=np.array([True, False]),
-        ratio_ok=np.array([True, False]), history_capacity=3,
+        ratio_ok=np.array([True, False]),
     )
     spec = CoarsenSpec(alpha=0.5, T=1.0, M=4, snapshot_times=())
     assert write_coarsening_outputs(tmp_path, spec, traj) == [str(tmp_path / "energy.csv")]

@@ -174,7 +174,6 @@ def test_energy_csv_round_trips_the_mesh(tmp_path):
         mesh=mesh, fields=np.zeros((N + 1, 4, 4)), sup_norms=np.zeros(N + 1), fp_iters=np.ones(N, dtype=int),
         E=np.zeros(N + 1), G=np.zeros(N + 1), dissipation_lhs=np.zeros(N),
         cap=1.0, cap_ok=np.ones(N, dtype=bool), ratio_ok=np.ones(N, dtype=bool),
-        history_capacity=N + 1,
     )
     (path,) = write_coarsening_outputs(tmp_path, CoarsenSpec(alpha=0.5, T=1.0, M=4, snapshot_times=()), traj)
     with open(path, newline="") as fh:

@@ -1,8 +1,13 @@
 """Quadrature oracles against the closed-form weights."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fracstep
 from fracstep.kernels import as_order, build_kernels, frac_derivative, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, random_ratio_mesh
 from oracles import (
@@ -123,3 +128,20 @@ def test_endpoint_moment_rejects_unknown_side():
     mesh = build_uniform_mesh(1.0, 3)
     with pytest.raises(ValueError):
         endpoint_moment_quad(mesh, 0.5, 3, 1, "middle")
+
+
+def test_oracle_guard_rejects_an_interval_past_the_level():
+    # without its guard the head-interval branch would answer for k = 3 at n = 2
+    with pytest.raises(AssertionError):
+        interval_weight_quad(build_uniform_mesh(1.0, 4), 0.5, 2, 3)
+
+
+def test_oracle_guards_run_under_python_O():
+    # conftest registers oracles for assert rewriting, so its argument
+    # guards still run where python -O strips plain assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    target = f"{os.path.abspath(__file__)}::test_oracle_guard_rejects_an_interval_past_the_level"
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", target],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and "1 passed" in proc.stdout, proc.stdout + proc.stderr

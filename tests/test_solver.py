@@ -212,24 +212,64 @@ def test_strict_run_raises_on_every_step_its_cap_flag_marks():
     assert traj.cap_ok.tolist() == [True] * 3
 
 
-def test_bound_violation_detected():
+def test_bound_violation_detected(monkeypatch):
+    # a strict run audits every level it accepts against 1 + _BOUND_TOL: a
+    # level at the slack passes, the next float above it raises at its step
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.2, 10)
-    with pytest.raises(BoundViolation):
-        run(cfg, mesh, np.full((8, 8), 1.5))
+    edge = 1.0 + solver._BOUND_TOL
+    levels = {1: edge, 2: np.nextafter(edge, 2.0)}
+    monkeypatch.setattr(solver, "step", lambda fields, mesh, kernels, *args: (
+        np.full((8, 8), -levels[kernels.n]), 1))
+    with pytest.raises(BoundViolation, match="step 2: "):
+        run(cfg, mesh, np.zeros((8, 8)))
 
 
-def test_strict_run_checks_the_bound_that_step_leaves_to_it():
-    # step only solves: under enforce_bound it returns a level over the
-    # bound, and run raises at that step, with the sup norm it records
+def test_strict_run_checks_the_bound_that_step_leaves_to_it(monkeypatch):
+    # step only solves: from data over the bound it returns a level over the
+    # bound, and a strict run whose step returns that level raises at that
+    # step, with the sup norm it records
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.2, 10)
     phi0 = np.full((8, 8), 1.5)
     phi, _ = step([phi0], mesh, build_kernels(mesh, cfg.alpha, 1), cfg, norm_inf(phi0))
     assert norm_inf(phi) > 1.0 + solver._BOUND_TOL
+    monkeypatch.setattr(solver, "step", lambda *args: (phi, 1))
     with pytest.raises(BoundViolation) as info:
-        run(cfg, mesh, phi0)
+        run(cfg, mesh, np.zeros((8, 8)))
     assert str(info.value) == f"step 1: max norm {norm_inf(phi):.15f} exceeds 1 + {solver._BOUND_TOL:.1e}"
+
+
+def _bound_repro(enforce_bound):
+    # 8^2, alpha 0.5, eps 0.3, 3 uniform steps to 0.01: every step under the cap
+    cfg = SolverConfig(alpha=0.5, epsilon=0.3, grid=_grid(8), enforce_bound=enforce_bound)
+    mesh = build_uniform_mesh(0.01, 3)
+    assert mesh.steps.max() < step_size_cap(cfg.alpha, cfg.grid.h, cfg.epsilon)
+    return cfg, mesh
+
+
+def test_strict_run_rejects_phi0_over_the_bound_before_step_1(monkeypatch):
+    # |phi0| <= 1 is the maximum bound's hypothesis, so data over it is an
+    # input error, not an audit failure at step 1; the check allows the
+    # slack that every accepted level may carry
+    cfg, mesh = _bound_repro(enforce_bound=True)
+    over = np.nextafter(1.0 + solver._BOUND_TOL, 2.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "step", lambda *args: pytest.fail("run stepped"))
+        for phi0 in (np.full((8, 8), 1.5), np.full((8, 8), -over)):
+            with pytest.raises(ValueError, match="phi0"):
+                run(cfg, mesh, phi0)
+    plain, _ = _bound_repro(enforce_bound=False)
+    assert np.isfinite(run(plain, mesh, np.full((8, 8), 1.5)).fields).all()
+
+
+def test_strict_run_starts_from_phi0_at_the_bound():
+    # exactly +-1, and the slack a strict run's own last level may carry
+    cfg, mesh = _bound_repro(enforce_bound=True)
+    signs = np.where(np.random.default_rng(8).random((8, 8)) < 0.5, -1.0, 1.0)
+    for phi0 in (signs, np.full((8, 8), 1.0), np.full((8, 8), -(1.0 + solver._BOUND_TOL))):
+        traj = run(cfg, mesh, phi0)
+        assert traj.num_steps == 3 and traj.sup_norms.max() <= 1.0 + solver._BOUND_TOL
 
 
 def test_run_records_energy_exactly_when_unforced():
@@ -512,16 +552,6 @@ def test_adaptive_run_reaches_horizon_and_notes_clip():
     assert traj.cap_ok.size == traj.num_steps == traj.fp_iters.size
 
 
-def _growth_sizes(start, levels):
-    """Capacities a FieldHistory of start levels passes through to hold
-    levels, when each push is told exactly how many levels are to come."""
-    sizes = [start]
-    while sizes[-1] < levels:
-        n = sizes[-1]
-        sizes.append(n + max(1, min(n // 4, levels - n)))
-    return sizes
-
-
 def test_field_history_growth_keeps_every_level():
     rng = np.random.default_rng(3)
     phi0 = rng.standard_normal((6, 6))
@@ -531,23 +561,15 @@ def test_field_history_growth_keeps_every_level():
     fields, capacities = [phi0], [history.capacity]
     for i in range(60):
         phi = rng.standard_normal((6, 6))
-        history.push(phi, 60 - i)
+        history.push(phi)
         fields.append(phi)
         capacities.append(history.capacity)
         # the history owns its buffer, so resize never runs on a borrowed one
         assert history._stack.base is None and history._stack.flags.owndata
     assert history.fields.shape == (61, 6, 6)
     assert np.array_equal(history.fields, np.stack(fields))
-    grown = [(a, b) for a, b in zip(capacities, capacities[1:]) if b != a]
-    assert len(grown) >= 8 and history.capacity == _growth_sizes(2, 61)[-1] == 61
-    assert all(b == a + max(1, min(a // 4, 61 - a)) for a, b in grown)
-    assert all(b <= a + a // 4 for a, b in grown if a >= 4)
-
-    # a bound below the one level being pushed still grows the stack by one
-    history = FieldHistory(phi0, 1)
-    for ahead in (0, -3):
-        history.push(phi0, ahead)
-    assert history.capacity == 3 and np.array_equal(history.fields, np.stack([phi0] * 3))
+    # a full stack grows by exactly the level being pushed
+    assert capacities == [2, 2] + list(range(3, 62))
 
 
 def _run_and_growths(monkeypatch, cfg, schedule, phi0):
@@ -559,8 +581,8 @@ def _run_and_growths(monkeypatch, cfg, schedule, phi0):
         init(history, phi, capacity)
         capacities.append(history.capacity)
 
-    def counted(history, phi, ahead):
-        push(history, phi, ahead)
+    def counted(history, phi):
+        push(history, phi)
         if history.capacity != capacities[-1]:
             capacities.append(history.capacity)
 
@@ -581,8 +603,8 @@ def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes(monkeypatch):
     grown, sizes = _run_and_growths(monkeypatch, cfg, sched, phi0)
     fixed, fixed_sizes = _run_and_growths(monkeypatch, cfg, TimeMesh(np.asarray(grown.mesh.nodes)), phi0)
     assert sizes[0] == len(warm.nodes)
-    assert len(sizes) >= 4 and grown.history_capacity == sizes[-1] == len(grown.fields)
-    assert fixed_sizes == [len(fixed.fields)] and fixed.history_capacity == len(fixed.fields)
+    assert len(sizes) >= 4 and sizes[-1] == len(grown.fields)
+    assert fixed_sizes == [len(fixed.fields)]
     assert np.array_equal(grown.mesh.nodes, fixed.mesh.nodes)
     assert np.array_equal(grown.fields, fixed.fields)
     assert np.array_equal(grown.sup_norms, fixed.sup_norms)
@@ -613,23 +635,22 @@ def _warm_up_over_the_floor():
     warmup=build_graded_mesh(0.01, 2, 1.0), horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)),
     _warm_up_over_the_floor], ids=["strict-at-cap", "non-strict", "warm-up-over-the-floor"])
 def test_run_ends_with_its_stack_holding_exactly_its_levels(monkeypatch, case):
-    # each push past the warm-up bounds the levels to come from below, so
-    # the stack grows until it holds exactly the levels the run stores, and
-    # the trajectory's fields are a view of that stack from its start
+    # each push past the warm-up grows the stack by one level, so it holds
+    # exactly the levels the run stores, and the trajectory's fields are a
+    # view of that stack from its start
     cfg, sched = case()
     rng = np.random.default_rng(4)
     traj, sizes = _run_and_growths(monkeypatch, cfg, sched, rng.uniform(-0.5, 0.5, (8, 8)))
     owner = traj.fields.base
     assert owner.flags.owndata and owner.base is None
     assert owner.shape == (traj.num_steps + 1, 8, 8)
-    assert len(sizes) >= 2 and traj.history_capacity == sizes[-1] == len(traj.fields)
+    assert len(sizes) >= 2 and sizes[-1] == len(traj.fields)
     if case is _strict_at_cap:
-        # at the cap the bound counts every level: the stack grows by a
-        # quarter (at least one) until one growth lands on the last level
+        # at the cap, as everywhere past the warm-up, every push grows the
+        # stack by exactly one level, from the warm-up's 5 to the last level
         assert traj.cap_ok.all() and np.allclose(traj.mesh.steps[4:-1], traj.cap, rtol=1e-9, atol=0.0)
         assert traj.num_steps > 50 and traj.mesh.step(traj.num_steps) < traj.cap
-        assert all(b == a + max(1, a // 4) for a, b in zip(sizes[:-2], sizes[1:-1]))
-        assert sizes[-2] < sizes[-1] <= sizes[-2] + max(1, sizes[-2] // 4)
+        assert sizes == list(range(5, traj.num_steps + 2))
     if case is _warm_up_over_the_floor:
         ratios = traj.mesh.ratios[40:-1]
         assert ratios.size == 4 and np.allclose(ratios, min_step_ratio(cfg.alpha), rtol=1e-9, atol=0.0)
@@ -667,11 +688,9 @@ def test_carried_distances_match_recomputed_G_at_every_step(monkeypatch):
     warm = build_graded_mesh(0.01, 2, 1.0)
     sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
     traj, sizes = _run_and_growths(monkeypatch, cfg, sched, rng.uniform(-0.5, 0.5, (16, 16)))
-    # 3 -> 4 -> ... -> 8 levels by one, then by a quarter: 10 -> 12 -> 15 -> ...
-    assert sizes[:7] == [3, 4, 5, 6, 7, 8, 10]
-    assert traj.history_capacity == sizes[-1] == len(traj.fields)
-    assert sum(b - a > 1 for a, b in zip(sizes, sizes[1:])) >= 3
-    assert len(traj.fields) == traj.num_steps + 1
+    # 3 -> 4 -> 5 -> ... levels, one per push to the last
+    assert sizes == list(range(3, traj.num_steps + 2))
+    assert sizes[-1] == len(traj.fields) == traj.num_steps + 1 > 10
 
     # Each update of dist_j takes two M^2-term inner products <delta, phi>
     # and ||delta||^2 (each off by at most M^2 eps ||delta||_1 ||phi||_inf),
