@@ -211,6 +211,11 @@ _WARMUP_N0 = 30
 _WARMUP_GAMMA = 3.0
 
 
+def _snapshot_stem(t: float) -> str:
+    """The file name, less its suffix, of the snapshot at time t."""
+    return f"snapshot_t{t:g}"
+
+
 @dataclass(frozen=True)
 class CoarsenSpec:
     alpha: float
@@ -238,10 +243,10 @@ class CoarsenSpec:
         if outside:
             raise ValueError(f"config key 'snapshot_times' has {outside} outside [0, T = {self.T:g}]")
         times = sorted(set(self.snapshot_times))
-        clash = [(a, b) for a, b in zip(times, times[1:]) if f"{a:g}" == f"{b:g}"]
+        clash = [(a, b) for a, b in zip(times, times[1:]) if _snapshot_stem(a) == _snapshot_stem(b)]
         if clash:
             raise ValueError(f"config key 'snapshot_times' has distinct times {clash[0]} that share "
-                             f"the file name snapshot_t{clash[0][0]:g}")
+                             f"the file name {_snapshot_stem(clash[0][0])}")
 
     def quick(self) -> "CoarsenSpec":
         """CI profile: short horizon, coarse grid, strict hypotheses; keeps
@@ -310,7 +315,7 @@ def write_coarsening_outputs(outdir, spec: CoarsenSpec, traj: SolveTrajectory) -
     for t_snap in sorted(set(spec.snapshot_times)):
         n = traj.level_at(t_snap)
         if n is not None:
-            stem = os.path.join(outdir, f"snapshot_t{t_snap:g}")
+            stem = os.path.join(outdir, _snapshot_stem(t_snap))
             save_pgm(stem + ".pgm", traj.fields[n])
             save_raw(stem + ".raw", traj.fields[n], grid)
             paths.extend([stem + ".pgm", stem + ".raw"])

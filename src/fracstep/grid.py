@@ -26,8 +26,8 @@ class Grid2D:
     def __post_init__(self):
         if self.M < 4:
             raise ValueError(f"grid needs at least 4 points per side, got {self.M}")
-        if self.L <= 0.0:
-            raise ValueError(f"domain length must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"domain length L must be positive and finite, got {self.L}")
 
     @property
     def h(self) -> float:

@@ -148,15 +148,11 @@ class AdaptiveSchedule:
     eta: float
 
     def __post_init__(self):
-        if self.warmup.horizon >= self.horizon:
-            raise MeshError(
-                f"warm-up already reaches t = {self.warmup.horizon}, horizon is {self.horizon}"
-            )
+        if not self.warmup.horizon < self.horizon < np.inf:
+            raise MeshError(f"horizon {self.horizon} must be finite and past the warm-up's end {self.warmup.horizon}")
         if not 0.0 < self.tau_min <= self.tau_max:
-            raise MeshError(
-                f"need 0 < tau_min <= tau_max, got ({self.tau_min}, {self.tau_max})"
-            )
-        if self.eta < 0.0:
+            raise MeshError(f"need 0 < tau_min <= tau_max, got ({self.tau_min}, {self.tau_max})")
+        if not self.eta >= 0.0:
             raise MeshError(f"controller weight eta must be >= 0, got {self.eta}")
 
 

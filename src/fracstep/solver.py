@@ -19,7 +19,9 @@ reference step shares the same sweep loop.
 The weights of level n depend only on the nodes up to t_n, so run builds
 the kernels of most levels before their steps, in blocks from one
 kernels.build_kernel_block pass each: bit for bit the one-level
-build_kernels (see run).
+build_kernels (see run); a block past the appended nodes reads predicted
+ones.  run ends once a node reaches _reach(horizon), and level_at(t) looks
+from _reach(t), so every t in [0, horizon] finds a level of a finished run.
 
 Each step's sweeps start from a clipped Lagrange extrapolation through
 the last levels (_predict); the converged level differs from the one
@@ -78,6 +80,11 @@ _BOUND_TOL = 1e-10         # slack above |phi| = 1 before a strict run raises Bo
 _BLOCK_ENTRIES = 1 << 12   # (level, offset) entries per table of one kernel block of run
 
 
+def _reach(t: float) -> float:
+    """t less 1e-12 max(1, t): the end rule of run and of level_at."""
+    return t - 1e-12 * max(1.0, t)
+
+
 def _reaction(phi: np.ndarray) -> np.ndarray:
     return phi * phi * phi - phi
 
@@ -102,8 +109,8 @@ class ManufacturedForcing:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"solution regularity exponent must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"solution regularity exponent sigma must be positive and finite, got {self.sigma}")
 
     def exact(self, t: float, grid: Grid2D) -> np.ndarray:
         factor = float(omega(1.0 + self.sigma, t)) if t > 0.0 else 0.0
@@ -129,8 +136,8 @@ class SolverConfig:
 
     def __post_init__(self):
         as_order(self.alpha)  # validates the range
-        if self.epsilon <= 0.0:
-            raise ValueError(f"interface width must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"interface width epsilon must be positive and finite, got {self.epsilon}")
 
 
 def step_size_cap(alpha: float, h: float, epsilon: float) -> float:
@@ -303,8 +310,8 @@ class SolveTrajectory:
         return self.mesh.num_steps
 
     def level_at(self, t: float) -> int | None:
-        """Index of the first node at or past t - 1e-12; None when every node lies before it."""
-        n = int(np.searchsorted(self.mesh.nodes, t - 1e-12))
+        """Index of the first node at or past _reach(t), run's end rule; None when every node lies before it."""
+        n = int(np.searchsorted(self.mesh.nodes, _reach(t)))
         return n if n < len(self.mesh.nodes) else None
 
 
@@ -356,17 +363,16 @@ def _block_end(lo: int, last: int) -> int:
     return hi
 
 
-def _kernel_block(nodes, order, lo: int, last: int):
+def _kernel_block(nodes, order, lo: int):
     """(hi, kernels): the KernelSets of levels lo..hi by level, from one
-    build_kernel_block pass over nodes (t_0..t_last at least), with
-    hi = _block_end(lo, last).
+    build_kernel_block pass over nodes, with hi = _block_end(lo, len(nodes) - 1).
 
     The pass runs with every floating-point flag raised as an error.  When
     it raises, kernels is empty and each level of the block is left to its
     own build_kernels call, so that a level whose weights warn or fail does
     so at its own step, as it would without blocks.
     """
-    hi = _block_end(lo, last)
+    hi = _block_end(lo, len(nodes) - 1)
     try:
         with np.errstate(all="raise"):
             return hi, dict(zip(range(lo, hi + 1), build_kernel_block(nodes, order, lo, hi)))
@@ -374,18 +380,12 @@ def _kernel_block(nodes, order, lo: int, last: int):
         return hi, {}
 
 
-def _cap_nodes(nodes, cap: float, end: float, horizon: float, last: int) -> np.ndarray:
-    """nodes followed by the nodes, up to level last, that steps of exactly
-    cap would append: each summed from the one before, t + cap, as run
-    forms t_n + tau, for as long as run would take that step unclipped
-    (t < end and t < t + cap <= horizon)."""
-    t = [float(nodes[-1])]
-    while len(nodes) + len(t) - 2 < last and t[-1] < end:
-        nxt = t[-1] + cap
-        if not t[-1] < nxt <= horizon:
-            break
-        t.append(nxt)
-    return np.append(nodes, t[1:])
+def _cap_nodes(nodes, cap: float, last: int) -> np.ndarray:
+    """nodes followed by the nodes up to level last that steps of exactly cap
+    would append, each summed from the one before (t + cap, as run forms
+    t_n + tau), past the horizon or onto a repeated node alike: run decides."""
+    head = np.append(nodes[-1], np.full(last + 1 - len(nodes), cap))
+    return np.append(nodes[:-1], np.add.accumulate(head))
 
 
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
@@ -420,8 +420,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     done: the nodes are only ever appended, so each entry has the bits of
     its own step.
 
-    One loop steps from the schedule's warm-up (a fixed mesh is its own) to
-    schedule.horizon, which a fixed mesh reaches at its last node.  Only a
+    One loop steps from the schedule's warm-up (a fixed mesh is its own)
+    until a node reaches _reach(schedule.horizon), as a fixed mesh's last does.  Only a
     schedule steps past its mesh: the controller's step is then appended,
     the one place a TimeMesh is built.  A step reads the mesh only up to its
     own level, and the trajectory keeps the last mesh built.
@@ -430,12 +430,12 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     warm-up's) come from blocks (_kernel_block), each built when the loop
     reaches its first level.  So do those the cap decides: when a strict
     run's controller returns the cap unclipped, the level just appended and
-    those that further steps of the cap would append (_cap_nodes) are built
-    in one block over the predicted nodes, used only while each node equals
-    the predicted one bit for bit.  Any other appended level comes from
-    build_kernels.  A block that raises a floating-point flag is dropped and
-    its levels are built one by one, so a level that warns or fails does so
-    at its own step.
+    those that bare steps of the cap would append (_cap_nodes) are built in
+    one block over the predicted nodes, used only while each node equals
+    the predicted one bit for bit; the loop alone ends the run and clips its
+    steps.  Any other appended level comes from build_kernels.  A block that
+    raises a floating-point flag is dropped and its levels are built one by
+    one, so a level that warns or fails does so at its own step.
     """
     order = as_order(cfg.alpha)
     grid = cfg.grid
@@ -460,7 +460,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         dist = np.zeros(1)
         energies, g_terms = [free_energy(history.fields[0], cfg.epsilon, grid)], [0.0]
 
-    end = horizon - 1e-12 * max(1.0, horizon)     # a run whose last node reaches it is done
+    end = _reach(horizon)     # a run whose last node reaches it is done
     fixed = mesh.num_steps      # levels that the run does not append itself
     block, block_nodes, block_hi = {}, None, 0
     n, change_norm = 0, 0.0
@@ -488,9 +488,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             # no block holds this level's nodes: start one where the coming nodes are known
             block_hi, block = n, {}
             if n <= fixed or at_cap:
-                block_nodes = (mesh.nodes if n <= fixed
-                               else _cap_nodes(mesh.nodes, cap, end, horizon, _block_end(n, math.inf)))
-                block_hi, block = _kernel_block(block_nodes, order, n, len(block_nodes) - 1)
+                block_nodes = mesh.nodes if n <= fixed else _cap_nodes(mesh.nodes, cap, _block_end(n, math.inf))
+                block_hi, block = _kernel_block(block_nodes, order, n)
         kernels = block.get(n) or build_kernels(mesh, order, n)
         phi, sweeps = step(history.fields, mesh, kernels, cfg, sup_norms[-1])
         sup_norm = norm_inf(phi)

@@ -2,7 +2,8 @@
 
 An assert is stripped by python -O, and the helper then goes on with the
 wrong input (TimeMesh.step(0) once returned tau_N); CI runs this module
-under python -O too.
+under python -O too.  The problem's data classes reject a nan, and an inf
+where the run needs a finite number, naming the argument.
 """
 
 import math
@@ -13,8 +14,8 @@ import pytest
 from fracstep.energy import modified_energy
 from fracstep.grid import Grid2D, save_raw
 from fracstep.kernels import build_kernels, dgs_forms, frac_derivative
-from fracstep.mesh import AdaptiveSchedule, adaptive_next_step, build_uniform_mesh
-from fracstep.solver import SolverConfig, step
+from fracstep.mesh import AdaptiveSchedule, MeshError, adaptive_next_step, build_uniform_mesh
+from fracstep.solver import ManufacturedForcing, SolverConfig, step
 
 MESH = build_uniform_mesh(1.0, 4)
 KERNELS = {n: build_kernels(MESH, 0.5, n) for n in (2, 3)}
@@ -53,3 +54,29 @@ def test_public_helpers_raise_value_error_on_bad_arguments(call, tmp_path):
     with pytest.raises(ValueError):
         call(path)
     assert not path.exists()
+
+
+def _schedule(**kw):
+    return AdaptiveSchedule(**{"warmup": MESH, "horizon": 2.0, "tau_min": 1e-3, "tau_max": 0.1, "eta": 1.0, **kw})
+
+
+# each was accepted once: an infinite or nan horizon made run loop forever,
+# a nan eta left every step at the floors, and a nan epsilon or L failed
+# at step 1 as a ConvergenceError
+NON_FINITE = {
+    "AdaptiveSchedule horizon=inf": (lambda: _schedule(horizon=math.inf), MeshError, "horizon"),
+    "AdaptiveSchedule horizon=nan": (lambda: _schedule(horizon=math.nan), MeshError, "horizon"),
+    "AdaptiveSchedule eta=nan": (lambda: _schedule(eta=math.nan), MeshError, "eta"),
+    "SolverConfig epsilon=nan": (lambda: SolverConfig(0.5, math.nan, GRID), ValueError, "epsilon"),
+    "SolverConfig epsilon=inf": (lambda: SolverConfig(0.5, math.inf, GRID), ValueError, "epsilon"),
+    "Grid2D L=nan": (lambda: Grid2D(M=4, L=math.nan), ValueError, "length L"),
+    "Grid2D L=inf": (lambda: Grid2D(M=4, L=math.inf), ValueError, "length L"),
+    "ManufacturedForcing sigma=nan": (lambda: ManufacturedForcing(math.nan), ValueError, "sigma"),
+    "ManufacturedForcing sigma=inf": (lambda: ManufacturedForcing(math.inf), ValueError, "sigma"),
+}
+
+
+@pytest.mark.parametrize("call, error, name", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_problem_data_raise_naming_the_argument(call, error, name):
+    with pytest.raises(error, match=name):
+        call()

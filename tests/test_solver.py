@@ -12,7 +12,7 @@ import pytest
 import fracstep
 import fracstep.solver as solver
 from fracstep.grid import Grid2D, laplacian, norm_inf
-from fracstep.experiments import CoarsenSpec, run_coarsening
+from fracstep.experiments import CoarsenSpec, run_coarsening, write_coarsening_outputs
 from fracstep.kernels import build_kernels, local_coefficient, min_step_ratio, stored_form_coeffs
 from fracstep.mesh import TimeMesh, build_graded_mesh, build_uniform_mesh
 from fracstep.solver import (
@@ -533,6 +533,44 @@ def test_snapshots_at_nodes():
     assert [traj.level_at(t) for t in (0.25 + 1e-13, 0.25 + 1e-9, 1.0 + 1e-9)] == [1, 2, None]
 
 
+def _ends_inside_the_end_window():
+    """Runs whose last node lies within 1e-12 max(1, T) below the horizon T
+    but more than 1e-12 below it: a warm-up that stops there, and a
+    controller whose steps of 0.1 from t = 1 land there."""
+    cfg = _cfg(alpha=0.9)
+    warm = TimeMesh(np.array([0.0, 10.0, 20.0, 30.0, 40.0, 50.0 - 2e-11]))
+    yield run(cfg, AdaptiveSchedule(warmup=warm, horizon=50.0, tau_min=1e-3, tau_max=0.1, eta=1e3),
+              np.zeros((8, 8))), 50.0
+    T = 1.2 + 1.1e-12
+    yield run(cfg, AdaptiveSchedule(warmup=build_uniform_mesh(1.0, 10), horizon=T, tau_min=0.1, tau_max=0.1,
+                                    eta=0.0), np.random.default_rng(1).uniform(-0.5, 0.5, (8, 8))), T
+
+
+def test_level_at_finds_the_last_node_of_a_run_that_ends_inside_the_end_window(tmp_path):
+    (traj, T), (clipped, T_clipped) = _ends_inside_the_end_window()
+    assert traj.num_steps == 5 and traj.level_at(T) == 5
+    assert clipped.num_steps == 12 and clipped.level_at(T_clipped) == 12
+    for run_traj, horizon in ((traj, T), (clipped, T_clipped)):
+        assert 1e-12 < horizon - run_traj.mesh.horizon <= 1e-12 * max(1.0, horizon)
+    # so the snapshot at T is written, not silently skipped
+    spec = CoarsenSpec(alpha=0.9, T=T, M=8, snapshot_times=(0.0, T))
+    names = [os.path.basename(p) for p in write_coarsening_outputs(tmp_path, spec, traj)]
+    assert names == ["energy.csv", "snapshot_t0.pgm", "snapshot_t0.raw", "snapshot_t50.pgm", "snapshot_t50.raw"]
+
+
+def test_every_time_up_to_the_horizon_finds_a_level_of_a_finished_run():
+    mesh = build_graded_mesh(1.0, 6, 2.0)
+    fixed = run(_cfg(), mesh, np.full((8, 8), 0.3)), mesh.horizon
+    for traj, T in (fixed, *_ends_inside_the_end_window()):
+        nodes = traj.mesh.nodes
+        near = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+        times = np.concatenate([np.linspace(0.0, T, 1001), near[(near >= 0.0) & (near <= T)], [T]])
+        for t in times.tolist():
+            n = traj.level_at(t)
+            reach = solver._reach(t)
+            assert n is not None and nodes[n] >= reach and (n == 0 or nodes[n - 1] < reach), t
+
+
 def test_adaptive_schedule_validation():
     warm = build_graded_mesh(1.0, 4, 2.0)
     with pytest.raises(ValueError):
@@ -852,13 +890,36 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     N = traj.num_steps
     assert np.allclose(traj.mesh.steps[2:-1], cap, rtol=1e-12, atol=0.0) and traj.mesh.step(N) < cap
     assert alone == [N]
-    assert blocks[0] == (1, 2) and len(blocks) >= 4 and blocks[-1][1] == N - 1
+    # the last prediction runs past the horizon: its block holds the level
+    # before the clipped step and levels the run never takes
+    assert blocks[0] == (1, 2) and len(blocks) >= 4 and blocks[-1][0] <= N - 1 <= blocks[-1][1]
     assert all((hi - lo + 1) * (hi + 1) <= 200 for lo, hi in blocks)
     assert [k.n for k in levels] == list(range(1, N + 1))
     for got in levels:
         want = real_build(traj.mesh, 0.5, got.n)
         for name in ("a", "zeta", "hat_a"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
+
+
+def test_cap_nodes_are_the_bare_sums_of_the_cap():
+    # _cap_nodes appends t + cap, (t + cap) + cap, ... up to level last, the
+    # bits of a loop of run's t_n + tau, with no stop at any horizon: draws
+    # of t over 24 decades and cap from far below half an ulp of t up to t
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        t = float(10.0 ** rng.uniform(-12.0, 12.0))
+        cap = float(t * 10.0 ** rng.uniform(-20.0, 0.0))
+        head = np.sort(rng.uniform(0.0, t, int(rng.integers(0, 4))))
+        nodes = np.concatenate([[0.0], head, [t]])
+        count = int(rng.integers(0, 70))
+        want = [t]
+        for _ in range(count):
+            want.append(want[-1] + cap)
+        got = solver._cap_nodes(nodes, cap, len(nodes) - 1 + count)
+        assert np.array_equal(_bits(got), _bits(np.append(nodes, want[1:]))), (t, cap, count)
+    # a cap below half an ulp of t repeats the node: run, not _cap_nodes, rejects that step
+    t = 1.0 + 2.0 ** -52
+    assert solver._cap_nodes(np.array([0.0, t]), 2.0 ** -54, 4).tolist() == [0.0, t, t, t, t]
 
 
 def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch):
@@ -882,7 +943,7 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
                 patch.setattr(solver, "build_kernels",
                               lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
             else:
-                patch.setattr(solver, "_kernel_block", lambda nodes, order, lo, last: (last, {}))
+                patch.setattr(solver, "_kernel_block", lambda nodes, order, lo: (len(nodes) - 1, {}))
             _spy_on_steps(patch, levels)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -927,15 +988,16 @@ def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, schedule, w
     outcomes, built = [], []
     real_block = solver._kernel_block
 
-    def spy(nodes, order, lo, last):
-        hi, kernels = real_block(nodes, order, lo, last)
+    def spy(nodes, order, lo):
+        hi, kernels = real_block(nodes, order, lo)
         built.append((lo, hi, kernels))
         return hi, kernels
 
     for blocks in (True, False):
         levels = []
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_kernel_block", spy if blocks else lambda nodes, order, lo, last: (last, {}))
+            patch.setattr(solver, "_kernel_block",
+                          spy if blocks else lambda nodes, order, lo: (len(nodes) - 1, {}))
             _spy_on_steps(patch, levels)
             with warnings.catch_warnings(record=True) as caught, pytest.raises(FloatingPointError) as exc:
                 warnings.simplefilter("always")
