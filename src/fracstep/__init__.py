@@ -24,7 +24,6 @@ from .kernels import (
     build_kernels,
     dgs_forms,
     frac_derivative,
-    local_coefficient,
     min_step_ratio,
 )
 from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, save_pgm, save_raw
@@ -75,7 +74,6 @@ __all__ = [
     "grid_sum",
     "laplacian",
     "load_raw",
-    "local_coefficient",
     "min_step_ratio",
     "modified_energy",
     "norm_inf",

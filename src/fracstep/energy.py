@@ -15,10 +15,11 @@ that was broken, if any.
 
 G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
 whole history: kernels.distance_form, the same form dgs_forms checks,
-scaled by h^2/2.  A run carries those distances from step to step:
-modified_energy maps one level's to the next level's with one
-inner-product pass over the field stack and takes the newest from the
-law's grid sum; the tests recompute them as the stateless reference.
+scaled by h^2/2.  A run's per-level record (solver._LevelRecord) carries
+those distances from level to level: modified_energy maps one level's to
+the next level's with one inner-product pass over the field stack and
+takes the newest from the law's grid sum; the tests recompute them as the
+stateless reference.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def modified_energy(
     dist holds the grid sums of (phi^{n-1} - phi^j)^2 and dist' those of
     (phi^n - phi^j)^2, j = 0..n; no argument is written.  Level 0 needs no
     call: its E is free_energy(phi^0), its G is 0 and its dist is [0], as
-    run seeds them.  With delta = phi^n - phi^{n-1} and delta_sq =
-    grid_sum(delta * delta), as run forms them once per step,
+    a run's record seeds them.  With delta = phi^n - phi^{n-1} and delta_sq =
+    grid_sum(delta * delta), as the record forms them once per level,
     dist'_{n-1} = delta_sq and
 
         dist'_j = dist_j + delta_sq + 2 (<delta, phi^{n-1}> - <delta, phi^j>),
@@ -77,7 +78,7 @@ def dissipation_lhs(E_alpha: np.ndarray, local: np.ndarray, tau: np.ndarray,
                     step_l2_sq: np.ndarray) -> np.ndarray:
     """Left-hand sides of the law (nonpositive where it holds), entry n-1
     for step n, from E_alpha at levels 0..N and per step local (the level's
-    kernels.local_coefficient, so the damping is half of it), tau_n and
+    KernelSet.local, so the damping is half of it), tau_n and
     h^2 ||phi^n - phi^{n-1}||^2; elementwise, so each has its scalar bits."""
     return np.diff(E_alpha) / tau + 0.5 * local * step_l2_sq / tau
 

@@ -27,7 +27,6 @@ from .kernels import (
     build_kernels,
     dgs_forms,
     frac_derivative,
-    local_coefficient,
     min_step_ratio,
     _ratio_equation,
 )
@@ -378,9 +377,9 @@ def dgs_case(rng, alpha: float, n: int, r_min: float):
     kern_prev = build_kernels(mesh, order, n - 1)
     kern_curr = build_kernels(mesh, order, n)
     history = np.concatenate([[0.0], np.cumsum(diffs)])
-    lhs = 2.0 * diffs[-1] * frac_derivative(history, kern_curr, order)
+    lhs = 2.0 * diffs[-1] * frac_derivative(history, kern_curr)
     G_n, G_prev, R_n = dgs_forms(kern_prev, kern_curr, diffs)
-    rhs = G_n - G_prev + R_n + 2.0 * local_coefficient(order, kern_curr) * diffs[-1] ** 2
+    rhs = G_n - G_prev + R_n + 2.0 * kern_curr.local * diffs[-1] ** 2
     return lhs, rhs, G_n, G_prev, R_n
 
 

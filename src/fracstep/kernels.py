@@ -277,16 +277,15 @@ def gradient_kernels(hat_a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSet:
-    """All level-n weight vectors, indexed by offset m = n - k.
-
-    a, zeta are the raw interpolation weights (zeta[0] is nan, unused);
-    hat_a are the history-convolution weights of the split form, from
-    which gradient_kernels derives the gradient-structure kernels.
+    """What a run reads of level n: local = alpha/(2-alpha) a[0], the
+    coefficient of (v^n - v^{n-1}) in the split derivative, and hat_a, the
+    history-convolution weights by offset m = n - k, from which
+    gradient_kernels derives the gradient-structure kernels.  The split
+    derivative's coefficient of v^n is D = local + hat_a[0].
     """
 
     n: int
-    a: np.ndarray
-    zeta: np.ndarray
+    local: float
     hat_a: np.ndarray
 
 
@@ -294,8 +293,8 @@ class KernelSet:
 class KernelTables:
     """kernel_tables' read-only weights, indexed by mesh j, row i (level
     n = lo + i) and offset: a, zeta and hat_a, shape (meshes, hi-lo+1, hi),
-    hold level n's KernelSet vectors in their first n entries and nan past
-    them; d, one column wider, the backdistances d[j, i, p] = t_{n-theta}
+    hold level n's weights in their first n entries and nan past them; d,
+    one column wider, the backdistances d[j, i, p] = t_{n-theta}
     - t_{n-p} by node offset p, 1 <= p <= n, and nan elsewhere."""
 
     d: np.ndarray
@@ -327,35 +326,26 @@ def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
 
     A level's weights depend only on its own nodes, so a caller may pass
     nodes that no TimeMesh holds yet (solver.run's predicted nodes).  Each
-    KernelSet holds read-only views of the pass's tables, which stay alive
-    while any of them does.
+    KernelSet holds a read-only view of the pass's hat_a table, which stays
+    alive while any of them does, and its local coefficient, the product
+    alpha / (2 - alpha) * a[0] of its level.
     """
     t = kernel_tables(nodes, order, lo, hi)
-    return tuple(KernelSet(n, t.a[0, i, :n], t.zeta[0, i, :n], t.hat_a[0, i, :n])
-                 for i, n in enumerate(range(lo, hi + 1)))
+    alpha = as_order(order).alpha
+    local = alpha / (2.0 - alpha) * t.a[0, :, 0]
+    return tuple(KernelSet(n, local[i], t.hat_a[0, i, :n]) for i, n in enumerate(range(lo, hi + 1)))
 
 
 def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
-    """Assemble a, zeta and hat_a for level n of the given mesh (read-only)."""
+    """The KernelSet of level n of the given mesh (hat_a read-only)."""
     return build_kernel_block(mesh.nodes, order, n, n)[0]
 
 
-def local_coefficient(order, kernels: KernelSet) -> float:
-    """Coefficient of (v^n - v^{n-1}) in the split derivative: alpha/(2-alpha) a_0."""
-    order = as_order(order)
-    return order.alpha / (2.0 - order.alpha) * kernels.a[0]
-
-
-def head_coefficient(order, kernels: KernelSet) -> float:
-    """Coefficient D of v^n in the split derivative: the local part plus hat_a[0]."""
-    return local_coefficient(order, kernels) + kernels.hat_a[0]
-
-
-def frac_derivative(history, kernels: KernelSet, order) -> float:
+def frac_derivative(history, kernels: KernelSet) -> float:
     """Evaluate the discrete derivative at t_{n-theta} from values v^0..v^n.
 
     The split form as solver.step solves it: D v^n - (D v^{n-1} - hist),
-    with D from head_coefficient and hist the history_sum of hat_a over the
+    with D = local + hat_a[0] and hist the history_sum of hat_a over the
     differences v^k - v^{k-1}, k = 1..n-1, in ascending k.  Raises
     ValueError unless history holds n + 1 values.
     """
@@ -363,7 +353,7 @@ def frac_derivative(history, kernels: KernelSet, order) -> float:
     n = kernels.n
     if v.size != n + 1:
         raise ValueError(f"level {n} needs {n + 1} history values, got {v.size}")
-    D = head_coefficient(order, kernels)
+    D = kernels.local + kernels.hat_a[0]
     return float(D * v[n] - (D * v[n - 1] - history_sum(kernels.hat_a[1:n][::-1], v[:n])))
 
 
@@ -416,7 +406,7 @@ def distance_form(c, dist) -> float:
 def dgs_forms(kernels_prev, kernels_curr: KernelSet, diffs):
     """(G_n, G_{n-1}, R_n) for the identity
 
-    2 w_n * derivative = G_n - G_{n-1} + R_n + 2 local_coefficient * w_n^2,
+    2 w_n * derivative = G_n - G_{n-1} + R_n + 2 kernels_curr.local * w_n^2,
 
     each a distance_form on the squared suffix sums of w^1..w^n or w^1..w^{n-1};
     R takes the level-(n-1) coefficients minus the level-n ones.

@@ -81,12 +81,12 @@ def build_graded_mesh(T0: float, N0: int, gamma: float) -> TimeMesh:
 
     gamma = 1 is uniform; gamma > 1 clusters nodes at the origin.
     """
-    if T0 <= 0.0:
-        raise MeshError(f"graded mesh needs T0 > 0, got {T0}")
+    if not 0.0 < T0 < np.inf:
+        raise MeshError(f"graded mesh needs a finite T0 > 0, got {T0}")
     if N0 < 1:
         raise MeshError(f"graded mesh needs N0 >= 1, got {N0}")
-    if gamma < 1.0:
-        raise MeshError(f"grading exponent must satisfy gamma >= 1, got {gamma}")
+    if not 1.0 <= gamma < np.inf:
+        raise MeshError(f"grading exponent gamma must be finite and >= 1, got {gamma}")
     k = np.arange(N0 + 1, dtype=float)
     return TimeMesh(T0 * (k / N0) ** gamma)
 
@@ -100,10 +100,10 @@ def build_two_phase_mesh(T: float, gamma: float, N: int, seed: int) -> TimeMesh:
     T.  When T0 == T the mesh degenerates to a pure graded mesh with all N
     steps (uniform for gamma = 1).
     """
-    if T <= 0.0:
-        raise MeshError(f"horizon must be positive, got {T}")
-    if gamma < 1.0:
-        raise MeshError(f"grading exponent must satisfy gamma >= 1, got {gamma}")
+    if not 0.0 < T < np.inf:
+        raise MeshError(f"horizon T must be positive and finite, got {T}")
+    if not 1.0 <= gamma < np.inf:
+        raise MeshError(f"grading exponent gamma must be finite and >= 1, got {gamma}")
     if N < 1:
         raise MeshError(f"need at least one step, got N = {N}")
     T0 = min(1.0 / gamma, T)
@@ -150,10 +150,10 @@ class AdaptiveSchedule:
     def __post_init__(self):
         if not self.warmup.horizon < self.horizon < np.inf:
             raise MeshError(f"horizon {self.horizon} must be finite and past the warm-up's end {self.warmup.horizon}")
-        if not 0.0 < self.tau_min <= self.tau_max:
-            raise MeshError(f"need 0 < tau_min <= tau_max, got ({self.tau_min}, {self.tau_max})")
-        if not self.eta >= 0.0:
-            raise MeshError(f"controller weight eta must be >= 0, got {self.eta}")
+        if not 0.0 < self.tau_min <= self.tau_max < np.inf:
+            raise MeshError(f"need 0 < tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})")
+        if not 0.0 <= self.eta < np.inf:
+            raise MeshError(f"controller weight eta must be finite and >= 0, got {self.eta}")
 
 
 def adaptive_next_step(

@@ -32,7 +32,8 @@ inherited from the initial data; the stepper never clips a level it
 returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
-phi^0..phi^n in one FieldHistory.  It returns its record as columns
+phi^0..phi^n in one FieldHistory.  Each accepted level goes to one
+per-level record (_LevelRecord), which turns into the run's columns
 (SolveTrajectory), the lhs and the flags evaluated once, after the run.
 """
 
@@ -46,16 +47,7 @@ import numpy as np
 
 from .energy import dissipation_lhs, free_energy, modified_energy
 from .grid import Grid2D, grid_sum, laplacian, norm_inf
-from .kernels import (
-    KernelSet,
-    as_order,
-    build_kernel_block,
-    build_kernels,
-    head_coefficient,
-    history_sum,
-    local_coefficient,
-    min_step_ratio,
-)
+from .kernels import KernelSet, as_order, build_kernel_block, build_kernels, history_sum, min_step_ratio
 from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
 from .special import omega, saturating_power
 
@@ -253,7 +245,7 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig, radius: 
     eps2 = cfg.epsilon**2
 
     prev = fields[-1]
-    D = head_coefficient(order, kernels)
+    D = kernels.local + kernels.hat_a[0]
     hist = history_sum(kernels.hat_a[1:n][::-1], fields)   # ascending k = 1..n-1
 
     rhs_fixed = D * prev - hist - theta * _reaction(prev) + theta * eps2 * laplacian(prev, grid)
@@ -287,7 +279,8 @@ class SolveTrajectory:
     """Everything a run produced, as columns: the mesh as built, the fields,
     per level the sup norms and the energies E and G, and per step (entry
     n - 1 for step n) the dissipation lhs, the sweeps and the two
-    hypothesis flags.  The energy columns are None for a forced run."""
+    hypothesis flags.  The energy columns are None for a forced run.  A
+    run's _LevelRecord builds it."""
 
     mesh: TimeMesh
     fields: np.ndarray
@@ -354,6 +347,57 @@ class FieldHistory:
         self._len = n + 1
 
 
+class _LevelRecord:
+    """The per-level record of a run, turned into its SolveTrajectory at the end.
+
+    take records each accepted level n from the stack that ends at it: the
+    sup norm, the sweeps and h^2 ||delta||^2 of delta = phi^n - phi^{n-1},
+    reduced once as s = grid_sum(delta * delta), which the law's damping
+    and the controller's speed both read.  Energy is recorded exactly
+    when cfg.forcing is None, as the law is about the unforced equation:
+    level 0 is seeded here (E of the stored phi^0, G = 0, no distance but
+    its own), and each take adds E, G and the level's local coefficient,
+    modified_energy mapping G's squared distances to the next level's (one
+    pass over the stack) with s as the newest.
+    """
+
+    def __init__(self, cfg: SolverConfig, phi0: np.ndarray, sup_norm: float):
+        self._cfg = cfg
+        self._sup_norms, self._sweeps, self._step_sq, self._local = [sup_norm], [], [], []
+        self._energy = cfg.forcing is None
+        if self._energy:
+            self._dist = np.zeros(1)
+            self._E, self._G = [free_energy(phi0, cfg.epsilon, cfg.grid)], [0.0]
+
+    def take(self, fields, kernels: KernelSet, sup_norm: float, sweeps: int) -> float:
+        """Record level n = len(fields) - 1; returns its h^2 ||delta||^2."""
+        grid = self._cfg.grid
+        delta = fields[-1] - fields[-2]
+        delta_sq = grid_sum(delta * delta)
+        self._step_sq.append(grid.h**2 * delta_sq)
+        self._sup_norms.append(sup_norm)
+        self._sweeps.append(sweeps)
+        if self._energy:
+            E, G, self._dist = modified_energy(fields, self._dist, kernels, self._cfg.epsilon, grid, delta, delta_sq)
+            self._E.append(E)
+            self._G.append(G)
+            self._local.append(kernels.local)
+        return self._step_sq[-1]
+
+    def trajectory(self, mesh: TimeMesh, fields, cap: float, cap_limit: float, r_floor: float) -> SolveTrajectory:
+        """The columns over the final mesh; the lhs and both flags are evaluated here, once,
+        and as nodes are only ever appended each entry has the bits of its own step."""
+        E = G = lhs = None
+        if self._energy:
+            E, G = np.asarray(self._E), np.asarray(self._G)
+            lhs = dissipation_lhs(E + G, np.asarray(self._local), mesh.steps, np.asarray(self._step_sq))
+        return SolveTrajectory(
+            mesh=mesh, fields=fields, sup_norms=np.asarray(self._sup_norms), E=E, G=G, dissipation_lhs=lhs,
+            fp_iters=np.asarray(self._sweeps, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
+            ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)),
+        )
+
+
 def _block_end(lo: int, last: int) -> int:
     """The highest level hi <= last (lo at least) whose block lo..hi holds
     at most _BLOCK_ENTRIES (level, offset) entries per table."""
@@ -408,17 +452,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
 
     phi^0..phi^n live in one FieldHistory, sized to the mesh or to the
     warm-up; each step past it grows the stack by one level, so the stack
-    ends holding exactly the levels used.  Energy is recorded exactly when
-    cfg.forcing is None, as the law is about the unforced equation: run
-    seeds level 0 (E of the stored phi^0, G = 0, no distance but its own)
-    and modified_energy carries it on.  Each step's delta = phi^n -
-    phi^{n-1} is reduced once, s = grid_sum(delta * delta): the law's
-    damping reads h^2 s, the controller's speed sqrt(h^2 s) / tau_n, and
-    G's newest distance is s itself, as modified_energy maps G's squared
-    distances to the next level's (one pass over the stack).  The lhs and the flags
-    (from the final mesh's steps and ratios) are evaluated once the run is
-    done: the nodes are only ever appended, so each entry has the bits of
-    its own step.
+    ends holding exactly the levels used.  Each accepted level goes to a
+    _LevelRecord, which holds every column the trajectory returns; the
+    controller's speed is the root of its h^2 ||delta||^2 over tau_n.
 
     One loop steps from the schedule's warm-up (a fixed mesh is its own)
     until a node reaches _reach(schedule.horizon), as a fixed mesh's last does.  Only a
@@ -442,9 +478,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (grid.M, grid.M) or not np.isfinite(phi0).all():
         raise ValueError(f"phi0 must be a {grid.M}x{grid.M} field with no nan or inf, got shape {phi0.shape}")
-    sup_norms = [norm_inf(phi0)]
-    if cfg.enforce_bound and sup_norms[0] > 1.0 + _BOUND_TOL:
-        raise ValueError(f"phi0 has max norm {sup_norms[0]:.15f} over 1 + {_BOUND_TOL:.1e}: "
+    sup_norm = norm_inf(phi0)
+    if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
+        raise ValueError(f"phi0 has max norm {sup_norm:.15f} over 1 + {_BOUND_TOL:.1e}: "
                          "a strict run needs the maximum bound to hold at t = 0")
     cap = step_size_cap(order.alpha, grid.h, cfg.epsilon)
     cap_limit = cap * (1.0 + 1e-12)
@@ -454,12 +490,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     horizon = schedule.horizon
 
     history = FieldHistory(phi0, mesh.num_steps + 1)
-    fp_iters, step_sq, local = [], [], []
-    unforced = cfg.forcing is None
-    if unforced:
-        dist = np.zeros(1)
-        energies, g_terms = [free_energy(history.fields[0], cfg.epsilon, grid)], [0.0]
-
+    record = _LevelRecord(cfg, history.fields[0], sup_norm)
     end = _reach(horizon)     # a run whose last node reaches it is done
     fixed = mesh.num_steps      # levels that the run does not append itself
     block, block_nodes, block_hi = {}, None, 0
@@ -491,29 +522,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
                 block_nodes = mesh.nodes if n <= fixed else _cap_nodes(mesh.nodes, cap, _block_end(n, math.inf))
                 block_hi, block = _kernel_block(block_nodes, order, n)
         kernels = block.get(n) or build_kernels(mesh, order, n)
-        phi, sweeps = step(history.fields, mesh, kernels, cfg, sup_norms[-1])
+        phi, sweeps = step(history.fields, mesh, kernels, cfg, sup_norm)
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
-        delta = phi - history.fields[-1]
-        delta_sq = grid_sum(delta * delta)
-        step_sq.append(grid.h**2 * delta_sq)
         history.push(phi)
-        sup_norms.append(sup_norm)
-        fp_iters.append(sweeps)
-        change_norm = math.sqrt(step_sq[-1]) / tau_n
-        if unforced:
-            E, G, dist = modified_energy(history.fields, dist, kernels, cfg.epsilon, grid, delta, delta_sq)
-            energies.append(E)
-            g_terms.append(G)
-            local.append(local_coefficient(order, kernels))
-
-    E = G = lhs = None
-    if unforced:
-        E, G = np.asarray(energies), np.asarray(g_terms)
-        lhs = dissipation_lhs(E + G, np.asarray(local), mesh.steps, np.asarray(step_sq))
-    return SolveTrajectory(
-        mesh=mesh, fields=history.fields, sup_norms=np.asarray(sup_norms), E=E, G=G, dissipation_lhs=lhs,
-        fp_iters=np.asarray(fp_iters, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
-        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)),
-    )
+        change_norm = math.sqrt(record.take(history.fields, kernels, sup_norm, sweeps)) / tau_n
+    return record.trajectory(mesh, history.fields, cap, cap_limit, r_floor)

@@ -7,6 +7,7 @@ each other.  The quadratures also back the curvature diagnostics, whose
 integrals have no closed form that is independent of the weight
 identities.  The rest are stateless recomputations that no run calls:
 the moment weights as first written (both formulas on every entry), the
+level weights a and zeta of one level, read from the one weight pass, the
 one-level endpoint gaps the vectorised kernel audit is compared with,
 the worst slack per property of an audit report or summary, the history quadratic G
 from the fields, the per-step scalar dissipation lhs, and the grid inner
@@ -24,8 +25,8 @@ from scipy.special import rgamma
 
 from fracstep.audits import AuditReport, AuditSummary, _gaps
 from fracstep.grid import Grid2D, grid_sum
-from fracstep.kernels import (_SERIES_GAP, FracOrder, KernelSet, _moment_series, _offset_geometry, as_order,
-                              distance_form, stored_form_coeffs)
+from fracstep.kernels import (_SERIES_GAP, FracOrder, _moment_series, _offset_geometry, as_order, distance_form,
+                              kernel_tables, stored_form_coeffs)
 from fracstep.mesh import TimeMesh
 from fracstep.special import omega, omega_diff
 
@@ -229,15 +230,23 @@ def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
     return omega(1.0 - order.alpha, d[0, 0])[n:0:-1]
 
 
-def endpoint_gaps(kernels: KernelSet, mesh: TimeMesh, order, n: int):
+def level_weights(mesh: TimeMesh, order, n: int):
+    """(a, zeta) of level n by offset m = n - k, zeta[0] nan: row 0 of a
+    kernel_tables pass over level n alone, of which build_kernels is a
+    slice."""
+    t = kernel_tables(mesh.nodes, order, n, n)
+    return t.a[0, 0, :n], t.zeta[0, 0, :n]
+
+
+def endpoint_gaps(mesh: TimeMesh, order, n: int):
     """(I, J) by offset m = n-k for k = 1..n-1, from the interval-average identities.
 
-    I[m] = a[m] - w'(t_{k-1}) and J[m] = w'(t_k) - a[m]; both are positive
-    because the weight is convex.  Offset 0 is nan (the head interval has
-    no integrable curvature).
+    I[m] = a[m] - w'(t_{k-1}) and J[m] = w'(t_k) - a[m], with a from
+    level_weights; both are positive because the weight is convex.  Offset
+    0 is nan (the head interval has no integrable curvature).
     """
     wp = _weight_at_nodes(mesh, as_order(order), n)
-    return _gaps(kernels.a, np.concatenate(([np.nan], wp[::-1])))
+    return _gaps(level_weights(mesh, order, n)[0], np.concatenate(([np.nan], wp[::-1])))
 
 
 def worst_slack(audit: AuditReport | AuditSummary):

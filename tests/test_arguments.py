@@ -2,11 +2,13 @@
 
 An assert is stripped by python -O, and the helper then goes on with the
 wrong input (TimeMesh.step(0) once returned tau_N); CI runs this module
-under python -O too.  The problem's data classes reject a nan, and an inf
-where the run needs a finite number, naming the argument.
+under python -O too.  The problem's data classes and the mesh builders
+reject a nan, and an inf where the run needs a finite number, naming the
+argument.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ import pytest
 from fracstep.energy import modified_energy
 from fracstep.grid import Grid2D, save_raw
 from fracstep.kernels import build_kernels, dgs_forms, frac_derivative
-from fracstep.mesh import AdaptiveSchedule, MeshError, adaptive_next_step, build_uniform_mesh
+from fracstep.mesh import (AdaptiveSchedule, MeshError, adaptive_next_step, build_graded_mesh, build_two_phase_mesh,
+                           build_uniform_mesh)
 from fracstep.solver import ManufacturedForcing, SolverConfig, step
 
 MESH = build_uniform_mesh(1.0, 4)
@@ -37,7 +40,7 @@ CASES = {
     "adaptive_next_step tau_n=0": lambda path: adaptive_next_step(0.0, 1.0, SCHEDULE, 0.5, None),
     "adaptive_next_step negative speed": lambda path: adaptive_next_step(0.1, -1.0, SCHEDULE, 0.5, None),
     "adaptive_next_step nan speed": lambda path: adaptive_next_step(0.1, math.nan, SCHEDULE, 0.5, None),
-    "frac_derivative": lambda path: frac_derivative(np.arange(6.0), KERNELS[3], 0.5),
+    "frac_derivative": lambda path: frac_derivative(np.arange(6.0), KERNELS[3]),
     "dgs_forms current level": lambda path: dgs_forms(None, KERNELS[3], np.ones(2)),
     "dgs_forms no previous": lambda path: dgs_forms(None, KERNELS[3], np.ones(3)),
     "dgs_forms previous level": lambda path: dgs_forms(KERNELS[3], KERNELS[3], np.ones(3)),
@@ -61,12 +64,26 @@ def _schedule(**kw):
 
 
 # each was accepted once: an infinite or nan horizon made run loop forever,
-# a nan eta left every step at the floors, and a nan epsilon or L failed
-# at step 1 as a ConvergenceError
+# a nan eta left every step at the floors, an infinite eta made the
+# controller's proposal inf * 0 = nan at speed 0, an infinite tau_max
+# proposed inf, a nan epsilon or L failed at step 1 as a ConvergenceError,
+# and a nan or inf T0, T or gamma of a mesh builder raised naming the
+# mesh's first node (after a RuntimeWarning) or a bare ValueError
 NON_FINITE = {
     "AdaptiveSchedule horizon=inf": (lambda: _schedule(horizon=math.inf), MeshError, "horizon"),
     "AdaptiveSchedule horizon=nan": (lambda: _schedule(horizon=math.nan), MeshError, "horizon"),
     "AdaptiveSchedule eta=nan": (lambda: _schedule(eta=math.nan), MeshError, "eta"),
+    "AdaptiveSchedule eta=inf": (lambda: _schedule(eta=math.inf), MeshError, "eta"),
+    "AdaptiveSchedule tau_max=inf": (lambda: _schedule(tau_max=math.inf), MeshError, "tau_max"),
+    "AdaptiveSchedule tau_max=nan": (lambda: _schedule(tau_max=math.nan), MeshError, "tau_max"),
+    "build_graded_mesh T0=inf": (lambda: build_graded_mesh(math.inf, 4, 1.0), MeshError, "T0"),
+    "build_graded_mesh T0=nan": (lambda: build_graded_mesh(math.nan, 4, 1.0), MeshError, "T0"),
+    "build_graded_mesh gamma=inf": (lambda: build_graded_mesh(1.0, 4, math.inf), MeshError, "gamma"),
+    "build_graded_mesh gamma=nan": (lambda: build_graded_mesh(1.0, 4, math.nan), MeshError, "gamma"),
+    "build_two_phase_mesh T=inf": (lambda: build_two_phase_mesh(math.inf, 2.0, 10, 0), MeshError, "horizon T"),
+    "build_two_phase_mesh T=nan": (lambda: build_two_phase_mesh(math.nan, 2.0, 10, 0), MeshError, "horizon T"),
+    "build_two_phase_mesh gamma=inf": (lambda: build_two_phase_mesh(1.0, math.inf, 10, 0), MeshError, "gamma"),
+    "build_two_phase_mesh gamma=nan": (lambda: build_two_phase_mesh(1.0, math.nan, 10, 0), MeshError, "gamma"),
     "SolverConfig epsilon=nan": (lambda: SolverConfig(0.5, math.nan, GRID), ValueError, "epsilon"),
     "SolverConfig epsilon=inf": (lambda: SolverConfig(0.5, math.inf, GRID), ValueError, "epsilon"),
     "Grid2D L=nan": (lambda: Grid2D(M=4, L=math.nan), ValueError, "length L"),
@@ -78,5 +95,7 @@ NON_FINITE = {
 
 @pytest.mark.parametrize("call, error, name", NON_FINITE.values(), ids=NON_FINITE.keys())
 def test_non_finite_problem_data_raise_naming_the_argument(call, error, name):
-    with pytest.raises(error, match=name):
+    # raised by the argument's own check, before any arithmetic on it can warn
+    with warnings.catch_warnings(), pytest.raises(error, match=name):
+        warnings.simplefilter("error")
         call()

@@ -24,7 +24,7 @@ from fracstep.kernels import (as_order, build_kernels, comparison_factor, gradie
                               min_step_ratio)
 from fracstep.mesh import build_graded_mesh, build_uniform_mesh, random_ratio_mesh
 from fracstep.special import omega
-from oracles import _weight_at_nodes, diagnostics, endpoint_gaps, worst_slack
+from oracles import _weight_at_nodes, diagnostics, endpoint_gaps, level_weights, worst_slack
 
 
 def test_beta_factors_uniform_alpha_one_limit():
@@ -130,13 +130,13 @@ def _audit_loop(mesh, alpha, n_max):
     order = as_order(alpha)
     rows = []
     add = lambda n, prop, k, lhs, rhs: rows.append(AuditEntry(n, prop, k, float(lhs), float(rhs)))
-    prev = build_kernels(mesh, order, 1)
-    Ip, Jp = endpoint_gaps(prev, mesh, order, 1)
+    prev, Zp = build_kernels(mesh, order, 1), level_weights(mesh, order, 1)[1]
+    Ip, Jp = endpoint_gaps(mesh, order, 1)
     for n in range(2, min(n_max, mesh.num_steps) + 1):
-        ks = build_kernels(mesh, order, n)
-        A, Ap, Z, Zp = gradient_kernels(ks.hat_a), gradient_kernels(prev.hat_a), ks.zeta, prev.zeta
+        ks, Z = build_kernels(mesh, order, n), level_weights(mesh, order, n)[1]
+        A, Ap = gradient_kernels(ks.hat_a), gradient_kernels(prev.hat_a)
         beta = comparison_factor(order.alpha, np.concatenate(([np.nan, np.nan], mesh.ratios[: n - 1])))
-        I, J = endpoint_gaps(ks, mesh, order, n)
+        I, J = endpoint_gaps(mesh, order, n)
         r = mesh.steps[1:n] / mesh.steps[: n - 1]
         for k in range(1, n):
             add(n, "kernel_decreasing", k, A[n - k - 1], A[n - k])
@@ -162,7 +162,7 @@ def _audit_loop(mesh, alpha, n_max):
                 J[n - k] - 3.0 * Z[n - k])
         wp_tail = float(_weight_at_nodes(mesh, order, n)[n - 1])
         add(n, "head_moment_bound", n - 1, alpha / (3.0 * (2.0 - alpha)) * wp_tail, r[n - 2] * Z[1])
-        prev, Ip, Jp = ks, I, J
+        prev, Zp, Ip, Jp = ks, Z, I, J
     return rows
 
 

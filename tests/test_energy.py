@@ -15,8 +15,7 @@ from fracstep.energy import (
 )
 from fracstep.experiments import CoarsenSpec, run_coarsening
 from fracstep.grid import Grid2D, grid_sum
-from fracstep.kernels import (build_kernels, distance_form, local_coefficient, min_step_ratio,
-                              stored_form_coeffs)
+from fracstep.kernels import build_kernels, distance_form, min_step_ratio, stored_form_coeffs
 from fracstep.mesh import build_uniform_mesh
 from fracstep.solver import SolverConfig, SolveTrajectory, run
 from oracles import _G_BLOCK, history_quadratic, scalar_dissipation_lhs
@@ -171,7 +170,7 @@ def test_run_columns_carry_the_bits_of_the_scalar_law(alpha):
         assert dist[n - 1] == delta_sq
         G.append(G_n)
         step_sq = grid.h**2 * delta_sq
-        lhs.append(scalar_dissipation_lhs(E_alpha[n - 1], E_alpha[n], local_coefficient(alpha, kern), tau_n,
+        lhs.append(scalar_dissipation_lhs(E_alpha[n - 1], E_alpha[n], kern.local, tau_n,
                                           step_sq))
         cap_ok.append(tau_n <= traj.cap * (1.0 + 1e-12))
         ratio_ok.append(n == 1 or float(mesh.ratios[n - 2]) >= r_floor * (1.0 - 1e-12))

@@ -18,7 +18,6 @@ from fracstep.kernels import (
     gradient_kernels,
     history_sum,
     kernel_tables,
-    local_coefficient,
     min_step_ratio,
     _SERIES_GAP,
     _moments,
@@ -29,7 +28,7 @@ from fracstep.mesh import (TimeMesh, build_graded_mesh, build_two_phase_mesh, bu
                            random_ratio_mesh)
 from fracstep.solver import step_size_cap
 from fracstep.special import omega
-from oracles import two_formula_moments
+from oracles import level_weights, two_formula_moments
 
 # mpmath root solve of the defining equation, 40 digits
 RSTAR_FROZEN = [
@@ -67,7 +66,7 @@ def test_min_step_ratio_monotone():
 def test_interval_weight_head_uniform():
     # a_0 on a unit step at alpha = 1/2: omega_{3/2}(3/4); mpmath 40 digits
     mesh = build_uniform_mesh(1.0, 1)
-    a = build_kernels(mesh, 0.5, 1).a
+    a, _ = level_weights(mesh, 0.5, 1)
     assert a[0] == pytest.approx(0.9772050238058398, rel=1e-14)
 
 
@@ -76,14 +75,14 @@ def test_interval_weights_positive_decreasing():
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 0.95))
         mesh = random_ratio_mesh(rng, 10, min_step_ratio(alpha))
-        a = build_kernels(mesh, alpha, 10).a
+        a, _ = level_weights(mesh, alpha, 10)
         assert np.all(a > 0)
         assert np.all(np.diff(a) < 0)  # decays away from the active cell
 
 
 def test_moment_weights_head_is_undefined():
     mesh = build_uniform_mesh(1.0, 5)
-    zeta = build_kernels(mesh, 0.4, 5).zeta
+    _, zeta = level_weights(mesh, 0.4, 5)
     assert math.isnan(zeta[0])
     assert np.all(zeta[1:] > 0)
 
@@ -96,7 +95,7 @@ def test_moment_weights_branch_agreement():
     rng = np.random.default_rng(3)
     for alpha in (0.2, 0.7):
         mesh = random_ratio_mesh(rng, 9, 0.45, r_max=2.0)
-        zeta = build_kernels(mesh, alpha, 9).zeta
+        _, zeta = level_weights(mesh, alpha, 9)
         for k in range(1, 9):
             want = moment_weight_quad(mesh, as_order(alpha), 9, k)
             assert zeta[9 - k] == pytest.approx(want, rel=1e-10)
@@ -130,8 +129,9 @@ def test_history_weights_equal_scalar_loop():
     two_phase = build_two_phase_mesh(1.0, 2.5, 300, 1234)
     cases += [(two_phase, 0.8, n) for n in range(1, 301)]
     for mesh, alpha, n in cases:
-        ks = build_kernels(mesh, alpha, n)
-        assert np.array_equal(ks.hat_a, _history_weights_loop(ks.a, ks.zeta, mesh, alpha, n)), (alpha, n)
+        a, zeta = level_weights(mesh, alpha, n)
+        want = _history_weights_loop(a, zeta, mesh, alpha, n)
+        assert np.array_equal(build_kernels(mesh, alpha, n).hat_a, want), (alpha, n)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.95])
@@ -164,11 +164,16 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
             if name == "d":
                 continue
             assert table.shape == (len(meshes), hi - lo + 1, hi)
-            for j, mesh in enumerate(meshes):
+            for j in range(len(meshes)):
                 for i, n in enumerate(range(lo, hi + 1)):
-                    want = getattr(build_kernels(mesh, alpha, n), name)
-                    assert table[j, i, :n].tobytes() == want.tobytes(), (name, j, n)   # nan zeta[0] too
                     assert np.isnan(table[j, i, n:]).all()
+        # a KernelSet is a slice of the pass: hat_a's row, and local formed
+        # as alpha / (2 - alpha) * a_0 from the row's head
+        for j, mesh in enumerate(meshes):
+            for i, n in enumerate(range(lo, hi + 1)):
+                ks = build_kernels(mesh, alpha, n)
+                assert tables.hat_a[j, i, :n].tobytes() == ks.hat_a.tobytes(), (j, n)
+                assert (alpha / (2.0 - alpha) * tables.a[j, i, 0]).tobytes() == ks.local.tobytes(), (j, n)
 
 
 def test_weight_builders_reject_levels_out_of_range():
@@ -258,9 +263,9 @@ def test_local_coefficient_fraction():
     mesh = build_uniform_mesh(1.0, 4)
     order = as_order(0.6)
     kern = build_kernels(mesh, order, 4)
-    assert local_coefficient(order, kern) == pytest.approx(
-        0.6 / 1.4 * kern.a[0], rel=1e-15
-    )
+    a, _ = level_weights(mesh, order, 4)
+    assert kern.local == pytest.approx(0.6 / 1.4 * a[0], rel=1e-15)
+    assert kern.local == 0.6 / (2.0 - 0.6) * a[0]     # the product order of the block pass, bit for bit
 
 
 def test_split_head_sums_to_interval_weight():
@@ -270,21 +275,25 @@ def test_split_head_sums_to_interval_weight():
     for alpha in (0.15, 0.5, 0.85):
         order = as_order(alpha)
         mesh = random_ratio_mesh(rng, 7, min_step_ratio(alpha))
-        kern = build_kernels(mesh, order, 7)
-        base = alpha / (2.0 - alpha) * kern.a[0] + 2.0 * (1.0 - alpha) / (2.0 - alpha) * kern.a[0]
-        assert base == pytest.approx(kern.a[0], rel=1e-14)
+        a, _ = level_weights(mesh, order, 7)
+        base = build_kernels(mesh, order, 7).local + 2.0 * (1.0 - alpha) / (2.0 - alpha) * a[0]
+        assert base == pytest.approx(a[0], rel=1e-14)
 
 
 def test_kernel_arrays_immutable():
-    kern = build_kernels(build_uniform_mesh(1.0, 3), 0.5, 3)
+    mesh = build_uniform_mesh(1.0, 3)
+    kern = build_kernels(mesh, 0.5, 3)
     with pytest.raises(ValueError):
-        kern.a[0] = 0.0
+        kern.hat_a[0] = 0.0
+    for table in level_weights(mesh, 0.5, 3):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_derivative_constant_history_is_zero():
     mesh = build_uniform_mesh(2.0, 6)
     kern = build_kernels(mesh, 0.3, 6)
-    assert frac_derivative(np.full(7, 4.2), kern, 0.3) == 0.0
+    assert frac_derivative(np.full(7, 4.2), kern) == 0.0
 
 
 def test_derivative_linear_history_exact():
@@ -295,7 +304,7 @@ def test_derivative_linear_history_exact():
         order = as_order(alpha)
         mesh = random_ratio_mesh(rng, 6, min_step_ratio(alpha))
         kern = build_kernels(mesh, order, 6)
-        got = frac_derivative(np.asarray(mesh.nodes), kern, order)
+        got = frac_derivative(np.asarray(mesh.nodes), kern)
         t_off = mesh.offset_node(6, order.theta)
         want = omega(2.0 - alpha, t_off)
         assert got == pytest.approx(want, rel=1e-12)
@@ -311,7 +320,7 @@ def test_derivative_cubic_history_order():
     for N in Ns:
         mesh = build_uniform_mesh(1.0, N)
         kern = build_kernels(mesh, order, N)
-        got = frac_derivative(np.asarray(mesh.nodes) ** 3, kern, order)
+        got = frac_derivative(np.asarray(mesh.nodes) ** 3, kern)
         t_off = mesh.offset_node(N, order.theta)
         # Caputo derivative of t^3 = 6 omega_4(t): 6 omega_{4-alpha}(t)
         want = 6.0 * omega(4.0 - alpha, t_off)
@@ -325,7 +334,7 @@ def test_derivative_alpha_near_one_is_difference_quotient():
     alpha = 1.0 - 1e-6
     kern = build_kernels(mesh, alpha, 10)
     v = np.sin(np.asarray(mesh.nodes))
-    got = frac_derivative(v, kern, alpha)
+    got = frac_derivative(v, kern)
     want = (v[-1] - v[-2]) / mesh.step(10)
     assert got == pytest.approx(want, rel=1e-4)
 

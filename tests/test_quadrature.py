@@ -15,6 +15,7 @@ from oracles import (
     derivative_quad,
     endpoint_moment_quad,
     interval_weight_quad,
+    level_weights,
     moment_weight_quad,
     weight_fn,
 )
@@ -35,7 +36,7 @@ def test_interval_weights_match_quadrature():
         for _ in range(4):
             n = int(rng.integers(2, 9))
             mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
-            a = build_kernels(mesh, order, n).a
+            a = level_weights(mesh, order, n)[0]
             for k in range(1, n + 1):
                 want = interval_weight_quad(mesh, order, n, k)
                 assert a[n - k] == pytest.approx(want, rel=1e-10)
@@ -47,7 +48,7 @@ def test_head_weight_uses_singular_rule():
     mesh = build_uniform_mesh(1.0, 3)
     for alpha in (0.2, 0.8):
         order = as_order(alpha)
-        a = build_kernels(mesh, order, 3).a
+        a = level_weights(mesh, order, 3)[0]
         got = interval_weight_quad(mesh, order, 3, 3)
         assert got == pytest.approx(a[0], rel=1e-12)
 
@@ -75,7 +76,7 @@ def test_moment_weights_match_quadrature_far_field():
             order = as_order(alpha)
             for n in levels:
                 with np.errstate(over="raise"):
-                    zeta = build_kernels(mesh, order, n).zeta
+                    zeta = level_weights(mesh, order, n)[1]
                 for k in range(1, n):
                     want = moment_weight_quad(mesh, order, n, k)
                     assert zeta[n - k] == pytest.approx(want, rel=1e-10), (alpha, n, k)
@@ -95,7 +96,7 @@ def test_derivative_quad_matches_closed_form():
         mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
         history = rng.standard_normal(n + 1)
         kern = build_kernels(mesh, order, n)
-        closed = frac_derivative(history, kern, order)
+        closed = frac_derivative(history, kern)
         quad = derivative_quad(mesh, order, n, history)
         assert quad == pytest.approx(closed, rel=1e-10, abs=1e-13)
 

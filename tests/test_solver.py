@@ -11,10 +11,10 @@ import pytest
 
 import fracstep
 import fracstep.solver as solver
-from fracstep.grid import Grid2D, laplacian, norm_inf
+from fracstep.grid import Grid2D, grid_sum, laplacian, norm_inf
 from fracstep.experiments import CoarsenSpec, run_coarsening, write_coarsening_outputs
-from fracstep.kernels import build_kernels, local_coefficient, min_step_ratio, stored_form_coeffs
-from fracstep.mesh import TimeMesh, build_graded_mesh, build_uniform_mesh
+from fracstep.kernels import build_kernels, min_step_ratio, stored_form_coeffs
+from fracstep.mesh import TimeMesh, adaptive_next_step, build_graded_mesh, build_uniform_mesh
 from fracstep.solver import (
     AdaptiveSchedule,
     BoundViolation,
@@ -330,7 +330,7 @@ def test_l21sigma_step_implicit_relation():
     phi, sweeps = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
     levels = fields + [phi]
     theta = cfg.alpha / 2.0
-    deriv = local_coefficient(cfg.alpha, kern) * (phi - fields[-1])
+    deriv = kern.local * (phi - fields[-1])
     for k in range(1, n + 1):
         deriv = deriv + kern.hat_a[n - k] * (levels[k] - levels[k - 1])
     prev = fields[-1]
@@ -415,7 +415,7 @@ def _start_independence_bound(phi, plain, kern, cfg):
     # <= tol is within q/(1-q) tol of the fixed point, so two runs from any
     # starts end within 2q/(1-q) tol of each other, plus FFT rounding.
     theta = cfg.alpha / 2.0
-    D = local_coefficient(cfg.alpha, kern) + kern.hat_a[0]
+    D = kern.local + kern.hat_a[0]
     R = max(norm_inf(phi), norm_inf(plain)) + solver._FIXED_POINT_TOL
     q = (1.0 - theta) * max(1.0, 3.0 * R * R - 1.0) / D
     assert q < 1.0
@@ -651,6 +651,31 @@ def test_adaptive_run_is_bitwise_the_fixed_run_over_its_own_nodes(monkeypatch):
         assert np.array_equal(getattr(grown, column), getattr(fixed, column)), column
 
 
+def test_forced_adaptive_run_is_bitwise_the_forced_fixed_run_over_its_own_nodes():
+    # a forced run records no energy, yet its controller reads the record's
+    # h^2 ||delta||^2: the steps it takes from them must give the forced
+    # fixed run over the same nodes, bit for bit
+    cfg = _cfg(alpha=0.5, epsilon=0.3, forcing=ManufacturedForcing(sigma=0.4))
+    sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 4, 2.0), horizon=0.1, tau_min=1e-3,
+                             tau_max=0.02, eta=10.0)
+    phi0 = cfg.forcing.exact(0.0, cfg.grid)
+    traj = run(cfg, sched, phi0)
+    fixed = run(cfg, TimeMesh(traj.mesh.nodes), phi0)
+    assert traj.num_steps > 50 and len(np.unique(traj.mesh.steps[4:])) > 5    # the controller moved
+    assert np.array_equal(_bits(traj.mesh.nodes), _bits(fixed.mesh.nodes))
+    for name in ("fields", "sup_norms", "fp_iters"):
+        assert getattr(traj, name).tobytes() == getattr(fixed, name).tobytes(), name
+    for run_ in (traj, fixed):
+        assert run_.E is None and run_.G is None and run_.dissipation_lhs is None and run_.E_alpha is None
+    # every controller node but the clipped last is t_n + adaptive_next_step
+    # of the speed ||phi^n - phi^{n-1}|| / tau_n, read from the fields
+    mesh, r_floor = traj.mesh, min_step_ratio(0.5)
+    for n in range(4, traj.num_steps - 1):
+        delta = traj.fields[n] - traj.fields[n - 1]
+        speed = math.sqrt(cfg.grid.h**2 * grid_sum(delta * delta)) / mesh.step(n)
+        assert mesh.nodes[n + 1] == mesh.nodes[n] + adaptive_next_step(mesh.step(n), speed, sched, r_floor, None), n
+
+
 def _strict_at_cap():
     # alpha 0.4 at eps 0.05: the cap, 5.2e-3, sits below tau_max, and eta = 0
     # proposes tau_max, so every controller step is the cap but the clipped last
@@ -852,9 +877,8 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
     assert all((hi - lo + 1) * (hi + 1) <= 60 for lo, hi in blocks) and len(alone) >= 2
     for got in levels:
         want = real_build(traj.mesh, 0.6, got.n)
-        for name in ("a", "zeta", "hat_a"):
-            x, y = getattr(got, name), getattr(want, name)
-            assert np.array_equal(x.view(np.uint64), y.view(np.uint64)) and not x.flags.writeable
+        assert _bits(got.local) == _bits(want.local)
+        assert np.array_equal(_bits(got.hat_a), _bits(want.hat_a)) and not got.hat_a.flags.writeable
 
 
 def _bits(x):
@@ -897,7 +921,7 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     assert [k.n for k in levels] == list(range(1, N + 1))
     for got in levels:
         want = real_build(traj.mesh, 0.5, got.n)
-        for name in ("a", "zeta", "hat_a"):
+        for name in ("local", "hat_a"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
 
 
@@ -964,7 +988,7 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
         assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
     assert np.array_equal(_bits(got.mesh.nodes), _bits(want.mesh.nodes))
     for x, y in zip(got_levels, want_levels, strict=True):
-        for name in ("a", "zeta", "hat_a"):
+        for name in ("local", "hat_a"):
             assert np.array_equal(_bits(getattr(x, name)), _bits(getattr(y, name)))
 
 
