@@ -15,11 +15,10 @@ that was broken, if any.
 
 G is a weighted sum of the squared distances ||phi^n - phi^j||^2 over the
 whole history: kernels.distance_form, the same form dgs_forms checks,
-scaled by h^2/2.  A run's per-level record (solver._LevelRecord) carries
-those distances from level to level: modified_energy maps one level's to
-the next level's with one inner-product pass over the field stack and
-takes the newest from the law's grid sum; the tests recompute them as the
-stateless reference.
+scaled by h^2/2.  A run's _LevelRecord carries those distances from
+level to level: modified_energy maps one level's to the next level's with
+one inner-product pass over the field stack and takes the newest from the
+law's grid sum; the tests recompute them as the stateless reference.
 """
 
 from __future__ import annotations

@@ -307,8 +307,8 @@ def kernel_tables(nodes, order, lo: int, hi: int) -> KernelTables:
     """The one weight pass: the levels n = lo..hi of one node vector or of
     each row of a 2-D nodes (a vector is one row), t_0..t_hi at least.
 
-    Row [j, i] of each weight table is build_kernels(mesh, order, lo + i)
-    of any mesh that begins with row j, bit for bit.  Raises ValueError
+    Row [j, i] of each table is, bit for bit, a pass over level lo + i
+    alone of any mesh that begins with row j.  Raises ValueError
     unless 1 <= lo <= hi < the number of nodes.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))

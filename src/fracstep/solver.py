@@ -32,9 +32,8 @@ inherited from the initial data; the stepper never clips a level it
 returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
-phi^0..phi^n in one FieldHistory.  Each accepted level goes to one
-per-level record (_LevelRecord), which turns into the run's columns
-(SolveTrajectory), the lhs and the flags evaluated once, after the run.
+phi^0..phi^n in one FieldHistory and its per-level columns in one
+_LevelRecord; it returns them as a SolveTrajectory.
 """
 
 from __future__ import annotations
@@ -47,7 +46,14 @@ import numpy as np
 
 from .energy import dissipation_lhs, free_energy, modified_energy
 from .grid import Grid2D, grid_sum, laplacian, norm_inf
-from .kernels import KernelSet, as_order, build_kernel_block, build_kernels, history_sum, min_step_ratio
+from .kernels import (
+    KernelSet,
+    as_order,
+    build_kernel_block,
+    build_kernels,
+    history_sum,
+    min_step_ratio,
+)
 from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
 from .special import omega, saturating_power
 
@@ -279,8 +285,7 @@ class SolveTrajectory:
     """Everything a run produced, as columns: the mesh as built, the fields,
     per level the sup norms and the energies E and G, and per step (entry
     n - 1 for step n) the dissipation lhs, the sweeps and the two
-    hypothesis flags.  The energy columns are None for a forced run.  A
-    run's _LevelRecord builds it."""
+    hypothesis flags.  The energy columns are None for a forced run."""
 
     mesh: TimeMesh
     fields: np.ndarray
@@ -348,24 +353,21 @@ class FieldHistory:
 
 
 class _LevelRecord:
-    """The per-level record of a run, turned into its SolveTrajectory at the end.
+    """The per-level columns of a run.
 
-    take records each accepted level n from the stack that ends at it: the
-    sup norm, the sweeps and h^2 ||delta||^2 of delta = phi^n - phi^{n-1},
-    reduced once as s = grid_sum(delta * delta), which the law's damping
-    and the controller's speed both read.  Energy is recorded exactly
-    when cfg.forcing is None, as the law is about the unforced equation:
-    level 0 is seeded here (E of the stored phi^0, G = 0, no distance but
-    its own), and each take adds E, G and the level's local coefficient,
-    modified_energy mapping G's squared distances to the next level's (one
-    pass over the stack) with s as the newest.
+    take records each accepted level n from the stack that ends at it: its
+    sup norm, its sweeps and h^2 s, s = grid_sum(delta * delta) of delta =
+    phi^n - phi^{n-1}, the one reduction the law and the controller read.
+    Energy is recorded exactly when cfg.forcing is None (the law is about
+    the unforced equation): E of phi^0 and G = 0 seed it, and
+    modified_energy carries G's squared distances with s as the newest.
     """
 
     def __init__(self, cfg: SolverConfig, phi0: np.ndarray, sup_norm: float):
         self._cfg = cfg
-        self._sup_norms, self._sweeps, self._step_sq, self._local = [sup_norm], [], [], []
-        self._energy = cfg.forcing is None
-        if self._energy:
+        self.sup_norms, self.sweeps, self._step_sq, self._local = [sup_norm], [], [], []
+        self._E = self._G = None
+        if cfg.forcing is None:
             self._dist = np.zeros(1)
             self._E, self._G = [free_energy(phi0, cfg.epsilon, cfg.grid)], [0.0]
 
@@ -375,27 +377,21 @@ class _LevelRecord:
         delta = fields[-1] - fields[-2]
         delta_sq = grid_sum(delta * delta)
         self._step_sq.append(grid.h**2 * delta_sq)
-        self._sup_norms.append(sup_norm)
-        self._sweeps.append(sweeps)
-        if self._energy:
+        self.sup_norms.append(sup_norm)
+        self.sweeps.append(sweeps)
+        if self._E is not None:
             E, G, self._dist = modified_energy(fields, self._dist, kernels, self._cfg.epsilon, grid, delta, delta_sq)
             self._E.append(E)
             self._G.append(G)
             self._local.append(kernels.local)
         return self._step_sq[-1]
 
-    def trajectory(self, mesh: TimeMesh, fields, cap: float, cap_limit: float, r_floor: float) -> SolveTrajectory:
-        """The columns over the final mesh; the lhs and both flags are evaluated here, once,
-        and as nodes are only ever appended each entry has the bits of its own step."""
-        E = G = lhs = None
-        if self._energy:
-            E, G = np.asarray(self._E), np.asarray(self._G)
-            lhs = dissipation_lhs(E + G, np.asarray(self._local), mesh.steps, np.asarray(self._step_sq))
-        return SolveTrajectory(
-            mesh=mesh, fields=fields, sup_norms=np.asarray(self._sup_norms), E=E, G=G, dissipation_lhs=lhs,
-            fp_iters=np.asarray(self._sweeps, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
-            ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)),
-        )
+    def energy(self, steps: np.ndarray):
+        """(E, G, lhs) over the final mesh's steps, each None for a forced run."""
+        if self._E is None:
+            return None, None, None
+        E, G = np.asarray(self._E), np.asarray(self._G)
+        return E, G, dissipation_lhs(E + G, np.asarray(self._local), steps, np.asarray(self._step_sq))
 
 
 def _block_end(lo: int, last: int) -> int:
@@ -451,10 +447,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     flag then reads False.
 
     phi^0..phi^n live in one FieldHistory, sized to the mesh or to the
-    warm-up; each step past it grows the stack by one level, so the stack
-    ends holding exactly the levels used.  Each accepted level goes to a
-    _LevelRecord, which holds every column the trajectory returns; the
-    controller's speed is the root of its h^2 ||delta||^2 over tau_n.
+    warm-up, and each accepted level goes to a _LevelRecord: the
+    controller's speed is the root of its h^2 ||delta||^2 over tau_n.  The
+    lhs and the flags are evaluated from the final mesh, once: its nodes
+    are only ever appended, so each entry has the bits of its own step.
 
     One loop steps from the schedule's warm-up (a fixed mesh is its own)
     until a node reaches _reach(schedule.horizon), as a fixed mesh's last does.  Only a
@@ -528,4 +524,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
         history.push(phi)
         change_norm = math.sqrt(record.take(history.fields, kernels, sup_norm, sweeps)) / tau_n
-    return record.trajectory(mesh, history.fields, cap, cap_limit, r_floor)
+    E, G, lhs = record.energy(mesh.steps)
+    return SolveTrajectory(
+        mesh=mesh, fields=history.fields, sup_norms=np.asarray(record.sup_norms), E=E, G=G, dissipation_lhs=lhs,
+        fp_iters=np.asarray(record.sweeps, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
+        ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)),
+    )

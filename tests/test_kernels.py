@@ -167,10 +167,14 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
             for j in range(len(meshes)):
                 for i, n in enumerate(range(lo, hi + 1)):
                     assert np.isnan(table[j, i, n:]).all()
-        # a KernelSet is a slice of the pass: hat_a's row, and local formed
-        # as alpha / (2 - alpha) * a_0 from the row's head
+        # each row is the one-level pass of its level (nan zeta[0] too); a
+        # KernelSet is a slice of the pass: hat_a's row, and local formed as
+        # alpha / (2 - alpha) * a_0 from the row's head
         for j, mesh in enumerate(meshes):
             for i, n in enumerate(range(lo, hi + 1)):
+                a, zeta = level_weights(mesh, alpha, n)
+                assert tables.a[j, i, :n].tobytes() == a.tobytes(), (j, n)
+                assert tables.zeta[j, i, :n].tobytes() == zeta.tobytes(), (j, n)
                 ks = build_kernels(mesh, alpha, n)
                 assert tables.hat_a[j, i, :n].tobytes() == ks.hat_a.tobytes(), (j, n)
                 assert (alpha / (2.0 - alpha) * tables.a[j, i, 0]).tobytes() == ks.local.tobytes(), (j, n)
