@@ -374,8 +374,8 @@ def dgs_case(rng, alpha: float, n: int, r_min: float):
     order = as_order(alpha)
     mesh = random_ratio_mesh(rng, n, r_min)
     diffs = rng.standard_normal(n)
-    kern_prev = build_kernels(mesh, order, n - 1)
-    kern_curr = build_kernels(mesh, order, n)
+    kern_prev = build_kernels(mesh.nodes, order, n - 1)
+    kern_curr = build_kernels(mesh.nodes, order, n)
     history = np.concatenate([[0.0], np.cumsum(diffs)])
     lhs = 2.0 * diffs[-1] * frac_derivative(history, kern_curr)
     G_n, G_prev, R_n = dgs_forms(kern_prev, kern_curr, diffs)

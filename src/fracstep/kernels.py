@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TimeMesh
 from .special import omega, omega_diff
 
 # Relative interval/backdistance gap below which the moment weights are
@@ -321,11 +320,11 @@ def kernel_tables(nodes, order, lo: int, hi: int) -> KernelTables:
 
 
 def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
-    """build_kernels(mesh, order, n) for n = lo..hi: one kernel_tables pass
+    """build_kernels(nodes, order, n) for n = lo..hi: one kernel_tables pass
     over the nodes t_0..t_hi of any mesh that begins with them, by level.
 
     A level's weights depend only on its own nodes, so a caller may pass
-    nodes that no TimeMesh holds yet (solver.run's predicted nodes).  Each
+    nodes that no mesh reaches yet (solver.run's predicted nodes).  Each
     KernelSet holds a read-only view of the pass's hat_a table, which stays
     alive while any of them does, and its local coefficient, the product
     alpha / (2 - alpha) * a[0] of its level.
@@ -336,9 +335,9 @@ def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
     return tuple(KernelSet(n, local[i], t.hat_a[0, i, :n]) for i, n in enumerate(range(lo, hi + 1)))
 
 
-def build_kernels(mesh: TimeMesh, order, n: int) -> KernelSet:
-    """The KernelSet of level n of the given mesh (hat_a read-only)."""
-    return build_kernel_block(mesh.nodes, order, n, n)[0]
+def build_kernels(nodes, order, n: int) -> KernelSet:
+    """The KernelSet of level n of the node vector nodes, t_0..t_n at least (hat_a read-only)."""
+    return build_kernel_block(nodes, order, n, n)[0]
 
 
 def frac_derivative(history, kernels: KernelSet) -> float:

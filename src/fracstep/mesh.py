@@ -27,9 +27,8 @@ class TimeMesh:
     """Immutable node/step/ratio view of a time mesh.
 
     nodes[k] = t_k for k = 0..N, steps[k-1] = tau_k = t_k - t_{k-1} for
-    k = 1..N, ratios[k-2] = tau_k / tau_{k-1} for k = 2..N.  Offset nodes
-    t_{k-theta} depend on the fractional order through theta = alpha/2 and
-    are exposed as a method instead of a stored field.
+    k = 1..N, ratios[k-2] = tau_k / tau_{k-1} for k = 2..N.  The nodes are
+    finite and rise strictly from 0.
     """
 
     nodes: np.ndarray
@@ -42,6 +41,9 @@ class TimeMesh:
             raise MeshError("mesh needs at least two nodes")
         if nodes[0] != 0.0:
             raise MeshError(f"mesh must start at t = 0, got {nodes[0]}")
+        bad = np.flatnonzero(~np.isfinite(nodes))   # checked first: inf - inf would warn in np.diff
+        if bad.size:
+            raise MeshError(f"mesh nodes must be finite, got t_{bad[0]} = {nodes[bad[0]]}")
         steps = np.diff(nodes)
         if not np.all(steps > 0.0):
             raise MeshError("mesh nodes must be strictly increasing")
@@ -58,22 +60,21 @@ class TimeMesh:
     def horizon(self) -> float:
         return float(self.nodes[-1])
 
-    def _check_step_index(self, k: int) -> None:
-        if not 1 <= k <= self.num_steps:
-            raise ValueError(f"step index {k} out of range 1..{self.num_steps}")
-
     def step(self, k: int) -> float:
         """tau_k for 1 <= k <= N; ValueError for any other k."""
-        self._check_step_index(k)
+        if not 1 <= k <= self.num_steps:
+            raise ValueError(f"step index {k} out of range 1..{self.num_steps}")
         return float(self.steps[k - 1])
 
-    def offset_node(self, k: int, theta: float) -> float:
-        """t_{k-theta} = t_{k-1} + (1-theta) tau_k, for 1 <= k <= N and
-        0 < theta < 1/2; ValueError otherwise."""
-        self._check_step_index(k)
-        if not 0.0 < theta < 0.5:
-            raise ValueError(f"offset must lie in (0, 1/2), got {theta}")
-        return float(self.nodes[k - 1] + (1.0 - theta) * self.steps[k - 1])
+
+def offset_node(nodes, k: int, theta: float) -> float:
+    """t_{k-theta} = t_{k-1} + (1-theta) tau_k of nodes, theta = alpha/2, for
+    1 <= k < len(nodes) and 0 < theta < 1/2; ValueError otherwise."""
+    if not 1 <= k < len(nodes):
+        raise ValueError(f"step index {k} out of range 1..{len(nodes) - 1}")
+    if not 0.0 < theta < 0.5:
+        raise ValueError(f"offset must lie in (0, 1/2), got {theta}")
+    return float(nodes[k - 1] + (1.0 - theta) * (nodes[k] - nodes[k - 1]))
 
 
 def build_graded_mesh(T0: float, N0: int, gamma: float) -> TimeMesh:
@@ -148,6 +149,8 @@ class AdaptiveSchedule:
     eta: float
 
     def __post_init__(self):
+        if not isinstance(self.warmup, TimeMesh):
+            raise TypeError(f"warmup must be a TimeMesh, got {type(self.warmup).__name__}")
         if not self.warmup.horizon < self.horizon < np.inf:
             raise MeshError(f"horizon {self.horizon} must be finite and past the warm-up's end {self.warmup.horizon}")
         if not 0.0 < self.tau_min <= self.tau_max < np.inf:

@@ -32,8 +32,9 @@ inherited from the initial data; the stepper never clips a level it
 returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
-phi^0..phi^n in one FieldHistory and its per-level columns in one
-_LevelRecord; it returns them as a SolveTrajectory.
+phi^0..phi^n in one FieldHistory, t_0..t_n in one node vector that step and
+the kernels read, and its per-level columns in one _LevelRecord; it returns
+them, with the one TimeMesh of its nodes, as a SolveTrajectory.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .kernels import (
     history_sum,
     min_step_ratio,
 )
-from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step
+from .mesh import AdaptiveSchedule, TimeMesh, adaptive_next_step, offset_node
 from .special import omega, saturating_power
 
 
@@ -76,6 +77,7 @@ _FIXED_POINT_TOL = 1e-12   # max-norm change between sweeps that ends a fixed po
 _FIXED_POINT_MAX_ITER = 200
 _BOUND_TOL = 1e-10         # slack above |phi| = 1 before a strict run raises BoundViolation
 _BLOCK_ENTRIES = 1 << 12   # (level, offset) entries per table of one kernel block of run
+_SCHEDULES = (TimeMesh, AdaptiveSchedule)   # the classes, bound before perfbench may wrap the name TimeMesh
 
 
 def _reach(t: float) -> float:
@@ -231,21 +233,24 @@ def _predict(fields, nodes, radius: float):
     return np.clip(x0, -bound, bound, out=x0)
 
 
-def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig, radius: float):
-    """Advance one level: fields stacks phi^0..phi^{n-1}, returns (phi^n, sweeps).
+def step(fields, nodes, kernels: KernelSet, cfg: SolverConfig, radius: float):
+    """Advance one level from phi^0..phi^{n-1} (fields) and t_0..t_n (nodes); returns (phi^n, sweeps).
 
     Fixed-point sweeps lag the reaction term; all history contributions
     are frozen.  The sweeps start from _predict over the last
     m = min(n, 4) levels: cubic extrapolation from n = 4 on, quadratic at
     n = 3, linear at n = 2, phi^0 at n = 1, clipped by radius =
     |phi^{n-1}|_inf, which run has recorded.  Convergence is measured by the
-    max-norm change between sweeps against _FIXED_POINT_TOL.  The step cap
-    and the maximum bound are checked by run, which decides them.
+    max-norm change between sweeps against _FIXED_POINT_TOL.  run checks the
+    step cap and the maximum bound.  Raises ValueError unless fields holds n
+    levels and nodes t_0..t_n at least.
     """
     order = as_order(cfg.alpha)
     n = kernels.n
     if len(fields) != n:
         raise ValueError(f"step {n} needs {n} history fields, got {len(fields)}")
+    if len(nodes) <= n:
+        raise ValueError(f"step {n} needs {n + 1} nodes, got {len(nodes)}")
     theta = order.theta
     grid = cfg.grid
     eps2 = cfg.epsilon**2
@@ -256,11 +261,11 @@ def step(fields, mesh: TimeMesh, kernels: KernelSet, cfg: SolverConfig, radius: 
 
     rhs_fixed = D * prev - hist - theta * _reaction(prev) + theta * eps2 * laplacian(prev, grid)
     if cfg.forcing is not None:
-        t_off = mesh.offset_node(n, theta)
+        t_off = offset_node(nodes, n, theta)
         rhs_fixed = rhs_fixed + cfg.forcing.force(t_off, grid, order, cfg.epsilon)
 
     m = min(n, _PREDICTOR_LEVELS)
-    x0 = _predict(fields[n - m :], mesh.nodes[n - m : n + 1], radius)
+    x0 = _predict(fields[n - m :], nodes[n - m : n + 1], radius)
     return _fixed_point(
         rhs_fixed, D, (1.0 - theta) * eps2, 1.0 - theta, cfg, x0, f"step {n}: fixed point"
     )
@@ -282,7 +287,7 @@ def crank_nicolson_step(prev: np.ndarray, tau: float, cfg: SolverConfig):
 
 @dataclass
 class SolveTrajectory:
-    """Everything a run produced, as columns: the mesh as built, the fields,
+    """Everything a run produced, as columns: the mesh it stepped, the fields,
     per level the sup norms and the energies E and G, and per step (entry
     n - 1 for step n) the dissipation lhs, the sweeps and the two
     hypothesis flags.  The energy columns are None for a forced run."""
@@ -431,9 +436,10 @@ def _cap_nodes(nodes, cap: float, last: int) -> np.ndarray:
 def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     """Integrate from phi0 over a fixed TimeMesh or an AdaptiveSchedule.
 
-    A phi0 that is not a finite (M, M) field raises ValueError before step 1,
-    and so does, under cfg.enforce_bound, one whose sup norm exceeds
-    1 + _BOUND_TOL: the maximum bound's hypothesis is then not met.  The
+    Any other schedule raises TypeError.  A phi0 that is not a finite
+    (M, M) field raises ValueError before step 1, and so does, under
+    cfg.enforce_bound, one whose sup norm exceeds 1 + _BOUND_TOL: the
+    maximum bound's hypothesis is then not met.  The
     check allows _BOUND_TOL because every level a strict run accepts may
     carry it, so a strict run restarted from its own last level starts.
     The energy law's two hypotheses are decided here, once: the ratio
@@ -448,15 +454,13 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
 
     phi^0..phi^n live in one FieldHistory, sized to the mesh or to the
     warm-up, and each accepted level goes to a _LevelRecord: the
-    controller's speed is the root of its h^2 ||delta||^2 over tau_n.  The
-    lhs and the flags are evaluated from the final mesh, once: its nodes
-    are only ever appended, so each entry has the bits of its own step.
+    controller's speed is the root of its h^2 ||delta||^2 over tau_n.
 
-    One loop steps from the schedule's warm-up (a fixed mesh is its own)
-    until a node reaches _reach(schedule.horizon), as a fixed mesh's last does.  Only a
-    schedule steps past its mesh: the controller's step is then appended,
-    the one place a TimeMesh is built.  A step reads the mesh only up to its
-    own level, and the trajectory keeps the last mesh built.
+    One loop steps over one node vector, the warm-up's (a fixed mesh is its
+    own), until a node reaches _reach(schedule.horizon), as a fixed mesh's
+    last does.  Only a schedule steps past it, appending the controller's
+    steps.  After the loop the run builds its one TimeMesh from the nodes,
+    and evaluates the lhs and the flags from it, each with its step's bits.
 
     The kernels of the levels it does not append (a fixed mesh's or the
     warm-up's) come from blocks (_kernel_block), each built when the loop
@@ -469,6 +473,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     raises a floating-point flag is dropped and its levels are built one by
     one, so a level that warns or fails does so at its own step.
     """
+    if not isinstance(schedule, _SCHEDULES):
+        raise TypeError(f"schedule must be a TimeMesh or an AdaptiveSchedule, got {type(schedule).__name__}")
     order = as_order(cfg.alpha)
     grid = cfg.grid
     phi0 = np.asarray(phi0, dtype=float)
@@ -482,22 +488,22 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     cap_limit = cap * (1.0 + 1e-12)
     r_floor = min_step_ratio(order.alpha)
 
-    mesh = schedule.warmup if isinstance(schedule, AdaptiveSchedule) else schedule
+    nodes = (schedule.warmup if isinstance(schedule, AdaptiveSchedule) else schedule).nodes
     horizon = schedule.horizon
 
-    history = FieldHistory(phi0, mesh.num_steps + 1)
+    history = FieldHistory(phi0, len(nodes))
     record = _LevelRecord(cfg, history.fields[0], sup_norm)
     end = _reach(horizon)     # a run whose last node reaches it is done
-    fixed = mesh.num_steps      # levels that the run does not append itself
+    fixed = len(nodes) - 1      # levels that the run does not append itself
     block, block_nodes, block_hi = {}, None, 0
-    n, change_norm = 0, 0.0
+    n, tau_n, change_norm = 0, 0.0, 0.0
     while True:
         at_cap = False
-        if n == mesh.num_steps:
-            t_n = mesh.horizon
+        if n == len(nodes) - 1:
+            t_n = float(nodes[n])
             if t_n >= end:
                 break
-            tau = adaptive_next_step(mesh.step(n), change_norm, schedule, r_floor,
+            tau = adaptive_next_step(tau_n, change_norm, schedule, r_floor,
                                      cap if cfg.enforce_bound else None)
             at_cap = cfg.enforce_bound and tau == cap
             if t_n + tau > horizon:
@@ -505,25 +511,26 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
             if t_n + tau == t_n:
                 raise ConvergenceError(f"step {n + 1}: tau = {tau:.6e} does not advance "
                                        f"t_n = {t_n:.17g} in floating point")
-            mesh = TimeMesh(np.append(mesh.nodes, t_n + tau))
+            nodes = np.append(nodes, t_n + tau)
         n += 1
-        tau_n = mesh.step(n)
+        tau_n = float(nodes[n] - nodes[n - 1])
         if cfg.enforce_bound and not tau_n <= cap_limit:
             raise StepCapError(f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} "
                                "while the bound is enforced")
-        if n > block_hi or block_nodes[n] != mesh.nodes[n]:
+        if n > block_hi or block_nodes[n] != nodes[n]:
             # no block holds this level's nodes: start one where the coming nodes are known
             block_hi, block = n, {}
             if n <= fixed or at_cap:
-                block_nodes = mesh.nodes if n <= fixed else _cap_nodes(mesh.nodes, cap, _block_end(n, math.inf))
+                block_nodes = nodes if n <= fixed else _cap_nodes(nodes, cap, _block_end(n, math.inf))
                 block_hi, block = _kernel_block(block_nodes, order, n)
-        kernels = block.get(n) or build_kernels(mesh, order, n)
-        phi, sweeps = step(history.fields, mesh, kernels, cfg, sup_norm)
+        kernels = block.get(n) or build_kernels(nodes, order, n)
+        phi, sweeps = step(history.fields, nodes, kernels, cfg, sup_norm)
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
         history.push(phi)
         change_norm = math.sqrt(record.take(history.fields, kernels, sup_norm, sweeps)) / tau_n
+    mesh = TimeMesh(nodes)
     E, G, lhs = record.energy(mesh.steps)
     return SolveTrajectory(
         mesh=mesh, fields=history.fields, sup_norms=np.asarray(record.sup_norms), E=E, G=G, dissipation_lhs=lhs,

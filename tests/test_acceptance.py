@@ -128,7 +128,7 @@ def test_criterion_03_split_derivative_matches_direct_quadrature():
         n = int(rng.integers(2, 13))
         mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
         history = rng.standard_normal(n + 1)
-        kern = build_kernels(mesh, order, n)
+        kern = build_kernels(mesh.nodes, order, n)
         closed = frac_derivative(history, kern)
         direct = derivative_quad(mesh, order, n, history)
         worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct)))

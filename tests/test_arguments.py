@@ -16,12 +16,12 @@ import pytest
 from fracstep.energy import modified_energy
 from fracstep.grid import Grid2D, save_raw
 from fracstep.kernels import build_kernels, dgs_forms, frac_derivative
-from fracstep.mesh import (AdaptiveSchedule, MeshError, adaptive_next_step, build_graded_mesh, build_two_phase_mesh,
-                           build_uniform_mesh)
-from fracstep.solver import ManufacturedForcing, SolverConfig, step
+from fracstep.mesh import (AdaptiveSchedule, MeshError, TimeMesh, adaptive_next_step, build_graded_mesh,
+                           build_two_phase_mesh, build_uniform_mesh, offset_node)
+from fracstep.solver import ManufacturedForcing, SolverConfig, run, step
 
 MESH = build_uniform_mesh(1.0, 4)
-KERNELS = {n: build_kernels(MESH, 0.5, n) for n in (2, 3)}
+KERNELS = {n: build_kernels(MESH.nodes, 0.5, n) for n in (2, 3)}
 GRID = Grid2D(M=4, L=2.0 * math.pi)
 SCHEDULE = AdaptiveSchedule(warmup=MESH, horizon=2.0, tau_min=1e-3, tau_max=0.1, eta=1.0)
 FIELDS = np.zeros((4, 4, 4))
@@ -34,9 +34,9 @@ def _modified_energy(kernels, dist):
 CASES = {
     "TimeMesh.step k=0": lambda path: MESH.step(0),
     "TimeMesh.step k=N+1": lambda path: MESH.step(5),
-    "TimeMesh.offset_node theta=1/2": lambda path: MESH.offset_node(1, 0.5),
-    "TimeMesh.offset_node k=0": lambda path: MESH.offset_node(0, 0.25),
-    "TimeMesh.offset_node k=N+1": lambda path: MESH.offset_node(5, 0.25),
+    "TimeMesh.offset_node theta=1/2": lambda path: offset_node(MESH.nodes, 1, 0.5),
+    "TimeMesh.offset_node k=0": lambda path: offset_node(MESH.nodes, 0, 0.25),
+    "TimeMesh.offset_node k=N+1": lambda path: offset_node(MESH.nodes, 5, 0.25),
     "adaptive_next_step tau_n=0": lambda path: adaptive_next_step(0.0, 1.0, SCHEDULE, 0.5, None),
     "adaptive_next_step negative speed": lambda path: adaptive_next_step(0.1, -1.0, SCHEDULE, 0.5, None),
     "adaptive_next_step nan speed": lambda path: adaptive_next_step(0.1, math.nan, SCHEDULE, 0.5, None),
@@ -44,7 +44,9 @@ CASES = {
     "dgs_forms current level": lambda path: dgs_forms(None, KERNELS[3], np.ones(2)),
     "dgs_forms no previous": lambda path: dgs_forms(None, KERNELS[3], np.ones(3)),
     "dgs_forms previous level": lambda path: dgs_forms(KERNELS[3], KERNELS[3], np.ones(3)),
-    "step": lambda path: step(FIELDS[:2], MESH, KERNELS[3], SolverConfig(0.5, 0.5, GRID), 0.0),
+    "step": lambda path: step(FIELDS[:2], MESH.nodes, KERNELS[3], SolverConfig(0.5, 0.5, GRID), 0.0),
+    "step nodes short of t_n": lambda path: step(FIELDS[:3], MESH.nodes[:3], KERNELS[3],
+                                                 SolverConfig(0.5, 0.5, GRID), 0.0),
     "modified_energy kernels": lambda path: _modified_energy(KERNELS[2], np.zeros(3)),
     "modified_energy distances": lambda path: _modified_energy(KERNELS[3], np.zeros(4)),
     "save_raw": lambda path: save_raw(path, np.zeros((4, 3)), GRID),
@@ -59,6 +61,12 @@ def test_public_helpers_raise_value_error_on_bad_arguments(call, tmp_path):
     assert not path.exists()
 
 
+def test_step_names_the_nodes_it_lacks():
+    # short nodes failed before as well, but inside the predictor's einsum
+    with pytest.raises(ValueError, match="step 3 needs 4 nodes, got 3"):
+        step(FIELDS[:3], MESH.nodes[:3], KERNELS[3], SolverConfig(0.5, 0.5, GRID), 0.0)
+
+
 def _schedule(**kw):
     return AdaptiveSchedule(**{"warmup": MESH, "horizon": 2.0, "tau_min": 1e-3, "tau_max": 0.1, "eta": 1.0, **kw})
 
@@ -68,7 +76,9 @@ def _schedule(**kw):
 # controller's proposal inf * 0 = nan at speed 0, an infinite tau_max
 # proposed inf, a nan epsilon or L failed at step 1 as a ConvergenceError,
 # and a nan or inf T0, T or gamma of a mesh builder raised naming the
-# mesh's first node (after a RuntimeWarning) or a bare ValueError
+# mesh's first node (after a RuntimeWarning) or a bare ValueError; a TimeMesh
+# took an infinite last node (run then failed at step 2 as a
+# FloatingPointError), and refused two infinite nodes after a RuntimeWarning
 NON_FINITE = {
     "AdaptiveSchedule horizon=inf": (lambda: _schedule(horizon=math.inf), MeshError, "horizon"),
     "AdaptiveSchedule horizon=nan": (lambda: _schedule(horizon=math.nan), MeshError, "horizon"),
@@ -90,6 +100,9 @@ NON_FINITE = {
     "Grid2D L=inf": (lambda: Grid2D(M=4, L=math.inf), ValueError, "length L"),
     "ManufacturedForcing sigma=nan": (lambda: ManufacturedForcing(math.nan), ValueError, "sigma"),
     "ManufacturedForcing sigma=inf": (lambda: ManufacturedForcing(math.inf), ValueError, "sigma"),
+    "TimeMesh node=inf": (lambda: TimeMesh(np.array([0.0, 0.01, math.inf])), MeshError, r"finite, got t_2 = inf"),
+    "TimeMesh node=nan": (lambda: TimeMesh(np.array([0.0, 0.01, math.nan])), MeshError, r"finite, got t_2 = nan"),
+    "TimeMesh nodes=inf, inf": (lambda: TimeMesh(np.array([0.0, math.inf, math.inf])), MeshError, r"got t_1 = inf"),
 }
 
 
@@ -98,4 +111,22 @@ def test_non_finite_problem_data_raise_naming_the_argument(call, error, name):
     # raised by the argument's own check, before any arithmetic on it can warn
     with warnings.catch_warnings(), pytest.raises(error, match=name):
         warnings.simplefilter("error")
+        call()
+
+
+# node arrays in place of a schedule, or of a warm-up mesh, each failed with
+# an AttributeError on a name the caller never wrote
+WRONG_TYPE = {
+    "run schedule=ndarray": (lambda: run(SolverConfig(0.5, 0.5, GRID), np.array([0.0, 0.1, 0.2]), FIELDS[0]),
+                             "schedule must be a TimeMesh or an AdaptiveSchedule, got ndarray"),
+    "run schedule=list": (lambda: run(SolverConfig(0.5, 0.5, GRID), [0.0, 0.1, 0.2], FIELDS[0]), "schedule.*got list"),
+    "run schedule=None": (lambda: run(SolverConfig(0.5, 0.5, GRID), None, FIELDS[0]), "schedule.*got NoneType"),
+    "AdaptiveSchedule warmup=ndarray": (lambda: _schedule(warmup=np.array([0.0, 0.1])),
+                                        "warmup must be a TimeMesh, got ndarray"),
+}
+
+
+@pytest.mark.parametrize("call, name", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
+def test_a_schedule_of_the_wrong_type_raises_naming_the_argument(call, name):
+    with pytest.raises(TypeError, match=name):
         call()

@@ -646,9 +646,10 @@ def test_every_perfbench_hook_target_is_called(tmp_path, monkeypatch):
     # fracstep.audits imports build_kernels only for its hook
     uncalled = [h.target for h in hooks if calls[h.target] == 0]
     assert [t for t in uncalled if t != "fracstep.audits.build_kernels"] == []
-    # a schedule's run builds one TimeMesh per controller step, and no other
+    # a schedule's run appends its controller's steps to one node vector and
+    # builds one TimeMesh, after its last step
     coarsen = per_workload["coarsen-a04"]
-    assert coarsen["fracstep.solver.TimeMesh"] == coarsen["fracstep.solver.adaptive_next_step"] > 0
+    assert coarsen["fracstep.solver.TimeMesh"] == 1 < coarsen["fracstep.solver.adaptive_next_step"]
 
 
 def test_unknown_subcommand_rejected(tmp_path):

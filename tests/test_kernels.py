@@ -24,7 +24,7 @@ from fracstep.kernels import (
     _offset_geometry,
     _ratio_equation,
 )
-from fracstep.mesh import (TimeMesh, build_graded_mesh, build_two_phase_mesh, build_uniform_mesh,
+from fracstep.mesh import (TimeMesh, build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, offset_node,
                            random_ratio_mesh)
 from fracstep.solver import step_size_cap
 from fracstep.special import omega
@@ -131,7 +131,7 @@ def test_history_weights_equal_scalar_loop():
     for mesh, alpha, n in cases:
         a, zeta = level_weights(mesh, alpha, n)
         want = _history_weights_loop(a, zeta, mesh, alpha, n)
-        assert np.array_equal(build_kernels(mesh, alpha, n).hat_a, want), (alpha, n)
+        assert np.array_equal(build_kernels(mesh.nodes, alpha, n).hat_a, want), (alpha, n)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.95])
@@ -175,7 +175,7 @@ def test_kernel_table_rows_equal_build_kernels(alpha):
                 a, zeta = level_weights(mesh, alpha, n)
                 assert tables.a[j, i, :n].tobytes() == a.tobytes(), (j, n)
                 assert tables.zeta[j, i, :n].tobytes() == zeta.tobytes(), (j, n)
-                ks = build_kernels(mesh, alpha, n)
+                ks = build_kernels(mesh.nodes, alpha, n)
                 assert tables.hat_a[j, i, :n].tobytes() == ks.hat_a.tobytes(), (j, n)
                 assert (alpha / (2.0 - alpha) * tables.a[j, i, 0]).tobytes() == ks.local.tobytes(), (j, n)
 
@@ -188,7 +188,7 @@ def test_weight_builders_reject_levels_out_of_range():
             with pytest.raises(ValueError, match=rf"levels {lo}\.\.{hi} out of range for 5 nodes"):
                 build(mesh.nodes, 0.5, lo, hi)
     with pytest.raises(ValueError, match=r"levels 0\.\.0 out of range for 5 nodes"):
-        build_kernels(mesh, 0.5, 0)
+        build_kernels(mesh.nodes, 0.5, 0)
 
 
 def _interval_geometry(meshes, alpha, n_max):
@@ -266,7 +266,7 @@ def test_gradient_kernel_head_doubling():
 def test_local_coefficient_fraction():
     mesh = build_uniform_mesh(1.0, 4)
     order = as_order(0.6)
-    kern = build_kernels(mesh, order, 4)
+    kern = build_kernels(mesh.nodes, order, 4)
     a, _ = level_weights(mesh, order, 4)
     assert kern.local == pytest.approx(0.6 / 1.4 * a[0], rel=1e-15)
     assert kern.local == 0.6 / (2.0 - 0.6) * a[0]     # the product order of the block pass, bit for bit
@@ -280,13 +280,13 @@ def test_split_head_sums_to_interval_weight():
         order = as_order(alpha)
         mesh = random_ratio_mesh(rng, 7, min_step_ratio(alpha))
         a, _ = level_weights(mesh, order, 7)
-        base = build_kernels(mesh, order, 7).local + 2.0 * (1.0 - alpha) / (2.0 - alpha) * a[0]
+        base = build_kernels(mesh.nodes, order, 7).local + 2.0 * (1.0 - alpha) / (2.0 - alpha) * a[0]
         assert base == pytest.approx(a[0], rel=1e-14)
 
 
 def test_kernel_arrays_immutable():
     mesh = build_uniform_mesh(1.0, 3)
-    kern = build_kernels(mesh, 0.5, 3)
+    kern = build_kernels(mesh.nodes, 0.5, 3)
     with pytest.raises(ValueError):
         kern.hat_a[0] = 0.0
     for table in level_weights(mesh, 0.5, 3):
@@ -296,7 +296,7 @@ def test_kernel_arrays_immutable():
 
 def test_derivative_constant_history_is_zero():
     mesh = build_uniform_mesh(2.0, 6)
-    kern = build_kernels(mesh, 0.3, 6)
+    kern = build_kernels(mesh.nodes, 0.3, 6)
     assert frac_derivative(np.full(7, 4.2), kern) == 0.0
 
 
@@ -307,9 +307,9 @@ def test_derivative_linear_history_exact():
     for alpha in (0.25, 0.5, 0.75):
         order = as_order(alpha)
         mesh = random_ratio_mesh(rng, 6, min_step_ratio(alpha))
-        kern = build_kernels(mesh, order, 6)
+        kern = build_kernels(mesh.nodes, order, 6)
         got = frac_derivative(np.asarray(mesh.nodes), kern)
-        t_off = mesh.offset_node(6, order.theta)
+        t_off = offset_node(mesh.nodes, 6, order.theta)
         want = omega(2.0 - alpha, t_off)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -323,9 +323,9 @@ def test_derivative_cubic_history_order():
     Ns = [8, 16, 32, 64]
     for N in Ns:
         mesh = build_uniform_mesh(1.0, N)
-        kern = build_kernels(mesh, order, N)
+        kern = build_kernels(mesh.nodes, order, N)
         got = frac_derivative(np.asarray(mesh.nodes) ** 3, kern)
-        t_off = mesh.offset_node(N, order.theta)
+        t_off = offset_node(mesh.nodes, N, order.theta)
         # Caputo derivative of t^3 = 6 omega_4(t): 6 omega_{4-alpha}(t)
         want = 6.0 * omega(4.0 - alpha, t_off)
         errs.append(abs(got - want))
@@ -336,7 +336,7 @@ def test_derivative_cubic_history_order():
 def test_derivative_alpha_near_one_is_difference_quotient():
     mesh = build_uniform_mesh(1.0, 10)
     alpha = 1.0 - 1e-6
-    kern = build_kernels(mesh, alpha, 10)
+    kern = build_kernels(mesh.nodes, alpha, 10)
     v = np.sin(np.asarray(mesh.nodes))
     got = frac_derivative(v, kern)
     want = (v[-1] - v[-2]) / mesh.step(10)
@@ -380,7 +380,7 @@ def test_history_sum_with_level_kernel_on_graded_mesh_within_plain_bound():
     # bound as above
     rng = np.random.default_rng(8)
     n = 300
-    kern = build_kernels(build_two_phase_mesh(1.0, 3.0, n, 1234), 0.4, n)
+    kern = build_kernels(build_two_phase_mesh(1.0, 3.0, n, 1234).nodes, 0.4, n)
     w = kern.hat_a[1:n][::-1]
     fields = 0.5 + np.cumsum(1e-3 * rng.standard_normal((n, 3, 4)), axis=0)
     got = history_sum(w, fields)
@@ -426,8 +426,8 @@ def test_kernel_audit_finds_a_dropped_history_weight(monkeypatch):
 
 def test_gradient_structure_zero_history():
     mesh = build_uniform_mesh(1.0, 5)
-    kp = build_kernels(mesh, 0.5, 4)
-    kc = build_kernels(mesh, 0.5, 5)
+    kp = build_kernels(mesh.nodes, 0.5, 4)
+    kc = build_kernels(mesh.nodes, 0.5, 5)
     G_n, G_prev, R_n = dgs_forms(kp, kc, np.zeros(5))
     assert G_n == G_prev == R_n == 0.0
 
@@ -435,7 +435,7 @@ def test_gradient_structure_zero_history():
 def test_stored_form_single_level():
     # n = 1: G = (1/2) A_0 (diff)^2 with A_0 = 2 hat_0, and no G_prev or R
     mesh = build_uniform_mesh(1.0, 1)
-    kern = build_kernels(mesh, 0.5, 1)
+    kern = build_kernels(mesh.nodes, 0.5, 1)
     val, G_prev, R_n = dgs_forms(None, kern, np.array([3.0]))
     assert val == pytest.approx(gradient_kernels(kern.hat_a)[0] * 9.0, rel=1e-15)
     assert G_prev == R_n == 0.0
@@ -443,8 +443,8 @@ def test_stored_form_single_level():
 
 def test_remainder_form_empty_below_three_levels():
     mesh = build_uniform_mesh(1.0, 2)
-    kp = build_kernels(mesh, 0.5, 1)
-    kc = build_kernels(mesh, 0.5, 2)
+    kp = build_kernels(mesh.nodes, 0.5, 1)
+    kc = build_kernels(mesh.nodes, 0.5, 2)
     # n = 2: the remainder couples levels j = 1..n-2 with an empty inner sum
     *_, val = dgs_forms(kp, kc, np.array([1.0, 2.0]))
     assert val >= 0.0

@@ -14,6 +14,7 @@ from fracstep.mesh import (
     adaptive_next_step,
     build_graded_mesh,
     build_two_phase_mesh,
+    offset_node,
     random_ratio_mesh,
 )
 from fracstep.solver import SolveTrajectory
@@ -33,7 +34,7 @@ def test_timemesh_accessors():
     assert mesh.step(2) == pytest.approx(0.3)
     assert mesh.ratios.tolist() == pytest.approx([3.0, 2.0])     # r_2, r_3
     # offset node sits strictly inside the step for theta in (0, 1/2)
-    t_off = mesh.offset_node(3, 0.25)
+    t_off = offset_node(mesh.nodes, 3, 0.25)
     assert mesh.nodes[2] < t_off < mesh.nodes[3]
     assert t_off == pytest.approx(0.4 + 0.75 * 0.6)
 

@@ -232,7 +232,7 @@ def test_strict_run_checks_the_bound_that_step_leaves_to_it(monkeypatch):
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.2, 10)
     phi0 = np.full((8, 8), 1.5)
-    phi, _ = step([phi0], mesh, build_kernels(mesh, cfg.alpha, 1), cfg, norm_inf(phi0))
+    phi, _ = step([phi0], mesh.nodes, build_kernels(mesh.nodes, cfg.alpha, 1), cfg, norm_inf(phi0))
     assert norm_inf(phi) > 1.0 + solver._BOUND_TOL
     monkeypatch.setattr(solver, "step", lambda *args: (phi, 1))
     with pytest.raises(BoundViolation) as info:
@@ -290,9 +290,9 @@ def test_fixed_point_stall_raises(monkeypatch):
     monkeypatch.setattr(solver, "_FIXED_POINT_MAX_ITER", 1)
     cfg = _cfg()
     mesh = build_uniform_mesh(0.2, 10)
-    kern = build_kernels(mesh, cfg.alpha, 1)
+    kern = build_kernels(mesh.nodes, cfg.alpha, 1)
     with pytest.raises(ConvergenceError, match="fixed point"):
-        step([rng.uniform(-0.9, 0.9, (8, 8))], mesh, kern, cfg, 0.9)
+        step([rng.uniform(-0.9, 0.9, (8, 8))], mesh.nodes, kern, cfg, 0.9)
 
 
 def test_crank_nicolson_implicit_relation():
@@ -326,8 +326,8 @@ def test_l21sigma_step_implicit_relation():
     mesh = build_graded_mesh(0.1, 6, 2.0)
     n = 4
     fields = [0.5 * rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(n)]
-    kern = build_kernels(mesh, cfg.alpha, n)
-    phi, sweeps = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
+    kern = build_kernels(mesh.nodes, cfg.alpha, n)
+    phi, sweeps = step(fields, mesh.nodes, kern, cfg, norm_inf(fields[-1]))
     levels = fields + [phi]
     theta = cfg.alpha / 2.0
     deriv = kern.local * (phi - fields[-1])
@@ -398,13 +398,13 @@ def test_predictor_start_stays_in_the_bound_box(monkeypatch):
     assert max(starts) <= 1.0 + solver._BOUND_TOL
 
 
-def _steps_with_and_without_predictor(fields, mesh, cfg, monkeypatch):
+def _steps_with_and_without_predictor(fields, nodes, cfg, monkeypatch):
     n = len(fields)
-    kern = build_kernels(mesh, cfg.alpha, n)
-    phi, _ = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
+    kern = build_kernels(nodes, cfg.alpha, n)
+    phi, _ = step(fields, nodes, kern, cfg, norm_inf(fields[-1]))
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_predict", lambda levels, nodes, radius: levels[-1])
-        plain, _ = step(fields, mesh, kern, cfg, norm_inf(fields[-1]))
+        plain, _ = step(fields, nodes, kern, cfg, norm_inf(fields[-1]))
     return phi, plain, kern
 
 
@@ -430,8 +430,7 @@ def test_predicted_start_changes_the_level_only_within_the_tolerance(monkeypatch
     x, y = g.coords()
     traj = run(cfg, mesh, 0.6 * np.sin(x) * np.cos(y))
     for n in range(2, 13):
-        sub = TimeMesh(np.asarray(mesh.nodes[: n + 1]))
-        phi, plain, kern = _steps_with_and_without_predictor(traj.fields[:n], sub, cfg, monkeypatch)
+        phi, plain, kern = _steps_with_and_without_predictor(traj.fields[:n], mesh.nodes[: n + 1], cfg, monkeypatch)
         assert norm_inf(phi - plain) <= _start_independence_bound(phi, plain, kern, cfg), n
 
     # random history (as in the implicit-relation test), where the clip acts
@@ -440,7 +439,7 @@ def test_predicted_start_changes_the_level_only_within_the_tolerance(monkeypatch
     fields = [0.5 * rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(4)]
     raw = sum(w * f for w, f in zip(_lagrange_weights(mesh.nodes[:5]), fields))
     assert norm_inf(raw) > 1.0
-    phi, plain, kern = _steps_with_and_without_predictor(fields, mesh, cfg, monkeypatch)
+    phi, plain, kern = _steps_with_and_without_predictor(fields, mesh.nodes, cfg, monkeypatch)
     assert norm_inf(phi - plain) <= _start_independence_bound(phi, plain, kern, cfg)
 
 
@@ -467,7 +466,7 @@ def test_non_finite_field_raises_at_once():
     prev[3, 4] = np.nan
     mesh = build_uniform_mesh(0.2, 10)
     with pytest.raises(ConvergenceError, match="non-finite"):
-        step([prev], mesh, build_kernels(mesh, cfg.alpha, 1), cfg, norm_inf(prev))
+        step([prev], mesh.nodes, build_kernels(mesh.nodes, cfg.alpha, 1), cfg, norm_inf(prev))
     with pytest.raises(ConvergenceError, match="non-finite"):
         crank_nicolson_step(prev, 0.02, cfg)
 
@@ -495,9 +494,8 @@ def test_run_matches_manual_stepping():
 
     fields = [phi0.copy()]
     for n in range(1, 4):
-        sub = TimeMesh(np.asarray(mesh.nodes[: n + 1]))
-        kern = build_kernels(sub, cfg.alpha, n)
-        phi, _ = step(fields, sub, kern, cfg, norm_inf(fields[-1]))
+        kern = build_kernels(mesh.nodes[: n + 1], cfg.alpha, n)
+        phi, _ = step(fields, mesh.nodes[: n + 1], kern, cfg, norm_inf(fields[-1]))
         fields.append(phi)
     for a, b in zip(traj.fields, fields):
         assert np.array_equal(a, b)
@@ -735,8 +733,8 @@ def test_adaptive_run_grows_stack_and_matches_manual_stepping():
 
     fields = [phi0]
     for n in range(1, traj.num_steps + 1):
-        sub = TimeMesh(np.asarray(traj.mesh.nodes[: n + 1]))
-        phi, _ = step(fields, sub, build_kernels(sub, cfg.alpha, n), cfg, norm_inf(fields[-1]))
+        nodes = traj.mesh.nodes[: n + 1]
+        phi, _ = step(fields, nodes, build_kernels(nodes, cfg.alpha, n), cfg, norm_inf(fields[-1]))
         fields.append(phi)
     assert np.array_equal(traj.fields, np.stack(fields))
 
@@ -767,7 +765,7 @@ def test_carried_distances_match_recomputed_G_at_every_step(monkeypatch):
         dist_max = np.einsum("kij,kij->k", d, d).max()
         drift += 8 * m2 * eps * np.abs(f[n] - f[n - 1]).sum() * np.abs(f[: n + 1]).max()
         drift += 2 * eps * dist_max
-        hat_a = build_kernels(traj.mesh, cfg.alpha, n).hat_a
+        hat_a = build_kernels(traj.mesh.nodes, cfg.alpha, n).hat_a
         c = stored_form_coeffs(hat_a)
         oracle = history_quadratic(f[: n + 1], hat_a, grid)
         weight = 0.5 * grid.h**2 * np.abs(c).sum()
@@ -860,7 +858,7 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
     monkeypatch.setattr(solver, "build_kernel_block",
                         lambda mesh, order, lo, hi: blocks.append((lo, hi)) or real_block(mesh, order, lo, hi))
     monkeypatch.setattr(solver, "build_kernels",
-                        lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
+                        lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
     cfg = _cfg(alpha=0.6)
     mesh = build_graded_mesh(0.2, 14, 2.0)
     phi0 = np.random.default_rng(2).uniform(-0.5, 0.5, (8, 8))
@@ -876,7 +874,7 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
         assert [k.n for k in levels] == list(range(1, traj.num_steps + 1))
     assert all((hi - lo + 1) * (hi + 1) <= 60 for lo, hi in blocks) and len(alone) >= 2
     for got in levels:
-        want = real_build(traj.mesh, 0.6, got.n)
+        want = real_build(traj.mesh.nodes, 0.6, got.n)
         assert _bits(got.local) == _bits(want.local)
         assert np.array_equal(_bits(got.hat_a), _bits(want.hat_a)) and not got.hat_a.flags.writeable
 
@@ -903,7 +901,7 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     real_build = solver.build_kernels
     _spy_on_blocks(monkeypatch, blocks)
     monkeypatch.setattr(solver, "build_kernels",
-                        lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
+                        lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
     _spy_on_steps(monkeypatch, levels)
     cfg = _cfg(epsilon=0.05, enforce_bound=True)
     cap = step_size_cap(0.5, cfg.grid.h, 0.05)
@@ -920,7 +918,7 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     assert all((hi - lo + 1) * (hi + 1) <= 200 for lo, hi in blocks)
     assert [k.n for k in levels] == list(range(1, N + 1))
     for got in levels:
-        want = real_build(traj.mesh, 0.5, got.n)
+        want = real_build(traj.mesh.nodes, 0.5, got.n)
         for name in ("local", "hat_a"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
 
@@ -965,7 +963,7 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
             if blocks:
                 _spy_on_blocks(patch, built)
                 patch.setattr(solver, "build_kernels",
-                              lambda mesh, order, n: alone.append(n) or real_build(mesh, order, n))
+                              lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
             else:
                 patch.setattr(solver, "_kernel_block", lambda nodes, order, lo: (len(nodes) - 1, {}))
             _spy_on_steps(patch, levels)
