@@ -28,7 +28,7 @@ class TimeMesh:
 
     nodes[k] = t_k for k = 0..N, steps[k-1] = tau_k = t_k - t_{k-1} for
     k = 1..N, ratios[k-2] = tau_k / tau_{k-1} for k = 2..N.  The nodes are
-    finite and rise strictly from 0.
+    finite and rise strictly from 0, and every ratio is finite.
     """
 
     nodes: np.ndarray
@@ -47,7 +47,11 @@ class TimeMesh:
         steps = np.diff(nodes)
         if not np.all(steps > 0.0):
             raise MeshError("mesh nodes must be strictly increasing")
-        ratios = steps[1:] / steps[:-1]
+        with np.errstate(over="ignore"):   # an overflowing ratio is refused here, not warned
+            ratios = steps[1:] / steps[:-1]
+        bad = np.flatnonzero(np.isinf(ratios))
+        if bad.size:
+            raise MeshError(f"mesh step ratios must be finite, got tau_{bad[0] + 2}/tau_{bad[0] + 1} = inf")
         for name, arr in (("nodes", nodes), ("steps", steps), ("ratios", ratios)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

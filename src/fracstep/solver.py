@@ -32,9 +32,9 @@ inherited from the initial data; the stepper never clips a level it
 returns, and run audits it.
 
 The history convolution and G read every past level, so a run stores
-phi^0..phi^n in one FieldHistory, t_0..t_n in one node vector that step and
-the kernels read, and its per-level columns in one _LevelRecord; it returns
-them, with the one TimeMesh of its nodes, as a SolveTrajectory.
+phi^0..phi^n and its per-level columns in one _LevelRecord, and t_0..t_n in
+one node vector that step and the kernels read; it returns them, with the
+one TimeMesh of its nodes, as a SolveTrajectory.
 """
 
 from __future__ import annotations
@@ -318,72 +318,55 @@ class SolveTrajectory:
         return n if n < len(self.mesh.nodes) else None
 
 
-class FieldHistory:
-    """The stored levels phi^0..phi^n of a run.
+class _LevelRecord:
+    """Everything a run stores per level: phi^0..phi^n and the per-level columns.
 
-    One (capacity, M, M) stack holds the levels.  A push into a full
-    history grows it by exactly one level with ndarray.resize, so the stack
-    never holds more levels than the run stores.  For a large block realloc
-    remaps the pages (mremap) instead of copying them, so the held levels
-    are never copied and two stacks are never resident at once.
+    One (capacity, M, M) stack holds the levels, from a copy of phi0.  take
+    stores each accepted level n, growing a full stack by exactly one level
+    with ndarray.resize, so the stack never holds more levels than the run
+    stores.  For a large block realloc remaps the pages (mremap) instead of
+    copying them, so the held levels are never copied and two stacks are
+    never resident at once.  The record is the only owner of its buffer,
+    and resize runs with refcheck off.  A view of fields (and the last
+    levels of it that step's predictor reads) is therefore valid only until
+    the next take, which may move the buffer; callers take fresh views
+    after each take and keep none across one.
 
-    The history is the only owner of its buffer, and resize runs with
-    refcheck off.  A view it hands out (fields, and the last levels of
-    fields that step's predictor reads) is therefore valid only until the
-    next push, which may move the buffer; callers take fresh views after
-    each push and keep none across one.
+    take also records the level's sup norm, its sweeps and h^2 s, s =
+    grid_sum(delta * delta) of delta = phi^n - phi^{n-1}, the one reduction
+    the law and the controller read.  Energy is recorded exactly when
+    cfg.forcing is None (the law is about the unforced equation): E of
+    phi^0 and G = 0 seed it, and modified_energy carries G's squared
+    distances with s as the newest.
     """
 
-    def __init__(self, phi0: np.ndarray, capacity: int):
+    def __init__(self, cfg: SolverConfig, phi0: np.ndarray, sup_norm: float, capacity: int):
+        self._cfg = cfg
         self._stack = np.empty((capacity, *phi0.shape))
         self._stack[0] = phi0
-        self._len = 1
-
-    @property
-    def capacity(self) -> int:
-        return len(self._stack)
-
-    @property
-    def fields(self) -> np.ndarray:
-        """View of phi^0..phi^n, valid until the next push."""
-        return self._stack[: self._len]
-
-    def push(self, phi: np.ndarray) -> None:
-        """Store phi as the next level, growing a full stack by one level in place."""
-        n = self._len
-        if n == self.capacity:
-            self._stack.resize((n + 1, *self._stack.shape[1:]), refcheck=False)
-        self._stack[n] = phi
-        self._len = n + 1
-
-
-class _LevelRecord:
-    """The per-level columns of a run.
-
-    take records each accepted level n from the stack that ends at it: its
-    sup norm, its sweeps and h^2 s, s = grid_sum(delta * delta) of delta =
-    phi^n - phi^{n-1}, the one reduction the law and the controller read.
-    Energy is recorded exactly when cfg.forcing is None (the law is about
-    the unforced equation): E of phi^0 and G = 0 seed it, and
-    modified_energy carries G's squared distances with s as the newest.
-    """
-
-    def __init__(self, cfg: SolverConfig, phi0: np.ndarray, sup_norm: float):
-        self._cfg = cfg
         self.sup_norms, self.sweeps, self._step_sq, self._local = [sup_norm], [], [], []
         self._E = self._G = None
         if cfg.forcing is None:
             self._dist = np.zeros(1)
-            self._E, self._G = [free_energy(phi0, cfg.epsilon, cfg.grid)], [0.0]
+            self._E, self._G = [free_energy(self._stack[0], cfg.epsilon, cfg.grid)], [0.0]
 
-    def take(self, fields, kernels: KernelSet, sup_norm: float, sweeps: int) -> float:
-        """Record level n = len(fields) - 1; returns its h^2 ||delta||^2."""
-        grid = self._cfg.grid
+    @property
+    def fields(self) -> np.ndarray:
+        """View of phi^0..phi^n, one level per sup norm; valid until the next take."""
+        return self._stack[: len(self.sup_norms)]
+
+    def take(self, phi: np.ndarray, kernels: KernelSet, sup_norm: float, sweeps: int) -> float:
+        """Store phi as level n = len(fields) and record it; returns its h^2 ||delta||^2."""
+        n = len(self.sup_norms)
+        if n == len(self._stack):
+            self._stack.resize((n + 1, *self._stack.shape[1:]), refcheck=False)
+        self._stack[n] = phi
+        self.sup_norms.append(sup_norm)
+        self.sweeps.append(sweeps)
+        fields, grid = self.fields, self._cfg.grid
         delta = fields[-1] - fields[-2]
         delta_sq = grid_sum(delta * delta)
         self._step_sq.append(grid.h**2 * delta_sq)
-        self.sup_norms.append(sup_norm)
-        self.sweeps.append(sweeps)
         if self._E is not None:
             E, G, self._dist = modified_energy(fields, self._dist, kernels, self._cfg.epsilon, grid, delta, delta_sq)
             self._E.append(E)
@@ -452,9 +435,9 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     clipped to land on the horizon, may fall below the floor; its ratio
     flag then reads False.
 
-    phi^0..phi^n live in one FieldHistory, sized to the mesh or to the
-    warm-up, and each accepted level goes to a _LevelRecord: the
-    controller's speed is the root of its h^2 ||delta||^2 over tau_n.
+    phi^0..phi^n and their columns live in one _LevelRecord, its stack sized
+    to the mesh or to the warm-up: the controller's speed is the root of the
+    h^2 ||delta||^2 that its take returns, over tau_n.
 
     One loop steps over one node vector, the warm-up's (a fixed mesh is its
     own), until a node reaches _reach(schedule.horizon), as a fixed mesh's
@@ -491,8 +474,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     nodes = (schedule.warmup if isinstance(schedule, AdaptiveSchedule) else schedule).nodes
     horizon = schedule.horizon
 
-    history = FieldHistory(phi0, len(nodes))
-    record = _LevelRecord(cfg, history.fields[0], sup_norm)
+    record = _LevelRecord(cfg, phi0, sup_norm, len(nodes))
     end = _reach(horizon)     # a run whose last node reaches it is done
     fixed = len(nodes) - 1      # levels that the run does not append itself
     block, block_nodes, block_hi = {}, None, 0
@@ -524,16 +506,15 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
                 block_nodes = nodes if n <= fixed else _cap_nodes(nodes, cap, _block_end(n, math.inf))
                 block_hi, block = _kernel_block(block_nodes, order, n)
         kernels = block.get(n) or build_kernels(nodes, order, n)
-        phi, sweeps = step(history.fields, nodes, kernels, cfg, sup_norm)
+        phi, sweeps = step(record.fields, nodes, kernels, cfg, sup_norm)
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:
             raise BoundViolation(f"step {n}: max norm {sup_norm:.15f} exceeds 1 + {_BOUND_TOL:.1e}")
-        history.push(phi)
-        change_norm = math.sqrt(record.take(history.fields, kernels, sup_norm, sweeps)) / tau_n
+        change_norm = math.sqrt(record.take(phi, kernels, sup_norm, sweeps)) / tau_n
     mesh = TimeMesh(nodes)
     E, G, lhs = record.energy(mesh.steps)
     return SolveTrajectory(
-        mesh=mesh, fields=history.fields, sup_norms=np.asarray(record.sup_norms), E=E, G=G, dissipation_lhs=lhs,
+        mesh=mesh, fields=record.fields, sup_norms=np.asarray(record.sup_norms), E=E, G=G, dissipation_lhs=lhs,
         fp_iters=np.asarray(record.sweeps, dtype=int), cap=cap, cap_ok=mesh.steps <= cap_limit,
         ratio_ok=np.append(True, mesh.ratios >= r_floor * (1.0 - 1e-12)),
     )

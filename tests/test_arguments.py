@@ -78,7 +78,9 @@ def _schedule(**kw):
 # and a nan or inf T0, T or gamma of a mesh builder raised naming the
 # mesh's first node (after a RuntimeWarning) or a bare ValueError; a TimeMesh
 # took an infinite last node (run then failed at step 2 as a
-# FloatingPointError), and refused two infinite nodes after a RuntimeWarning
+# FloatingPointError), and refused two infinite nodes after a RuntimeWarning;
+# a TimeMesh whose step ratio overflowed stored inf after a RuntimeWarning,
+# and run on it failed as a FloatingPointError
 NON_FINITE = {
     "AdaptiveSchedule horizon=inf": (lambda: _schedule(horizon=math.inf), MeshError, "horizon"),
     "AdaptiveSchedule horizon=nan": (lambda: _schedule(horizon=math.nan), MeshError, "horizon"),
@@ -103,6 +105,10 @@ NON_FINITE = {
     "TimeMesh node=inf": (lambda: TimeMesh(np.array([0.0, 0.01, math.inf])), MeshError, r"finite, got t_2 = inf"),
     "TimeMesh node=nan": (lambda: TimeMesh(np.array([0.0, 0.01, math.nan])), MeshError, r"finite, got t_2 = nan"),
     "TimeMesh nodes=inf, inf": (lambda: TimeMesh(np.array([0.0, math.inf, math.inf])), MeshError, r"got t_1 = inf"),
+    "TimeMesh ratio=1e300/1e-320": (lambda: TimeMesh(np.array([0.0, 1e-320, 1e300])), MeshError,
+                                    r"ratios must be finite, got tau_2/tau_1 = inf"),
+    "TimeMesh ratio=1e300/1e-300": (lambda: TimeMesh(np.array([0.0, 1e-300, 1e300])), MeshError,
+                                    r"ratios must be finite, got tau_2/tau_1 = inf"),
 }
 
 

@@ -19,10 +19,10 @@ from fracstep.solver import (
     AdaptiveSchedule,
     BoundViolation,
     ConvergenceError,
-    FieldHistory,
     ManufacturedForcing,
     SolverConfig,
     StepCapError,
+    _LevelRecord,
     _fixed_point,
     _predict,
     crank_nicolson_step,
@@ -589,42 +589,47 @@ def test_adaptive_run_reaches_horizon_and_notes_clip():
 
 
 def test_field_history_growth_keeps_every_level():
+    # a forced cfg records no energy, so take reads no kernels
     rng = np.random.default_rng(3)
     phi0 = rng.standard_normal((6, 6))
     borrowed = np.stack([phi0, phi0])[1]
     assert borrowed.base is not None
-    history = FieldHistory(borrowed, 2)
-    fields, capacities = [phi0], [history.capacity]
+    cfg = _cfg(M=6, forcing=ManufacturedForcing(sigma=0.5))
+    record = _LevelRecord(cfg, borrowed, norm_inf(phi0), 2)
+    borrowed += 1.0
+    fields, capacities = [phi0], [len(record._stack)]
     for i in range(60):
         phi = rng.standard_normal((6, 6))
-        history.push(phi)
-        fields.append(phi)
-        capacities.append(history.capacity)
-        # the history owns its buffer, so resize never runs on a borrowed one
-        assert history._stack.base is None and history._stack.flags.owndata
-    assert history.fields.shape == (61, 6, 6)
-    assert np.array_equal(history.fields, np.stack(fields))
-    # a full stack grows by exactly the level being pushed
+        record.take(phi, None, norm_inf(phi), 1)
+        fields.append(phi.copy())
+        phi[...] = np.nan   # the record stores copies, so a caller may reuse its fields
+        capacities.append(len(record._stack))
+        # the record owns its buffer, so resize never runs on a borrowed one
+        assert record._stack.base is None and record._stack.flags.owndata
+    assert record.fields.shape == (61, 6, 6)
+    assert np.array_equal(record.fields, np.stack(fields))
+    # a full stack grows by exactly the level being taken
     assert capacities == [2, 2] + list(range(3, 62))
 
 
 def _run_and_growths(monkeypatch, cfg, schedule, phi0):
     """run(cfg, schedule, phi0) and the capacities its field stack started at and grew to."""
     capacities = []
-    push, init = FieldHistory.push, FieldHistory.__init__
+    take, init = _LevelRecord.take, _LevelRecord.__init__
 
-    def first(history, phi, capacity):
-        init(history, phi, capacity)
-        capacities.append(history.capacity)
+    def first(record, cfg, phi, sup_norm, capacity):
+        init(record, cfg, phi, sup_norm, capacity)
+        capacities.append(len(record._stack))
 
-    def counted(history, phi):
-        push(history, phi)
-        if history.capacity != capacities[-1]:
-            capacities.append(history.capacity)
+    def counted(record, *args):
+        step_sq = take(record, *args)
+        if len(record._stack) != capacities[-1]:
+            capacities.append(len(record._stack))
+        return step_sq
 
     with monkeypatch.context() as patch:
-        patch.setattr(FieldHistory, "__init__", first)
-        patch.setattr(FieldHistory, "push", counted)
+        patch.setattr(_LevelRecord, "__init__", first)
+        patch.setattr(_LevelRecord, "take", counted)
         return run(cfg, schedule, phi0), capacities
 
 
@@ -696,7 +701,7 @@ def _warm_up_over_the_floor():
     warmup=build_graded_mesh(0.01, 2, 1.0), horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)),
     _warm_up_over_the_floor], ids=["strict-at-cap", "non-strict", "warm-up-over-the-floor"])
 def test_run_ends_with_its_stack_holding_exactly_its_levels(monkeypatch, case):
-    # each push past the warm-up grows the stack by one level, so it holds
+    # each take past the warm-up grows the stack by one level, so it holds
     # exactly the levels the run stores, and the trajectory's fields are a
     # view of that stack from its start
     cfg, sched = case()
@@ -707,7 +712,7 @@ def test_run_ends_with_its_stack_holding_exactly_its_levels(monkeypatch, case):
     assert owner.shape == (traj.num_steps + 1, 8, 8)
     assert len(sizes) >= 2 and sizes[-1] == len(traj.fields)
     if case is _strict_at_cap:
-        # at the cap, as everywhere past the warm-up, every push grows the
+        # at the cap, as everywhere past the warm-up, every take grows the
         # stack by exactly one level, from the warm-up's 5 to the last level
         assert traj.cap_ok.all() and np.allclose(traj.mesh.steps[4:-1], traj.cap, rtol=1e-9, atol=0.0)
         assert traj.num_steps > 50 and traj.mesh.step(traj.num_steps) < traj.cap
@@ -749,7 +754,7 @@ def test_carried_distances_match_recomputed_G_at_every_step(monkeypatch):
     warm = build_graded_mesh(0.01, 2, 1.0)
     sched = AdaptiveSchedule(warmup=warm, horizon=0.08, tau_min=1e-3, tau_max=0.01, eta=1e3)
     traj, sizes = _run_and_growths(monkeypatch, cfg, sched, rng.uniform(-0.5, 0.5, (16, 16)))
-    # 3 -> 4 -> 5 -> ... levels, one per push to the last
+    # 3 -> 4 -> 5 -> ... levels, one per take to the last
     assert sizes == list(range(3, traj.num_steps + 2))
     assert sizes[-1] == len(traj.fields) == traj.num_steps + 1 > 10
 
