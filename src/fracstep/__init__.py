@@ -23,7 +23,6 @@ from .kernels import (
     as_order,
     build_kernels,
     dgs_forms,
-    frac_derivative,
     min_step_ratio,
 )
 from .grid import Grid2D, grid_sum, laplacian, load_raw, norm_inf, save_pgm, save_raw
@@ -37,6 +36,7 @@ from .solver import (
     SolverConfig,
     StepCapError,
     crank_nicolson_step,
+    frac_derivative,
     run,
     step,
     step_size_cap,

@@ -26,7 +26,6 @@ from .kernels import (
     as_order,
     build_kernels,
     dgs_forms,
-    frac_derivative,
     min_step_ratio,
     _ratio_equation,
 )
@@ -44,6 +43,7 @@ from .solver import (
     ManufacturedForcing,
     SolveTrajectory,
     SolverConfig,
+    frac_derivative,
     run,
 )
 

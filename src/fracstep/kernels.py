@@ -26,8 +26,8 @@ keeps, so a level's row has the same bits whichever levels are built with
 it.  solver.run takes from blocks the levels of a mesh it does not append
 to and those its step cap decides; it builds any other level its
 controller appends alone.  The gradient-structure check (dgs_forms) runs
-the run's own code: frac_derivative is the split form the stepper solves,
-and distance_form is the one G form, also that of energy.modified_energy.
+the run's own code: solver.frac_derivative, the split form the stepper
+solves, and distance_form, the one G form, also energy.modified_energy's.
 """
 
 from __future__ import annotations
@@ -338,22 +338,6 @@ def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
 def build_kernels(nodes, order, n: int) -> KernelSet:
     """The KernelSet of level n of the node vector nodes, t_0..t_n at least (hat_a read-only)."""
     return build_kernel_block(nodes, order, n, n)[0]
-
-
-def frac_derivative(history, kernels: KernelSet) -> float:
-    """Evaluate the discrete derivative at t_{n-theta} from values v^0..v^n.
-
-    The split form as solver.step solves it: D v^n - (D v^{n-1} - hist),
-    with D = local + hat_a[0] and hist the history_sum of hat_a over the
-    differences v^k - v^{k-1}, k = 1..n-1, in ascending k.  Raises
-    ValueError unless history holds n + 1 values.
-    """
-    v = np.asarray(history, dtype=float)
-    n = kernels.n
-    if v.size != n + 1:
-        raise ValueError(f"level {n} needs {n + 1} history values, got {v.size}")
-    D = kernels.local + kernels.hat_a[0]
-    return float(D * v[n] - (D * v[n - 1] - history_sum(kernels.hat_a[1:n][::-1], v[:n])))
 
 
 def history_sum(weights: np.ndarray, fields) -> np.ndarray:

@@ -6,8 +6,9 @@ The field phi on a periodic grid evolves by
 
 with f(phi) = phi^3 - phi and the theta-weighted averages
 w^{n-theta} = theta w^{n-1} + (1-theta) w^n, theta = alpha/2.  The
-fractional derivative uses the split form from kernels.py, so each step
-solves a nonlinear equation in phi^n with all history frozen.  A plain
+fractional derivative is the split form of _split_derivative, shared
+with the DGS audit, so each step solves a nonlinear equation in phi^n
+with all history frozen.  A plain
 fixed-point iteration lags the cubic term; each sweep inverts the
 constant-coefficient operator (D I - (1-theta) eps^2 Lap) exactly by one
 real 2-D FFT, taken one axis at a time, since the periodic five-point
@@ -19,9 +20,10 @@ reference step shares the same sweep loop.
 The weights of level n depend only on the nodes up to t_n, so run builds
 the kernels of most levels before their steps, in blocks from one
 kernels.build_kernel_block pass each: bit for bit the one-level
-build_kernels (see run); a block past the appended nodes reads predicted
-ones.  run ends once a node reaches _reach(horizon), and level_at(t) looks
-from _reach(t), so every t in [0, horizon] finds a level of a finished run.
+build_kernels, each keyed by its node t_n, predicted past the appended
+ones (see run).  run ends once a node reaches _reach(horizon), and
+level_at(t) looks from _reach(t), so every t in [0, horizon] finds a
+level of a finished run.
 
 Each step's sweeps start from a clipped Lagrange extrapolation through
 the last levels (_predict); the converged level differs from the one
@@ -39,6 +41,7 @@ one TimeMesh of its nodes, as a SolveTrajectory.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -193,27 +196,29 @@ def _fixed_point(rhs_fixed, c: float, nu: float, weight: float, cfg: SolverConfi
     work = np.empty((M, M))                        # the reaction, the rhs, then the change
     levels = (np.empty((M, M)), np.empty((M, M)))  # psi_new alternates between the two
     psi = x0
-    for sweep in range(1, _FIXED_POINT_MAX_ITER + 1):
-        np.multiply(psi, psi, out=work)
-        work *= psi
-        work -= psi
-        work *= weight
-        np.subtract(rhs_fixed, work, out=work)
-        np.fft.rfft(work, axis=1, out=spec)
-        np.fft.fft(spec, axis=0, out=spec)
-        spec_parts *= inverse
-        np.fft.ifft(spec, axis=0, out=spec)
-        psi_new = np.fft.irfft(spec, n=M, axis=1, out=levels[sweep % 2])
-        # A difference is finite only if both iterates are, and max
-        # propagates nan, so this one check catches a non-finite field on
-        # the sweep it appears.
-        np.subtract(psi_new, psi, out=work)
-        change = float(np.abs(work, out=work).max())
-        if not math.isfinite(change):
-            raise ConvergenceError(f"{where} hit non-finite values in the field at sweep {sweep}")
-        psi = psi_new
-        if change <= _FIXED_POINT_TOL:
-            return psi, sweep
+    # an overflow or a nan makes the sweep's change non-finite, which raises: numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, _FIXED_POINT_MAX_ITER + 1):
+            np.multiply(psi, psi, out=work)
+            work *= psi
+            work -= psi
+            work *= weight
+            np.subtract(rhs_fixed, work, out=work)
+            np.fft.rfft(work, axis=1, out=spec)
+            np.fft.fft(spec, axis=0, out=spec)
+            spec_parts *= inverse
+            np.fft.ifft(spec, axis=0, out=spec)
+            psi_new = np.fft.irfft(spec, n=M, axis=1, out=levels[sweep % 2])
+            # A difference is finite only if both iterates are, and max
+            # propagates nan, so this one check catches a non-finite field on
+            # the sweep it appears.
+            np.subtract(psi_new, psi, out=work)
+            change = float(np.abs(work, out=work).max())
+            if not math.isfinite(change):
+                raise ConvergenceError(f"{where} hit non-finite values in the field at sweep {sweep}")
+            psi = psi_new
+            if change <= _FIXED_POINT_TOL:
+                return psi, sweep
     raise ConvergenceError(f"{where} stalled at change {change:.3e} after {_FIXED_POINT_MAX_ITER} sweeps")
 
 
@@ -231,6 +236,25 @@ def _predict(fields, nodes, radius: float):
     x0 = np.einsum("k,kij->ij", weights, fields)
     bound = max(1.0, radius)
     return np.clip(x0, -bound, bound, out=x0)
+
+
+def _split_derivative(kernels: KernelSet, levels):
+    """(D, D v^{n-1} - hist) of level n from v^0..v^{n-1} (levels): the split
+    derivative is D v^n minus the second, with D = local + hat_a[0] and hist
+    the history_sum of hat_a[1:n] over v^k - v^{k-1}, k = 1..n-1, in
+    ascending k.  step solves it and frac_derivative evaluates it."""
+    D = kernels.local + kernels.hat_a[0]
+    return D, D * levels[-1] - history_sum(kernels.hat_a[1:][::-1], levels)
+
+
+def frac_derivative(history, kernels: KernelSet) -> float:
+    """The split derivative at t_{n-theta} from values v^0..v^n, as step
+    solves it.  Raises ValueError unless history holds n + 1 values."""
+    v = np.asarray(history, dtype=float)
+    if v.size != kernels.n + 1:
+        raise ValueError(f"level {kernels.n} needs {kernels.n + 1} history values, got {v.size}")
+    D, frozen = _split_derivative(kernels, v[:-1])
+    return float(D * v[-1] - frozen)
 
 
 def step(fields, nodes, kernels: KernelSet, cfg: SolverConfig, radius: float):
@@ -256,10 +280,8 @@ def step(fields, nodes, kernels: KernelSet, cfg: SolverConfig, radius: float):
     eps2 = cfg.epsilon**2
 
     prev = fields[-1]
-    D = kernels.local + kernels.hat_a[0]
-    hist = history_sum(kernels.hat_a[1:n][::-1], fields)   # ascending k = 1..n-1
-
-    rhs_fixed = D * prev - hist - theta * _reaction(prev) + theta * eps2 * laplacian(prev, grid)
+    D, frozen = _split_derivative(kernels, fields)
+    rhs_fixed = frozen - theta * _reaction(prev) + theta * eps2 * laplacian(prev, grid)
     if cfg.forcing is not None:
         t_off = offset_node(nodes, n, theta)
         rhs_fixed = rhs_fixed + cfg.forcing.force(t_off, grid, order, cfg.epsilon)
@@ -382,30 +404,26 @@ class _LevelRecord:
         return E, G, dissipation_lhs(E + G, np.asarray(self._local), steps, np.asarray(self._step_sq))
 
 
-def _block_end(lo: int, last: int) -> int:
-    """The highest level hi <= last (lo at least) whose block lo..hi holds
-    at most _BLOCK_ENTRIES (level, offset) entries per table."""
+def _kernel_block(nodes, order, lo: int, cap: float | None = None) -> dict:
+    """Level n -> (t_n, KernelSet) for n = lo..hi from one build_kernel_block
+    pass, hi the highest level (of nodes, unless a cap is given) whose block
+    holds at most _BLOCK_ENTRIES (level, offset) entries per table.  Given
+    the cap, the pass reads the nodes bare steps of it would append
+    (_cap_nodes).  Each level maps to None instead when hi == lo
+    (build_kernels is that pass) or when the pass, run with every
+    floating-point flag raised as an error, raises: a level whose weights
+    warn or fail then does so at its own step, as it would without blocks.
+    """
+    last = len(nodes) - 1 if cap is None else math.inf
     hi = lo
     while hi < last and (hi + 2 - lo) * (hi + 2) <= _BLOCK_ENTRIES:
         hi += 1
-    return hi
-
-
-def _kernel_block(nodes, order, lo: int):
-    """(hi, kernels): the KernelSets of levels lo..hi by level, from one
-    build_kernel_block pass over nodes, with hi = _block_end(lo, len(nodes) - 1).
-
-    The pass runs with every floating-point flag raised as an error.  When
-    it raises, kernels is empty and each level of the block is left to its
-    own build_kernels call, so that a level whose weights warn or fail does
-    so at its own step, as it would without blocks.
-    """
-    hi = _block_end(lo, len(nodes) - 1)
-    try:
-        with np.errstate(all="raise"):
-            return hi, dict(zip(range(lo, hi + 1), build_kernel_block(nodes, order, lo, hi)))
-    except FloatingPointError:
-        return hi, {}
+    if cap is not None:
+        nodes = _cap_nodes(nodes, cap, hi)
+    with contextlib.suppress(FloatingPointError), np.errstate(all="raise"):
+        if hi > lo:
+            return {k.n: (nodes[k.n], k) for k in build_kernel_block(nodes, order, lo, hi)}
+    return dict.fromkeys(range(lo, hi + 1))
 
 
 def _cap_nodes(nodes, cap: float, last: int) -> np.ndarray:
@@ -445,16 +463,13 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     steps.  After the loop the run builds its one TimeMesh from the nodes,
     and evaluates the lhs and the flags from it, each with its step's bits.
 
-    The kernels of the levels it does not append (a fixed mesh's or the
-    warm-up's) come from blocks (_kernel_block), each built when the loop
-    reaches its first level.  So do those the cap decides: when a strict
-    run's controller returns the cap unclipped, the level just appended and
-    those that bare steps of the cap would append (_cap_nodes) are built in
-    one block over the predicted nodes, used only while each node equals
-    the predicted one bit for bit; the loop alone ends the run and clips its
-    steps.  Any other appended level comes from build_kernels.  A block that
-    raises a floating-point flag is dropped and its levels are built one by
-    one, so a level that warns or fails does so at its own step.
+    The loop keeps one block of prebuilt levels (_kernel_block), replaced
+    at the first level it lacks or built on another t_n by one from there:
+    over the nodes it does not append (a fixed mesh's or the warm-up's), or
+    over those that bare steps of the cap would append when a strict run's
+    controller has just returned the cap unclipped; the loop alone ends the
+    run and clips its steps.  Any other appended level, and each level of
+    a block that raised a floating-point flag, comes from build_kernels.
     """
     if not isinstance(schedule, _SCHEDULES):
         raise TypeError(f"schedule must be a TimeMesh or an AdaptiveSchedule, got {type(schedule).__name__}")
@@ -476,8 +491,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
 
     record = _LevelRecord(cfg, phi0, sup_norm, len(nodes))
     end = _reach(horizon)     # a run whose last node reaches it is done
-    fixed = len(nodes) - 1      # levels that the run does not append itself
-    block, block_nodes, block_hi = {}, None, 0
+    block = {}
     n, tau_n, change_norm = 0, 0.0, 0.0
     while True:
         at_cap = False
@@ -499,13 +513,10 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         if cfg.enforce_bound and not tau_n <= cap_limit:
             raise StepCapError(f"step {n}: tau = {tau_n:.6e} exceeds the cap {cap:.6e} "
                                "while the bound is enforced")
-        if n > block_hi or block_nodes[n] != nodes[n]:
-            # no block holds this level's nodes: start one where the coming nodes are known
-            block_hi, block = n, {}
-            if n <= fixed or at_cap:
-                block_nodes = nodes if n <= fixed else _cap_nodes(nodes, cap, _block_end(n, math.inf))
-                block_hi, block = _kernel_block(block_nodes, order, n)
-        kernels = block.get(n) or build_kernels(nodes, order, n)
+        if n not in block or block[n] and block[n][0] != nodes[n]:
+            block = _kernel_block(nodes, order, n, cap if at_cap else None)
+        built = block.get(n)
+        kernels = built[1] if built else build_kernels(nodes, order, n)
         phi, sweeps = step(record.fields, nodes, kernels, cfg, sup_norm)
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:

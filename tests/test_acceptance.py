@@ -26,11 +26,10 @@ from fracstep.grid import Grid2D, norm_inf
 from fracstep.kernels import (
     as_order,
     build_kernels,
-    frac_derivative,
     min_step_ratio,
 )
 from fracstep.mesh import TimeMesh, build_uniform_mesh, random_ratio_mesh
-from fracstep.solver import SolverConfig, crank_nicolson_step, run
+from fracstep.solver import SolverConfig, crank_nicolson_step, frac_derivative, run
 from oracles import derivative_quad, interval_weight_quad, level_weights, moment_weight_quad, worst_slack
 
 TWO_PI = 2.0 * math.pi

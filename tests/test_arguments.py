@@ -15,10 +15,10 @@ import pytest
 
 from fracstep.energy import modified_energy
 from fracstep.grid import Grid2D, save_raw
-from fracstep.kernels import build_kernels, dgs_forms, frac_derivative
+from fracstep.kernels import build_kernels, dgs_forms, kernel_tables, min_step_ratio
 from fracstep.mesh import (AdaptiveSchedule, MeshError, TimeMesh, adaptive_next_step, build_graded_mesh,
                            build_two_phase_mesh, build_uniform_mesh, offset_node)
-from fracstep.solver import ManufacturedForcing, SolverConfig, run, step
+from fracstep.solver import ManufacturedForcing, SolverConfig, frac_derivative, run, step
 
 MESH = build_uniform_mesh(1.0, 4)
 KERNELS = {n: build_kernels(MESH.nodes, 0.5, n) for n in (2, 3)}
@@ -34,12 +34,18 @@ def _modified_energy(kernels, dist):
 CASES = {
     "TimeMesh.step k=0": lambda path: MESH.step(0),
     "TimeMesh.step k=N+1": lambda path: MESH.step(5),
+    "TimeMesh one node": lambda path: TimeMesh(np.array([0.0])),
+    "TimeMesh 2-D nodes": lambda path: TimeMesh(np.zeros((2, 2))),
+    "build_two_phase_mesh N=0": lambda path: build_two_phase_mesh(1.0, 2.0, 0, 0),
     "TimeMesh.offset_node theta=1/2": lambda path: offset_node(MESH.nodes, 1, 0.5),
     "TimeMesh.offset_node k=0": lambda path: offset_node(MESH.nodes, 0, 0.25),
     "TimeMesh.offset_node k=N+1": lambda path: offset_node(MESH.nodes, 5, 0.25),
     "adaptive_next_step tau_n=0": lambda path: adaptive_next_step(0.0, 1.0, SCHEDULE, 0.5, None),
     "adaptive_next_step negative speed": lambda path: adaptive_next_step(0.1, -1.0, SCHEDULE, 0.5, None),
     "adaptive_next_step nan speed": lambda path: adaptive_next_step(0.1, math.nan, SCHEDULE, 0.5, None),
+    "min_step_ratio alpha=-0.1": lambda path: min_step_ratio(-0.1),
+    "min_step_ratio alpha=1.5": lambda path: min_step_ratio(1.5),
+    "min_step_ratio alpha=nan": lambda path: min_step_ratio(math.nan),
     "frac_derivative": lambda path: frac_derivative(np.arange(6.0), KERNELS[3]),
     "dgs_forms current level": lambda path: dgs_forms(None, KERNELS[3], np.ones(2)),
     "dgs_forms no previous": lambda path: dgs_forms(None, KERNELS[3], np.ones(3)),
@@ -65,6 +71,15 @@ def test_step_names_the_nodes_it_lacks():
     # short nodes failed before as well, but inside the predictor's einsum
     with pytest.raises(ValueError, match="step 3 needs 4 nodes, got 3"):
         step(FIELDS[:3], MESH.nodes[:3], KERNELS[3], SolverConfig(0.5, 0.5, GRID), 0.0)
+
+
+def test_kernel_tables_refuse_interval_weights_that_are_not_positive():
+    # at alpha = 1 - 2^-53, omega_{2-alpha}(t) = t^(2^-53) / Gamma(1 + 2^-53)
+    # is 1 at every subnormal t: over steps of 1e-310 the head weights 1 / tau
+    # overflow, and the history weights, differences of it, are 0
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(FloatingPointError, match="interval weights must be positive"):
+        kernel_tables([0.0, 1e-310, 2e-310, 3e-310], 1.0 - 2.0**-53, 1, 3)
 
 
 def _schedule(**kw):

@@ -352,6 +352,16 @@ def test_accuracy_tiny(tmp_path, capsys):
     assert meta["row_failures"] == []
 
 
+def test_accuracy_with_a_spatial_floor_warns_and_exits_0(tmp_path, capsys):
+    # on the tiny 8 x 8 grid the spatial error is not subdominant: the run
+    # says so, records it, and still succeeds
+    cfg = _write_cfg(tmp_path, "cfg.json", {**_TINY_ACCURACY, "spatial_check": True})
+    out = tmp_path / "out"
+    assert main(["accuracy", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert "warning: spatial error is not subdominant at this grid" in capsys.readouterr().err
+    assert _meta(out)["spatial_subdominant"] is False
+
+
 @pytest.mark.parametrize("overrides, code, failure", [
     # at alpha 1e-300 every row fails on nonpositive moment weights: an audit failure
     ({"alpha": 1e-300}, EXIT_AUDIT, "FloatingPointError: moment weights must be positive"),
@@ -549,27 +559,33 @@ def _fuzz_cases():
 
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     # every case exits 0, 2, 3 or 4 with no exception escaping, and an exit 4
-    # names a quoted config key and leaves no output directory
+    # names a quoted config key and leaves no output directory.  A solve that
+    # diverges reports itself as its step's ConvergenceError alone: no
+    # RuntimeWarning from solver.py or numpy's FFT comes before it
     cases = list(_fuzz_cases())
     assert len(cases) == 166
     broken = []
-    for i, (subcommand, key, payload) in enumerate(cases):
-        cfg = _write_cfg(tmp_path, f"cfg{i}.json", payload)
-        out = tmp_path / f"o{i}"
-        capsys.readouterr()
-        try:
-            code = main([subcommand, "--config", cfg, "--out", str(out)])
-        except Exception as exc:
-            broken.append((subcommand, key, payload[key], f"{type(exc).__name__}: {exc}"))
-            continue
-        err = capsys.readouterr().err
-        named = re.search(r"config key '(\w+)", err)
-        if code not in (EXIT_OK, EXIT_AUDIT, EXIT_NONCONV, EXIT_CONFIG):
-            broken.append((subcommand, key, payload[key], f"exit {code}"))
-        elif code == EXIT_CONFIG and not (named and named[1] in _config_keys(subcommand)
-                                          and not out.exists()):
-            broken.append((subcommand, key, payload[key], f"exit 4, output {out.exists()}: {err.strip()}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i, (subcommand, key, payload) in enumerate(cases):
+            cfg = _write_cfg(tmp_path, f"cfg{i}.json", payload)
+            out = tmp_path / f"o{i}"
+            capsys.readouterr()
+            try:
+                code = main([subcommand, "--config", cfg, "--out", str(out)])
+            except Exception as exc:
+                broken.append((subcommand, key, payload[key], f"{type(exc).__name__}: {exc}"))
+                continue
+            err = capsys.readouterr().err
+            named = re.search(r"config key '(\w+)", err)
+            if code not in (EXIT_OK, EXIT_AUDIT, EXIT_NONCONV, EXIT_CONFIG):
+                broken.append((subcommand, key, payload[key], f"exit {code}"))
+            elif code == EXIT_CONFIG and not (named and named[1] in _config_keys(subcommand)
+                                              and not out.exists()):
+                broken.append((subcommand, key, payload[key], f"exit 4, output {out.exists()}: {err.strip()}"))
     assert broken == []
+    assert [(w.filename, w.lineno, str(w.message)) for w in caught if issubclass(w.category, RuntimeWarning)
+            and (os.path.basename(w.filename) == "solver.py" or os.sep + "fft" + os.sep in w.filename)] == []
 
 
 def test_spec_from_config_fills_defaults_and_seed():

@@ -1,12 +1,14 @@
 """Discrete-derivative kernels: ratio root, coefficient identities, splitting,
 gradient structure."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracstep import kernels
+import fracstep.mesh
+from fracstep import kernels, solver
 from fracstep.experiments import KernelAuditSpec, dgs_case, kernel_audit_meshes, run_kernel_audit
 from fracstep.kernels import (
     FracOrder,
@@ -14,7 +16,6 @@ from fracstep.kernels import (
     build_kernel_block,
     build_kernels,
     dgs_forms,
-    frac_derivative,
     gradient_kernels,
     history_sum,
     kernel_tables,
@@ -26,7 +27,8 @@ from fracstep.kernels import (
 )
 from fracstep.mesh import (TimeMesh, build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, offset_node,
                            random_ratio_mesh)
-from fracstep.solver import step_size_cap
+from fracstep.grid import Grid2D
+from fracstep.solver import SolverConfig, frac_derivative, step_size_cap
 from fracstep.special import omega
 from oracles import level_weights, two_formula_moments
 
@@ -87,14 +89,16 @@ def test_moment_weights_head_is_undefined():
     assert np.all(zeta[1:] > 0)
 
 
-def test_moment_weights_branch_agreement():
+def test_moment_weights_branch_agreement(monkeypatch):
     # meshes on both sides of the series/closed-form switch give values that
-    # agree with the quadrature oracle (the two branches meet smoothly)
+    # agree with the quadrature oracle (the two branches meet smoothly); step
+    # ratios of at most 2 put several entries of each level on either side
     from oracles import moment_weight_quad
 
+    monkeypatch.setattr(fracstep.mesh, "_RATIO_MAX", 2.0)
     rng = np.random.default_rng(3)
     for alpha in (0.2, 0.7):
-        mesh = random_ratio_mesh(rng, 9, 0.45, r_max=2.0)
+        mesh = random_ratio_mesh(rng, 9, 0.45)
         _, zeta = level_weights(mesh, alpha, 9)
         for k in range(1, 9):
             want = moment_weight_quad(mesh, as_order(alpha), 9, k)
@@ -416,10 +420,27 @@ def test_gradient_structure_forms_fail_far_below_the_ratio_floor():
 
 def test_kernel_audit_finds_a_dropped_history_weight(monkeypatch):
     # negative control: the audit's DGS identity takes the derivative through
-    # the history_sum the stepper contracts with, so one that drops its last
-    # weight must break the identity far beyond the 1e-11 limit
-    real = kernels.history_sum
-    monkeypatch.setattr(kernels, "history_sum", lambda weights, fields: real(weights[:-1], fields[:-1]))
+    # the history_sum the stepper contracts with, solver's, so one that drops
+    # its last weight must break the identity far beyond the 1e-11 limit
+    real = solver.history_sum
+    monkeypatch.setattr(solver, "history_sum", lambda weights, fields: real(weights[:-1], fields[:-1]))
+    result = run_kernel_audit(KernelAuditSpec(alphas=(0.5,), num_meshes=1, n_max=4, dgs_histories=5))
+    assert result.dgs_residual > 1e-11
+
+
+def test_kernel_audit_finds_a_scaled_split_derivative(monkeypatch):
+    # negative control: step and the audit's frac_derivative share one split
+    # derivative, so a D of 1.5 local + hat_a[0] there must move a step's
+    # field and break the DGS identity far beyond the 1e-11 limit
+    mesh = build_uniform_mesh(0.1, 2)
+    kern = build_kernels(mesh.nodes, 0.5, 2)
+    cfg = SolverConfig(0.5, 0.5, Grid2D(M=8, L=2.0 * math.pi))
+    fields = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 8, 8))
+    phi, _ = solver.step(fields, mesh.nodes, kern, cfg, 0.5)
+    real = solver._split_derivative
+    monkeypatch.setattr(solver, "_split_derivative", lambda kernels, levels:
+                        real(dataclasses.replace(kernels, local=1.5 * kernels.local), levels))
+    assert not np.allclose(solver.step(fields, mesh.nodes, kern, cfg, 0.5)[0], phi, rtol=1e-6, atol=0.0)
     result = run_kernel_audit(KernelAuditSpec(alphas=(0.5,), num_meshes=1, n_max=4, dgs_histories=5))
     assert result.dgs_residual > 1e-11
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import fracstep
-from fracstep.kernels import as_order, build_kernels, frac_derivative, min_step_ratio
+from fracstep.kernels import as_order, build_kernels, min_step_ratio
 from fracstep.mesh import build_graded_mesh, build_two_phase_mesh, build_uniform_mesh, offset_node, random_ratio_mesh
+from fracstep.solver import frac_derivative
 from oracles import (
     curvature_fn,
     derivative_quad,

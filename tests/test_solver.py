@@ -970,7 +970,7 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
                 patch.setattr(solver, "build_kernels",
                               lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
             else:
-                patch.setattr(solver, "_kernel_block", lambda nodes, order, lo: (len(nodes) - 1, {}))
+                patch.setattr(solver, "_kernel_block", lambda nodes, order, lo, cap: {})
             _spy_on_steps(patch, levels)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -1015,16 +1015,15 @@ def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, schedule, w
     outcomes, built = [], []
     real_block = solver._kernel_block
 
-    def spy(nodes, order, lo):
-        hi, kernels = real_block(nodes, order, lo)
-        built.append((lo, hi, kernels))
-        return hi, kernels
+    def spy(nodes, order, lo, cap):
+        built.append(real_block(nodes, order, lo, cap))
+        return built[-1]
 
     for blocks in (True, False):
         levels = []
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_kernel_block",
-                          spy if blocks else lambda nodes, order, lo: (len(nodes) - 1, {}))
+                          spy if blocks else lambda nodes, order, lo, cap: {})
             _spy_on_steps(patch, levels)
             with warnings.catch_warnings(record=True) as caught, pytest.raises(FloatingPointError) as exc:
                 warnings.simplefilter("always")
@@ -1034,4 +1033,4 @@ def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, schedule, w
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == ([1], "moment weights must be positive")
     assert [os.path.basename(w[2]) for w in outcomes[0][2]] == warned
-    assert [kernels for lo, hi, kernels in built if lo <= 2 <= hi] == [{}]
+    assert [set(block.values()) for block in built if 2 in block] == [{None}]
