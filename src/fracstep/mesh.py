@@ -17,8 +17,6 @@ import numpy as np
 
 from .special import saturating_power
 
-_RATIO_MAX = 4.0   # largest step ratio of random_ratio_mesh
-
 
 class MeshError(ValueError):
     """Raised when a requested mesh cannot be built."""
@@ -187,14 +185,14 @@ def adaptive_next_step(
     return float(tau)
 
 
-def random_ratio_mesh(rng: np.random.Generator, n: int, r_min: float) -> TimeMesh:
-    """Random mesh with n steps whose ratios all lie in [r_min, _RATIO_MAX].
+def random_ratio_mesh(rng: np.random.Generator, n: int, r_min: float, r_max: float = 4.0) -> TimeMesh:
+    """Random mesh with n steps whose ratios all lie in [r_min, r_max].
 
     Used to fuzz the kernel audits; the first step is log-uniform in
     [1e-3, 1] and roughly one draw in ten sits exactly at the floor.
     """
     tau1 = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.0))))
-    ratios = rng.uniform(r_min, _RATIO_MAX, size=n - 1)
+    ratios = rng.uniform(r_min, r_max, size=n - 1)
     at_floor = rng.random(n - 1) < 0.1
     ratios[at_floor] = r_min
     steps = tau1 * np.concatenate([[1.0], np.cumprod(ratios)])

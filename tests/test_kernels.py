@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import fracstep.mesh
 from fracstep import kernels, solver
 from fracstep.experiments import KernelAuditSpec, dgs_case, kernel_audit_meshes, run_kernel_audit
 from fracstep.kernels import (
@@ -89,16 +88,14 @@ def test_moment_weights_head_is_undefined():
     assert np.all(zeta[1:] > 0)
 
 
-def test_moment_weights_branch_agreement(monkeypatch):
+def test_moment_weights_branch_agreement():
     # meshes on both sides of the series/closed-form switch give values that
-    # agree with the quadrature oracle (the two branches meet smoothly); step
-    # ratios of at most 2 put several entries of each level on either side
+    # agree with the quadrature oracle (the two branches meet smoothly)
     from oracles import moment_weight_quad
 
-    monkeypatch.setattr(fracstep.mesh, "_RATIO_MAX", 2.0)
     rng = np.random.default_rng(3)
     for alpha in (0.2, 0.7):
-        mesh = random_ratio_mesh(rng, 9, 0.45)
+        mesh = random_ratio_mesh(rng, 9, 0.45, r_max=2.0)
         _, zeta = level_weights(mesh, alpha, 9)
         for k in range(1, 9):
             want = moment_weight_quad(mesh, as_order(alpha), 9, k)
