@@ -420,8 +420,8 @@ def _kernel_block(nodes, order, lo: int, cap: float | None = None) -> dict:
         hi += 1
     if cap is not None:
         nodes = _cap_nodes(nodes, cap, hi)
-    with contextlib.suppress(FloatingPointError), np.errstate(all="raise"):
-        if hi > lo:
+    if hi > lo:
+        with contextlib.suppress(FloatingPointError), np.errstate(all="raise"):
             return {k.n: (nodes[k.n], k) for k in build_kernel_block(nodes, order, lo, hi)}
     return dict.fromkeys(range(lo, hi + 1))
 
