@@ -18,16 +18,16 @@ min_step_ratio) yields a discrete gradient structure: the product
 quadratic form G plus nonnegative remainders.
 
 kernel_tables is the one weight pass, over the levels lo..hi of rows of
-nodes.  build_kernel_block slices its tables into KernelSets,
-build_kernels is its one-level case, and the kernel audit reads them, so
-all share each weight formula.  Every weight is evaluated elementwise, and
-each moment weight by the one formula (closed form or midpoint series) it
+nodes.  build_kernels, the one KernelSet builder, slices its tables of one
+node vector into KernelSets, and the kernel audit reads them, so all share
+each weight formula.  Every weight is evaluated elementwise, and each
+moment weight by the one formula (closed form or midpoint series) it
 keeps, so a level's row has the same bits whichever levels are built with
-it.  solver.run takes from blocks the levels of a mesh it does not append
-to and those its step cap decides; it builds any other level its
-controller appends alone.  The gradient-structure check (dgs_forms) runs
-the run's own code: solver.frac_derivative, the split form the stepper
-solves, and distance_form, the one G form, also energy.modified_energy's.
+it: solver.run builds its levels in blocks, and experiments.dgs_case
+the levels n-1 and n of a history in one pass.  The gradient-structure
+check (dgs_forms) runs the run's own code: solver.frac_derivative, the
+split form the stepper solves, and distance_form, the one G form, also
+energy.modified_energy's.
 """
 
 from __future__ import annotations
@@ -276,16 +276,19 @@ def gradient_kernels(hat_a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSet:
-    """What a run reads of level n: local = alpha/(2-alpha) a[0], the
-    coefficient of (v^n - v^{n-1}) in the split derivative, and hat_a, the
-    history-convolution weights by offset m = n - k, from which
+    """What a run reads of level n = len(hat_a): local = alpha/(2-alpha)
+    a[0], the coefficient of (v^n - v^{n-1}) in the split derivative, and
+    hat_a, the history-convolution weights by offset m = n - k, from which
     gradient_kernels derives the gradient-structure kernels.  The split
     derivative's coefficient of v^n is D = local + hat_a[0].
     """
 
-    n: int
     local: float
     hat_a: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.hat_a)
 
 
 @dataclass(frozen=True)
@@ -319,9 +322,10 @@ def kernel_tables(nodes, order, lo: int, hi: int) -> KernelTables:
     return KernelTables(*tables)
 
 
-def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
-    """build_kernels(nodes, order, n) for n = lo..hi: one kernel_tables pass
-    over the nodes t_0..t_hi of any mesh that begins with them, by level.
+def build_kernels(nodes, order, lo: int, hi: int) -> tuple:
+    """The KernelSets of levels n = lo..hi, by level, from one kernel_tables
+    pass over the node vector nodes, t_0..t_hi at least; raises ValueError
+    unless nodes is one vector and 1 <= lo <= hi < len(nodes).
 
     A level's weights depend only on its own nodes, so a caller may pass
     nodes that no mesh reaches yet (solver.run's predicted nodes).  Each
@@ -329,15 +333,12 @@ def build_kernel_block(nodes, order, lo: int, hi: int) -> tuple:
     alive while any of them does, and its local coefficient, the product
     alpha / (2 - alpha) * a[0] of its level.
     """
+    if np.ndim(nodes) != 1:
+        raise ValueError(f"build_kernels takes one node vector, got nodes of shape {np.shape(nodes)}")
     t = kernel_tables(nodes, order, lo, hi)
     alpha = as_order(order).alpha
     local = alpha / (2.0 - alpha) * t.a[0, :, 0]
-    return tuple(KernelSet(n, local[i], t.hat_a[0, i, :n]) for i, n in enumerate(range(lo, hi + 1)))
-
-
-def build_kernels(nodes, order, n: int) -> KernelSet:
-    """The KernelSet of level n of the node vector nodes, t_0..t_n at least (hat_a read-only)."""
-    return build_kernel_block(nodes, order, n, n)[0]
+    return tuple(KernelSet(local[i], t.hat_a[0, i, :n]) for i, n in enumerate(range(lo, hi + 1)))
 
 
 def history_sum(weights: np.ndarray, fields) -> np.ndarray:

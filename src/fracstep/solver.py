@@ -19,9 +19,9 @@ reference step shares the same sweep loop.
 
 The weights of level n depend only on the nodes up to t_n, so run builds
 the kernels of most levels before their steps, in blocks from one
-kernels.build_kernel_block pass each: bit for bit the one-level
-build_kernels, each keyed by its node t_n, predicted past the appended
-ones (see run).  run ends once a node reaches _reach(horizon), and
+kernels.build_kernels pass each, with the bits of a pass over the level
+alone, each keyed by its node t_n, predicted past the appended ones (see
+run).  run ends once a node reaches _reach(horizon), and
 level_at(t) looks from _reach(t), so every t in [0, horizon] finds a
 level of a finished run.
 
@@ -53,7 +53,6 @@ from .grid import Grid2D, grid_sum, laplacian, norm_inf
 from .kernels import (
     KernelSet,
     as_order,
-    build_kernel_block,
     build_kernels,
     history_sum,
     min_step_ratio,
@@ -405,14 +404,14 @@ class _LevelRecord:
 
 
 def _kernel_block(nodes, order, lo: int, cap: float | None = None) -> dict:
-    """Level n -> (t_n, KernelSet) for n = lo..hi from one build_kernel_block
+    """Level n -> (t_n, KernelSet) for n = lo..hi from one build_kernels
     pass, hi the highest level (of nodes, unless a cap is given) whose block
-    holds at most _BLOCK_ENTRIES (level, offset) entries per table.  Given
-    the cap, the pass reads the nodes bare steps of it would append
-    (_cap_nodes).  Each level maps to None instead when hi == lo
-    (build_kernels is that pass) or when the pass, run with every
-    floating-point flag raised as an error, raises: a level whose weights
-    warn or fail then does so at its own step, as it would without blocks.
+    holds at most _BLOCK_ENTRIES (level, offset) entries per table, or lo.
+    Given the cap, the pass reads the nodes bare steps of it would append
+    (_cap_nodes).  The pass runs with every floating-point flag raised as an
+    error; when it raises, each level maps to None instead, and run builds
+    it alone at its own step, so a level whose weights warn or fail does so
+    there, as it would without blocks.
     """
     last = len(nodes) - 1 if cap is None else math.inf
     hi = lo
@@ -420,9 +419,8 @@ def _kernel_block(nodes, order, lo: int, cap: float | None = None) -> dict:
         hi += 1
     if cap is not None:
         nodes = _cap_nodes(nodes, cap, hi)
-    if hi > lo:
-        with contextlib.suppress(FloatingPointError), np.errstate(all="raise"):
-            return {k.n: (nodes[k.n], k) for k in build_kernel_block(nodes, order, lo, hi)}
+    with contextlib.suppress(FloatingPointError), np.errstate(all="raise"):
+        return {k.n: (nodes[k.n], k) for k in build_kernels(nodes, order, lo, hi)}
     return dict.fromkeys(range(lo, hi + 1))
 
 
@@ -468,8 +466,8 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
     over the nodes it does not append (a fixed mesh's or the warm-up's), or
     over those that bare steps of the cap would append when a strict run's
     controller has just returned the cap unclipped; the loop alone ends the
-    run and clips its steps.  Any other appended level, and each level of
-    a block that raised a floating-point flag, comes from build_kernels.
+    run and clips its steps; any other appended level is a block of one.
+    A level of a block that raised is built alone, outside the errstate.
     """
     if not isinstance(schedule, _SCHEDULES):
         raise TypeError(f"schedule must be a TimeMesh or an AdaptiveSchedule, got {type(schedule).__name__}")
@@ -516,7 +514,7 @@ def run(cfg: SolverConfig, schedule, phi0: np.ndarray) -> SolveTrajectory:
         if n not in block or block[n] and block[n][0] != nodes[n]:
             block = _kernel_block(nodes, order, n, cap if at_cap else None)
         built = block.get(n)
-        kernels = built[1] if built else build_kernels(nodes, order, n)
+        kernels = built[1] if built else build_kernels(nodes, order, n, n)[0]
         phi, sweeps = step(record.fields, nodes, kernels, cfg, sup_norm)
         sup_norm = norm_inf(phi)
         if cfg.enforce_bound and sup_norm > 1.0 + _BOUND_TOL:

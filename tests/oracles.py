@@ -232,8 +232,8 @@ def _weight_at_nodes(mesh: TimeMesh, order: FracOrder, n: int) -> np.ndarray:
 
 def level_weights(mesh: TimeMesh, order, n: int):
     """(a, zeta) of level n by offset m = n - k, zeta[0] nan: row 0 of a
-    kernel_tables pass over level n alone, of which build_kernels is a
-    slice."""
+    kernel_tables pass over level n alone, of which build_kernels(nodes,
+    order, n, n) slices hat_a and local."""
     t = kernel_tables(mesh.nodes, order, n, n)
     return t.a[0, 0, :n], t.zeta[0, 0, :n]
 

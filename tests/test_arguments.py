@@ -21,7 +21,7 @@ from fracstep.mesh import (AdaptiveSchedule, MeshError, TimeMesh, adaptive_next_
 from fracstep.solver import ManufacturedForcing, SolverConfig, frac_derivative, run, step
 
 MESH = build_uniform_mesh(1.0, 4)
-KERNELS = {n: build_kernels(MESH.nodes, 0.5, n) for n in (2, 3)}
+KERNELS = {n: build_kernels(MESH.nodes, 0.5, n, n)[0] for n in (2, 3)}
 GRID = Grid2D(M=4, L=2.0 * math.pi)
 SCHEDULE = AdaptiveSchedule(warmup=MESH, horizon=2.0, tau_min=1e-3, tau_max=0.1, eta=1.0)
 FIELDS = np.zeros((4, 4, 4))
@@ -46,6 +46,7 @@ CASES = {
     "min_step_ratio alpha=-0.1": lambda path: min_step_ratio(-0.1),
     "min_step_ratio alpha=1.5": lambda path: min_step_ratio(1.5),
     "min_step_ratio alpha=nan": lambda path: min_step_ratio(math.nan),
+    "build_kernels 2-D nodes": lambda path: build_kernels(np.array([MESH.nodes, 2 * MESH.nodes]), 0.5, 1, 2),
     "frac_derivative": lambda path: frac_derivative(np.arange(6.0), KERNELS[3]),
     "dgs_forms current level": lambda path: dgs_forms(None, KERNELS[3], np.ones(2)),
     "dgs_forms no previous": lambda path: dgs_forms(None, KERNELS[3], np.ones(3)),

@@ -130,10 +130,10 @@ def _audit_loop(mesh, alpha, n_max):
     order = as_order(alpha)
     rows = []
     add = lambda n, prop, k, lhs, rhs: rows.append(AuditEntry(n, prop, k, float(lhs), float(rhs)))
-    prev, Zp = build_kernels(mesh.nodes, order, 1), level_weights(mesh, order, 1)[1]
+    prev, Zp = build_kernels(mesh.nodes, order, 1, 1)[0], level_weights(mesh, order, 1)[1]
     Ip, Jp = endpoint_gaps(mesh, order, 1)
     for n in range(2, min(n_max, mesh.num_steps) + 1):
-        ks, Z = build_kernels(mesh.nodes, order, n), level_weights(mesh, order, n)[1]
+        ks, Z = build_kernels(mesh.nodes, order, n, n)[0], level_weights(mesh, order, n)[1]
         A, Ap = gradient_kernels(ks.hat_a), gradient_kernels(prev.hat_a)
         beta = comparison_factor(order.alpha, np.concatenate(([np.nan, np.nan], mesh.ratios[: n - 1])))
         I, J = endpoint_gaps(mesh, order, n)

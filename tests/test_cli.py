@@ -666,6 +666,11 @@ def test_every_perfbench_hook_target_is_called(tmp_path, monkeypatch):
     # builds one TimeMesh, after its last step
     coarsen = per_workload["coarsen-a04"]
     assert coarsen["fracstep.solver.TimeMesh"] == 1 < coarsen["fracstep.solver.adaptive_next_step"]
+    # every kernel pass goes through the one builder: one pass per DGS
+    # history (levels n - 1 and n), and one per run of a short fixed mesh
+    # (two Ns and the spatial rerun)
+    assert per_workload["kernels-fuzz"]["fracstep.experiments.build_kernels"] == 5
+    assert per_workload["accuracy-a08"]["fracstep.solver.build_kernels"] == 3
 
 
 def test_unknown_subcommand_rejected(tmp_path):

@@ -57,7 +57,7 @@ def test_history_quadratic_matches_pointwise_form():
     g = Grid2D(M=8, L=TWO_PI)
     for n in (5, 2 * _G_BLOCK + 3):
         mesh = build_uniform_mesh(1.0, n)
-        kern = build_kernels(mesh.nodes, 0.6, n)
+        kern = build_kernels(mesh.nodes, 0.6, n, n)[0]
         fields = rng.standard_normal((n + 1, 8, 8))
         got = history_quadratic(fields, kern.hat_a, g)
 
@@ -78,7 +78,7 @@ def test_modified_energy_level_zero():
     phi0 = np.zeros((8, 8))
     E, G, dist = free_energy(phi0, 0.5, g), 0.0, np.zeros(1)
     with pytest.raises(ValueError, match="level 0"):
-        modified_energy([phi0], dist, build_kernels(build_uniform_mesh(0.1, 1).nodes, 0.5, 1), 0.5, g,
+        modified_energy([phi0], dist, build_kernels(build_uniform_mesh(0.1, 1).nodes, 0.5, 1, 1)[0], 0.5, g,
                         np.zeros((8, 8)), 0.0)
     # run's columns carry these at level 0, and the lhs column starts at step 1
     traj = run(SolverConfig(alpha=0.5, epsilon=0.5, grid=g), build_uniform_mesh(0.1, 1), phi0)
@@ -90,7 +90,7 @@ def test_modified_energy_steady_history():
     # a constant-in-time history stores nothing in the kernel quadratic
     g = Grid2D(M=8, L=TWO_PI)
     mesh = build_uniform_mesh(1.0, 4)
-    kern = build_kernels(mesh.nodes, 0.5, 4)
+    kern = build_kernels(mesh.nodes, 0.5, 4, 4)[0]
     phi = np.full((8, 8), 0.7)
     dist = np.zeros(4)                  # carried distances of level 3
     E, G, moved = modified_energy([phi] * 5, dist, kern, 0.2, g, np.zeros((8, 8)), 0.0)
@@ -109,11 +109,11 @@ def test_modified_energy_writes_none_of_its_arguments():
     dist = np.zeros(1)
     for n in (1, 2):
         delta = deltas[n - 1]
-        _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh.nodes, 0.5, n), 0.3, g, delta,
+        _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh.nodes, 0.5, n, n)[0], 0.3, g, delta,
                                      grid_sum(delta * delta))
     for array in (fields, dist, deltas):
         array.flags.writeable = False
-    kern = build_kernels(mesh.nodes, 0.5, 3)
+    kern = build_kernels(mesh.nodes, 0.5, 3, 3)[0]
     delta_sq = grid_sum(deltas[2] * deltas[2])
     first = modified_energy(fields, dist, kern, 0.3, g, deltas[2], delta_sq)
     second = modified_energy(fields, dist, kern, 0.3, g, deltas[2], delta_sq)
@@ -133,7 +133,7 @@ def test_modified_energy_takes_the_newest_distance_as_given():
     for n in (1, 2, 3):
         delta = fields[n] - fields[n - 1]
         delta_sq = grid_sum(delta * delta)
-        _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh.nodes, 0.5, n), 0.3, g, delta,
+        _, _, dist = modified_energy(fields[: n + 1], dist, build_kernels(mesh.nodes, 0.5, n, n)[0], 0.3, g, delta,
                                      delta_sq)
         assert dist[n - 1] == delta_sq and dist[n] == 0.0
     assert delta_sq != np.einsum("ij,ij->", delta, delta)
@@ -163,7 +163,7 @@ def test_run_columns_carry_the_bits_of_the_scalar_law(alpha):
     G, lhs, cap_ok, ratio_ok = [G0], [], [], []
     for n in range(1, traj.num_steps + 1):
         tau_n = mesh.step(n)
-        kern = build_kernels(mesh.nodes, alpha, n)
+        kern = build_kernels(mesh.nodes, alpha, n, n)[0]
         delta = traj.fields[n] - traj.fields[n - 1]
         delta_sq = grid_sum(delta * delta)
         _, G_n, dist = modified_energy(traj.fields[: n + 1], dist, kern, cfg.epsilon, grid, delta, delta_sq)

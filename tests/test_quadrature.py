@@ -96,7 +96,7 @@ def test_derivative_quad_matches_closed_form():
         n = 7
         mesh = random_ratio_mesh(rng, n, min_step_ratio(alpha))
         history = rng.standard_normal(n + 1)
-        kern = build_kernels(mesh.nodes, order, n)
+        kern = build_kernels(mesh.nodes, order, n, n)[0]
         closed = frac_derivative(history, kern)
         quad = derivative_quad(mesh, order, n, history)
         assert quad == pytest.approx(closed, rel=1e-10, abs=1e-13)

@@ -232,7 +232,7 @@ def test_strict_run_checks_the_bound_that_step_leaves_to_it(monkeypatch):
     cfg = _cfg(enforce_bound=True)
     mesh = build_uniform_mesh(0.2, 10)
     phi0 = np.full((8, 8), 1.5)
-    phi, _ = step([phi0], mesh.nodes, build_kernels(mesh.nodes, cfg.alpha, 1), cfg, norm_inf(phi0))
+    phi, _ = step([phi0], mesh.nodes, build_kernels(mesh.nodes, cfg.alpha, 1, 1)[0], cfg, norm_inf(phi0))
     assert norm_inf(phi) > 1.0 + solver._BOUND_TOL
     monkeypatch.setattr(solver, "step", lambda *args: (phi, 1))
     with pytest.raises(BoundViolation) as info:
@@ -290,7 +290,7 @@ def test_fixed_point_stall_raises(monkeypatch):
     monkeypatch.setattr(solver, "_FIXED_POINT_MAX_ITER", 1)
     cfg = _cfg()
     mesh = build_uniform_mesh(0.2, 10)
-    kern = build_kernels(mesh.nodes, cfg.alpha, 1)
+    kern = build_kernels(mesh.nodes, cfg.alpha, 1, 1)[0]
     with pytest.raises(ConvergenceError, match="fixed point"):
         step([rng.uniform(-0.9, 0.9, (8, 8))], mesh.nodes, kern, cfg, 0.9)
 
@@ -326,7 +326,7 @@ def test_l21sigma_step_implicit_relation():
     mesh = build_graded_mesh(0.1, 6, 2.0)
     n = 4
     fields = [0.5 * rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(n)]
-    kern = build_kernels(mesh.nodes, cfg.alpha, n)
+    kern = build_kernels(mesh.nodes, cfg.alpha, n, n)[0]
     phi, sweeps = step(fields, mesh.nodes, kern, cfg, norm_inf(fields[-1]))
     levels = fields + [phi]
     theta = cfg.alpha / 2.0
@@ -400,7 +400,7 @@ def test_predictor_start_stays_in_the_bound_box(monkeypatch):
 
 def _steps_with_and_without_predictor(fields, nodes, cfg, monkeypatch):
     n = len(fields)
-    kern = build_kernels(nodes, cfg.alpha, n)
+    kern = build_kernels(nodes, cfg.alpha, n, n)[0]
     phi, _ = step(fields, nodes, kern, cfg, norm_inf(fields[-1]))
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_predict", lambda levels, nodes, radius: levels[-1])
@@ -466,7 +466,7 @@ def test_non_finite_field_raises_at_once():
     prev[3, 4] = np.nan
     mesh = build_uniform_mesh(0.2, 10)
     with pytest.raises(ConvergenceError, match="non-finite"):
-        step([prev], mesh.nodes, build_kernels(mesh.nodes, cfg.alpha, 1), cfg, norm_inf(prev))
+        step([prev], mesh.nodes, build_kernels(mesh.nodes, cfg.alpha, 1, 1)[0], cfg, norm_inf(prev))
     with pytest.raises(ConvergenceError, match="non-finite"):
         crank_nicolson_step(prev, 0.02, cfg)
 
@@ -494,7 +494,7 @@ def test_run_matches_manual_stepping():
 
     fields = [phi0.copy()]
     for n in range(1, 4):
-        kern = build_kernels(mesh.nodes[: n + 1], cfg.alpha, n)
+        kern = build_kernels(mesh.nodes[: n + 1], cfg.alpha, n, n)[0]
         phi, _ = step(fields, mesh.nodes[: n + 1], kern, cfg, norm_inf(fields[-1]))
         fields.append(phi)
     for a, b in zip(traj.fields, fields):
@@ -739,7 +739,7 @@ def test_adaptive_run_grows_stack_and_matches_manual_stepping():
     fields = [phi0]
     for n in range(1, traj.num_steps + 1):
         nodes = traj.mesh.nodes[: n + 1]
-        phi, _ = step(fields, nodes, build_kernels(nodes, cfg.alpha, n), cfg, norm_inf(fields[-1]))
+        phi, _ = step(fields, nodes, build_kernels(nodes, cfg.alpha, n, n)[0], cfg, norm_inf(fields[-1]))
         fields.append(phi)
     assert np.array_equal(traj.fields, np.stack(fields))
 
@@ -770,7 +770,7 @@ def test_carried_distances_match_recomputed_G_at_every_step(monkeypatch):
         dist_max = np.einsum("kij,kij->k", d, d).max()
         drift += 8 * m2 * eps * np.abs(f[n] - f[n - 1]).sum() * np.abs(f[: n + 1]).max()
         drift += 2 * eps * dist_max
-        hat_a = build_kernels(traj.mesh.nodes, cfg.alpha, n).hat_a
+        hat_a = build_kernels(traj.mesh.nodes, cfg.alpha, n, n)[0].hat_a
         c = stored_form_coeffs(hat_a)
         oracle = history_quadratic(f[: n + 1], hat_a, grid)
         weight = 0.5 * grid.h**2 * np.abs(c).sum()
@@ -855,15 +855,13 @@ def _spy_on_steps(patch, levels):
 
 def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch):
     # a small block size puts boundaries after levels 7 and 11 of a 14-level
-    # mesh: every level's KernelSet must be build_kernels' bit for bit, and
-    # only the levels an adaptive run appends past that mesh are built alone
+    # mesh: every level's KernelSet must be a one-level pass's bit for bit,
+    # and only the levels an adaptive run appends past that mesh are blocks
+    # of one
     monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 60)
-    blocks, alone = [], []
-    real_block, real_build = solver.build_kernel_block, solver.build_kernels
-    monkeypatch.setattr(solver, "build_kernel_block",
-                        lambda mesh, order, lo, hi: blocks.append((lo, hi)) or real_block(mesh, order, lo, hi))
-    monkeypatch.setattr(solver, "build_kernels",
-                        lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
+    blocks = []
+    real_build = solver.build_kernels
+    _spy_on_blocks(monkeypatch, blocks)
     cfg = _cfg(alpha=0.6)
     mesh = build_graded_mesh(0.2, 14, 2.0)
     phi0 = np.random.default_rng(2).uniform(-0.5, 0.5, (8, 8))
@@ -874,12 +872,11 @@ def test_fixed_mesh_kernels_come_from_blocks_bitwise_as_built_alone(monkeypatch)
         with monkeypatch.context() as patch:
             _spy_on_steps(patch, levels)
             traj = run(cfg, schedule, phi0)
-        assert blocks == [(1, 7), (8, 11), (12, 14)]
-        assert alone == list(range(15, traj.num_steps + 1))
+        assert blocks == [(1, 7), (8, 11), (12, 14)] + [(n, n) for n in range(15, traj.num_steps + 1)]
         assert [k.n for k in levels] == list(range(1, traj.num_steps + 1))
-    assert all((hi - lo + 1) * (hi + 1) <= 60 for lo, hi in blocks) and len(alone) >= 2
+    assert all((hi - lo + 1) * (hi + 1) <= 60 for lo, hi in blocks if hi > lo) and len(blocks) >= 5
     for got in levels:
-        want = real_build(traj.mesh.nodes, 0.6, got.n)
+        want = real_build(traj.mesh.nodes, 0.6, got.n, got.n)[0]
         assert _bits(got.local) == _bits(want.local)
         assert np.array_equal(_bits(got.hat_a), _bits(want.hat_a)) and not got.hat_a.flags.writeable
 
@@ -889,9 +886,9 @@ def _bits(x):
 
 
 def _spy_on_blocks(patch, blocks):
-    """Patch solver.build_kernel_block to append each block's (lo, hi) to blocks."""
-    real = solver.build_kernel_block
-    patch.setattr(solver, "build_kernel_block",
+    """Patch solver.build_kernels to append each pass's (lo, hi) to blocks."""
+    real = solver.build_kernels
+    patch.setattr(solver, "build_kernels",
                   lambda nodes, order, lo, hi: blocks.append((lo, hi)) or real(nodes, order, lo, hi))
 
 
@@ -899,14 +896,12 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     # a strict run whose field moves slowly: the controller returns the cap
     # (0.0265) on every step after the 2-step warm-up, and the horizon clips
     # only the last.  With 200 entries per block the cap-decided levels come
-    # from several predicted blocks; only the clipped step is built alone,
-    # and every level's KernelSet is build_kernels' on the final mesh
+    # from several predicted blocks; only the clipped step is a block of
+    # one, and every level's KernelSet is a one-level pass's on the final mesh
     monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 200)
-    blocks, alone, levels = [], [], []
+    blocks, levels = [], []
     real_build = solver.build_kernels
     _spy_on_blocks(monkeypatch, blocks)
-    monkeypatch.setattr(solver, "build_kernels",
-                        lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
     _spy_on_steps(monkeypatch, levels)
     cfg = _cfg(epsilon=0.05, enforce_bound=True)
     cap = step_size_cap(0.5, cfg.grid.h, 0.05)
@@ -916,14 +911,15 @@ def test_cap_decided_levels_come_from_predicted_blocks_bitwise_as_built_alone(mo
     traj = run(cfg, sched, phi0)
     N = traj.num_steps
     assert np.allclose(traj.mesh.steps[2:-1], cap, rtol=1e-12, atol=0.0) and traj.mesh.step(N) < cap
-    assert alone == [N]
+    *predicted, clipped = blocks
+    assert clipped == (N, N)
     # the last prediction runs past the horizon: its block holds the level
     # before the clipped step and levels the run never takes
-    assert blocks[0] == (1, 2) and len(blocks) >= 4 and blocks[-1][0] <= N - 1 <= blocks[-1][1]
-    assert all((hi - lo + 1) * (hi + 1) <= 200 for lo, hi in blocks)
+    assert predicted[0] == (1, 2) and len(predicted) >= 4 and predicted[-1][0] <= N - 1 <= predicted[-1][1]
+    assert all(lo < hi and (hi - lo + 1) * (hi + 1) <= 200 for lo, hi in predicted)
     assert [k.n for k in levels] == list(range(1, N + 1))
     for got in levels:
-        want = real_build(traj.mesh.nodes, 0.5, got.n)
+        want = real_build(traj.mesh.nodes, 0.5, got.n, got.n)[0]
         for name in ("local", "hat_a"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
 
@@ -961,14 +957,12 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
     phi0 = 1e-2 * np.random.default_rng(4).uniform(-1.0, 1.0, (8, 8))
     sched = AdaptiveSchedule(warmup=build_graded_mesh(0.01, 2, 1.0), horizon=2.8,
                              tau_min=1e-3, tau_max=0.1, eta=30.0)
-    runs, real_build = [], solver.build_kernels
+    runs = []
     for blocks in (True, False):
-        built, alone, levels = [], [], []
+        built, levels = [], []
         with monkeypatch.context() as patch:
             if blocks:
                 _spy_on_blocks(patch, built)
-                patch.setattr(solver, "build_kernels",
-                              lambda nodes, order, n: alone.append(n) or real_build(nodes, order, n))
             else:
                 patch.setattr(solver, "_kernel_block", lambda nodes, order, lo, cap: {})
             _spy_on_steps(patch, levels)
@@ -979,12 +973,11 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
         if blocks:
             at_cap = np.isclose(traj.mesh.steps, cap, rtol=1e-12, atol=0.0)
             assert at_cap[2:94].all() and not at_cap[94:].any()
-            # the predictions hold at every cap-decided level, so only the rest are built alone
-            assert alone == list(range(95, traj.num_steps + 1))
             # the warm-up's block, then blocks as large as the bound allows from
-            # levels 3 and 65: each prediction held until the run left the cap
-            assert built == [(1, 2), (3, 64), (65, 103)]
-            assert all((hi - lo + 1) * (hi + 1) <= solver._BLOCK_ENTRIES for lo, hi in built)
+            # levels 3 and 65: each prediction held until the run left the
+            # cap, so only the rest are blocks of one
+            assert built == [(1, 2), (3, 64), (65, 103)] + [(n, n) for n in range(95, traj.num_steps + 1)]
+            assert all((hi - lo + 1) * (hi + 1) <= solver._BLOCK_ENTRIES for lo, hi in built if hi > lo)
     (got, got_levels, got_warned), (want, want_levels, want_warned) = runs
     assert got_warned == want_warned
     for name in ("fields", "sup_norms", "E", "G", "dissipation_lhs", "fp_iters", "cap_ok", "ratio_ok"):
@@ -995,22 +988,27 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
             assert np.array_equal(_bits(getattr(x, name)), _bits(getattr(y, name)))
 
 
-@pytest.mark.parametrize("alpha, schedule, warned", [
-    (1e-300, build_uniform_mesh(0.1, 6), []),
-    (0.5, build_uniform_mesh(1e-300, 6), ["kernels.py"]),
+@pytest.mark.parametrize("alpha, strict, schedule, warned, multi_level", [
+    (1e-300, False, build_uniform_mesh(0.1, 6), [], True),
+    (0.5, False, build_uniform_mesh(1e-300, 6), ["kernels.py"], True),
     # strict: a warm-up step of 1e-150, then every step at the cap (0.0265)
-    (0.5, AdaptiveSchedule(warmup=TimeMesh(np.array([0.0, 1e-150])), horizon=0.2,
-                           tau_min=0.1, tau_max=0.1, eta=0.0), []),
-], ids=["tiny-alpha", "tiny-mesh", "strict-tiny-first-step"])
-def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, schedule, warned, monkeypatch):
+    (0.5, True, AdaptiveSchedule(warmup=TimeMesh(np.array([0.0, 1e-150])), horizon=0.2,
+                                 tau_min=0.1, tau_max=0.1, eta=0.0), [], True),
+    # not strict: a warm-up step of 1e-300, then an appended step of 0.1
+    (0.5, False, AdaptiveSchedule(warmup=TimeMesh(np.array([0.0, 1e-300])), horizon=0.2,
+                                  tau_min=0.1, tau_max=0.1, eta=0.0), ["kernels.py"], False),
+], ids=["tiny-alpha", "tiny-mesh", "strict-tiny-first-step", "appended-after-tiny-first-step"])
+def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, strict, schedule, warned, multi_level,
+                                                              monkeypatch):
     # level 1 is sound and level 2 has no positive moment weights, so the
-    # block that holds level 2 raises: of all six levels of a fixed mesh, or
-    # the levels that a strict run predicts from its first step at the cap.
-    # The run must still take step 1 and fail at step 2 with the warnings
-    # and the exception of building every level on its own; on the tiny
-    # mesh only level 2's weights warn, as run evaluates step 1's
-    # dissipation lhs only once the whole run is done
-    cfg = _cfg(alpha=alpha, enforce_bound=isinstance(schedule, AdaptiveSchedule))
+    # block that holds level 2 raises: of all six levels of a fixed mesh, of
+    # the levels that a strict run predicts from its first step at the cap,
+    # or of level 2 alone when a run appends it off the cap.  The run must
+    # still take step 1 and fail at step 2 with the warnings and the
+    # exception of building every level on its own; on the tiny meshes only
+    # level 2's weights warn, as run evaluates step 1's dissipation lhs
+    # only once the whole run is done
+    cfg = _cfg(alpha=alpha, enforce_bound=strict)
     phi0 = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 8))
     outcomes, built = [], []
     real_block = solver._kernel_block
@@ -1033,4 +1031,4 @@ def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, schedule, w
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == ([1], "moment weights must be positive")
     assert [os.path.basename(w[2]) for w in outcomes[0][2]] == warned
-    assert [(len(block) > 1, set(block.values())) for block in built if 2 in block] == [(True, {None})]
+    assert [(len(block) > 1, set(block.values())) for block in built if 2 in block] == [(multi_level, {None})]
