@@ -67,8 +67,7 @@ _SLACK_FLOOR = 1e-13    # relative round-off floor below which a negative slack 
 
 class AuditReport:
     """All audit rows of one call, for one or more meshes, held as
-    read-only columns: copies of the ones a caller passes, and the
-    audit's own block itself.
+    read-only copies of the columns it is given.
 
     n, code and k are 1-D and give the row layout that every mesh shares:
     code indexes names, its rows are grouped by property in names order,
@@ -81,21 +80,10 @@ class AuditReport:
 
     def __init__(self, names, n, code, k, lhs, rhs):
         # copies, so that a caller's array is never made read-only behind its back
-        self._adopt(names, *(np.array(c, dtype=np.int64) for c in (n, code, k)),
-                    *(np.array(c, dtype=np.float64, ndmin=2) for c in (lhs, rhs)))
-
-    @classmethod
-    def _of_block(cls, names, n, code, k, block) -> "AuditReport":
-        """The report of _audit's layout and (2, meshes, rows) block, which
-        it takes over instead of copying: nothing else holds the block."""
-        report = cls.__new__(cls)
-        report._adopt(names, *(np.asarray(c, dtype=np.int64) for c in (n, code, k)), *block)
-        return report
-
-    def _adopt(self, names, n, code, k, lhs, rhs) -> None:
-        """Take the typed columns as the report's own, read-only, and check their layout."""
         self.names = tuple(names)
-        self.n, self.code, self.k, self.lhs, self.rhs = cols = (n, code, k, lhs, rhs)
+        self.n, self.code, self.k = (np.array(c, dtype=np.int64) for c in (n, code, k))
+        self.lhs, self.rhs = (np.array(c, dtype=np.float64, ndmin=2) for c in (lhs, rhs))
+        cols = (self.n, self.code, self.k, self.lhs, self.rhs)
         for col in cols:
             col.flags.writeable = False
         if len({self.n.shape, self.code.shape, self.k.shape, self.lhs.shape[1:]}) != 1 \
@@ -225,27 +213,26 @@ def audit_kernel_properties(meshes, order, n_max: int) -> AuditReport:
     in the module docstring's order, less the properties without rows
     (levels below 4).
 
+    The report is built by AuditReport's constructor, like any other.
     The caller is responsible for the mesh hypothesis (ratios >= r*(alpha)).
     """
     order = as_order(order)
     levels = sorted({min(n_max, mesh.num_steps) for mesh in meshes})
     if len(levels) != 1:
         raise ValueError(f"the meshes must all reach one level min(n_max, num_steps), got levels {levels}")
-    # the pass's tables are freed when _audit returns, and the report takes over its block
-    return AuditReport._of_block(*_audit(meshes, order, levels[0]))
+    return AuditReport(*_audit(meshes, order, levels[0]))
 
 
 def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
-    """(names, n, code, k, block) of meshes that all reach level n_max:
-    the report's row layout and its lhs and rhs as one (2, meshes, rows)
-    block.
+    """(names, n, code, k, lhs, rhs) of meshes that all reach level n_max:
+    the report's row layout and its (meshes, rows) lhs and rhs.
 
     Every level's weights come from one kernel_tables pass over all the
     meshes (level n at row n - 1, A formed once from hat_a), and each
     property is one array expression over its meshes and (n, k) pairs.
     """
     if n_max < 2:
-        return (), [], [], [], np.empty((2, len(meshes), 0))
+        return (), [], [], [], *np.empty((2, len(meshes), 0))
     alpha = order.alpha
     t = kernel_tables([mesh.nodes[: n_max + 1] for mesh in meshes], order, 1, n_max)
     wp = omega(1.0 - alpha, t.d)                 # wp[:, n-1, p] = w'(t_{n-p}) at level n
@@ -294,10 +281,9 @@ def _audit(meshes, order: FracOrder, n_max: int) -> tuple:
     names, groups, sides = zip(*(p for p in props if pairs[p[1]][0].size))
     pn, pk = zip(*(pairs[g] for g in groups))
     sizes = [x.size for x in pn]
-    block = np.empty((2, len(meshes), sum(sizes)))
-    lhs, rhs = block
+    lhs, rhs = np.empty((2, len(meshes), sum(sizes)))
     stop = 0
     for size, side in zip(sizes, sides):
         start, stop = stop, stop + size
         lhs[:, start:stop], rhs[:, start:stop] = side()
-    return names, np.concatenate(pn), np.repeat(np.arange(len(names)), sizes), np.concatenate(pk), block
+    return names, np.concatenate(pn), np.repeat(np.arange(len(names)), sizes), np.concatenate(pk), lhs, rhs

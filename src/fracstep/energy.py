@@ -36,7 +36,7 @@ def free_energy(phi: np.ndarray, epsilon: float, grid: Grid2D) -> float:
     """Ginzburg-Landau energy: (eps^2/2) ||grad phi||^2 + integral of (phi^2-1)^2/4."""
     w = phi * phi - 1.0
     bulk = 0.25 * grid.h**2 * grid_sum(w * w)
-    return 0.5 * epsilon**2 * grad_energy(phi, grid) + bulk
+    return 0.5 * epsilon**2 * grad_energy(phi) + bulk
 
 
 _DISSIPATION_REL_TOL = 1e-10    # dissipation audit tolerance per unit of 1 + |E_alpha|

@@ -126,7 +126,6 @@ class AccuracyRow:
     gamma: float
     N: int
     error: float
-    fitted_order: float
 
 
 @dataclass
@@ -181,7 +180,7 @@ def accuracy_table(spec: AccuracySpec) -> AccuracyTable:
             order, resid = math.nan, math.nan
         orders[gamma] = (order, resid)
         for N, e in zip(Ns_done, errs):
-            rows.append(AccuracyRow(gamma=gamma, N=N, error=e, fitted_order=order))
+            rows.append(AccuracyRow(gamma=gamma, N=N, error=e))
 
     spatial_estimate = spatial_ok = None
     if spec.spatial_check and rows:
@@ -197,7 +196,7 @@ def write_accuracy_csv(path, table: AccuracyTable) -> None:
         w = csv.writer(fh)
         w.writerow(["gamma", "N", "error", "fitted_order"])
         for r in table.rows:
-            w.writerow([f"{r.gamma:.6g}", r.N, f"{r.error:.16e}", f"{r.fitted_order:.6f}"])
+            w.writerow([f"{r.gamma:.6g}", r.N, f"{r.error:.16e}", f"{table.orders[r.gamma][0]:.6f}"])
 
 
 # -- coarsening study --------------------------------------------------------

@@ -73,13 +73,13 @@ def norm_inf(u: np.ndarray) -> float:
     return float(np.max(np.abs(u)))
 
 
-def grad_energy(u: np.ndarray, grid: Grid2D) -> float:
+def grad_energy(u: np.ndarray) -> float:
     """Discrete Dirichlet energy: sum of squared forward differences.
 
     The h factors cancel (h^2 for the cell area, 1/h^2 for the difference
-    quotient), and summation by parts gives h^2 * grid_sum(laplacian(u) * u)
-    equal to -grad_energy(u) exactly.  The forward differences roll(u, -1, axis) - u
-    are taken from slices into one output array.
+    quotient), so it reads no grid; summation by parts gives
+    h^2 * grid_sum(laplacian(u, grid) * u) = -grad_energy(u) exactly.  The
+    forward differences roll(u, -1, axis) - u fill slices of one array.
     """
     dx, dy = d = np.empty((2, *u.shape))
     np.subtract(u[1:], u[:-1], out=dx[:-1])

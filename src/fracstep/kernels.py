@@ -154,7 +154,10 @@ def _moment_series(alpha: float, tau, c):
     """Moment weight via the odd-derivative midpoint series, for tau << c.
 
     zeta = -(2/tau^2) * sum_{j>=1} (4j/(2j+1)!) (tau/2)^{2j+1} f^{(2j+1)}(c)
-    with f = omega_{3-alpha}, so f^{(2j+1)} = omega_{2-alpha-2j}.
+    with f = omega_{3-alpha}, so f^{(2j+1)} = omega_{2-alpha-2j}.  Where
+    tau^2 underflows to 0 the quotient's 0/0 is a silent nan, which the
+    positivity count of _weight_rows refuses; x/0 and overflow still warn,
+    since an inf weight passes that count.
     """
     half = 0.5 * tau
     # term = (tau/2)^(2j+1) f^(2j+1)(c), stepped by q = (tau/2c)^2: powers of 1/c would overflow
@@ -167,7 +170,8 @@ def _moment_series(alpha: float, tau, c):
         beta = 2.0 - alpha - 2.0 * j
         term = term * ((beta - 1.0) * (beta - 2.0) * q)
         fact = fact * (2.0 * j + 2.0) * (2.0 * j + 3.0)
-    return -2.0 * total / (tau * tau)
+    with np.errstate(invalid="ignore"):
+        return -2.0 * total / (tau * tau)
 
 
 def _moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -185,8 +189,8 @@ def _moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
     entry is evaluated by the one formula it keeps: the far and the near
     entries are gathered into contiguous vectors and each set is computed
     once, elementwise, so an entry's bits do not depend on the others.  An
-    entry whose gap is nan (a nan tau or lo) is nan, as either formula
-    would make it.  tau and lo share one shape.
+    entry whose gap is nan (a nan tau or lo) is nan, as is a 0/0 by an
+    underflowed tau^2, silently (_moment_series).  tau and lo share one shape.
     """
     gap = tau / lo
     zeta = np.full(gap.shape, np.nan)
@@ -194,7 +198,8 @@ def _moments(alpha: float, tau: np.ndarray, lo: np.ndarray) -> np.ndarray:
     t, d = tau[far], lo[far]
     # stable difference for the omega_{3-alpha} part
     direct = omega_diff(3.0 - alpha, d, t) - 0.5 * t * (omega(2.0 - alpha, d + t) + omega(2.0 - alpha, d))
-    zeta[far] = 2.0 * direct / (t * t)
+    with np.errstate(invalid="ignore"):
+        zeta[far] = 2.0 * direct / (t * t)
     t, d = tau[near], lo[near]
     zeta[near] = _moment_series(alpha, t, d + 0.5 * t)
     return zeta

@@ -2,8 +2,9 @@
 
 One test per criterion, each printing a single summary line with the
 measured quantities before asserting them.  The heavy inputs (kernel
-fuzz audit, coarsening runs, accuracy tables) are shared module-scope
-fixtures so each expensive computation happens once.
+fuzz audit, accuracy tables) are shared module-scope fixtures, and the
+coarsening runs a session fixture of conftest.py, so each expensive
+computation happens once.
 """
 
 import math
@@ -15,11 +16,9 @@ import pytest
 from fracstep.energy import dissipation_audit
 from fracstep.experiments import (
     AccuracySpec,
-    CoarsenSpec,
     KernelAuditSpec,
     accuracy_table,
     fit_order,
-    run_coarsening,
     run_kernel_audit,
 )
 from fracstep.grid import Grid2D, norm_inf
@@ -43,16 +42,6 @@ def kernel_audit():
     t0 = time.monotonic()
     result = run_kernel_audit(KernelAuditSpec(seed=2024))
     return result, time.monotonic() - t0
-
-
-@pytest.fixture(scope="module")
-def coarsen_runs():
-    out = {}
-    t0 = time.monotonic()
-    for alpha in (0.4, 0.7, 0.9, 0.95, 0.97):
-        traj, _ = run_coarsening(CoarsenSpec(alpha=alpha, seed=7).quick())
-        out[alpha] = traj
-    return out, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import collections
 import csv
 import dataclasses
 import glob
+import hashlib
 import importlib.util
 import json
 import math
@@ -14,7 +15,9 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from numpy.lib import introspect
 from typing import get_args, get_origin, get_type_hints
 
 import fracstep
@@ -379,6 +382,21 @@ def test_accuracy_without_rows_names_each_failure(tmp_path, capsys, overrides, c
     assert [f[:2] for f in _meta(out)["row_failures"]] == [[gamma, 4], [gamma, 8]]
 
 
+def test_refused_moment_weights_keep_the_exit_code_under_warnings_as_errors(tmp_path):
+    # at T = 1e-300 the steps' squares underflow, and the moment weights'
+    # 0/0 is a nan that their positivity count refuses: no RuntimeWarning
+    # comes first, so a run with every warning an error still exits 2
+    cfg = _write_cfg(tmp_path, "cfg.json", {"alpha": 0.8, "sigma": 0.4, "gammas": [1.0], "Ns": [4, 8],
+                                            "M": 8, "T": 1e-300})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "fracstep.cli", "accuracy", "--config", cfg,
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_AUDIT, proc.stderr
+    for N in (4, 8):
+        assert f"row failure at gamma=1, N={N}: FloatingPointError: moment weights must be positive" in proc.stderr
+
+
 def test_accuracy_without_a_finite_order_is_an_audit_failure(tmp_path, capsys):
     # at sigma = 1e300 the exact solution omega_{1+sigma}(t) underflows to 0,
     # so both errors are 0.0: no order fits them, and no log of 0 is taken
@@ -559,33 +577,29 @@ def _fuzz_cases():
 
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     # every case exits 0, 2, 3 or 4 with no exception escaping, and an exit 4
-    # names a quoted config key and leaves no output directory.  A solve that
-    # diverges reports itself as its step's ConvergenceError alone: no
-    # RuntimeWarning from solver.py or numpy's FFT comes before it
+    # names a quoted config key and leaves no output directory.  The suite
+    # makes every RuntimeWarning an error (pyproject.toml), so a case that
+    # warns on its way to an exit code escapes as one and counts as broken
     cases = list(_fuzz_cases())
     assert len(cases) == 166
     broken = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        for i, (subcommand, key, payload) in enumerate(cases):
-            cfg = _write_cfg(tmp_path, f"cfg{i}.json", payload)
-            out = tmp_path / f"o{i}"
-            capsys.readouterr()
-            try:
-                code = main([subcommand, "--config", cfg, "--out", str(out)])
-            except Exception as exc:
-                broken.append((subcommand, key, payload[key], f"{type(exc).__name__}: {exc}"))
-                continue
-            err = capsys.readouterr().err
-            named = re.search(r"config key '(\w+)", err)
-            if code not in (EXIT_OK, EXIT_AUDIT, EXIT_NONCONV, EXIT_CONFIG):
-                broken.append((subcommand, key, payload[key], f"exit {code}"))
-            elif code == EXIT_CONFIG and not (named and named[1] in _config_keys(subcommand)
-                                              and not out.exists()):
-                broken.append((subcommand, key, payload[key], f"exit 4, output {out.exists()}: {err.strip()}"))
+    for i, (subcommand, key, payload) in enumerate(cases):
+        cfg = _write_cfg(tmp_path, f"cfg{i}.json", payload)
+        out = tmp_path / f"o{i}"
+        capsys.readouterr()
+        try:
+            code = main([subcommand, "--config", cfg, "--out", str(out)])
+        except Exception as exc:
+            broken.append((subcommand, key, payload[key], f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        named = re.search(r"config key '(\w+)", err)
+        if code not in (EXIT_OK, EXIT_AUDIT, EXIT_NONCONV, EXIT_CONFIG):
+            broken.append((subcommand, key, payload[key], f"exit {code}"))
+        elif code == EXIT_CONFIG and not (named and named[1] in _config_keys(subcommand)
+                                          and not out.exists()):
+            broken.append((subcommand, key, payload[key], f"exit 4, output {out.exists()}: {err.strip()}"))
     assert broken == []
-    assert [(w.filename, w.lineno, str(w.message)) for w in caught if issubclass(w.category, RuntimeWarning)
-            and (os.path.basename(w.filename) == "solver.py" or os.sep + "fft" + os.sep in w.filename)] == []
 
 
 def test_spec_from_config_fills_defaults_and_seed():
@@ -671,6 +685,44 @@ def test_every_perfbench_hook_target_is_called(tmp_path, monkeypatch):
     # (two Ns and the spatial rerun)
     assert per_workload["kernels-fuzz"]["fracstep.experiments.build_kernels"] == 5
     assert per_workload["accuracy-a08"]["fracstep.solver.build_kernels"] == 3
+
+
+def _golden_key():
+    """What the output bits rest on: the numpy version, and the SIMD target
+    that runs each float64 loop the kernels and the fields evaluate."""
+    loops = introspect.opt_func_info(func_name="^(power|exp|log|log1p|expm1)$", signature="float64")
+    return {"numpy": np.__version__,
+            "float64 loops": {f"{name}({sig})": target["current"]
+                              for name, sigs in sorted(loops.items()) for sig, target in sigs.items()}}
+
+
+def test_outputs_keep_their_golden_digests(tmp_path, coarsen_runs):
+    # the benchmark's three workloads at two seeds and the shipped kernel
+    # audit, through main, and the strict quick coarsen's energy.csv at
+    # three alphas, against tests/golden_outputs.json (README "Tests")
+    with open(os.path.join(REPO, "tests", "golden_outputs.json")) as fh:
+        golden = json.load(fh)
+    key = _golden_key()
+    if key != golden["key"]:
+        pytest.skip(f"digests recorded for {golden['key']}, this machine has {key}")
+    workloads = _perfbench("workloads")
+    runs = [(f"{w} --seed {seed}", workloads.SUBCOMMAND[w], workloads.make_config(w, seed), seed)
+            for w in workloads.WORKLOADS for seed in (0, 11)]
+    with open(os.path.join(REPO, "configs", "kernels.json")) as fh:
+        runs.append(("configs/kernels.json --seed 0", "kernels", json.load(fh), 0))
+    got = {}
+    for i, (name, subcommand, payload, seed) in enumerate(runs):
+        cfg, out = _write_cfg(tmp_path, f"cfg{i}.json", payload), str(tmp_path / f"o{i}")
+        assert main([subcommand, "--config", cfg, "--out", out, "--seed", str(seed)]) == EXIT_OK, name
+        got[name] = workloads.digest_outputs(out)
+    trajectories, _ = coarsen_runs
+    for alpha in (0.4, 0.7, 0.9):
+        out = tmp_path / f"coarsen{alpha}"
+        out.mkdir()
+        xp.write_coarsening_outputs(out, xp.CoarsenSpec(alpha=alpha, seed=7).quick(), trajectories[alpha])
+        got[f"coarsen --quick alpha {alpha} --seed 7 energy.csv"] = \
+            hashlib.sha256((out / "energy.csv").read_bytes()).hexdigest()
+    assert got == golden["digests"]
 
 
 def test_unknown_subcommand_rejected(tmp_path):

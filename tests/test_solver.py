@@ -988,26 +988,36 @@ def test_a_strict_run_that_leaves_the_cap_is_the_run_without_blocks(monkeypatch)
             assert np.array_equal(_bits(getattr(x, name)), _bits(getattr(y, name)))
 
 
-@pytest.mark.parametrize("alpha, strict, schedule, warned, multi_level", [
-    (1e-300, False, build_uniform_mesh(0.1, 6), [], True),
-    (0.5, False, build_uniform_mesh(1e-300, 6), ["kernels.py"], True),
+_MOMENT = "moment weights must be positive"
+
+
+@pytest.mark.parametrize("alpha, strict, schedule, error, warned, multi_level", [
+    (1e-300, False, build_uniform_mesh(0.1, 6), _MOMENT, [], True),
+    # the moment weights' 0/0 at steps whose square underflows is a nan that
+    # fails their positivity count without a warning
+    (0.5, False, build_uniform_mesh(1e-300, 6), _MOMENT, [], True),
     # strict: a warm-up step of 1e-150, then every step at the cap (0.0265)
     (0.5, True, AdaptiveSchedule(warmup=TimeMesh(np.array([0.0, 1e-150])), horizon=0.2,
-                                 tau_min=0.1, tau_max=0.1, eta=0.0), [], True),
+                                 tau_min=0.1, tau_max=0.1, eta=0.0), _MOMENT, [], True),
     # not strict: a warm-up step of 1e-300, then an appended step of 0.1
     (0.5, False, AdaptiveSchedule(warmup=TimeMesh(np.array([0.0, 1e-300])), horizon=0.2,
-                                  tau_min=0.1, tau_max=0.1, eta=0.0), ["kernels.py"], False),
-], ids=["tiny-alpha", "tiny-mesh", "strict-tiny-first-step", "appended-after-tiny-first-step"])
-def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, strict, schedule, warned, multi_level,
+                                  tau_min=0.1, tau_max=0.1, eta=0.0), _MOMENT, [], False),
+    # at alpha = 1 - 2^-53 a subnormal second step overflows level 2's head
+    # weight 1 / tau_2, and its history weight, a difference of omega_{2-alpha}, is 0
+    (1.0 - 2.0**-53, False, TimeMesh(np.array([0.0, 1e-300, 1e-300 + 1e-310])),
+     "interval weights must be positive", ["kernels.py"], True),
+], ids=["tiny-alpha", "tiny-mesh", "strict-tiny-first-step", "appended-after-tiny-first-step",
+        "subnormal-second-step"])
+def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, strict, schedule, error, warned, multi_level,
                                                               monkeypatch):
-    # level 1 is sound and level 2 has no positive moment weights, so the
-    # block that holds level 2 raises: of all six levels of a fixed mesh, of
+    # level 1 is sound and level 2's weights are not all positive, so the
+    # block that holds level 2 raises: of all the levels of a fixed mesh, of
     # the levels that a strict run predicts from its first step at the cap,
     # or of level 2 alone when a run appends it off the cap.  The run must
     # still take step 1 and fail at step 2 with the warnings and the
-    # exception of building every level on its own; on the tiny meshes only
-    # level 2's weights warn, as run evaluates step 1's dissipation lhs
-    # only once the whole run is done
+    # exception of building every level on its own; only level 2's weights
+    # may warn, as run evaluates step 1's dissipation lhs only once the
+    # whole run is done
     cfg = _cfg(alpha=alpha, enforce_bound=strict)
     phi0 = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 8))
     outcomes, built = [], []
@@ -1029,6 +1039,6 @@ def test_a_block_with_a_bad_level_fails_as_levels_built_alone(alpha, strict, sch
         outcomes.append(([k.n for k in levels], str(exc.value),
                          [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:2] == ([1], "moment weights must be positive")
+    assert outcomes[0][:2] == ([1], error)
     assert [os.path.basename(w[2]) for w in outcomes[0][2]] == warned
     assert [(len(block) > 1, set(block.values())) for block in built if 2 in block] == [(multi_level, {None})]
